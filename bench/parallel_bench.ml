@@ -251,20 +251,23 @@ let reduction_factor r =
   else 0.
 
 (* Exploration-engine comparison: the same raw 2-crash Figure 2 / S_2
-   workload walked sequentially by the checkpoint/restore engine
-   (default) and by the replay oracle ([~undo:false]).  The two must
-   render byte-identical statistics -- that's the correctness half --
-   and the restore engine must beat replay by the recorded floor
-   (default 2x): rolling a journal back to the fork point costs the
-   steps since the fork, replay costs the whole prefix.  The floor is a
-   sequential wall-clock ratio on one process, so unlike the scaling
-   floors it is enforced regardless of core count
-   (RCONS_BENCH_NO_FLOOR still escapes).  Each engine is timed
-   best-of-2 to damp scheduler noise. *)
+   workload walked sequentially under the two backtrack strategies of
+   the explorer's walker -- rollback over the undo journal (default) and
+   the rebuild oracle ([~undo:false]), which replays each fork point's
+   prefix into a fresh system.  The two must render byte-identical
+   statistics -- that's the correctness half -- and rollback must beat
+   rebuild by the recorded floor (default 2x): rolling a journal back to
+   the fork point costs the steps since the fork, a rebuild costs the
+   whole prefix.  The floor is a sequential wall-clock ratio on one
+   process, so unlike the scaling floors it is enforced regardless of
+   core count (RCONS_BENCH_NO_FLOOR still escapes).  Each strategy is
+   timed best-of-2 to damp scheduler noise.  The JSON keeps its
+   original keys ([restore_s] for rollback, [replay_s] for rebuild) so
+   the trend history stays one series. *)
 type engine_row = {
   eng_name : string;
   eng_undo : float;
-  eng_replay : float;
+  eng_rebuild : float;
   eng_identical : bool;
   eng_floor : float;
   eng_undo_t : Rcons.Par.Pool.Telemetry.snapshot; (* journal counters, undo run *)
@@ -286,17 +289,17 @@ let engine_bench ~floor () =
   let before = Rcons.Par.Pool.Telemetry.snapshot () in
   let undo_t, undo_render = time_engine true in
   let undo_tele = Rcons.Par.Pool.Telemetry.(diff (snapshot ()) before) in
-  let replay_t, replay_render = time_engine false in
+  let rebuild_t, rebuild_render = time_engine false in
   {
     eng_name = "explore Figure 2 on S_2 (2 crashes, sequential)";
     eng_undo = undo_t;
-    eng_replay = replay_t;
-    eng_identical = undo_render = replay_render;
+    eng_rebuild = rebuild_t;
+    eng_identical = undo_render = rebuild_render;
     eng_floor = floor;
     eng_undo_t = undo_tele;
   }
 
-let engine_speedup e = if e.eng_undo > 0. then e.eng_replay /. e.eng_undo else 0.
+let engine_speedup e = if e.eng_undo > 0. then e.eng_rebuild /. e.eng_undo else 0.
 
 let recorded_engine_floor path =
   if not (Sys.file_exists path) then None
@@ -460,8 +463,8 @@ let run ?(domains = 4) ?(out = "BENCH_parallel.json") () =
   let eng = engine_bench ~floor:(Option.value (recorded_engine_floor out) ~default:2.0) () in
   let eng_ratio = engine_speedup eng in
   Util.row "@.exploration engine: %s@." eng.eng_name;
-  Util.row "    restore %8.3fs   replay %8.3fs   speedup %8.2fx (floor %.1fx), identical=%b@."
-    eng.eng_undo eng.eng_replay eng_ratio eng.eng_floor eng.eng_identical;
+  Util.row "    rollback %8.3fs   rebuild %8.3fs   speedup %8.2fx (floor %.1fx), identical=%b@."
+    eng.eng_undo eng.eng_rebuild eng_ratio eng.eng_floor eng.eng_identical;
   Util.row "    journal: %d restores, %d entries, %d bytes peak@."
     eng.eng_undo_t.Rcons.Par.Pool.Telemetry.restores eng.eng_undo_t.undo_entries
     eng.eng_undo_t.undo_bytes_peak;
@@ -486,7 +489,7 @@ let run ?(domains = 4) ?(out = "BENCH_parallel.json") () =
     "  \"engine\": {\"name\": %S, \"restore_s\": %.4f, \"replay_s\": %.4f, \"speedup\": %.2f, \
      \"floor\": %.1f, \"identical\": %b, \"restores\": %d, \"undo_entries\": %d, \
      \"undo_bytes_peak\": %d},\n"
-    eng.eng_name eng.eng_undo eng.eng_replay eng_ratio eng.eng_floor eng.eng_identical
+    eng.eng_name eng.eng_undo eng.eng_rebuild eng_ratio eng.eng_floor eng.eng_identical
     eng.eng_undo_t.Rcons.Par.Pool.Telemetry.restores eng.eng_undo_t.undo_entries
     eng.eng_undo_t.undo_bytes_peak;
   p "  \"workloads\": [\n";
@@ -557,7 +560,7 @@ let run ?(domains = 4) ?(out = "BENCH_parallel.json") () =
      stats are a bug whatever the environment, while the wall-clock
      floor gets the usual escape hatch. *)
   if not eng.eng_identical then begin
-    Util.row "ENGINE VIOLATION: restore and replay engines rendered different statistics@.";
+    Util.row "ENGINE VIOLATION: rollback and rebuild strategies rendered different statistics@.";
     exit 1
   end;
   if Sys.getenv_opt "RCONS_BENCH_NO_FLOOR" = None && eng_ratio < eng.eng_floor then begin

@@ -72,15 +72,6 @@ let domains_arg =
           "Number of OCaml 5 domains for the witness searches / the schedule explorer (1 = \
            sequential; results are identical either way).")
 
-let no_undo_arg =
-  Arg.(
-    value & flag
-    & info [ "no-undo" ]
-        ~doc:
-          "Explore with the from-root replay engine instead of the default journaled \
-           checkpoint/restore engine.  Slower, kept as the correctness oracle: statistics, \
-           violations and checkpoints are byte-identical either way (also: RCONS_NO_UNDO=1).")
-
 (* Shared certificate-cache flags: where the persisted per-level scan
    results live, and an off switch.  Entries are revalidated against the
    live module before being trusted, so a cache can never change an
@@ -204,14 +195,123 @@ let impossible_cmd =
 module E = Rcons.Runtime.Explore
 module Cex = Rcons.Counterexample
 
+(* The exhaustive-explorer flags shared by [explore] and [log
+   --exhaustive], declared once; only the --max-crashes default differs
+   between the two commands. *)
+type exhaustive = {
+  max_crashes : int;
+  dedup : bool;
+  por : bool;
+  symmetry : bool;
+  node_budget : int option;
+  time_budget : float option;
+  checkpoint : string option;
+  resume : string option;
+  save_cex : string option;
+}
+
+let exhaustive_term ~max_crashes =
+  let max_crashes =
+    Arg.(
+      value & opt int max_crashes
+      & info [ "max-crashes" ] ~doc:"Crash budget for the exhaustive explorer.")
+  in
+  let dedup =
+    Arg.(
+      value & flag
+      & info [ "dedup" ]
+          ~doc:
+            "Deduplicate states by canonical fingerprint: much faster on multi-crash budgets, \
+             but node/schedule counts then refer to the state graph, not the raw schedule tree.")
+  in
+  let por =
+    Arg.(
+      value & flag
+      & info [ "por" ]
+          ~doc:
+            "Sleep-set partial-order reduction over step footprints: interleavings differing \
+             only by swaps of independent steps are explored once.  Finds a violation iff the \
+             raw run does.  With --dedup it is sequential-only and not resumable.")
+  in
+  let symmetry =
+    Arg.(
+      value & flag
+      & info [ "symmetry" ]
+          ~doc:
+            "Process-symmetry reduction (requires --dedup): canonicalize fingerprints over \
+             relabelings of interchangeable processes (members of one certificate team, which \
+             share one operation and one input in these workloads).")
+  in
+  let node_budget =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "node-budget" ]
+          ~doc:
+            "Interrupt after exploring $(docv) nodes, saving a resumable checkpoint (see \
+             --checkpoint / --resume).  Sequential mode only.")
+  in
+  let time_budget =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "time-budget" ] ~doc:"Interrupt after $(docv) wall-clock seconds (like --node-budget).")
+  in
+  let checkpoint =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "checkpoint" ]
+          ~doc:"Where to write the checkpoint on interrupt (default explore.ckpt.json).")
+  in
+  let resume =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "resume" ]
+          ~doc:
+            "Resume from a checkpoint file; the run continues to final stats bit-identical to \
+             an uninterrupted one.  Run the printed \"resume with:\" line: a checkpoint taken on \
+             a different workload or with different explorer parameters is refused (exit 2).")
+  in
+  let save_cex =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "save-counterexample" ]
+          ~doc:"On violation, shrink the schedule (ddmin) and write a replayable JSON witness.")
+  in
+  Term.(
+    const
+      (fun max_crashes dedup por symmetry node_budget time_budget checkpoint resume save_cex ->
+        { max_crashes; dedup; por; symmetry; node_budget; time_budget; checkpoint; resume; save_cex })
+    $ max_crashes $ dedup $ por $ symmetry $ node_budget $ time_budget $ checkpoint $ resume
+    $ save_cex)
+
+(* The workload flags [explore] and [log] share, as the "resume with:"
+   hint must repeat them: run verbatim, it rebuilds the same workload
+   (the checkpoint's fingerprint refuses any other). *)
+let workload_flags ~annotated ~broken ~persist ~flush_cost =
+  String.concat ""
+    [
+      (if annotated then " --annotated" else "");
+      (if broken then " --broken" else "");
+      (match persist with
+      | Persist.Eager -> ""
+      | p -> " --persist " ^ Persist.policy_to_string p);
+      (if flush_cost = 1 then "" else Printf.sprintf " --flush-cost %d" flush_cost);
+    ]
+
 (* Exhaustively explore a counterexample workload (team consensus or
    replicated log), with the budget/checkpoint/resume/shrink plumbing.
-   [resume_hint] is the command prefix echoed in the "resume with:"
-   line.  Exit codes: 0 done (violation or not), 1 workload does not
-   build, 2 bad input (corrupt checkpoint, invalid combination), 3
-   interrupted with a checkpoint saved. *)
-let run_exhaustive ~resume_hint w ~max_crashes ~domains ~dedup ~por ~symmetry ~node_budget
-    ~time_budget ~checkpoint ~resume ~save_cex ~persist ~flush_cost ~no_undo =
+   [resume_hint] is the command prefix, workload flags included, echoed
+   in the "resume with:" line.  Exit codes: 0 done (violation or not),
+   1 workload does not build, 2 bad input (corrupt or mismatched
+   checkpoint, invalid combination), 3 interrupted with a checkpoint
+   saved. *)
+let run_exhaustive ~resume_hint w
+    { max_crashes; dedup; por; symmetry; node_budget; time_budget; checkpoint; resume; save_cex }
+    ~domains ~persist ~flush_cost =
   if por && resume <> None then begin
     (* A reduced run prunes a different frontier than the checkpointed
        one walked; silently resuming would under-count.  Refuse. *)
@@ -242,9 +342,7 @@ let run_exhaustive ~resume_hint w ~max_crashes ~domains ~dedup ~por ~symmetry ~n
                  fresh cache (from the workload builder). *)
               with_persist persist flush_cost @@ fun () ->
               E.explore ~max_crashes ~domains ~dedup ~por ?symmetry:classes ?node_budget
-                ?time_budget ?resume_from ~fingerprint:(Cex.fingerprint w)
-                ?undo:(if no_undo then Some false else None)
-                ~mk ()
+                ?time_budget ?resume_from ~fingerprint:(Cex.fingerprint w) ~mk ()
             with
             | stats ->
                 Format.printf "exhaustive: %d schedules, %d nodes, max depth %d -- no violation@."
@@ -333,8 +431,7 @@ let explore_cmd =
             Format.eprintf "%s@." msg;
             2)
   in
-  let run name max_crashes domains dedup por symmetry broken level node_budget time_budget
-      checkpoint resume save_cex replay_file persist annotated flush_cost no_undo =
+  let run name ex domains broken level replay_file persist annotated flush_cost =
     match (replay_file, name) with
     | Some file, _ -> replay_artifact file
     | None, None ->
@@ -343,44 +440,16 @@ let explore_cmd =
     | None, Some name ->
         let w = Cex.team2 ~faithful:(not broken) ~level ~persist ~annotated ~flush_cost name in
         run_exhaustive
-          ~resume_hint:(Printf.sprintf "rcons explore --type %s" name)
-          w ~max_crashes ~domains ~dedup ~por ~symmetry ~node_budget ~time_budget ~checkpoint
-          ~resume ~save_cex ~persist ~flush_cost ~no_undo
+          ~resume_hint:
+            (Printf.sprintf "rcons explore --type %s --level %d%s" name level
+               (workload_flags ~annotated ~broken ~persist ~flush_cost))
+          w ex ~domains ~persist ~flush_cost
   in
   let type_name =
     Arg.(
       value
       & opt (some string) None
       & info [ "type" ] ~doc:"Object type (catalogue name, alias, or S<n>/T<n>).")
-  in
-  let max_crashes =
-    Arg.(value & opt int 1 & info [ "max-crashes" ] ~doc:"Crash budget for the explorer.")
-  in
-  let dedup =
-    Arg.(
-      value & flag
-      & info [ "dedup" ]
-          ~doc:
-            "Deduplicate states by canonical fingerprint: much faster on multi-crash budgets, \
-             but node/schedule counts then refer to the state graph, not the raw schedule tree.")
-  in
-  let por =
-    Arg.(
-      value & flag
-      & info [ "por" ]
-          ~doc:
-            "Sleep-set partial-order reduction over step footprints: interleavings differing \
-             only by swaps of independent steps are explored once.  Finds a violation iff the \
-             raw run does.  With --dedup it is sequential-only and not resumable.")
-  in
-  let symmetry =
-    Arg.(
-      value & flag
-      & info [ "symmetry" ]
-          ~doc:
-            "Process-symmetry reduction (requires --dedup): canonicalize fingerprints over \
-             relabelings of interchangeable processes (equal-operation team slots of the \
-             certificate, which share one input in this workload).")
   in
   let broken =
     Arg.(
@@ -397,44 +466,6 @@ let explore_cmd =
           ~doc:
             "Recording level of the certificate instantiating Figure 2 (team sizes come from \
              the certificate; level n means n processes).")
-  in
-  let node_budget =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "node-budget" ]
-          ~doc:
-            "Interrupt after exploring $(docv) nodes, saving a resumable checkpoint (see \
-             --checkpoint / --resume).  Sequential mode only.")
-  in
-  let time_budget =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "time-budget" ] ~doc:"Interrupt after $(docv) wall-clock seconds (like --node-budget).")
-  in
-  let checkpoint =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ]
-          ~doc:"Where to write the checkpoint on interrupt (default explore.ckpt.json).")
-  in
-  let resume =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ]
-          ~doc:
-            "Resume from a checkpoint file; the run continues to final stats bit-identical to \
-             an uninterrupted one.  Pass the same --type/--max-crashes/--dedup.")
-  in
-  let save_cex =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save-counterexample" ]
-          ~doc:"On violation, shrink the schedule (ddmin) and write a replayable JSON witness.")
   in
   let replay_file =
     Arg.(
@@ -460,9 +491,8 @@ let explore_cmd =
          "Exhaustively model-check Figure 2 on the type's 2-recording certificate; \
           budgeted/resumable, with counterexample shrinking and replay")
     Term.(
-      const run $ type_name $ max_crashes $ domains_arg $ dedup $ por $ symmetry $ broken
-      $ level $ node_budget $ time_budget $ checkpoint $ resume $ save_cex $ replay_file
-      $ persist_arg $ annotated $ flush_cost_arg $ no_undo_arg)
+      const run $ type_name $ exhaustive_term ~max_crashes:1 $ domains_arg $ broken $ level
+      $ replay_file $ persist_arg $ annotated $ flush_cost_arg)
 
 (* --- log --- *)
 
@@ -471,8 +501,7 @@ let log_cmd =
   let module Rlog = Rcons.Log.Rlog in
   let module Conditions = Rcons.History.Conditions in
   let run name slots procs adversary seed crash_prob adv_crashes persist annotated vote_first
-      broken no_certs certs_dir exhaustive max_crashes domains dedup por symmetry node_budget
-      time_budget checkpoint resume save_cex flush_cost no_undo =
+      broken no_certs certs_dir exhaustive ex domains flush_cost =
     if slots < 1 then begin
       Format.eprintf "rcons log: --slots must be >= 1 (got %d)@." slots;
       2
@@ -492,10 +521,10 @@ let log_cmd =
         in
         run_exhaustive
           ~resume_hint:
-            (Printf.sprintf "rcons log --type %s --slots %d --procs %d --exhaustive" name slots
-               procs)
-          w ~max_crashes ~domains ~dedup ~por ~symmetry ~node_budget ~time_budget ~checkpoint
-          ~resume ~save_cex ~persist ~flush_cost ~no_undo
+            (Printf.sprintf "rcons log --type %s --slots %d --procs %d --exhaustive%s" name slots
+               procs
+               (workload_flags ~annotated ~broken ~persist ~flush_cost))
+          w ex ~domains ~persist ~flush_cost
     end
     else
       (* Randomized mode: drive the log to completion under a seeded
@@ -629,62 +658,6 @@ let log_cmd =
              (supports --max-crashes/--dedup/--por/--symmetry/--node-budget/--resume/\
              --save-counterexample, like $(b,rcons explore)).")
   in
-  let max_crashes =
-    Arg.(
-      value & opt int 2
-      & info [ "max-crashes" ] ~doc:"Crash budget for the exhaustive explorer (default 2).")
-  in
-  let dedup =
-    Arg.(
-      value & flag
-      & info [ "dedup" ] ~doc:"State-space deduplication for the exhaustive explorer.")
-  in
-  let por =
-    Arg.(
-      value & flag
-      & info [ "por" ] ~doc:"Sleep-set partial-order reduction for the exhaustive explorer.")
-  in
-  let symmetry =
-    Arg.(
-      value & flag
-      & info [ "symmetry" ]
-          ~doc:
-            "Process-symmetry reduction (requires --dedup); sound here because every member of \
-             a team proposes the same per-slot value.")
-  in
-  let node_budget =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "node-budget" ]
-          ~doc:"Interrupt the exhaustive run after $(docv) nodes, saving a checkpoint.")
-  in
-  let time_budget =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "time-budget" ] ~doc:"Interrupt after $(docv) wall-clock seconds.")
-  in
-  let checkpoint =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ]
-          ~doc:"Where to write the checkpoint on interrupt (default explore.ckpt.json).")
-  in
-  let resume =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~doc:"Resume an interrupted exhaustive run from its checkpoint.")
-  in
-  let save_cex =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save-counterexample" ]
-          ~doc:"On violation, shrink the schedule (ddmin) and write a replayable JSON witness.")
-  in
   Cmd.v
     (Cmd.info "log"
        ~doc:
@@ -693,8 +666,7 @@ let log_cmd =
     Term.(
       const run $ type_name $ slots $ procs $ adversary $ seed $ crash_prob $ adv_crashes
       $ persist_arg $ annotated $ vote_first $ broken $ no_certs_arg $ certs_dir_arg
-      $ exhaustive $ max_crashes $ domains_arg $ dedup $ por $ symmetry $ node_budget
-      $ time_budget $ checkpoint $ resume $ save_cex $ flush_cost_arg $ no_undo_arg)
+      $ exhaustive $ exhaustive_term ~max_crashes:2 $ domains_arg $ flush_cost_arg)
 
 (* --- certs --- *)
 

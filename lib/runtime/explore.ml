@@ -3,26 +3,24 @@
    The explorer enumerates every schedule of a freshly created system --
    each point chooses either a step of an unfinished process or a crash of
    a started, unfinished process (bounded by [max_crashes]) -- and runs a
-   user invariant after every choice.  OCaml continuations are one-shot,
-   so backtracking re-executes the schedule prefix from scratch on a fresh
-   system; process bodies must therefore be deterministic.
+   user invariant after every choice.  Process bodies must be
+   deterministic: a system is rebuilt by re-executing its schedule
+   prefix.
 
-   Spine reuse: the first child of every node continues the parent's live
-   system instead of replaying its prefix from the root, so the leftmost
-   descent of each subtree is free and only backtracking (later siblings)
-   pays the O(depth) replay.
-
-   Undo engine (default): instead of replaying, the walker keeps ONE
-   persistent system and snapshots it logically -- every mutation the
-   simulator performs while an {!Undo} journal is installed pushes an
-   inverse closure, [Sim.mark] records the journal length at a fork
-   point, and [Sim.rollback] pops back to it and rebuilds the one-shot
-   continuations by value-feeding (see sim.ml).  A sibling then costs
-   O(steps since the fork point) instead of O(depth), and the heap
-   fingerprint on the dedup path is recomputed only for containers
-   written since the last hash (see heap.ml).  The replay walker above
-   is kept verbatim as the correctness oracle ([RCONS_NO_UNDO=1],
-   [--no-undo], or [?undo:false]); both engines produce byte-identical
+   One walker, two backtrack strategies.  The walker keeps ONE live
+   system per (sub)tree: entering a child applies the choice in place,
+   and returning to the fork point restores the system before the next
+   sibling.  [Rollback] (the default) snapshots logically -- every
+   mutation the simulator performs while an {!Undo} journal is installed
+   pushes an inverse closure, [Sim.mark] records the journal length at a
+   fork point, and [Sim.rollback] pops back to it and rebuilds the
+   one-shot continuations by value-feeding (see sim.ml) -- so a sibling
+   costs O(steps since the fork point), and the heap fingerprint on the
+   dedup path is recomputed only for containers written since the last
+   hash (see heap.ml).  [Rebuild] ([?undo:false]) is the correctness
+   oracle: no journal, and a restore abandons the live system and
+   replays the node's prefix from the root into a fresh one, O(depth).
+   Only the restore differs, so both strategies produce byte-identical
    statistics, violations, and checkpoints in every mode.
 
    Pruning: crashing a process that has not taken a step since its last
@@ -159,7 +157,7 @@ type checkpoint = {
   cp_max_steps : int;
   cp_dedup : bool;
   cp_por : bool; (* recorded so a resume attempt fails loudly *)
-  cp_engine : string; (* "undo" | "replay": which engine took the cut *)
+  cp_fingerprint : string option; (* the run's workload [?fingerprint], if it had one *)
 }
 
 exception Interrupted of checkpoint
@@ -176,7 +174,7 @@ let checkpoint_to_json cp =
       ("max_steps", Json.Int cp.cp_max_steps);
       ("dedup", Json.Bool cp.cp_dedup);
       ("por", Json.Bool cp.cp_por);
-      ("engine", Json.String cp.cp_engine);
+      ("fingerprint", match cp.cp_fingerprint with Some fp -> Json.String fp | None -> Json.Null);
       ( "stats",
         Json.Obj
           [
@@ -195,6 +193,15 @@ let checkpoint_to_json cp =
 let checkpoint_of_json j =
   if (match Json.member "kind" j with Some (Json.String "explore-checkpoint") -> false | _ -> true)
   then invalid_arg "Explore.checkpoint_of_json: not an explore checkpoint";
+  (* Older checkpoints name the engine that took them.  Both backtrack
+     strategies cut the same checkpoint, so "undo" and "replay" both
+     load; any other tag is from a build this one does not know, whose
+     cursor may mean something else: refuse it rather than misresume. *)
+  (match Json.member "engine" j with
+  | None | Some (Json.String ("undo" | "replay")) -> ()
+  | Some (Json.String e) ->
+      invalid_arg ("Explore.checkpoint_of_json: unknown exploration engine " ^ e)
+  | Some _ -> invalid_arg "Explore.checkpoint_of_json: engine must be a string");
   let stats = Json.field "stats" j in
   let int k v = Json.to_int (Json.field k v) in
   (* Fields added after the v1 format default when absent, so pre-reduction
@@ -218,17 +225,10 @@ let checkpoint_of_json j =
     cp_max_steps = int "max_steps" j;
     cp_dedup = Json.to_bool (Json.field "dedup" j);
     cp_por = (match Json.member "por" j with Some b -> Json.to_bool b | None -> false);
-    cp_engine =
-      (* Either engine may resume either cut -- the cursor format is
-         engine-independent -- but a checkpoint claiming an engine this
-         build does not know is from the future, and its cursor may
-         mean something else: refuse it rather than misresume. *)
-      (match Json.member "engine" j with
-      | None -> "replay" (* pre-undo checkpoints *)
-      | Some (Json.String ("undo" as e)) | Some (Json.String ("replay" as e)) -> e
-      | Some (Json.String e) ->
-          invalid_arg ("Explore.checkpoint_of_json: unknown exploration engine " ^ e)
-      | Some _ -> invalid_arg "Explore.checkpoint_of_json: engine must be a string");
+    cp_fingerprint =
+      (match Json.member "fingerprint" j with
+      | None | Some Json.Null -> None
+      | Some fp -> Some (Json.to_str fp));
   }
 
 let save_checkpoint ~file cp =
@@ -309,18 +309,20 @@ exception Interrupt_at of choice list
 (* Internal: a budget tripped at this (forward) cursor prefix; the
    explore entry point converts it into [Interrupted] with a checkpoint. *)
 
-(* The checkpoint/restore engine is the default; [RCONS_NO_UNDO] (any
-   non-empty value other than "0") or [?undo:false] falls back to the
-   replay walker, kept verbatim as the correctness oracle. *)
-let undo_default () =
-  match Sys.getenv_opt "RCONS_NO_UNDO" with
-  | None | Some "" | Some "0" -> true
-  | Some _ -> false
+(* How the walker returns its live system to a fork point (see the
+   header): pop the undo journal, or replay the node's prefix into a
+   fresh system (the oracle). *)
+type backtrack = Rollback | Rebuild
+
+(* Where a fork's restore returns the live system: nowhere (the last
+   child leaves it to the enclosing restore), a journal mark, or a
+   replay of the fork point's prefix. *)
+type restore_point = Elided | Mark of Sim.mark | Replay
 
 let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?domains
     ?(frontier_depth = 4) ?(dedup = false) ?(por = false) ?symmetry ?node_budget ?time_budget
-    ?resume_from ?fingerprint ?undo ~mk () =
-  let use_undo = match undo with Some b -> b | None -> undo_default () in
+    ?resume_from ?fingerprint ?(undo = true) ~mk () =
+  let backtrack = if undo then Rollback else Rebuild in
   let workers = Rcons_par.Pool.resolve_domains domains in
   let frontier_depth = max 1 frontier_depth in
   let budgeted = node_budget <> None || time_budget <> None in
@@ -343,7 +345,18 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
         invalid_arg
           (Printf.sprintf
              "Explore.explore: checkpoint was taken with max_crashes=%d max_steps=%d dedup=%b"
-             cp.cp_max_crashes cp.cp_max_steps cp.cp_dedup)
+             cp.cp_max_crashes cp.cp_max_steps cp.cp_dedup);
+      (* The cursor alone cannot tell two workloads with the same choice
+         tree apart (a lossy and an eager run of one algorithm): resuming
+         under the wrong one would silently finish a different
+         exploration.  Checkpoints predating the field skip the check. *)
+      if cp.cp_fingerprint <> None && cp.cp_fingerprint <> fingerprint then
+        invalid_arg
+          (Printf.sprintf
+             "Explore.explore: checkpoint was taken on a different workload (fingerprint %s, \
+              this run %s)"
+             (Option.get cp.cp_fingerprint)
+             (Option.value fingerprint ~default:"none"))
   | None -> ());
   let start_time = if time_budget = None then 0. else Unix.gettimeofday () in
   (* Budgets bound the work of THIS invocation, not of the whole
@@ -491,31 +504,54 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
     in
     collect (n - 1) []
   in
-  (* One DFS walker over the schedule tree (or, with [store], the state
-     graph).  [stop_depth = Some d] turns nodes at depth d into frontier
-     emissions instead of recursions (phase 1 of the parallel split);
-     [cancelled] is polled at every node by parallel subtree walkers.
-     [sys], when given, is a live system already positioned after
-     [prefix0]; the walker owns it (spine reuse).  [resume] is the
-     remaining cursor path of a checkpoint being resumed: its spine is
-     re-descended without counting, subtrees to its left are skipped, and
-     everything to its right runs normally.  [sleep0] is the node's
-     inherited sleep set (por mode; frontier items carry theirs into
-     phase 2).  The [stop_depth = None], no-cancellation, no-store,
-     no-resume instantiation is the plain sequential explorer. *)
-  let walk ?stop_depth ?(emit = fun _ _ _ -> ()) ?(cancelled = fun () -> false) ?store ?sys
+  let stats_of ?store cnt =
+    {
+      schedules = cnt.c_schedules;
+      nodes = cnt.c_nodes;
+      max_depth = cnt.c_max_depth;
+      dedup_hits = cnt.c_dedup_hits;
+      distinct_states = (match store with Some st -> st.st_distinct () | None -> 0);
+      por_pruned = cnt.c_por_pruned;
+      symmetry_hits = cnt.c_symmetry_hits;
+    }
+  in
+  (* Journal ownership and system lifetime for one walk: [run_walk
+     prefix f] builds the walk's live system -- the root, or a frontier
+     node replayed from its prefix (the cross-domain handoff: undo
+     journals and the continuations they rebuild are domain-local) --
+     and hands it to [f] in a ref, which a [Rebuild] restore replaces.
+     Under [Rollback] the journal is installed BEFORE the system is
+     built, so every step value from the root on lands in the
+     per-process vlogs (rollback rebuilds continuations by feeding them
+     back), and it is uninstalled -- flushing its telemetry -- when the
+     walk ends.  The live system is abandoned however the walk exits
+     (normally, [Violation], [Interrupt_at], [Cancelled], ...). *)
+  let run_walk prefix f =
+    let journaled = backtrack = Rollback in
+    if journaled then Undo.install ();
+    Fun.protect ~finally:(fun () -> if journaled then Undo.uninstall ()) @@ fun () ->
+    let live = ref (replay prefix) in
+    Fun.protect ~finally:(fun () -> Sim.abandon (fst !live)) @@ fun () -> f live
+  in
+  (* The DFS walker over the schedule tree (or, with [store], the state
+     graph), rooted at the node [prefix0].  Entering a child takes a
+     restore point, applies the choice to the live system in place and
+     recurses; returning restores the system to the fork point under the
+     [backtrack] strategy.  [stop_depth = Some d] turns nodes at depth d
+     into frontier emissions instead of recursions (phase 1 of the
+     parallel split); [cancelled] is polled at every node by parallel
+     subtree walkers.  [resume] is the remaining cursor path of a
+     checkpoint being resumed: its spine is re-descended without
+     counting, subtrees to its left are skipped, and everything to its
+     right runs normally.  [sleep0] is the node's inherited sleep set
+     (por mode; frontier items carry theirs into phase 2).  The
+     [stop_depth = None], no-cancellation, no-store, no-resume
+     instantiation is the plain sequential explorer.  Exceptions unwind
+     WITHOUT restoring -- the system is dead to this walk either way,
+     and [run_walk] abandons it. *)
+  let walk ?stop_depth ?(emit = fun _ _ _ -> ()) ?(cancelled = fun () -> false) ?store
       ?(resume = []) ?(sleep0 = []) cnt prefix0 depth0 crashes0 =
-    let budget_stats total =
-      {
-        schedules = cnt.c_schedules;
-        nodes = total;
-        max_depth = cnt.c_max_depth;
-        dedup_hits = cnt.c_dedup_hits;
-        distinct_states = (match store with Some st -> st.st_distinct () | None -> 0);
-        por_pruned = cnt.c_por_pruned;
-        symmetry_hits = cnt.c_symmetry_hits;
-      }
-    in
+    let budget_stats total = { (stats_of ?store cnt) with nodes = total } in
     let over_budget () =
       (match node_budget with Some b -> cnt.c_nodes - base_nodes > b | None -> false)
       ||
@@ -523,18 +559,30 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
       | Some tb -> cnt.c_nodes land 255 = 0 && Unix.gettimeofday () -. start_time > tb
       | None -> false
     in
-    (* Expand one node: [sys] is live, positioned after [prefix], and is
-       consumed (handed to the first descended child, or abandoned at a
-       leaf / after the loop / on an exception). *)
-    let rec expand (t, check) prefix depth crashes_used resume sleep_in =
+    run_walk prefix0 @@ fun live ->
+    (* Apply [c] to the live system and run the invariant. *)
+    let descend c prefix' =
+      let t, check = !live in
+      guarded_apply t c prefix';
+      match check () with
+      | () -> ()
+      | exception Violation_found msg ->
+          Sim.abandon t;
+          raise (violation msg prefix')
+    in
+    (* The [Rebuild] restore: abandon the live system and replay the
+       fork point's prefix into a fresh one. *)
+    let rebuild prefix =
+      Sim.abandon (fst !live);
+      live := replay prefix
+    in
+    let rec expand prefix depth crashes_used resume sleep_in =
+      (* Read only at node entry: a [Rebuild] restore swaps the system. *)
+      let t = fst !live in
       let cs = choices t crashes_used in
       match cs with
-      | [] ->
-          Sim.abandon t;
-          cnt.c_schedules <- cnt.c_schedules + 1
+      | [] -> cnt.c_schedules <- cnt.c_schedules + 1 (* leaf; the system lives on *)
       | cs ->
-          (* Footprints are read off the live system at node entry,
-             before the first descended child consumes it. *)
           let fps =
             if por then begin
               let n = Sim.num_procs t in
@@ -574,306 +622,120 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
                 in
                 (find 0 cs, rest)
           in
-          (* The first child actually descended inherits the parent's
-             live system; under por the leading children may be asleep
-             (por and resume are mutually exclusive, so [sleep_in] fully
-             determines which).  -1: every child asleep, nobody takes
-             the live system. *)
-          let live_k =
-            if resume_idx >= 0 then resume_idx
-            else if not por then 0
-            else
-              let rec first k = function
-                | [] -> -1
-                | c :: tl -> if List.mem c sleep_in then first (k + 1) tl else k
-              in
-              first 0 cs
-          in
-          let sleep = ref sleep_in in
-          let live = ref (Some (t, check)) in
-          let take_live () =
-            match !live with
-            | Some sys ->
-                live := None;
-                sys
-            | None -> assert false
-          in
-          let abandon_live () = match !live with Some (t, _) -> Sim.abandon t | None -> () in
-          (try
-             List.iteri
-               (fun k c ->
-                 if k < resume_idx then () (* left of the cursor: already explored *)
-                 else if por && List.mem c !sleep then
-                   (* Asleep: a sibling subtree already covers every
-                      interleaving this child would start (modulo swaps
-                      of independent transitions). *)
-                   cnt.c_por_pruned <- cnt.c_por_pruned + 1
-                 else begin
-                   let on_path = k = resume_idx && resume_rest <> [] in
-                   let depth' = depth + 1 in
-                   let prefix' = c :: prefix in
-                   let crashes' =
-                     match c with
-                     | Crash_choice _ -> crashes_used + 1
-                     | Step_choice _ -> crashes_used
-                   in
-                   let child_sleep =
-                     if por then List.filter (fun u -> indep u c) !sleep else []
-                   in
-                   let position () =
-                     (* A live system positioned after [prefix']; the
-                        first descended child continues the parent's
-                        system (spine reuse), later siblings replay. *)
-                     if k = live_k then begin
-                       let t, check = take_live () in
-                       guarded_apply t c prefix';
-                       (match check () with
-                       | () -> ()
-                       | exception Violation_found msg ->
-                           Sim.abandon t;
-                           raise (violation msg prefix'));
-                       (t, check)
-                     end
-                     else replay prefix'
-                   in
-                   (if on_path then
-                      (* Re-descend the checkpoint spine: counted and (in
-                         dedup mode) claimed before the interrupt, so
-                         neither is repeated. *)
-                      expand (position ()) prefix' depth' crashes' resume_rest []
-                    else begin
-                      cnt.c_nodes <- cnt.c_nodes + 1;
-                      let total = Atomic.fetch_and_add nodes_total 1 + 1 in
-                      if total > max_nodes then raise (Budget_exceeded (budget_stats total));
-                      if budgeted && over_budget () then begin
-                        (* Roll the uncounted-on-resume node back out of
-                           the counters: the checkpoint's statistics are
-                           exactly those of the explored region. *)
-                        cnt.c_nodes <- cnt.c_nodes - 1;
-                        raise (Interrupt_at (List.rev prefix'))
-                      end;
-                      if cancelled () then raise Cancelled;
-                      if depth' > max_steps then
-                        raise (violation "step bound exceeded (wait-freedom?)" prefix');
-                      if depth' > cnt.c_max_depth then cnt.c_max_depth <- depth';
-                      let frontier =
-                        match stop_depth with Some d -> depth' >= d | None -> false
-                      in
-                      match store with
-                      | None ->
-                          if frontier then emit prefix' crashes' child_sleep
-                          else expand (position ()) prefix' depth' crashes' [] child_sleep
-                      | Some st ->
-                          (* Dedup mode: position the child system even at
-                             the frontier (its fingerprint must be claimed
-                             before emission so phase 2 expands it exactly
-                             once). *)
-                          let sys' = position () in
-                          if st.st_claim cnt (fst sys') ~mask:(mask_of child_sleep) ~depth:depth'
-                          then
-                            if frontier then begin
-                              Sim.abandon (fst sys');
-                              emit prefix' crashes' child_sleep
-                            end
-                            else expand sys' prefix' depth' crashes' [] child_sleep
-                          else begin
-                            cnt.c_dedup_hits <- cnt.c_dedup_hits + 1;
-                            Sim.abandon (fst sys')
-                          end
-                    end);
-                   (* The child's subtree is now fully covered (explored
-                      here, emitted for phase 2, or claimed earlier), so
-                      later siblings may sleep on it. *)
-                   if por then sleep := c :: !sleep
-                 end)
-               cs;
-             (* In raw parallel phase 1 every child of a pre-frontier node
-                can be emitted rather than descended, leaving the parent's
-                system unconsumed; release it rather than leak its fiber
-                stacks. *)
-             abandon_live ()
-           with e ->
-             abandon_live ();
-             raise e)
-    in
-    (* Node entry checks, in the seed explorer's order. *)
-    if cancelled () then begin
-      (match sys with Some (t, _) -> Sim.abandon t | None -> ());
-      raise Cancelled
-    end;
-    if depth0 > max_steps then begin
-      (match sys with Some (t, _) -> Sim.abandon t | None -> ());
-      raise (violation "step bound exceeded (wait-freedom?)" prefix0)
-    end;
-    if depth0 > cnt.c_max_depth then cnt.c_max_depth <- depth0;
-    match stop_depth with
-    | Some d when depth0 >= d ->
-        (match sys with Some (t, _) -> Sim.abandon t | None -> ());
-        emit prefix0 crashes0 sleep0
-    | _ ->
-        let sys = match sys with Some s -> s | None -> replay prefix0 in
-        expand sys prefix0 depth0 crashes0 resume sleep0
-  in
-  (* The checkpoint/restore walker: ONE persistent system serves the
-     whole (sub)tree.  Entering a child marks the undo journal, applies
-     the choice in place and recurses; returning rolls the system back
-     to the mark ([Sim.rollback]), so a later sibling costs O(steps
-     since the fork point) instead of the O(depth) from-root replay the
-     walker above pays.  Counting, budget checks, pruning and
-     visited-claim order mirror [walk] operation for operation: the two
-     engines must produce byte-identical statistics in every mode (the
-     replay walker is kept verbatim above as the correctness oracle;
-     test_search.ml pins the equivalence).  Exceptions unwind WITHOUT
-     rolling back -- the system is dead to this walk either way, and
-     the owner who installed the journal abandons it ([with_undo]). *)
-  let walk_undo ?stop_depth ?(emit = fun _ _ _ -> ()) ?(cancelled = fun () -> false) ?store ~sys
-      ?(resume = []) ?(sleep0 = []) cnt prefix0 depth0 crashes0 =
-    let budget_stats total =
-      {
-        schedules = cnt.c_schedules;
-        nodes = total;
-        max_depth = cnt.c_max_depth;
-        dedup_hits = cnt.c_dedup_hits;
-        distinct_states = (match store with Some st -> st.st_distinct () | None -> 0);
-        por_pruned = cnt.c_por_pruned;
-        symmetry_hits = cnt.c_symmetry_hits;
-      }
-    in
-    let over_budget () =
-      (match node_budget with Some b -> cnt.c_nodes - base_nodes > b | None -> false)
-      ||
-      match time_budget with
-      | Some tb -> cnt.c_nodes land 255 = 0 && Unix.gettimeofday () -. start_time > tb
-      | None -> false
-    in
-    let t, check = sys in
-    (* Apply [c] to the persistent system and run the invariant; the
-       replay walker's [position]. *)
-    let descend c prefix' =
-      guarded_apply t c prefix';
-      match check () with
-      | () -> ()
-      | exception Violation_found msg ->
-          Sim.abandon t;
-          raise (violation msg prefix')
-    in
-    let rec expand prefix depth crashes_used resume sleep_in =
-      let cs = choices t crashes_used in
-      match cs with
-      | [] -> cnt.c_schedules <- cnt.c_schedules + 1 (* leaf; the system lives on *)
-      | cs ->
-          let fps =
-            if por then begin
-              let n = Sim.num_procs t in
-              if n > 30 then invalid_arg "Explore.explore: por supports at most 30 processes";
-              Array.init n (fun i ->
-                  match Sim.pending_footprint t i with
-                  | Some f -> f
-                  | None -> Rcons_spec.Footprint.Global)
-            end
-            else [||]
-          in
-          let indep u c =
-            match (u, c) with
-            | Step_choice p, Step_choice q ->
-                p <> q && Rcons_spec.Footprint.independent fps.(p) fps.(q)
-            | Crash_choice p, Crash_choice q -> p <> q && max_crashes - crashes_used >= 2
-            | Crash_choice p, Step_choice q | Step_choice q, Crash_choice p ->
-                p <> q && eager_model
-          in
-          let resume_idx, resume_rest =
-            match resume with
-            | [] -> (-1, [])
-            | c0 :: rest ->
-                let rec find k = function
-                  | [] ->
-                      invalid_arg
-                        "Explore.explore: resume cursor does not match this workload (different \
-                         mk or parameters?)"
-                  | c :: tl -> if c = c0 then k else find (k + 1) tl
-                in
-                (find 0 cs, rest)
-          in
           let sleep = ref sleep_in in
           (* Last-child elision: nothing reads the system between the
-             final child's return and the enclosing rollback (the
+             final child's return and the enclosing restore (the
              parent's own, or the walk's end), so the last child skips
-             its mark/rollback and lets that enclosing rollback restore
-             both levels in one journal pop.  A chain of returns out of
-             a deep leftmost subtree then costs ONE continuation rebuild
-             instead of one per level -- the dominant saving, since a
-             rebuild's fixed cost (discard + fresh fiber) dwarfs the
-             journal pops.  Observable order is untouched: elision only
-             moves WHEN state is restored, never what is walked. *)
+             its restore point and lets that enclosing restore undo
+             both levels at once.  Under [Rollback] a chain of returns
+             out of a deep leftmost subtree then costs ONE continuation
+             rebuild instead of one per level -- the dominant saving,
+             since a rebuild's fixed cost (discard + fresh fiber) dwarfs
+             the journal pops.  Observable order is untouched: elision
+             only moves WHEN state is restored, never what is walked. *)
           let last = List.length cs - 1 in
-          List.iteri
-            (fun k c ->
-              if k < resume_idx then () (* left of the cursor: already explored *)
-              else if por && List.mem c !sleep then
-                cnt.c_por_pruned <- cnt.c_por_pruned + 1
-              else begin
-                let on_path = k = resume_idx && resume_rest <> [] in
-                let depth' = depth + 1 in
-                let prefix' = c :: prefix in
-                let crashes' =
-                  match c with
-                  | Crash_choice _ -> crashes_used + 1
-                  | Step_choice _ -> crashes_used
-                in
-                let child_sleep =
-                  if por then List.filter (fun u -> indep u c) !sleep else []
-                in
-                let m = if k = last then None else Some (Sim.mark t) in
-                let restore () = match m with Some m -> Sim.rollback t m | None -> () in
-                (if on_path then begin
-                   (* Re-descend the checkpoint spine: counted and (in
-                      dedup mode) claimed before the interrupt. *)
-                   descend c prefix';
-                   expand prefix' depth' crashes' resume_rest [];
-                   restore ()
-                 end
-                 else begin
-                   cnt.c_nodes <- cnt.c_nodes + 1;
-                   let total = Atomic.fetch_and_add nodes_total 1 + 1 in
-                   if total > max_nodes then raise (Budget_exceeded (budget_stats total));
-                   if budgeted && over_budget () then begin
-                     cnt.c_nodes <- cnt.c_nodes - 1;
-                     raise (Interrupt_at (List.rev prefix'))
-                   end;
-                   if cancelled () then raise Cancelled;
-                   if depth' > max_steps then
-                     raise (violation "step bound exceeded (wait-freedom?)" prefix');
-                   if depth' > cnt.c_max_depth then cnt.c_max_depth <- depth';
-                   let frontier =
-                     match stop_depth with Some d -> depth' >= d | None -> false
-                   in
-                   match store with
-                   | None ->
-                       if frontier then emit prefix' crashes' child_sleep
-                       else begin
-                         descend c prefix';
-                         expand prefix' depth' crashes' [] child_sleep;
-                         restore ()
-                       end
-                   | Some st ->
-                       (* Dedup mode: position the child even at the
-                          frontier (its fingerprint must be claimed
-                          before emission, exactly as in [walk]). *)
+          (* A loop rather than [List.iteri]: its closure would capture
+             some twenty free variables and be allocated at every node,
+             a tenth of the walk's allocation. *)
+          let rest = ref cs in
+          for k = 0 to last do
+            let c = List.hd !rest in
+            rest := List.tl !rest;
+            if k < resume_idx then () (* left of the cursor: already explored *)
+            else if por && List.mem c !sleep then
+              (* Asleep: a sibling subtree already covers every
+                 interleaving this child would start (modulo swaps of
+                 independent transitions). *)
+              cnt.c_por_pruned <- cnt.c_por_pruned + 1
+            else begin
+              let on_path = k = resume_idx && resume_rest <> [] in
+              let depth' = depth + 1 in
+              let prefix' = c :: prefix in
+              let crashes' =
+                match c with
+                | Crash_choice _ -> crashes_used + 1
+                | Step_choice _ -> crashes_used
+              in
+              let child_sleep =
+                if por then List.filter (fun u -> indep u c) !sleep else []
+              in
+              (* The restore point of this fork, taken before the child
+                 is entered. *)
+              let point =
+                if k = last then Elided
+                else match backtrack with Rollback -> Mark (Sim.mark t) | Rebuild -> Replay
+              in
+              let restore () =
+                match point with
+                | Elided -> ()
+                | Mark m -> Sim.rollback t m
+                | Replay -> rebuild prefix
+              in
+              (if on_path then begin
+                 (* Re-descend the checkpoint spine: counted and (in
+                    dedup mode) claimed before the interrupt, so
+                    neither is repeated. *)
+                 descend c prefix';
+                 expand prefix' depth' crashes' resume_rest [];
+                 restore ()
+               end
+               else begin
+                 cnt.c_nodes <- cnt.c_nodes + 1;
+                 let total = Atomic.fetch_and_add nodes_total 1 + 1 in
+                 if total > max_nodes then raise (Budget_exceeded (budget_stats total));
+                 if budgeted && over_budget () then begin
+                   (* Roll the uncounted-on-resume node back out of the
+                      counters: the checkpoint's statistics are exactly
+                      those of the explored region. *)
+                   cnt.c_nodes <- cnt.c_nodes - 1;
+                   raise (Interrupt_at (List.rev prefix'))
+                 end;
+                 if cancelled () then raise Cancelled;
+                 if depth' > max_steps then
+                   raise (violation "step bound exceeded (wait-freedom?)" prefix');
+                 if depth' > cnt.c_max_depth then cnt.c_max_depth <- depth';
+                 let frontier =
+                   match stop_depth with Some d -> depth' >= d | None -> false
+                 in
+                 match store with
+                 | None ->
+                     if frontier then emit prefix' crashes' child_sleep
+                     else begin
                        descend c prefix';
-                       if st.st_claim cnt t ~mask:(mask_of child_sleep) ~depth:depth' then begin
-                         if frontier then emit prefix' crashes' child_sleep
-                         else expand prefix' depth' crashes' [] child_sleep;
-                         restore ()
-                       end
-                       else begin
-                         cnt.c_dedup_hits <- cnt.c_dedup_hits + 1;
-                         restore ()
-                       end
-                 end);
-                if por then sleep := c :: !sleep
-              end)
-            cs
+                       expand prefix' depth' crashes' [] child_sleep;
+                       restore ()
+                     end
+                 | Some st ->
+                     (* Dedup mode: position the child even at the
+                        frontier (its fingerprint must be claimed
+                        before emission so phase 2 expands it exactly
+                        once). *)
+                     descend c prefix';
+                     if st.st_claim cnt (fst !live) ~mask:(mask_of child_sleep) ~depth:depth'
+                     then begin
+                       if frontier then emit prefix' crashes' child_sleep
+                       else expand prefix' depth' crashes' [] child_sleep;
+                       restore ()
+                     end
+                     else begin
+                       cnt.c_dedup_hits <- cnt.c_dedup_hits + 1;
+                       restore ()
+                     end
+               end);
+              (* The child's subtree is now fully covered (explored
+                 here, emitted for phase 2, or claimed earlier), so
+                 later siblings may sleep on it. *)
+              if por then sleep := c :: !sleep
+            end
+          done
     in
+    (* The root is expanded, never reached through an edge, so a dedup
+       walk claims it here (frontier roots were claimed in phase 1).  On
+       a resumed run it is already claimed; the claim is then a no-op
+       returning [false]. *)
+    (match store with
+    | Some st when prefix0 = [] -> ignore (st.st_claim cnt (fst !live) ~mask:0 ~depth:0)
+    | _ -> ());
     if cancelled () then raise Cancelled;
     if depth0 > max_steps then raise (violation "step bound exceeded (wait-freedom?)" prefix0);
     if depth0 > cnt.c_max_depth then cnt.c_max_depth <- depth0;
@@ -881,58 +743,16 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
     | Some d when depth0 >= d -> emit prefix0 crashes0 sleep0
     | _ -> expand prefix0 depth0 crashes0 resume sleep0
   in
-  (* Journal ownership for undo-mode walks: the journal is installed
-     BEFORE the system is built, so every step value from the root on
-     lands in the per-process vlogs (rollback rebuilds continuations by
-     feeding them back); it is uninstalled -- flushing its telemetry --
-     when the walk ends, and the walk's single persistent system is
-     abandoned however the walk exits (normally, [Violation],
-     [Interrupt_at], [Cancelled], ...). *)
-  let with_undo mk_sys f =
-    Undo.install ();
-    Fun.protect ~finally:Undo.uninstall @@ fun () ->
-    let sys = mk_sys () in
-    Fun.protect ~finally:(fun () -> Sim.abandon (fst sys)) @@ fun () -> f sys
-  in
-  (* Claim the root state in the visited store and hand its live system
-     to the walker (the root is expanded, never reached through an edge).
-     On a resumed run the root is already claimed; the claim is then a
-     no-op returning [false]. *)
-  let claim_root store cnt =
-    let t, check = replay [] in
-    ignore (store.st_claim cnt t ~mask:0 ~depth:0);
-    (t, check)
-  in
-  let stats_of ?store cnt =
-    {
-      schedules = cnt.c_schedules;
-      nodes = cnt.c_nodes;
-      max_depth = cnt.c_max_depth;
-      dedup_hits = cnt.c_dedup_hits;
-      distinct_states = (match store with Some st -> st.st_distinct () | None -> 0);
-      por_pruned = cnt.c_por_pruned;
-      symmetry_hits = cnt.c_symmetry_hits;
-    }
-  in
-  (* Sequential runs (plain and resumed): convert a budget trip into a
+  (* Sequential runs (plain and resumed): continue the checkpoint's
+     counters and cursor, if any, and convert a budget trip into a
      self-describing checkpoint. *)
-  let run_seq ?store cnt resume =
-    match
-      if use_undo then
-        match store with
-        | Some st ->
-            with_undo
-              (fun () -> claim_root st cnt)
-              (fun sys -> walk_undo ~store:st ~sys ~resume cnt [] 0 0)
-        | None -> with_undo (fun () -> replay []) (fun sys -> walk_undo ~sys ~resume cnt [] 0 0)
-      else begin
-        match store with
-        | Some st ->
-            let sys = claim_root st cnt in
-            walk ~store:st ~sys ~resume cnt [] 0 0
-        | None -> walk ~resume cnt [] 0 0
-      end
-    with
+  let run_seq ?store () =
+    let cnt, resume =
+      match resume_from with
+      | Some cp -> (counter_of_stats cp.cp_stats, cp.cp_cursor)
+      | None -> (fresh_counter (), [])
+    in
+    match walk ?store ~resume cnt [] 0 0 with
     | () -> stats_of ?store cnt
     | exception Interrupt_at cursor ->
         raise
@@ -945,24 +765,37 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
                cp_max_steps = max_steps;
                cp_dedup = dedup;
                cp_por = por;
-               cp_engine = (if use_undo then "undo" else "replay");
+               cp_fingerprint = fingerprint;
              })
   in
   let run_seq_dedup () =
-    let cnt =
-      match resume_from with
-      | Some cp -> counter_of_stats cp.cp_stats
-      | None -> fresh_counter ()
-    in
-    if por then run_seq ~store:(masked_store ()) cnt []
+    if por then run_seq ~store:(masked_store ()) ()
     else begin
       let vset = Rcons_par.Visited.create () in
       (match resume_from with
       | Some cp -> List.iter (fun d -> ignore (Rcons_par.Visited.add vset d)) cp.cp_visited
       | None -> ());
-      run_seq ~store:(visited_store vset) cnt
-        (match resume_from with Some cp -> cp.cp_cursor | None -> [])
+      run_seq ~store:(visited_store vset) ()
     end
+  in
+  (* Fold phase 2's per-subtree statistics into phase 1's, in frontier
+     order; cancelled and violating subtrees add nothing. *)
+  let merge_stats cnt0 results =
+    Array.fold_left
+      (fun acc r ->
+        match r with
+        | Some (Ok s) ->
+            {
+              acc with
+              schedules = acc.schedules + s.schedules;
+              nodes = acc.nodes + s.nodes;
+              max_depth = max acc.max_depth s.max_depth;
+              dedup_hits = acc.dedup_hits + s.dedup_hits;
+              por_pruned = acc.por_pruned + s.por_pruned;
+              symmetry_hits = acc.symmetry_hits + s.symmetry_hits;
+            }
+        | Some (Error _) | None -> acc)
+      (stats_of cnt0) results
   in
   let saved_arena = Heap.current () in
   let saved_cache = Persist.current () in
@@ -1015,16 +848,7 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
          unchanged instead. *)
       cp.cp_stats
   | _ ->
-      if workers <= 1 then
-        if dedup then run_seq_dedup ()
-        else begin
-          let cnt =
-            match resume_from with
-            | Some cp -> counter_of_stats cp.cp_stats
-            | None -> fresh_counter ()
-          in
-          run_seq cnt (match resume_from with Some cp -> cp.cp_cursor | None -> [])
-        end
+      if workers <= 1 then if dedup then run_seq_dedup () else run_seq ()
       else if dedup then begin
         (* Parallel dedup: walkers share the visited set; exactly-once
            expansion makes all statistics schedule-order independent, so no
@@ -1034,26 +858,15 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
         let frontier_rev = ref [] in
         let cnt0 = fresh_counter () in
         let violated = Atomic.make false in
-        (* A frontier item (prefix, crashes, sleep) is the compact
-           journal-delta token of the handoff: undo journals (and the
-           continuations they rebuild) are domain-local, so a subtree
-           cannot ship its live system across domains -- the receiving
-           walker replays the prefix once to re-materialize the fork
-           point, then explores its whole subtree by rollback. *)
+        (* A frontier item (prefix, crashes, sleep) is the handoff
+           token: a live system cannot cross domains, so the receiving
+           walker rebuilds the fork point from the prefix ([run_walk]),
+           then explores its whole subtree under the run's strategy. *)
         let emit_frontier prefix crashes sleep =
           frontier_rev := (prefix, crashes, sleep) :: !frontier_rev
         in
         let phase1 =
-          match
-            if use_undo then
-              with_undo
-                (fun () -> claim_root store cnt0)
-                (fun sys ->
-                  walk_undo ~stop_depth:frontier_depth ~emit:emit_frontier ~store ~sys cnt0 [] 0 0)
-            else
-              let sys = claim_root store cnt0 in
-              walk ~stop_depth:frontier_depth ~emit:emit_frontier ~store ~sys cnt0 [] 0 0
-          with
+          match walk ~stop_depth:frontier_depth ~emit:emit_frontier ~store cnt0 [] 0 0 with
           | () -> Ok ()
           | exception Violation _ -> Error ()
         in
@@ -1070,15 +883,9 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
                     let cnt = fresh_counter () in
                     let cancelled () = Atomic.get violated in
                     match
-                      if use_undo then
-                        with_undo
-                          (fun () -> replay prefix)
-                          (fun sys ->
-                            walk_undo ~cancelled ~store ~sys ~sleep0:sleep cnt prefix
-                              frontier_depth crashes)
-                      else walk ~cancelled ~store ~sleep0:sleep cnt prefix frontier_depth crashes
+                      walk ~cancelled ~store ~sleep0:sleep cnt prefix frontier_depth crashes
                     with
-                    | () -> Some (Ok cnt)
+                    | () -> Some (Ok (stats_of cnt))
                     | exception Cancelled -> None
                     | exception Violation _ ->
                         Atomic.set violated true;
@@ -1088,25 +895,7 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
               Array.exists (function Some (Error ()) -> true | _ -> false) results
             with
             | true -> run_seq_dedup ()
-            | false ->
-                let merged =
-                  Array.fold_left
-                    (fun acc r ->
-                      match r with
-                      | Some (Ok c) ->
-                          {
-                            acc with
-                            schedules = acc.schedules + c.c_schedules;
-                            nodes = acc.nodes + c.c_nodes;
-                            max_depth = max acc.max_depth c.c_max_depth;
-                            dedup_hits = acc.dedup_hits + c.c_dedup_hits;
-                            por_pruned = acc.por_pruned + c.c_por_pruned;
-                            symmetry_hits = acc.symmetry_hits + c.c_symmetry_hits;
-                          }
-                      | Some (Error ()) | None -> acc)
-                    (stats_of cnt0) results
-                in
-                { merged with distinct_states = store.st_distinct () })
+            | false -> { (merge_stats cnt0 results) with distinct_states = store.st_distinct () })
       end
       else begin
         (* Phase 1: sequential walk down to the frontier.  A violation at
@@ -1118,19 +907,12 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
         let frontier_rev = ref [] in
         let cnt0 = fresh_counter () in
         (* See the dedup branch: the (prefix, crashes, sleep) triple is
-           the cross-domain handoff token; phase 2 replays it once. *)
+           the cross-domain handoff token; phase 2 rebuilds it once. *)
         let emit_frontier prefix crashes sleep =
           frontier_rev := (prefix, crashes, sleep) :: !frontier_rev
         in
         let phase1_violation =
-          match
-            if use_undo then
-              with_undo
-                (fun () -> replay [])
-                (fun sys ->
-                  walk_undo ~stop_depth:frontier_depth ~emit:emit_frontier ~sys cnt0 [] 0 0)
-            else walk ~stop_depth:frontier_depth ~emit:emit_frontier cnt0 [] 0 0
-          with
+          match walk ~stop_depth:frontier_depth ~emit:emit_frontier cnt0 [] 0 0 with
           | () -> None
           | exception Violation v -> Some v
         in
@@ -1151,14 +933,7 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
                 let prefix, crashes, sleep = frontier.(i) in
                 let cnt = fresh_counter () in
                 let cancelled () = Atomic.get best < i in
-                match
-                  if use_undo then
-                    with_undo
-                      (fun () -> replay prefix)
-                      (fun sys ->
-                        walk_undo ~cancelled ~sys ~sleep0:sleep cnt prefix frontier_depth crashes)
-                  else walk ~cancelled ~sleep0:sleep cnt prefix frontier_depth crashes
-                with
+                match walk ~cancelled ~sleep0:sleep cnt prefix frontier_depth crashes with
                 | () -> Some (Ok (stats_of cnt))
                 | exception Cancelled -> None
                 | exception Violation v ->
@@ -1175,18 +950,5 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
         in
         (match first_violation with Some (v, _) -> raise (Violation v) | None -> ());
         (match phase1_violation with Some v -> raise (Violation v) | None -> ());
-        Array.fold_left
-          (fun acc r ->
-            match r with
-            | Some (Ok s) ->
-                {
-                  acc with
-                  schedules = acc.schedules + s.schedules;
-                  nodes = acc.nodes + s.nodes;
-                  max_depth = max acc.max_depth s.max_depth;
-                  por_pruned = acc.por_pruned + s.por_pruned;
-                }
-            | Some (Error _) -> acc
-            | None -> acc)
-          (stats_of cnt0) results
+        merge_stats cnt0 results
       end

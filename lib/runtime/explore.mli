@@ -3,21 +3,20 @@
     Enumerates every schedule of a freshly created system -- each point
     chooses a step of an unfinished process or a crash of a started,
     unfinished process (at most [max_crashes] crashes) -- and runs the
-    user invariant after every choice.  OCaml continuations are one-shot,
-    so backtracking re-executes the schedule prefix on a fresh system;
-    process bodies must be deterministic.  The first child of each node
-    continues the parent's live system instead of replaying ("spine
-    reuse"), so the leftmost descent of every subtree is free.
+    user invariant after every choice.  Process bodies must be
+    deterministic: a system is rebuilt by re-executing its schedule
+    prefix.
 
-    By default the explorer avoids most replays altogether: a journaled
-    checkpoint/restore engine ({!Sim.mark} / {!Sim.rollback} over the
-    {!Undo} journal) keeps one persistent system per walker and rolls
-    it back to each fork point, so a sibling costs the steps since the
-    fork instead of the whole prefix.  [?undo:false] (or the
-    [RCONS_NO_UNDO] environment variable, or the CLI's [--no-undo])
-    selects the original replay walker, which is kept as the
-    correctness oracle: both engines produce byte-identical statistics,
-    violations, and checkpoints in every mode.
+    One walker keeps one live system per (sub)tree, applies each choice
+    in place, and returns the system to the fork point before the next
+    sibling under one of two backtrack strategies.  By default it rolls
+    back: {!Sim.mark} / {!Sim.rollback} over the {!Undo} journal, so a
+    sibling costs the steps since the fork instead of the whole prefix.
+    [?undo:false] selects the rebuild strategy, the correctness oracle:
+    no journal, and each restore replays the fork point's prefix into a
+    fresh system.  Only the restore differs, so both strategies produce
+    byte-identical statistics, violations, and checkpoints in every
+    mode.
 
     Pruning: crashing a process that has not stepped since its last
     (re)start is a no-op in the model and is skipped, which also prunes
@@ -113,9 +112,10 @@
     statistics -- and any violation found -- are {b bit-identical} to an
     uninterrupted run, no matter how many times the run is cut and
     resumed.  Checkpoints serialize to JSON ({!save_checkpoint} /
-    {!load_checkpoint}) and embed the parameters they were taken under;
-    resuming with different [max_crashes] / [max_steps] / [dedup] is
-    refused. *)
+    {!load_checkpoint}) and embed the parameters they were taken under,
+    including the run's workload [?fingerprint]: resuming with different
+    [max_crashes] / [max_steps] / [dedup], or on a workload with a
+    different fingerprint, is refused. *)
 
 type choice = Schedule.choice = Step_choice of int | Crash_choice of int
 
@@ -259,11 +259,15 @@ val explore :
 
     [?fingerprint] is an optional workload identifier (object-type
     digest) recorded in the violation provenance so that counterexample
-    artifacts can refuse replay against the wrong workload.
+    artifacts can refuse replay against the wrong workload, and in
+    checkpoints so that a resume on a different workload raises
+    [Invalid_argument] (one line naming both fingerprints).  A
+    checkpoint without one -- taken without [?fingerprint], or older
+    than the field -- skips the check.
 
-    [?undo] selects the exploration engine: [true] (the default unless
-    [RCONS_NO_UNDO] is set to a non-empty value other than ["0"]) walks
-    with the checkpoint/restore engine, [false] with the replay oracle.
-    Checkpoints record the engine that took them and either engine
-    resumes either kind; a checkpoint naming an unknown engine is
-    refused by {!checkpoint_of_json} ([Invalid_argument]). *)
+    [?undo] (default [true]) selects the backtrack strategy: rollback
+    over the undo journal, or with [false] the rebuild oracle.  Both
+    cut identical checkpoints and either resumes any checkpoint.
+    Checkpoints no longer name the strategy; a legacy ["engine"] tag of
+    ["undo"] or ["replay"] still loads, and any other value is refused
+    by {!checkpoint_of_json} ([Invalid_argument]). *)

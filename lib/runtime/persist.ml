@@ -44,8 +44,8 @@
    to whatever cache is ambient at creation time (none, or an [Eager]
    cache => no line, zero overhead, byte-identical digests), and [Sim]
    captures the ambient cache at [create] so crashes reach the right
-   cache even if the ambient one has moved on (the deduplicating
-   explorer's spine reuse does exactly that). *)
+   cache even if the ambient one has moved on (another system was built
+   since, as the explorer does whenever it rebuilds a fork point). *)
 
 type policy = Eager | Lossy | Torn
 

@@ -409,7 +409,7 @@ let abandon t =
     t.dead <- true
   end
 
-(* --- checkpoint/restore (the undo engine) --- *)
+(* --- checkpoint/restore (the explorer's rollback strategy) --- *)
 
 type mark = int
 

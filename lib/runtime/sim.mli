@@ -116,7 +116,7 @@ val abandon : t -> unit
     before dropping a system.  Idempotent; stepping or crashing an
     abandoned system raises [Invalid_argument]. *)
 
-(** {2 Checkpoint/restore (the undo engine)}
+(** {2 Checkpoint/restore (the explorer's rollback strategy)}
 
     While an {!Undo} journal is installed on the current domain, every
     mutation of simulated state journals a restore entry, so the

@@ -1,5 +1,5 @@
 (** Domain-local undo journal: the foundation of the explorer's
-    checkpoint/restore engine.
+    rollback backtrack strategy.
 
     While a journal is installed, every mutation of simulated state
     pushes a restore closure via {!log}; {!mark} captures the stack
@@ -11,8 +11,9 @@
     prefix.
 
     With no journal installed every hook degenerates to one branch, so
-    code outside the undo engine (unit tests, checkers, the replay
-    oracle behind [RCONS_NO_UNDO]/[--no-undo]) is unaffected.
+    code outside the explorer's rollback strategy (unit tests, checkers,
+    the rebuild oracle behind [Explore.explore ~undo:false]) is
+    unaffected.
 
     Counters (restores, entries pushed, peak footprint) accumulate
     journal-locally and flush to {!Rcons_par.Pool.Telemetry} on

@@ -320,6 +320,38 @@ let test_corrupt_checkpoint_diagnosis () =
   | _ -> Alcotest.fail "missing checkpoint should not load"
   | exception Sys_error _ -> ()
 
+(* A checkpoint records the workload fingerprint of the run that cut it.
+   Resuming a lossy-cache checkpoint under the eager model -- the same
+   algorithm, so the cursor alone cannot tell them apart -- would
+   silently finish a different exploration; it must be refused with a
+   one-line diagnosis (CLI exit 2), also after a save/load round trip. *)
+let test_checkpoint_refuses_other_workload () =
+  let build persist =
+    let w = Cex.log ~persist ~annotated:true ~slots:1 "sticky" in
+    match Cex.mk w with Ok mk -> (mk, Cex.fingerprint w) | Error e -> failwith e
+  in
+  let lossy_mk, lossy_fp = build Persist.Lossy in
+  let eager_mk, eager_fp = build Persist.Eager in
+  let cp =
+    match
+      Persist.scoped Persist.Lossy (fun () ->
+          Explore.explore ~max_crashes:1 ~dedup:true ~node_budget:50 ~fingerprint:lossy_fp
+            ~mk:lossy_mk ())
+    with
+    | _ -> Alcotest.fail "tiny node budget should interrupt"
+    | exception Explore.Interrupted cp -> Explore.checkpoint_of_json (Explore.checkpoint_to_json cp)
+  in
+  match
+    Explore.explore ~max_crashes:1 ~dedup:true ~resume_from:cp ~fingerprint:eager_fp
+      ~mk:eager_mk ()
+  with
+  | _ -> Alcotest.fail "a lossy checkpoint resumed under eager should be refused"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        ("one line naming the mismatch: " ^ msg)
+        true
+        (contains ~sub:"different workload" msg && not (String.contains msg '\n'))
+
 (* --- name resolution used by the log workloads --- *)
 
 let test_catalogue_alias_handling () =
@@ -375,6 +407,8 @@ let suite =
     Alcotest.test_case "committed log witness replays" `Quick test_committed_artifact_replays;
     Alcotest.test_case "checkpoint save is atomic" `Quick test_checkpoint_save_atomic_no_tmp;
     Alcotest.test_case "corrupt checkpoint diagnosis" `Quick test_corrupt_checkpoint_diagnosis;
+    Alcotest.test_case "checkpoint refuses a different workload" `Quick
+      test_checkpoint_refuses_other_workload;
     Alcotest.test_case "catalogue aliases for log workloads" `Quick test_catalogue_alias_handling;
     Alcotest.test_case "adversary policy names round-trip" `Quick test_adversary_policy_names;
   ]

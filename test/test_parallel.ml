@@ -317,22 +317,45 @@ let test_explore_violation_schedule_identical () =
         (run ~domains ~frontier_depth ()))
     [ 1; 4 ]
 
-(* --- undo engine vs replay oracle --- *)
+(* --- rollback vs rebuild: the two backtrack strategies --- *)
 
-(* The checkpoint/restore engine ([~undo:true], the default) must be an
-   invisible optimization: on any workload it reports the same stats,
-   and surfaces the same first violation on the same schedule, as the
-   sibling-replay oracle ([~undo:false]) -- sequentially and across the
-   parallel frontier, under every persistency policy.  Rendering the
-   outcome (stats or violation+schedule) as one string makes any
-   disagreement a single comparison. *)
-let engine_outcome ?domains ?frontier_depth ?dedup ~max_crashes ~undo mk =
-  match Explore.explore ?domains ?frontier_depth ?dedup ~max_crashes ~undo ~mk () with
+(* The explorer's single walker restores its live system to each fork
+   point either by rolling the undo journal back ([~undo:true], the
+   default) or by rebuilding the fork point from its prefix on a fresh
+   system ([~undo:false], the oracle).  The strategy must be invisible:
+   on any workload, in every exploration mode, both report the same
+   stats and surface the same first violation on the same schedule --
+   sequentially and across the parallel frontier, under every
+   persistency policy.  Rendering the outcome (stats or
+   violation+schedule) as one string makes any disagreement a single
+   comparison. *)
+let engine_outcome ?domains ?frontier_depth ?dedup ?por ?symmetry ~max_crashes ~undo mk =
+  match
+    Explore.explore ?domains ?frontier_depth ?dedup ?por ?symmetry ~max_crashes ~undo ~mk ()
+  with
   | s ->
-      Format.asprintf "stats{schedules=%d; nodes=%d; depth=%d; dedup_hits=%d; distinct=%d}"
-        s.Explore.schedules s.nodes s.max_depth s.dedup_hits s.distinct_states
+      Format.asprintf
+        "stats{schedules=%d; nodes=%d; depth=%d; dedup_hits=%d; distinct=%d; por_pruned=%d; \
+         symmetry_hits=%d}"
+        s.Explore.schedules s.nodes s.max_depth s.dedup_hits s.distinct_states s.por_pruned
+        s.symmetry_hits
   | exception Explore.Violation { v_msg = msg; v_schedule = sched; _ } ->
       Format.asprintf "%s at %a" msg Explore.pp_schedule sched
+
+(* Exploration modes the walker serves.  Raw, dedup and raw por run on
+   1/2/4 domains; por + dedup is sequential-only, and dedup + symmetry
+   runs sequentially on the 3-process sticky workload, the smallest one
+   with a non-trivial symmetry class. *)
+type engine_mode = Raw | Dedup | Por | Por_dedup | Dedup_symmetry
+
+let engine_modes = [| Raw; Dedup; Por; Por_dedup; Dedup_symmetry |]
+
+let mode_name = function
+  | Raw -> "raw"
+  | Dedup -> "dedup"
+  | Por -> "por"
+  | Por_dedup -> "por+dedup"
+  | Dedup_symmetry -> "dedup+symmetry"
 
 let engine_gen =
   QCheck2.Gen.(
@@ -340,66 +363,85 @@ let engine_gen =
     let* pol = int_bound 2 in
     let* max_crashes = int_bound 1 in
     let* faithful = bool in
-    let* dedup = bool in
-    return (ot, pol, max_crashes, faithful, dedup))
+    let* mode = int_bound (Array.length engine_modes - 1) in
+    return (ot, pol, max_crashes, faithful, engine_modes.(mode)))
 
-let print_engine_case (ot, pol, max_crashes, faithful, dedup) =
-  Printf.sprintf "ot=%s policy=%s crashes=%d faithful=%b dedup=%b"
-    (if ot = 0 then "S_2" else "sticky")
+let print_engine_case (ot, pol, max_crashes, faithful, mode) =
+  Printf.sprintf "ot=%s policy=%s crashes=%d faithful=%b mode=%s"
+    (if mode = Dedup_symmetry then "sticky(level 3)" else if ot = 0 then "S_2" else "sticky")
     (match pol with 0 -> "eager" | 1 -> "lossy" | _ -> "torn")
-    max_crashes faithful dedup
+    max_crashes faithful (mode_name mode)
 
-let engines_agree (ot_idx, pol, max_crashes, faithful, dedup) =
-  let ot = if ot_idx = 0 then Rcons_spec.Sn.make 2 else Rcons_spec.Sticky_bit.t in
+let engines_agree (ot_idx, pol, max_crashes, faithful, mode) =
   let policy = match pol with 0 -> Persist.Eager | 1 -> Persist.Lossy | _ -> Persist.Torn in
-  let mk = team_mk ~faithful (Helpers.cert_of ot 2) in
+  let cert =
+    if mode = Dedup_symmetry then Helpers.cert_of Rcons_spec.Sticky_bit.t 3
+    else Helpers.cert_of (if ot_idx = 0 then Rcons_spec.Sn.make 2 else Rcons_spec.Sticky_bit.t) 2
+  in
+  let mk = team_mk ~faithful cert in
+  let dedup = mode <> Raw && mode <> Por in
+  let por = mode = Por || mode = Por_dedup in
+  let symmetry =
+    if mode = Dedup_symmetry then Some (Certificate.symmetry_classes cert) else None
+  in
+  let domain_counts = if mode = Por_dedup || mode = Dedup_symmetry then [ 1 ] else [ 1; 2; 4 ] in
   Persist.scoped policy (fun () ->
-      let reference = engine_outcome ~dedup ~max_crashes ~undo:true mk in
+      let reference = engine_outcome ~dedup ~por ?symmetry ~max_crashes ~undo:true mk in
       List.for_all
         (fun d ->
           let run undo =
-            if d = 1 then engine_outcome ~dedup ~max_crashes ~undo mk
-            else engine_outcome ~domains:d ~frontier_depth:2 ~dedup ~max_crashes ~undo mk
+            if d = 1 then engine_outcome ~dedup ~por ?symmetry ~max_crashes ~undo mk
+            else
+              engine_outcome ~domains:d ~frontier_depth:2 ~dedup ~por ?symmetry ~max_crashes
+                ~undo mk
           in
           run true = reference && run false = reference)
-        [ 1; 2; 4 ])
+        domain_counts)
 
 let qcheck_engines =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:12
-       ~name:"undo engine = replay oracle (random workload/policy/budget, 1/2/4 domains)"
+       ~name:"undo engine = replay oracle (random workload/policy/mode, 1/2/4 domains)"
        ~print:print_engine_case engine_gen engines_agree)
 
-(* An interrupted run cuts the same checkpoint under either engine --
-   the JSON differs only in the tag naming who took it -- and either
-   engine resumes either checkpoint to the same final stats. *)
+let interrupted_checkpoint ~undo mk =
+  match Explore.explore ~max_crashes:1 ~node_budget:200 ~undo ~mk () with
+  | (_ : Explore.stats) -> Alcotest.fail "node budget did not trip"
+  | exception Explore.Interrupted cp -> cp
+
+(* An interrupted run cuts byte-identical checkpoints under either
+   strategy, and either strategy resumes it to the uninterrupted
+   stats. *)
 let test_checkpoint_engine_parity () =
   let mk = team_mk (Helpers.cert_of (Rcons_spec.Sn.make 2) 2) in
-  let interrupted undo =
-    match Explore.explore ~max_crashes:1 ~node_budget:200 ~undo ~mk () with
-    | (_ : Explore.stats) -> Alcotest.fail "node budget did not trip"
-    | exception Explore.Interrupted cp -> cp
-  in
-  let cp_undo = interrupted true and cp_replay = interrupted false in
-  let strip_engine cp =
-    match Explore.checkpoint_to_json cp with
-    | Json.Obj kvs -> Json.Obj (List.filter (fun (k, _) -> k <> "engine") kvs)
-    | j -> j
-  in
-  Alcotest.(check string) "checkpoint JSON identical modulo engine tag"
-    (Json.to_string (strip_engine cp_undo))
-    (Json.to_string (strip_engine cp_replay));
-  let finish undo cp = Explore.explore ~max_crashes:1 ~resume_from:cp ~undo ~mk () in
-  let final = finish true cp_undo in
+  let cp = interrupted_checkpoint ~undo:true mk in
+  Alcotest.(check string) "checkpoint JSON identical under both strategies"
+    (Json.to_string (Explore.checkpoint_to_json cp))
+    (Json.to_string (Explore.checkpoint_to_json (interrupted_checkpoint ~undo:false mk)));
+  let final = Explore.explore ~max_crashes:1 ~undo:true ~mk () in
   List.iter
     (fun (name, s) -> Alcotest.check stats_eq name final s)
     [
-      ("undo resumes replay checkpoint", finish true cp_replay);
-      ("replay resumes undo checkpoint", finish false cp_undo);
-      ("replay resumes replay checkpoint", finish false cp_replay);
-      ("uninterrupted undo run", Explore.explore ~max_crashes:1 ~undo:true ~mk ());
-      ("uninterrupted replay run", Explore.explore ~max_crashes:1 ~undo:false ~mk ());
+      ("rollback resumes the checkpoint", Explore.explore ~max_crashes:1 ~resume_from:cp ~mk ());
+      ( "rebuild resumes the checkpoint",
+        Explore.explore ~max_crashes:1 ~resume_from:cp ~undo:false ~mk () );
+      ("uninterrupted rebuild run", Explore.explore ~max_crashes:1 ~undo:false ~mk ());
     ]
+
+(* Checkpoints used to name the engine that cut them; one tagged
+   ["engine": "replay"] (the oracle's old name) still loads and resumes
+   to the uninterrupted stats. *)
+let test_checkpoint_engine_tag_compat () =
+  let mk = team_mk (Helpers.cert_of (Rcons_spec.Sn.make 2) 2) in
+  let tagged =
+    match Explore.checkpoint_to_json (interrupted_checkpoint ~undo:true mk) with
+    | Json.Obj kvs -> Json.Obj (("engine", Json.String "replay") :: kvs)
+    | _ -> Alcotest.fail "checkpoint JSON is not an object"
+  in
+  let cp = Explore.checkpoint_of_json (Json.parse_exn (Json.to_string tagged)) in
+  Alcotest.check stats_eq "tagged checkpoint resumes to the uninterrupted stats"
+    (Explore.explore ~max_crashes:1 ~mk ())
+    (Explore.explore ~max_crashes:1 ~resume_from:cp ~mk ())
 
 (* --- qcheck meta-test on random finite types --- *)
 
@@ -462,5 +504,7 @@ let suite =
     qcheck_engines;
     Alcotest.test_case "checkpoint parity and cross-engine resume" `Quick
       test_checkpoint_engine_parity;
+    Alcotest.test_case "checkpoint with a legacy engine tag resumes" `Quick
+      test_checkpoint_engine_tag_compat;
     qcheck_parallel;
   ]

@@ -142,7 +142,7 @@ let test_q_prefix_closed () =
   Alcotest.(check bool) "q0 = [] not reachable with pushes only" false (S.State_set.mem [] q_a)
 
 (* --- undo-engine mark/rollback (checkpoint/restore foundation) ------
-   The explorer's undo engine rests on one contract, checked here
+   The explorer's rollback strategy rests on one contract, checked here
    directly against [Sim.mark]/[Sim.rollback] without the explorer in
    the way: rolling back to a mark restores the fingerprint (heap
    snapshot + per-process control state) byte-identically, across
