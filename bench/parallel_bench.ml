@@ -412,9 +412,9 @@ let run ?(domains = 4) ?(out = "BENCH_parallel.json") () =
           domains stages.Rcons.Par.Pool.Telemetry.jobs stages.chunks stages.steals
           stages.seq_cutoffs floor;
         Util.row
-          "    undo(par %d): %d restores, %d entries, %d bytes peak; rehashes %d full / %d saved, %d canon bytes saved@."
+          "    undo(par %d): %d restores, %d entries, %d bytes peak; rehashes %d full / %d saved@."
           domains stages.restores stages.undo_entries stages.undo_bytes_peak
-          stages.rehashes_full stages.rehashes_saved stages.canon_saved_bytes;
+          stages.rehashes_full stages.rehashes_saved;
         (match dedup with
         | None -> ()
         | Some dd ->
@@ -503,11 +503,10 @@ let run ?(domains = 4) ?(out = "BENCH_parallel.json") () =
       p
         "     \"stages\": {\"jobs\": %d, \"chunks\": %d, \"steals\": %d, \"seq_cutoffs\": %d, \
          \"restores\": %d, \"undo_entries\": %d, \"undo_bytes_peak\": %d, \"rehashes_full\": %d, \
-         \"rehashes_saved\": %d, \"canon_saved_bytes\": %d%s},\n"
+         \"rehashes_saved\": %d%s},\n"
         r.r_stages.Rcons.Par.Pool.Telemetry.jobs r.r_stages.chunks r.r_stages.steals
         r.r_stages.seq_cutoffs r.r_stages.restores r.r_stages.undo_entries
         r.r_stages.undo_bytes_peak r.r_stages.rehashes_full r.r_stages.rehashes_saved
-        r.r_stages.canon_saved_bytes
         (match r.r_dedup with
         | None -> ""
         | Some dd ->

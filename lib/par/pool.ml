@@ -66,7 +66,6 @@ module Telemetry = struct
     undo_bytes_peak : int;  (* high-water estimate of journal footprint *)
     rehashes_full : int;  (* fingerprint components recomputed *)
     rehashes_saved : int;  (* fingerprint components served from cache *)
-    canon_saved_bytes : int;  (* bytes reused across the canonical perm loop *)
   }
 
   let jobs = Atomic.make 0
@@ -78,7 +77,6 @@ module Telemetry = struct
   let undo_bytes_peak = Atomic.make 0
   let rehashes_full = Atomic.make 0
   let rehashes_saved = Atomic.make 0
-  let canon_saved_bytes = Atomic.make 0
 
   (* The peak is a high-water mark, not a sum: raise-only CAS merge. *)
   let note_bytes_peak b =
@@ -99,8 +97,6 @@ module Telemetry = struct
     ignore (Atomic.fetch_and_add rehashes_full full);
     ignore (Atomic.fetch_and_add rehashes_saved saved)
 
-  let note_canon_saved_bytes b = ignore (Atomic.fetch_and_add canon_saved_bytes b)
-
   let snapshot () =
     {
       jobs = Atomic.get jobs;
@@ -112,7 +108,6 @@ module Telemetry = struct
       undo_bytes_peak = Atomic.get undo_bytes_peak;
       rehashes_full = Atomic.get rehashes_full;
       rehashes_saved = Atomic.get rehashes_saved;
-      canon_saved_bytes = Atomic.get canon_saved_bytes;
     }
 
   let diff a b =
@@ -128,7 +123,6 @@ module Telemetry = struct
       undo_bytes_peak = a.undo_bytes_peak;
       rehashes_full = a.rehashes_full - b.rehashes_full;
       rehashes_saved = a.rehashes_saved - b.rehashes_saved;
-      canon_saved_bytes = a.canon_saved_bytes - b.canon_saved_bytes;
     }
 end
 

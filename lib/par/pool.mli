@@ -119,9 +119,6 @@ module Telemetry : sig
     rehashes_saved : int;
         (** fingerprint components served from an undo-maintained cache
             slot without recomputing *)
-    canon_saved_bytes : int;
-        (** snapshot bytes reused across the relabeling loop of
-            [Sim.fingerprint_digest_canonical] instead of re-serialized *)
   }
 
   val snapshot : unit -> snapshot
@@ -139,8 +136,4 @@ module Telemetry : sig
   val note_rehashes : full:int -> saved:int -> unit
   (** Batched contribution from one fingerprint snapshot: how many
       component digests were recomputed vs served from cache. *)
-
-  val note_canon_saved_bytes : int -> unit
-  (** Bytes the canonical-relabeling loop reused instead of
-      re-serializing. *)
 end

@@ -165,10 +165,15 @@ exception Interrupted of checkpoint
 let checkpoint_stats cp = cp.cp_stats
 let checkpoint_cursor cp = cp.cp_cursor
 
+(* Version 2: visited digests are of the fixed-width trace-chain
+   fingerprint ([Sim.fingerprint]); version 1 digests named list-format
+   fingerprints, which no state of this build reproduces. *)
+let checkpoint_version = 2
+
 let checkpoint_to_json cp =
   Json.Obj
     [
-      ("version", Json.Int 1);
+      ("version", Json.Int checkpoint_version);
       ("kind", Json.String "explore-checkpoint");
       ("max_crashes", Json.Int cp.cp_max_crashes);
       ("max_steps", Json.Int cp.cp_max_steps);
@@ -202,8 +207,24 @@ let checkpoint_of_json j =
   | Some (Json.String e) ->
       invalid_arg ("Explore.checkpoint_of_json: unknown exploration engine " ^ e)
   | Some _ -> invalid_arg "Explore.checkpoint_of_json: engine must be a string");
-  let stats = Json.field "stats" j in
   let int k v = Json.to_int (Json.field k v) in
+  let version = match Json.member "version" j with Some v -> Json.to_int v | None -> 1 in
+  if version > checkpoint_version then
+    invalid_arg
+      (Printf.sprintf "Explore.checkpoint_of_json: checkpoint version %d is newer than this build's %d"
+         version checkpoint_version);
+  let visited = Json.to_list (Json.field "visited" j) in
+  (* An older checkpoint's visited digests name states in a fingerprint
+     format this build no longer produces: they would never match, and
+     every state they claimed would be silently re-expanded and
+     re-counted.  A raw checkpoint has none, so it still resumes. *)
+  if version < checkpoint_version && visited <> [] then
+    invalid_arg
+      (Printf.sprintf
+         "Explore.checkpoint_of_json: version %d dedup checkpoint holds fingerprints of an \
+          older format; rerun the exploration"
+         version);
+  let stats = Json.field "stats" j in
   (* Fields added after the v1 format default when absent, so pre-reduction
      checkpoints stay loadable. *)
   let opt_int k v = match Json.member k v with Some x -> Json.to_int x | None -> 0 in
@@ -219,8 +240,7 @@ let checkpoint_of_json j =
         por_pruned = opt_int "por_pruned" stats;
         symmetry_hits = opt_int "symmetry_hits" stats;
       };
-    cp_visited =
-      List.map (fun s -> Digest.from_hex (Json.to_str s)) (Json.to_list (Json.field "visited" j));
+    cp_visited = List.map (fun s -> Digest.from_hex (Json.to_str s)) visited;
     cp_max_crashes = int "max_crashes" j;
     cp_max_steps = int "max_steps" j;
     cp_dedup = Json.to_bool (Json.field "dedup" j);

@@ -185,7 +185,16 @@ val checkpoint_cursor : checkpoint -> choice list
     count. *)
 
 val checkpoint_to_json : checkpoint -> Json.t
+(** Writes format version 2: visited digests are of the fixed-width
+    trace-chain {!Sim.fingerprint}. *)
+
 val checkpoint_of_json : Json.t -> checkpoint
+(** @raise Invalid_argument with a one-line diagnosis on a malformed
+    checkpoint, one from a newer format, or a version 1 (or unversioned)
+    checkpoint whose visited list is non-empty: its digests name
+    fingerprints of the older list format, so resuming it would silently
+    re-expand every state it had claimed.  A version 1 checkpoint of a
+    raw run (empty visited list) still loads. *)
 
 val save_checkpoint : file:string -> checkpoint -> unit
 (** Serialize atomically: the JSON is written to [file ^ ".tmp"] and

@@ -19,9 +19,10 @@
    through [register_c]/[register_sym_c], which return a cache slot.
    The container marks the slot dirty ([touch]) on every mutation of the
    digested state; [snapshot_into] recomputes only dirty slots and
-   serves the rest from cache, so the per-state hashing cost on the
-   explorer's dedup path is O(mutations since the last snapshot), not
-   O(arena).  The emitted bytes are identical to recomputing everything,
+   serves the rest from cache, so the heap half of the per-state hashing
+   cost on the explorer's dedup path is O(mutations since the last
+   snapshot) digest thunks plus one cached-string append per clean slot.
+   The emitted bytes are identical to recomputing everything,
    so fingerprints, visited sets and checkpoints are unaffected.  The
    plain [register]/[register_sym] (used by external instrumentation,
    e.g. bench harnesses digesting a History) keep their
@@ -39,7 +40,7 @@ type slot = {
   thunk : int array option -> string;
   sym : bool; (* digest mentions pids: perm snapshots must recompute *)
   cacheable : bool; (* mutations promise to [touch]; cache is sound *)
-  mutable cached : string;
+  mutable framed : string; (* the cached digest as emitted: "len:digest" *)
   mutable dirty : bool;
 }
 
@@ -70,7 +71,7 @@ let register_slot ~sym ~cacheable f =
   match Domain.DLS.get key with
   | None -> None
   | Some a ->
-      let s = { thunk = f; sym; cacheable; cached = ""; dirty = true } in
+      let s = { thunk = f; sym; cacheable; framed = ""; dirty = true } in
       add a s;
       Some s
 
@@ -84,7 +85,12 @@ let touch = function None -> () | Some s -> s.dirty <- true
    ([No_sharing]) the marshalled bytes coincide with structural equality;
    [Closures] keeps it total on values capturing functions (code pointers
    are stable within one binary, which is all one exploration spans). *)
-let digest v = Marshal.to_string v [ Marshal.No_sharing; Marshal.Closures ]
+let digest_flags = [ Marshal.No_sharing; Marshal.Closures ]
+let digest v = Marshal.to_string v digest_flags
+
+(* [digest v] written into [b] from [ofs] on; returns its length.  Raises
+   [Failure] when it does not fit. *)
+let digest_to_bytes b ofs v = Marshal.to_buffer b ofs (Bytes.length b - ofs) v digest_flags
 
 (* Length-prefix each digest so object boundaries are unambiguous.  The
    [_into] form appends to a caller-owned buffer so the explorer's batch
@@ -93,40 +99,32 @@ let digest v = Marshal.to_string v [ Marshal.No_sharing; Marshal.Closures ]
    string) per expanded node.
 
    Cache policy per slot: a cacheable slot is recomputed only while
-   dirty; under a [perm] relabeling, pid-bearing ([sym]) slots are
+   dirty, and caches its bytes already framed, so a clean slot costs one
+   append; under a [perm] relabeling, pid-bearing ([sym]) slots are
    always recomputed (their bytes depend on the perm), while pid-free
    cacheable slots still serve the cache (their bytes cannot).  A
    refresh always digests under [None], which for a pid-free thunk is
    the same value.  Rehash counters batch into one telemetry note per
    snapshot. *)
+let frame d = string_of_int (String.length d) ^ ":" ^ d
+
 let snapshot_into ?perm b a =
   let full = ref 0 and saved = ref 0 in
-  let refresh s =
-    if s.dirty then begin
-      s.cached <- s.thunk None;
-      s.dirty <- false;
-      incr full
-    end
-    else incr saved;
-    s.cached
-  in
   List.iter
     (fun s ->
-      let d =
-        if not s.cacheable then begin
-          incr full;
-          s.thunk perm
+      if (not s.cacheable) || (s.sym && Option.is_some perm) then begin
+        incr full;
+        Buffer.add_string b (frame (s.thunk perm))
+      end
+      else begin
+        if s.dirty then begin
+          s.framed <- frame (s.thunk None);
+          s.dirty <- false;
+          incr full
         end
-        else
-          match perm with
-          | Some _ when s.sym ->
-              incr full;
-              s.thunk perm
-          | _ -> refresh s
-      in
-      Buffer.add_string b (string_of_int (String.length d));
-      Buffer.add_char b ':';
-      Buffer.add_string b d)
+        else incr saved;
+        Buffer.add_string b s.framed
+      end)
     a.slots;
   Rcons_par.Pool.Telemetry.note_rehashes ~full:!full ~saved:!saved
 

@@ -54,9 +54,10 @@ val register_sym : (int array option -> string) -> unit
 
 type slot
 (** A cache slot for one registered digest: {!snapshot} recomputes the
-    digest only while the slot is dirty and serves the cached bytes
-    otherwise, making per-state hashing O(mutations since the last
-    snapshot).  The emitted bytes are identical either way. *)
+    digest only while the slot is dirty and otherwise appends the cached,
+    already length-prefixed bytes, so digest thunks run O(mutations since
+    the last snapshot) times.  The emitted bytes are identical either
+    way. *)
 
 val register_c : (unit -> string) -> slot option
 (** Cached variant of {!register}: returns the slot ([None] when no
@@ -81,6 +82,11 @@ val digest : 'a -> string
     expanded): byte equality coincides with structural equality.  Values
     capturing closures are digested by code pointer, which is stable
     within one binary. *)
+
+val digest_to_bytes : bytes -> int -> 'a -> int
+(** [digest_to_bytes b ofs v] writes [digest v] into [b] starting at
+    [ofs] and returns its length, without allocating the string.
+    @raise Failure if it does not fit in [b]. *)
 
 val snapshot : ?perm:int array -> t -> string
 (** The concatenated (length-prefixed) digests of every registered

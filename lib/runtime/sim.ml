@@ -64,12 +64,13 @@ type proc = {
   mutable started : bool; (* has taken a step since its last (re)start *)
   mutable crash_count : int;
   mutable step_count : int;
-  mutable trace : string list;
-      (* digests of the values this run's steps returned, most recent
-         first; cleared on (re)start.  A deterministic body's local state
-         -- continuation, program counter included -- is a function of
-         this sequence, which is what makes [fingerprint] a sound basis
-         for deduplication. *)
+  mutable trace : Digest.t;
+      (* running digest of the values this run's steps returned
+         ([chain]); [trace0] on (re)start.  A deterministic body's local
+         state -- continuation, program counter included -- is a function
+         of that sequence, and the chain pins the sequence (up to MD5
+         collisions), which is what makes [fingerprint] a sound basis for
+         deduplication. *)
   (* Undo-engine state.  One-shot continuations cannot be snapshotted,
      so [rollback] rebuilds a process's continuation by re-running its
      body and feeding back the values its completed steps returned this
@@ -108,6 +109,32 @@ let push_vlog p v =
   p.vlog.(p.vlen) <- v;
   p.vlen <- p.vlen + 1
 
+(* The observation trace as a hash chain: [trace0] for an empty run, and
+   [chain d v = MD5 (d ‖ Heap.digest v)] per completed step.  The
+   previous link has a fixed width, so the split between it and the new
+   value is unambiguous, and the chain is order- and
+   segmentation-sensitive where a plain concatenation or XOR of the
+   value digests is not.  The domain-local scratch holds both halves, so
+   a link allocates only its 16-byte result. *)
+let trace0 = Digest.string "rcons.trace"
+
+let chain_scratch : bytes ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
+
+let chain d v =
+  let r = Domain.DLS.get chain_scratch in
+  let rec go () =
+    let b = !r in
+    match Heap.digest_to_bytes b 16 v with
+    | len ->
+        Bytes.blit_string d 0 b 0 16;
+        Digest.subbytes b 0 (16 + len)
+    | exception Failure _ ->
+        r := Bytes.create (2 * Bytes.length b);
+        go ()
+  in
+  go ()
+
 let run_body p =
   let open Effect.Deep in
   match_with p.body ()
@@ -131,7 +158,7 @@ let run_body p =
                       (fun () ->
                         let v = f () in
                         if Undo.h_installed p.uh then push_vlog p (Obj.repr v);
-                        if p.tracing then p.trace <- Heap.digest v :: p.trace;
+                        if p.tracing then p.trace <- chain p.trace v;
                         continue k v);
                   p.discard <-
                     Some
@@ -147,7 +174,7 @@ let arm p =
   p.discard <- None;
   p.pending_label <- None;
   p.pending_fp <- None;
-  p.trace <- [];
+  p.trace <- trace0;
   p.vlen <- 0;
   p.fin <- false;
   p.stale <- false; (* a fresh starter needs no rebuild *)
@@ -170,7 +197,7 @@ let create ~n body_of =
             started = false;
             crash_count = 0;
             step_count = 0;
-            trace = [];
+            trace = trace0;
             vlog = [||];
             vlen = 0;
             fin = false;
@@ -431,14 +458,17 @@ let rollback t m =
    plus the non-volatile heap snapshot.
 
    Per process it records the cumulative step and crash counts, whether
-   the current run has finished, and for unfinished runs the label it is
-   poised on together with the volatile observation trace.  The trace
-   pins the process's whole local state: a deterministic body re-executed
-   from its last (re)start against the same sequence of step results
-   reaches the same continuation.  The cumulative counts make the state
-   graph graded -- every schedule choice increments exactly one of them,
-   so the depth of a state is a function of its fingerprint and the
-   deduplicating explorer's statistics are schedule-order independent.
+   the current run has finished, and for unfinished runs the volatile
+   observation trace (the 16-byte [chain] of its step results) and the
+   label it is poised on.  The trace pins the process's whole local
+   state: a deterministic body re-executed from its last (re)start
+   against the same sequence of step results reaches the same
+   continuation.  Because the chain is fixed-width, a section costs
+   O(1) however long the run has been going.  The cumulative counts
+   make the state graph graded -- every schedule choice increments
+   exactly one of them, so the depth of a state is a function of its
+   fingerprint and the deduplicating explorer's statistics are
+   schedule-order independent.
 
    Equal fingerprints therefore imply equal futures: same pending
    continuations, same shared heap, same remaining crash budget
@@ -458,18 +488,15 @@ let rollback t m =
    [perm] relabels processes ([perm.(old) = new]): process sections are
    emitted in relabeled order and the heap snapshot relabels every
    pid-bearing digest.  The symmetry-canonicalizing explorer takes the
-   minimum over a group of relabelings; [None] is the identity and is
-   byte-identical to the historical format. *)
+   minimum over a group of relabelings; [None] is the identity. *)
 let arena_of t =
   match t.heap with
   | Some a -> a
   | None -> invalid_arg "Sim.fingerprint: system was not created under an active Heap arena"
 
-(* One process's section, starting with its '|' separator.  The bytes
-   depend only on the process -- a relabeling changes the order sections
-   are emitted in, never their contents -- which is what lets the
-   canonical loop serialize each section once and reuse the string
-   across the whole relabeling group. *)
+(* One process's section, starting with its '|' separator.  The chain
+   has a fixed width, so the variable-width label can follow it without
+   a length prefix. *)
 let add_proc_section ~graded b p =
   Buffer.add_char b '|';
   if graded then begin
@@ -484,18 +511,12 @@ let add_proc_section ~graded b p =
   if proc_finished p then Buffer.add_char b 'F'
   else begin
     Buffer.add_char b (if p.started then 'R' else 'I');
-      (match p.pending_label with
-      | None -> ()
-      | Some l ->
-          Buffer.add_char b '#';
-          Buffer.add_string b l);
-      List.iter
-        (fun d ->
-          Buffer.add_char b '.';
-          Buffer.add_string b (string_of_int (String.length d));
-          Buffer.add_char b ':';
-          Buffer.add_string b d)
-        p.trace
+    Buffer.add_string b p.trace;
+    match p.pending_label with
+    | None -> ()
+    | Some l ->
+        Buffer.add_char b '#';
+        Buffer.add_string b l
   end
 
 let add_ungraded_prefix b t =
@@ -577,9 +598,8 @@ let relabelings ~classes n =
    expands, so the fingerprint bytes are scratch -- only the 16-byte MD5
    survives (as the visited-set key and checkpoint entry).  A domain-local
    buffer is reused across all the states a domain expands, eliminating
-   the per-node Buffer + intermediate string of [Digest.string
-   (fingerprint t)].  Same digest as that expression, byte for byte, so
-   checkpoint files and visited-set contents are unchanged. *)
+   the per-node Buffer of [Digest.string (fingerprint t)], whose digest
+   it equals. *)
 let scratch : Buffer.t Domain.DLS.key = Domain.DLS.new_key (fun () -> Buffer.create 1024)
 
 let fingerprint_digest ?graded ?perm t =
@@ -588,70 +608,22 @@ let fingerprint_digest ?graded ?perm t =
   fingerprint_into ?graded ?perm b t;
   Digest.bytes (Buffer.to_bytes b)
 
-(* Canonical symmetry-quotiented digest: the lexicographic minimum over
-   the given relabelings (identity included by {!relabelings}).  Two
-   states that are relabelings of one another under the group share the
-   canonical digest.  Also reports whether the minimum beat the identity
-   digest — the explorer's [symmetry_hits] counter.
-
-   The relabeling loop reuses the one domain-local scratch buffer and,
-   since section bytes are perm-independent (only their order changes),
-   serializes each process section once and re-emits the strings per
-   perm; pid-free heap slots likewise serve their cached bytes.  The
-   bytes assembled per perm are identical to [fingerprint_digest ~perm],
-   so canonical digests (and thus visited sets, stats, checkpoints) are
-   unchanged.  Saved serialization work is reported to telemetry as
-   [canon_saved_bytes]. *)
-let fingerprint_digest_canonical ?(graded = true) ~perms t =
+(* Canonical symmetry-quotiented digest: the lexicographic minimum of
+   [fingerprint_digest ~perm] over the given relabelings (identity
+   included by {!relabelings}).  Two states that are relabelings of one
+   another under the group share the canonical digest.  Also reports
+   whether the minimum beat the first (identity) digest — the explorer's
+   [symmetry_hits] counter. *)
+let fingerprint_digest_canonical ?graded ~perms t =
   match perms with
   | [] -> invalid_arg "Sim.fingerprint_digest_canonical: empty relabeling group"
   | p0 :: rest ->
-      let arena = arena_of t in
-      let n = Array.length t.procs in
-      let sections =
-        Array.map
-          (fun p ->
-            let sb = Buffer.create 64 in
-            add_proc_section ~graded sb p;
-            Buffer.contents sb)
-          t.procs
-      in
-      let prefix =
-        if graded then ""
-        else begin
-          let pb = Buffer.create 8 in
-          add_ungraded_prefix pb t;
-          Buffer.contents pb
-        end
-      in
-      let b = Domain.DLS.get scratch in
-      let inv = Array.make n 0 in
-      let digest_with perm =
-        Buffer.clear b;
-        Buffer.add_string b prefix;
-        Array.iteri (fun old_pid new_pid -> inv.(new_pid) <- old_pid) perm;
-        for j = 0 to n - 1 do
-          Buffer.add_string b sections.(inv.(j))
-        done;
-        Buffer.add_char b '@';
-        Heap.snapshot_into ~perm b arena;
-        Digest.bytes (Buffer.to_bytes b)
-      in
-      let d0 = digest_with p0 in
+      let d0 = fingerprint_digest ?graded ~perm:p0 t in
       let min_d =
         List.fold_left
-          (fun acc p ->
-            let d = digest_with p in
+          (fun acc perm ->
+            let d = fingerprint_digest ?graded ~perm t in
             if String.compare d acc < 0 then d else acc)
           d0 rest
       in
-      (match rest with
-      | [] -> ()
-      | _ ->
-          let section_bytes =
-            Array.fold_left (fun acc s -> acc + String.length s) (String.length prefix) sections
-          in
-          Rcons_par.Pool.Telemetry.note_canon_saved_bytes
-            (List.length rest * section_bytes));
       (min_d, String.compare min_d d0 < 0)
-

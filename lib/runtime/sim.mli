@@ -153,11 +153,15 @@ val fingerprint : t -> string
     explorer: the non-volatile heap snapshot of the {!Heap} arena the
     system was created under, plus each process's control state --
     cumulative step/crash counts, finished flag, pending label, and the
-    {e volatile observation trace} (digests of the values its steps
-    returned since its last (re)start, which pin a deterministic body's
-    continuation).  Equal fingerprints imply equal futures, provided all
-    shared state lives in registered containers ({!Cell}, {!Growable},
-    {!Sim_obj}, the output logs) and step results are plain data.
+    {e volatile observation trace}: a 16-byte running digest
+    [MD5 (trace ‖ Heap.digest v)] folded over the values its steps
+    returned since its last (re)start, which pins a deterministic body's
+    continuation.  The chain is order- and segmentation-sensitive, reset
+    by a crash, and keeps each process's section constant-size however
+    long the run.  Equal fingerprints imply equal futures, up to MD5
+    collisions, provided all shared state lives in registered containers
+    ({!Cell}, {!Growable}, {!Sim_obj}, the output logs) and step results
+    are plain data.
 
     Stable under replay: re-executing the same schedule against a fresh
     system from the same deterministic builder yields the same
@@ -170,9 +174,10 @@ val fingerprint_digest : ?graded:bool -> ?perm:int array -> t -> string
 (** [Digest.string (fingerprint t)], computed into a domain-local
     scratch buffer reused across calls — the batched form the parallel
     explorer hashes every expanded state with.  With the defaults
-    ([graded = true], no [perm]) it is byte-identical to the unbatched
-    expression, so visited-set keys and checkpoint entries are
-    unchanged.
+    ([graded = true], no [perm]) it equals the unbatched expression.
+    These digests are the visited-set keys and the checkpoint entries,
+    so a change of fingerprint format versions the checkpoint format
+    ({!Explore.checkpoint_of_json}).
 
     [graded = false] drops the cumulative per-process step/crash counts
     and records only the {e total} crashes used: remaining crash budget
@@ -195,9 +200,11 @@ val relabelings : classes:int list list -> int -> int array list
 
 val fingerprint_digest_canonical :
   ?graded:bool -> perms:int array list -> t -> string * bool
-(** The lexicographically least {!fingerprint_digest} over [perms] (a
-    {!relabelings} group, identity first), plus whether the minimum beat
-    the identity digest (the explorer's [symmetry_hits] signal).  States
+(** The lexicographically least [fingerprint_digest ~perm] over [perms]
+    (a {!relabelings} group, identity first), plus whether the minimum
+    beat the first (identity) digest — the explorer's [symmetry_hits]
+    signal, which therefore depends on the digest bytes and not only on
+    the state graph.  States
     that are relabelings of one another share the canonical digest, so
     using it as the visited-set key quotients the state graph by the
     symmetry group — while every schedule the explorer actually walks

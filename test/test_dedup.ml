@@ -1,7 +1,7 @@
 (* State-space deduplication: fingerprint soundness and the explorer's
    dedup mode.
 
-   Three layers of guarantees are pinned here:
+   Four layers of guarantees are pinned here:
    - [~dedup:false] is byte-identical to the pre-dedup explorer -- the
      raw statistics on the Figure 2 and Figure 4 suites are hard-coded
      baselines captured from the seed explorer, so any accidental change
@@ -13,7 +13,10 @@
    - [Sim.fingerprint] is replay-stable (qcheck): re-executing the same
      schedule against a fresh system from the same builder reproduces the
      fingerprint byte for byte -- the property that makes deduplication
-     sound across replays and domains. *)
+     sound across replays and domains;
+   - the observation trace folded into each process's fingerprint
+     section separates runs that saw the same values in another order or
+     segmentation, and forgets what a crashed run saw. *)
 
 open Rcons_runtime
 open Rcons_algo
@@ -143,17 +146,20 @@ let apply_encoded sim codes =
       else if not (Sim.finished sim pid) then ignore (Sim.step_proc sim pid))
     codes
 
-let fingerprint_after mk codes =
+let with_arena f =
   let saved = Heap.current () in
   Heap.activate (Heap.create ());
   Fun.protect
     ~finally:(fun () -> match saved with Some a -> Heap.activate a | None -> Heap.deactivate ())
-    (fun () ->
-      let sim, _check = mk () in
-      apply_encoded sim codes;
-      let fp = Sim.fingerprint sim in
-      Sim.abandon sim;
-      fp)
+    f
+
+let fingerprint_after mk codes =
+  with_arena @@ fun () ->
+  let sim, _check = mk () in
+  apply_encoded sim codes;
+  let fp = Sim.fingerprint sim in
+  Sim.abandon sim;
+  fp
 
 let schedule_gen = QCheck2.Gen.(list_size (int_range 0 14) (int_bound 999))
 
@@ -174,6 +180,62 @@ let qcheck_fingerprint_stable_fig4 =
        schedule_gen
        (fun codes -> fingerprint_after (fig4_mk 3) codes = fingerprint_after (fig4_mk 3) codes))
 
+(* --- the observation trace is a chain, not a bag --- *)
+
+(* A one-process system whose run observes the two values [src] holds
+   when it reads them, then parks on a final labelled step.  [src] is
+   deliberately outside the heap arena: the heap snapshot is empty, so
+   the process's observation trace is all that can tell two runs
+   apart. *)
+let observer src =
+  Sim.create ~n:1 (fun _ () ->
+      ignore (Sim.step ~label:"read" (fun () -> fst !src));
+      ignore (Sim.step ~label:"read" (fun () -> snd !src));
+      Sim.step ~label:"end" (fun () -> ()))
+
+(* Fingerprint after the run has observed [a] then [b], optionally after
+   a first run that observed [before] and crashed. *)
+let observed ?before (a, b) =
+  with_arena @@ fun () ->
+  let src = ref ("", "") in
+  let sim = observer src in
+  let steps k =
+    for _ = 1 to k do
+      ignore (Sim.step_proc sim 0)
+    done
+  in
+  (match before with
+  | None -> ()
+  | Some pre ->
+      src := pre;
+      steps 3;
+      Sim.crash sim 0);
+  src := (a, b);
+  steps 3;
+  let fp = Sim.fingerprint_digest ~graded:false sim in
+  Sim.abandon sim;
+  fp
+
+let test_trace_chain () =
+  List.iter
+    (fun (what, x, y) ->
+      Alcotest.(check bool) what true (observed x <> observed y))
+    [
+      (* an order-insensitive fold (XOR, a sum, a multiset) collides here *)
+      ("order matters", ("x", "y"), ("y", "x"));
+      (* concatenating raw payloads without framing collides here *)
+      ("segmentation matters", ("ab", "c"), ("a", "bc"));
+      (* keeping only the latest observation collides here *)
+      ("history matters", ("x", "y"), ("z", "y"));
+    ];
+  (* A crash resets the chain: the pre-crash run's observations are lost
+     with its local state, so they must not reach the fingerprint. *)
+  Alcotest.(check bool) "pre-crash runs differ" true
+    (observed ("p", "q") <> observed ("r", "s"));
+  Alcotest.(check string) "crash resets the chain"
+    (Digest.to_hex (observed ~before:("p", "q") ("x", "y")))
+    (Digest.to_hex (observed ~before:("r", "s") ("x", "y")))
+
 let suite =
   [
     Alcotest.test_case "raw mode matches seed baselines" `Quick test_raw_baselines;
@@ -187,4 +249,6 @@ let suite =
       test_dedup_violation_schedule_identical;
     qcheck_fingerprint_stable;
     qcheck_fingerprint_stable_fig4;
+    Alcotest.test_case "observation trace is an ordered chain, reset by crashes" `Quick
+      test_trace_chain;
   ]

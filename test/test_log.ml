@@ -315,6 +315,39 @@ let test_corrupt_checkpoint_diagnosis () =
         true
         (contains ~sub:"unknown exploration engine" msg && contains ~sub:"snapshot-v2" msg));
   Sys.remove alien_engine;
+  (* A version 1 dedup checkpoint holds digests of the older list-format
+     fingerprints: no state of this build matches them, so resuming
+     would silently re-expand every claimed state.  Refused with a
+     one-line diagnosis; the same checkpoint of a raw run (nothing
+     visited) still loads, with or without a version field. *)
+  let v1 ?(version = {|"version": 1,|}) ~dedup visited =
+    Printf.sprintf
+      {|{%s "kind": "explore-checkpoint", "max_crashes": 1, "max_steps": 100,
+         "dedup": %b, "por": false,
+         "stats": {"schedules": 0, "nodes": 1, "max_depth": 0, "dedup_hits": 0,
+                   "distinct_states": %d, "por_pruned": 0, "symmetry_hits": 0},
+         "cursor": ["s0"], "visited": [%s]}|}
+      version dedup (List.length visited)
+      (String.concat ", " (List.map (Printf.sprintf "%S") visited))
+  in
+  List.iter
+    (fun (what, version) ->
+      let old_dedup =
+        write_tmp (v1 ?version ~dedup:true [ "0123456789abcdef0123456789abcdef" ])
+      in
+      (match Explore.load_checkpoint ~file:old_dedup with
+      | _ -> Alcotest.failf "%s dedup checkpoint should not load" what
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: one-line diagnosis naming the format: %s" what msg)
+            true
+            (contains ~sub:"older format" msg && not (String.contains msg '\n')));
+      Sys.remove old_dedup;
+      let old_raw = write_tmp (v1 ?version ~dedup:false []) in
+      let cp = Explore.load_checkpoint ~file:old_raw in
+      Alcotest.(check int) (what ^ " raw checkpoint loads") 1 (Explore.checkpoint_stats cp).nodes;
+      Sys.remove old_raw)
+    [ ("version 1", None); ("unversioned", Some "") ];
   (* Unreadable path: Sys_error, same exit-2 mapping in the CLI. *)
   match Explore.load_checkpoint ~file:"/nonexistent/nowhere.json" with
   | _ -> Alcotest.fail "missing checkpoint should not load"
