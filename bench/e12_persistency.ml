@@ -19,7 +19,7 @@
    (an un-flushed completed operation may legitimately vanish).
 
    Series 3: exhaustive model checking (<= 1 crash, with state-space
-   dedup -- sound because cache state enters [Sim.fingerprint]): the
+   dedup -- sound because cache state enters [Sim.fingerprint_digest]): the
    un-annotated algorithm has a genuine violating schedule under Lossy
    (the shrunk witness is committed as
    _counterexamples/e12_fig2_lossy.json and replayed in CI); the
@@ -64,7 +64,8 @@ let sweep_fig2 name cert ~annotated ~policy ~crash_prob ~iters ~seed =
     under policy (fun () ->
         let sim, outputs = fig2_system ~annotated cert in
         let rng = Random.State.make [| Util.seed seed; i |] in
-        match Drivers.random ~crash_prob ~max_crashes:6 ~rng sim with
+        let adv = Adversary.of_rng ~rng (Adversary.Uniform { crash_prob; max_crashes = 6 }) in
+        match (Adversary.run ~record:false adv sim).Adversary.crashes with
         | c ->
             crashes := !crashes + c;
             if
@@ -73,7 +74,7 @@ let sweep_fig2 name cert ~annotated ~policy ~crash_prob ~iters ~seed =
             then incr ok
             else incr disagree
         | exception (Invalid_argument _ | Failure _) -> incr aborted
-        | exception Drivers.Stuck _ -> incr stuck)
+        | exception Adversary.Stuck _ -> incr stuck)
   done;
   Util.row
     "%-26s %-7s crash-rate=%-5.2f %5d/%d ok   disagree=%-4d abort=%-4d stuck=%-4d avg-crashes=%4.2f@."

@@ -22,7 +22,7 @@ let run_team_consensus () =
     Rcons.Algo.Outputs.record outputs pid (tc.Rcons.Algo.Team_consensus.decide team slot inputs.(pid))
   in
   let sim = Rcons.Runtime.Sim.create ~n body in
-  Rcons.Runtime.Drivers.round_robin sim
+  Rcons.Runtime.Adversary.round_robin sim
 
 let run_tournament_rc () =
   let cert = Lazy.force cert_sticky in
@@ -32,7 +32,7 @@ let run_tournament_rc () =
   let decide = Rcons.Algo.Tournament.recoverable_consensus cert ~n in
   let body pid () = Rcons.Algo.Outputs.record outputs pid (decide pid inputs.(pid)) in
   let sim = Rcons.Runtime.Sim.create ~n body in
-  Rcons.Runtime.Drivers.round_robin sim
+  Rcons.Runtime.Adversary.round_robin sim
 
 let run_simultaneous () =
   let n = 4 in
@@ -47,7 +47,8 @@ let run_simultaneous () =
     Rcons.Algo.Outputs.record outputs pid (Rcons.Algo.Simultaneous_rc.decide rc pid inputs.(pid))
   in
   let sim = Rcons.Runtime.Sim.create ~n body in
-  Rcons.Runtime.Drivers.simultaneous ~crash_at:[ 5; 15 ] sim
+  Rcons.Runtime.Adversary.(
+    ignore (run ~record:false (create (Simultaneous { crash_at = [ 5; 15 ] })) sim))
 
 let run_universal () =
   let n = 4 in
@@ -58,7 +59,7 @@ let run_universal () =
         Rcons.Universal.Script.run runner pid
           [| Rcons.Universal.Derived.Incr; Rcons.Universal.Derived.Get; Rcons.Universal.Derived.Incr |])
   in
-  Rcons.Runtime.Drivers.round_robin sim
+  Rcons.Runtime.Adversary.round_robin sim
 
 let tests () =
   [
@@ -83,7 +84,7 @@ let tests () =
              Rcons.Runtime.Sim.create ~n:1 (fun pid () ->
                  ignore (Rcons.Algo.Recoverable_cas.cas t pid ~attempt:1 ~expected:0 ~desired:1))
            in
-           Rcons.Runtime.Drivers.round_robin sim));
+           Rcons.Runtime.Adversary.round_robin sim));
     Test.make ~name:"E9/thm22: recording level of a 3-type set"
       (Staged.stage (fun () ->
            List.iter

@@ -123,32 +123,36 @@ let classify_cmd =
 let solve_cmd =
   let run ot n crash_prob seed persist flush_cost no_certs certs_dir =
     let certs = certs_of no_certs certs_dir in
-    match Rcons.solve_rc ?certs ot ~n with
-    | None ->
-        Format.eprintf "%s is not %d-recording: no certificate, cannot solve %d-process RC@."
-          (Rcons.Spec.Object_type.name ot) n n;
-        1
-    | Some decide ->
-        with_persist persist flush_cost @@ fun () ->
-        let inputs = Array.init n (fun i -> 100 + i) in
-        let outputs = Rcons.Algo.Outputs.make ~inputs in
-        let body pid () = Rcons.Algo.Outputs.record outputs pid (decide pid inputs.(pid)) in
-        let sim = Rcons.Runtime.Sim.create ~n body in
-        let rng = Random.State.make [| seed |] in
-        let crashes =
-          Rcons.Runtime.Drivers.random ~crash_prob ~max_crashes:(4 * n) ~rng sim
-        in
-        Format.printf "%d processes, %d crashes:@." n crashes;
-        Array.iteri
-          (fun pid outs ->
-            Format.printf "  p%d -> %s@." pid (String.concat "," (List.map string_of_int outs)))
-          outputs.Rcons.Algo.Outputs.outputs;
-        Format.printf "agreement=%b validity=%b@."
-          (Rcons.Algo.Outputs.agreement_ok outputs)
-          (Rcons.Algo.Outputs.validity_ok outputs);
-        if Rcons.Algo.Outputs.agreement_ok outputs && Rcons.Algo.Outputs.validity_ok outputs
-        then 0
-        else 1
+    let module Adv = Rcons.Runtime.Adversary in
+    match Adv.policy_of_string ~crash_prob ~max_crashes:(4 * n) "uniform" with
+    | Error e ->
+        Format.eprintf "rcons solve: %s@." e;
+        2
+    | Ok policy -> (
+        match Rcons.solve_rc ?certs ot ~n with
+        | None ->
+            Format.eprintf "%s is not %d-recording: no certificate, cannot solve %d-process RC@."
+              (Rcons.Spec.Object_type.name ot) n n;
+            1
+        | Some decide ->
+            with_persist persist flush_cost @@ fun () ->
+            let inputs = Array.init n (fun i -> 100 + i) in
+            let outputs = Rcons.Algo.Outputs.make ~inputs in
+            let body pid () = Rcons.Algo.Outputs.record outputs pid (decide pid inputs.(pid)) in
+            let sim = Rcons.Runtime.Sim.create ~n body in
+            let rng = Random.State.make [| seed |] in
+            let crashes = (Adv.run ~record:false (Adv.of_rng ~rng policy) sim).Adv.crashes in
+            Format.printf "%d processes, %d crashes:@." n crashes;
+            Array.iteri
+              (fun pid outs ->
+                Format.printf "  p%d -> %s@." pid (String.concat "," (List.map string_of_int outs)))
+              outputs.Rcons.Algo.Outputs.outputs;
+            Format.printf "agreement=%b validity=%b@."
+              (Rcons.Algo.Outputs.agreement_ok outputs)
+              (Rcons.Algo.Outputs.validity_ok outputs);
+            if Rcons.Algo.Outputs.agreement_ok outputs && Rcons.Algo.Outputs.validity_ok outputs
+            then 0
+            else 1)
   in
   let ot = Arg.(required & opt (some type_conv) None & info [ "type" ] ~doc:"Object type.") in
   let n = Arg.(value & opt int 3 & info [ "procs"; "n" ] ~doc:"Number of processes.") in

@@ -38,7 +38,8 @@ let run_plain ~rng ~crash_prob =
     done
   in
   let sim = Sim.create ~n body in
-  ignore (Drivers.random ~crash_prob ~max_crashes:12 ~rng sim);
+  Adversary.(
+    ignore (run ~record:false (of_rng ~rng (Uniform { crash_prob; max_crashes = 12 })) sim));
   Cell.peek c
 
 (* --- the transformed version: recoverable CAS --- *)
@@ -83,11 +84,12 @@ let run_recoverable ~rng ~crash_prob =
     done
   in
   let sim = Sim.create ~n body in
-  ignore (Drivers.random ~crash_prob ~max_crashes:12 ~rng sim);
+  Adversary.(
+    ignore (run ~record:false (of_rng ~rng (Uniform { crash_prob; max_crashes = 12 })) sim));
   (* read the final value out of simulation *)
   let v = ref 0 in
   let observer = Sim.create ~n:1 (fun _ () -> v := Rcons.Algo.Recoverable_cas.read_value rcas) in
-  Drivers.round_robin observer;
+  Adversary.round_robin observer;
   !v
 
 let () =

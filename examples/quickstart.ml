@@ -33,7 +33,9 @@ let () =
   let sim = Rcons.Runtime.Sim.create ~n body in
   let rng = Random.State.make [| 2022 |] in
   let crashes =
-    Rcons.Runtime.Drivers.random ~crash_prob:0.25 ~max_crashes:12 ~rng sim
+    Rcons.Runtime.Adversary.(
+      (run ~record:false (of_rng ~rng (Uniform { crash_prob = 0.25; max_crashes = 12 })) sim)
+        .crashes)
   in
 
   Format.printf "ran %d processes with %d crashes injected@." n crashes;

@@ -30,7 +30,11 @@ let () =
   let runner = Script.create store ~n ~max_ops:5 in
   let sim = Rcons.Runtime.Sim.create ~n (fun pid () -> Script.run runner pid scripts.(pid)) in
   let rng = Random.State.make [| 7 |] in
-  let crashes = Rcons.Runtime.Drivers.random ~crash_prob:0.2 ~max_crashes:16 ~rng sim in
+  let crashes =
+    Rcons.Runtime.Adversary.(
+      (run ~record:false (of_rng ~rng (Uniform { crash_prob = 0.2; max_crashes = 16 })) sim)
+        .crashes)
+  in
 
   Format.printf "4 processes, 20 operations, %d crashes injected@." crashes;
   Format.printf "operations applied (in linearization order):@.";

@@ -1,13 +1,13 @@
 (* Unified seeded crash adversaries; see the interface.
 
-   CAUTION: the [Uniform] loop replicates the historical
-   [Drivers.random] RNG consumption exactly -- one [Random.State.float]
-   draw per crash opportunity (only when the budget lasts and some
-   process has started) and one [Random.State.int] draw per victim or
-   step pick -- and [Simultaneous] replicates [Drivers.simultaneous]'s
-   cursor walk.  Every EXPERIMENTS.md table regenerated under the
-   default seeds depends on this: change the draw order and the tables
-   change. *)
+   CAUTION: [crash_opportunity] is the only code that draws a crash from
+   the RNG, for [run] and [decide] alike.  Its draw order is the stream
+   contract: one [float] draw per opportunity at which a crash is
+   possible (budget left, a victim eligible, inside the window), then
+   one [int] draw per victim; [run] adds one [int] draw per random step
+   pick.  Every EXPERIMENTS.md table regenerated under the default
+   seeds and the service commit digests depend on it: change the draw
+   order and they change. *)
 
 exception Stuck of string
 
@@ -46,18 +46,47 @@ let policy_name = function
    make it parseable and listed. *)
 let policy_names = [ "uniform"; "storm"; "targeted"; "simultaneous"; "quiescent" ]
 
+(* The one place settings are checked.  A zero burst would make every
+   storm firing crash nobody without stepping anybody ([run] would spin
+   forever), and a zero period has no windows. *)
+let validate pol =
+  let bad fmt = Printf.ksprintf Option.some fmt in
+  let common ~crash_prob ~max_crashes =
+    if not (crash_prob >= 0. && crash_prob <= 1.) then
+      bad "crash_prob must be in [0, 1] (got %g)" crash_prob
+    else if max_crashes < 0 then bad "max_crashes must be >= 0 (got %d)" max_crashes
+    else None
+  in
+  let problem =
+    match pol with
+    | Uniform { crash_prob; max_crashes } | Targeted { crash_prob; max_crashes; _ } ->
+        common ~crash_prob ~max_crashes
+    | Storm { crash_prob; burst; max_crashes } ->
+        if burst < 1 then bad "burst must be >= 1 (got %d)" burst
+        else common ~crash_prob ~max_crashes
+    | Quiescent { period; active; crash_prob; max_crashes } ->
+        if period < 1 then bad "period must be >= 1 (got %d)" period
+        else if active < 0 then bad "active must be >= 0 (got %d)" active
+        else common ~crash_prob ~max_crashes
+    | Simultaneous _ -> None
+  in
+  match problem with
+  | None -> Ok pol
+  | Some m -> Error (Printf.sprintf "%s adversary: %s" (policy_name pol) m)
+
 let policy_of_string ?(crash_prob = 0.2) ?(max_crashes = 6) ?(burst = 2) ?victims ?crash_at
     ?(period = 12) ?(active = 4) name =
   match String.lowercase_ascii name with
-  | "uniform" -> Ok (Uniform { crash_prob; max_crashes })
-  | "storm" -> Ok (Storm { crash_prob; burst; max_crashes })
+  | "uniform" -> validate (Uniform { crash_prob; max_crashes })
+  | "storm" -> validate (Storm { crash_prob; burst; max_crashes })
   | "targeted" ->
       (* With no explicit grudge list the adversary targets process 0:
          a deterministic default that still exercises recovery. *)
-      Ok (Targeted { victims = Option.value victims ~default:[ 0 ]; crash_prob; max_crashes })
+      validate
+        (Targeted { victims = Option.value victims ~default:[ 0 ]; crash_prob; max_crashes })
   | "simultaneous" ->
-      Ok (Simultaneous { crash_at = Option.value crash_at ~default:[ 5; 17 ] })
-  | "quiescent" -> Ok (Quiescent { period; active; crash_prob; max_crashes })
+      validate (Simultaneous { crash_at = Option.value crash_at ~default:[ 5; 17 ] })
+  | "quiescent" -> validate (Quiescent { period; active; crash_prob; max_crashes })
   | _ ->
       Error
         (Printf.sprintf "unknown adversary policy %S (valid: %s)" name
@@ -88,27 +117,30 @@ let policy_params = function
         ("max_crashes", string_of_int max_crashes);
       ]
 
+(* A crash budget: crashes spent so far, and the [Simultaneous]
+   thresholds not yet reached.  [run] spends a fresh one per call;
+   [decide] spends the adversary's lifetime one. *)
+type budget = { mutable used : int; mutable pending : int list }
+
+let fresh_budget = function
+  | Simultaneous { crash_at } -> { used = 0; pending = List.sort_uniq compare crash_at }
+  | _ -> { used = 0; pending = [] }
+
 type t = {
   pol : policy;
   rng : Random.State.t;
   seed_used : int option;
-  mutable injected : int; (* crashes delivered over the adversary's lifetime *)
-  mutable sim_remaining : int list option; (* [Simultaneous] thresholds left for [decide] *)
+  life : budget; (* [used] = crashes delivered over the adversary's lifetime *)
 }
 
-let create ?(seed = 42) pol =
-  {
-    pol;
-    rng = Random.State.make [| seed |];
-    seed_used = Some seed;
-    injected = 0;
-    sim_remaining = None;
-  }
+let of_policy pol rng seed_used =
+  match validate pol with
+  | Ok pol -> { pol; rng; seed_used; life = fresh_budget pol }
+  | Error m -> invalid_arg ("Adversary: " ^ m)
 
-let of_rng ~rng pol = { pol; rng; seed_used = None; injected = 0; sim_remaining = None }
-let policy a = a.pol
-let seed a = a.seed_used
-let crashes_injected a = a.injected
+let create ?(seed = 42) pol = of_policy pol (Random.State.make [| seed |]) (Some seed)
+let of_rng ~rng pol = of_policy pol rng None
+let crashes_injected a = a.life.used
 
 let crashes_requested a =
   match a.pol with
@@ -127,6 +159,52 @@ let provenance ?fingerprint a =
     fingerprint;
   }
 
+(* One firing of a probabilistic policy: the [float] is drawn only when
+   a crash is possible, then up to [burst] distinct victims are drawn
+   from [pool], one [int] each.  Top-level rather than local to
+   [crash_opportunity] so the no-crash path allocates nothing. *)
+let fire rng b ~crash_prob ~max_crashes ~burst ~window pool =
+  if b.used >= max_crashes || pool = [] || not window then []
+  else if Random.State.float rng 1.0 < crash_prob then begin
+    let rec draw k pool acc =
+      if k = 0 || pool = [] then List.rev acc
+      else
+        let v = List.nth pool (Random.State.int rng (List.length pool)) in
+        draw (k - 1) (List.filter (fun i -> i <> v) pool) (v :: acc)
+    in
+    let victims = draw (min burst (max_crashes - b.used)) pool [] in
+    b.used <- b.used + List.length victims;
+    victims
+  end
+  else []
+
+(* The one crash rule.  [eligible] lists the processes a firing may
+   crash: started and unfinished ones, except that [run]'s crash-all
+   passes every process.  Returns the victims in crash order, already
+   charged to [b]. *)
+let crash_opportunity a b ~eligible ~total_steps =
+  match a.pol with
+  | Uniform { crash_prob; max_crashes } ->
+      fire a.rng b ~crash_prob ~max_crashes ~burst:1 ~window:true eligible
+  | Storm { crash_prob; burst; max_crashes } ->
+      fire a.rng b ~crash_prob ~max_crashes ~burst ~window:true eligible
+  | Targeted { victims; crash_prob; max_crashes } ->
+      fire a.rng b ~crash_prob ~max_crashes ~burst:1 ~window:true
+        (List.filter (fun i -> List.mem i victims) eligible)
+  | Quiescent { period; active; crash_prob; max_crashes } ->
+      fire a.rng b ~crash_prob ~max_crashes ~burst:1
+        ~window:(total_steps mod period < active)
+        eligible
+  | Simultaneous _ -> (
+      match b.pending with
+      | at :: rest when total_steps >= at ->
+          b.pending <- rest;
+          b.used <- b.used + List.length eligible;
+          eligible
+      | _ -> [])
+
+let decide a ~eligible ~total_steps = crash_opportunity a a.life ~eligible ~total_steps
+
 type outcome = { crashes : int; steps : int; schedule : Schedule.choice list }
 
 let unfinished t =
@@ -137,171 +215,62 @@ let unfinished t =
   collect (n - 1) []
 
 let run ?(max_steps = 1_000_000) ?(record = true) ?(on_crash = fun _ -> ()) a t =
-  let rng = a.rng in
+  let b = fresh_budget a.pol in
+  let n = Sim.num_procs t in
   let sched = ref [] in
   let note c = if record then sched := c :: !sched in
-  let crashes = ref 0 in
   let steps = ref 0 in
-  let budget = ref max_steps in
-  let pick xs = List.nth xs (Random.State.int rng (List.length xs)) in
-  let do_crash i =
-    incr crashes;
-    a.injected <- a.injected + 1;
-    note (Schedule.Crash_choice i);
-    Sim.crash t i;
-    on_crash i
-  in
-  let do_step i =
-    if !budget <= 0 then
+  let step i =
+    if !steps >= max_steps then
       raise (Stuck (Printf.sprintf "%s: step budget exhausted" (policy_name a.pol)));
-    decr budget;
     incr steps;
     note (Schedule.Step_choice i);
     ignore (Sim.step_proc t i)
   in
-  (* One probabilistic scheduling point shared by Uniform / Storm /
-     Targeted / Quiescent: [eligible ()] lists crashable processes,
-     [burst] is how many victims one firing claims, [window ()] gates
-     crash opportunities.  The RNG draw order is the contract (see the
-     header comment): the [float] fires only when a crash is actually
-     possible, then one [int] per pick. *)
-  let probabilistic ~crash_prob ~max_crashes ~burst ~eligible ~window =
-    while not (Sim.all_finished t) do
-      let started = eligible () in
-      if
-        !crashes < max_crashes && started <> [] && window ()
-        && Random.State.float rng 1.0 < crash_prob
-      then begin
-        let n_victims = min burst (min (List.length started) (max_crashes - !crashes)) in
-        let rec storm k pool =
-          if k > 0 && pool <> [] then begin
-            let v = pick pool in
-            do_crash v;
-            storm (k - 1) (List.filter (fun i -> i <> v) pool)
-          end
-        in
-        storm n_victims started
-      end
-      else do_step (pick (unfinished t))
-    done
+  (* [Simultaneous] steps round-robin with a persistent cursor and
+     crashes everyone at once, calling [on_crash] for every victim
+     before the crash-all; the other policies step a random unfinished
+     process and crash victims one by one, each [on_crash] after its
+     crash.  Callers that sample state in [on_crash] (the log's
+     committed prefix under a lossy cache) see these orders, and the
+     golden pins in [test/test_adversary.ml] fix them. *)
+  let simultaneous = match a.pol with Simultaneous _ -> true | _ -> false in
+  let everyone = if simultaneous then List.init n Fun.id else [] in
+  let cursor = ref 0 in
+  let round_robin_next () =
+    while Sim.finished t !cursor do
+      cursor := (!cursor + 1) mod n
+    done;
+    let i = !cursor in
+    cursor := (i + 1) mod n;
+    i
   in
-  let started_unfinished () = List.filter (fun i -> Sim.started t i) (unfinished t) in
-  (match a.pol with
-  | Uniform { crash_prob; max_crashes } ->
-      probabilistic ~crash_prob ~max_crashes ~burst:1 ~eligible:started_unfinished
-        ~window:(fun () -> true)
-  | Storm { crash_prob; burst; max_crashes } ->
-      probabilistic ~crash_prob ~max_crashes ~burst ~eligible:started_unfinished
-        ~window:(fun () -> true)
-  | Targeted { victims; crash_prob; max_crashes } ->
-      probabilistic ~crash_prob ~max_crashes ~burst:1
-        ~eligible:(fun () -> List.filter (fun i -> List.mem i victims) (started_unfinished ()))
-        ~window:(fun () -> true)
-  | Quiescent { period; active; crash_prob; max_crashes } ->
-      if period <= 0 then invalid_arg "Adversary: Quiescent period must be positive";
-      probabilistic ~crash_prob ~max_crashes ~burst:1 ~eligible:started_unfinished
-        ~window:(fun () -> Sim.total_steps t mod period < active)
-  | Simultaneous { crash_at } ->
-      (* Round-robin with a persistent cursor, crashing everyone at the
-         given total-step thresholds (Drivers.simultaneous, verbatim). *)
-      let remaining = ref (List.sort_uniq compare crash_at) in
-      let n = Sim.num_procs t in
-      let cursor = ref 0 in
-      while not (Sim.all_finished t) do
-        (match !remaining with
-        | at :: rest when Sim.total_steps t >= at ->
-            remaining := rest;
-            for i = 0 to n - 1 do
-              incr crashes;
-              a.injected <- a.injected + 1;
-              note (Schedule.Crash_choice i);
-              on_crash i
-            done;
-            Sim.crash_all t
-        | _ -> ());
-        let rec advance tries =
-          if tries = 0 then ()
-          else if Sim.finished t !cursor then begin
-            cursor := (!cursor + 1) mod n;
-            advance (tries - 1)
-          end
-        in
-        advance n;
-        if not (Sim.finished t !cursor) then begin
-          do_step !cursor;
-          cursor := (!cursor + 1) mod n
-        end
-      done);
-  { crashes = !crashes; steps = !steps; schedule = List.rev !sched }
-
-(* --- Incremental interface (tick-driven engines: lib/service) ---
-
-   [decide] exposes one crash opportunity of the policy without the
-   stepping side of [run]: the caller owns the scheduler and merely asks
-   "whom do I crash now?".  The budget is the adversary's *lifetime*
-   budget ([injected]), not per-run, so a long soak spends one
-   [max_crashes] allowance total.  RNG consumption mirrors [run]'s
-   opportunity shape (one [float] only when a crash is possible, one
-   [int] per victim pick) but is a separate stream contract: a [t] must
-   be dedicated either to [run] or to [decide], never interleaved. *)
-
-let sim_thresholds a crash_at =
-  match a.sim_remaining with
-  | Some r -> r
-  | None ->
-      let r = List.sort_uniq compare crash_at in
-      a.sim_remaining <- Some r;
-      r
-
-let decide a ~eligible ~total_steps =
-  let pick_victims ~crash_prob ~max_crashes ~burst pool ~window =
-    if a.injected >= max_crashes || pool = [] || not window then []
-    else if Random.State.float a.rng 1.0 < crash_prob then begin
-      let n_victims = min burst (min (List.length pool) (max_crashes - a.injected)) in
-      let rec storm k pool acc =
-        if k = 0 || pool = [] then List.rev acc
-        else begin
-          let v = List.nth pool (Random.State.int a.rng (List.length pool)) in
-          storm (k - 1) (List.filter (fun i -> i <> v) pool) (v :: acc)
-        end
-      in
-      let victims = storm n_victims pool [] in
-      a.injected <- a.injected + List.length victims;
-      victims
+  let crash victims =
+    List.iter
+      (fun i ->
+        a.life.used <- a.life.used + 1;
+        note (Schedule.Crash_choice i);
+        if not simultaneous then Sim.crash t i;
+        on_crash i)
+      victims;
+    if simultaneous && victims <> [] then Sim.crash_all t
+  in
+  while not (Sim.all_finished t) do
+    let eligible =
+      if simultaneous then everyone else List.filter (fun i -> Sim.started t i) (unfinished t)
+    in
+    let victims = crash_opportunity a b ~eligible ~total_steps:(Sim.total_steps t) in
+    crash victims;
+    (* Round-robin steps at every opportunity, so thresholds already
+       passed fire one step apart; a random step happens only when
+       nothing crashed. *)
+    if simultaneous then step (round_robin_next ())
+    else if victims = [] then begin
+      let live = unfinished t in
+      step (List.nth live (Random.State.int a.rng (List.length live)))
     end
-    else []
-  in
-  match a.pol with
-  | Uniform { crash_prob; max_crashes } ->
-      pick_victims ~crash_prob ~max_crashes ~burst:1 eligible ~window:true
-  | Storm { crash_prob; burst; max_crashes } ->
-      pick_victims ~crash_prob ~max_crashes ~burst eligible ~window:true
-  | Targeted { victims; crash_prob; max_crashes } ->
-      pick_victims ~crash_prob ~max_crashes ~burst:1
-        (List.filter (fun i -> List.mem i victims) eligible)
-        ~window:true
-  | Quiescent { period; active; crash_prob; max_crashes } ->
-      if period <= 0 then invalid_arg "Adversary: Quiescent period must be positive";
-      pick_victims ~crash_prob ~max_crashes ~burst:1 eligible
-        ~window:(total_steps mod period < active)
-  | Simultaneous { crash_at } -> (
-      match sim_thresholds a crash_at with
-      | at :: rest when total_steps >= at ->
-          a.sim_remaining <- Some rest;
-          a.injected <- a.injected + List.length eligible;
-          eligible
-      | _ -> [])
+  done;
+  { crashes = b.used; steps = !steps; schedule = List.rev !sched }
 
-let next_crash_hint a ~total_steps =
-  match a.pol with
-  | Uniform { max_crashes; _ } | Storm { max_crashes; _ } | Targeted { max_crashes; _ } ->
-      if a.injected >= max_crashes then None else Some 0
-  | Quiescent { period; active; max_crashes; _ } ->
-      if a.injected >= max_crashes then None
-      else if period <= 0 then invalid_arg "Adversary: Quiescent period must be positive"
-      else if total_steps mod period < active then Some 0
-      else Some (period - (total_steps mod period))
-  | Simultaneous { crash_at } -> (
-      match sim_thresholds a crash_at with
-      | [] -> None
-      | at :: _ -> Some (max 0 (at - total_steps)))
+let round_robin ?max_steps t =
+  ignore (run ?max_steps ~record:false (create (Simultaneous { crash_at = [] })) t)

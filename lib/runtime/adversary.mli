@@ -20,14 +20,18 @@
     same schedule bit for bit ([test/test_adversary.ml] checks this
     across domain counts 1/2/4).
 
-    {2 Stream compatibility}
+    {2 Stream contract}
 
-    [Uniform] consumes its [Random.State] in exactly the order the
-    historical [Drivers.random] did (one [float] draw per crash
-    opportunity, one [int] draw per victim/step pick), and
-    [Simultaneous] replicates [Drivers.simultaneous]; both drivers now
-    delegate here.  This is what keeps every EXPERIMENTS.md table
-    byte-identical under the default seeds after the migration. *)
+    One internal crash-opportunity rule serves {!run} and {!decide}, and
+    it is the only code that draws a crash from the RNG: at each
+    opportunity where a crash is possible (crash budget left, some
+    process eligible, inside the policy's window) it draws one [float]
+    against [crash_prob], and on a firing one [int] per victim.  {!run}
+    adds one [int] per step when it picks the next process at random;
+    [Simultaneous] draws nothing.  {!run} charges crashes to a budget
+    fresh for each call, {!decide} to one spent over the adversary's
+    lifetime.  Every seeded EXPERIMENTS.md table and the service commit
+    digests depend on this order; [test/test_adversary.ml] pins it. *)
 
 exception Stuck of string
 (** A bounded run did not finish within its step budget; with finitely
@@ -77,11 +81,10 @@ val policy_of_string :
 (** Resolve a policy by name (case-insensitive), instantiated with the
     given knobs (defaults: [crash_prob 0.2], [max_crashes 6], [burst 2],
     [victims [0]], [crash_at [5; 17]], [period 12], [active 4]).
-    [Error] names the offender and lists {!policy_names} -- the one-line
-    diagnosis CLI callers print before exiting 2. *)
-
-val policy_params : policy -> (string * string) list
-(** Rendered policy knobs, for {!Schedule.provenance}. *)
+    [Error] is the one-line diagnosis CLI callers print before exiting
+    2: it lists {!policy_names} for an unknown name, and names the
+    setting for a value out of range ([crash_prob] outside [[0, 1]],
+    negative [max_crashes] or [active], [burst] or [period] below 1). *)
 
 type t
 (** An instantiated adversary: a policy plus a private RNG.  Running it
@@ -91,14 +94,15 @@ type t
 
 val create : ?seed:int -> policy -> t
 (** [create ~seed policy] (default seed 42) seeds the adversary's
-    private [Random.State] with [[| seed |]]. *)
+    private [Random.State] with [[| seed |]].
+
+    @raise Invalid_argument on the settings {!policy_of_string} rejects. *)
 
 val of_rng : rng:Random.State.t -> policy -> t
-(** Wrap an externally owned RNG (the legacy driver entry points); the
-    recorded provenance then has no seed. *)
+(** Wrap an externally owned RNG (a sweep sharing one stream across
+    runs); the recorded provenance then has no seed.
 
-val policy : t -> policy
-val seed : t -> int option
+    @raise Invalid_argument as {!create}. *)
 
 val crashes_injected : t -> int
 (** Crashes actually delivered over the adversary's lifetime, across
@@ -120,17 +124,11 @@ val decide : t -> eligible:int list -> total_steps:int -> int list
     step count, return the victims to crash now ([[]] most of the time).
     The returned victims are counted as injected; the caller must
     actually crash them.  Unlike {!run}'s per-call budget, the
-    [max_crashes] budget here is spent over the adversary's lifetime.
-    RNG draws mirror {!run}'s opportunity shape, but the streams are not
-    interchangeable: dedicate a [t] to either {!run} or {!decide}. *)
-
-val next_crash_hint : t -> total_steps:int -> int option
-(** A peek at the soonest possible next crash: [None] when the budget
-    (or, for [Simultaneous], the threshold list) is spent — no further
-    churn can arrive, so a quiescence-dependent caller may stop waiting;
-    [Some d] when a crash may fire once [d] more total steps elapse
-    ([Some 0] = possible right now).  Purely informational: consumes no
-    randomness and moves no state. *)
+    [max_crashes] budget (and the [Simultaneous] threshold list) here
+    is spent over the adversary's lifetime.  It is the same crash rule
+    as {!run}'s, but the streams are not interchangeable ({!run} also
+    draws its step picks): dedicate a [t] to either {!run} or
+    {!decide}. *)
 
 val provenance : ?fingerprint:string -> t -> Schedule.provenance
 (** Self-description of this adversary for violation records and
@@ -151,3 +149,9 @@ val run : ?max_steps:int -> ?record:bool -> ?on_crash:(int -> unit) -> t -> Sim.
     injected crash (history instrumentation).
 
     @raise Stuck when the step budget runs out. *)
+
+val round_robin : ?max_steps:int -> Sim.t -> unit
+(** Fault-free round-robin stepping until every process finishes:
+    {!run} under [Simultaneous { crash_at = [] }].
+
+    @raise Stuck when the step budget (default 1_000_000) runs out. *)

@@ -30,7 +30,7 @@
 
    Deduplication ([dedup = true]): two schedules that reach the same
    global state -- same non-volatile heap (via [Heap] arenas and
-   [Sim.fingerprint]) and same per-process control state -- have identical
+   [Sim.fingerprint_digest]) and same per-process control state -- have identical
    futures, so the schedule tree is explored as a state graph: a lock-free
    concurrent visited set ([Rcons_par.Visited]) claims each fingerprint
    exactly once, the claimant expands the state's children, and every
@@ -73,8 +73,9 @@
    Symmetry reduction ([symmetry = classes]): states that differ only by
    a relabeling of interchangeable processes -- same code, same input;
    the *caller* asserts interchangeability by listing the pid classes --
-   share a canonical fingerprint ([Sim.fingerprint_digest_canonical]),
-   so the deduplicating explorer expands one representative per orbit.
+   share a canonical digest (the least [Sim.fingerprint_digest ~perm]
+   over the relabelings), so the deduplicating explorer expands one
+   representative per orbit.
    [symmetry_hits] counts expanded-edge targets whose canonical digest
    beat the identity labeling.  Every schedule actually walked remains a
    concrete one, so violation replay needs no unwinding.
@@ -166,7 +167,7 @@ let checkpoint_stats cp = cp.cp_stats
 let checkpoint_cursor cp = cp.cp_cursor
 
 (* Version 2: visited digests are of the fixed-width trace-chain
-   fingerprint ([Sim.fingerprint]); version 1 digests named list-format
+   fingerprint ([Sim.fingerprint_digest]); version 1 digests named list-format
    fingerprints, which no state of this build reproduces. *)
 let checkpoint_version = 2
 
@@ -401,22 +402,15 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
   let eager_model =
     match persist_cfg with None | Some (Persist.Eager, _) -> true | Some _ -> false
   in
-  (* A process body may raise (e.g. an algorithm hitting an assertion
-     because a crash reverted an un-flushed write under a lossy cache);
-     that is a property violation with a schedule, not an explorer
-     error.  [prefix] is most-recent-first, as [violation] expects. *)
+  (* A process body that raises is a property violation with a
+     schedule, not an explorer error.  [prefix] is most-recent-first, as
+     [violation] expects. *)
   let guarded_apply t c prefix =
-    match apply_choice t c with
-    | () -> ()
-    | exception ((Invalid_argument m | Failure m) as e) ->
-        (* Distinguish harness bugs from algorithm failures: our own
-           defensive checks name their [Sim.]/[Schedule.] entry point. *)
-        if String.starts_with ~prefix:"Sim." m || String.starts_with ~prefix:"Schedule." m
-        then raise e
-        else begin
-          Sim.abandon t;
-          raise (violation ("uncaught exception in process body: " ^ m) prefix)
-        end
+    match Schedule.apply_guarded t c with
+    | Ok () -> ()
+    | Error msg ->
+        Sim.abandon t;
+        raise (violation msg prefix)
   in
   let replay prefix =
     (* Fingerprinting needs every system under its own arena; the arena
@@ -465,14 +459,25 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
      crash budget is all a state's futures depend on, so the discarded
      prefixes of crashed runs collapse. *)
   let ungraded = por && dedup in
+  let graded = not ungraded in
   let fp_of cnt t =
     match symmetry with
-    | None -> Sim.fingerprint_digest ~graded:(not ungraded) t
+    | None -> Sim.fingerprint_digest ~graded t
     | Some _ ->
-        let d, beat =
-          Sim.fingerprint_digest_canonical ~graded:(not ungraded) ~perms:(perms_for t) t
+        (* The canonical digest: the least over the relabeling group,
+           identity first.  A hit is a least digest that beats the
+           identity's, so the counter depends on the digest bytes and
+           not only on the state graph. *)
+        let perms = perms_for t in
+        let d0 = Sim.fingerprint_digest ~graded ~perm:(List.hd perms) t in
+        let d =
+          List.fold_left
+            (fun acc perm ->
+              let d = Sim.fingerprint_digest ~graded ~perm t in
+              if String.compare d acc < 0 then d else acc)
+            d0 (List.tl perms)
         in
-        if beat then cnt.c_symmetry_hits <- cnt.c_symmetry_hits + 1;
+        if String.compare d d0 < 0 then cnt.c_symmetry_hits <- cnt.c_symmetry_hits + 1;
         d
   in
   let visited_store vset =

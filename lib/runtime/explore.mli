@@ -25,7 +25,7 @@
     {2 Deduplication}
 
     With [?dedup:true] the tree is explored as a {e state graph}: every
-    reached state is fingerprinted ({!Sim.fingerprint} -- non-volatile
+    reached state is fingerprinted ({!Sim.fingerprint_digest} -- non-volatile
     heap snapshot plus per-process control state) and a concurrent
     visited set ({!Rcons_par.Visited}) ensures each distinct state is
     expanded exactly once; later encounters count as {!stats.dedup_hits}
@@ -186,7 +186,7 @@ val checkpoint_cursor : checkpoint -> choice list
 
 val checkpoint_to_json : checkpoint -> Json.t
 (** Writes format version 2: visited digests are of the fixed-width
-    trace-chain {!Sim.fingerprint}. *)
+    trace-chain {!Sim.fingerprint_digest}. *)
 
 val checkpoint_of_json : Json.t -> checkpoint
 (** @raise Invalid_argument with a one-line diagnosis on a malformed

@@ -4,11 +4,12 @@
    logs) live in ordinary OCaml values closed over by process bodies, so
    the simulator cannot enumerate them by itself.  When an arena is
    active on the current domain, every object constructor registers a
-   digest thunk for its non-volatile state; [snapshot] then concatenates
-   the digests in registration order, which is deterministic because
-   system builders are deterministic.  With no active arena (the default,
-   and always the case outside [Explore ~dedup:true]) registration is a
-   no-op, so ordinary simulations pay nothing.
+   digest thunk for its non-volatile state; [snapshot_into] then
+   concatenates the digests in registration order, which is
+   deterministic because system builders are deterministic.  With no
+   active arena (the default, and always the case outside
+   [Explore ~dedup:true]) registration is a no-op, so ordinary
+   simulations pay nothing.
 
    The arena is domain-local: each parallel explorer walker builds and
    runs one system at a time on its own domain, and lazily created
@@ -24,10 +25,9 @@
    snapshot) digest thunks plus one cached-string append per clean slot.
    The emitted bytes are identical to recomputing everything,
    so fingerprints, visited sets and checkpoints are unaffected.  The
-   plain [register]/[register_sym] (used by external instrumentation,
-   e.g. bench harnesses digesting a History) keep their
-   always-recompute semantics — no touch discipline is demanded of
-   arbitrary thunks. *)
+   plain [register] (used by external instrumentation, e.g. bench
+   harnesses digesting a History) keeps its always-recompute
+   semantics — no touch discipline is demanded of arbitrary thunks. *)
 
 (* Digest thunks take an optional process relabeling [perm]
    ([perm.(old_pid) = new_pid], None = identity): the explorer's
@@ -75,8 +75,7 @@ let register_slot ~sym ~cacheable f =
       add a s;
       Some s
 
-let register_sym f = ignore (register_slot ~sym:true ~cacheable:false f)
-let register f = register_sym (fun _ -> f ())
+let register f = ignore (register_slot ~sym:false ~cacheable:false (fun _ -> f ()))
 let register_sym_c f = register_slot ~sym:true ~cacheable:true f
 let register_c f = register_slot ~sym:false ~cacheable:true (fun _ -> f ())
 let touch = function None -> () | Some s -> s.dirty <- true
@@ -127,8 +126,3 @@ let snapshot_into ?perm b a =
       end)
     a.slots;
   Rcons_par.Pool.Telemetry.note_rehashes ~full:!full ~saved:!saved
-
-let snapshot ?perm a =
-  let b = Buffer.create 256 in
-  snapshot_into ?perm b a;
-  Buffer.contents b

@@ -5,10 +5,10 @@
     arena is {!activate}d on the current domain, the shared-object
     constructors ({!Cell.make}, {!Growable.make}, {!Sim_obj.make}, the
     algorithm output logs) {!register} a digest thunk for their
-    non-volatile state; {!snapshot} concatenates the digests in
+    non-volatile state; {!snapshot_into} concatenates the digests in
     registration order.  Registration order is deterministic because
     system builders are deterministic, which is what makes
-    {!Sim.fingerprint} replay-stable.
+    {!Sim.fingerprint_digest} replay-stable.
 
     With no active arena — the default, and always the case outside
     [Explore.explore ~dedup:true] — {!register} is a no-op, so ordinary
@@ -39,21 +39,12 @@ val active : unit -> bool
 
 val register : (unit -> string) -> unit
 (** Register a digest thunk for one non-volatile object into the active
-    arena; no-op if none.  The thunk is called at every {!snapshot}, so
-    it must digest the object's {e current} state. *)
-
-val register_sym : (int array option -> string) -> unit
-(** Like {!register}, for objects whose digest mentions process ids
-    (cache-line owners, per-process output logs).  The thunk receives
-    the process relabeling of the snapshot being taken
-    ([perm.(old_pid) = new_pid]; [None] = identity) and must digest the
-    object {e as relabeled} — the explorer's process-symmetry
-    canonicalization snapshots the heap under candidate relabelings.
-    With [None] the digest must be byte-identical to what {!register}
-    of the plain thunk would produce. *)
+    arena; no-op if none.  The thunk is called at every snapshot, so it
+    must digest the object's {e current} state, and it must not mention
+    process ids (see {!register_sym_c}). *)
 
 type slot
-(** A cache slot for one registered digest: {!snapshot} recomputes the
+(** A cache slot for one registered digest: a snapshot recomputes the
     digest only while the slot is dirty and otherwise appends the cached,
     already length-prefixed bytes, so digest thunks run O(mutations since
     the last snapshot) times.  The emitted bytes are identical either
@@ -68,9 +59,15 @@ val register_c : (unit -> string) -> slot option
     {!register}. *)
 
 val register_sym_c : (int array option -> string) -> slot option
-(** Cached variant of {!register_sym}.  Relabeled ([?perm]) snapshots
-    always recompute sym slots (their bytes depend on the perm); the
-    cache serves identity snapshots only. *)
+(** Like {!register_c}, for objects whose digest mentions process ids
+    (cache-line owners, per-process output logs).  The thunk receives
+    the process relabeling of the snapshot being taken
+    ([perm.(old_pid) = new_pid]; [None] = identity) and must digest the
+    object {e as relabeled} — the explorer's process-symmetry
+    canonicalization snapshots the heap under candidate relabelings.
+    Relabeled ([?perm]) snapshots always recompute these slots (their
+    bytes depend on the perm); the cache serves identity snapshots
+    only. *)
 
 val touch : slot option -> unit
 (** Mark the slot dirty: the next snapshot recomputes its digest.
@@ -88,14 +85,11 @@ val digest_to_bytes : bytes -> int -> 'a -> int
     [ofs] and returns its length, without allocating the string.
     @raise Failure if it does not fit in [b]. *)
 
-val snapshot : ?perm:int array -> t -> string
-(** The concatenated (length-prefixed) digests of every registered
-    object, in registration order: the non-volatile half of a state
-    fingerprint.  [?perm] relabels processes ([perm.(old) = new]) in
-    every pid-bearing digest (see {!register_sym}); omitted = identity,
-    byte-identical to the pre-symmetry format. *)
-
 val snapshot_into : ?perm:int array -> Buffer.t -> t -> unit
-(** [snapshot_into b a] appends exactly what {!snapshot} would return to
-    [b].  Lets batch fingerprinting reuse one scratch buffer across many
-    states instead of allocating per state. *)
+(** [snapshot_into b a] appends the concatenated (length-prefixed)
+    digests of every object registered in [a], in registration order:
+    the non-volatile half of a state fingerprint.  [?perm] relabels
+    processes ([perm.(old) = new]) in every pid-bearing digest (see
+    {!register_sym_c}); omitted = identity, byte-identical to the
+    pre-symmetry format.  Appending to a caller-owned buffer lets batch
+    fingerprinting reuse one scratch buffer across many states. *)

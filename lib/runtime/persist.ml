@@ -34,7 +34,7 @@
    creation order (system builders are deterministic), the [Torn] rule
    persists a dirty line of pid p on p's k-th crash iff
    (line id + k) mod 2 = 0 -- a function of data already present in
-   [Sim.fingerprint] (per-process crash counts) and of per-line digests
+   [Sim.fingerprint_digest] (per-process crash counts) and of per-line digests
    (owners are digested by the owning objects), never of the order in
    which the dirty set is traversed.  Equal fingerprints therefore still
    imply equal futures and explorer deduplication stays sound.

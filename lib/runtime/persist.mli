@@ -38,7 +38,7 @@ val owner : line -> int option
 (** Pid of the latest writer of a dirty line; [None] when the line is
     clean (volatile copy = durable copy).  Shared objects fold this
     into their registered digests so cache state enters
-    [Sim.fingerprint]. *)
+    [Sim.fingerprint_digest]. *)
 
 val cache_of : line -> cache
 

@@ -22,6 +22,18 @@ let apply t = function
       if not (Sim.finished t i) then ignore (Sim.step_proc t i)
   | Crash_choice i -> Sim.crash t i
 
+(* A process body may raise (e.g. an algorithm hitting an assertion
+   because a lossy crash reverted an un-flushed write): that is a
+   property violation at this choice, not a harness error.  Our own
+   defensive checks name their [Sim.]/[Schedule.] entry point, and they
+   (like any other exception) still escape. *)
+let apply_guarded t c =
+  match apply t c with
+  | () -> Ok ()
+  | exception (Invalid_argument m | Failure m)
+    when not (String.starts_with ~prefix:"Sim." m || String.starts_with ~prefix:"Schedule." m) ->
+      Error ("uncaught exception in process body: " ^ m)
+
 let crashes cs =
   List.fold_left (fun acc c -> match c with Crash_choice _ -> acc + 1 | _ -> acc) 0 cs
 

@@ -23,6 +23,14 @@ val apply : Sim.t -> choice -> unit
 (** Replay one choice: [Step_choice i] steps process [i] (a no-op if it
     already finished), [Crash_choice i] crashes it. *)
 
+val apply_guarded : Sim.t -> choice -> (unit, string) result
+(** {!apply}, telling an algorithm failure from a harness error: an
+    [Invalid_argument] or [Failure] raised by a process body is returned
+    as [Error "uncaught exception in process body: <msg>"], the
+    violation message the explorer and the shrinker report.  The
+    harness's own defensive checks, whose messages name their [Sim.] or
+    [Schedule.] entry point, and every other exception still escape. *)
+
 val crashes : choice list -> int
 (** Number of crash choices in the schedule. *)
 

@@ -22,18 +22,12 @@ let check ~mk sched =
         Sim.abandon t;
         None
     | c :: rest -> (
-        match Schedule.apply t c with
-        | exception (Invalid_argument m | Failure m)
-          when not
-                 (String.starts_with ~prefix:"Sim." m
-                 || String.starts_with ~prefix:"Schedule." m) ->
-            (* A body that raises (e.g. after a lossy crash reverted an
-               un-flushed write) is a violation at this choice, same as
-               in [Explore]; harness errors (malformed pids etc., which
-               name their [Sim.]/[Schedule.] entry point) still escape. *)
+        match Schedule.apply_guarded t c with
+        | Error msg ->
+            (* a violation at this choice, same as in [Explore] *)
             Sim.abandon t;
-            Some ("uncaught exception in process body: " ^ m, used + 1)
-        | () -> (
+            Some (msg, used + 1)
+        | Ok () -> (
             match chk () with
             | () -> go (used + 1) rest
             | exception Explore.Violation_found msg ->

@@ -69,8 +69,8 @@ type proc = {
          ([chain]); [trace0] on (re)start.  A deterministic body's local
          state -- continuation, program counter included -- is a function
          of that sequence, and the chain pins the sequence (up to MD5
-         collisions), which is what makes [fingerprint] a sound basis for
-         deduplication. *)
+         collisions), which is what makes [fingerprint_digest] a sound
+         basis for deduplication. *)
   (* Undo-engine state.  One-shot continuations cannot be snapshotted,
      so [rollback] rebuilds a process's continuation by re-running its
      body and feeding back the values its completed steps returned this
@@ -343,7 +343,7 @@ let step_proc t i =
    heap is untouched, and the process will re-execute its code from the
    beginning at its next step.  Crashing a finished process restarts it
    too, which models a process recovering and running its algorithm again
-   after having already produced an output -- [Drivers.crash_and_rerun]
+   after having already produced an output -- the crash-and-rerun tests
    and the simultaneous-crash model depend on this, so unlike
    [step_proc] a finished pid here is legal, not an error.  Under a
    non-eager write-back cache, the crash first applies the cache's loss
@@ -492,7 +492,8 @@ let rollback t m =
 let arena_of t =
   match t.heap with
   | Some a -> a
-  | None -> invalid_arg "Sim.fingerprint: system was not created under an active Heap arena"
+  | None ->
+      invalid_arg "Sim.fingerprint_digest: system was not created under an active Heap arena"
 
 (* One process's section, starting with its '|' separator.  The chain
    has a fixed width, so the variable-width label can follow it without
@@ -544,11 +545,6 @@ let fingerprint_into ?(graded = true) ?perm b t =
   Buffer.add_char b '@';
   Heap.snapshot_into ?perm b arena
 
-let fingerprint t =
-  let b = Buffer.create 256 in
-  fingerprint_into b t;
-  Buffer.contents b
-
 (* All process relabelings that permute pids within each class of
    [classes] and fix every other pid, as [perm] arrays for
    [fingerprint_into]; the identity is always first.  Classes declare
@@ -594,12 +590,11 @@ let relabelings ~classes n =
         perms)
     [ id () ] classes
 
-(* Digest form, batched: the deduplicating explorer hashes every state it
-   expands, so the fingerprint bytes are scratch -- only the 16-byte MD5
-   survives (as the visited-set key and checkpoint entry).  A domain-local
-   buffer is reused across all the states a domain expands, eliminating
-   the per-node Buffer of [Digest.string (fingerprint t)], whose digest
-   it equals. *)
+(* The one state-digest entry point.  The deduplicating explorer hashes
+   every state it expands, so the fingerprint bytes are scratch -- only
+   the 16-byte MD5 survives (as the visited-set key and checkpoint
+   entry).  A domain-local buffer is reused across all the states a
+   domain expands. *)
 let scratch : Buffer.t Domain.DLS.key = Domain.DLS.new_key (fun () -> Buffer.create 1024)
 
 let fingerprint_digest ?graded ?perm t =
@@ -607,23 +602,3 @@ let fingerprint_digest ?graded ?perm t =
   Buffer.clear b;
   fingerprint_into ?graded ?perm b t;
   Digest.bytes (Buffer.to_bytes b)
-
-(* Canonical symmetry-quotiented digest: the lexicographic minimum of
-   [fingerprint_digest ~perm] over the given relabelings (identity
-   included by {!relabelings}).  Two states that are relabelings of one
-   another under the group share the canonical digest.  Also reports
-   whether the minimum beat the first (identity) digest — the explorer's
-   [symmetry_hits] counter. *)
-let fingerprint_digest_canonical ?graded ~perms t =
-  match perms with
-  | [] -> invalid_arg "Sim.fingerprint_digest_canonical: empty relabeling group"
-  | p0 :: rest ->
-      let d0 = fingerprint_digest ?graded ~perm:p0 t in
-      let min_d =
-        List.fold_left
-          (fun acc perm ->
-            let d = fingerprint_digest ?graded ~perm t in
-            if String.compare d acc < 0 then d else acc)
-          d0 rest
-      in
-      (min_d, String.compare min_d d0 < 0)

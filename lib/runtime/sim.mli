@@ -83,8 +83,9 @@ val crash : t -> int -> unit
     restarts from the beginning at its next step.  Crashing a finished
     process restarts it too (a recovered process may run its algorithm
     again; agreement must cover its repeated outputs) -- deliberately
-    {e not} an error, unlike stepping one: {!Drivers.crash_and_rerun}
-    and the simultaneous-crash model rely on it.  Under a non-eager
+    {e not} an error, unlike stepping one: crashing processes after a
+    completed run and re-running them, and the simultaneous-crash model
+    ({!Adversary.Simultaneous}), rely on it.  Under a non-eager
     {!Persist} cache, first applies the cache's loss semantics to the
     lines process [i] owns.
 
@@ -148,45 +149,41 @@ val rollback : t -> mark -> unit
     the journal tip, or if a process body turns out not to be
     deterministic (the rebuild desynchronizes). *)
 
-val fingerprint : t -> string
-(** Canonical fingerprint of the global state, for the deduplicating
-    explorer: the non-volatile heap snapshot of the {!Heap} arena the
-    system was created under, plus each process's control state --
-    cumulative step/crash counts, finished flag, pending label, and the
-    {e volatile observation trace}: a 16-byte running digest
-    [MD5 (trace ‖ Heap.digest v)] folded over the values its steps
-    returned since its last (re)start, which pins a deterministic body's
-    continuation.  The chain is order- and segmentation-sensitive, reset
-    by a crash, and keeps each process's section constant-size however
-    long the run.  Equal fingerprints imply equal futures, up to MD5
-    collisions, provided all shared state lives in registered containers
-    ({!Cell}, {!Growable}, {!Sim_obj}, the output logs) and step results
-    are plain data.
+val fingerprint_digest : ?graded:bool -> ?perm:int array -> t -> string
+(** The 16-byte MD5 of the canonical fingerprint of the global state,
+    for the deduplicating explorer: the non-volatile heap snapshot of
+    the {!Heap} arena the system was created under, plus each process's
+    control state -- cumulative step/crash counts, finished flag,
+    pending label, and the {e volatile observation trace}: a 16-byte
+    running digest [MD5 (trace ‖ Heap.digest v)] folded over the values
+    its steps returned since its last (re)start, which pins a
+    deterministic body's continuation.  The chain is order- and
+    segmentation-sensitive, reset by a crash, and keeps each process's
+    section constant-size however long the run.  Equal digests imply
+    equal futures, up to MD5 collisions, provided all shared state lives
+    in registered containers ({!Cell}, {!Growable}, {!Sim_obj}, the
+    output logs) and step results are plain data.
 
     Stable under replay: re-executing the same schedule against a fresh
-    system from the same deterministic builder yields the same
-    fingerprint.
+    system from the same deterministic builder yields the same digest.
+    The fingerprint bytes go to a domain-local scratch buffer reused
+    across calls.  These digests are the visited-set keys and the
+    checkpoint entries, so a change of fingerprint format versions the
+    checkpoint format ({!Explore.checkpoint_of_json}).
+
+    [graded = false] (default [true]) drops the cumulative per-process
+    step/crash counts and records only the {e total} crashes used:
+    remaining crash budget is all a state's futures depend on, so many
+    graded states collapse (the discarded prefix of a crashed run
+    disappears entirely).  The resulting state graph is no longer graded
+    by depth; only the sequential reduced explorer modes use it.
+    [perm] relabels processes ([perm.(old) = new]) in both the control
+    sections and the heap snapshot — see {!relabelings}; the explorer's
+    symmetry reduction keys states by the least digest over a
+    relabeling group.
 
     @raise Invalid_argument if the system was created with no active
     {!Heap} arena (fingerprinting off). *)
-
-val fingerprint_digest : ?graded:bool -> ?perm:int array -> t -> string
-(** [Digest.string (fingerprint t)], computed into a domain-local
-    scratch buffer reused across calls — the batched form the parallel
-    explorer hashes every expanded state with.  With the defaults
-    ([graded = true], no [perm]) it equals the unbatched expression.
-    These digests are the visited-set keys and the checkpoint entries,
-    so a change of fingerprint format versions the checkpoint format
-    ({!Explore.checkpoint_of_json}).
-
-    [graded = false] drops the cumulative per-process step/crash counts
-    and records only the {e total} crashes used: remaining crash budget
-    is all a state's futures depend on, so many graded states collapse
-    (the discarded prefix of a crashed run disappears entirely).  The
-    resulting state graph is no longer graded by depth; only the
-    sequential reduced explorer modes use it.  [perm] relabels processes
-    ([perm.(old) = new]) in both the control sections and the heap
-    snapshot — see {!relabelings}. *)
 
 val relabelings : classes:int list list -> int -> int array list
 (** [relabelings ~classes n]: every relabeling of [n] processes that
@@ -197,15 +194,3 @@ val relabelings : classes:int list list -> int -> int array list
 
     @raise Invalid_argument on out-of-range pids or overlapping
     classes. *)
-
-val fingerprint_digest_canonical :
-  ?graded:bool -> perms:int array list -> t -> string * bool
-(** The lexicographically least [fingerprint_digest ~perm] over [perms]
-    (a {!relabelings} group, identity first), plus whether the minimum
-    beat the first (identity) digest — the explorer's [symmetry_hits]
-    signal, which therefore depends on the digest bytes and not only on
-    the state graph.  States
-    that are relabelings of one another share the canonical digest, so
-    using it as the visited-set key quotients the state graph by the
-    symmetry group — while every schedule the explorer actually walks
-    remains a concrete, directly replayable one. *)

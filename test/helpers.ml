@@ -44,16 +44,31 @@ let team_system ?faithful (cert : Certificate.recording) ?use_a ?use_b () =
   let sim = Sim.create ~n body in
   { sim; outputs; check = check_now outputs }
 
+(* After a completed run, crash a random subset of processes and drive
+   the system back to completion with no further crashes: a process that
+   outputs, crashes and runs its algorithm again must output the same
+   value (agreement covers repeated outputs of one process).  Returns
+   the re-run's crash count (always 0).  The zero-probability uniform
+   run still draws its opportunity [float]s, so the step picks follow
+   the historical stream. *)
+let crash_and_rerun ~rng sim =
+  for i = 0 to Sim.num_procs sim - 1 do
+    if Random.State.bool rng then Sim.crash sim i
+  done;
+  let adv = Adversary.of_rng ~rng (Adversary.Uniform { crash_prob = 0.0; max_crashes = 64 }) in
+  (Adversary.run ~record:false adv sim).Adversary.crashes
+
 (* Drive [mk]-built systems through [iters] random crash-injected runs. *)
 let random_sweep ~mk ~iters ~crash_prob ~max_crashes ~seed =
   let rng = Random.State.make [| seed |] in
   for _ = 1 to iters do
     let sys = mk () in
-    ignore (Drivers.random ~crash_prob ~max_crashes ~rng sys.sim);
+    let adv = Adversary.of_rng ~rng (Adversary.Uniform { crash_prob; max_crashes }) in
+    ignore (Adversary.run ~record:false adv sys.sim);
     sys.check ();
     (* crash some processes after completion and re-run: repeated outputs
        of one process must also agree *)
-    ignore (Drivers.crash_and_rerun ~rng sys.sim);
+    ignore (crash_and_rerun ~rng sys.sim);
     sys.check ()
   done
 

@@ -5,9 +5,10 @@
    - determinism: the same [(seed, policy)] pair yields the same recorded
      schedule on every run, on every domain count ([Pool.map] sweep) --
      the replayability contract of the whole adversary subsystem;
-   - stream compatibility: [Drivers.random] / [Drivers.simultaneous] are
-     thin wrappers over [Adversary] and consume the RNG identically, so
-     every EXPERIMENTS.md table survives the delegation;
+   - the stream contract: golden pins of [run] schedules and [on_crash]
+     observations, [decide] victims, and the fault-free, uniform,
+     simultaneous and crash-and-rerun outcomes, recorded before [run] and
+     [decide] shared one crash-opportunity function;
    - recorded schedules replay: applying the recorded choice list to a
      fresh system reproduces the run (steps, crashes, outputs);
    - shrinker soundness: a minimized schedule still violates, is
@@ -80,28 +81,6 @@ let test_cross_domain_determinism () =
         (Printf.sprintf "schedules identical on %d domains" domains)
         seq par)
     [ 2; 4 ]
-
-(* --- Drivers delegation: the historical entry points share the stream --- *)
-
-let test_drivers_stream_parity () =
-  for seed = 0 to 9 do
-    let direct =
-      let sys = Helpers.team_system (Lazy.force sticky_cert) () in
-      let rng = Random.State.make [| seed |] in
-      let adv = Adversary.of_rng ~rng (Adversary.Uniform { crash_prob = 0.3; max_crashes = 6 }) in
-      let o = Adversary.run ~record:false adv sys.Helpers.sim in
-      (o.Adversary.crashes, Sim.total_steps sys.Helpers.sim)
-    in
-    let via_drivers =
-      let sys = Helpers.team_system (Lazy.force sticky_cert) () in
-      let rng = Random.State.make [| seed |] in
-      let crashes = Drivers.random ~crash_prob:0.3 ~max_crashes:6 ~rng sys.Helpers.sim in
-      (crashes, Sim.total_steps sys.Helpers.sim)
-    in
-    Alcotest.(check (pair int int))
-      (Printf.sprintf "Drivers.random = Adversary Uniform (seed %d)" seed)
-      direct via_drivers
-  done
 
 (* --- recorded schedules replay --- *)
 
@@ -258,13 +237,190 @@ let test_artifact_round_trip () =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "fingerprint mismatch not detected")
 
+(* --- golden pins: the crash-opportunity stream ---
+
+   Recorded before [run] and [decide] shared one crash-opportunity
+   function and the fault-free, uniform, simultaneous and
+   crash-and-rerun drivers became plain [Adversary] runs.  Every seeded
+   EXPERIMENTS.md table and the service commit digests depend on these
+   streams, so they must not move. *)
+
+let golden =
+  [
+    "run uniform 87e6dad1b3987f78f9fc9af8735c196d";
+    "run storm 137e5e8b5fd44587ff2fe5f8a365a3cc";
+    "run targeted cc74df6cadb69921afb718ea61f08521";
+    "run simultaneous b4b5db45a132619bd163680b5252367d";
+    "run quiescent 06c6096e25791741d8a794863b2127b7";
+    "decide uniform 271d3bb3560a34800a029134b88338a6 injected=50";
+    "decide storm 1a41e8e21f02aee24be30186a4ca7daa injected=50";
+    "decide targeted e888619e67204199e62c4bc475274ed1 injected=50";
+    "decide simultaneous 59cec17720f9d2e010de79e8689aacd4 injected=60";
+    "decide quiescent 82b6c6a23af7759425484ce6e0bebcde injected=50";
+    "round_robin c4c77256216da369111b19666b7503db";
+    "round_robin 14f576017dd2af63353a83b976d0191b";
+    "uniform+crash_and_rerun crashes=6+0,0+0,2+0,5+0,3+0,1+0,4+0,0+0,6+0,6+0 \
+     82e68792d4d84aceb5e2347f8944004e";
+    "simultaneous [3;9;17] 861db24725c5618ac9e30b3b3a5cf2ea";
+    "simultaneous [0;-1;5] cd6854b6801f0cc79892fc3540b9689e";
+    "simultaneous [] c4c77256216da369111b19666b7503db";
+  ]
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let events_str sim =
+  String.concat " "
+    (List.map
+       (function
+         | Sim.Stepped i -> "s" ^ string_of_int i | Sim.Crash_event i -> "c" ^ string_of_int i)
+       (Sim.events sim))
+
+let sticky3_sim () = (Helpers.team_system (Lazy.force sticky3_cert) ()).Helpers.sim
+
+(* [run]: the recorded schedule of every policy at seeds 0-9, and what
+   [on_crash] sees (the victim's crash count: whether the crash it
+   reports has already been applied). *)
+let run_pins () =
+  List.map
+    (fun (name, pol) ->
+      List.init 10 (fun seed ->
+          let sim = sticky3_sim () in
+          let seen = ref [] in
+          let on_crash pid =
+            seen := Printf.sprintf "%d:%d" pid (Sim.crash_count sim pid) :: !seen
+          in
+          let o = Adversary.run ~on_crash (Adversary.create ~seed pol) sim in
+          Printf.sprintf "%d/%d/%s/%s" o.Adversary.crashes (Sim.total_steps sim)
+            (schedule_str o.Adversary.schedule)
+            (String.concat "," (List.rev !seen)))
+      |> String.concat "\n" |> md5 |> Printf.sprintf "run %s %s" name)
+    policies
+
+(* [decide]: the victims returned over a fixed eligible/total_steps
+   script, at seeds 0-9, and the lifetime crash count. *)
+let decide_script =
+  List.init 60 (fun k -> (List.filter (fun i -> (i + k) mod 4 <> 0) [ 0; 1; 2; 3 ], 2 * k))
+
+let decide_pins () =
+  List.map
+    (fun (name, pol) ->
+      let injected = ref 0 in
+      List.init 10 (fun seed ->
+          let a = Adversary.create ~seed pol in
+          let vs =
+            List.map
+              (fun (eligible, total_steps) ->
+                Adversary.decide a ~eligible ~total_steps
+                |> List.map string_of_int |> String.concat ",")
+              decide_script
+          in
+          injected := !injected + Adversary.crashes_injected a;
+          String.concat ";" vs)
+      |> String.concat "\n" |> md5
+      |> fun d -> Printf.sprintf "decide %s %s injected=%d" name d !injected)
+    policies
+
+(* The fault-free ([Adversary.round_robin]), uniform, simultaneous and
+   crash-and-rerun drivers: event logs and crash counts.  [crash_at = []]
+   must match the fault-free log, and thresholds already passed fire one
+   step apart. *)
+let driver_pins () =
+  let rr =
+    List.map
+      (fun sim ->
+        Adversary.round_robin sim;
+        Printf.sprintf "round_robin %s" (md5 (events_str sim)))
+      [ sticky3_sim (); (Helpers.team_system (Lazy.force sticky_cert) ()).Helpers.sim ]
+  in
+  let random =
+    List.init 10 (fun seed ->
+        let sim = sticky3_sim () in
+        let rng = Random.State.make [| seed |] in
+        let pol = Adversary.Uniform { crash_prob = 0.15; max_crashes = 6 } in
+        let c = (Adversary.run ~record:false (Adversary.of_rng ~rng pol) sim).Adversary.crashes in
+        let r = Helpers.crash_and_rerun ~rng sim in
+        Printf.sprintf "%d+%d:%s" c r (events_str sim))
+  in
+  let simultaneous =
+    List.map
+      (fun crash_at ->
+        let sim = sticky3_sim () in
+        let adv = Adversary.create (Adversary.Simultaneous { crash_at }) in
+        ignore (Adversary.run ~record:false adv sim);
+        Printf.sprintf "simultaneous [%s] %s"
+          (String.concat ";" (List.map string_of_int crash_at))
+          (md5 (events_str sim)))
+      [ [ 3; 9; 17 ]; [ 0; -1; 5 ]; [] ]
+  in
+  rr
+  @ [
+      Printf.sprintf "uniform+crash_and_rerun crashes=%s %s"
+        (String.concat "," (List.map (fun s -> List.hd (String.split_on_char ':' s)) random))
+        (md5 (String.concat "\n" random));
+    ]
+  @ simultaneous
+
+let test_golden_pins () =
+  let actual = run_pins () @ decide_pins () @ driver_pins () in
+  Alcotest.(check (list string)) "streams unchanged" golden actual
+
+(* --- settings are validated once, up front --- *)
+
+let test_invalid_settings_rejected () =
+  let rejected name f =
+    match f () with
+    | (_ : Adversary.t) -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  (* a zero-victim storm used to spin [run] forever *)
+  rejected "burst 0" (fun () ->
+      Adversary.create (Adversary.Storm { crash_prob = 1.0; burst = 0; max_crashes = 3 }));
+  rejected "crash_prob 1.5" (fun () ->
+      Adversary.of_rng ~rng:(Random.State.make [| 0 |])
+        (Adversary.Uniform { crash_prob = 1.5; max_crashes = 3 }));
+  rejected "period 0" (fun () ->
+      Adversary.create
+        (Adversary.Quiescent { period = 0; active = 1; crash_prob = 0.5; max_crashes = 3 }));
+  let error name r =
+    match r with
+    | Ok _ -> Alcotest.failf "%s: policy_of_string accepted it" name
+    | Error msg -> msg
+  in
+  List.iter
+    (fun (name, r, setting) ->
+      let msg = error name r in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names %s" name msg setting)
+        true
+        (Str.string_match (Str.regexp (".*" ^ setting)) msg 0))
+    [
+      ("burst 0", Adversary.policy_of_string ~burst:0 "storm", "burst");
+      ("crash_prob -0.1", Adversary.policy_of_string ~crash_prob:(-0.1) "uniform", "crash_prob");
+      ("crash_prob nan", Adversary.policy_of_string ~crash_prob:Float.nan "targeted", "crash_prob");
+      ("max_crashes -1", Adversary.policy_of_string ~max_crashes:(-1) "uniform", "max_crashes");
+      ("period 0", Adversary.policy_of_string ~period:0 "quiescent", "period");
+      ("active -1", Adversary.policy_of_string ~active:(-1) "quiescent", "active");
+    ];
+  (* the boundary values are accepted *)
+  List.iter
+    (fun r ->
+      match r with
+      | Ok pol -> ignore (Adversary.create pol)
+      | Error msg -> Alcotest.failf "boundary value rejected: %s" msg)
+    [
+      Adversary.policy_of_string ~crash_prob:0.0 ~max_crashes:0 "uniform";
+      Adversary.policy_of_string ~crash_prob:1.0 ~burst:1 "storm";
+      Adversary.policy_of_string ~period:1 ~active:0 "quiescent";
+    ]
+
 let suite =
   [
     Alcotest.test_case "same seed => same schedule (all policies)" `Quick test_seed_determinism;
     Alcotest.test_case "schedules identical across domain counts" `Quick
       test_cross_domain_determinism;
-    Alcotest.test_case "Drivers.random keeps the historical RNG stream" `Quick
-      test_drivers_stream_parity;
+    Alcotest.test_case "golden stream pins (run, decide, drivers)" `Quick test_golden_pins;
+    Alcotest.test_case "invalid adversary settings are rejected" `Quick
+      test_invalid_settings_rejected;
     Alcotest.test_case "recorded schedules replay exactly" `Quick test_recorded_schedule_replays;
     Alcotest.test_case "schedule JSON round-trip" `Quick test_json_round_trip;
     Alcotest.test_case "shrunk witness violates and is 1-minimal" `Quick

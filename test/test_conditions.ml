@@ -119,7 +119,7 @@ let test_runiversal_not_strict () =
       ignore (Sim.step_proc t 1);
       incr guard
     done;
-    Drivers.round_robin t;
+    Adversary.round_robin t;
     let spec = Rcons_universal.Derived.lin_spec Rcons_universal.Derived.counter in
     let v = Rcons_history.Conditions.classify spec history in
     Alcotest.(check bool) "always recoverably linearizable" true v.Rcons_history.Conditions.recoverable;

@@ -10,9 +10,9 @@
    - [~dedup:true] is deterministic: sequential and parallel runs report
      identical statistics on any domain count / frontier depth, and a
      violating algorithm yields the identical violation schedule;
-   - [Sim.fingerprint] is replay-stable (qcheck): re-executing the same
-     schedule against a fresh system from the same builder reproduces the
-     fingerprint byte for byte -- the property that makes deduplication
+   - [Sim.fingerprint_digest] is replay-stable (qcheck): re-executing the
+     same schedule against a fresh system from the same builder reproduces
+     the digest byte for byte -- the property that makes deduplication
      sound across replays and domains;
    - the observation trace folded into each process's fingerprint
      section separates runs that saw the same values in another order or
@@ -157,7 +157,7 @@ let fingerprint_after mk codes =
   with_arena @@ fun () ->
   let sim, _check = mk () in
   apply_encoded sim codes;
-  let fp = Sim.fingerprint sim in
+  let fp = Sim.fingerprint_digest sim in
   Sim.abandon sim;
   fp
 

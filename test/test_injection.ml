@@ -52,7 +52,7 @@ let run_with_crashes ~mk ~crashes =
 
 let baseline_steps ~mk =
   let sim, _ = mk () in
-  Drivers.round_robin sim;
+  Adversary.round_robin sim;
   Sim.total_steps sim
 
 let fig2_system () =
@@ -134,12 +134,12 @@ let test_simultaneous_every_position () =
   in
   let total =
     let sim, _ = mk () in
-    Drivers.round_robin sim;
+    Adversary.round_robin sim;
     Sim.total_steps sim
   in
   for at = 1 to total do
     let sim, check = mk () in
-    Drivers.simultaneous ~crash_at:[ at ] sim;
+    Adversary.(ignore (run ~record:false (create (Simultaneous { crash_at = [ at ] })) sim));
     check ()
   done
 

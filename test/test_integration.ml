@@ -61,7 +61,7 @@ let test_facade_solve_rc () =
       let outs = Rcons_algo.Outputs.make ~inputs in
       let body pid () = Rcons_algo.Outputs.record outs pid (decide pid inputs.(pid)) in
       let t = Sim.create ~n:3 body in
-      Drivers.round_robin t;
+      Adversary.round_robin t;
       Alcotest.(check bool) "agreement" true (Rcons_algo.Outputs.agreement_ok outs)
 
 let test_facade_solve_rc_refuses_register () =
@@ -79,7 +79,7 @@ let test_facade_make_recoverable () =
     Sim.create ~n:2 (fun pid () ->
         Rcons_universal.Script.run runner pid [| Rcons_universal.Derived.Incr; Rcons_universal.Derived.Get |])
   in
-  Drivers.round_robin t;
+  Adversary.round_robin t;
   Alcotest.(check int) "4 ops applied" 4 (Rcons_universal.Runiversal.applied_count u)
 
 (* T_n's gap, dynamically: T_4 is 2-recording, so 2 processes can solve RC
@@ -107,7 +107,7 @@ let test_deep_composition () =
     Rcons_algo.Outputs.record outputs pid (Rcons_algo.Simultaneous_rc.decide rc pid inputs.(pid))
   in
   let t = Sim.create ~n body in
-  Drivers.simultaneous ~crash_at:[ 6; 21 ] t;
+  Adversary.(ignore (run ~record:false (create (Simultaneous { crash_at = [ 6; 21 ] })) t));
   Alcotest.(check bool) "agreement" true (Rcons_algo.Outputs.agreement_ok outputs);
   Alcotest.(check bool) "validity" true (Rcons_algo.Outputs.validity_ok outputs)
 

@@ -96,7 +96,7 @@ let test_one_shot_poll () =
     seen := Rcons_algo.One_shot.poll c :: !seen
   in
   let sim = Sim.create ~n:1 body in
-  Drivers.round_robin sim;
+  Adversary.round_robin sim;
   Alcotest.(check (list (option int))) "poll before/after" [ Some 9; None ] !seen;
   Alcotest.(check (option int)) "peek" (Some 9) (Rcons_algo.One_shot.peek c)
 
@@ -106,7 +106,7 @@ let test_one_shot_first_wins () =
   let outs = Array.make 2 0 in
   let body pid () = outs.(pid) <- Rcons_algo.One_shot.decide c (100 + pid) in
   let sim = Sim.create ~n:2 body in
-  Drivers.round_robin sim;
+  Adversary.round_robin sim;
   Alcotest.(check int) "agree" outs.(0) outs.(1);
   Alcotest.(check bool) "one of the proposals" true (outs.(0) = 100 || outs.(0) = 101)
 
@@ -123,7 +123,7 @@ let test_stable_input_single_writer () =
     seen := v :: !seen
   in
   let sim = Sim.create ~n:2 body in
-  Drivers.round_robin sim;
+  Adversary.round_robin sim;
   Alcotest.(check bool) "each got its own" true
     (List.sort compare !seen = [ 10; 20 ])
 

@@ -226,7 +226,7 @@ let test_fingerprint_sees_cache_state () =
             for _ = 1 to 3 do
               ignore (Sim.step_proc sim 0)
             done;
-            (Sim.fingerprint sim, (Cell.peek c, Cell.peek d))))
+            (Sim.fingerprint_digest sim, (Cell.peek c, Cell.peek d))))
   in
   let fp_clean, v_clean = fp true and fp_dirty, v_dirty = fp false in
   Alcotest.(check (pair int int)) "same volatile contents either way" v_clean v_dirty;
@@ -244,8 +244,9 @@ let test_eager_scoped_byte_identical () =
       let cert = Helpers.cert_of Rcons_spec.Sticky_bit.t 2 in
       let sys = Helpers.team_system cert () in
       let rng = Random.State.make [| 2022 |] in
-      ignore (Drivers.random ~crash_prob:0.15 ~max_crashes:4 ~rng sys.Helpers.sim);
-      ignore (Drivers.crash_and_rerun ~rng sys.Helpers.sim);
+      let adv = Adversary.of_rng ~rng (Adversary.Uniform { crash_prob = 0.15; max_crashes = 4 }) in
+      ignore (Adversary.run ~record:false adv sys.Helpers.sim);
+      ignore (Helpers.crash_and_rerun ~rng sys.Helpers.sim);
       ( Sim.events sys.Helpers.sim,
         Array.to_list sys.Helpers.outputs.Rcons_algo.Outputs.outputs )
     in
@@ -465,7 +466,8 @@ let test_runiversal_annotated_lossy () =
               Rcons_universal.Script.run runner pid scripts.(pid))
         in
         let rng = Random.State.make [| seed |] in
-        ignore (Drivers.random ~crash_prob:0.15 ~max_crashes:3 ~rng sim);
+        let adv = Adversary.of_rng ~rng (Adversary.Uniform { crash_prob = 0.15; max_crashes = 3 }) in
+        ignore (Adversary.run ~record:false adv sim);
         Alcotest.(check bool)
           (Printf.sprintf "durably linearizable (seed %d)" seed)
           true

@@ -25,7 +25,7 @@ let test_sequential_semantics () =
     results := [ Recoverable_cas.read_value t = 7 ] @ !results
   in
   let sim = Sim.create ~n:1 body in
-  Drivers.round_robin sim;
+  Adversary.round_robin sim;
   Alcotest.(check (list bool)) "success, failure, success, final value"
     [ true; true; false; true ] !results
 
@@ -39,12 +39,12 @@ let test_idempotent_reentry () =
     r2 := Some b
   in
   let sim = Sim.create ~n:1 body in
-  Drivers.round_robin sim;
+  Adversary.round_robin sim;
   Alcotest.(check (option bool)) "first" (Some true) !r1;
   Alcotest.(check (option bool)) "re-entry returns recorded outcome" (Some true) !r2;
   let v = ref 0 in
   let observer = Sim.create ~n:1 (fun _ () -> v := Recoverable_cas.read_value t) in
-  Drivers.round_robin observer;
+  Adversary.round_robin observer;
   Alcotest.(check int) "effect applied once" 9 !v
 
 (* Crash-at-every-position: a single process performs one CAS; crash it
@@ -56,7 +56,7 @@ let test_crash_every_position_solo () =
     let sim =
       Sim.create ~n:1 (fun pid () -> ignore (Recoverable_cas.cas t pid ~attempt:1 ~expected:0 ~desired:1))
     in
-    Drivers.round_robin sim;
+    Adversary.round_robin sim;
     Sim.total_steps sim
   in
   for crash_at = 1 to baseline do
@@ -110,7 +110,8 @@ let test_concurrent_linearizable () =
       done
     in
     let sim = Sim.create ~n body in
-    ignore (Drivers.random ~crash_prob:0.15 ~max_crashes:6 ~rng sim);
+    let adv = Adversary.of_rng ~rng (Adversary.Uniform { crash_prob = 0.15; max_crashes = 6 }) in
+    ignore (Adversary.run ~record:false adv sim);
     if not (Rcons_history.Linearizability.check_history cas_spec history) then
       Alcotest.fail "recoverable CAS history not linearizable"
   done
@@ -124,7 +125,7 @@ let test_recover_statuses () =
     let sim =
       Sim.create ~n:1 (fun pid () -> ignore (Recoverable_cas.cas t pid ~attempt:1 ~expected:0 ~desired:1))
     in
-    Drivers.round_robin sim;
+    Adversary.round_robin sim;
     Sim.total_steps sim
   in
   for crash_at = 1 to baseline do
@@ -148,7 +149,7 @@ let test_recover_statuses () =
           status := Recoverable_cas.recover t 0 ~attempt:1;
           installed := Recoverable_cas.read_value t)
     in
-    Drivers.round_robin observer;
+    Adversary.round_robin observer;
     (match !status with
     | Recoverable_cas.Succeeded ->
         Alcotest.(check int) (Printf.sprintf "crash@%d: success claim is real" crash_at) 1 !installed
@@ -168,19 +169,19 @@ let test_evidence_survives_overwrite () =
   let sim0 =
     Sim.create ~n:1 (fun _ () -> ignore (Recoverable_cas.cas t 0 ~attempt:1 ~expected:0 ~desired:1))
   in
-  Drivers.round_robin sim0;
+  Adversary.round_robin sim0;
   (* ...crashes (loses the result), then p1 overwrites *)
   let sim1 =
     Sim.create ~n:1 (fun _ () -> ignore (Recoverable_cas.cas t 1 ~attempt:1 ~expected:1 ~desired:2))
   in
-  Drivers.round_robin sim1;
+  Adversary.round_robin sim1;
   let v = ref 0 in
   let check = Sim.create ~n:1 (fun _ () -> v := Recoverable_cas.read_value t) in
-  Drivers.round_robin check;
+  Adversary.round_robin check;
   Alcotest.(check int) "p1 overwrote" 2 !v;
   let status = ref Recoverable_cas.Unresolved in
   let observer = Sim.create ~n:1 (fun _ () -> status := Recoverable_cas.recover t 0 ~attempt:1) in
-  Drivers.round_robin observer;
+  Adversary.round_robin observer;
   Alcotest.(check bool) "p0's success survives the overwrite" true
     (!status = Recoverable_cas.Succeeded)
 

@@ -98,11 +98,11 @@ let test_crash_after_finish_restarts () =
     Cell.write (Cell.make 0) 1
   in
   let t = Sim.create ~n:1 body in
-  Drivers.round_robin t;
+  Adversary.round_robin t;
   Alcotest.(check int) "ran once" 1 !count;
   Sim.crash t 0;
   Alcotest.(check bool) "restartable after finish" false (Sim.finished t 0);
-  Drivers.round_robin t;
+  Adversary.round_robin t;
   Alcotest.(check int) "ran twice" 2 !count
 
 let test_crash_all () =
@@ -116,7 +116,7 @@ let test_crash_all () =
     ignore (Sim.step_proc t i)
   done;
   Sim.crash_all t;
-  Drivers.round_robin t;
+  Adversary.round_robin t;
   Alcotest.(check int) "each process entered twice" 6 !entered
 
 (* --- determinism (required by the explorer's replay) --- *)
@@ -165,7 +165,7 @@ let test_sim_obj () =
         results := (r, q) :: !results
       in
       let t = Sim.create ~n:1 body in
-      Drivers.round_robin t;
+      Adversary.round_robin t;
       Alcotest.(check int) "one result" 1 (List.length !results);
       Alcotest.(check bool) "state changed" true
         (T.compare_state (Sim_obj.peek o) (List.hd T.candidate_initial_states) <> 0)
@@ -178,7 +178,7 @@ let test_growable () =
     seen := Growable.read g 7
   in
   let t = Sim.create ~n:1 body in
-  Drivers.round_robin t;
+  Adversary.round_robin t;
   Alcotest.(check int) "default generator" 70 !seen;
   Alcotest.(check int) "write visible" 99 (Growable.peek g 3);
   Alcotest.(check int) "untouched default" 70 (Growable.peek g 7)
@@ -194,7 +194,7 @@ let test_round_robin_terminates () =
     incr done_count
   in
   let t = Sim.create ~n:4 body in
-  Drivers.round_robin t;
+  Adversary.round_robin t;
   Alcotest.(check int) "all finished" 4 !done_count
 
 let test_round_robin_budget () =
@@ -205,14 +205,15 @@ let test_round_robin_budget () =
     done
   in
   let t = Sim.create ~n:1 body in
-  Alcotest.check_raises "budget" (Drivers.Stuck "round_robin: step budget exhausted") (fun () ->
-      Drivers.round_robin ~max_steps:100 t)
+  Alcotest.check_raises "budget" (Adversary.Stuck "simultaneous: step budget exhausted")
+    (fun () -> Adversary.round_robin ~max_steps:100 t)
 
 let test_random_driver_crashes_bounded () =
   let body _pid () = Cell.write (Cell.make 0) 0 in
   let t = Sim.create ~n:3 body in
   let rng = Random.State.make [| 1 |] in
-  let crashes = Drivers.random ~crash_prob:0.9 ~max_crashes:5 ~rng t in
+  let adv = Adversary.of_rng ~rng (Adversary.Uniform { crash_prob = 0.9; max_crashes = 5 }) in
+  let crashes = (Adversary.run ~record:false adv t).Adversary.crashes in
   Alcotest.(check bool) "bounded crashes" true (crashes <= 5);
   Alcotest.(check bool) "terminated" true (Sim.all_finished t)
 
@@ -225,7 +226,7 @@ let test_simultaneous_driver () =
     done
   in
   let t = Sim.create ~n:2 body in
-  Drivers.simultaneous ~crash_at:[ 3 ] t;
+  Adversary.(ignore (run ~record:false (create (Simultaneous { crash_at = [ 3 ] })) t));
   Alcotest.(check bool) "all finished" true (Sim.all_finished t);
   Alcotest.(check bool) "some process re-entered" true (!entered > 2)
 

@@ -181,7 +181,7 @@ let undo_sys () =
       ignore (UCell.read shared))
 
 let snap t =
-  ( USim.fingerprint t,
+  ( USim.fingerprint_digest t,
     USim.total_steps t,
     List.init (USim.num_procs t) (fun i ->
         (USim.step_count t i, USim.crash_count t i, USim.finished t i, USim.started t i)) )
@@ -288,11 +288,11 @@ let qcheck_rollback_fingerprint =
                    ~finally:(fun () -> USim.abandon t)
                    (fun () ->
                      undo_apply_codes t pre;
-                     let fp = USim.fingerprint t in
+                     let fp = USim.fingerprint_digest t in
                      let m = USim.mark t in
                      undo_apply_codes t post;
                      USim.rollback t m;
-                     USim.fingerprint t = fp)))))
+                     USim.fingerprint_digest t = fp)))))
 
 let suite =
   [

@@ -12,9 +12,9 @@
      collapses availability (never acks) instead of lying;
    - overload sheds explicitly (Overloaded answers, bounded queue) and
      every session still terminates;
-   - the incremental adversary API: [decide] respects crash budgets and
-     windows, [crashes_injected] counts delivered crashes,
-     [next_crash_hint] peeks the schedule. *)
+   - the incremental adversary API: [decide] respects crash budgets,
+     thresholds and windows, and [crashes_injected] counts delivered
+     crashes. *)
 
 open Rcons_runtime
 module Service = Rcons.Service
@@ -281,7 +281,6 @@ let adversary_decide_budget () =
   Alcotest.(check int) "budget respected" 3 !total;
   Alcotest.(check int) "crashes_injected counts" 3 (Adversary.crashes_injected a);
   Alcotest.(check int) "requested = budget" 3 (Adversary.crashes_requested a);
-  Alcotest.(check (option int)) "hint exhausted" None (Adversary.next_crash_hint a ~total_steps:10);
   let b = Adversary.create ~seed:3 (Adversary.Storm { crash_prob = 1.0; burst = 2; max_crashes = 5 }) in
   let v1 = Adversary.decide b ~eligible:[ 0; 1; 2 ] ~total_steps:0 in
   Alcotest.(check int) "storm bursts" 2 (List.length v1);
@@ -289,27 +288,23 @@ let adversary_decide_budget () =
   let c = Adversary.create ~seed:3 (Adversary.Uniform { crash_prob = 1.0; max_crashes = 3 }) in
   Alcotest.(check (list int)) "empty pool" [] (Adversary.decide c ~eligible:[] ~total_steps:0)
 
-let adversary_simultaneous_hint () =
+let adversary_simultaneous_thresholds () =
   let a = Adversary.create ~seed:0 (Adversary.Simultaneous { crash_at = [ 30; 10 ] }) in
-  Alcotest.(check (option int)) "first threshold" (Some 10)
-    (Adversary.next_crash_hint a ~total_steps:0);
   Alcotest.(check (list int)) "not yet" [] (Adversary.decide a ~eligible:[ 0; 1 ] ~total_steps:9);
   let v = Adversary.decide a ~eligible:[ 0; 1 ] ~total_steps:12 in
   Alcotest.(check (list int)) "fires all eligible" [ 0; 1 ] v;
   Alcotest.(check int) "injected counts both" 2 (Adversary.crashes_injected a);
-  Alcotest.(check (option int)) "next threshold relative" (Some 18)
-    (Adversary.next_crash_hint a ~total_steps:12);
-  let _ = Adversary.decide a ~eligible:[ 0 ] ~total_steps:30 in
-  Alcotest.(check (option int)) "spent" None (Adversary.next_crash_hint a ~total_steps:31)
+  Alcotest.(check (list int)) "each threshold fires once" []
+    (Adversary.decide a ~eligible:[ 0; 1 ] ~total_steps:13);
+  Alcotest.(check (list int)) "second threshold" [ 0 ]
+    (Adversary.decide a ~eligible:[ 0 ] ~total_steps:30);
+  Alcotest.(check (list int)) "spent" [] (Adversary.decide a ~eligible:[ 0; 1 ] ~total_steps:99)
 
 let adversary_quiescent_window () =
   let a =
     Adversary.create ~seed:1
       (Adversary.Quiescent { period = 10; active = 2; crash_prob = 1.0; max_crashes = 100 })
   in
-  Alcotest.(check (option int)) "in window" (Some 0) (Adversary.next_crash_hint a ~total_steps:1);
-  Alcotest.(check (option int)) "out of window" (Some 5)
-    (Adversary.next_crash_hint a ~total_steps:5);
   Alcotest.(check (list int)) "quiescent part never fires" []
     (Adversary.decide a ~eligible:[ 0; 1 ] ~total_steps:7);
   Alcotest.(check int) "window crash fires" 1
@@ -331,7 +326,7 @@ let suite =
     Alcotest.test_case "admission queue units" `Quick admission_units;
     Alcotest.test_case "session fiber lifecycle" `Quick session_units;
     Alcotest.test_case "adversary decide respects budgets" `Quick adversary_decide_budget;
-    Alcotest.test_case "simultaneous thresholds and hints" `Quick adversary_simultaneous_hint;
+    Alcotest.test_case "simultaneous thresholds" `Quick adversary_simultaneous_thresholds;
     Alcotest.test_case "quiescent windows gate decide" `Quick adversary_quiescent_window;
     qcheck_soak_deterministic;
   ]

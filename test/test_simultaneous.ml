@@ -27,7 +27,7 @@ let test_no_crashes () =
   List.iter
     (fun n ->
       let sim, outputs, rc = system ~n in
-      Drivers.round_robin sim;
+      Adversary.round_robin sim;
       check outputs;
       Alcotest.(check int) (Printf.sprintf "n=%d one round suffices" n) 1
         (Simultaneous_rc.rounds_used rc))
@@ -37,13 +37,15 @@ let test_single_simultaneous_crash () =
   List.iter
     (fun crash_at ->
       let sim, outputs, _ = system ~n:3 in
-      Drivers.simultaneous ~crash_at:[ crash_at ] sim;
+      Adversary.(
+        ignore (run ~record:false (create (Simultaneous { crash_at = [ crash_at ] })) sim));
       check outputs)
     [ 1; 2; 3; 5; 8; 13 ]
 
 let test_repeated_simultaneous_crashes () =
   let sim, outputs, rc = system ~n:4 in
-  Drivers.simultaneous ~crash_at:[ 3; 9; 17; 26; 40 ] sim;
+  Adversary.(
+    ignore (run ~record:false (create (Simultaneous { crash_at = [ 3; 9; 17; 26; 40 ] })) sim));
   check outputs;
   Alcotest.(check bool) "multiple rounds consumed" true (Simultaneous_rc.rounds_used rc >= 2)
 
@@ -53,7 +55,7 @@ let test_rounds_grow_with_crashes () =
   let rounds_for crashes =
     let sim, outputs, rc = system ~n:3 in
     let crash_at = List.init crashes (fun i -> 4 + (7 * i)) in
-    Drivers.simultaneous ~crash_at sim;
+    Adversary.(ignore (run ~record:false (create (Simultaneous { crash_at })) sim));
     check outputs;
     Simultaneous_rc.rounds_used rc
   in
@@ -68,7 +70,7 @@ let test_every_process_may_crash_midway () =
     (fun seed ->
       let sim, outputs, _ = system ~n:4 in
       let crash_at = [ (seed mod 7) + 1; (seed mod 7) + 9 ] in
-      Drivers.simultaneous ~crash_at sim;
+      Adversary.(ignore (run ~record:false (create (Simultaneous { crash_at })) sim));
       check outputs)
     [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
 
@@ -87,16 +89,16 @@ let test_pluggable_consensus_ruppert () =
   let rc = Simultaneous_rc.create ~n ~make_consensus in
   let body pid () = Outputs.record outputs pid (Simultaneous_rc.decide rc pid inputs.(pid)) in
   let sim = Sim.create ~n body in
-  Drivers.simultaneous ~crash_at:[ 5; 19 ] sim;
+  Adversary.(ignore (run ~record:false (create (Simultaneous { crash_at = [ 5; 19 ] })) sim));
   check outputs
 
 let test_agreement_across_restart_outputs () =
   (* a process that decides, is wiped by a later simultaneous crash and
      re-runs must output the same value again *)
   let sim, outputs, _ = system ~n:2 in
-  Drivers.round_robin sim;
+  Adversary.round_robin sim;
   Sim.crash_all sim;
-  Drivers.round_robin sim;
+  Adversary.round_robin sim;
   check outputs;
   Array.iter
     (fun outs -> Alcotest.(check bool) "decided at least twice" true (List.length outs >= 2))

@@ -30,7 +30,7 @@ let test_crash_free_all_certs () =
   List.iter
     (fun (name, cert) ->
       let sys = Helpers.team_system cert () in
-      Drivers.round_robin sys.Helpers.sim;
+      Adversary.round_robin sys.Helpers.sim;
       (try sys.Helpers.check () with Explore.Violation_found m -> Alcotest.fail (name ^ ": " ^ m));
       Alcotest.(check bool) (name ^ ": everyone decided") true
         (Array.for_all (fun l -> l <> []) sys.Helpers.outputs.Rcons_algo.Outputs.outputs))
@@ -124,7 +124,7 @@ let test_faithful_variant_passes () =
 let test_outputs_are_team_inputs () =
   let cert = Helpers.cert_of Rcons_spec.Cas.default 4 in
   let sys = Helpers.team_system cert () in
-  Drivers.round_robin sys.Helpers.sim;
+  Adversary.round_robin sys.Helpers.sim;
   List.iter
     (fun v -> Alcotest.(check bool) "output is 111 or 222" true (v = 111 || v = 222))
     (Rcons_algo.Outputs.all sys.Helpers.outputs)
@@ -138,7 +138,7 @@ let test_decide_requires_written_register () =
   let out = ref None in
   let body _pid () = out := Some (tc.Rcons_algo.Team_consensus.decide Rcons_spec.Team.A 0 5) in
   let t = Sim.create ~n:1 body in
-  Drivers.round_robin t;
+  Adversary.round_robin t;
   Alcotest.(check (option int)) "solo decider returns own input" (Some 5) !out
 
 let suite =

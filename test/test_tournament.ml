@@ -10,7 +10,7 @@ let test_rc_crash_free_various_n () =
     (fun n ->
       let cert = Helpers.cert_of Rcons_spec.Cas.default n in
       let sys = Helpers.rc_system cert ~n () in
-      Drivers.round_robin sys.Helpers.sim;
+      Adversary.round_robin sys.Helpers.sim;
       sys.Helpers.check ();
       Alcotest.(check bool)
         (Printf.sprintf "n=%d all decided" n)
@@ -37,7 +37,8 @@ let test_rc_validity_distinct_inputs () =
   let cert = Helpers.cert_of Rcons_spec.Sticky_bit.t n in
   let sys = Helpers.rc_system cert ~n () in
   let rng = Random.State.make [| 3 |] in
-  ignore (Drivers.random ~crash_prob:0.1 ~max_crashes:6 ~rng sys.Helpers.sim);
+  let adv = Adversary.of_rng ~rng (Adversary.Uniform { crash_prob = 0.1; max_crashes = 6 }) in
+  ignore (Adversary.run ~record:false adv sys.Helpers.sim);
   match Outputs.all sys.Helpers.outputs with
   | [] -> Alcotest.fail "no outputs"
   | v :: _ as outs ->
@@ -62,9 +63,9 @@ let test_stable_inputs_mask_flapping () =
   (* p0 has read the register (None) and is poised to write its input 1 *)
   ignore (Sim.step_proc t 0);
   Sim.crash t 0;
-  Drivers.round_robin t;
+  Adversary.round_robin t;
   Sim.crash t 0;
-  Drivers.round_robin t;
+  Adversary.round_robin t;
   (match !observed with
   | [] -> Alcotest.fail "no observations"
   | v :: rest ->
@@ -98,7 +99,7 @@ let test_standard_consensus_crash_free () =
       let decide = Tournament.standard_consensus cert ~n in
       let body pid () = Outputs.record outputs pid (decide pid inputs.(pid)) in
       let t = Sim.create ~n body in
-      Drivers.round_robin t;
+      Adversary.round_robin t;
       Alcotest.(check bool) (Printf.sprintf "n=%d agreement" n) true (Outputs.agreement_ok outputs);
       Alcotest.(check bool) (Printf.sprintf "n=%d validity" n) true (Outputs.validity_ok outputs))
     [ 2; 3; 4 ]
@@ -111,7 +112,7 @@ let test_standard_consensus_on_swap () =
   let decide = Tournament.standard_consensus cert ~n:2 in
   let body pid () = Outputs.record outputs pid (decide pid inputs.(pid)) in
   let t = Sim.create ~n:2 body in
-  Drivers.round_robin t;
+  Adversary.round_robin t;
   Alcotest.(check bool) "agreement" true (Outputs.agreement_ok outputs);
   Alcotest.(check bool) "validity" true (Outputs.validity_ok outputs)
 

@@ -16,7 +16,7 @@ let run_counter ?(n = 2) ?history ?make_rc scripts =
 let test_counter_sequential () =
   let scripts = [| [| Derived.Incr; Derived.Incr; Derived.Get |]; [| Derived.Incr; Derived.Get |] |] in
   let u, runner, t = run_counter scripts in
-  Drivers.round_robin t;
+  Adversary.round_robin t;
   Alcotest.(check int) "all ops applied" 5 (Runiversal.applied_count u);
   (match (Script.response runner 0 2, Script.response runner 1 1) with
   | Some a, Some b ->
@@ -34,7 +34,7 @@ let test_stack_object () =
   let script = [| Derived.Push 1; Derived.Push 2; Derived.Pop; Derived.Pop; Derived.Pop |] in
   let runner = Script.create u ~n:1 ~max_ops:5 in
   let t = Sim.create ~n:1 (fun pid () -> Script.run runner pid script) in
-  Drivers.round_robin t;
+  Adversary.round_robin t;
   Alcotest.(check (option (option int))) "pop 2 first" (Some (Some 2)) (Script.response runner 0 2);
   Alcotest.(check (option (option int))) "pop 1 second" (Some (Some 1)) (Script.response runner 0 3);
   Alcotest.(check (option (option int))) "pop empty" (Some None) (Script.response runner 0 4)
@@ -45,7 +45,7 @@ let test_queue_object () =
   let script = [| Derived.Enq 1; Derived.Enq 2; Derived.Deq; Derived.Deq |] in
   let runner = Script.create u ~n:1 ~max_ops:4 in
   let t = Sim.create ~n:1 (fun pid () -> Script.run runner pid script) in
-  Drivers.round_robin t;
+  Adversary.round_robin t;
   Alcotest.(check (option (option int))) "deq 1 first" (Some (Some 1)) (Script.response runner 0 2);
   Alcotest.(check (option (option int))) "deq 2 second" (Some (Some 2)) (Script.response runner 0 3)
 
@@ -57,7 +57,7 @@ let test_kv_object () =
   in
   let runner = Script.create u ~n:1 ~max_ops:5 in
   let t = Sim.create ~n:1 (fun pid () -> Script.run runner pid script) in
-  Drivers.round_robin t;
+  Adversary.round_robin t;
   Alcotest.(check (option (option int))) "find x" (Some (Some 1)) (Script.response runner 0 2);
   Alcotest.(check (option (option int))) "find deleted" (Some None) (Script.response runner 0 4)
 
@@ -76,7 +76,7 @@ let test_invoke_idempotent_across_crashes () =
       if not (Sim.all_finished t) then Sim.crash t 0
     end
   done;
-  Drivers.round_robin t;
+  Adversary.round_robin t;
   Alcotest.(check int) "exactly one increment despite repeated mid-operation crashes" 1
     (Runiversal.applied_count u);
   Alcotest.(check (option int)) "response recorded" (Some 1) (Script.response runner 0 0)
@@ -112,7 +112,8 @@ let test_linearizable_random_crashes () =
           Array.init 3 (fun k -> if (pid + k) mod 2 = 0 then Derived.Incr else Derived.Get))
     in
     let _, _, t = run_counter ~n:3 ~history scripts in
-    ignore (Drivers.random ~crash_prob:0.15 ~max_crashes:9 ~rng t);
+    Adversary.(
+      ignore (run ~record:false (of_rng ~rng (Uniform { crash_prob = 0.15; max_crashes = 9 })) t));
     if not (lin_ok history) then Alcotest.fail "non-linearizable history under crashes"
   done
 
@@ -148,7 +149,8 @@ let test_figure2_rc_instances () =
     let history = Rcons_history.History.create () in
     let scripts = [| [| Derived.Incr; Derived.Get |]; [| Derived.Incr |] |] in
     let _, _, t = run_counter ~n ~history ~make_rc scripts in
-    ignore (Drivers.random ~crash_prob:0.1 ~max_crashes:4 ~rng t);
+    Adversary.(
+      ignore (run ~record:false (of_rng ~rng (Uniform { crash_prob = 0.1; max_crashes = 4 })) t));
     if not (lin_ok history) then Alcotest.fail "non-linearizable with Figure 2 RC instances"
   done
 
@@ -156,7 +158,7 @@ let test_linearization_matches_history_count () =
   let history = Rcons_history.History.create () in
   let scripts = [| [| Derived.Incr; Derived.Get |]; [| Derived.Incr |] |] in
   let u, _, t = run_counter ~n:2 ~history scripts in
-  Drivers.round_robin t;
+  Adversary.round_robin t;
   let ops = Rcons_history.History.operations history in
   Alcotest.(check int) "history ops = applied ops" (Runiversal.applied_count u) (List.length ops);
   Alcotest.(check bool) "all completed" true
@@ -167,7 +169,7 @@ let test_simultaneous_crashes_universal () =
   let history = Rcons_history.History.create () in
   let scripts = Array.init 3 (fun _ -> [| Derived.Incr; Derived.Get |]) in
   let _, _, t = run_counter ~n:3 ~history scripts in
-  Drivers.simultaneous ~crash_at:[ 4; 15 ] t;
+  Adversary.(ignore (run ~record:false (create (Simultaneous { crash_at = [ 4; 15 ] })) t));
   Alcotest.(check bool) "linearizable after crash_all" true (lin_ok history)
 
 let suite =
