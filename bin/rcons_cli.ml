@@ -677,8 +677,7 @@ let log_cmd =
 let certs_cmd =
   let module C = Rcons.Check.Cert_cache in
   let pp_info (i : C.info) =
-    Format.printf "%-10s n=%d %-8s %-16s depth=%d fp=%s %s@."
-      (C.property_name i.C.property) i.C.n
+    Format.printf "%-10s n=%d %-8s %-16s depth=%d fp=%s %s@." i.C.property i.C.n
       (if i.C.positive then "witness" else "none")
       i.C.type_hint i.C.depth i.C.fingerprint (Filename.basename i.C.file)
   in

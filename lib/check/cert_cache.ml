@@ -14,9 +14,9 @@
      type's declared universes (no code or OCaml values are
      deserialized) plus digests of the certificate's derived sets.  On
      load the candidate is re-checked from scratch against Definition 2
-     or 4 and the recomputed sets are compared digest-for-digest with
-     the stored ones; the caller receives the freshly recomputed
-     certificate data, not the stored bytes.
+     or 4 and the witness fields recomputed from the result (set
+     digests included) must equal the stored ones; the caller receives
+     the freshly recomputed certificate data, not the stored bytes.
    - A negative entry stores only the size of the candidate space that
      was exhausted.  It is accepted iff the stored fingerprint matches
      the one recomputed from the live module at a depth >= the entry's
@@ -31,312 +31,133 @@ open Rcons_spec
 module Json = Rcons_runtime.Json
 
 type 'a lookup = Hit of 'a | Negative | Miss
-type property = Recording | Discerning
 
-let property_name = function Recording -> "recording" | Discerning -> "discerning"
 let format_tag = "rcons-cert-v1"
 
-let file_name ~property ~fingerprint ~n =
-  Printf.sprintf "%s-%s-n%d.json" (property_name property) fingerprint n
-
-let path ~dir ~property ~fingerprint ~n =
-  Filename.concat dir (file_name ~property ~fingerprint ~n)
-
-(* MD5 hex of the canonical byte form of a plain-data value; used for the
-   stored set digests. *)
-let hex_digest v = Digest.to_hex (Digest.string (Object_type.digest v))
-
-let read_file file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file file contents =
-  (if not (Sys.file_exists (Filename.dirname file)) then
-     try Sys.mkdir (Filename.dirname file) 0o755 with Sys_error _ -> ());
-  let tmp = file ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents);
-  Sys.rename tmp file
-
-(* Position of [x] in [universe] under [cmp], if any. *)
-let index_of cmp universe x =
-  let rec go i = function
-    | [] -> None
-    | y :: rest -> if cmp x y = 0 then Some i else go (i + 1) rest
-  in
-  go 0 universe
-
-let candidate_count (type s o r)
-    (module T : Object_type.S with type state = s and type op = o and type resp = r) n =
-  Enumerate.candidate_count ~initial_states:T.candidate_initial_states ~ops:T.update_ops n
-
-(* {2 Serialization} *)
-
-let common_fields ~property ~type_hint ~fingerprint ~depth ~n =
-  [
-    ("format", Json.String format_tag);
-    ("property", Json.String (property_name property));
-    ("type_hint", Json.String type_hint);
-    ("fingerprint", Json.String fingerprint);
-    ("depth", Json.Int depth);
-    ("n", Json.Int n);
-  ]
-
-let recording_json (type s o r)
-    (module T : Object_type.S with type state = s and type op = o and type resp = r) ~fingerprint
-    ~depth ~n (data : (s, o) Certificate.recording_data option) =
-  let common =
-    common_fields ~property:Recording ~type_hint:T.name ~fingerprint ~depth ~n
-  in
-  match data with
-  | None ->
-      Some
-        (Json.Obj
-           (common
-           @ [ ("result", Json.String "none"); ("candidates", Json.Int (candidate_count (module T) n)) ]))
-  | Some d ->
-      let op_idx op = index_of T.compare_op T.update_ops op in
-      let q0_idx = index_of T.compare_state T.candidate_initial_states d.Certificate.q0 in
-      let idx_list ops = List.map op_idx ops in
-      let all_some l = List.for_all Option.is_some l in
-      let ia = idx_list d.Certificate.ops_a and ib = idx_list d.Certificate.ops_b in
-      (* A witness outside the declared universes (impossible for the
-         in-tree searches) is simply not cacheable. *)
-      if q0_idx = None || not (all_some ia) || not (all_some ib) then None
-      else
-        let ints l = Json.List (List.map (fun o -> Json.Int (Option.get o)) l) in
-        Some
-          (Json.Obj
-             (common
-             @ [
-                 ("result", Json.String "witness");
-                 ("q0", Json.Int (Option.get q0_idx));
-                 ("ops_a", ints ia);
-                 ("ops_b", ints ib);
-                 ("q_a", Json.String (hex_digest d.Certificate.q_a));
-                 ("q_b", Json.String (hex_digest d.Certificate.q_b));
-                 ("q0_in_q_a", Json.Bool d.Certificate.q0_in_q_a);
-                 ("q0_in_q_b", Json.Bool d.Certificate.q0_in_q_b);
-               ]))
-
-let discerning_json (type s o r)
-    (module T : Object_type.S with type state = s and type op = o and type resp = r) ~fingerprint
-    ~depth ~n (data : (s, o, r) Certificate.discerning_data option) =
-  let common =
-    common_fields ~property:Discerning ~type_hint:T.name ~fingerprint ~depth ~n
-  in
-  match data with
-  | None ->
-      Some
-        (Json.Obj
-           (common
-           @ [ ("result", Json.String "none"); ("candidates", Json.Int (candidate_count (module T) n)) ]))
-  | Some d ->
-      let op_idx op = index_of T.compare_op T.update_ops op in
-      let q0_idx = index_of T.compare_state T.candidate_initial_states d.Certificate.dq0 in
-      let proc_idxs =
-        Array.to_list d.Certificate.procs
-        |> List.map (fun (team, op) ->
-               Option.map (fun i -> (team, i)) (op_idx op))
-      in
-      if q0_idx = None || not (List.for_all Option.is_some proc_idxs) then None
-      else
-        let procs =
-          Json.List
-            (List.map
-               (fun p ->
-                 let team, i = Option.get p in
-                 Json.List [ Json.Int (match team with Team.A -> 0 | Team.B -> 1); Json.Int i ])
-               proc_idxs)
-        in
-        let digests sets =
-          Json.List (Array.to_list (Array.map (fun s -> Json.String (hex_digest s)) sets))
-        in
-        Some
-          (Json.Obj
-             (common
-             @ [
-                 ("result", Json.String "witness");
-                 ("dq0", Json.Int (Option.get q0_idx));
-                 ("procs", procs);
-                 ("r_a", digests d.Certificate.r_a);
-                 ("r_b", digests d.Certificate.r_b);
-               ]))
-
-let store_json ~dir ~property ~fingerprint ~n = function
-  | None -> ()
-  | Some json ->
-      write_file (path ~dir ~property ~fingerprint ~n) (Json.to_string ~indent:2 json ^ "\n")
-
-let store_recording (type s o r)
-    (module T : Object_type.S with type state = s and type op = o and type resp = r) ~dir
-    ~fingerprint ~depth ~n data =
-  store_json ~dir ~property:Recording ~fingerprint ~n
-    (recording_json (module T) ~fingerprint ~depth ~n data)
-
-let store_discerning (type s o r)
-    (module T : Object_type.S with type state = s and type op = o and type resp = r) ~dir
-    ~fingerprint ~depth ~n data =
-  store_json ~dir ~property:Discerning ~fingerprint ~n
-    (discerning_json (module T) ~fingerprint ~depth ~n data)
-
-(* {2 Revalidation} *)
+let file_name ~property ~fingerprint ~n = Printf.sprintf "%s-%s-n%d.json" property fingerprint n
+let path ~dir ~property ~fingerprint ~n = Filename.concat dir (file_name ~property ~fingerprint ~n)
 
 (* Shape errors (missing/ill-typed fields) are "corrupt"; semantic
-   mismatches against the live module are "stale".  [load_*] collapses
+   mismatches against the live module are "stale".  [load] collapses
    both to [Miss]; the CLI keeps them apart for exit codes. *)
 exception Stale of string
 
 let stale fmt = Printf.ksprintf (fun m -> raise (Stale m)) fmt
 
-let check_common json ~property ~fingerprint ~n =
-  let str f = Json.to_str (Json.field f json) in
-  let int f = Json.to_int (Json.field f json) in
-  if str "format" <> format_tag then stale "unknown format tag %S" (str "format");
-  if str "property" <> property_name property then
-    stale "property mismatch: file says %S" (str "property");
-  if str "fingerprint" <> fingerprint then stale "fingerprint mismatch (type behaviour changed)";
-  if int "n" <> n then stale "level mismatch: file says n=%d" (int "n");
-  if int "depth" < n then stale "fingerprint depth %d < n=%d cannot pin the verdict" (int "depth") n
+module Codec (P : Property.DEFINITION) = struct
+  let to_json (type s o r)
+      (module T : Object_type.S with type state = s and type op = o and type resp = r) ~fingerprint
+      ~depth ~n (data : (s, o, r) P.data option) =
+    let common =
+      [
+        ("format", Json.String format_tag);
+        ("property", Json.String P.name);
+        ("type_hint", Json.String T.name);
+        ("fingerprint", Json.String fingerprint);
+        ("depth", Json.Int depth);
+        ("n", Json.Int n);
+      ]
+    in
+    match data with
+    | None ->
+        let count =
+          Enumerate.candidate_count ~initial_states:T.candidate_initial_states ~ops:T.update_ops n
+        in
+        Json.Obj (common @ [ ("result", Json.String "none"); ("candidates", Json.Int count) ])
+    | Some d ->
+        let index universe cmp x =
+          match List.find_index (fun y -> cmp x y = 0) universe with
+          | Some i -> i
+          | None -> raise Not_found
+        in
+        let q0, ops_a, ops_b = P.candidate d in
+        let ops = List.map (index T.update_ops T.compare_op) in
+        Json.Obj
+          (common
+          @ ("result", Json.String "witness")
+            :: P.witness_fields
+                 ~q0:(index T.candidate_initial_states T.compare_state q0)
+                 ~ops_a:(ops ops_a) ~ops_b:(ops ops_b) d)
 
-let decode_index what universe i =
-  match List.nth_opt universe i with
-  | Some x -> x
-  | None -> stale "%s index %d out of range" what i
+  (* A witness outside the declared universes (impossible for the
+     in-tree searches) is simply not cacheable. *)
+  let store (type s o r)
+      (module T : Object_type.S with type state = s and type op = o and type resp = r) ~dir
+      ~fingerprint ~depth ~n data =
+    match to_json (module T) ~fingerprint ~depth ~n data with
+    | exception Not_found -> ()
+    | json ->
+        (if not (Sys.file_exists dir) then try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+        Json.save ~file:(path ~dir ~property:P.name ~fingerprint ~n) json
 
-(* Re-check a positive recording entry from scratch and compare the
-   recomputed sets with the declared digests. *)
-let validate_recording_json (type s o r)
-    (module T : Object_type.S with type state = s and type op = o and type resp = r) ?check
-    ~fingerprint ~n json : (s, o) Certificate.recording_data option =
-  let check =
-    match check with
-    | Some f -> f
-    | None -> fun ~q0 ~ops_a ~ops_b -> Recording.check_candidate (module T) ~q0 ~ops_a ~ops_b
-  in
-  check_common json ~property:Recording ~fingerprint ~n;
-  match Json.to_str (Json.field "result" json) with
-  | "none" ->
-      let declared = Json.to_int (Json.field "candidates" json) in
-      let live = candidate_count (module T) n in
-      if declared <> live then
-        stale "candidate space changed: file exhausted %d, live enumeration has %d" declared live;
-      None
-  | "witness" ->
-      let q0 =
-        decode_index "q0" T.candidate_initial_states (Json.to_int (Json.field "q0" json))
-      in
-      let ops f =
-        List.map
-          (fun j -> decode_index f T.update_ops (Json.to_int j))
-          (Json.to_list (Json.field f json))
-      in
-      let ops_a = ops "ops_a" and ops_b = ops "ops_b" in
-      if List.length ops_a + List.length ops_b <> n then stale "team sizes do not sum to n=%d" n;
-      (match check ~q0 ~ops_a ~ops_b with
-      | None -> stale "stored candidate is not a Definition 4 witness"
-      | Some d ->
-          let expect field stored recomputed =
-            if stored <> recomputed then stale "%s digest mismatch" field
-          in
-          expect "q_a" (Json.to_str (Json.field "q_a" json)) (hex_digest d.Certificate.q_a);
-          expect "q_b" (Json.to_str (Json.field "q_b" json)) (hex_digest d.Certificate.q_b);
-          if Json.to_bool (Json.field "q0_in_q_a" json) <> d.Certificate.q0_in_q_a then
-            stale "q0_in_q_a flag mismatch";
-          if Json.to_bool (Json.field "q0_in_q_b" json) <> d.Certificate.q0_in_q_b then
-            stale "q0_in_q_b flag mismatch";
-          Some d)
-  | other -> stale "unknown result kind %S" other
+  (* Re-check a stored candidate from scratch and compare the recomputed
+     witness fields with the stored ones. *)
+  let validate (type s o r)
+      (module T : Object_type.S with type state = s and type op = o and type resp = r) ?check
+      ~fingerprint ~n json : (s, o, r) P.data option =
+    let check =
+      match check with
+      | Some f -> f
+      | None ->
+          let module C = P.Check (T) in
+          C.check
+    in
+    let str f = Json.to_str (Json.field f json) in
+    let int f = Json.to_int (Json.field f json) in
+    if str "format" <> format_tag then stale "unknown format tag %S" (str "format");
+    if str "property" <> P.name then stale "property mismatch: file says %S" (str "property");
+    if str "fingerprint" <> fingerprint then stale "fingerprint mismatch (type behaviour changed)";
+    if int "n" <> n then stale "level mismatch: file says n=%d" (int "n");
+    if int "depth" < n then
+      stale "fingerprint depth %d < n=%d cannot pin the verdict" (int "depth") n;
+    match str "result" with
+    | "none" ->
+        let live =
+          Enumerate.candidate_count ~initial_states:T.candidate_initial_states ~ops:T.update_ops n
+        in
+        if int "candidates" <> live then
+          stale "candidate space changed: file exhausted %d, live enumeration has %d"
+            (int "candidates") live;
+        None
+    | "witness" -> (
+        let q0, ops_a, ops_b = P.candidate_of_fields json in
+        let decode universe i =
+          match List.nth_opt universe i with
+          | Some x -> x
+          | None -> stale "index %d out of range" i
+        in
+        let ops = List.map (decode T.update_ops) in
+        if List.length ops_a + List.length ops_b <> n then stale "team sizes do not sum to n=%d" n;
+        match
+          check ~q0:(decode T.candidate_initial_states q0) ~ops_a:(ops ops_a) ~ops_b:(ops ops_b)
+        with
+        | None -> stale "stored candidate is not a %s witness" P.name
+        | Some d ->
+            List.iter
+              (fun (field, recomputed) ->
+                if Json.field field json <> recomputed then
+                  stale "%s does not match the recomputed witness" field)
+              (P.witness_fields ~q0 ~ops_a ~ops_b d);
+            Some d)
+    | other -> stale "unknown result kind %S" other
 
-let validate_discerning_json (type s o r)
-    (module T : Object_type.S with type state = s and type op = o and type resp = r) ?check
-    ~fingerprint ~n json : (s, o, r) Certificate.discerning_data option =
-  let check =
-    match check with
-    | Some f -> f
-    | None -> fun ~q0 ~ops_a ~ops_b -> Discerning.check_candidate (module T) ~q0 ~ops_a ~ops_b
-  in
-  check_common json ~property:Discerning ~fingerprint ~n;
-  match Json.to_str (Json.field "result" json) with
-  | "none" ->
-      let declared = Json.to_int (Json.field "candidates" json) in
-      let live = candidate_count (module T) n in
-      if declared <> live then
-        stale "candidate space changed: file exhausted %d, live enumeration has %d" declared live;
-      None
-  | "witness" ->
-      let dq0 =
-        decode_index "dq0" T.candidate_initial_states (Json.to_int (Json.field "dq0" json))
-      in
-      let procs =
-        List.map
-          (fun p ->
-            match Json.to_list p with
-            | [ t; i ] ->
-                let team =
-                  match Json.to_int t with
-                  | 0 -> Team.A
-                  | 1 -> Team.B
-                  | k -> stale "team tag %d is not 0 or 1" k
-                in
-                (team, decode_index "op" T.update_ops (Json.to_int i))
-            | _ -> stale "malformed process entry")
-          (Json.to_list (Json.field "procs" json))
-      in
-      if List.length procs <> n then stale "process count does not match n=%d" n;
-      let team_ops team =
-        List.filter_map (fun (t, op) -> if t = team then Some op else None) procs
-      in
-      let ops_a = team_ops Team.A and ops_b = team_ops Team.B in
-      (match check ~q0:dq0 ~ops_a ~ops_b with
-      | None -> stale "stored candidate is not a Definition 2 witness"
-      | Some d ->
-          (* The recomputed assignment lists team A's processes before
-             team B's; a stored entry in any other order misaligns the
-             per-process digests below and is rejected as stale. *)
-          let check_digests field stored sets =
-            let stored = List.map Json.to_str (Json.to_list stored) in
-            let live = Array.to_list (Array.map hex_digest sets) in
-            if stored <> live then stale "%s digest mismatch" field
-          in
-          check_digests "r_a" (Json.field "r_a" json) d.Certificate.r_a;
-          check_digests "r_b" (Json.field "r_b" json) d.Certificate.r_b;
-          Some d)
-  | other -> stale "unknown result kind %S" other
-
-let load ~dir ~property ~fingerprint ~n validate =
-  let file = path ~dir ~property ~fingerprint ~n in
-  if not (Sys.file_exists file) then Miss
-  else
-    match Json.parse (read_file file) with
-    | Error _ -> Miss
-    | Ok json -> (
-        match validate json with
-        | Some d -> Hit d
-        | None -> Negative
-        | exception (Stale _ | Invalid_argument _) -> Miss)
-
-let load_recording (type s o r)
-    (module T : Object_type.S with type state = s and type op = o and type resp = r) ~check ~dir
-    ~fingerprint ~n =
-  load ~dir ~property:Recording ~fingerprint ~n
-    (validate_recording_json (module T) ?check ~fingerprint ~n)
-
-let load_discerning (type s o r)
-    (module T : Object_type.S with type state = s and type op = o and type resp = r) ~check ~dir
-    ~fingerprint ~n =
-  load ~dir ~property:Discerning ~fingerprint ~n
-    (validate_discerning_json (module T) ?check ~fingerprint ~n)
+  let load (type s o r)
+      (module T : Object_type.S with type state = s and type op = o and type resp = r) ~check
+      ~dir ~fingerprint ~n =
+    let file = path ~dir ~property:P.name ~fingerprint ~n in
+    if not (Sys.file_exists file) then Miss
+    else
+      match validate (module T) ~check ~fingerprint ~n (Json.load ~file) with
+      | Some d -> Hit d
+      | None -> Negative
+      | exception (Stale _ | Invalid_argument _) -> Miss
+end
 
 (* {2 Maintenance (CLI: certs list / revalidate / gc)} *)
 
 type info = {
   file : string;
-  property : property;
+  property : string;
   fingerprint : string;
   depth : int;
   n : int;
@@ -346,22 +167,21 @@ type info = {
 
 type status = Valid | Stale_entry of string | Corrupt of string
 
+let properties : (module Property.DEFINITION) list = [ (module Recording); (module Discerning) ]
+
 let info_of_json file json =
   try
     let str f = Json.to_str (Json.field f json) in
     let int f = Json.to_int (Json.field f json) in
     if str "format" <> format_tag then Error (Printf.sprintf "unknown format tag %S" (str "format"))
+    else if
+      not (List.exists (fun (module P : Property.DEFINITION) -> P.name = str "property") properties)
+    then Error (Printf.sprintf "unknown property %S" (str "property"))
     else
-      let property =
-        match str "property" with
-        | "recording" -> Recording
-        | "discerning" -> Discerning
-        | p -> invalid_arg (Printf.sprintf "unknown property %S" p)
-      in
       Ok
         {
           file;
-          property;
+          property = str "property";
           fingerprint = str "fingerprint";
           depth = int "depth";
           n = int "n";
@@ -371,9 +191,9 @@ let info_of_json file json =
   with Invalid_argument m -> Error m
 
 let info_of_file file =
-  match (try Ok (read_file file) with Sys_error m -> Error m) with
-  | Error m -> Error m
-  | Ok contents -> ( match Json.parse contents with Error m -> Error m | Ok j -> info_of_json file j)
+  match Json.load ~file with
+  | json -> info_of_json file json
+  | exception (Sys_error m | Invalid_argument m) -> Error m
 
 let list_dir dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then []
@@ -401,28 +221,20 @@ let revalidate_info (info : info) json =
   match resolve ~fingerprint:info.fingerprint ~depth:info.depth with
   | None -> Stale_entry "no known type matches the stored fingerprint"
   | Some (Object_type.Pack (module T)) -> (
-      let run () =
-        match info.property with
-        | Recording ->
-            ignore (validate_recording_json (module T) ~fingerprint:info.fingerprint ~n:info.n json)
-        | Discerning ->
-            ignore (validate_discerning_json (module T) ~fingerprint:info.fingerprint ~n:info.n json)
+      let (module P : Property.DEFINITION) =
+        List.find (fun (module P : Property.DEFINITION) -> P.name = info.property) properties
       in
-      match run () with
-      | () -> Valid
+      let module C = Codec (P) in
+      match C.validate (module T) ~fingerprint:info.fingerprint ~n:info.n json with
+      | _ -> Valid
       | exception Stale m -> Stale_entry m
       | exception Invalid_argument m -> Corrupt m)
 
 let revalidate_file file =
-  match (try Ok (read_file file) with Sys_error m -> Error m) with
-  | Error m -> Corrupt m
-  | Ok contents -> (
-      match Json.parse contents with
-      | Error m -> Corrupt m
-      | Ok json -> (
-          match info_of_json file json with
-          | Error m -> Corrupt m
-          | Ok info -> revalidate_info info json))
+  match Json.load ~file with
+  | exception (Sys_error m | Invalid_argument m) -> Corrupt m
+  | json -> (
+      match info_of_json file json with Error m -> Corrupt m | Ok info -> revalidate_info info json)
 
 let gc dir =
   List.filter_map

@@ -19,73 +19,46 @@ type 'a lookup =
   | Negative  (** revalidated "no witness at this level" entry *)
   | Miss  (** no entry, or an entry that failed revalidation *)
 
-type property = Recording | Discerning
+val file_name : property:string -> fingerprint:string -> n:int -> string
+(** Basename of the entry for a key, [<property>-<fingerprint>-n<n>.json];
+    [property] is a {!Property.DEFINITION.name}. *)
 
-val property_name : property -> string
+(** The entry format of one property: the common header (format tag,
+    property, type hint, fingerprint, depth, level), then either the
+    exhausted candidate count or the property's
+    {!Property.DEFINITION.witness_fields}. *)
+module Codec (P : Property.DEFINITION) : sig
+  val store :
+    (module Rcons_spec.Object_type.S with type state = 's and type op = 'o and type resp = 'r) ->
+    dir:string ->
+    fingerprint:string ->
+    depth:int ->
+    n:int ->
+    ('s, 'o, 'r) P.data option ->
+    unit
+  (** Write (atomically, creating [dir] if needed) the entry for a scan
+      result; [None] records an exhausted candidate space.  [depth] is
+      the fingerprint's BFS depth and must be [>= n] for the entry to be
+      loadable.  A witness mentioning states/operations outside the
+      declared universes is silently not cached. *)
 
-val file_name : property:property -> fingerprint:string -> n:int -> string
-(** Basename of the entry for a key, [<property>-<fingerprint>-n<n>.json]. *)
-
-val hex_digest : 'a -> string
-(** MD5 hex of {!Rcons_spec.Object_type.digest}; the stored set-digest
-    form. *)
-
-val load_recording :
-  (module Rcons_spec.Object_type.S with type state = 's and type op = 'o and type resp = 'r) ->
-  check:
-    (q0:'s -> ops_a:'o list -> ops_b:'o list -> ('s, 'o) Certificate.recording_data option)
-    option ->
-  dir:string ->
-  fingerprint:string ->
-  n:int ->
-  ('s, 'o) Certificate.recording_data lookup
-(** [~check] is the single-candidate decision procedure used to
-    revalidate a positive entry; pass [Some] of a warm
-    {!Recording.Scan} instance's [check] so the revalidation shares its
-    memo tables ([None] falls back to a fresh standalone instance per
-    call). *)
-
-val load_discerning :
-  (module Rcons_spec.Object_type.S with type state = 's and type op = 'o and type resp = 'r) ->
-  check:
-    (q0:'s ->
-    ops_a:'o list ->
-    ops_b:'o list ->
-    ('s, 'o, 'r) Certificate.discerning_data option)
-    option ->
-  dir:string ->
-  fingerprint:string ->
-  n:int ->
-  ('s, 'o, 'r) Certificate.discerning_data lookup
-
-val store_recording :
-  (module Rcons_spec.Object_type.S with type state = 's and type op = 'o and type resp = 'r) ->
-  dir:string ->
-  fingerprint:string ->
-  depth:int ->
-  n:int ->
-  ('s, 'o) Certificate.recording_data option ->
-  unit
-(** Write (atomically, creating [dir] if needed) the entry for a scan
-    result; [None] records an exhausted candidate space.  [depth] is the
-    fingerprint's BFS depth and must be [>= n] for the entry to be
-    loadable.  A witness mentioning states/operations outside the
-    declared universes is silently not cached. *)
-
-val store_discerning :
-  (module Rcons_spec.Object_type.S with type state = 's and type op = 'o and type resp = 'r) ->
-  dir:string ->
-  fingerprint:string ->
-  depth:int ->
-  n:int ->
-  ('s, 'o, 'r) Certificate.discerning_data option ->
-  unit
+  val load :
+    (module Rcons_spec.Object_type.S with type state = 's and type op = 'o and type resp = 'r) ->
+    check:(q0:'s -> ops_a:'o list -> ops_b:'o list -> ('s, 'o, 'r) P.data option) ->
+    dir:string ->
+    fingerprint:string ->
+    n:int ->
+    ('s, 'o, 'r) P.data lookup
+  (** [~check] is the single-candidate decision procedure used to
+      revalidate a positive entry: pass a warm {!Property.S.Scan}
+      instance's [check] so the revalidation shares its memo tables. *)
+end
 
 (** {2 Maintenance — the [certs] CLI subcommand} *)
 
 type info = {
   file : string;
-  property : property;
+  property : string;  (** a {!Property.DEFINITION.name} *)
   fingerprint : string;
   depth : int;
   n : int;
@@ -112,7 +85,7 @@ val resolve : fingerprint:string -> depth:int -> Rcons_spec.Object_type.t option
 
 val revalidate_file : string -> status
 (** Full pipeline for one entry: parse, re-anchor by fingerprint via
-    {!resolve}, then run the same revalidation as [load_*]. *)
+    {!resolve}, then run the same revalidation as {!Codec.load}. *)
 
 val gc : string -> (string * string) list
 (** Delete every entry that is not [Valid]; returns the deleted files

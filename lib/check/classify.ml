@@ -37,81 +37,51 @@ let max_level ~limit prop =
    share keys whenever they can. *)
 let cert_depth ~limit = max 8 limit
 
-(* Both scans below are incremental: one memoized search instance per
-   type (the [Scan] functors) lives across all levels, and the level-n
-   witness seeds the level-(n+1) enumeration with its one-operation
-   extensions (the converse direction of Observation 6's downward
-   closure).  With a cache key [(dir, fingerprint, depth)], each level
-   is first looked up in the persisted cache; the cache layer
-   revalidates entries through the scan's own (warm) [check] before
-   trusting them, and every recomputed level is written back. *)
-let scan_discerning (type s o r) ?domains ~limit ~cache
-    (module T : Object_type.S with type state = s and type op = o and type resp = r) =
-  let module Sc = Discerning.Scan (T) in
-  let seed = ref None in
-  let witness_at n =
-    match cache with
-    | None -> Sc.witness_at ?domains ?seed:!seed n
-    | Some (dir, fp, depth) -> (
-        match
-          Cert_cache.load_discerning (module T) ~check:(Some Sc.check) ~dir ~fingerprint:fp ~n
-        with
+(* The one cache-or-compute level scan, for either property.  One
+   memoized search instance per type ([P.Scan (T)]) lives across all
+   levels, and the level-n witness seeds the level-(n+1) enumeration.
+   With [certs], each level is first looked up in the persisted cache,
+   which revalidates entries through the scan's own (warm) [check]
+   before trusting them; every recomputed level is written back. *)
+let scan (type p) (module P : Property.S with type packed = p) ?domains ?certs ~limit
+    (Object_type.Pack (module T)) =
+  let module Sc = P.Scan (T) in
+  let module C = Cert_cache.Codec (P) in
+  let key =
+    Option.map
+      (fun dir ->
+        let depth = cert_depth ~limit in
+        (dir, depth, Object_type.fingerprint ~depth (module T)))
+      certs
+  in
+  let witness_at seed n =
+    match key with
+    | None -> Sc.witness_at ?domains ?seed n
+    | Some (dir, depth, fingerprint) -> (
+        match C.load (module T) ~check:Sc.check ~dir ~fingerprint ~n with
         | Cert_cache.Hit d -> Some d
         | Cert_cache.Negative -> None
         | Cert_cache.Miss ->
-            let r = Sc.witness_at ?domains ?seed:!seed n in
-            Cert_cache.store_discerning (module T) ~dir ~fingerprint:fp ~depth ~n r;
+            let r = Sc.witness_at ?domains ?seed n in
+            C.store (module T) ~dir ~fingerprint ~depth ~n r;
             r)
   in
-  max_level ~limit (fun n ->
-      match witness_at n with
-      | Some d ->
-          seed := Some d;
-          true
-      | None -> false)
-
-let scan_recording (type s o r) ?domains ~limit ~cache
-    (module T : Object_type.S with type state = s and type op = o and type resp = r) =
-  let module Sc = Recording.Scan (T) in
   let seed = ref None in
-  let witness_at n =
-    match cache with
-    | None -> Sc.witness_at ?domains ?seed:!seed n
-    | Some (dir, fp, depth) -> (
-        match
-          Cert_cache.load_recording (module T) ~check:(Some Sc.check) ~dir ~fingerprint:fp ~n
-        with
-        | Cert_cache.Hit d -> Some d
-        | Cert_cache.Negative -> None
-        | Cert_cache.Miss ->
-            let r = Sc.witness_at ?domains ?seed:!seed n in
-            Cert_cache.store_recording (module T) ~dir ~fingerprint:fp ~depth ~n r;
-            r)
+  let level =
+    max_level ~limit (fun n ->
+        match witness_at !seed n with
+        | Some d ->
+            seed := Some d;
+            true
+        | None -> false)
   in
-  max_level ~limit (fun n ->
-      match witness_at n with
-      | Some d ->
-          seed := Some d;
-          true
-      | None -> false)
-
-let cache_key (type s o r) ~limit certs
-    (module T : Object_type.S with type state = s and type op = o and type resp = r) =
-  Option.map
-    (fun dir ->
-      let depth = cert_depth ~limit in
-      (dir, Object_type.fingerprint ~depth (module T), depth))
-    certs
+  (level, Option.map (P.pack (module T)) !seed)
 
 let max_discerning ?domains ?(limit = 8) ?certs ot =
-  match ot with
-  | Object_type.Pack (module T) ->
-      scan_discerning ?domains ~limit ~cache:(cache_key ~limit certs (module T)) (module T)
+  fst (scan (module Discerning) ?domains ?certs ~limit ot)
 
 let max_recording ?domains ?(limit = 8) ?certs ot =
-  match ot with
-  | Object_type.Pack (module T) ->
-      scan_recording ?domains ~limit ~cache:(cache_key ~limit certs (module T)) (module T)
+  fst (scan (module Recording) ?domains ?certs ~limit ot)
 
 (* Interval [lower, upper] with [upper = None] meaning "no finite upper
    bound established". *)
@@ -176,20 +146,11 @@ type report = {
 }
 
 (* One discerning scan and one recording scan per report; the bounds are
-   pure derivations of the levels.  (An earlier version re-ran the
-   discerning scan three times and the recording scan twice per call.) *)
+   pure derivations of the levels. *)
 let classify ?domains ?(limit = 8) ?certs ot =
   let readable = Object_type.readable ot in
-  (* One unpacking and one fingerprint for both property scans. *)
-  let scan_both (type s o r)
-      (module T : Object_type.S with type state = s and type op = o and type resp = r) =
-    let cache = cache_key ~limit certs (module T) in
-    ( scan_discerning ?domains ~limit ~cache (module T),
-      scan_recording ?domains ~limit ~cache (module T) )
-  in
-  let discerning, recording =
-    match ot with Object_type.Pack (module T) -> scan_both (module T)
-  in
+  let discerning = max_discerning ?domains ~limit ?certs ot in
+  let recording = max_recording ?domains ~limit ?certs ot in
   {
     type_name = Object_type.name ot;
     is_readable = readable;

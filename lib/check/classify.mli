@@ -24,20 +24,36 @@ val max_level : limit:int -> (int -> bool) -> level
     false (one process can always decide alone).
     @raise Invalid_argument if [limit < 2]. *)
 
-val max_discerning : ?domains:int -> ?limit:int -> ?certs:string -> Rcons_spec.Object_type.t -> level
-(** Default [limit] is 8; [?domains] (default 1) fans each per-level
-    witness search across that many OCaml 5 domains — the reported level
-    is independent of [domains].
+val scan :
+  (module Property.S with type packed = 'p) ->
+  ?domains:int ->
+  ?certs:string ->
+  limit:int ->
+  Rcons_spec.Object_type.t ->
+  level * 'p option
+(** [scan (module P) ~limit t]: the largest level in [2, limit] at which
+    [t] has property [P], with the witness found at that level ([None]
+    at level 1).  The one cache-or-compute scan behind {!classify} and
+    [Rcons.recording_witness].
 
     The scan is incremental: one memoized search instance is shared
     across all levels and the level-n witness seeds the level-(n+1)
-    enumeration.  [?certs] names a {!Cert_cache} directory: each level
+    enumeration, so the witness can differ from {!Property.S.witness}'s
+    unseeded one.  [?certs] names a {!Cert_cache} directory: each level
     is looked up there first (entries are revalidated before being
-    trusted — see {!Cert_cache}) and recomputed levels are written back.
-    Neither knob changes the reported level. *)
+    trusted) and recomputed levels are written back, keyed at
+    fingerprint depth [max 8 limit].  [?domains] (default 1) fans each
+    per-level witness search across that many OCaml 5 domains.  Neither
+    knob changes the result.
+    @raise Invalid_argument if [limit < 2]. *)
+
+val max_discerning : ?domains:int -> ?limit:int -> ?certs:string -> Rcons_spec.Object_type.t -> level
+(** The level of {!scan} for the n-discerning property; default
+    [limit] is 8. *)
 
 val max_recording : ?domains:int -> ?limit:int -> ?certs:string -> Rcons_spec.Object_type.t -> level
-(** Same knobs as {!max_discerning}, for the n-recording property. *)
+(** The level of {!scan} for the n-recording property; default [limit]
+    is 8. *)
 
 (** Interval [lower, upper]; [upper = None] means no finite upper bound
     was established. *)

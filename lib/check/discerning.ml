@@ -9,96 +9,91 @@
 
    Processes assigned the same operation on the same team have identical
    R-sets, so it suffices to check one tracked instance per distinct
-   (team, operation) pair of the assignment.
-
-   [Scan (T)] mirrors {!Recording.Scan}: one memoized search instance per
-   type shared across candidates and levels, team-swap symmetry reduction
-   on equal splits, and [?seed]-driven extension of the lower-level
-   witness ahead of the full enumeration. *)
+   (team, operation) pair of the assignment.  The scan itself is the
+   shared {!Property.Make}. *)
 
 open Rcons_spec
+module Json = Rcons_runtime.Json
 
-module Scan (T : Object_type.S) = struct
-  module S = Search.Make (T)
+include Property.Make (struct
+  type ('s, 'o, 'r) data = ('s, 'o, 'r) Certificate.discerning_data
+  type packed = Certificate.discerning
 
-  let check ~q0 ~ops_a ~ops_b =
-    let ms_a = S.multiset_of_list ops_a and ms_b = S.multiset_of_list ops_b in
-    let tracked_instances =
-      Array.to_list (Array.map (fun op -> (Team.A, op)) ms_a.S.ops)
-      @ Array.to_list (Array.map (fun op -> (Team.B, op)) ms_b.S.ops)
-    in
-    let r_sets =
-      List.map
-        (fun (tracked_team, tracked_op) ->
-          let r_of first =
-            S.responses ~q0 ~team_a:ms_a ~team_b:ms_b ~first ~tracked_team ~tracked_op
-          in
-          ((tracked_team, tracked_op), r_of Team.A, r_of Team.B))
-        tracked_instances
-    in
-    let disjoint = List.for_all (fun (_, ra, rb) -> S.Pair_set.(is_empty (inter ra rb))) r_sets in
-    if not disjoint then None
-    else begin
-      (* Expand the per-(team, op) R-sets back to per-process arrays. *)
-      let procs =
-        Array.of_list
-          (List.map (fun op -> (Team.A, op)) ops_a @ List.map (fun op -> (Team.B, op)) ops_b)
+  let name = "discerning"
+
+  module Check (T : Object_type.S) = struct
+    module S = Search.Make (T)
+
+    let check ~q0 ~ops_a ~ops_b =
+      let ms_a = S.multiset_of_list ops_a and ms_b = S.multiset_of_list ops_b in
+      let tracked_instances =
+        Array.to_list (Array.map (fun op -> (Team.A, op)) ms_a.S.ops)
+        @ Array.to_list (Array.map (fun op -> (Team.B, op)) ms_b.S.ops)
       in
-      let find_sets (team, op) =
-        let _, ra, rb =
-          List.find (fun ((t, o), _, _) -> t = team && T.compare_op o op = 0) r_sets
+      let r_sets =
+        List.map
+          (fun (tracked_team, tracked_op) ->
+            let r_of first =
+              S.responses ~q0 ~team_a:ms_a ~team_b:ms_b ~first ~tracked_team ~tracked_op
+            in
+            ((tracked_team, tracked_op), r_of Team.A, r_of Team.B))
+          tracked_instances
+      in
+      let disjoint = List.for_all (fun (_, ra, rb) -> S.Pair_set.(is_empty (inter ra rb))) r_sets in
+      if not disjoint then None
+      else begin
+        (* Expand the per-(team, op) R-sets back to per-process arrays:
+           team A's processes first, then team B's. *)
+        let procs =
+          Array.of_list
+            (List.map (fun op -> (Team.A, op)) ops_a @ List.map (fun op -> (Team.B, op)) ops_b)
         in
-        (S.Pair_set.elements ra, S.Pair_set.elements rb)
-      in
-      let r_a = Array.map (fun p -> fst (find_sets p)) procs in
-      let r_b = Array.map (fun p -> snd (find_sets p)) procs in
-      Some { Certificate.dq0 = q0; procs; r_a; r_b }
-    end
+        let find_sets (team, op) =
+          let _, ra, rb =
+            List.find (fun ((t, o), _, _) -> t = team && T.compare_op o op = 0) r_sets
+          in
+          (S.Pair_set.elements ra, S.Pair_set.elements rb)
+        in
+        let r_a = Array.map (fun p -> fst (find_sets p)) procs in
+        let r_b = Array.map (fun p -> snd (find_sets p)) procs in
+        Some { Certificate.dq0 = q0; procs; r_a; r_b }
+      end
+  end
 
-  let candidates n = Enumerate.candidates ~initial_states:T.candidate_initial_states ~ops:T.update_ops n
-
-  (* One-operation extensions of a lower-level witness (its team lists are
-     recovered from the per-process assignment array). *)
-  let seeded (d : (T.state, T.op, T.resp) Certificate.discerning_data) =
+  (* The team lists are recovered from the per-process assignment. *)
+  let candidate (d : _ Certificate.discerning_data) =
     let team_ops team =
-      Array.to_list d.Certificate.procs
-      |> List.filter_map (fun (t, op) -> if t = team then Some op else None)
+      Array.to_list d.procs |> List.filter_map (fun (t, op) -> if t = team then Some op else None)
     in
-    let ops_a = team_ops Team.A and ops_b = team_ops Team.B in
-    let cmp (a1, b1) (a2, b2) =
-      let c = List.compare T.compare_op a1 a2 in
-      if c <> 0 then c else List.compare T.compare_op b1 b2
+    (d.dq0, team_ops Team.A, team_ops Team.B)
+
+  let pack m d = Certificate.Discerning (m, d)
+
+  (* Processes are stored as [team tag (0 = A, 1 = B); op index] pairs
+     in the certificate's order, team A first. *)
+  let witness_fields ~q0 ~ops_a ~ops_b (d : _ Certificate.discerning_data) =
+    let procs tag = List.map (fun i -> Json.List [ Json.Int tag; Json.Int i ]) in
+    let digests sets =
+      Json.List (Array.to_list (Array.map (fun s -> Json.String (Property.hex_digest s)) sets))
     in
-    List.concat_map
-      (fun op ->
-        [
-          (List.sort T.compare_op (op :: ops_a), ops_b);
-          (ops_a, List.sort T.compare_op (op :: ops_b));
-        ])
-      T.update_ops
-    |> List.sort_uniq cmp
-    |> List.map (fun (oa, ob) -> (d.Certificate.dq0, oa, ob))
+    [
+      ("dq0", Json.Int q0);
+      ("procs", Json.List (procs 0 ops_a @ procs 1 ops_b));
+      ("r_a", digests d.r_a);
+      ("r_b", digests d.r_b);
+    ]
 
-  let witness_at ?domains ?seed n : (T.state, T.op, T.resp) Certificate.discerning_data option =
-    if n < 2 then invalid_arg "Discerning.witness: n must be >= 2";
-    let seeded_prefix = match seed with None -> [] | Some d -> seeded d in
-    let all = Array.of_list (seeded_prefix @ candidates n) in
-    Rcons_par.Pool.find_first ?domains (Array.length all) (fun i ->
-        let q0, ops_a, ops_b = all.(i) in
-        check ~q0 ~ops_a ~ops_b)
-end
-
-let check_candidate (type s o r)
-    (module T : Object_type.S with type state = s and type op = o and type resp = r) ~q0
-    ~(ops_a : o list) ~(ops_b : o list) =
-  let module Sc = Scan (T) in
-  Sc.check ~q0 ~ops_a ~ops_b
-
-(* As in {!Recording.witness}, the candidate space (initial state x team
-   split x operation multisets) is fanned out across [domains];
-   Pool.find_first keeps the result identical to the sequential scan. *)
-let witness ?domains (Object_type.Pack (module T)) n : Certificate.discerning option =
-  let module Sc = Scan (T) in
-  Option.map (fun d -> Certificate.Discerning ((module T), d)) (Sc.witness_at ?domains n)
+  let candidate_of_fields json =
+    let procs =
+      List.map
+        (fun p ->
+          match List.map Json.to_int (Json.to_list p) with
+          | [ (0 | 1) as tag; i ] -> (tag, i)
+          | _ -> invalid_arg "malformed process entry")
+        (Json.to_list (Json.field "procs" json))
+    in
+    let team tag = List.filter_map (fun (t, i) -> if t = tag then Some i else None) procs in
+    (Json.to_int (Json.field "dq0" json), team 0, team 1)
+end)
 
 let is_discerning ?domains ot n = Option.is_some (witness ?domains ot n)

@@ -8,51 +8,13 @@
     final state) pairs over all distinct-process sequences that start
     with a team-X process and include j.  Processes assigned the same
     operation on the same team have identical R-sets, so one tracked
-    instance per distinct (team, operation) suffices. *)
+    instance per distinct (team, operation) suffices.  The scan, the
+    standalone check and {!witness} are {!Property.Make}'s. *)
 
-(** Per-type incremental scanner, mirroring {!Recording.Scan}: one
-    memoized {!Search.Make} instance shared across every candidate and
-    every level. *)
-module Scan (T : Rcons_spec.Object_type.S) : sig
-  val check :
-    q0:T.state ->
-    ops_a:T.op list ->
-    ops_b:T.op list ->
-    (T.state, T.op, T.resp) Certificate.discerning_data option
-  (** Decide one candidate assignment; [Some data] iff every tracked
-      process has disjoint R-sets (Definition 2). *)
-
-  val candidates : int -> (T.state * T.op list * T.op list) list
-  (** The level-n candidate space ({!Enumerate.candidates} over the
-      type's declared universes). *)
-
-  val witness_at :
-    ?domains:int ->
-    ?seed:(T.state, T.op, T.resp) Certificate.discerning_data ->
-    int ->
-    (T.state, T.op, T.resp) Certificate.discerning_data option
-  (** First witness in enumeration order, or [None].  [?seed] prepends
-      one-operation extensions of a lower-level witness; seeding can
-      change which witness is found first, never whether one exists.
-      @raise Invalid_argument if [n < 2]. *)
-end
-
-val check_candidate :
-  (module Rcons_spec.Object_type.S with type state = 's and type op = 'o and type resp = 'r) ->
-  q0:'s ->
-  ops_a:'o list ->
-  ops_b:'o list ->
-  ('s, 'o, 'r) Certificate.discerning_data option
-(** Decide one candidate assignment; [Some data] iff every tracked
-    process has disjoint R-sets (Definition 2).  Standalone form (fresh
-    search instance per call); sweeps should go through {!Scan}. *)
-
-val witness : ?domains:int -> Rcons_spec.Object_type.t -> int -> Certificate.discerning option
-(** [witness t n]: a certificate that [t] is n-discerning, or [None].
-    [?domains] fans the candidate sweep out across that many OCaml 5
-    domains (default 1 = sequential) without changing which certificate
-    is returned.
-    @raise Invalid_argument if [n < 2]. *)
+include
+  Property.S
+    with type ('s, 'o, 'r) data = ('s, 'o, 'r) Certificate.discerning_data
+     and type packed = Certificate.discerning
 
 val is_discerning : ?domains:int -> Rcons_spec.Object_type.t -> int -> bool
 (** [Option.is_some] of {!witness}. *)

@@ -12,89 +12,61 @@
    additionally drop the mirrored half of the multiset-pair square (see
    {!Enumerate.sym_pairs}) -- and decides each candidate exactly by
    computing Q_A and Q_B.  The answer is exact with respect to the type's
-   declared finite operation universe.
-
-   [Scan (T)] is the per-type incremental form used by {!Classify}: one
-   memoized {!Search.Make} instance shared across every candidate and
-   every level, and a [?seed] hook that tries one-operation extensions of
-   the level-(n-1) witness before falling back to the full enumeration
-   (the monotone converse of Observation 6: a witness at level n-1 is the
-   natural stem of one at level n).  Seeding can only change which
-   witness is found first, never whether one exists, so the derived
-   levels are seed-independent. *)
+   declared finite operation universe.  The scan itself is the shared
+   {!Property.Make}. *)
 
 open Rcons_spec
+module Json = Rcons_runtime.Json
 
-module Scan (T : Object_type.S) = struct
-  module S = Search.Make (T)
+include Property.Make (struct
+  type ('s, 'o, 'r) data = ('s, 'o) Certificate.recording_data
+  type packed = Certificate.recording
 
-  let check ~q0 ~ops_a ~ops_b =
-    let ms_a = S.multiset_of_list ops_a and ms_b = S.multiset_of_list ops_b in
-    let q_a = S.reachable ~q0 ~first:ms_a ~other:ms_b in
-    let q_b = S.reachable ~q0 ~first:ms_b ~other:ms_a in
-    let q0_in_q_a = S.State_set.mem q0 q_a and q0_in_q_b = S.State_set.mem q0 q_b in
-    let cond1 = S.State_set.(is_empty (inter q_a q_b)) in
-    let cond2 = (not q0_in_q_a) || List.length ops_b = 1 in
-    let cond3 = (not q0_in_q_b) || List.length ops_a = 1 in
-    if cond1 && cond2 && cond3 then
-      Some
-        {
-          Certificate.q0;
-          ops_a;
-          ops_b;
-          q_a = S.State_set.elements q_a;
-          q_b = S.State_set.elements q_b;
-          q0_in_q_a;
-          q0_in_q_b;
-        }
-    else None
+  let name = "recording"
 
-  let candidates n = Enumerate.candidates ~initial_states:T.candidate_initial_states ~ops:T.update_ops n
+  module Check (T : Object_type.S) = struct
+    module S = Search.Make (T)
 
-  (* One-operation extensions of a lower-level witness, tried before the
-     full enumeration.  Sorted per team and deduplicated so the seeded
-     prefix stays small. *)
-  let seeded (d : (T.state, T.op) Certificate.recording_data) =
-    let cmp (a1, b1) (a2, b2) =
-      let c = List.compare T.compare_op a1 a2 in
-      if c <> 0 then c else List.compare T.compare_op b1 b2
-    in
-    List.concat_map
-      (fun op ->
-        [
-          (List.sort T.compare_op (op :: d.Certificate.ops_a), d.Certificate.ops_b);
-          (d.Certificate.ops_a, List.sort T.compare_op (op :: d.Certificate.ops_b));
-        ])
-      T.update_ops
-    |> List.sort_uniq cmp
-    |> List.map (fun (ops_a, ops_b) -> (d.Certificate.q0, ops_a, ops_b))
+    let check ~q0 ~ops_a ~ops_b =
+      let ms_a = S.multiset_of_list ops_a and ms_b = S.multiset_of_list ops_b in
+      let q_a = S.reachable ~q0 ~first:ms_a ~other:ms_b in
+      let q_b = S.reachable ~q0 ~first:ms_b ~other:ms_a in
+      let q0_in_q_a = S.State_set.mem q0 q_a and q0_in_q_b = S.State_set.mem q0 q_b in
+      let cond1 = S.State_set.(is_empty (inter q_a q_b)) in
+      let cond2 = (not q0_in_q_a) || List.length ops_b = 1 in
+      let cond3 = (not q0_in_q_b) || List.length ops_a = 1 in
+      if cond1 && cond2 && cond3 then
+        Some
+          {
+            Certificate.q0;
+            ops_a;
+            ops_b;
+            q_a = S.State_set.elements q_a;
+            q_b = S.State_set.elements q_b;
+            q0_in_q_a;
+            q0_in_q_b;
+          }
+      else None
+  end
 
-  let witness_at ?domains ?seed n : (T.state, T.op) Certificate.recording_data option =
-    if n < 2 then invalid_arg "Recording.witness: n must be >= 2";
-    let seeded_prefix = match seed with None -> [] | Some d -> seeded d in
-    let all = Array.of_list (seeded_prefix @ candidates n) in
-    Rcons_par.Pool.find_first ?domains (Array.length all) (fun i ->
-        let q0, ops_a, ops_b = all.(i) in
-        check ~q0 ~ops_a ~ops_b)
-end
+  let candidate (d : _ Certificate.recording_data) = (d.q0, d.ops_a, d.ops_b)
+  let pack m d = Certificate.Recording (m, d)
 
-(* Check one candidate (q0, team multisets); return the certificate data on
-   success.  Standalone form with its own search instance; callers that
-   sweep many candidates should use [Scan] so the memo tables persist. *)
-let check_candidate (type s o r)
-    (module T : Object_type.S with type state = s and type op = o and type resp = r) ~q0
-    ~(ops_a : o list) ~(ops_b : o list) =
-  let module Sc = Scan (T) in
-  Sc.check ~q0 ~ops_a ~ops_b
+  let witness_fields ~q0 ~ops_a ~ops_b (d : _ Certificate.recording_data) =
+    let ints l = Json.List (List.map (fun i -> Json.Int i) l) in
+    [
+      ("q0", Json.Int q0);
+      ("ops_a", ints ops_a);
+      ("ops_b", ints ops_b);
+      ("q_a", Json.String (Property.hex_digest d.q_a));
+      ("q_b", Json.String (Property.hex_digest d.q_b));
+      ("q0_in_q_a", Json.Bool d.q0_in_q_a);
+      ("q0_in_q_b", Json.Bool d.q0_in_q_b);
+    ]
 
-(* Find a witness that T is n-recording, or None if no candidate over the
-   declared universes satisfies Definition 4.  The candidate space is
-   partitioned by initial state x team split x operation multisets and
-   fanned out across [domains] (default: sequential); Pool.find_first
-   guarantees the first candidate in enumeration order wins, so the
-   returned certificate is identical to the sequential one. *)
-let witness ?domains (Object_type.Pack (module T)) n : Certificate.recording option =
-  let module Sc = Scan (T) in
-  Option.map (fun d -> Certificate.Recording ((module T), d)) (Sc.witness_at ?domains n)
+  let candidate_of_fields json =
+    let ints f = List.map Json.to_int (Json.to_list (Json.field f json)) in
+    (Json.to_int (Json.field "q0" json), ints "ops_a", ints "ops_b")
+end)
 
 let is_recording ?domains ot n = Option.is_some (witness ?domains ot n)

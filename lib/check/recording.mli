@@ -11,56 +11,13 @@
     The search enumerates candidate initial states, team sizes (up to the
     team-swap symmetry) and operation multisets per team, deciding each
     candidate exactly by computing Q_A and Q_B.  Answers are exact with
-    respect to the type's declared finite operation universe. *)
+    respect to the type's declared finite operation universe.  The scan,
+    the standalone check and {!witness} are {!Property.Make}'s. *)
 
-(** Per-type incremental scanner: one memoized {!Search.Make} instance
-    shared across every candidate and every level, so overlapping
-    sub-searches (A-first/B-first of one candidate, candidates across
-    levels) are computed once.  {!Classify} and the certificate cache
-    instantiate it once per type. *)
-module Scan (T : Rcons_spec.Object_type.S) : sig
-  val check :
-    q0:T.state ->
-    ops_a:T.op list ->
-    ops_b:T.op list ->
-    (T.state, T.op) Certificate.recording_data option
-  (** Decide one candidate assignment; [Some data] iff it satisfies all
-      three conditions of Definition 4. *)
-
-  val candidates : int -> (T.state * T.op list * T.op list) list
-  (** The level-n candidate space ({!Enumerate.candidates} over the
-      type's declared universes). *)
-
-  val witness_at :
-    ?domains:int ->
-    ?seed:(T.state, T.op) Certificate.recording_data ->
-    int ->
-    (T.state, T.op) Certificate.recording_data option
-  (** First witness in enumeration order, or [None].  [?seed] prepends
-      one-operation extensions of a lower-level witness to the
-      enumeration; seeding can change which witness is found first,
-      never whether one exists.
-      @raise Invalid_argument if [n < 2]. *)
-end
-
-val check_candidate :
-  (module Rcons_spec.Object_type.S with type state = 's and type op = 'o and type resp = 'r) ->
-  q0:'s ->
-  ops_a:'o list ->
-  ops_b:'o list ->
-  ('s, 'o) Certificate.recording_data option
-(** Decide one candidate assignment; [Some data] iff it satisfies all
-    three conditions of Definition 4.  Standalone form (fresh search
-    instance per call); sweeps should go through {!Scan}. *)
-
-val witness : ?domains:int -> Rcons_spec.Object_type.t -> int -> Certificate.recording option
-(** [witness t n]: a certificate that [t] is n-recording, or [None] if
-    no candidate over the declared universes satisfies Definition 4.
-    [?domains] fans the candidate sweep out across that many OCaml 5
-    domains (default 1 = sequential); the certificate returned is the
-    first in enumeration order regardless of [domains]
-    ({!Rcons_par.Pool.find_first}'s determinism contract).
-    @raise Invalid_argument if [n < 2]. *)
+include
+  Property.S
+    with type ('s, 'o, 'r) data = ('s, 'o) Certificate.recording_data
+     and type packed = Certificate.recording
 
 val is_recording : ?domains:int -> Rcons_spec.Object_type.t -> int -> bool
 (** [Option.is_some] of {!witness}. *)

@@ -254,15 +254,5 @@ let of_json j =
       | Some v -> Some (Schedule.provenance_of_json v));
   }
 
-let save ~file t =
-  let oc = open_out file in
-  output_string oc (Json.to_string (to_json t));
-  output_char oc '\n';
-  close_out oc
-
-let load ~file =
-  let ic = open_in_bin file in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  of_json (Json.parse_exn s)
+let save ~file t = Json.save ~file (to_json t)
+let load ~file = of_json (Json.load ~file)

@@ -49,32 +49,16 @@ module Counterexample = Counterexample
    across OCaml 5 domains without changing the report. *)
 let classify = Check.Classify.classify
 
-(* The n-recording witness search behind [solve_rc], optionally through
-   the persisted certificate cache.  The fingerprint depth [max 8 n]
-   matches {!Check.Classify}'s [max 8 limit], so a [classify] run and a
-   [solve] run at the same level share cache entries. *)
+(* The n-recording witness behind [solve_rc] and the randomized log:
+   the seeded level scan of {!Check.Classify.scan} up to [n], so the
+   certificate (and hence the algorithm) is the same with or without
+   the cache.  The cache key's fingerprint depth is [max 8 n] and a
+   [classify] run's is [max 8 limit], so the two share cache entries
+   only when those depths agree (both at most 8, or [limit = n]). *)
 let recording_witness ?domains ?certs ot n =
-  match certs with
-  | None -> Check.Recording.witness ?domains ot n
-  | Some dir ->
-      let go (type s o r)
-          (module T : Spec.Object_type.S with type state = s and type op = o and type resp = r) =
-        let depth = max 8 n in
-        let fp = Spec.Object_type.fingerprint ~depth (module T) in
-        let pack d = Check.Certificate.Recording ((module T), d) in
-        let module Sc = Check.Recording.Scan (T) in
-        match
-          Check.Cert_cache.load_recording (module T) ~check:(Some Sc.check) ~dir ~fingerprint:fp
-            ~n
-        with
-        | Check.Cert_cache.Hit d -> Some (pack d)
-        | Check.Cert_cache.Negative -> None
-        | Check.Cert_cache.Miss ->
-            let r = Sc.witness_at ?domains n in
-            Check.Cert_cache.store_recording (module T) ~dir ~fingerprint:fp ~depth ~n r;
-            Option.map pack r
-      in
-      (match ot with Spec.Object_type.Pack (module T) -> go (module T))
+  match Check.Classify.scan (module Check.Recording) ?domains ?certs ~limit:n ot with
+  | Check.Classify.At_least _, w -> w
+  | Check.Classify.Finite _, _ -> None
 
 (* Build an n-process recoverable-consensus decision function from any
    readable type that is n-recording (Theorem 8 + the tournament of

@@ -58,8 +58,12 @@ val classify :
 
 val recording_witness :
   ?domains:int -> ?certs:string -> Spec.Object_type.t -> int -> Check.Certificate.recording option
-(** The witness search behind {!solve_rc}: {!Check.Recording.witness},
-    optionally routed through the persisted certificate cache. *)
+(** The witness search behind {!solve_rc}: {!Check.Classify.scan} for
+    the n-recording property over levels 2..n, each seeded by the level
+    below, optionally through the persisted certificate cache.  The
+    certificate does not depend on [certs] or [domains]; it can differ
+    from the unseeded {!Check.Recording.witness}.
+    @raise Invalid_argument if [n < 2]. *)
 
 val solve_rc :
   ?domains:int -> ?certs:string -> Spec.Object_type.t -> n:int -> (int -> 'v -> 'v) option

@@ -11,14 +11,13 @@
 
    - A {e granularity cutoff}.  Every combinator first runs indices
      inline on the calling domain until [sequential_cutoff] seconds have
-     elapsed (default 1ms, override with [set_sequential_cutoff] or the
-     RCONS_SEQ_CUTOFF_MS environment variable); only then does it fan
-     the remaining range out.  Scans whose whole work fits in the grace
-     period — the small classify sweeps that used to regress 10-30x
-     under [?domains] — never spawn a domain at all, and a scan that
-     does fan out is guaranteed to carry at least a grace period of
-     work, so the per-job [Domain.spawn] cost (tens of microseconds per
-     worker) stays a few percent in the worst case.
+     elapsed (default 1ms, override with [set_sequential_cutoff]); only
+     then does it fan the remaining range out.  Scans whose whole work
+     fits in the grace period — the small classify sweeps that used to
+     regress 10-30x under [?domains] — never spawn a domain at all, and
+     a scan that does fan out is guaranteed to carry at least a grace
+     period of work, so the per-job [Domain.spawn] cost (tens of
+     microseconds per worker) stays a few percent in the worst case.
 
    - {e Chunked work-stealing range deques}.  Each participant owns one
      atomic cell holding a packed [lo, hi) index range; the owner claims
@@ -129,13 +128,7 @@ end
 (* ------------------------------------------------------------------ *)
 (* Granularity cutoff.                                                 *)
 
-let default_cutoff = 0.001
-
-let cutoff =
-  Atomic.make
-    (match Sys.getenv_opt "RCONS_SEQ_CUTOFF_MS" with
-    | Some s -> ( try max 0. (float_of_string s /. 1000.) with _ -> default_cutoff)
-    | None -> default_cutoff)
+let cutoff = Atomic.make 0.001
 
 let sequential_cutoff () = Atomic.get cutoff
 let set_sequential_cutoff g = Atomic.set cutoff (max 0. g)

@@ -88,8 +88,7 @@ val fold : ?domains:int -> int -> map:(int -> 'a) -> fold:('b -> 'a -> 'b) -> in
 val sequential_cutoff : unit -> float
 (** Current grace period in seconds (default 0.001).  Each combinator
     call runs inline until this much wall time has elapsed before
-    fanning out.  Initialised from the [RCONS_SEQ_CUTOFF_MS] environment
-    variable when set. *)
+    fanning out. *)
 
 val set_sequential_cutoff : float -> unit
 (** Override the grace period (seconds; clamped to [>= 0]).  [0.] fans

@@ -252,31 +252,11 @@ let checkpoint_of_json j =
       | Some fp -> Some (Json.to_str fp));
   }
 
-let save_checkpoint ~file cp =
-  (* Write-temp-then-rename (the [Cert_cache] convention): a crash --
-     of the host process this time, not a simulated one -- while the
-     checkpoint is being written must never leave a truncated file
-     where [--resume] expects a valid one.  The rename is atomic on
-     POSIX, so the file is either the complete old checkpoint or the
-     complete new one. *)
-  let tmp = file ^ ".tmp" in
-  let oc = open_out tmp in
-  (try
-     output_string oc (Json.to_string (checkpoint_to_json cp));
-     output_char oc '\n';
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp file
-
-let load_checkpoint ~file =
-  let ic = open_in_bin file in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  checkpoint_of_json (Json.parse_exn s)
+(* [Json.save] writes temp-then-rename: a crash of the host process
+   while the checkpoint is written never leaves a truncated file where
+   [--resume] expects a valid one. *)
+let save_checkpoint ~file cp = Json.save ~file (checkpoint_to_json cp)
+let load_checkpoint ~file = checkpoint_of_json (Json.load ~file)
 
 (* Per-walker statistics; one per domain in parallel mode, merged in
    frontier order at the end. *)

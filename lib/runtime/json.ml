@@ -236,6 +236,28 @@ let parse s =
 let parse_exn s =
   match parse s with Ok v -> v | Error msg -> invalid_arg ("Json.parse: " ^ msg)
 
+(* --- files --- *)
+
+(* Write-temp-then-rename: the rename is atomic on POSIX, so [file] is
+   either the complete old document or the complete new one, never a
+   truncated write.  [close_out] (not [close_out_noerr]) so a failed
+   final flush is an error rather than a short file renamed into place;
+   on any failure the temporary file is removed. *)
+let save ~file v =
+  let tmp = file ^ ".tmp" in
+  let oc = open_out_bin tmp in
+  try
+    output_string oc (to_string v);
+    output_char oc '\n';
+    close_out oc;
+    Sys.rename tmp file
+  with e ->
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
+let load ~file = parse_exn (In_channel.with_open_bin file In_channel.input_all)
+
 (* --- accessors --- *)
 
 let member k = function Obj fields -> List.assoc_opt k fields | _ -> None

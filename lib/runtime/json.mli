@@ -29,6 +29,17 @@ val parse : string -> (t, string) result
 val parse_exn : string -> t
 (** @raise Invalid_argument on parse errors. *)
 
+val save : file:string -> t -> unit
+(** Write [to_string v ^ "\n"] to [file ^ ".tmp"], then rename it over
+    [file], so a crash of the writer never leaves a truncated [file].
+    @raise Sys_error if any step fails (including the final flush);
+    the temporary file is removed first. *)
+
+val load : file:string -> t
+(** Read and {!parse_exn} a whole file; the channel is closed on every
+    path.  @raise Sys_error if unreadable, [Invalid_argument] if not
+    JSON. *)
+
 (** {2 Accessors} -- all raise [Invalid_argument] with the field name on
     shape mismatches, so artifact loading fails with a useful message. *)
 

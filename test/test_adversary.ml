@@ -237,6 +237,60 @@ let test_artifact_round_trip () =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "fingerprint mismatch not detected")
 
+(* --- atomic artifact files ---
+
+   Every artifact writer goes through [Json.save]: saving over an
+   existing directory fails with [Sys_error] (the final rename cannot
+   replace it) and leaves no [FILE.tmp] behind, and a successful save
+   writes exactly [Json.to_string j ^ "\n"]. *)
+
+let test_atomic_saves () =
+  let module Cex = Rcons.Counterexample in
+  let mk = team_mk (Lazy.force sticky_cert) in
+  let cp =
+    match Explore.explore ~max_crashes:1 ~node_budget:500 ~mk () with
+    | (_ : Explore.stats) -> Alcotest.fail "budget should have tripped"
+    | exception Explore.Interrupted cp -> cp
+  in
+  let w = Cex.team2 ~faithful:false ~level:3 "sticky" in
+  let mk = match Cex.mk w with Ok mk -> mk | Error e -> Alcotest.fail e in
+  let cex =
+    match Explore.explore ~max_crashes:0 ~mk ~fingerprint:(Cex.fingerprint w) () with
+    | (_ : Explore.stats) -> Alcotest.fail "expected a violation"
+    | exception Explore.Violation v -> Cex.of_violation w v
+  in
+  let plain = Json.Obj [ ("k", Json.Int 1) ] in
+  let writers =
+    [
+      ("Json.save", plain, fun file -> Json.save ~file plain);
+      ( "Explore.save_checkpoint",
+        Explore.checkpoint_to_json cp,
+        fun file -> Explore.save_checkpoint ~file cp );
+      ("Counterexample.save", Cex.to_json cex, fun file -> Cex.save ~file cex);
+    ]
+  in
+  let dir = Filename.temp_file "rcons-save" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let file = Filename.concat dir "artifact.json" in
+  List.iter
+    (fun (name, json, save) ->
+      Sys.mkdir file 0o700;
+      (match save file with
+      | () -> Alcotest.failf "%s: saving over a directory succeeded" name
+      | exception Sys_error _ -> ());
+      Alcotest.(check bool)
+        (name ^ ": no .tmp left behind")
+        false
+        (Sys.file_exists (file ^ ".tmp"));
+      Sys.rmdir file;
+      save file;
+      Alcotest.(check string) (name ^ ": bytes") (Json.to_string json ^ "\n")
+        (In_channel.with_open_bin file In_channel.input_all);
+      Sys.remove file)
+    writers;
+  Sys.rmdir dir
+
 (* --- golden pins: the crash-opportunity stream ---
 
    Recorded before [run] and [decide] shared one crash-opportunity
@@ -432,4 +486,5 @@ let suite =
     Alcotest.test_case "resume: parameter mismatch refused" `Quick
       test_resume_parameter_mismatch_refused;
     Alcotest.test_case "counterexample artifact round-trip" `Quick test_artifact_round_trip;
+    Alcotest.test_case "artifact saves are atomic and clean up" `Quick test_atomic_saves;
   ]

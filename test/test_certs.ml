@@ -36,30 +36,26 @@ let write_file file contents =
   let oc = open_out_bin file in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc contents)
 
-(* Store the live scan result for one (type, property, n), reload it and
-   require the reload to agree with the original bit for bit.  Returns
-   false on any disagreement. *)
-let roundtrip_recording (OT.Pack (module T)) n dir =
-  let module Sc = Recording.Scan (T) in
+module Rec_cache = Cert_cache.Codec (Recording)
+
+(* Store the live scan result for one (type, property, n), reload it
+   (revalidating with a fresh search instance) and require the reload to
+   agree with the original bit for bit.  Returns false on any
+   disagreement. *)
+let roundtrip (module P : Property.S) (OT.Pack (module T)) n dir =
+  let module Sc = P.Scan (T) in
+  let module C = Cert_cache.Codec (P) in
   let depth = max 8 n in
   let fp = OT.fingerprint ~depth (module T) in
   let r = Sc.witness_at n in
-  Cert_cache.store_recording (module T) ~dir ~fingerprint:fp ~depth ~n r;
-  match (Cert_cache.load_recording (module T) ~check:None ~dir ~fingerprint:fp ~n, r) with
+  C.store (module T) ~dir ~fingerprint:fp ~depth ~n r;
+  match (C.load (module T) ~check:(P.check_candidate (module T)) ~dir ~fingerprint:fp ~n, r) with
   | Cert_cache.Hit d, Some d0 -> d = d0
   | Cert_cache.Negative, None -> true
   | _ -> false
 
-let roundtrip_discerning (OT.Pack (module T)) n dir =
-  let module Sc = Discerning.Scan (T) in
-  let depth = max 8 n in
-  let fp = OT.fingerprint ~depth (module T) in
-  let r = Sc.witness_at n in
-  Cert_cache.store_discerning (module T) ~dir ~fingerprint:fp ~depth ~n r;
-  match (Cert_cache.load_discerning (module T) ~check:None ~dir ~fingerprint:fp ~n, r) with
-  | Cert_cache.Hit d, Some d0 -> d = d0
-  | Cert_cache.Negative, None -> true
-  | _ -> false
+let roundtrip_recording = roundtrip (module Recording)
+let roundtrip_discerning = roundtrip (module Discerning)
 
 let catalogue_types () =
   List.map (fun e -> e.Rcons_spec.Catalogue.ot) Rcons_spec.Catalogue.all
@@ -139,13 +135,16 @@ let store_sticky_witness dir =
       let fp = OT.fingerprint (module T) in
       let r = Sc.witness_at 2 in
       Alcotest.(check bool) "sticky-bit is 2-recording" true (Option.is_some r);
-      Cert_cache.store_recording (module T) ~dir ~fingerprint:fp ~depth:8 ~n:2 r;
-      (fp, Filename.concat dir (Cert_cache.file_name ~property:Cert_cache.Recording ~fingerprint:fp ~n:2))
+      Rec_cache.store (module T) ~dir ~fingerprint:fp ~depth:8 ~n:2 r;
+      (fp, Filename.concat dir (Cert_cache.file_name ~property:Recording.name ~fingerprint:fp ~n:2))
 
 let load_sticky dir fp =
   match sticky with
   | OT.Pack (module T) -> (
-      match Cert_cache.load_recording (module T) ~check:None ~dir ~fingerprint:fp ~n:2 with
+      match
+        Rec_cache.load (module T) ~check:(Recording.check_candidate (module T)) ~dir ~fingerprint:fp
+          ~n:2
+      with
       | Cert_cache.Hit _ -> `Hit
       | Cert_cache.Negative -> `Negative
       | Cert_cache.Miss -> `Miss)
@@ -201,12 +200,15 @@ let test_poisoned_negative () =
   match Rcons_spec.Register.default with
   | OT.Pack (module T) ->
       let fp = OT.fingerprint (module T) in
-      Cert_cache.store_recording (module T) ~dir ~fingerprint:fp ~depth:8 ~n:2 None;
+      Rec_cache.store (module T) ~dir ~fingerprint:fp ~depth:8 ~n:2 None;
       let file =
-        Filename.concat dir (Cert_cache.file_name ~property:Cert_cache.Recording ~fingerprint:fp ~n:2)
+        Filename.concat dir (Cert_cache.file_name ~property:Recording.name ~fingerprint:fp ~n:2)
       in
       let load () =
-        match Cert_cache.load_recording (module T) ~check:None ~dir ~fingerprint:fp ~n:2 with
+        match
+          Rec_cache.load (module T) ~check:(Recording.check_candidate (module T)) ~dir
+            ~fingerprint:fp ~n:2
+        with
         | Cert_cache.Negative -> `Negative
         | Cert_cache.Hit _ -> `Hit
         | Cert_cache.Miss -> `Miss
@@ -243,7 +245,10 @@ let test_missing_dir () =
   match sticky with
   | OT.Pack (module T) -> (
       let fp = OT.fingerprint (module T) in
-      match Cert_cache.load_recording (module T) ~check:None ~dir ~fingerprint:fp ~n:2 with
+      match
+        Rec_cache.load (module T) ~check:(Recording.check_candidate (module T)) ~dir
+          ~fingerprint:fp ~n:2
+      with
       | Cert_cache.Miss -> ()
       | _ -> Alcotest.fail "missing dir must be a miss")
 
@@ -269,6 +274,70 @@ let test_classify_warm_equals_cold () =
   Alcotest.(check string) "warm = cold" cold warm;
   Alcotest.(check bool) "warm run rewrites nothing" true (mtimes () = before)
 
+(* The committed seed, located the way test_log.ml locates
+   _counterexamples/: walk up from the test's working directory. *)
+let committed_certs () =
+  let rec go dir depth =
+    let candidate = Filename.concat dir "_certs" in
+    if depth > 6 then Alcotest.fail "cannot locate _certs/"
+    else if Sys.file_exists candidate && Sys.is_directory candidate then candidate
+    else go (Filename.concat dir "..") (depth + 1)
+  in
+  go "." 0
+
+let json_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".json")
+  |> List.sort String.compare
+
+(* The format pin: classifying the catalogue, then S_3..S_5 and
+   T_3..T_6, at limit 6 writes every committed entry byte for byte. *)
+let test_committed_seed_matches () =
+  let committed = committed_certs () in
+  with_dir @@ fun dir ->
+  List.iter
+    (fun ot -> ignore (Classify.classify ~limit:6 ~certs:dir ot))
+    (List.map (fun e -> e.Rcons_spec.Catalogue.ot) Rcons_spec.Catalogue.all
+    @ List.map Rcons_spec.Sn.make [ 3; 4; 5 ]
+    @ List.map Rcons_spec.Tn.make [ 3; 4; 5; 6 ]);
+  let files = json_files committed in
+  Alcotest.(check bool) "seed is non-empty" true (files <> []);
+  List.iter
+    (fun f ->
+      let written = Filename.concat dir f in
+      if not (Sys.file_exists written) then Alcotest.failf "%s is not written by classify" f;
+      Alcotest.(check string) f (read_file (Filename.concat committed f)) (read_file written))
+    files
+
+(* The certificate behind [solve] and the randomized [log] does not
+   depend on the cache: none, an empty one, one a classify run has
+   filled, and (a copy of) the committed seed all give the seeded
+   scan's witness. *)
+let test_recording_witness_cache_independent () =
+  let s4 = Rcons_spec.Sn.make 4 in
+  let show certs n =
+    match Rcons.recording_witness ?certs s4 n with
+    | None -> "none"
+    | Some c -> Format.asprintf "%a" Certificate.pp_recording c
+  in
+  List.iter
+    (fun n ->
+      let expected = show None n in
+      let check what certs =
+        Alcotest.(check string) (Printf.sprintf "n=%d, %s" n what) expected (show (Some certs) n)
+      in
+      with_dir (fun dir ->
+          check "empty cache" dir;
+          ignore (Classify.classify ~limit:5 ~certs:dir s4);
+          check "after classify" dir);
+      with_dir (fun dir ->
+          let committed = committed_certs () in
+          List.iter
+            (fun f -> write_file (Filename.concat dir f) (read_file (Filename.concat committed f)))
+            (json_files committed);
+          check "committed seed" dir))
+    [ 3; 4 ]
+
 let suite =
   [
     Alcotest.test_case "catalogue round-trip + revalidate" `Quick test_roundtrip_catalogue;
@@ -280,4 +349,8 @@ let suite =
     Alcotest.test_case "corrupt entry: flagged and gc'd" `Quick test_corrupt_and_gc;
     Alcotest.test_case "missing dir = empty cache" `Quick test_missing_dir;
     Alcotest.test_case "classify warm = cold = no-cache" `Quick test_classify_warm_equals_cold;
+    Alcotest.test_case "committed _certs/ = what classify writes" `Quick
+      test_committed_seed_matches;
+    Alcotest.test_case "recording_witness is cache-independent" `Quick
+      test_recording_witness_cache_independent;
   ]
