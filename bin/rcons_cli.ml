@@ -124,35 +124,40 @@ let solve_cmd =
   let run ot n crash_prob seed persist flush_cost no_certs certs_dir =
     let certs = certs_of no_certs certs_dir in
     let module Adv = Rcons.Runtime.Adversary in
-    match Adv.policy_of_string ~crash_prob ~max_crashes:(4 * n) "uniform" with
-    | Error e ->
-        Format.eprintf "rcons solve: %s@." e;
-        2
-    | Ok policy -> (
-        match Rcons.solve_rc ?certs ot ~n with
-        | None ->
-            Format.eprintf "%s is not %d-recording: no certificate, cannot solve %d-process RC@."
-              (Rcons.Spec.Object_type.name ot) n n;
-            1
-        | Some decide ->
-            with_persist persist flush_cost @@ fun () ->
-            let inputs = Array.init n (fun i -> 100 + i) in
-            let outputs = Rcons.Algo.Outputs.make ~inputs in
-            let body pid () = Rcons.Algo.Outputs.record outputs pid (decide pid inputs.(pid)) in
-            let sim = Rcons.Runtime.Sim.create ~n body in
-            let rng = Random.State.make [| seed |] in
-            let crashes = (Adv.run ~record:false (Adv.of_rng ~rng policy) sim).Adv.crashes in
-            Format.printf "%d processes, %d crashes:@." n crashes;
-            Array.iteri
-              (fun pid outs ->
-                Format.printf "  p%d -> %s@." pid (String.concat "," (List.map string_of_int outs)))
-              outputs.Rcons.Algo.Outputs.outputs;
-            Format.printf "agreement=%b validity=%b@."
-              (Rcons.Algo.Outputs.agreement_ok outputs)
-              (Rcons.Algo.Outputs.validity_ok outputs);
-            if Rcons.Algo.Outputs.agreement_ok outputs && Rcons.Algo.Outputs.validity_ok outputs
-            then 0
-            else 1)
+    if n < 2 then begin
+      Format.eprintf "rcons solve: --procs must be >= 2 (got %d)@." n;
+      2
+    end
+    else
+      match Adv.policy_of_string ~crash_prob ~max_crashes:(4 * n) "uniform" with
+      | Error e ->
+          Format.eprintf "rcons solve: %s@." e;
+          2
+      | Ok policy -> (
+          match Rcons.solve_rc ?certs ot ~n with
+          | None ->
+              Format.eprintf "%s is not %d-recording: no certificate, cannot solve %d-process RC@."
+                (Rcons.Spec.Object_type.name ot) n n;
+              1
+          | Some decide ->
+              with_persist persist flush_cost @@ fun () ->
+              let inputs = Array.init n (fun i -> 100 + i) in
+              let outputs = Rcons.Algo.Outputs.make ~inputs in
+              let body pid () = Rcons.Algo.Outputs.record outputs pid (decide pid inputs.(pid)) in
+              let sim = Rcons.Runtime.Sim.create ~n body in
+              let rng = Random.State.make [| seed |] in
+              let crashes = (Adv.run ~record:false (Adv.of_rng ~rng policy) sim).Adv.crashes in
+              Format.printf "%d processes, %d crashes:@." n crashes;
+              Array.iteri
+                (fun pid outs ->
+                  Format.printf "  p%d -> %s@." pid (String.concat "," (List.map string_of_int outs)))
+                outputs.Rcons.Algo.Outputs.outputs;
+              Format.printf "agreement=%b validity=%b@."
+                (Rcons.Algo.Outputs.agreement_ok outputs)
+                (Rcons.Algo.Outputs.validity_ok outputs);
+              if Rcons.Algo.Outputs.agreement_ok outputs && Rcons.Algo.Outputs.validity_ok outputs
+              then 0
+              else 1)
   in
   let ot = Arg.(required & opt (some type_conv) None & info [ "type" ] ~doc:"Object type.") in
   let n = Arg.(value & opt int 3 & info [ "procs"; "n" ] ~doc:"Number of processes.") in
@@ -309,8 +314,8 @@ let workload_flags ~annotated ~broken ~persist ~flush_cost =
 (* Exhaustively explore a counterexample workload (team consensus or
    replicated log), with the budget/checkpoint/resume/shrink plumbing.
    [resume_hint] is the command prefix, workload flags included, echoed
-   in the "resume with:" line.  Exit codes: 0 done (violation or not),
-   1 workload does not build, 2 bad input (corrupt or mismatched
+   in the "resume with:" line.  Exit codes: 0 no violation, 1 violation
+   found or workload does not build, 2 bad input (corrupt or mismatched
    checkpoint, invalid combination), 3 interrupted with a checkpoint
    saved. *)
 let run_exhaustive ~resume_hint w
@@ -389,7 +394,7 @@ let run_exhaustive ~resume_hint w
                     | Error e ->
                         Cex.save ~file cex;
                         Format.printf "shrink failed (%s); unshrunk witness -> %s@." e file));
-                0
+                1
             | exception E.Budget_exceeded stats ->
                 Format.eprintf
                   "node budget exceeded after %d nodes (%d schedules): partial exploration, no \
@@ -440,6 +445,9 @@ let explore_cmd =
     | Some file, _ -> replay_artifact file
     | None, None ->
         Format.eprintf "one of --type or --replay is required@.";
+        2
+    | None, Some _ when level < 2 ->
+        Format.eprintf "rcons explore: --level must be >= 2 (got %d)@." level;
         2
     | None, Some name ->
         let w = Cex.team2 ~faithful:(not broken) ~level ~persist ~annotated ~flush_cost name in
@@ -508,6 +516,10 @@ let log_cmd =
       broken no_certs certs_dir exhaustive ex domains flush_cost =
     if slots < 1 then begin
       Format.eprintf "rcons log: --slots must be >= 1 (got %d)@." slots;
+      2
+    end
+    else if procs < 2 then begin
+      Format.eprintf "rcons log: --procs must be >= 2 (got %d)@." procs;
       2
     end
     else if exhaustive then begin

@@ -27,14 +27,32 @@ val sym_pairs : 'a list -> ('a * 'a) list
     enumeration returns the same witness as over the full square. *)
 
 val candidate_count : initial_states:'s list -> ops:'o list -> int -> int
-(** [List.length (candidates ~initial_states ~ops n)] computed
-    arithmetically (no list is built); the certificate cache validates
-    negative entries against it. *)
+(** The size of the level-n candidate space, computed arithmetically
+    (nothing is built): [count (view ...)] by the same layout.  The
+    certificate cache validates negative entries against it. *)
+
+type ('s, 'o) view
+(** The canonical level-n candidate space [(q0, team-A multiset,
+    team-B multiset)], addressable by index without materializing it.
+    Shared by both decision procedures and by the certificate cache's
+    negative-entry revalidation, which must agree with the procedures on
+    the enumeration's shape.  Only each team size's multisets are built;
+    the pairs are not. *)
+
+val view : initial_states:'s list -> ops:'o list -> int -> ('s, 'o) view
+(** [view ~initial_states ~ops n]: the level-n candidate space. *)
+
+val count : ('s, 'o) view -> int
+(** Number of candidates; equals {!candidate_count}. *)
+
+val nth : ('s, 'o) view -> int -> 's * 'o list * 'o list
+(** [nth v i]: the [i]-th candidate in enumeration order, in time
+    logarithmic in the space.  Pure, so safe to call from several
+    domains at once.
+    @raise Invalid_argument unless [0 <= i < count v]. *)
 
 val candidates :
   initial_states:'s list -> ops:'o list -> int -> ('s * 'o list * 'o list) list
-(** [candidates ~initial_states ~ops n]: the canonical level-n candidate
-    space [(q0, team-A multiset, team-B multiset)] shared by both
-    decision procedures and by the certificate cache's negative-entry
-    revalidation (which must agree with the procedures on the
-    enumeration's shape). *)
+(** The same space materialized as a list, in the same order: the
+    reference the tests pin [List.init (count v) (nth v)] against.  The
+    searches go through {!view}. *)

@@ -68,10 +68,6 @@ module type S = sig
     val check :
       q0:T.state -> ops_a:T.op list -> ops_b:T.op list -> (T.state, T.op, T.resp) data option
 
-    val candidates : int -> (T.state * T.op list * T.op list) list
-    (** The level-n candidate space ({!Enumerate.candidates} over the
-        type's declared universes). *)
-
     val witness_at :
       ?domains:int ->
       ?seed:(T.state, T.op, T.resp) data ->
@@ -110,9 +106,6 @@ module Make (D : DEFINITION) :
   module Scan (T : Object_type.S) = struct
     include D.Check (T)
 
-    let candidates n =
-      Enumerate.candidates ~initial_states:T.candidate_initial_states ~ops:T.update_ops n
-
     (* One-operation extensions of a lower-level witness, tried before
        the full enumeration.  Sorted per team and deduplicated so the
        seeded prefix stays small. *)
@@ -132,16 +125,21 @@ module Make (D : DEFINITION) :
       |> List.sort_uniq cmp
       |> List.map (fun (ops_a, ops_b) -> (q0, ops_a, ops_b))
 
-    (* The candidate space (initial state x team split x operation
-       multisets) is fanned out across [domains]; Pool.find_first keeps
-       the first candidate in enumeration order, so the witness is the
-       sequential one. *)
+    (* The sweep runs over the seeded prefix, then the level-n candidate
+       space ({!Enumerate.view} over the type's declared universes),
+       addressed by index so no candidate is built before it is checked.
+       It is fanned out across [domains]; Pool.find_first keeps the
+       first candidate in that order, so the witness is the sequential
+       one. *)
     let witness_at ?domains ?seed n =
       if n < 2 then invalid_arg (String.capitalize_ascii D.name ^ ".witness: n must be >= 2");
-      let seeded_prefix = match seed with None -> [] | Some d -> seeded d in
-      let all = Array.of_list (seeded_prefix @ candidates n) in
-      Rcons_par.Pool.find_first ?domains (Array.length all) (fun i ->
-          let q0, ops_a, ops_b = all.(i) in
+      let prefix = match seed with None -> [||] | Some d -> Array.of_list (seeded d) in
+      let k = Array.length prefix in
+      let space =
+        Enumerate.view ~initial_states:T.candidate_initial_states ~ops:T.update_ops n
+      in
+      Rcons_par.Pool.find_first ?domains (k + Enumerate.count space) (fun i ->
+          let q0, ops_a, ops_b = if i < k then prefix.(i) else Enumerate.nth space (i - k) in
           check ~q0 ~ops_a ~ops_b)
   end
 

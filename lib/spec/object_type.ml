@@ -102,7 +102,8 @@ let fingerprint_uncached (type s o r) ~depth
     (module T : S with type state = s and type op = o and type resp = r) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "rcons-fp-v1 depth=%d readable=%b " depth T.readable);
-  (* state identity: digest -> BFS index *)
+  (* state identity: digest -> BFS index; the frontier carries each
+     state's index so a dequeued state is not digested again *)
   let index : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let next = ref 0 in
   let frontier = Stdlib.Queue.create () in
@@ -114,24 +115,30 @@ let fingerprint_uncached (type s o r) ~depth
         let i = !next in
         incr next;
         Hashtbl.add index d i;
-        if level < depth && i < fingerprint_state_cap then Stdlib.Queue.add (q, level) frontier;
+        if level < depth && i < fingerprint_state_cap then Stdlib.Queue.add (q, level, i) frontier;
         i
   in
+  let add_int i = Buffer.add_string buf (string_of_int i) in
   let ops = Array.of_list T.update_ops in
   Buffer.add_string buf (Printf.sprintf "ops=%d " (Array.length ops));
   List.iter
     (fun q -> Buffer.add_string buf (Printf.sprintf "init:%d " (intern ~level:0 q)))
     T.candidate_initial_states;
+  (* One "qi.oi->qj;<response digest> " record per transition. *)
   while not (Stdlib.Queue.is_empty frontier) do
-    let q, level = Stdlib.Queue.pop frontier in
-    let qi = Hashtbl.find index (T.digest_state q) in
+    let q, level, qi = Stdlib.Queue.pop frontier in
     Array.iteri
       (fun oi op ->
         let q', r = T.apply q op in
-        Buffer.add_string buf
-          (Printf.sprintf "%d.%d->%d;%s " qi oi
-             (intern ~level:(level + 1) q')
-             (Stdlib.Digest.to_hex (Stdlib.Digest.string (digest r)))))
+        let qj = intern ~level:(level + 1) q' in
+        add_int qi;
+        Buffer.add_char buf '.';
+        add_int oi;
+        Buffer.add_string buf "->";
+        add_int qj;
+        Buffer.add_char buf ';';
+        Buffer.add_string buf (Stdlib.Digest.to_hex (Stdlib.Digest.string (digest r)));
+        Buffer.add_char buf ' ')
       ops
   done;
   if !next >= fingerprint_state_cap then Buffer.add_string buf "truncated";

@@ -51,6 +51,39 @@ let test_pairs () =
   Alcotest.(check int) "product size" 6 (List.length (Enumerate.pairs [ 1; 2 ] [ 3; 4; 5 ]));
   Alcotest.(check (list (pair int int))) "order" [ (1, 3); (1, 4) ] (Enumerate.pairs [ 1 ] [ 3; 4 ])
 
+(* The index-addressed view is the materialized enumeration, element for
+   element and in order: the scans return the first witness in this
+   order, so any drift would change which witness is found. *)
+let test_view_is_enumeration () =
+  for states = 1 to 3 do
+    for u = 0 to 5 do
+      for n = 2 to 9 do
+        let initial_states = List.init states Fun.id and ops = List.init u Fun.id in
+        let label = Printf.sprintf "%d states, %d ops, n=%d" states u n in
+        let v = Enumerate.view ~initial_states ~ops n in
+        let reference = Enumerate.candidates ~initial_states ~ops n in
+        Alcotest.(check int) (label ^ ": count") (List.length reference) (Enumerate.count v);
+        Alcotest.(check int)
+          (label ^ ": candidate_count")
+          (Enumerate.count v)
+          (Enumerate.candidate_count ~initial_states ~ops n);
+        Alcotest.(check bool)
+          (label ^ ": nth")
+          true
+          (List.init (Enumerate.count v) (Enumerate.nth v) = reference)
+      done
+    done
+  done
+
+let test_view_bounds () =
+  let v = Enumerate.view ~initial_states:[ 0 ] ~ops:[ 0; 1 ] 3 in
+  List.iter
+    (fun i ->
+      Alcotest.check_raises (Printf.sprintf "nth %d" i)
+        (Invalid_argument "Enumerate.nth: index out of range") (fun () ->
+          ignore (Enumerate.nth v i)))
+    [ -1; Enumerate.count v ]
+
 let suite =
   [
     Alcotest.test_case "multiset counts (stars and bars)" `Quick test_multiset_counts;
@@ -59,4 +92,6 @@ let suite =
     Alcotest.test_case "team splits" `Quick test_team_splits;
     Alcotest.test_case "splits cover n" `Quick test_splits_cover_n;
     Alcotest.test_case "pairs" `Quick test_pairs;
+    Alcotest.test_case "view is the enumeration, in order" `Quick test_view_is_enumeration;
+    Alcotest.test_case "view index bounds" `Quick test_view_bounds;
   ]
