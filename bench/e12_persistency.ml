@@ -28,57 +28,34 @@
 
 open Rcons.Runtime
 
-let cert_of ot n = Option.get (Rcons.Check.Recording.witness ot n)
-
-(* Run [f] under a fresh ambient cache of [policy]; Eager/1 runs bare,
-   the seed model byte for byte. *)
-let under ?(flush_cost = 1) policy f =
-  match (policy, flush_cost) with
-  | Persist.Eager, 1 -> f ()
-  | p, fc -> Persist.scoped ~flush_cost:fc p f
+module Cex = Rcons.Counterexample
 
 let policy_str = Persist.policy_to_string
 let policies = [ Persist.Eager; Persist.Lossy; Persist.Torn ]
 
 (* --- Series 1: Figure 2 under random crash adversaries --- *)
 
-let fig2_system ~annotated cert =
-  let size_a, size_b = Rcons.Check.Certificate.recording_teams cert in
-  let n = size_a + size_b in
-  let inputs = Array.init n (fun i -> if i < size_a then 111 else 222) in
-  let outputs = Rcons.Algo.Outputs.make ~inputs in
-  let tc = Rcons.Algo.Team_consensus.create ~annotated cert in
-  let body pid () =
-    let team, slot =
-      if pid < size_a then (Rcons.Spec.Team.A, pid) else (Rcons.Spec.Team.B, pid - size_a)
-    in
-    Rcons.Algo.Outputs.record outputs pid
-      (tc.Rcons.Algo.Team_consensus.decide team slot inputs.(pid))
-  in
-  (Sim.create ~n body, outputs)
-
-let sweep_fig2 name cert ~annotated ~policy ~crash_prob ~iters ~seed =
+(* [w] carries the policy: every build runs under its own cache. *)
+let sweep_fig2 name w ~crash_prob ~iters ~seed =
+  let system = Util.ok_or_fail (Cex.team_system w) in
   let ok = ref 0 and disagree = ref 0 and aborted = ref 0 and stuck = ref 0 in
   let crashes = ref 0 in
   for i = 1 to iters do
-    under policy (fun () ->
-        let sim, outputs = fig2_system ~annotated cert in
-        let rng = Random.State.make [| Util.seed seed; i |] in
-        let adv = Adversary.of_rng ~rng (Adversary.Uniform { crash_prob; max_crashes = 6 }) in
-        match (Adversary.run ~record:false adv sim).Adversary.crashes with
-        | c ->
-            crashes := !crashes + c;
-            if
-              Rcons.Algo.Outputs.agreement_ok outputs
-              && Rcons.Algo.Outputs.validity_ok outputs
-            then incr ok
-            else incr disagree
-        | exception (Invalid_argument _ | Failure _) -> incr aborted
-        | exception Adversary.Stuck _ -> incr stuck)
+    let sim, outputs = system () in
+    let rng = Random.State.make [| Util.seed seed; i |] in
+    let adv = Adversary.of_rng ~rng (Adversary.Uniform { crash_prob; max_crashes = 6 }) in
+    match (Adversary.run ~record:false adv sim).Adversary.crashes with
+    | c ->
+        crashes := !crashes + c;
+        if Rcons.Algo.Outputs.agreement_ok outputs && Rcons.Algo.Outputs.validity_ok outputs
+        then incr ok
+        else incr disagree
+    | exception (Invalid_argument _ | Failure _) -> incr aborted
+    | exception Adversary.Stuck _ -> incr stuck
   done;
   Util.row
     "%-26s %-7s crash-rate=%-5.2f %5d/%d ok   disagree=%-4d abort=%-4d stuck=%-4d avg-crashes=%4.2f@."
-    name (policy_str policy) crash_prob !ok iters !disagree !aborted !stuck
+    name (policy_str w.Cex.persist) crash_prob !ok iters !disagree !aborted !stuck
     (float_of_int !crashes /. float_of_int iters)
 
 (* --- Series 2: RUniversal histories, plain vs durable linearizability --- *)
@@ -89,7 +66,7 @@ let sweep_universal ~annotated ~policy ~crash_prob ~iters ~seed =
   let lin_ok = ref 0 and dlin_ok = ref 0 and aborted = ref 0 and stuck = ref 0 in
   let rng = Random.State.make [| Util.seed seed |] in
   for _ = 1 to iters do
-    under policy (fun () ->
+    Persist.scoped policy (fun () ->
         let history = Rcons.History.History.create () in
         let u = Runiversal.create ~history ~annotated ~n:2 Derived.counter in
         let scripts = [| [| Derived.Incr; Derived.Get |]; [| Derived.Incr |] |] in
@@ -119,14 +96,10 @@ let sweep_universal ~annotated ~policy ~crash_prob ~iters ~seed =
 
 (* --- Series 3: exhaustive <= 1 crash --- *)
 
-let exhaustive name cert ~annotated ~policy ~flush_cost =
-  let mk () =
-    let sim, outputs = fig2_system ~annotated cert in
-    (sim, fun () -> Rcons.Algo.Outputs.check_exn ~fail:Explore.fail outputs)
-  in
-  let run () =
-    under ~flush_cost policy (fun () -> Explore.explore ~max_crashes:1 ~dedup:true ~mk ())
-  in
+let exhaustive name w =
+  let mk = Util.ok_or_fail (Cex.mk w) in
+  let run () = Explore.explore ~max_crashes:1 ~dedup:true ~mk () in
+  let policy = w.Cex.persist and flush_cost = w.Cex.flush_cost in
   (match Util.time_it (fun () -> try Ok (run ()) with Explore.Violation v -> Error v) with
   | Ok stats, dt ->
       Util.row "%-26s %-7s flush-cost=%d  no violation   %6d schedules %8d nodes (%.1fs)@."
@@ -140,11 +113,9 @@ let exhaustive name cert ~annotated ~policy ~flush_cost =
 let run () =
   Util.section "E12: weak persistency -- algorithm x policy x crash pattern";
   Util.row "[Figure 2 team consensus, random adversaries, 400 runs per row]@.";
-  let certs =
-    [ ("sticky-bit (n=2)", cert_of Rcons.Spec.Sticky_bit.t 2); ("S_3 (n=3)", cert_of (Rcons.Spec.Sn.make 3) 3) ]
-  in
+  let types = [ ("sticky-bit (n=2)", "sticky", 2); ("S_3 (n=3)", "S3", 3) ] in
   List.iteri
-    (fun i (name, cert) ->
+    (fun i (name, typ, level) ->
       List.iter
         (fun annotated ->
           let name = if annotated then name ^ " +barriers" else name in
@@ -152,12 +123,13 @@ let run () =
             (fun policy ->
               List.iter
                 (fun crash_prob ->
-                  sweep_fig2 name cert ~annotated ~policy ~crash_prob ~iters:400
-                    ~seed:(1200 + i))
+                  sweep_fig2 name
+                    (Cex.team2 ~level ~annotated ~persist:policy typ)
+                    ~crash_prob ~iters:400 ~seed:(1200 + i))
                 [ 0.15; 0.4 ])
             policies)
         [ false; true ])
-    certs;
+    types;
   Util.row "@.[RUniversal counter, n = 2, 200 runs per row]@.";
   List.iter
     (fun annotated ->
@@ -170,15 +142,16 @@ let run () =
         policies)
     [ false; true ];
   Util.row "@.[exhaustive model checking, <= 1 crash, dedup on]@.";
-  let cert = cert_of Rcons.Spec.Sticky_bit.t 2 in
   List.iter
     (fun annotated ->
       let name = if annotated then "sticky-bit (n=2) +barriers" else "sticky-bit (n=2)" in
-      List.iter (fun policy -> exhaustive name cert ~annotated ~policy ~flush_cost:1) policies)
+      List.iter
+        (fun persist -> exhaustive name (Cex.team2 ~annotated ~persist "sticky"))
+        policies)
     [ false; true ];
   (* barrier cost scales with --flush-cost; correctness does not *)
-  exhaustive "sticky-bit (n=2) +barriers" cert ~annotated:true ~policy:Persist.Lossy
-    ~flush_cost:3;
+  exhaustive "sticky-bit (n=2) +barriers"
+    (Cex.team2 ~annotated:true ~persist:Persist.Lossy ~flush_cost:3 "sticky");
   Util.row
     "@.The un-annotated algorithm's Lossy violation above is the committed witness@.";
   Util.row

@@ -17,21 +17,6 @@
 
 open Rcons.Runtime
 
-let team_mk cert ~inputs () =
-  let na, _ = Rcons.Check.Certificate.recording_teams cert in
-  let n = Array.length inputs in
-  let outputs = Rcons.Algo.Outputs.make ~inputs in
-  let tc = Rcons.Algo.Team_consensus.create cert in
-  let body pid () =
-    let team, slot =
-      if pid < na then (Rcons.Spec.Team.A, pid) else (Rcons.Spec.Team.B, pid - na)
-    in
-    Rcons.Algo.Outputs.record outputs pid
-      (tc.Rcons.Algo.Team_consensus.decide team slot inputs.(pid))
-  in
-  ( Sim.create ~n body,
-    fun () -> Rcons.Algo.Outputs.check_exn ~fail:Explore.fail outputs )
-
 (* RUniversal counter, one Incr per process, checked for recoverable
    linearizability at every leaf (all current runs finished).  The
    history drives the invariant, so it registers with the active Heap
@@ -86,21 +71,16 @@ let row ?max_nodes ~name ~classes ~mk ~max_crashes mode =
 let run () =
   Util.row "@.== E13: partial-order + symmetry reduction (sleep sets over step footprints) ==@.";
   header ();
-  let s2 = Option.get (Rcons.Check.Recording.witness (Rcons.Spec.Sn.make 2) 2) in
-  let sticky3 = Option.get (Rcons.Check.Recording.witness Rcons.Spec.Sticky_bit.t 3) in
-  let s4 = Option.get (Rcons.Check.Recording.witness (Rcons.Spec.Sn.make 4) 4) in
-  let fig2_s2 = team_mk s2 ~inputs:[| 111; 222 |] in
   (* Interchangeable processes need the same code AND the same input:
-     one input value per team. *)
-  let mk_team cert =
-    let na, nb = Rcons.Check.Certificate.recording_teams cert in
-    let inputs = Array.init (na + nb) (fun i -> if i < na then 111 else 222) in
-    team_mk cert ~inputs
+     the workload gives one input value per team. *)
+  let fig2 ~level name =
+    let w = Rcons.Counterexample.team2 ~level name in
+    ( Util.ok_or_fail (Rcons.Counterexample.mk w),
+      Util.ok_or_fail (Rcons.Counterexample.symmetry_classes w) )
   in
-  let fig2_sticky3 = mk_team sticky3 in
-  let fig2_s4 = mk_team s4 in
-  let cls3 = Rcons.Check.Certificate.symmetry_classes sticky3 in
-  let cls4 = Rcons.Check.Certificate.symmetry_classes s4 in
+  let fig2_s2, _ = fig2 ~level:2 "S2" in
+  let fig2_sticky3, cls3 = fig2 ~level:3 "sticky" in
+  let fig2_s4, cls4 = fig2 ~level:4 "S4" in
   let no_cls = [] in
   (* n = 2: no symmetry (singleton teams); raw+por shows the
      interleaving reduction alone, before state dedup. *)

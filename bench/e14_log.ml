@@ -29,11 +29,6 @@ module Rlog = Rcons.Log.Rlog
 
 let cert_of ot n = Option.get (Rcons.Check.Recording.witness ot n)
 
-let under ?(flush_cost = 1) policy f =
-  match (policy, flush_cost) with
-  | Persist.Eager, 1 -> f ()
-  | p, fc -> Persist.scoped ~flush_cost:fc p f
-
 let policy_str = Persist.policy_to_string
 let policies = [ Persist.Eager; Persist.Lossy; Persist.Torn ]
 
@@ -78,33 +73,32 @@ let sweep name cert ~slots ~annotated ~policy ~adv_name ~adv_policy ~iters ~seed
   let (), wall =
     Util.time_it (fun () ->
         for _ = 1 to iters do
-          under policy (fun () ->
-              let t, sim = Rlog.instance ~annotated ~slots cert in
-              let trace = ref [] in
-              let note pid =
-                Rlog.note_crash t ~pid;
-                trace := Rlog.committed t :: !trace
-              in
-              match Adversary.run ~record:false ~on_crash:note adv sim with
-              | out ->
-                  steps := !steps + out.Adversary.steps;
-                  crashes := !crashes + out.Adversary.crashes;
-                  let c = Rlog.committed t in
-                  committed := !committed + c;
-                  let trace = List.rev (c :: !trace) in
-                  let state_bad = ref false in
-                  Rlog.check_exn ~fail:(fun _ -> state_bad := true) t;
-                  let v = Rlog.verdict ~committed_trace:trace t in
-                  if !state_bad || not (Rcons.History.Conditions.log_verdict_ok v) then
-                    incr violations;
-                  Array.iter
-                    (fun r -> hist.(min r (hist_buckets - 1)) <- hist.(min r (hist_buckets - 1)) + 1)
-                    (Rlog.recovery_steps t);
-                  recoveries := !recoveries + Array.fold_left ( + ) 0 (Rlog.recoveries t)
-              (* a crash revert violated an invariant the un-annotated
-                 algorithm assumed durable (e.g. "R_A empty at return") *)
-              | exception (Invalid_argument _ | Failure _) -> incr aborted
-              | exception Adversary.Stuck _ -> incr stuck)
+          let t, sim = Persist.scoped policy (fun () -> Rlog.instance ~annotated ~slots cert) in
+          let trace = ref [] in
+          let note pid =
+            Rlog.note_crash t ~pid;
+            trace := Rlog.committed t :: !trace
+          in
+          match Adversary.run ~record:false ~on_crash:note adv sim with
+          | out ->
+              steps := !steps + out.Adversary.steps;
+              crashes := !crashes + out.Adversary.crashes;
+              let c = Rlog.committed t in
+              committed := !committed + c;
+              let trace = List.rev (c :: !trace) in
+              let state_bad = ref false in
+              Rlog.check_exn ~fail:(fun _ -> state_bad := true) t;
+              let v = Rlog.verdict ~committed_trace:trace t in
+              if !state_bad || not (Rcons.History.Conditions.log_verdict_ok v) then
+                incr violations;
+              Array.iter
+                (fun r -> hist.(min r (hist_buckets - 1)) <- hist.(min r (hist_buckets - 1)) + 1)
+                (Rlog.recovery_steps t);
+              recoveries := !recoveries + Array.fold_left ( + ) 0 (Rlog.recoveries t)
+          (* a crash revert violated an invariant the un-annotated
+             algorithm assumed durable (e.g. "R_A empty at return") *)
+          | exception (Invalid_argument _ | Failure _) -> incr aborted
+          | exception Adversary.Stuck _ -> incr stuck
         done)
   in
   let per_kstep =
@@ -152,14 +146,10 @@ type exhaustive_row = {
   er_violation : string option; (* one-line diagnosis when found *)
 }
 
-let exhaustive name cert ~slots ~annotated ~policy ~max_crashes =
-  let mk () =
-    let t, sim = Rlog.instance ~annotated ~slots cert in
-    (sim, fun () -> Rlog.check_exn ~fail:Explore.fail t)
-  in
-  let run () =
-    under policy (fun () -> Explore.explore ~max_crashes ~dedup:true ~por:true ~mk ())
-  in
+let exhaustive name typ ~slots ~annotated ~policy ~max_crashes =
+  let w = Rcons.Counterexample.log ~persist:policy ~annotated ~slots typ in
+  let mk = Util.ok_or_fail (Rcons.Counterexample.mk w) in
+  let run () = Explore.explore ~max_crashes ~dedup:true ~por:true ~mk () in
   let r, dt = Util.time_it (fun () -> try Ok (run ()) with Explore.Violation v -> Error v) in
   match r with
   | Ok stats ->
@@ -278,13 +268,13 @@ let run ?(out = "BENCH_log.json") () =
   let annotated_rows =
     List.map
       (fun policy ->
-        exhaustive "sticky-bit log" cert2 ~slots:1 ~annotated:true ~policy ~max_crashes:1)
+        exhaustive "sticky-bit log" "sticky" ~slots:1 ~annotated:true ~policy ~max_crashes:1)
       policies
   in
   (* the barrier-free lossy violation, found live (the slots=2 shrunk
      agreement witness is _counterexamples/e14_log_lossy.json) *)
   let bare_row =
-    exhaustive "sticky-bit log" cert2 ~slots:1 ~annotated:false ~policy:Persist.Lossy
+    exhaustive "sticky-bit log" "sticky" ~slots:1 ~annotated:false ~policy:Persist.Lossy
       ~max_crashes:1
   in
   let exhaustive_rows = annotated_rows @ [ bare_row ] in

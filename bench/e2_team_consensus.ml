@@ -8,24 +8,12 @@
    count for one representative certificate. *)
 
 open Rcons.Runtime
+module Cex = Rcons.Counterexample
 
-let cert_of ot n = Option.get (Rcons.Check.Recording.witness ot n)
+(* Figure 2 at [level] on type [name], teams proposing 111 and 222. *)
+let system name level = Util.ok_or_fail (Cex.team_system (Cex.team2 ~level name))
 
-let system cert =
-  let size_a, size_b = Rcons.Check.Certificate.recording_teams cert in
-  let n = size_a + size_b in
-  let inputs = Array.init n (fun i -> if i < size_a then 111 else 222) in
-  let outputs = Rcons.Algo.Outputs.make ~inputs in
-  let tc = Rcons.Algo.Team_consensus.create cert in
-  let body pid () =
-    let team, slot =
-      if pid < size_a then (Rcons.Spec.Team.A, pid) else (Rcons.Spec.Team.B, pid - size_a)
-    in
-    Rcons.Algo.Outputs.record outputs pid (tc.Rcons.Algo.Team_consensus.decide team slot inputs.(pid))
-  in
-  (Sim.create ~n body, outputs)
-
-let sweep name cert ~iters ~crash_prob ~seed =
+let sweep name system ~iters ~crash_prob ~seed =
   (* One adversary per sweep: its private RNG threads through all
      [iters] runs, reproducible from the seed. *)
   let adv =
@@ -34,7 +22,7 @@ let sweep name cert ~iters ~crash_prob ~seed =
   in
   let ok = ref 0 and steps = ref 0 and crashes = ref 0 in
   for _ = 1 to iters do
-    let sim, outputs = system cert in
+    let sim, outputs = system () in
     crashes := !crashes + (Adversary.run ~record:false adv sim).Adversary.crashes;
     steps := !steps + Sim.total_steps sim;
     if Rcons.Algo.Outputs.agreement_ok outputs && Rcons.Algo.Outputs.validity_ok outputs then
@@ -47,29 +35,25 @@ let sweep name cert ~iters ~crash_prob ~seed =
 
 let run () =
   Util.section "E2 (Figure 2): recoverable team consensus under crash adversaries";
-  let certs =
+  let systems =
     [
-      ("S_3", cert_of (Rcons.Spec.Sn.make 3) 3);
-      ("S_5", cert_of (Rcons.Spec.Sn.make 5) 5);
-      ("T_4 (at n=2)", cert_of (Rcons.Spec.Tn.make 4) 2);
-      ("sticky-bit", cert_of Rcons.Spec.Sticky_bit.t 4);
-      ("compare&swap", cert_of Rcons.Spec.Cas.default 3);
-      ("readable-stack", cert_of Rcons.Spec.Stack.readable_variant 3);
+      ("S_3", system "S3" 3);
+      ("S_5", system "S5" 5);
+      ("T_4 (at n=2)", system "T4" 2);
+      ("sticky-bit", system "sticky" 4);
+      ("compare&swap", system "cas" 3);
+      ("readable-stack", system "readable-stack" 3);
     ]
   in
   List.iteri
-    (fun i (name, cert) ->
+    (fun i (name, system) ->
       List.iter
-        (fun crash_prob -> sweep name cert ~iters:1000 ~crash_prob ~seed:(100 + i))
+        (fun crash_prob -> sweep name system ~iters:1000 ~crash_prob ~seed:(100 + i))
         [ 0.0; 0.2; 0.4 ])
-    certs;
+    systems;
   (* exhaustive model checking, one representative (two participants;
      deeper configurations live in the test suite) *)
-  let cert = cert_of (Rcons.Spec.Sn.make 2) 2 in
-  let mk () =
-    let sim, outputs = system cert in
-    (sim, fun () -> Rcons.Algo.Outputs.check_exn ~fail:Explore.fail outputs)
-  in
+  let mk = Util.ok_or_fail (Cex.mk (Cex.team2 "S2")) in
   let stats, dt = Util.time_it (fun () -> Explore.explore ~max_crashes:1 ~mk ()) in
   Util.row
     "@.exhaustive (S_2 cert, 2 procs, <=1 crash): %d schedules, %d nodes, depth %d -- no violation (%.1fs)@."

@@ -77,25 +77,15 @@ let classify_workload name ot limit =
     w_dedup = None;
   }
 
-let team_mk ot () =
-  let cert = Option.get (Rcons.Check.Recording.witness ot 2) in
-  let inputs = [| 111; 222 |] in
-  let outputs = Rcons.Algo.Outputs.make ~inputs in
-  let tc = Rcons.Algo.Team_consensus.create cert in
-  let body pid () =
-    let team, slot = if pid = 0 then (Rcons.Spec.Team.A, 0) else (Rcons.Spec.Team.B, 0) in
-    Rcons.Algo.Outputs.record outputs pid
-      (tc.Rcons.Algo.Team_consensus.decide team slot inputs.(pid))
-  in
-  ( Rcons.Runtime.Sim.create ~n:2 body,
-    fun () -> Rcons.Algo.Outputs.check_exn ~fail:Rcons.Runtime.Explore.fail outputs )
+(* Figure 2 on type [name]'s level-2 certificate. *)
+let team_mk name = Util.ok_or_fail (Rcons.Counterexample.mk (Rcons.Counterexample.team2 name))
 
 let render_stats (s : Rcons.Runtime.Explore.stats) =
   Printf.sprintf "{schedules=%d; nodes=%d; max_depth=%d; dedup_hits=%d; distinct_states=%d}"
     s.schedules s.nodes s.max_depth s.dedup_hits s.distinct_states
 
-let explore_workload name ot ~max_crashes =
-  let mk = team_mk ot in
+let explore_workload name typ ~max_crashes =
+  let mk = team_mk typ in
   {
     w_name = name;
     w_run =
@@ -136,8 +126,8 @@ let workloads =
     classify_workload "classify T_6 (limit 7)" (Rcons.Spec.Tn.make 6) 7;
     classify_workload "classify S_4 (limit 5)" (Rcons.Spec.Sn.make 4) 5;
     classify_workload "classify sticky-bit (limit 6)" Rcons.Spec.Sticky_bit.t 6;
-    explore_workload "explore Figure 2 on S_2 (1 crash)" (Rcons.Spec.Sn.make 2) ~max_crashes:1;
-    explore_workload "explore Figure 2 on S_2 (2 crashes)" (Rcons.Spec.Sn.make 2) ~max_crashes:2;
+    explore_workload "explore Figure 2 on S_2 (1 crash)" "S2" ~max_crashes:1;
+    explore_workload "explore Figure 2 on S_2 (2 crashes)" "S2" ~max_crashes:2;
   ]
 
 (* Certificate-cache cold/warm comparison: one full-catalogue classify
@@ -216,23 +206,9 @@ type reduction_row = {
 }
 
 let reduction_ablation ~floor () =
-  let cert = Option.get (Rcons.Check.Recording.witness Rcons.Spec.Sticky_bit.t 3) in
-  let classes = Rcons.Check.Certificate.symmetry_classes cert in
-  let na, nb = Rcons.Check.Certificate.recording_teams cert in
-  let inputs = Array.init (na + nb) (fun i -> if i < na then 111 else 222) in
-  let mk () =
-    let outputs = Rcons.Algo.Outputs.make ~inputs in
-    let tc = Rcons.Algo.Team_consensus.create cert in
-    let body pid () =
-      let team, slot =
-        if pid < na then (Rcons.Spec.Team.A, pid) else (Rcons.Spec.Team.B, pid - na)
-      in
-      Rcons.Algo.Outputs.record outputs pid
-        (tc.Rcons.Algo.Team_consensus.decide team slot inputs.(pid))
-    in
-    ( Rcons.Runtime.Sim.create ~n:(na + nb) body,
-      fun () -> Rcons.Algo.Outputs.check_exn ~fail:Rcons.Runtime.Explore.fail outputs )
-  in
+  let w = Rcons.Counterexample.team2 ~level:3 "sticky" in
+  let classes = Util.ok_or_fail (Rcons.Counterexample.symmetry_classes w) in
+  let mk = Util.ok_or_fail (Rcons.Counterexample.mk w) in
   let explore ?(por = false) ?symmetry () =
     Rcons.Runtime.Explore.explore ~max_crashes:2 ~dedup:true ~por ?symmetry ~mk ()
   in
@@ -274,7 +250,7 @@ type engine_row = {
 }
 
 let engine_bench ~floor () =
-  let mk = team_mk (Rcons.Spec.Sn.make 2) in
+  let mk = team_mk "S2" in
   let time_engine undo =
     let best = ref infinity and render = ref "" in
     for _ = 1 to 2 do

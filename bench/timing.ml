@@ -5,23 +5,12 @@
 open Bechamel
 open Toolkit
 
-let cert_s3 = lazy (Option.get (Rcons.Check.Recording.witness (Rcons.Spec.Sn.make 3) 3))
+let team_s3 =
+  lazy (Util.ok_or_fail (Rcons.Counterexample.team_system (Rcons.Counterexample.team2 ~level:3 "S3")))
 let cert_sticky = lazy (Option.get (Rcons.Check.Recording.witness Rcons.Spec.Sticky_bit.t 4))
 
 let run_team_consensus () =
-  let cert = Lazy.force cert_s3 in
-  let size_a, size_b = Rcons.Check.Certificate.recording_teams cert in
-  let n = size_a + size_b in
-  let inputs = Array.init n (fun i -> i) in
-  let outputs = Rcons.Algo.Outputs.make ~inputs in
-  let tc = Rcons.Algo.Team_consensus.create cert in
-  let body pid () =
-    let team, slot =
-      if pid < size_a then (Rcons.Spec.Team.A, pid) else (Rcons.Spec.Team.B, pid - size_a)
-    in
-    Rcons.Algo.Outputs.record outputs pid (tc.Rcons.Algo.Team_consensus.decide team slot inputs.(pid))
-  in
-  let sim = Rcons.Runtime.Sim.create ~n body in
+  let sim, _ = Lazy.force team_s3 () in
   Rcons.Runtime.Adversary.round_robin sim
 
 let run_tournament_rc () =

@@ -20,3 +20,7 @@ let bounds_str b = Format.asprintf "%a" Rcons.Check.Classify.pp_bounds_option b
    exactly. *)
 let seed_offset = ref 0
 let seed base = base + !seed_offset
+
+(* The Figure 2 workloads the benches build through
+   [Rcons.Counterexample] always resolve: an error is a bug. *)
+let ok_or_fail = function Ok v -> v | Error e -> failwith e

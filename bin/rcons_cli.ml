@@ -25,11 +25,11 @@ let type_conv =
 
 let default_types () = List.map (fun e -> e.Rcons.Spec.Catalogue.ot) Rcons.Spec.Catalogue.all
 
-(* Shared persistency flags: which write-back cache model to run the
-   simulation under, and how many steps each persist barrier costs.
-   [with_persist] installs the requested ambient cache around a run;
-   the default (eager, cost 1) installs nothing, keeping the seed
-   behaviour byte-identical. *)
+(* Shared persistency flags: which write-back cache model to build the
+   simulated system under, and how many steps each persist barrier
+   costs.  A system is built under [Persist.scoped] and carries its
+   cache from then on; the default (eager, cost 1) builds with none,
+   keeping the seed behaviour byte-identical. *)
 module Persist = Rcons.Runtime.Persist
 
 let persist_conv =
@@ -57,10 +57,12 @@ let flush_cost_arg =
     & info [ "flush-cost" ] ~docv:"STEPS"
         ~doc:"Number of simulation steps each persist barrier (flush/fence) takes (default 1).")
 
-let with_persist persist flush_cost f =
-  match (persist, flush_cost) with
-  | Persist.Eager, 1 -> f ()
-  | p, fc -> Persist.scoped ~flush_cost:fc p f
+(* A barrier costs at least one step.  Every subcommand taking
+   --flush-cost checks it up front: one line and exit 2, like --procs. *)
+let bad_flush_cost cmd flush_cost =
+  if flush_cost < 1 then
+    Format.eprintf "rcons %s: --flush-cost must be >= 1 (got %d)@." cmd flush_cost;
+  flush_cost < 1
 
 (* Shared --domains flag: every answer is independent of it (the domain
    pool's determinism contract); it only changes wall-clock time. *)
@@ -128,36 +130,55 @@ let solve_cmd =
       Format.eprintf "rcons solve: --procs must be >= 2 (got %d)@." n;
       2
     end
+    else if bad_flush_cost "solve" flush_cost then 2
     else
       match Adv.policy_of_string ~crash_prob ~max_crashes:(4 * n) "uniform" with
       | Error e ->
           Format.eprintf "rcons solve: %s@." e;
           2
       | Ok policy -> (
-          match Rcons.solve_rc ?certs ot ~n with
+          (* The decision objects and the system are built under one
+             cache, which the system carries through the run. *)
+          let build () =
+            Option.map
+              (fun decide ->
+                let inputs = Array.init n (fun i -> 100 + i) in
+                let outputs = Rcons.Algo.Outputs.make ~inputs in
+                let body pid () =
+                  Rcons.Algo.Outputs.record outputs pid (decide pid inputs.(pid))
+                in
+                (Rcons.Runtime.Sim.create ~n body, outputs))
+              (Rcons.solve_rc ?certs ot ~n)
+          in
+          match Persist.scoped ~flush_cost persist build with
           | None ->
               Format.eprintf "%s is not %d-recording: no certificate, cannot solve %d-process RC@."
                 (Rcons.Spec.Object_type.name ot) n n;
               1
-          | Some decide ->
-              with_persist persist flush_cost @@ fun () ->
-              let inputs = Array.init n (fun i -> 100 + i) in
-              let outputs = Rcons.Algo.Outputs.make ~inputs in
-              let body pid () = Rcons.Algo.Outputs.record outputs pid (decide pid inputs.(pid)) in
-              let sim = Rcons.Runtime.Sim.create ~n body in
+          | Some (sim, outputs) -> (
               let rng = Random.State.make [| seed |] in
-              let crashes = (Adv.run ~record:false (Adv.of_rng ~rng policy) sim).Adv.crashes in
-              Format.printf "%d processes, %d crashes:@." n crashes;
-              Array.iteri
-                (fun pid outs ->
-                  Format.printf "  p%d -> %s@." pid (String.concat "," (List.map string_of_int outs)))
-                outputs.Rcons.Algo.Outputs.outputs;
-              Format.printf "agreement=%b validity=%b@."
-                (Rcons.Algo.Outputs.agreement_ok outputs)
-                (Rcons.Algo.Outputs.validity_ok outputs);
-              if Rcons.Algo.Outputs.agreement_ok outputs && Rcons.Algo.Outputs.validity_ok outputs
-              then 0
-              else 1)
+              match Adv.run ~record:false (Adv.of_rng ~rng policy) sim with
+              | exception (Invalid_argument msg | Failure msg) ->
+                  (* Figure 2 is not annotated for a write-back cache: a
+                     crash that reverts state it assumed durable trips
+                     an invariant in a process body. *)
+                  Format.printf "VIOLATION: uncaught exception in process body: %s@." msg;
+                  1
+              | outcome ->
+                  Format.printf "%d processes, %d crashes:@." n outcome.Adv.crashes;
+                  Array.iteri
+                    (fun pid outs ->
+                      Format.printf "  p%d -> %s@." pid
+                        (String.concat "," (List.map string_of_int outs)))
+                    outputs.Rcons.Algo.Outputs.outputs;
+                  Format.printf "agreement=%b validity=%b@."
+                    (Rcons.Algo.Outputs.agreement_ok outputs)
+                    (Rcons.Algo.Outputs.validity_ok outputs);
+                  if
+                    Rcons.Algo.Outputs.agreement_ok outputs
+                    && Rcons.Algo.Outputs.validity_ok outputs
+                  then 0
+                  else 1))
   in
   let ot = Arg.(required & opt (some type_conv) None & info [ "type" ] ~doc:"Object type.") in
   let n = Arg.(value & opt int 3 & info [ "procs"; "n" ] ~doc:"Number of processes.") in
@@ -320,7 +341,7 @@ let workload_flags ~annotated ~broken ~persist ~flush_cost =
    saved. *)
 let run_exhaustive ~resume_hint w
     { max_crashes; dedup; por; symmetry; node_budget; time_budget; checkpoint; resume; save_cex }
-    ~domains ~persist ~flush_cost =
+    ~domains =
   if por && resume <> None then begin
     (* A reduced run prunes a different frontier than the checkpointed
        one walked; silently resuming would under-count.  Refuse. *)
@@ -346,10 +367,6 @@ let run_exhaustive ~resume_hint w
             2
         | resume_from -> (
             match
-              (* The ambient cache makes the explorer record the policy
-                 in provenance; each replayed system still gets its own
-                 fresh cache (from the workload builder). *)
-              with_persist persist flush_cost @@ fun () ->
               E.explore ~max_crashes ~domains ~dedup ~por ?symmetry:classes ?node_budget
                 ?time_budget ?resume_from ~fingerprint:(Cex.fingerprint w) ~mk ()
             with
@@ -449,13 +466,14 @@ let explore_cmd =
     | None, Some _ when level < 2 ->
         Format.eprintf "rcons explore: --level must be >= 2 (got %d)@." level;
         2
+    | None, Some _ when bad_flush_cost "explore" flush_cost -> 2
     | None, Some name ->
         let w = Cex.team2 ~faithful:(not broken) ~level ~persist ~annotated ~flush_cost name in
         run_exhaustive
           ~resume_hint:
             (Printf.sprintf "rcons explore --type %s --level %d%s" name level
                (workload_flags ~annotated ~broken ~persist ~flush_cost))
-          w ex ~domains ~persist ~flush_cost
+          w ex ~domains
   in
   let type_name =
     Arg.(
@@ -522,6 +540,7 @@ let log_cmd =
       Format.eprintf "rcons log: --procs must be >= 2 (got %d)@." procs;
       2
     end
+    else if bad_flush_cost "log" flush_cost then 2
     else if exhaustive then begin
       if vote_first then begin
         (* The exhaustive path runs through the replayable workload
@@ -540,7 +559,7 @@ let log_cmd =
             (Printf.sprintf "rcons log --type %s --slots %d --procs %d --exhaustive%s" name slots
                procs
                (workload_flags ~annotated ~broken ~persist ~flush_cost))
-          w ex ~domains ~persist ~flush_cost
+          w ex ~domains
     end
     else
       (* Randomized mode: drive the log to completion under a seeded
@@ -563,9 +582,9 @@ let log_cmd =
                     (Rcons.Spec.Object_type.name ot) procs procs;
                   1
               | Some cert -> (
-                  with_persist persist flush_cost @@ fun () ->
                   let t, sim =
-                    Rlog.instance ~faithful:(not broken) ~annotated ~vote_first ~slots cert
+                    Persist.scoped ~flush_cost persist (fun () ->
+                        Rlog.instance ~faithful:(not broken) ~annotated ~vote_first ~slots cert)
                   in
                   let trace = ref [] in
                   let on_crash pid =
@@ -805,6 +824,7 @@ let serve_cmd =
     match
       Rcons.Runtime.Adversary.policy_of_string ~crash_prob ~max_crashes ~burst adversary
     with
+    | _ when bad_flush_cost "serve" flush_cost -> 2
     | Error msg ->
         Format.eprintf "%s@." msg;
         2

@@ -72,74 +72,69 @@ let canonical w =
 
 let fingerprint w = Digest.to_hex (Digest.string (canonical w))
 
+(* The workload's certificate, re-derived by the same deterministic
+   witness search that produced it. *)
+let cert_of w =
+  match Rcons_spec.Catalogue.of_name w.type_name with
+  | Error e -> Error e
+  | Ok ot -> (
+      match Rcons_check.Recording.witness ot w.level with
+      | None ->
+          Error
+            (Printf.sprintf "%s has no level-%d recording witness"
+               (Rcons_spec.Object_type.name ot) w.level)
+      | Some cert -> Ok cert)
+
 (* Interchangeable-process classes of the workload, for the
    symmetry-reducing explorer: the certificate's equal-operation slots
    per team.  Sound here because the workload gives every member of a
    team the same input (one input value per team). *)
-let symmetry_classes w =
-  match Rcons_spec.Catalogue.of_name w.type_name with
-  | Error e -> Error e
-  | Ok ot -> (
-      match Rcons_check.Recording.witness ot w.level with
-      | None ->
-          Error
-            (Printf.sprintf "%s has no level-%d recording witness"
-               (Rcons_spec.Object_type.name ot) w.level)
-      | Some cert -> Ok (Rcons_check.Certificate.symmetry_classes cert))
+let symmetry_classes w = Result.map Rcons_check.Certificate.symmetry_classes (cert_of w)
+
+(* Every build runs under the workload's policy: a fresh cache per
+   system (lines are per-system state), which the system then carries;
+   eager at cost 1 builds with none. *)
+let build w f = Persist.scoped ~flush_cost:w.flush_cost w.persist f
+
+let team_build w cert =
+  let size_a, size_b = Rcons_check.Certificate.recording_teams cert in
+  let n = size_a + size_b in
+  let inputs = Array.init n (fun i -> if i < size_a then w.input_a else w.input_b) in
+  fun () ->
+    build w @@ fun () ->
+    let outputs = Rcons_algo.Outputs.make ~inputs in
+    let tc = Rcons_algo.Team_consensus.create ~faithful:w.faithful ~annotated:w.annotated cert in
+    let body pid () =
+      let team, slot =
+        if pid < size_a then (Rcons_spec.Team.A, pid) else (Rcons_spec.Team.B, pid - size_a)
+      in
+      Rcons_algo.Outputs.record outputs pid
+        (tc.Rcons_algo.Team_consensus.decide team slot inputs.(pid))
+    in
+    (Sim.create ~n body, outputs)
+
+let team_system w =
+  match w.log_slots with
+  | Some _ -> Error "Counterexample.team_system: not a team-consensus workload"
+  | None -> Result.map (team_build w) (cert_of w)
 
 let mk w =
-  match Rcons_spec.Catalogue.of_name w.type_name with
-  | Error e -> Error e
-  | Ok ot -> (
-      match Rcons_check.Recording.witness ot w.level with
+  Result.map
+    (fun cert ->
+      match w.log_slots with
+      | Some slots ->
+          fun () ->
+            build w @@ fun () ->
+            let t, sim =
+              Rcons_log.Rlog.instance ~faithful:w.faithful ~annotated:w.annotated ~slots cert
+            in
+            (sim, fun () -> Rcons_log.Rlog.check_exn ~fail:Explore.fail t)
       | None ->
-          Error
-            (Printf.sprintf "%s has no level-%d recording witness"
-               (Rcons_spec.Object_type.name ot) w.level)
-      | Some cert ->
-          let size_a, size_b = Rcons_check.Certificate.recording_teams cert in
-          let n = size_a + size_b in
-          (* Each system gets a fresh cache of the workload's policy
-             (lines are per-system state); a pure-eager workload
-             explicitly clears the slot so a stale cache from an
-             earlier build can never leak in.  [Explore] and
-             [Shrink] restore the ambient cache on exit. *)
-          let activate_cache () =
-            match (w.persist, w.flush_cost) with
-            | Persist.Eager, 1 -> Persist.deactivate ()
-            | p, fc -> Persist.activate (Persist.create ~flush_cost:fc p)
-          in
-          Ok
-            (match w.log_slots with
-            | Some slots ->
-                fun () ->
-                  activate_cache ();
-                  let t, sim =
-                    Rcons_log.Rlog.instance ~faithful:w.faithful ~annotated:w.annotated ~slots
-                      cert
-                  in
-                  (sim, fun () -> Rcons_log.Rlog.check_exn ~fail:Explore.fail t)
-            | None ->
-                fun () ->
-                  activate_cache ();
-                  let inputs =
-                    Array.init n (fun i -> if i < size_a then w.input_a else w.input_b)
-                  in
-                  let outputs = Rcons_algo.Outputs.make ~inputs in
-                  let tc =
-                    Rcons_algo.Team_consensus.create ~faithful:w.faithful
-                      ~annotated:w.annotated cert
-                  in
-                  let body pid () =
-                    let team, slot =
-                      if pid < size_a then (Rcons_spec.Team.A, pid)
-                      else (Rcons_spec.Team.B, pid - size_a)
-                    in
-                    Rcons_algo.Outputs.record outputs pid
-                      (tc.Rcons_algo.Team_consensus.decide team slot inputs.(pid))
-                  in
-                  ( Sim.create ~n body,
-                    fun () -> Rcons_algo.Outputs.check_exn ~fail:Explore.fail outputs )))
+          let system = team_build w cert in
+          fun () ->
+            let sim, outputs = system () in
+            (sim, fun () -> Rcons_algo.Outputs.check_exn ~fail:Explore.fail outputs))
+    (cert_of w)
 
 type t = {
   workload : workload;

@@ -88,11 +88,25 @@ val symmetry_classes : workload -> (int list list, string) result
     workload because every member of a team shares one input value.
     [Ok []] when the certificate carries no symmetry. *)
 
+val team_system :
+  workload -> (unit -> Rcons_runtime.Sim.t * int Rcons_algo.Outputs.t, string) result
+(** The Figure 2 team-consensus build behind {!mk}: resolve the
+    certificate once, then each call builds a fresh system -- team A's
+    processes first, each team member proposing its team's input --
+    under the workload's persistency model
+    ({!Rcons_runtime.Persist.scoped}), and returns it with its output
+    log.  The system carries its cache ({!Rcons_runtime.Sim.cache}), so
+    nothing about its run depends on what is ambient afterwards.
+    [Error] as for {!mk}, and for a replicated-log workload. *)
+
 val mk : workload -> (unit -> Rcons_runtime.Sim.t * (unit -> unit), string) result
 (** Resolve the workload into a system builder suitable for
-    {!Rcons_runtime.Explore.explore} / {!Rcons_runtime.Shrink}.
-    [Error] if the type name does not resolve or the type has no
-    recording witness at the requested level. *)
+    {!Rcons_runtime.Explore.explore} / {!Rcons_runtime.Shrink}: the
+    {!team_system} build with the agreement/validity checker, or the
+    replicated log with {!Rcons_log.Rlog.check_exn}, built under the
+    workload's persistency model like {!team_system}.  [Error] if the
+    type name does not resolve or the type has no recording witness at
+    the requested level. *)
 
 (** A counterexample: workload + violating schedule + metadata. *)
 type t = {

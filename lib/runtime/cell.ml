@@ -1,8 +1,8 @@
 (* Shared read/write registers living in the simulated non-volatile memory.
    Every access is one atomic step of the calling process.
 
-   Persistency: when a non-eager [Persist] cache is ambient at creation,
-   the cell carries a cache line -- [contents] is the volatile copy every
+   Persistency: when created under a non-eager [Persist] cache (see
+   [Persist.attach]), the cell carries a cache line -- [contents] is the volatile copy every
    read sees, [persisted] the durable copy a crash may revert to.  With
    no cache (or an eager one) [line] is [None], [persisted] is unused,
    and behavior -- including the registered digest -- is bit-identical to

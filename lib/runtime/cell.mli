@@ -5,8 +5,9 @@
     (if any) so state fingerprints cover it; cell contents must therefore
     be plain data (digestable with {!Heap.digest}).
 
-    When a non-eager {!Persist} cache is ambient at creation time the
-    cell carries a cache line: writes land in the volatile copy (which
+    When created under a non-eager {!Persist} cache (the one ambient at
+    a build, or the stepping system's own: {!Persist.attach}) the cell
+    carries a cache line: writes land in the volatile copy (which
     all reads see -- coherence) and become durable only at a {!flush},
     {!Sim.fence}, or implicitly per the cache policy's crash rule. *)
 

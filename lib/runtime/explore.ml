@@ -368,19 +368,23 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
   (* The node budget is shared across every domain so that parallel runs
      respect the same global bound as sequential ones. *)
   let nodes_total = Atomic.make 0 in
-  (* The ambient persistency policy, captured here so worker domains
-     (whose domain-local slots start empty) build their systems under the
-     same policy as the main domain. *)
-  let persist_cfg =
-    match Persist.current () with
-    | Some c -> Some (Persist.policy c, Persist.flush_cost c)
-    | None -> None
-  in
-  (* Under the eager model a crash touches only its victim's control
-     state, so it commutes with other processes' steps; a lossy cache
-     makes it revert shared lines, which those steps may read. *)
-  let eager_model =
-    match persist_cfg with None | Some (Persist.Eager, _) -> true | Some _ -> false
+  (* The workload's persistency model, read off the first system [mk]
+     returns -- the root, built on this domain before any worker starts.
+     [mk] owns its policy, so every later build agrees.  Under the eager
+     model a crash touches only its victim's control state, so it
+     commutes with other processes' steps; a lossy cache makes it revert
+     shared lines, which those steps may read. *)
+  let model = Atomic.make None in
+  let eager_model t =
+    let m =
+      match Atomic.get model with
+      | Some m -> m
+      | None ->
+          let m = Option.map (fun c -> (Persist.policy c, Persist.flush_cost c)) (Sim.cache t) in
+          Atomic.set model (Some m);
+          m
+    in
+    match m with None | Some (Persist.Eager, _) -> true | Some _ -> false
   in
   (* A process body that raises is a property violation with a
      schedule, not an explorer error.  [prefix] is most-recent-first, as
@@ -397,14 +401,11 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
        stays active while the system runs so that lazily created objects
        keep registering (the explorer runs one system at a time per
        domain).  The arena active before [explore] is restored on exit.
-       Likewise every system gets a fresh write-back cache of the ambient
-       policy: lines are per-system state.  Object ids restart at zero so
-       footprints are comparable across replays of the same prefix. *)
+       The write-back cache is [mk]'s business: the system carries its
+       own.  Object ids restart at zero so footprints are comparable
+       across replays of the same prefix. *)
     Rcons_spec.Footprint.reset_oids ();
     if dedup then Heap.activate (Heap.create ());
-    (match persist_cfg with
-    | Some (p, fc) -> Persist.activate (Persist.create ~flush_cost:fc p)
-    | None -> ());
     let t, check = mk () in
     let applied = ref [] in
     List.iter
@@ -565,6 +566,7 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
       | None -> false
     in
     run_walk prefix0 @@ fun live ->
+    let eager_model = eager_model (fst !live) in
     (* Apply [c] to the live system and run the invariant. *)
     let descend c prefix' =
       let t, check = !live in
@@ -803,12 +805,10 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
       (stats_of cnt0) results
   in
   let saved_arena = Heap.current () in
-  let saved_cache = Persist.current () in
   let restore_arena () =
-    (match saved_arena with Some a -> Heap.activate a | None -> Heap.deactivate ());
-    Persist.restore saved_cache
+    match saved_arena with Some a -> Heap.activate a | None -> Heap.deactivate ()
   in
-  let prov =
+  let prov () =
     {
       Schedule.origin = "explore";
       seed = None;
@@ -831,9 +831,9 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
                        classes) );
               ])
         @
-        match persist_cfg with
-        | None | Some (Persist.Eager, 1) -> []
-        | Some (p, fc) ->
+        match Atomic.get model with
+        | None | Some None -> []
+        | Some (Some (p, fc)) ->
             [ ("persist", Persist.policy_to_string p); ("flush_cost", string_of_int fc) ]);
       fingerprint;
     }
@@ -841,7 +841,7 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
   let attach_provenance f =
     try f ()
     with Violation v when v.v_provenance = None ->
-      raise (Violation { v with v_provenance = Some prov })
+      raise (Violation { v with v_provenance = Some (prov ()) })
   in
   attach_provenance @@ fun () ->
   Fun.protect ~finally:restore_arena @@ fun () ->

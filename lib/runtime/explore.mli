@@ -239,6 +239,14 @@ val explore :
     genuinely fresh, unshared state on every call -- which the replay
     semantics already require.
 
+    [mk] owns the workload's persistency model: it builds each system
+    under its own write-back cache ({!Persist.scoped} inside [mk], as
+    [Counterexample.mk] does), which the system carries.  The explorer
+    reads the model off the first system [mk] returns ({!Sim.cache}) for
+    the crash/step independence of [?por] and for the [persist] /
+    [flush_cost] provenance parameters; nothing ambient around the call
+    matters.
+
     [?dedup] (default [false]) turns on state-space deduplication (see
     above).  Each replayed system is then built under a fresh {!Heap}
     arena; the arena active before the call, if any, is restored on

@@ -18,8 +18,8 @@ val write : 'a t -> int -> 'a -> unit
 
 val flush : 'a t -> int -> unit
 (** Persist barrier for entry [i] (see {!Cell.flush}).  Entries acquire
-    cache lines when a non-eager {!Persist} cache is ambient at their
-    materialization; the canonical digest then also covers each entry's
+    cache lines when materialized under a non-eager {!Persist} cache
+    (the stepping system's own, or the one ambient at a build); the canonical digest then also covers each entry's
     durable copy and line owner. *)
 
 val peek : 'a t -> int -> 'a

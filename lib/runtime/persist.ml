@@ -39,13 +39,17 @@
    which the dirty set is traversed.  Equal fingerprints therefore still
    imply equal futures and explorer deduplication stays sound.
 
-   Like [Heap] arenas, a cache is ambient and domain-local: [activate]
-   installs it for the current domain, object constructors attach lines
-   to whatever cache is ambient at creation time (none, or an [Eager]
-   cache => no line, zero overhead, byte-identical digests), and [Sim]
-   captures the ambient cache at [create] so crashes reach the right
-   cache even if the ambient one has moved on (another system was built
-   since, as the explorer does whenever it rebuilds a fork point). *)
+   A cache is chosen when a system is built and carried by the system
+   from then on.  [scoped] makes a fresh cache ambient on the current
+   domain for the duration of a build (none at all for [Eager] at flush
+   cost 1: no line, zero overhead, byte-identical digests); object
+   constructors attach lines to the ambient cache, and [Sim.create]
+   captures it.  After the build nothing reads the ambient slot: inside
+   a step, [Sim] installs the system's own cache as the step context
+   ([in_step]), and lazily created objects and barriers take the cache
+   from there.  So a system runs the same whatever is ambient later --
+   another system built since, or no scope at all, as on an explorer
+   worker domain. *)
 
 type policy = Eager | Lossy | Torn
 
@@ -83,11 +87,10 @@ let flush_cost c = c.flush_cost
 let owner l = l.owner
 let cache_of l = l.cache
 
-(* Ambient cache for the current domain (mirror of the [Heap] arena). *)
+(* The ambient cache for the current domain: read only while a system
+   is being built (mirror of the [Heap] arena). *)
 let key : cache option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let activate c = Domain.DLS.set key (Some c)
-let deactivate () = Domain.DLS.set key None
 let current () = Domain.DLS.get key
 let restore saved = Domain.DLS.set key saved
 
@@ -103,8 +106,16 @@ let in_step c pid f =
 
 let no_touch () = ()
 
+(* The flush cost of the system executing the current step; 1 outside
+   any step and in the steps of a cache-less system. *)
+let step_flush_cost () = match Domain.DLS.get ctx with Some (c, _) -> c.flush_cost | None -> 1
+
+(* A line joins the cache of the system executing the current step (an
+   object created lazily) or, outside any step, the ambient cache (a
+   build). *)
 let attach ?(touch = no_touch) ~persist ~revert () =
-  match Domain.DLS.get key with
+  let cache = match Domain.DLS.get ctx with Some (c, _) -> Some c | None -> current () in
+  match cache with
   | None -> None
   | Some c when c.policy = Eager -> None (* write-through: no shadow copy needed *)
   | Some c ->
@@ -228,10 +239,11 @@ let on_crash c ~pid ~crashes =
 
 let dirty_count c = List.length c.dirty_lines
 
-(* Run [f] with a fresh ambient cache of the given policy, restoring the
-   previously ambient cache (if any) afterwards.  The bench sweeps and
-   tests use this so caches never leak across workloads. *)
-let scoped ?flush_cost p f =
+(* Build under [policy]: run [f] with a fresh ambient cache of that
+   policy -- none at all for eager at cost 1 -- and restore the
+   previously ambient cache (if any) afterwards. *)
+let scoped ?(flush_cost = 1) p f =
+  let fresh = if p = Eager && flush_cost = 1 then None else Some (create ~flush_cost p) in
   let saved = current () in
-  activate (create ?flush_cost p);
+  restore fresh;
   Fun.protect ~finally:(fun () -> restore saved) f

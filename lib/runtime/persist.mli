@@ -1,8 +1,8 @@
 (** Pluggable persistency model: a volatile write-back cache between
     simulated processes and the non-volatile heap.
 
-    Under [Eager] (the default ambient state: no cache at all, or an
-    [Eager] cache) every shared write is durable the moment its step
+    Under [Eager] (the default: no cache at all, or an [Eager] cache)
+    every shared write is durable the moment its step
     executes -- the seed model, bit-identical in behavior and in
     fingerprints.  Under [Lossy]/[Torn], writes land in a volatile
     cache line first and a crash of process [p] loses (or, under
@@ -24,8 +24,8 @@ type cache
 
 type line
 (** One cache line = one shared location.  Created by the shared-object
-    constructors ([Cell], [Growable], [Sim_obj]) when a non-[Eager]
-    cache is ambient. *)
+    constructors ([Cell], [Growable], [Sim_obj]) under a non-[Eager]
+    cache. *)
 
 val create : ?flush_cost:int -> policy -> cache
 (** [flush_cost] (default 1, must be >= 1) is the number of simulated
@@ -42,35 +42,56 @@ val owner : line -> int option
 
 val cache_of : line -> cache
 
-(** {2 Ambient cache (domain-local, mirrors [Heap] arenas)} *)
+(** {2 Choosing the cache at build time}
 
-val activate : cache -> unit
-val deactivate : unit -> unit
-val current : unit -> cache option
-
-val restore : cache option -> unit
-(** [restore (current ())] brackets code that may activate caches. *)
+    A system's cache is chosen when the system is built: {!scoped} makes
+    a fresh cache of the requested policy ambient on the current domain
+    while [f] builds, the shared-object constructors attach their lines
+    to it, and {!Sim.create} captures it.  From then on the system
+    carries its cache: its steps, lazily created objects and barriers
+    read the cache from the step context ({!in_step}), never the ambient
+    slot, so what is ambient after the build does not matter. *)
 
 val scoped : ?flush_cost:int -> policy -> (unit -> 'a) -> 'a
-(** Run with a fresh ambient cache of the given policy; restores the
-    previously ambient cache afterwards (exception-safe). *)
+(** [scoped ?flush_cost policy f] runs [f] (a system build) under a
+    fresh ambient cache of [policy] and restores the previously ambient
+    cache afterwards (exception-safe).  [Eager] at flush cost 1 (the
+    defaults) installs {e no} cache: the seed model, byte for byte.
+    @raise Invalid_argument when [flush_cost < 1]. *)
+
+val current : unit -> cache option
+(** The ambient cache of the current domain. *)
+
+val restore : cache option -> unit
+(** Make [saved] ambient again: [restore (current ())] brackets code
+    that may build under other caches. *)
 
 (** {2 Hooks for [Sim] and the shared-object constructors} *)
 
 val in_step : cache -> int -> (unit -> 'a) -> 'a
 (** Bracket one simulator step of pid [i] on a cache-backed system:
-    establishes the (cache, pid) step context that [dirty] and
-    [fence_here] consult. *)
+    establishes the (cache, pid) step context that [attach], [dirty],
+    [fence_here] and {!step_flush_cost} consult. *)
+
+val step_flush_cost : unit -> int
+(** The flush cost of the cache of the system executing the current
+    step; 1 outside any step, and in a step of a system built with no
+    cache. *)
 
 val attach :
   ?touch:(unit -> unit) -> persist:(unit -> unit) -> revert:(unit -> unit) -> unit -> line option
-(** Attach a line for a freshly created shared location to the ambient
-    cache.  [persist] copies volatile -> durable, [revert] the reverse.
+(** Attach a line for a freshly created shared location: to the cache
+    of the system executing the current step (an object created lazily
+    by a step), or, outside any step, to the ambient cache (a build).
+    A system built with no cache sets no step context, so an object
+    one of its steps creates sees the ambient slot, which is empty
+    outside a {!scoped} build.
+    [persist] copies volatile -> durable, [revert] the reverse.
     [touch] (default no-op) is called after every line-state mutation
     (ownership change, write-back, crash handling) so the owning
     object can invalidate its {!Heap} fingerprint-cache slot.  Returns
-    [None] (and the location behaves write-through) when no cache is
-    ambient or the ambient cache is [Eager].  Line-state mutations are
+    [None] (and the location behaves write-through) when that cache is
+    absent or [Eager].  Line-state mutations are
     undo-journaled while a {!Undo} journal is recording, including the
     line-id allocation (the [Torn] crash rule keys on ids). *)
 

@@ -7,14 +7,12 @@
    the adversaries (tens to low hundreds of choices) is milliseconds. *)
 
 let check ~mk sched =
-  (* [mk] may activate a fresh Heap arena / Persist cache for its system
-     (the Counterexample builders do); restore the ambient ones so
-     repeated oracle calls do not leak state across builds. *)
+  (* [mk] may activate a fresh Heap arena for its system; restore the
+     ambient one so repeated oracle calls do not leak it across builds.
+     (The write-back cache is the system's own: [mk] builds under it.) *)
   let saved_arena = Heap.current () in
-  let saved_cache = Persist.current () in
   Fun.protect ~finally:(fun () ->
-      (match saved_arena with Some a -> Heap.activate a | None -> Heap.deactivate ());
-      Persist.restore saved_cache)
+      match saved_arena with Some a -> Heap.activate a | None -> Heap.deactivate ())
   @@ fun () ->
   let t, chk = mk () in
   let rec go used = function

@@ -93,7 +93,7 @@ type event = Stepped of int | Crash_event of int
 type t = {
   procs : proc array;
   heap : Heap.t option; (* arena active at creation; None = no fingerprinting *)
-  cache : Persist.cache option; (* write-back cache active at creation *)
+  cache : Persist.cache option; (* write-back cache ambient at creation: the system's own *)
   mutable total_steps : int;
   mutable events : event list; (* most recent first *)
   mutable dead : bool; (* abandoned: stepping or crashing it is a bug *)
@@ -211,6 +211,7 @@ let create ~n body_of =
   { procs; heap; cache; total_steps = 0; events = []; dead = false }
 
 let num_procs t = Array.length t.procs
+let cache t = t.cache
 
 (* The LOGICAL run state.  A [stale] process (rolled back, continuation
    not yet rebuilt -- see [rebuild]) answers from its journal-restored
@@ -294,7 +295,10 @@ let step_proc t i =
      rebuilds a continuation when the proc is actually stepped again --
      procs that are next crashed, or never touched before the enclosing
      rollback, never pay for a rebuild. *)
-  if p.stale then rebuild p;
+  (* A rebuild re-runs the body, whose barriers size themselves from the
+     step context: it runs inside the system's cache, like a step. *)
+  if p.stale then (
+    match t.cache with None -> rebuild p | Some c -> Persist.in_step c i (fun () -> rebuild p));
   match p.resume with
   | None ->
       invalid_arg
@@ -392,15 +396,17 @@ let crash_all t =
 
 (* Persist barriers.  Each is a labelled shared-memory step (or
    [flush_cost] of them, so a policy sweep can price barriers), and each
-   takes the *same number of steps whatever the ambient policy* --
+   takes the *same number of steps whatever the system's policy* --
    annotated algorithms keep an identical schedule-tree shape under
    eager, lossy and torn, which is what makes cross-policy comparisons
    of explorer statistics meaningful.  Under eager (no cache, or lines
-   absent) the barrier steps are semantic no-ops. *)
+   absent) the barrier steps are semantic no-ops.  The cost comes from
+   the flushed line's cache or, for a fence, from the step context:
+   never from whatever cache is ambient when the barrier runs. *)
 
 let barrier_steps = function
   | Some l -> Persist.flush_cost (Persist.cache_of l)
-  | None -> ( match Persist.current () with Some c -> Persist.flush_cost c | None -> 1)
+  | None -> Persist.step_flush_cost ()
 
 (* Write one location's cache line back to durable memory (CLWB).  [fp]
    is the owning container's flush footprint (flushes of distinct

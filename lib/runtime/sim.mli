@@ -38,9 +38,17 @@ type event = Stepped of int | Crash_event of int
 
 val create : n:int -> (int -> unit -> unit) -> t
 (** [create ~n body_of]: a system of [n] processes; process [i] runs
-    [body_of i] from the beginning at start and after every crash. *)
+    [body_of i] from the beginning at start and after every crash.  The
+    system captures the ambient {!Persist} cache (see {!cache}) and
+    {!Heap} arena. *)
 
 val num_procs : t -> int
+
+val cache : t -> Persist.cache option
+(** The write-back cache the system was built under ({!Persist.scoped}),
+    which it carries for its whole life: [None] for the seed model
+    (eager at flush cost 1).  Explorers read a workload's persistency
+    model here. *)
 
 val finished : t -> int -> bool
 (** Has this process's current run completed?  (A later {!crash}
@@ -95,7 +103,7 @@ val crash : t -> int -> unit
 val flush : ?fp:Rcons_spec.Footprint.t -> Persist.line option -> unit
 (** Persist barrier: write one location's cache line back to durable
     memory.  Takes [flush_cost] labelled steps (default 1) regardless of
-    the ambient policy -- under eager it is a semantic no-op -- so
+    the system's policy -- under eager it is a semantic no-op -- so
     annotated algorithms keep an identical schedule-tree shape across
     policies.  [fp] attributes the barrier steps to the flushed
     container for the partial-order reduction (flushes of distinct

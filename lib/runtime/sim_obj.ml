@@ -3,9 +3,9 @@
    (one step); [read] is the READ operation of readable types, returning
    the entire state without changing it.
 
-   Persistency: like [Cell], the object acquires a cache line when a
-   non-eager [Persist] cache is ambient at creation -- [state] is the
-   volatile copy, [persisted] the durable one. *)
+   Persistency: like [Cell], the object acquires a cache line when
+   created under a non-eager [Persist] cache -- [state] is the volatile
+   copy, [persisted] the durable one. *)
 
 open Rcons_spec
 

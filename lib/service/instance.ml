@@ -842,6 +842,4 @@ let run_inner cfg =
 
 let run cfg =
   validate cfg;
-  match (cfg.persist, cfg.flush_cost) with
-  | Persist.Eager, 1 -> run_inner cfg
-  | p, fc -> Persist.scoped ~flush_cost:fc p (fun () -> run_inner cfg)
+  Persist.scoped ~flush_cost:cfg.flush_cost cfg.persist (fun () -> run_inner cfg)

@@ -25,9 +25,6 @@ let contains ~sub s =
 
 let cert2 = lazy (Helpers.cert_of Rcons_spec.Sticky_bit.t 2)
 
-let under policy f =
-  match policy with Persist.Eager -> f () | p -> Persist.scoped p f
-
 let policies = [ Persist.Eager; Persist.Lossy; Persist.Torn ]
 let policy_str = Persist.policy_to_string
 
@@ -37,7 +34,7 @@ let policy_str = Persist.policy_to_string
    everything observable: steps, crashes, the committed prefix, replay
    counts and the verdict. *)
 let run_fingerprint ~seed ~adv ~policy =
-  under policy (fun () ->
+  Persist.scoped policy (fun () ->
       let t, sim = Rlog.instance ~annotated:true ~slots:3 (Lazy.force cert2) in
       let trace = ref [] in
       let adv = Adversary.create ~seed adv in
@@ -90,7 +87,7 @@ let qcheck_recovery_deterministic =
    and report how many slots its recovery replayed from the chain.
    Deterministic: no randomness anywhere. *)
 let replay_after_crash ~policy ~slots ~crash_at =
-  under policy (fun () ->
+  Persist.scoped policy (fun () ->
       let t, sim = Rlog.instance ~annotated:true ~slots (Lazy.force cert2) in
       let steps = ref 0 in
       while !steps < crash_at && not (Sim.finished sim 0) do
@@ -105,7 +102,7 @@ let replay_after_crash ~policy ~slots ~crash_at =
 
 (* Total solo steps to completion, for placing the late crash. *)
 let solo_steps ~policy ~slots =
-  under policy (fun () ->
+  Persist.scoped policy (fun () ->
       let _, sim = Rlog.instance ~annotated:true ~slots (Lazy.force cert2) in
       let steps = ref 0 in
       while not (Sim.finished sim 0) do
@@ -151,11 +148,11 @@ let test_recovery_matrix () =
 
 let explore_log ?(annotated = true) ?(vote_first = false) ~policy ~slots () =
   let mk () =
-    let t, sim = Rlog.instance ~annotated ~vote_first ~slots (Lazy.force cert2) in
-    (sim, fun () -> Rlog.check_exn ~fail:Explore.fail t)
+    Persist.scoped policy (fun () ->
+        let t, sim = Rlog.instance ~annotated ~vote_first ~slots (Lazy.force cert2) in
+        (sim, fun () -> Rlog.check_exn ~fail:Explore.fail t))
   in
-  under policy (fun () ->
-      Explore.explore ~max_crashes:1 ~dedup:true ~por:true ~mk ())
+  Explore.explore ~max_crashes:1 ~dedup:true ~por:true ~mk ()
 
 let test_annotated_exhaustive () =
   List.iter
@@ -257,10 +254,7 @@ let test_checkpoint_save_atomic_no_tmp () =
   let w = Cex.log ~persist:Persist.Lossy ~annotated:true ~slots:1 "sticky" in
   let mk = match Cex.mk w with Ok mk -> mk | Error e -> failwith e in
   let file = Filename.temp_file "rcons_ckpt" ".json" in
-  (match
-     Persist.scoped Persist.Lossy (fun () ->
-         Explore.explore ~max_crashes:1 ~dedup:true ~node_budget:50 ~mk ())
-   with
+  (match Explore.explore ~max_crashes:1 ~dedup:true ~node_budget:50 ~mk () with
   | _ -> Alcotest.fail "tiny node budget should interrupt"
   | exception Explore.Interrupted ck ->
       Explore.save_checkpoint ~file ck;
@@ -367,9 +361,8 @@ let test_checkpoint_refuses_other_workload () =
   let eager_mk, eager_fp = build Persist.Eager in
   let cp =
     match
-      Persist.scoped Persist.Lossy (fun () ->
-          Explore.explore ~max_crashes:1 ~dedup:true ~node_budget:50 ~fingerprint:lossy_fp
-            ~mk:lossy_mk ())
+      Explore.explore ~max_crashes:1 ~dedup:true ~node_budget:50 ~fingerprint:lossy_fp
+        ~mk:lossy_mk ()
     with
     | _ -> Alcotest.fail "tiny node budget should interrupt"
     | exception Explore.Interrupted cp -> Explore.checkpoint_of_json (Explore.checkpoint_to_json cp)

@@ -378,25 +378,24 @@ let engines_agree (ot_idx, pol, max_crashes, faithful, mode) =
     if mode = Dedup_symmetry then Helpers.cert_of Rcons_spec.Sticky_bit.t 3
     else Helpers.cert_of (if ot_idx = 0 then Rcons_spec.Sn.make 2 else Rcons_spec.Sticky_bit.t) 2
   in
-  let mk = team_mk ~faithful cert in
+  let mk () = Persist.scoped policy (team_mk ~faithful cert) in
   let dedup = mode <> Raw && mode <> Por in
   let por = mode = Por || mode = Por_dedup in
   let symmetry =
     if mode = Dedup_symmetry then Some (Certificate.symmetry_classes cert) else None
   in
   let domain_counts = if mode = Por_dedup || mode = Dedup_symmetry then [ 1 ] else [ 1; 2; 4 ] in
-  Persist.scoped policy (fun () ->
-      let reference = engine_outcome ~dedup ~por ?symmetry ~max_crashes ~undo:true mk in
-      List.for_all
-        (fun d ->
-          let run undo =
-            if d = 1 then engine_outcome ~dedup ~por ?symmetry ~max_crashes ~undo mk
-            else
-              engine_outcome ~domains:d ~frontier_depth:2 ~dedup ~por ?symmetry ~max_crashes
-                ~undo mk
-          in
-          run true = reference && run false = reference)
-        domain_counts)
+  let reference = engine_outcome ~dedup ~por ?symmetry ~max_crashes ~undo:true mk in
+  List.for_all
+    (fun d ->
+      let run undo =
+        if d = 1 then engine_outcome ~dedup ~por ?symmetry ~max_crashes ~undo mk
+        else
+          engine_outcome ~domains:d ~frontier_depth:2 ~dedup ~por ?symmetry ~max_crashes ~undo
+            mk
+      in
+      run true = reference && run false = reference)
+    domain_counts
 
 let qcheck_engines =
   QCheck_alcotest.to_alcotest

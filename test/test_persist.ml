@@ -236,7 +236,7 @@ let test_fingerprint_sees_cache_state () =
 
 let test_eager_scoped_byte_identical () =
   (* Same-seed adversary runs must be event-for-event identical with no
-     cache and under an explicitly scoped eager cache: the persistency
+     cache and under an explicitly scoped eager model: the persistency
      layer is strictly opt-in.  (The e2/e4/e7 experiment tables are the
      coarse version of this pin; this is the fine-grained one.) *)
   let run scoped =
@@ -250,7 +250,9 @@ let test_eager_scoped_byte_identical () =
       ( Sim.events sys.Helpers.sim,
         Array.to_list sys.Helpers.outputs.Rcons_algo.Outputs.outputs )
     in
-    if scoped then Persist.scoped Persist.Eager go else go ()
+    (* An eager scope installs no cache, even over another ambient one. *)
+    if scoped then Persist.scoped Persist.Lossy (fun () -> Persist.scoped Persist.Eager go)
+    else go ()
   in
   let ev_plain, out_plain = run false and ev_eager, out_eager = run true in
   Alcotest.(check bool) "identical event streams" true (ev_plain = ev_eager);
@@ -261,18 +263,57 @@ let test_eager_scoped_byte_identical () =
 let lossy_workload ?(annotated = false) () =
   Cex.team2 ~persist:Persist.Lossy ~annotated "sticky"
 
-let test_unannotated_fig2_violates_lossy () =
-  let w = lossy_workload () in
+(* The explorer's provenance parameters of the violation [w] produces:
+   the persistency model must come from the system [mk] built, with no
+   ambient scope around the call. *)
+let violation_params w =
   match Cex.mk w with
   | Error e -> Alcotest.fail e
   | Ok mk -> (
       match Explore.explore ~max_crashes:1 ~mk () with
-      | _ -> Alcotest.fail "expected a violation under the lossy cache"
-      | exception Explore.Violation v ->
-          Alcotest.(check bool)
-            ("found: " ^ v.Explore.v_msg)
-            true
-            (String.length v.Explore.v_msg > 0))
+      | _ -> Alcotest.fail ("expected a violation on " ^ Cex.fingerprint w)
+      | exception Explore.Violation v -> (
+          Alcotest.(check bool) ("found: " ^ v.Explore.v_msg) true
+            (String.length v.Explore.v_msg > 0);
+          match v.Explore.v_provenance with
+          | Some p -> p.Schedule.params
+          | None -> Alcotest.fail "violation without provenance"))
+
+let test_unannotated_fig2_violates_lossy () =
+  let params = violation_params (lossy_workload ()) in
+  Alcotest.(check (option string)) "provenance records the system's policy" (Some "lossy")
+    (List.assoc_opt "persist" params);
+  Alcotest.(check (option string)) "and its flush cost" (Some "1")
+    (List.assoc_opt "flush_cost" params);
+  (* An eager workload (the broken level-3 negative control) builds with
+     no cache, and its provenance records no persistency at all. *)
+  let params = violation_params (Cex.team2 ~faithful:false ~level:3 "sticky") in
+  Alcotest.(check bool) "eager: no persist param" false (List.mem_assoc "persist" params);
+  Alcotest.(check bool) "eager: no flush_cost param" false (List.mem_assoc "flush_cost" params)
+
+(* A lossy workload explored with no ambient scope at all is reduced as
+   lossy: the sleep sets must not let crashes commute with other
+   processes' steps.  These are the bench/perf explore-reduced pins;
+   reduced as eager, the same workload walks 74 232 nodes. *)
+let test_unwrapped_lossy_reduced_pin () =
+  let w = Cex.log ~persist:Persist.Lossy ~annotated:true ~slots:1 ~level:2 "sticky" in
+  match Cex.mk w with
+  | Error e -> Alcotest.fail e
+  | Ok mk ->
+      let s = Explore.explore ~max_crashes:1 ~dedup:true ~por:true ~mk () in
+      Alcotest.(check (list int)) "schedules / nodes / distinct states / por-pruned"
+        [ 8; 120_843; 47_443; 42_605 ]
+        [ s.Explore.schedules; s.nodes; s.distinct_states; s.por_pruned ]
+
+(* Under an eager cache at flush cost 3 no object has a line, so each
+   barrier takes its cost from the step context -- also when a rollback
+   rebuilds a continuation, long after the build's scope has closed. *)
+let test_rollback_keeps_barrier_cost () =
+  match Cex.mk (Cex.team2 ~annotated:true ~flush_cost:3 "sticky") with
+  | Error e -> Alcotest.fail e
+  | Ok mk ->
+      let run undo = Explore.explore ~max_crashes:0 ~dedup:true ~undo ~mk () in
+      Alcotest.(check bool) "rollback = rebuild" true (run true = run false)
 
 let test_committed_artifact_replays () =
   match find_artifact () with
@@ -557,4 +598,8 @@ let suite =
     Alcotest.test_case "annotated RUniversal durable under lossy" `Quick
       test_runiversal_annotated_lossy;
     Alcotest.test_case "corrupted artifact diagnosis" `Quick test_corrupt_artifact_diagnosis;
+    Alcotest.test_case "unwrapped lossy log reduces as lossy" `Quick
+      test_unwrapped_lossy_reduced_pin;
+    Alcotest.test_case "rollback keeps an eager barrier's cost" `Quick
+      test_rollback_keeps_barrier_cost;
   ]
