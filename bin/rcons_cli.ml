@@ -871,37 +871,46 @@ let serve_cmd =
                   }
               | _ -> base)
         in
-        match Soak.run ~domains cfgs with
-        | o ->
-            List.iter
-              (fun (r : Instance.report) ->
+        (* Configs are validated before the soak starts: bad input is
+           one line and exit 2, while an [Invalid_argument] raised
+           mid-run still surfaces. *)
+        match List.iter Instance.validate cfgs with
+        | exception Invalid_argument msg ->
+            Format.eprintf "rcons serve: %s@." msg;
+            2
+        | () -> (
+            match Soak.run ~domains cfgs with
+            | o ->
+                List.iter
+                  (fun (r : Instance.report) ->
+                    Format.printf
+                      "instance %2d %-9s ticks %6d acked %4d/%-4d retries %4d shed %4d crashes %3d \
+                       recoveries %3d checks %3d%s@."
+                      r.Instance.r_id r.Instance.r_kind r.Instance.r_ticks r.Instance.r_acked
+                      r.Instance.r_submitted r.Instance.r_retries r.Instance.r_shed
+                      r.Instance.r_crashes_delivered r.Instance.r_recoveries r.Instance.r_checks_run
+                      (if r.Instance.r_stuck then "  STUCK" else ""))
+                  o.Soak.reports;
+                let s = o.Soak.summary in
                 Format.printf
-                  "instance %2d %-9s ticks %6d acked %4d/%-4d retries %4d shed %4d crashes %3d \
-                   recoveries %3d checks %3d%s@."
-                  r.Instance.r_id r.Instance.r_kind r.Instance.r_ticks r.Instance.r_acked
-                  r.Instance.r_submitted r.Instance.r_retries r.Instance.r_shed
-                  r.Instance.r_crashes_delivered r.Instance.r_recoveries r.Instance.r_checks_run
-                  (if r.Instance.r_stuck then "  STUCK" else ""))
-              o.Soak.reports;
-            let s = o.Soak.summary in
-            Format.printf
-              "soak: %d instances, %d acked / %d submitted, %d gave up, %d shed, %d crashes \
-               delivered, %d recoveries, 0 violations@."
-              s.Soak.s_instances s.Soak.s_acked s.Soak.s_submitted s.Soak.s_gave_up s.Soak.s_shed
-              s.Soak.s_crashes_delivered s.Soak.s_recoveries;
-            Format.printf "latency p50/p99 = %d/%d ticks, recovery p99 = %d ticks@."
-              (Service.Metrics.percentile s.Soak.s_latency 0.50)
-              (Service.Metrics.percentile s.Soak.s_latency 0.99)
-              (Service.Metrics.percentile s.Soak.s_recovery 0.99);
-            Format.printf "commit digest %s (independent of --domains)@." s.Soak.s_commit_digest;
-            if s.Soak.s_stuck > 0 then begin
-              Format.eprintf "%d instances stuck at the tick budget@." s.Soak.s_stuck;
-              1
-            end
-            else 0
-        | exception Instance.Violation v ->
-            Format.eprintf "VIOLATION: instance %d, tick %d: %s@." v.instance v.tick v.msg;
-            1)
+                  "soak: %d instances, %d acked / %d submitted, %d gave up, %d shed, %d crashes \
+                   delivered, %d recoveries, 0 violations@."
+                  s.Soak.s_instances s.Soak.s_acked s.Soak.s_submitted s.Soak.s_gave_up
+                  s.Soak.s_shed s.Soak.s_crashes_delivered s.Soak.s_recoveries;
+                Format.printf "latency p50/p99 = %d/%d ticks, recovery p99 = %d ticks@."
+                  (Service.Metrics.percentile s.Soak.s_latency 0.50)
+                  (Service.Metrics.percentile s.Soak.s_latency 0.99)
+                  (Service.Metrics.percentile s.Soak.s_recovery 0.99);
+                Format.printf "commit digest %s (independent of --domains)@."
+                  s.Soak.s_commit_digest;
+                if s.Soak.s_stuck > 0 then begin
+                  Format.eprintf "%d instances stuck at the tick budget@." s.Soak.s_stuck;
+                  1
+                end
+                else 0
+            | exception Instance.Violation v ->
+                Format.eprintf "VIOLATION: instance %d, tick %d: %s@." v.instance v.tick v.msg;
+                1))
   in
   let instances =
     Arg.(value & opt int 8 & info [ "instances" ] ~doc:"Number of hosted instances (default 8).")

@@ -51,8 +51,7 @@ let mem_state (type s o r)
 
 (* The outer candidate space (initial state x ordered assignment) shared
    by both oracles, as an array so that the sweep can be fanned out
-   across domains.  Existence is order-independent, so parallelizing a
-   boolean [exists] is trivially deterministic. *)
+   across domains. *)
 let outer_candidates (type s o r)
     (module T : Object_type.S with type state = s and type op = o and type resp = r) n =
   List.concat_map
@@ -60,12 +59,17 @@ let outer_candidates (type s o r)
     T.candidate_initial_states
   |> Array.of_list
 
+(* Does any candidate satisfy [p]?  A parallel [find_first] that only
+   reports whether it found anything. *)
+let any_candidate ?domains candidates p =
+  Rcons_par.Pool.find_first ?domains (Array.length candidates) (fun ci ->
+      if p candidates.(ci) then Some () else None)
+  <> None
+
 (* Definition 4, literally. *)
 let is_recording ?domains (Object_type.Pack (module T)) n =
   if n < 2 then invalid_arg "Brute_force.is_recording";
-  let candidates = outer_candidates (module T) n in
-  Rcons_par.Pool.exists ?domains (Array.length candidates) (fun ci ->
-      let q0, ops = candidates.(ci) in
+  any_candidate ?domains (outer_candidates (module T) n) (fun (q0, ops) ->
       List.exists
         (fun team_a ->
           let team_b = List.filter (fun i -> not (List.mem i team_a)) (List.init n Fun.id) in
@@ -103,9 +107,7 @@ let is_discerning ?domains (Object_type.Pack (module T)) n =
   let mem_pair (r, q) pairs =
     List.exists (fun (r', q') -> T.compare_resp r r' = 0 && T.compare_state q q' = 0) pairs
   in
-  let candidates = outer_candidates (module T) n in
-  Rcons_par.Pool.exists ?domains (Array.length candidates) (fun ci ->
-      let q0, ops = candidates.(ci) in
+  any_candidate ?domains (outer_candidates (module T) n) (fun (q0, ops) ->
       List.exists
         (fun team_a ->
           let team_b = List.filter (fun i -> not (List.mem i team_a)) (List.init n Fun.id) in

@@ -279,173 +279,93 @@ let run_sched sched j ~stop ~process =
 (* ------------------------------------------------------------------ *)
 (* Combinators.                                                        *)
 
-exception Aborted
-(* Internal: another participant raised; stop contributing. *)
+(* What [superseded] reads: the lowest-hit watermark of the parallel job
+   this domain takes part in, and the index it is evaluating.  Outside a
+   job the watermark is [idle], which is never lowered. *)
+type position = { mutable lowest : int Atomic.t; mutable index : int }
 
-let map ?domains n f =
-  let k = resolve_domains domains in
-  if k <= 1 || n <= 1 then Array.init n f
-  else begin
-    if n >= range_limit then invalid_arg "Pool.map: range too large";
-    let results = Array.make n None in
-    (* Grace period: run inline until the cutoff elapses; if that
-       finishes the range, the pool is never touched. *)
-    let g = Atomic.get cutoff in
-    let t0 = now () in
-    let i = ref 0 in
-    while !i < n && (g > 0. && now () -. t0 < g) do
-      results.(!i) <- Some (f !i);
-      incr i
-    done;
-    let start = !i in
-    let width = if start >= n then 1 else effective_width k in
-    if width <= 1 then begin
-      if start >= n then Atomic.incr Telemetry.seq_cutoffs;
-      for j = start to n - 1 do
-        results.(j) <- Some (f j)
-      done
-    end
-    else begin
-      let sched = make_sched start n width in
+let idle = Atomic.make max_int
+let position = Domain.DLS.new_key (fun () -> { lowest = idle; index = 0 })
+
+let superseded () =
+  let p = Domain.DLS.get position in
+  Atomic.get p.lowest < p.index
+
+let seq_find f lo hi =
+  let rec scan i =
+    if i >= hi then None else match f i with Some _ as r -> r | None -> scan (i + 1)
+  in
+  scan lo
+
+(* The one range driver, for [width > 1] participants and [n > 1]
+   indices: the value of [f i] at the smallest [i] where it is [Some],
+   as a left-to-right scan returns it.  Indices run inline until the
+   grace period elapses; the rest fans out over the range deques.
+   [lowest], the smallest hit so far, lets participants skip indices
+   that can no longer win.  [map] is the instance whose [f] never
+   hits. *)
+let drive name width n f =
+  if n >= range_limit then invalid_arg ("Pool." ^ name ^ ": range too large");
+  let g = Atomic.get cutoff in
+  let t0 = now () in
+  let rec grace i =
+    if i >= n || not (g > 0. && now () -. t0 < g) then (i, None)
+    else match f i with Some _ as r -> (i, r) | None -> grace (i + 1)
+  in
+  match grace 0 with
+  | start, None when start < n ->
+      let lowest = Atomic.make max_int in
+      let rec lower i =
+        let b = Atomic.get lowest in
+        if i < b && not (Atomic.compare_and_set lowest b i) then lower i
+      in
+      (* A participant's later hit always lies below its earlier one (it
+         was evaluated under the watermark that one set), so one slot
+         each suffices. *)
+      let hits = Array.make width None in
       let failed = Atomic.make false in
+      let sched = make_sched start n width in
       run_job width (fun j ->
+          let pos = Domain.DLS.get position in
+          pos.lowest <- lowest;
+          Fun.protect ~finally:(fun () -> pos.lowest <- idle) @@ fun () ->
           run_sched sched j
             ~stop:(fun () -> Atomic.get failed)
             ~process:(fun a b ->
               try
-                for idx = a to b - 1 do
-                  results.(idx) <- Some (f idx)
+                for i = a to b - 1 do
+                  if i < Atomic.get lowest then begin
+                    pos.index <- i;
+                    match f i with
+                    | Some v ->
+                        lower i;
+                        hits.(j) <- Some (i, v)
+                    | None -> ()
+                  end
                 done
               with e ->
                 Atomic.set failed true;
                 ignore (Atomic.fetch_and_add sched.outstanding (a - b));
-                raise e))
-    end;
-    Array.map (function Some v -> v | None -> raise Aborted) results
-  end
+                raise e));
+      let best = Atomic.get lowest in
+      Array.find_map (function Some (i, v) when i = best -> Some v | _ -> None) hits
+  | _, r ->
+      (* Settled inside the grace period: the pool is never touched. *)
+      Atomic.incr Telemetry.seq_cutoffs;
+      r
 
 let find_first ?domains n f =
-  let k = resolve_domains domains in
-  let seq_scan i0 limit =
-    let rec scan i =
-      if i >= limit then None else match f i with Some _ as r -> r | None -> scan (i + 1)
-    in
-    scan i0
-  in
-  if k <= 1 || n <= 1 then seq_scan 0 n
-  else begin
-    if n >= range_limit then invalid_arg "Pool.find_first: range too large";
-    let g = Atomic.get cutoff in
-    let t0 = now () in
-    let i = ref 0 in
-    let hit = ref None in
-    while !hit = None && !i < n && (g > 0. && now () -. t0 < g) do
-      (match f !i with Some _ as r -> hit := r | None -> ());
-      incr i
-    done;
-    match !hit with
-    | Some _ as r ->
-        Atomic.incr Telemetry.seq_cutoffs;
-        r (* smallest index by construction *)
-    | None ->
-        let start = !i in
-        let width = if start >= n then 1 else effective_width k in
-        if width <= 1 then begin
-          if start >= n then Atomic.incr Telemetry.seq_cutoffs;
-          seq_scan start n
-        end
-        else begin
-          (* Lowest index known to succeed; work at or above it can
-             never win the merge, so chunks there are skipped whole. *)
-          let best = Atomic.make max_int in
-          let rec lower i =
-            let b = Atomic.get best in
-            if i < b && not (Atomic.compare_and_set best b i) then lower i
-          in
-          let per_participant = Array.make width None in
-          let failed = Atomic.make false in
-          let sched = make_sched start n width in
-          run_job width (fun j ->
-              run_sched sched j
-                ~stop:(fun () -> Atomic.get failed)
-                ~process:(fun a b ->
-                  (try
-                     for idx = a to b - 1 do
-                       if idx < Atomic.get best then
-                         match f idx with
-                         | Some v ->
-                             lower idx;
-                             (match per_participant.(j) with
-                             | Some (i0, _) when i0 < idx -> ()
-                             | _ -> per_participant.(j) <- Some (idx, v))
-                         | None -> ()
-                     done
-                   with e ->
-                     Atomic.set failed true;
-                     ignore (Atomic.fetch_and_add sched.outstanding (a - b));
-                     raise e);
-                  ignore ()));
-          Array.fold_left
-            (fun acc r ->
-              match (acc, r) with
-              | Some (i, _), Some (j, _) when j < i -> r
-              | None, r -> r
-              | acc, _ -> acc)
-            None per_participant
-          |> Option.map snd
-        end
-  end
+  let width = effective_width (resolve_domains domains) in
+  if width <= 1 || n <= 1 then seq_find f 0 n else drive "find_first" width n f
 
-let exists ?domains n f =
-  let k = resolve_domains domains in
-  let seq_scan i0 =
-    let rec scan i = i < n && (f i || scan (i + 1)) in
-    scan i0
-  in
-  if k <= 1 || n <= 1 then seq_scan 0
+let map ?domains n f =
+  let width = effective_width (resolve_domains domains) in
+  if width <= 1 || n <= 1 then Array.init n f
   else begin
-    if n >= range_limit then invalid_arg "Pool.exists: range too large";
-    let g = Atomic.get cutoff in
-    let t0 = now () in
-    let i = ref 0 in
-    let found = ref false in
-    while (not !found) && !i < n && (g > 0. && now () -. t0 < g) do
-      found := f !i;
-      incr i
-    done;
-    if !found then begin
-      Atomic.incr Telemetry.seq_cutoffs;
-      true
-    end
-    else begin
-      let start = !i in
-      let width = if start >= n then 1 else effective_width k in
-      if width <= 1 then begin
-        if start >= n then Atomic.incr Telemetry.seq_cutoffs;
-        seq_scan start
-      end
-      else begin
-        let found = Atomic.make false in
-        let failed = Atomic.make false in
-        let sched = make_sched start n width in
-        run_job width (fun j ->
-            run_sched sched j
-              ~stop:(fun () -> Atomic.get found || Atomic.get failed)
-              ~process:(fun a b ->
-                try
-                  let idx = ref a in
-                  while !idx < b && not (Atomic.get found) do
-                    if f !idx then Atomic.set found true;
-                    incr idx
-                  done
-                with e ->
-                  Atomic.set failed true;
-                  ignore (Atomic.fetch_and_add sched.outstanding (a - b));
-                  raise e));
-        Atomic.get found
-      end
-    end
+    let results = Array.make n None in
+    ignore
+      (drive "map" width n (fun i ->
+           results.(i) <- Some (f i);
+           None));
+    Array.map Option.get results
   end
-
-let fold ?domains n ~map:m ~fold ~init =
-  Array.fold_left fold init (map ?domains n m)

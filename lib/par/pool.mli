@@ -1,12 +1,16 @@
-(** Work-stealing domain pool with deterministic result merging.
+(** Work-stealing domain pool with deterministic result merging: the
+    one place in the library that spawns domains.
 
-    All combinators evaluate a function on the index range [0, n) and
+    Both combinators evaluate a function on the index range [0, n) and
     combine the per-index results so that the outcome is {e independent
     of the number of domains}: running with [?domains:1] (the default)
     and with any larger value yields the same value, bit for bit.  This
     is the determinism contract the parallel decision procedures
-    ({!Rcons_check.Recording}, {!Rcons_check.Discerning}) and the
-    parallel schedule explorer ({!Rcons_runtime.Explore}) rely on.
+    ({!Rcons_check.Recording}, {!Rcons_check.Discerning} and the
+    {!Rcons_check.Brute_force} oracles), the parallel schedule explorer
+    ({!Rcons_runtime.Explore}) and the service soak ([Rcons_service.Soak])
+    rely on.  [map] and [find_first] share one range driver; [map] is
+    the scan that never stops early.
     Determinism comes from the {e merge} of per-index results, never
     from the schedule, so it survives work stealing, chunking, and any
     clamping of the domain count.
@@ -42,8 +46,8 @@
     period, everything runs on the calling domain with no atomics.
 
     The user function may be called from any domain, at most once per
-    index ([map], [fold]) and at most once per index that is still able
-    to affect the merged result ([find_first], [exists]).  It must be
+    index ([map]) and at most once per index that is still able to
+    affect the merged result ([find_first]).  It must be
     pure with respect to shared state; exceptions it raises are
     re-raised in the caller after all participants have quiesced. *)
 
@@ -73,15 +77,13 @@ val find_first : ?domains:int -> int -> (int -> 'a option) -> 'a option
     gracefully to "evaluate everything below the answer" in the worst
     case and cancels early in the good case. *)
 
-val exists : ?domains:int -> int -> (int -> bool) -> bool
-(** [exists ~domains n f]: does any index satisfy [f]?  Order-independent
-    (a bool is a bool), so cancellation fires on the first success found
-    by {e any} domain. *)
-
-val fold : ?domains:int -> int -> map:(int -> 'a) -> fold:('b -> 'a -> 'b) -> init:'b -> 'b
-(** [fold ~domains n ~map ~fold ~init]: map every index in parallel, then
-    fold the results sequentially in index order — a deterministic
-    map-reduce for merging per-shard statistics. *)
+val superseded : unit -> bool
+(** [superseded ()], called from inside a [find_first] function, is
+    true once some smaller index has returned [Some]: the current
+    index's result will be discarded, so a long evaluation may give up
+    early and return anything.  False in sequential scans, in the grace
+    period and outside any scan.  The explorer's parallel raw walkers
+    poll it to abandon subtrees right of a violation mid-walk. *)
 
 (** {2 Tuning} *)
 

@@ -83,12 +83,13 @@
    Parallel mode ([domains > 1]): the tree is walked sequentially down to
    [frontier_depth]; the nodes of that frontier -- in DFS order, which
    with the fixed choice ordering is lexicographic order on schedules --
-   are then distributed across OCaml 5 domains, each re-executing its
-   subtree on its own fresh systems built by [mk].  Per-subtree statistics
-   are merged in frontier order, and if any subtree finds a violation the
-   one with the smallest frontier index wins (with an atomic watermark
-   cancelling subtrees that can no longer win), so the schedule reported
-   is exactly the one the sequential DFS would have raised first: results
+   are then distributed across OCaml 5 domains by one
+   [Rcons_par.Pool.find_first], each re-executing its subtree on its own
+   fresh systems built by [mk].  Per-subtree statistics are merged in
+   frontier order, and if any subtree finds a violation the one with the
+   smallest frontier index wins (subtrees that can no longer win see
+   [Pool.superseded] and cancel themselves), so the schedule reported is
+   exactly the one the sequential DFS would have raised first: results
    of completed explorations are bit-identical to the sequential path.
    With [dedup = true] the walkers instead share the visited set (their
    statistics are order-independent, see above); if any walker finds a
@@ -199,36 +200,20 @@ let checkpoint_to_json cp =
 let checkpoint_of_json j =
   if (match Json.member "kind" j with Some (Json.String "explore-checkpoint") -> false | _ -> true)
   then invalid_arg "Explore.checkpoint_of_json: not an explore checkpoint";
-  (* Older checkpoints name the engine that took them.  Both backtrack
-     strategies cut the same checkpoint, so "undo" and "replay" both
-     load; any other tag is from a build this one does not know, whose
-     cursor may mean something else: refuse it rather than misresume. *)
-  (match Json.member "engine" j with
-  | None | Some (Json.String ("undo" | "replay")) -> ()
-  | Some (Json.String e) ->
-      invalid_arg ("Explore.checkpoint_of_json: unknown exploration engine " ^ e)
-  | Some _ -> invalid_arg "Explore.checkpoint_of_json: engine must be a string");
+  (* Only this build's format loads: an older cursor or visited digest
+     may name something else here, and misresuming would silently
+     finish a different exploration. *)
+  (match Json.member "version" j with
+  | Some (Json.Int v) when v = checkpoint_version -> ()
+  | v ->
+      invalid_arg
+        (Printf.sprintf
+           "Explore.checkpoint_of_json: %s checkpoint is not this build's version %d; rerun the \
+            exploration"
+           (match v with Some v -> "version " ^ Json.to_string v | None -> "unversioned")
+           checkpoint_version));
   let int k v = Json.to_int (Json.field k v) in
-  let version = match Json.member "version" j with Some v -> Json.to_int v | None -> 1 in
-  if version > checkpoint_version then
-    invalid_arg
-      (Printf.sprintf "Explore.checkpoint_of_json: checkpoint version %d is newer than this build's %d"
-         version checkpoint_version);
-  let visited = Json.to_list (Json.field "visited" j) in
-  (* An older checkpoint's visited digests name states in a fingerprint
-     format this build no longer produces: they would never match, and
-     every state they claimed would be silently re-expanded and
-     re-counted.  A raw checkpoint has none, so it still resumes. *)
-  if version < checkpoint_version && visited <> [] then
-    invalid_arg
-      (Printf.sprintf
-         "Explore.checkpoint_of_json: version %d dedup checkpoint holds fingerprints of an \
-          older format; rerun the exploration"
-         version);
   let stats = Json.field "stats" j in
-  (* Fields added after the v1 format default when absent, so pre-reduction
-     checkpoints stay loadable. *)
-  let opt_int k v = match Json.member k v with Some x -> Json.to_int x | None -> 0 in
   {
     cp_cursor = Schedule.of_json (Json.field "cursor" j);
     cp_stats =
@@ -238,18 +223,17 @@ let checkpoint_of_json j =
         max_depth = int "max_depth" stats;
         dedup_hits = int "dedup_hits" stats;
         distinct_states = int "distinct_states" stats;
-        por_pruned = opt_int "por_pruned" stats;
-        symmetry_hits = opt_int "symmetry_hits" stats;
+        por_pruned = int "por_pruned" stats;
+        symmetry_hits = int "symmetry_hits" stats;
       };
-    cp_visited = List.map (fun s -> Digest.from_hex (Json.to_str s)) visited;
+    cp_visited =
+      List.map (fun s -> Digest.from_hex (Json.to_str s)) (Json.to_list (Json.field "visited" j));
     cp_max_crashes = int "max_crashes" j;
     cp_max_steps = int "max_steps" j;
     cp_dedup = Json.to_bool (Json.field "dedup" j);
-    cp_por = (match Json.member "por" j with Some b -> Json.to_bool b | None -> false);
+    cp_por = Json.to_bool (Json.field "por" j);
     cp_fingerprint =
-      (match Json.member "fingerprint" j with
-      | None | Some Json.Null -> None
-      | Some fp -> Some (Json.to_str fp));
+      (match Json.field "fingerprint" j with Json.Null -> None | fp -> Some (Json.to_str fp));
   }
 
 (* [Json.save] writes temp-then-rename: a crash of the host process
@@ -333,6 +317,7 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
     invalid_arg "Explore.explore: por + dedup is order-dependent and requires domains = 1";
   if symmetry <> None && not dedup then
     invalid_arg "Explore.explore: symmetry reduction requires dedup";
+  if max_crashes < 0 then invalid_arg "Explore.explore: max_crashes must be >= 0";
   (match resume_from with
   | Some cp ->
       if por then
@@ -350,7 +335,8 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
       (* The cursor alone cannot tell two workloads with the same choice
          tree apart (a lossy and an eager run of one algorithm): resuming
          under the wrong one would silently finish a different
-         exploration.  Checkpoints predating the field skip the check. *)
+         exploration.  A checkpoint of a run without a fingerprint skips
+         the check. *)
       if cp.cp_fingerprint <> None && cp.cp_fingerprint <> fingerprint then
         invalid_arg
           (Printf.sprintf
@@ -787,11 +773,11 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
   in
   (* Fold phase 2's per-subtree statistics into phase 1's, in frontier
      order; cancelled and violating subtrees add nothing. *)
-  let merge_stats cnt0 results =
+  let merge_stats s0 subtrees =
     Array.fold_left
       (fun acc r ->
         match r with
-        | Some (Ok s) ->
+        | Some s ->
             {
               acc with
               schedules = acc.schedules + s.schedules;
@@ -801,8 +787,59 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
               por_pruned = acc.por_pruned + s.por_pruned;
               symmetry_hits = acc.symmetry_hits + s.symmetry_hits;
             }
-        | Some (Error _) | None -> acc)
-      (stats_of cnt0) results
+        | None -> acc)
+      s0 subtrees
+  in
+  (* The parallel split.  Phase 1 walks sequentially down to
+     [frontier_depth] and emits each frontier node as a (prefix,
+     crashes, sleep) triple: the cross-domain handoff token, since a
+     live system cannot cross domains -- the receiving walker rebuilds
+     the fork point from the prefix ([run_walk]), then explores its
+     whole subtree under the run's strategy.  Phase 2 fans the frontier
+     out through [Pool.find_first], which returns the violation at the
+     smallest frontier index; a walker right of a known violation is
+     superseded and cancels itself mid-walk.  Only three things are
+     dedup-specific: the walkers share the visited store, any violation
+     cancels every walker, and a violation anywhere falls back to the
+     deterministic sequential dedup pass (see the header). *)
+  let run_par () =
+    let store = if dedup then Some (visited_store (Rcons_par.Visited.create ())) else None in
+    let cnt0 = fresh_counter () in
+    let frontier_rev = ref [] in
+    let emit prefix crashes sleep = frontier_rev := (prefix, crashes, sleep) :: !frontier_rev in
+    (* A raw phase-1 violation does NOT abort at once: in DFS order it
+       comes after the complete subtrees of every frontier node emitted
+       before it, and one of those may hold the violation the sequential
+       explorer would have reported first. *)
+    let phase1 =
+      match walk ~stop_depth:frontier_depth ~emit ?store cnt0 [] 0 0 with
+      | () -> None
+      | exception Violation v -> Some v
+    in
+    let frontier = Array.of_list (List.rev !frontier_rev) in
+    let subtrees = Array.make (Array.length frontier) None in
+    let violated = Atomic.make false in
+    let cancelled () = Rcons_par.Pool.superseded () || (dedup && Atomic.get violated) in
+    let subtree_violation =
+      if dedup && phase1 <> None then None
+      else
+        Rcons_par.Pool.find_first ~domains:workers (Array.length frontier) (fun i ->
+            let prefix, crashes, sleep = frontier.(i) in
+            let cnt = fresh_counter () in
+            match walk ~cancelled ?store ~sleep0:sleep cnt prefix frontier_depth crashes with
+            | () ->
+                subtrees.(i) <- Some (stats_of cnt);
+                None
+            | exception Cancelled -> None
+            | exception Violation v ->
+                Atomic.set violated true;
+                Some v)
+    in
+    (* A subtree violation orders before the phase-1 one. *)
+    match (subtree_violation, phase1) with
+    | None, None -> merge_stats (stats_of ?store cnt0) subtrees
+    | _ when dedup -> run_seq_dedup ()
+    | Some v, _ | None, Some v -> raise (Violation v)
   in
   let saved_arena = Heap.current () in
   let restore_arena () =
@@ -853,107 +890,4 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
          unchanged instead. *)
       cp.cp_stats
   | _ ->
-      if workers <= 1 then if dedup then run_seq_dedup () else run_seq ()
-      else if dedup then begin
-        (* Parallel dedup: walkers share the visited set; exactly-once
-           expansion makes all statistics schedule-order independent, so no
-           watermark is needed for pass runs.  Any violation falls back to
-           the deterministic sequential dedup pass (see header comment). *)
-        let store = visited_store (Rcons_par.Visited.create ()) in
-        let frontier_rev = ref [] in
-        let cnt0 = fresh_counter () in
-        let violated = Atomic.make false in
-        (* A frontier item (prefix, crashes, sleep) is the handoff
-           token: a live system cannot cross domains, so the receiving
-           walker rebuilds the fork point from the prefix ([run_walk]),
-           then explores its whole subtree under the run's strategy. *)
-        let emit_frontier prefix crashes sleep =
-          frontier_rev := (prefix, crashes, sleep) :: !frontier_rev
-        in
-        let phase1 =
-          match walk ~stop_depth:frontier_depth ~emit:emit_frontier ~store cnt0 [] 0 0 with
-          | () -> Ok ()
-          | exception Violation _ -> Error ()
-        in
-        match phase1 with
-        | Error () -> run_seq_dedup ()
-        | Ok () -> (
-            let frontier = Array.of_list (List.rev !frontier_rev) in
-            let nf = Array.length frontier in
-            let results =
-              Rcons_par.Pool.map ~domains:workers nf (fun i ->
-                  if Atomic.get violated then None
-                  else
-                    let prefix, crashes, sleep = frontier.(i) in
-                    let cnt = fresh_counter () in
-                    let cancelled () = Atomic.get violated in
-                    match
-                      walk ~cancelled ~store ~sleep0:sleep cnt prefix frontier_depth crashes
-                    with
-                    | () -> Some (Ok (stats_of cnt))
-                    | exception Cancelled -> None
-                    | exception Violation _ ->
-                        Atomic.set violated true;
-                        Some (Error ()))
-            in
-            match
-              Array.exists (function Some (Error ()) -> true | _ -> false) results
-            with
-            | true -> run_seq_dedup ()
-            | false -> { (merge_stats cnt0 results) with distinct_states = store.st_distinct () })
-      end
-      else begin
-        (* Phase 1: sequential walk down to the frontier.  A violation at
-           depth < frontier_depth does NOT abort immediately: in DFS order it
-           comes after the complete subtrees of every frontier node emitted
-           before it, so those subtrees must still be searched -- one of them
-           may contain the violation the sequential explorer would have
-           reported first. *)
-        let frontier_rev = ref [] in
-        let cnt0 = fresh_counter () in
-        (* See the dedup branch: the (prefix, crashes, sleep) triple is
-           the cross-domain handoff token; phase 2 rebuilds it once. *)
-        let emit_frontier prefix crashes sleep =
-          frontier_rev := (prefix, crashes, sleep) :: !frontier_rev
-        in
-        let phase1_violation =
-          match walk ~stop_depth:frontier_depth ~emit:emit_frontier cnt0 [] 0 0 with
-          | () -> None
-          | exception Violation v -> Some v
-        in
-        let frontier = Array.of_list (List.rev !frontier_rev) in
-        let nf = Array.length frontier in
-        (* Phase 2: fan the frontier subtrees out across domains.  [best] is
-           the smallest frontier index known to hold a violation; subtrees at
-           larger indices cancel themselves. *)
-        let best = Atomic.make max_int in
-        let rec lower i =
-          let b = Atomic.get best in
-          if i < b && not (Atomic.compare_and_set best b i) then lower i
-        in
-        let results =
-          Rcons_par.Pool.map ~domains:workers nf (fun i ->
-              if Atomic.get best < i then None
-              else
-                let prefix, crashes, sleep = frontier.(i) in
-                let cnt = fresh_counter () in
-                let cancelled () = Atomic.get best < i in
-                match walk ~cancelled ~sleep0:sleep cnt prefix frontier_depth crashes with
-                | () -> Some (Ok (stats_of cnt))
-                | exception Cancelled -> None
-                | exception Violation v ->
-                    lower i;
-                    Some (Error v))
-        in
-        (* Merge in frontier order: the first subtree violation is exactly the
-           first violation of the sequential DFS; a phase-1 violation orders
-           after every emitted subtree. *)
-        let first_violation =
-          Array.to_seq results
-          |> Seq.filter_map (function Some (Error v) -> Some v | _ -> None)
-          |> Seq.uncons
-        in
-        (match first_violation with Some (v, _) -> raise (Violation v) | None -> ());
-        (match phase1_violation with Some v -> raise (Violation v) | None -> ());
-        merge_stats cnt0 results
-      end
+      if workers > 1 then run_par () else if dedup then run_seq_dedup () else run_seq ()

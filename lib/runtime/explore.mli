@@ -80,17 +80,22 @@
     {2 Parallel exploration}
 
     With [?domains > 1] the schedule tree is split at [frontier_depth]:
-    the top of the tree is walked sequentially, and each frontier subtree
-    is re-executed on its own domain with its own fresh systems.
+    the top of the tree is walked sequentially, and the frontier
+    subtrees are fanned out through one {!Rcons_par.Pool.find_first},
+    each re-executed with its own fresh systems.  One frontier driver
+    serves both modes.
 
-    In raw mode, statistics are merged in frontier (= DFS =
-    lexicographic) order and the violation reported, if any, is the one
-    the sequential DFS would have raised first, so completed runs are
-    bit-identical to [?domains:1].  In dedup mode, walkers share the
-    visited set; exactly-once expansion makes the merged statistics
-    identical to the sequential dedup run on any domain count, and a
-    violation found by any walker triggers one sequential deduplicating
-    re-run whose first violation is, again, deterministic.  (The dedup
+    Statistics are merged in frontier (= DFS = lexicographic) order, and
+    in raw mode the violation reported, if any, is the one at the
+    smallest frontier index -- the one the sequential DFS would have
+    raised first -- so completed runs are bit-identical to
+    [?domains:1].  A walker right of a known violation learns it is
+    superseded ({!Rcons_par.Pool.superseded}) and stops mid-walk.  In
+    dedup mode, walkers share the visited set; exactly-once expansion
+    makes the merged statistics identical to the sequential dedup run on
+    any domain count, and a violation found by any walker cancels every
+    walker and triggers one sequential deduplicating re-run whose first
+    violation is, again, deterministic.  (The dedup
     violation schedule can differ from the raw-mode one -- dedup prunes
     some paths to a violating state -- but never between dedup runs.)
 
@@ -189,12 +194,12 @@ val checkpoint_to_json : checkpoint -> Json.t
     trace-chain {!Sim.fingerprint_digest}. *)
 
 val checkpoint_of_json : Json.t -> checkpoint
-(** @raise Invalid_argument with a one-line diagnosis on a malformed
-    checkpoint, one from a newer format, or a version 1 (or unversioned)
-    checkpoint whose visited list is non-empty: its digests name
-    fingerprints of the older list format, so resuming it would silently
-    re-expand every state it had claimed.  A version 1 checkpoint of a
-    raw run (empty visited list) still loads. *)
+(** Reads exactly format version 2, every field required.
+    @raise Invalid_argument with a one-line diagnosis on a malformed
+    checkpoint or one of any other version (unversioned, version 1, or
+    newer), naming the version: an older cursor or visited digest may
+    name something else in this build, so resuming it could silently
+    finish a different exploration. *)
 
 val save_checkpoint : file:string -> checkpoint -> unit
 (** Serialize atomically: the JSON is written to [file ^ ".tmp"] and
@@ -279,12 +284,11 @@ val explore :
     artifacts can refuse replay against the wrong workload, and in
     checkpoints so that a resume on a different workload raises
     [Invalid_argument] (one line naming both fingerprints).  A
-    checkpoint without one -- taken without [?fingerprint], or older
-    than the field -- skips the check.
+    checkpoint without one -- taken without [?fingerprint] -- skips the
+    check.
 
     [?undo] (default [true]) selects the backtrack strategy: rollback
     over the undo journal, or with [false] the rebuild oracle.  Both
     cut identical checkpoints and either resumes any checkpoint.
-    Checkpoints no longer name the strategy; a legacy ["engine"] tag of
-    ["undo"] or ["replay"] still loads, and any other value is refused
-    by {!checkpoint_of_json} ([Invalid_argument]). *)
+
+    @raise Invalid_argument if [max_crashes < 0]. *)

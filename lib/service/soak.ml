@@ -97,38 +97,14 @@ let summarize reports =
     s_commit_digest = Digest.to_hex (Digest.string (Buffer.contents buf));
   }
 
-let run ?(domains = 1) cfgs =
-  if domains < 1 then invalid_arg "Soak.run: domains must be >= 1";
+let run ?domains cfgs =
   List.iter Instance.validate cfgs;
   let cfgs = Array.of_list cfgs in
-  let n = Array.length cfgs in
-  let results = Array.make n None in
-  (* Static partition: instance i runs on domain (i mod domains).  Each
-     slice is sequential, so per-domain ambient state (the Persist
-     cache) is bracketed instance by instance. *)
-  let run_slice d =
-    let out = ref [] in
-    for i = 0 to n - 1 do
-      if i mod domains = d then begin
-        let r = try Ok (Instance.run cfgs.(i)) with Instance.Violation _ as e -> Error e in
-        out := (i, r) :: !out
-      end
-    done;
-    !out
+  (* Each instance keeps its own verdict, so the violation from the
+     lowest instance index wins however the fleet was spread. *)
+  let results =
+    Rcons_par.Pool.map ?domains (Array.length cfgs) (fun i ->
+        try Ok (Instance.run cfgs.(i)) with Instance.Violation _ as e -> Error e)
   in
-  let record = List.iter (fun (i, r) -> results.(i) <- Some r) in
-  if domains = 1 || n <= 1 then record (run_slice 0)
-  else begin
-    let doms = Array.init domains (fun d -> Domain.spawn (fun () -> run_slice d)) in
-    Array.iter (fun dm -> record (Domain.join dm)) doms
-  end;
-  let reports =
-    Array.to_list
-      (Array.map
-         (function
-           | Some (Ok rep) -> rep
-           | Some (Error e) -> raise e
-           | None -> assert false)
-         results)
-  in
+  let reports = Array.to_list (Array.map (function Ok rep -> rep | Error e -> raise e) results) in
   { reports; summary = summarize reports }

@@ -2,17 +2,17 @@
     completion, optionally fanned out across domains.
 
     Instances are fully independent simulations (private RNGs, private
-    persistency caches, private adversaries), so the fleet partitions
-    statically: instance [i] runs on domain [i mod domains], each domain
-    runs its share sequentially, and the merged {!summary} -- including
-    the {!summary.s_commit_digest} over every instance's commit trace --
-    is identical for any [domains] count.  [test/test_service.ml] holds
-    that equality across 1/2/4 domains.
+    persistency caches, private adversaries), so the fleet is one
+    {!Rcons_par.Pool.map} over instance indices: the pool spreads the
+    instances over domains by work stealing, and the merged {!summary}
+    -- including the {!summary.s_commit_digest} over every instance's
+    commit trace -- is identical for any [domains] count.
+    [test/test_service.ml] holds that equality across 1/2/4 domains.
 
     A checker {!Instance.Violation} raised by any instance aborts the
-    soak: all domains still run to completion (a domain cannot be
-    interrupted mid-instance), then the violation from the
-    lowest-numbered failing instance is re-raised, deterministically. *)
+    soak: every instance still runs to completion (an instance cannot be
+    interrupted midway), then the violation from the lowest-numbered
+    failing instance is re-raised, deterministically. *)
 
 (** Fleet-wide aggregates.  Sums over instances unless noted; histograms
     are merged bucket-wise. *)
@@ -56,10 +56,11 @@ val default : id:int -> seed:int -> Instance.config
 val summarize : Instance.report list -> summary
 
 val run : ?domains:int -> Instance.config list -> outcome
-(** Run every instance to completion and merge.  [domains] defaults to
-    [1]; the result is independent of it.
+(** Run every instance to completion and merge.  [domains] is read as
+    by {!Rcons_par.Pool}: absent or [<= 1] runs the fleet sequentially
+    on the calling domain; the result is independent of it.
 
     @raise Instance.Violation if any instance's online or final checks
     failed (lowest instance index wins when several fail).
-    @raise Invalid_argument if [domains < 1] or any config is invalid
-    (all configs are validated up front, before anything runs). *)
+    @raise Invalid_argument if any config is invalid (all configs are
+    validated up front, before anything runs). *)

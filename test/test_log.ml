@@ -290,58 +290,49 @@ let test_corrupt_checkpoint_diagnosis () =
   | exception Invalid_argument msg ->
       Alcotest.(check bool) ("names the problem: " ^ msg) true (String.length msg > 0));
   Sys.remove wrong;
-  (* A checkpoint claiming an exploration engine this build does not
-     know is from the future; its cursor may mean something else, so the
-     loader must refuse it (CLI exit 2), not misresume it. *)
-  let alien_engine =
-    write_tmp
-      {|{"version": 1, "kind": "explore-checkpoint", "max_crashes": 1, "max_steps": 100,
-         "dedup": false, "por": false, "engine": "snapshot-v2",
-         "stats": {"schedules": 0, "nodes": 1, "max_depth": 0, "dedup_hits": 0,
-                   "distinct_states": 0, "por_pruned": 0, "symmetry_hits": 0},
-         "cursor": ["s0"], "visited": []}|}
-  in
-  (match Explore.load_checkpoint ~file:alien_engine with
-  | _ -> Alcotest.fail "unknown-engine checkpoint should not load"
-  | exception Invalid_argument msg ->
-      Alcotest.(check bool)
-        ("names the engine: " ^ msg)
-        true
-        (contains ~sub:"unknown exploration engine" msg && contains ~sub:"snapshot-v2" msg));
-  Sys.remove alien_engine;
-  (* A version 1 dedup checkpoint holds digests of the older list-format
-     fingerprints: no state of this build matches them, so resuming
-     would silently re-expand every claimed state.  Refused with a
-     one-line diagnosis; the same checkpoint of a raw run (nothing
-     visited) still loads, with or without a version field. *)
-  let v1 ?(version = {|"version": 1,|}) ~dedup visited =
+  (* Only format version 2 loads.  A checkpoint from an older build --
+     one naming the exploration engine that cut it, a version 1 file
+     (whose dedup digests name list-format fingerprints no state of
+     this build matches), or one with no version at all -- may mean
+     something else here, so the loader refuses it with one line naming
+     the version (CLI exit 2), raw or dedup alike. *)
+  let old ~version ?(engine = "") ~dedup visited =
     Printf.sprintf
       {|{%s "kind": "explore-checkpoint", "max_crashes": 1, "max_steps": 100,
-         "dedup": %b, "por": false,
+         "dedup": %b, "por": false, %s "fingerprint": null,
          "stats": {"schedules": 0, "nodes": 1, "max_depth": 0, "dedup_hits": 0,
                    "distinct_states": %d, "por_pruned": 0, "symmetry_hits": 0},
          "cursor": ["s0"], "visited": [%s]}|}
-      version dedup (List.length visited)
+      version dedup engine (List.length visited)
       (String.concat ", " (List.map (Printf.sprintf "%S") visited))
   in
+  let digest = "0123456789abcdef0123456789abcdef" in
   List.iter
-    (fun (what, version) ->
-      let old_dedup =
-        write_tmp (v1 ?version ~dedup:true [ "0123456789abcdef0123456789abcdef" ])
-      in
-      (match Explore.load_checkpoint ~file:old_dedup with
-      | _ -> Alcotest.failf "%s dedup checkpoint should not load" what
+    (fun (what, named, contents) ->
+      let file = write_tmp contents in
+      (match Explore.load_checkpoint ~file with
+      | _ -> Alcotest.failf "%s checkpoint should not load" what
       | exception Invalid_argument msg ->
           Alcotest.(check bool)
-            (Printf.sprintf "%s: one-line diagnosis naming the format: %s" what msg)
+            (Printf.sprintf "%s: one-line diagnosis naming the version: %s" what msg)
             true
-            (contains ~sub:"older format" msg && not (String.contains msg '\n')));
-      Sys.remove old_dedup;
-      let old_raw = write_tmp (v1 ?version ~dedup:false []) in
-      let cp = Explore.load_checkpoint ~file:old_raw in
-      Alcotest.(check int) (what ^ " raw checkpoint loads") 1 (Explore.checkpoint_stats cp).nodes;
-      Sys.remove old_raw)
-    [ ("version 1", None); ("unversioned", Some "") ];
+            (contains ~sub:named msg && not (String.contains msg '\n')));
+      Sys.remove file)
+    [
+      ( "alien-engine",
+        "version 1",
+        old ~version:{|"version": 1,|} ~engine:{|"engine": "snapshot-v2",|} ~dedup:false [] );
+      ("version 1 dedup", "version 1", old ~version:{|"version": 1,|} ~dedup:true [ digest ]);
+      ("version 1 raw", "version 1", old ~version:{|"version": 1,|} ~dedup:false []);
+      ("unversioned dedup", "unversioned", old ~version:"" ~dedup:true [ digest ]);
+      ("unversioned raw", "unversioned", old ~version:"" ~dedup:false []);
+      ("newer", "version 3", old ~version:{|"version": 3,|} ~dedup:false []);
+    ];
+  (* The same file at version 2 loads. *)
+  let current = write_tmp (old ~version:{|"version": 2,|} ~dedup:false []) in
+  Alcotest.(check int) "version 2 checkpoint loads" 1
+    (Explore.checkpoint_stats (Explore.load_checkpoint ~file:current)).nodes;
+  Sys.remove current;
   (* Unreadable path: Sys_error, same exit-2 mapping in the CLI. *)
   match Explore.load_checkpoint ~file:"/nonexistent/nowhere.json" with
   | _ -> Alcotest.fail "missing checkpoint should not load"

@@ -40,13 +40,34 @@ let test_pool_find_first () =
   Alcotest.(check (option int)) "late single hit" (Some 999)
     (Rcons_par.Pool.find_first ~domains 1000 (fun i -> if i = 999 then Some i else None))
 
-let test_pool_exists () =
-  Alcotest.(check bool) "exists" true (Rcons_par.Pool.exists ~domains 1000 (fun i -> i = 997));
-  Alcotest.(check bool) "not exists" false (Rcons_par.Pool.exists ~domains 1000 (fun _ -> false))
-
-let test_pool_fold () =
-  let total = Rcons_par.Pool.fold ~domains 1000 ~map:(fun i -> i) ~fold:( + ) ~init:0 in
-  Alcotest.(check int) "fold sum" (999 * 1000 / 2) total
+(* An index above a hit learns it is superseded, so it may stop early;
+   the hit still wins, and nothing is superseded outside a scan. *)
+let test_pool_superseded () =
+  let open Rcons_par.Pool in
+  let started = Atomic.make false and saw = Atomic.make false in
+  let wait_for cond =
+    let t0 = Unix.gettimeofday () in
+    while (not (cond ())) && Unix.gettimeofday () -. t0 < 5. do
+      Unix.sleepf 0.0001
+    done
+  in
+  let r =
+    find_first ~domains 64 (fun i ->
+        match i with
+        | 0 ->
+            (* Hold the hit at 1 back until an index above it runs. *)
+            wait_for (fun () -> Atomic.get started);
+            None
+        | 1 -> Some 1
+        | i ->
+            Atomic.set started true;
+            wait_for superseded;
+            if superseded () then Atomic.set saw true;
+            Some i)
+  in
+  Alcotest.(check (option int)) "smallest hit wins" (Some 1) r;
+  Alcotest.(check bool) "an index above the hit saw itself superseded" true (Atomic.get saw);
+  Alcotest.(check bool) "false outside a scan" false (superseded ())
 
 let test_pool_exn_propagates () =
   Alcotest.check_raises "exception crosses domains" (Failure "boom") (fun () ->
@@ -427,21 +448,6 @@ let test_checkpoint_engine_parity () =
       ("uninterrupted rebuild run", Explore.explore ~max_crashes:1 ~undo:false ~mk ());
     ]
 
-(* Checkpoints used to name the engine that cut them; one tagged
-   ["engine": "replay"] (the oracle's old name) still loads and resumes
-   to the uninterrupted stats. *)
-let test_checkpoint_engine_tag_compat () =
-  let mk = team_mk (Helpers.cert_of (Rcons_spec.Sn.make 2) 2) in
-  let tagged =
-    match Explore.checkpoint_to_json (interrupted_checkpoint ~undo:true mk) with
-    | Json.Obj kvs -> Json.Obj (("engine", Json.String "replay") :: kvs)
-    | _ -> Alcotest.fail "checkpoint JSON is not an object"
-  in
-  let cp = Explore.checkpoint_of_json (Json.parse_exn (Json.to_string tagged)) in
-  Alcotest.check stats_eq "tagged checkpoint resumes to the uninterrupted stats"
-    (Explore.explore ~max_crashes:1 ~mk ())
-    (Explore.explore ~max_crashes:1 ~resume_from:cp ~mk ())
-
 (* --- qcheck meta-test on random finite types --- *)
 
 let table_gen =
@@ -477,8 +483,7 @@ let suite =
   [
     Alcotest.test_case "pool: map" `Quick test_pool_map;
     Alcotest.test_case "pool: find_first" `Quick test_pool_find_first;
-    Alcotest.test_case "pool: exists" `Quick test_pool_exists;
-    Alcotest.test_case "pool: fold" `Quick test_pool_fold;
+    Alcotest.test_case "pool: superseded" `Quick test_pool_superseded;
     Alcotest.test_case "pool: exceptions propagate" `Quick test_pool_exn_propagates;
     Alcotest.test_case "pool: sequential cutoff config" `Quick test_cutoff_config;
     Alcotest.test_case "pool: telemetry counters" `Quick test_telemetry;
@@ -503,7 +508,5 @@ let suite =
     qcheck_engines;
     Alcotest.test_case "checkpoint parity and cross-engine resume" `Quick
       test_checkpoint_engine_parity;
-    Alcotest.test_case "checkpoint with a legacy engine tag resumes" `Quick
-      test_checkpoint_engine_tag_compat;
     qcheck_parallel;
   ]

@@ -130,6 +130,37 @@ let bare_universal_is_caught () =
   done;
   Alcotest.(check bool) "barrier-free universal caught under lossy churn" true (!violated >= 3)
 
+(* Two instances of one fleet violate: the soak re-raises the lower id's
+   violation on every domain count, even where the higher id fails
+   first. *)
+let lowest_violation_wins () =
+  let bare ~id ~seed =
+    {
+      (Soak.default ~id ~seed) with
+      Instance.annotated = false;
+      persist = Persist.Lossy;
+      adversary = Adversary.Storm { crash_prob = 0.08; burst = 2; max_crashes = 30 };
+    }
+  in
+  let low = bare ~id:1 ~seed:1 and high = bare ~id:3 ~seed:2 in
+  let violation cfg =
+    match Instance.run cfg with
+    | _ -> Alcotest.failf "instance %d must violate on its own" cfg.Instance.id
+    | exception Instance.Violation v -> (v.instance, v.tick, v.msg)
+  in
+  let expected = violation low in
+  ignore (violation high);
+  let fleet = [ Soak.default ~id:0 ~seed:2; low; Soak.default ~id:2 ~seed:2; high ] in
+  List.iter
+    (fun domains ->
+      match Soak.run ~domains fleet with
+      | _ -> Alcotest.failf "soak on %d domains passed a violating fleet" domains
+      | exception Instance.Violation v ->
+          Alcotest.(check (triple int int string))
+            (Printf.sprintf "lowest id's violation on %d domains" domains)
+            expected (v.instance, v.tick, v.msg))
+    [ 1; 2; 4 ]
+
 let bare_log_never_acks () =
   (* without barriers the lossy log's quorum counter never becomes
      durable: it must refuse to acknowledge rather than lie *)
@@ -316,6 +347,8 @@ let suite =
       annotated_soak_acks_everything;
     Alcotest.test_case "barrier-free universal is caught by the online checkers" `Quick
       bare_universal_is_caught;
+    Alcotest.test_case "soak re-raises the lowest-id violation on 1/2/4 domains" `Quick
+      lowest_violation_wins;
     Alcotest.test_case "barrier-free log refuses to ack rather than lie" `Quick
       bare_log_never_acks;
     Alcotest.test_case "overload sheds explicitly and terminates" `Quick
