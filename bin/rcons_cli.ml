@@ -19,6 +19,15 @@ let parse_type name =
   | Ok ot -> Ok ot
   | Error msg -> Error (`Msg msg)
 
+(* An unknown --type is bad input (exit 2, one [rcons CMD:] line), not a
+   workload that fails to build: exit 1 is the violation code. *)
+let bad_type cmd name =
+  match parse_type name with
+  | Ok _ -> false
+  | Error (`Msg e) ->
+      Format.eprintf "rcons %s: %s@." cmd e;
+      true
+
 let type_conv =
   let printer ppf ot = Format.pp_print_string ppf (Rcons.Spec.Object_type.name ot) in
   Arg.conv (parse_type, printer)
@@ -467,6 +476,7 @@ let explore_cmd =
         Format.eprintf "rcons explore: --level must be >= 2 (got %d)@." level;
         2
     | None, Some _ when bad_flush_cost "explore" flush_cost -> 2
+    | None, Some name when bad_type "explore" name -> 2
     | None, Some name ->
         let w = Cex.team2 ~faithful:(not broken) ~level ~persist ~annotated ~flush_cost name in
         run_exhaustive
@@ -549,6 +559,7 @@ let log_cmd =
         Format.eprintf "rcons log: --vote-first is not supported with --exhaustive@.";
         2
       end
+      else if bad_type "log" name then 2
       else
         let w =
           Cex.log ~faithful:(not broken) ~level:procs ~persist ~annotated ~flush_cost ~slots
@@ -824,9 +835,12 @@ let serve_cmd =
     match
       Rcons.Runtime.Adversary.policy_of_string ~crash_prob ~max_crashes ~burst adversary
     with
+    | _ when instances < 1 ->
+        Format.eprintf "rcons serve: --instances must be >= 1 (got %d)@." instances;
+        2
     | _ when bad_flush_cost "serve" flush_cost -> 2
     | Error msg ->
-        Format.eprintf "%s@." msg;
+        Format.eprintf "rcons serve: %s@." msg;
         2
     | Ok adv -> (
         (* every 4th instance hosts the replicated log, the rest the

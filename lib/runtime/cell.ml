@@ -1,5 +1,7 @@
-(* Shared read/write registers living in the simulated non-volatile memory.
-   Every access is one atomic step of the calling process.
+(* One location of the simulated non-volatile memory: a read/write
+   register, or -- through [Sim_obj], a typed view -- a shared object
+   whose whole state is the cell's value.  Every access is one atomic
+   step of the calling process.
 
    Persistency: when created under a non-eager [Persist] cache (see
    [Persist.attach]), the cell carries a cache line -- [contents] is the volatile copy every
@@ -22,17 +24,40 @@ type 'a t = {
   mutable line : Persist.line option;
   mutable hslot : Heap.slot option; (* fingerprint-cache slot, if registered *)
   oid : int; (* per-execution object id, for step footprints *)
+  label : string; (* step label of its reads, writes and confirms *)
 }
 
-(* Undo journaling: every mutation of [contents]/[persisted] pushes a
+(* Undo journaling: every store to [contents]/[persisted] pushes a
    restore closure while a journal is recording, and every restore also
    re-dirties the fingerprint-cache slot -- a clean slot must always
-   mean "cached digest = current state", including after a rollback.
-   The oid allocation is journaled too, so a rolled-back branch hands
+   mean "cached digest = current state", including after a rollback. *)
+let store_contents c v =
+  if Undo.recording () then begin
+    let old = c.contents in
+    Undo.log (fun () ->
+        c.contents <- old;
+        Heap.touch c.hslot)
+  end;
+  c.contents <- v;
+  Heap.touch c.hslot
+
+let store_persisted c v =
+  if Undo.recording () then begin
+    let old = c.persisted in
+    Undo.log (fun () ->
+        c.persisted <- old;
+        Heap.touch c.hslot)
+  end;
+  c.persisted <- v;
+  Heap.touch c.hslot
+
+(* The oid allocation is journaled too, so a rolled-back branch hands
    out the same ids on re-execution (footprint-based POR keys on
    them). *)
-let alloc v =
-  let c = { contents = v; persisted = v; line = None; hslot = None; oid = Footprint.fresh_oid () } in
+let alloc ~label v =
+  let c =
+    { contents = v; persisted = v; line = None; hslot = None; oid = Footprint.fresh_oid (); label }
+  in
   if Undo.recording () then begin
     let oid = c.oid in
     Undo.log (fun () -> Footprint.set_next_oid oid)
@@ -40,24 +65,8 @@ let alloc v =
   c.line <-
     Persist.attach
       ~touch:(fun () -> Heap.touch c.hslot)
-      ~persist:(fun () ->
-        if Undo.recording () then begin
-          let old = c.persisted in
-          Undo.log (fun () ->
-              c.persisted <- old;
-              Heap.touch c.hslot)
-        end;
-        c.persisted <- c.contents;
-        Heap.touch c.hslot)
-      ~revert:(fun () ->
-        if Undo.recording () then begin
-          let old = c.contents in
-          Undo.log (fun () ->
-              c.contents <- old;
-              Heap.touch c.hslot)
-        end;
-        c.contents <- c.persisted;
-        Heap.touch c.hslot)
+      ~persist:(fun () -> store_persisted c c.contents)
+      ~revert:(fun () -> store_contents c c.persisted)
       ();
   c
 
@@ -66,34 +75,34 @@ let alloc v =
    container's cache slot, so entry mutations invalidate the container
    digest.  Still acquires a cache line. *)
 let make_unregistered ?slot v =
-  let c = alloc v in
+  let c = alloc ~label:"register" v in
   c.hslot <- slot;
   c
 
 let footprint c kind = Footprint.Obj { oid = c.oid; kind }
 
-let make v =
-  let c = alloc v in
-  (match c.line with
-  | None -> c.hslot <- Heap.register_c (fun () -> Heap.digest c.contents)
-  | Some l ->
-      (* The durable copy and the line owner are part of the global
-         state: two executions in which the same value was written but
-         only one flushed it have different futures.  The owner is a
-         pid, so it is relabeled when the snapshot carries a process
-         permutation (symmetry canonicalization). *)
-      c.hslot <-
+(* The durable copy and the line owner are part of the global state:
+   two executions in which the same value was written but only one
+   flushed it have different futures.  A plain cell digests the triple
+   generically; a cell with its own [digest] (a typed object's state
+   digest) length-prefixes the two copies and tags the owner. *)
+let make ?(label = "register") ?digest v =
+  let c = alloc ~label v in
+  c.hslot <-
+    (match (c.line, digest) with
+    | None, None -> Heap.register_c (fun () -> Heap.digest c.contents)
+    | None, Some d -> Heap.register_c (fun () -> d c.contents)
+    | Some l, None ->
         Heap.register_sym_c (fun perm ->
-            let owner =
-              match (Persist.owner l, perm) with
-              | None, _ -> None
-              | Some p, None -> Some p
-              | Some p, Some perm -> Some perm.(p)
-            in
-            Heap.digest (c.contents, c.persisted, owner)));
+            Heap.digest (c.contents, c.persisted, Persist.owner ?perm l))
+    | Some l, Some d ->
+        Heap.register_sym_c (fun perm ->
+            let dv = d c.contents and dp = d c.persisted in
+            Printf.sprintf "%d:%s%d:%s%s" (String.length dv) dv (String.length dp) dp
+              (match Persist.owner ?perm l with None -> "c" | Some p -> "p" ^ string_of_int p)));
   c
 
-let read c = Sim.step ~label:"register" ~fp:(footprint c Footprint.Read) (fun () -> c.contents)
+let read c = Sim.step ~label:c.label ~fp:(footprint c Footprint.Read) (fun () -> c.contents)
 
 (* Silent-store elision: a write whose value is physically identical to
    the current volatile contents changes nothing, so it is absorbed into
@@ -102,86 +111,64 @@ let read c = Sim.step ~label:"register" ~fp:(footprint c Footprint.Read) (fun ()
    writer's un-persisted change and its crash would revert it.  Physical
    equality is the only safe generic test (cell values may contain
    closures); it is conservative -- structurally equal but distinct
-   values still dirty the line, which costs nothing but precision. *)
-let set_contents c v =
+   values still dirty the line, which costs nothing but precision.
+   Inside a step this dirties the line; outside any step (set-up code)
+   the write is durable at once. *)
+let poke c v =
   if not (v == c.contents) then begin
-    if Undo.recording () then begin
-      let old = c.contents in
-      Undo.log (fun () ->
-          c.contents <- old;
-          Heap.touch c.hslot)
-    end;
-    c.contents <- v;
-    Heap.touch c.hslot;
-    true
+    store_contents c v;
+    Option.iter Persist.dirty c.line
   end
-  else false
 
-let write c v =
-  Sim.step ~label:"register" ~fp:(footprint c Footprint.Write) (fun () ->
-      match c.line with
-      | None -> ignore (set_contents c v)
-      | Some l -> if set_contents c v then Persist.dirty l)
-
+let write c v = Sim.step ~label:c.label ~fp:(footprint c Footprint.Write) (fun () -> poke c v)
 let flush c = Sim.flush ~fp:(footprint c Footprint.Flush) c.line
 let line c = c.line
 
+(* The confirm step of the link-and-persist loops: the contents and
+   whether the line is clean, observed atomically -- hence its [Sync]
+   footprint.  A clean line means contents = persisted, so a confirmed
+   value is durable. *)
+let confirm c =
+  Sim.step ~label:c.label ~fp:(footprint c Footprint.Sync) (fun () ->
+      (c.contents, match c.line with None -> true | Some l -> Persist.owner l = None))
+
 (* Read a value that is guaranteed durable: read, flush the line, and
-   re-read to confirm the line is CLEAN and the value unchanged -- the
-   link-and-persist pattern.  Value equality alone is not enough: the
-   writer may crash (reverting its write) and re-write the same value
-   between our flush and our re-read, so the two reads match while the
-   flush persisted the reverted state.  A clean line, checked atomically
-   within the re-read step, means contents = persisted, so the returned
-   value is durable.  Always read + flush + read steps per attempt,
-   whatever the policy.  [equal] compares the two reads (default
-   structural; pass [( == )] for values that cannot be compared
-   structurally).  The confirm step observes the line's clean/dirty
-   status on top of the contents, hence its [Sync] footprint. *)
+   confirm that the line is clean and the value unchanged.  Value
+   equality alone is not enough: the writer may crash (reverting its
+   write) and re-write the same value between our flush and our re-read,
+   so the two reads match while the flush persisted the reverted state.
+   Always read + flush + confirm steps per attempt, whatever the policy.
+   [equal] compares the two reads (default structural; pass [( == )]
+   for values that cannot be compared structurally). *)
 let rec read_persist ?(equal = ( = )) c =
   let v = read c in
   flush c;
-  let v', clean =
-    Sim.step ~label:"register" ~fp:(footprint c Footprint.Sync) (fun () ->
-        (c.contents, match c.line with None -> true | Some l -> Persist.owner l = None))
-  in
+  let v', clean = confirm c in
   if clean && equal v v' then v' else read_persist ~equal c
 
 (* Write a value until it is guaranteed durable: write, flush, and
-   confirm -- in one atomic step, like [read_persist]'s confirm -- that
-   the contents still match AND the line is clean.  Value equality alone
-   is not enough on the confirm: a concurrent helper writing a
-   structurally-equal but physically-distinct value between our flush
-   and our read-back re-dirties the line (silent-store elision is
-   physical), so the read-back matches while the durable copy may still
-   be the pre-write state; a crash of that helper would then revert the
-   cell.  A clean line means contents = persisted, so on success the
-   written value is durable no matter whose allocation persisted it.
-   On failure we re-write and retry; interfering writes (helpers,
-   crash-replayed recoveries) are finitely many, so the loop
-   terminates.  Exactly write + flush + confirm steps per attempt under
-   every policy. *)
+   confirm that the contents still match AND the line is clean.  Value
+   equality alone is not enough on the confirm: a concurrent helper
+   writing a structurally-equal but physically-distinct value between
+   our flush and our read-back re-dirties the line (silent-store elision
+   is physical), so the read-back matches while the durable copy may
+   still be the pre-write state; a crash of that helper would then
+   revert the cell.  On success the written value is durable no matter
+   whose allocation persisted it.  On failure we re-write and retry;
+   interfering writes (helpers, crash-replayed recoveries) are finitely
+   many, so the loop terminates.  Exactly write + flush + confirm steps
+   per attempt under every policy. *)
 let rec write_persist ?(equal = ( = )) c v =
   write c v;
   flush c;
-  let v', clean =
-    Sim.step ~label:"register" ~fp:(footprint c Footprint.Sync) (fun () ->
-        (c.contents, match c.line with None -> true | Some l -> Persist.owner l = None))
-  in
+  let v', clean = confirm c in
   if not (clean && equal v v') then write_persist ~equal c v
 
 (* Direct access for set-up and checking code running outside the
-   simulation (not a process step).  A [poke] from set-up code is
-   durable; a [poke] from inside a step (the read-modify-write of
-   [One_shot.decide]) dirties the line like any other write. *)
+   simulation (not a process step). *)
 let peek c = c.contents
 
 (* With no cache line, writes are write-through and only [contents] is
    maintained, so the durable copy IS the volatile one; [persisted]
    would be the stale initial value. *)
 let peek_persisted c = match c.line with None -> c.contents | Some _ -> c.persisted
-
-let poke c v =
-  match c.line with
-  | None -> ignore (set_contents c v)
-  | Some l -> if set_contents c v then Persist.dirty l

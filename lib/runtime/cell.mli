@@ -1,19 +1,27 @@
-(** Shared read/write registers in the simulated non-volatile memory.
-    Every {!read}/{!write} is one atomic step of the calling process.
+(** One location of the simulated non-volatile memory: a read/write
+    register, or the state of a shared object ({!Sim_obj} is a typed
+    view of a cell).  Every {!read}/{!write} is one atomic step of the
+    calling process.
 
     {!make} registers the cell's contents with the active {!Heap} arena
-    (if any) so state fingerprints cover it; cell contents must therefore
-    be plain data (digestable with {!Heap.digest}).
+    (if any) so state fingerprints cover it.  Without [?digest] the
+    contents are digested with {!Heap.digest}, so they must be plain
+    data; [?digest] supplies a type's own state digest instead.
+    [?label] (default ["register"]) names the cell's read, write and
+    confirm steps in traces.
 
     When created under a non-eager {!Persist} cache (the one ambient at
     a build, or the stepping system's own: {!Persist.attach}) the cell
     carries a cache line: writes land in the volatile copy (which
     all reads see -- coherence) and become durable only at a {!flush},
-    {!Sim.fence}, or implicitly per the cache policy's crash rule. *)
+    {!Sim.fence}, or implicitly per the cache policy's crash rule.
+    The cell is the only holder of a volatile/durable pair: it
+    journals both copies for undo and digests both, with the line
+    owner, into its fingerprint. *)
 
 type 'a t
 
-val make : 'a -> 'a t
+val make : ?label:string -> ?digest:('a -> string) -> 'a -> 'a t
 
 val make_unregistered : ?slot:Heap.slot -> 'a -> 'a t
 (** A cell that does {e not} register with the active {!Heap} arena;
@@ -31,9 +39,11 @@ val flush : 'a t -> unit
     flush any cell.  A no-op (but still a step) under eager. *)
 
 val read_persist : ?equal:('a -> 'a -> bool) -> 'a t -> 'a
-(** Read a value that is guaranteed durable: read, {!flush}, re-read,
-    and retry until both reads agree (link-and-persist).  Exactly
-    read + flush + read steps per attempt under every policy.  [equal]
+(** Read a value that is guaranteed durable: read, {!flush}, then
+    confirm atomically that the contents still compare [equal] {e and}
+    the cache line is clean, retrying otherwise (link-and-persist).
+    Exactly read + flush + confirm steps per attempt under every
+    policy.  [equal]
     defaults to structural equality; pass [( == )] for values that
     cannot be structurally compared (e.g. closures). *)
 

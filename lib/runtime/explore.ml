@@ -318,6 +318,14 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
   if symmetry <> None && not dedup then
     invalid_arg "Explore.explore: symmetry reduction requires dedup";
   if max_crashes < 0 then invalid_arg "Explore.explore: max_crashes must be >= 0";
+  (match node_budget with
+  | Some b when b < 1 ->
+      invalid_arg (Printf.sprintf "Explore.explore: node_budget must be >= 1 (got %d)" b)
+  | _ -> ());
+  (match time_budget with
+  | Some t when not (t > 0.) ->
+      invalid_arg (Printf.sprintf "Explore.explore: time_budget must be > 0 (got %g)" t)
+  | _ -> ());
   (match resume_from with
   | Some cp ->
       if por then

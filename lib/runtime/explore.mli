@@ -274,10 +274,12 @@ val explore :
     run gets a fresh allowance) and [?time_budget] (wall seconds, polled
     every 256 nodes) make the run preemptible: the
     budget trip raises {!Interrupted} with a {!checkpoint}, and
-    [?resume_from] continues a checkpointed run (see above).  Budgets
-    and resume require [domains = 1] ([Invalid_argument] otherwise);
-    resuming validates that [max_crashes] / [max_steps] / [dedup] match
-    the checkpoint.
+    [?resume_from] continues a checkpointed run (see above).  A
+    [node_budget] below 1, a [time_budget] not above 0, or a negative
+    [max_crashes] raises [Invalid_argument] before anything runs.
+    Budgets and resume require [domains = 1] ([Invalid_argument]
+    otherwise); resuming validates that [max_crashes] / [max_steps] /
+    [dedup] match the checkpoint.
 
     [?fingerprint] is an optional workload identifier (object-type
     digest) recorded in the violation provenance so that counterexample

@@ -44,10 +44,9 @@ let make default =
                   Some
                     (Printf.sprintf "%d=%d:%s~%d:%s~%s" i (String.length d) d
                        (String.length dp) dp
-                       (match (Persist.owner l, perm) with
-                       | None, _ -> "c"
-                       | Some p, None -> "p" ^ string_of_int p
-                       | Some p, Some perm -> "p" ^ string_of_int perm.(p)))
+                       (match Persist.owner ?perm l with
+                       | None -> "c"
+                       | Some p -> "p" ^ string_of_int p))
           in
           match entry with None -> acc | Some e -> (i, e) :: acc)
         t.table []

@@ -3,12 +3,12 @@
     Shared objects live in ordinary OCaml values closed over by process
     bodies, so the simulator cannot enumerate them by itself.  While an
     arena is {!activate}d on the current domain, the shared-object
-    constructors ({!Cell.make}, {!Growable.make}, {!Sim_obj.make}, the
-    algorithm output logs) {!register} a digest thunk for their
-    non-volatile state; {!snapshot_into} concatenates the digests in
-    registration order.  Registration order is deterministic because
-    system builders are deterministic, which is what makes
-    {!Sim.fingerprint_digest} replay-stable.
+    constructors ({!Cell.make}, which {!Sim_obj.make} builds on,
+    {!Growable.make}, the algorithm output logs) {!register} a digest
+    thunk for their non-volatile state; {!snapshot_into} concatenates
+    the digests in registration order.  Registration order is
+    deterministic because system builders are deterministic, which is
+    what makes {!Sim.fingerprint_digest} replay-stable.
 
     With no active arena — the default, and always the case outside
     [Explore.explore ~dedup:true] — {!register} is a no-op, so ordinary

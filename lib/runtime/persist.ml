@@ -21,13 +21,13 @@
    Coherence is unaffected: processes always read the latest (volatile)
    value.  Only crash recovery observes the durable copy.
 
-   A cache line is one shared location (a [Cell], a [Growable] entry, a
-   [Sim_obj]); the owning module supplies [persist]/[revert] closures
-   that copy volatile state to the durable shadow and back.  A line is
-   *dirty* when its volatile and durable copies may differ, and records
-   the pid of the last writer -- crashes are per-process in this model
-   (the paper's independent-crash setting), so only the crashing
-   process's write-backs are lost.
+   A cache line is one shared location: a [Cell] (a register, a
+   [Growable] entry, or the state of a [Sim_obj]), which supplies the
+   [persist]/[revert] closures that copy volatile state to the durable
+   shadow and back.  A line is *dirty* when its volatile and durable
+   copies may differ, and records the pid of the last writer -- crashes
+   are per-process in this model (the paper's independent-crash
+   setting), so only the crashing process's write-backs are lost.
 
    Determinism and fingerprint soundness.  Everything here is a
    deterministic function of the schedule: lines get consecutive ids in
@@ -84,7 +84,10 @@ let create ?(flush_cost = 1) policy =
 
 let policy c = c.policy
 let flush_cost c = c.flush_cost
-let owner l = l.owner
+(* Under a symmetry snapshot's process relabeling the owner, a pid, is
+   relabeled too. *)
+let owner ?perm l =
+  match (l.owner, perm) with Some p, Some perm -> Some perm.(p) | o, _ -> o
 let cache_of l = l.cache
 
 (* The ambient cache for the current domain: read only while a system
@@ -134,6 +137,24 @@ let attach ?(touch = no_touch) ~persist ~revert () =
 
 let unlist l = l.cache.dirty_lines <- List.filter (fun l' -> l' != l) l.cache.dirty_lines
 
+(* Write-back: the durable copy catches up with the volatile one and
+   the line, if dirty, becomes clean (journaled). *)
+let write_back l =
+  l.persist_now ();
+  if l.owner <> None then begin
+    if Undo.recording () then begin
+      let ow = l.owner in
+      let old = l.cache.dirty_lines in
+      Undo.log (fun () ->
+          l.owner <- ow;
+          l.cache.dirty_lines <- old;
+          l.touch ())
+    end;
+    l.owner <- None;
+    unlist l;
+    l.touch ()
+  end
+
 (* A write just landed on [l]'s volatile copy. *)
 let dirty l =
   match Domain.DLS.get ctx with
@@ -152,68 +173,15 @@ let dirty l =
       l.touch ()
   | None ->
       (* outside any simulated step: set-up / checker writes are durable *)
-      l.persist_now ();
-      if l.owner <> None then begin
-        if Undo.recording () then begin
-          let ow = l.owner in
-          let old = l.cache.dirty_lines in
-          Undo.log (fun () ->
-              l.owner <- ow;
-              l.cache.dirty_lines <- old;
-              l.touch ())
-        end;
-        l.owner <- None;
-        unlist l;
-        l.touch ()
-      end
+      write_back l
 
 (* Write-back one line (the body of a flush barrier step).  Any process
    may flush any line, as on real hardware. *)
-let flush_line l =
-  if l.owner <> None then begin
-    if Undo.recording () then begin
-      let ow = l.owner in
-      let old = l.cache.dirty_lines in
-      Undo.log (fun () ->
-          l.owner <- ow;
-          l.cache.dirty_lines <- old;
-          l.touch ())
-    end;
-    l.persist_now ();
-    l.owner <- None;
-    unlist l;
-    l.touch ()
-  end
+let flush_line l = if l.owner <> None then write_back l
 
-(* Write-back every line last written by the process executing the
-   current step (the body of a fence barrier step). *)
-let fence_here () =
-  match Domain.DLS.get ctx with
-  | None -> ()
-  | Some (c, pid) ->
-      let mine, rest = List.partition (fun l -> l.owner = Some pid) c.dirty_lines in
-      if mine <> [] && Undo.recording () then begin
-        let owners = List.map (fun l -> (l, l.owner)) mine in
-        let old = c.dirty_lines in
-        Undo.log (fun () ->
-            List.iter
-              (fun (l, ow) ->
-                l.owner <- ow;
-                l.touch ())
-              owners;
-            c.dirty_lines <- old)
-      end;
-      List.iter
-        (fun l ->
-          l.persist_now ();
-          l.owner <- None;
-          l.touch ())
-        mine;
-      c.dirty_lines <- rest
-
-(* Crash semantics.  [crashes] is the number of crashes [pid] had
-   suffered before this one (= [Sim.crash_count] at the call). *)
-let on_crash c ~pid ~crashes =
+(* Release every line [pid] owns in [c]: apply [act] to it (write it
+   back or revert it) and mark it clean, journaled as one entry. *)
+let release c pid act =
   let mine, rest = List.partition (fun l -> l.owner = Some pid) c.dirty_lines in
   if mine <> [] && Undo.recording () then begin
     let owners = List.map (fun l -> (l, l.owner)) mine in
@@ -228,14 +196,27 @@ let on_crash c ~pid ~crashes =
   end;
   List.iter
     (fun l ->
-      (match c.policy with
-      | Eager -> () (* unreachable: eager caches create no lines *)
-      | Lossy -> l.revert_now ()
-      | Torn -> if (l.id + crashes) mod 2 = 0 then l.persist_now () else l.revert_now ());
+      act l;
       l.owner <- None;
       l.touch ())
     mine;
   c.dirty_lines <- rest
+
+(* Write-back every line last written by the process executing the
+   current step (the body of a fence barrier step). *)
+let fence_here () =
+  match Domain.DLS.get ctx with
+  | None -> ()
+  | Some (c, pid) -> release c pid (fun l -> l.persist_now ())
+
+(* Crash semantics.  [crashes] is the number of crashes [pid] had
+   suffered before this one (= [Sim.crash_count] at the call). *)
+let on_crash c ~pid ~crashes =
+  release c pid (fun l ->
+      match c.policy with
+      | Eager -> () (* unreachable: eager caches create no lines *)
+      | Lossy -> l.revert_now ()
+      | Torn -> if (l.id + crashes) mod 2 = 0 then l.persist_now () else l.revert_now ())
 
 let dirty_count c = List.length c.dirty_lines
 

@@ -23,9 +23,9 @@ type cache
     plus the policy and the flush cost. *)
 
 type line
-(** One cache line = one shared location.  Created by the shared-object
-    constructors ([Cell], [Growable], [Sim_obj]) under a non-[Eager]
-    cache. *)
+(** One cache line = one shared location.  Created by [Cell] (which
+    also backs [Growable] entries and [Sim_obj] objects) under a
+    non-[Eager] cache. *)
 
 val create : ?flush_cost:int -> policy -> cache
 (** [flush_cost] (default 1, must be >= 1) is the number of simulated
@@ -34,11 +34,12 @@ val create : ?flush_cost:int -> policy -> cache
 val policy : cache -> policy
 val flush_cost : cache -> int
 
-val owner : line -> int option
+val owner : ?perm:int array -> line -> int option
 (** Pid of the latest writer of a dirty line; [None] when the line is
-    clean (volatile copy = durable copy).  Shared objects fold this
-    into their registered digests so cache state enters
-    [Sim.fingerprint_digest]. *)
+    clean (volatile copy = durable copy).  [?perm] relabels that pid
+    ([perm.(old) = new], as in {!Heap.register_sym_c}).  Shared
+    locations fold this into their registered digests so cache state
+    enters [Sim.fingerprint_digest]. *)
 
 val cache_of : line -> cache
 
@@ -46,8 +47,8 @@ val cache_of : line -> cache
 
     A system's cache is chosen when the system is built: {!scoped} makes
     a fresh cache of the requested policy ambient on the current domain
-    while [f] builds, the shared-object constructors attach their lines
-    to it, and {!Sim.create} captures it.  From then on the system
+    while [f] builds, {!Cell} attaches the lines of the locations
+    created to it, and {!Sim.create} captures it.  From then on the system
     carries its cache: its steps, lazily created objects and barriers
     read the cache from the step context ({!in_step}), never the ambient
     slot, so what is ambient after the build does not matter. *)
@@ -66,7 +67,7 @@ val restore : cache option -> unit
 (** Make [saved] ambient again: [restore (current ())] brackets code
     that may build under other caches. *)
 
-(** {2 Hooks for [Sim] and the shared-object constructors} *)
+(** {2 Hooks for [Sim] and [Cell]} *)
 
 val in_step : cache -> int -> (unit -> 'a) -> 'a
 (** Bracket one simulator step of pid [i] on a cache-backed system:

@@ -3,9 +3,11 @@
     step); {!read} is the READ of readable types, returning the entire
     state without changing it.
 
-    Both constructors register the object's state with the active
-    {!Heap} arena (if any): {!make} digests via the type's own
-    [digest_state], {!of_apply} via the generic {!Heap.digest}. *)
+    An object is a typed view of one {!Cell} holding its state: the
+    cell carries the durable copy, the cache line and the {!Heap}
+    registration (digested with the type's [digest_state]); its reads
+    and confirm steps are labelled [name ^ ".read"], its updates
+    [name]. *)
 
 type ('s, 'o, 'r) t
 
@@ -14,33 +16,21 @@ val make :
   's ->
   ('s, 'o, 'r) t
 
-val of_apply : ?name:string -> apply:('s -> 'o -> 's * 'r) -> 's -> ('s, 'o, 'r) t
-(** Ad-hoc object from a bare transition function.  Its operations are
-    classified {!Rcons_spec.Footprint.Update} (conservative); {!make}
-    instead classifies each operation with the type's [op_kind]. *)
-
 val apply : ('s, 'o, 'r) t -> 'o -> 'r
-val read : ('s, 'o, 'r) t -> 's
+(** One update, declared with the type's [op_kind].  An update that
+    leaves the state unchanged (by [compare_state]) writes nothing, so
+    it does not take over a dirty cache line. *)
 
-val footprint :
-  ('s, 'o, 'r) t -> Rcons_spec.Footprint.kind -> Rcons_spec.Footprint.t
-(** The object's step footprint with the given access kind, for
-    compound atomic accesses performed through raw {!Sim.step}.  The
-    object's own accessors already declare theirs ({!apply} via the
-    type's [op_kind], {!read} as [Read], {!flush} as [Flush], the
-    confirm step of {!read_persist} as [Sync]). *)
+val read : ('s, 'o, 'r) t -> 's
 
 val flush : ('s, 'o, 'r) t -> unit
 (** Persist barrier for this object's cache line (see {!Cell.flush}). *)
 
 val read_persist : ('s, 'o, 'r) t -> 's
-(** Link-and-persist read: read, {!flush}, re-read until stable; the
-    returned state is durable.  Exactly read + flush + read steps per
-    attempt under every policy.  States are compared with the type's
-    [compare_state] ({!of_apply} objects use structural equality). *)
+(** Link-and-persist read ({!Cell.read_persist}): the returned state is
+    durable.  Exactly read + flush + confirm steps per attempt under
+    every policy; states are compared with the type's
+    [compare_state]. *)
 
 val peek : ('s, 'o, 'r) t -> 's
 (** Out-of-simulation inspection. *)
-
-val peek_persisted : ('s, 'o, 'r) t -> 's
-(** The durable copy (equals {!peek} when clean or cache-less). *)

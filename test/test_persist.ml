@@ -182,34 +182,81 @@ let test_torn_parity_deterministic () =
     true
     (kept > 0 && kept < 4)
 
+(* One non-volatile location behind three process-side operations: an
+   update that moves it off its initial state the first time and is a
+   no-op every time after, a flush, and an inspection. *)
+type loc = { update : unit -> unit; flush : unit -> unit; initial : unit -> bool }
+
+(* Two locations of each kind a system builds on: plain cells, sticky-bit
+   objects (a [Sim_obj] over a cell) and two entries of one [Growable].
+   Built inside the caller's persistency scope and heap arena. *)
+let location_kinds : (string * (unit -> loc * loc)) list =
+  [
+    ( "cell",
+      fun () ->
+        let loc () =
+          let c = Cell.make 0 in
+          {
+            update = (fun () -> Cell.write c 5);
+            flush = (fun () -> Cell.flush c);
+            initial = (fun () -> Cell.peek c = 0);
+          }
+        in
+        (loc (), loc ()) );
+    ( "sticky-bit object",
+      fun () ->
+        match Rcons_spec.Sticky_bit.t with
+        | Rcons_spec.Object_type.Pack (module T) ->
+            let loc () =
+              let init = List.hd T.candidate_initial_states in
+              let o = Sim_obj.make (module T) init in
+              {
+                update = (fun () -> ignore (Sim_obj.apply o (List.hd T.update_ops)));
+                flush = (fun () -> Sim_obj.flush o);
+                initial = (fun () -> T.compare_state (Sim_obj.peek o) init = 0);
+              }
+            in
+            (loc (), loc ()) );
+    ( "growable entry",
+      fun () ->
+        let g = Growable.make (fun _ -> 0) in
+        let loc i =
+          ignore (Growable.cell g i);
+          {
+            update = (fun () -> Growable.write g i 5);
+            flush = (fun () -> Growable.flush g i);
+            initial = (fun () -> Growable.peek g i = 0);
+          }
+        in
+        (loc 0, loc 1) );
+  ]
+
 let test_silent_store_keeps_owner () =
-  (* A write of the physically identical value must not steal line
-     ownership: q's no-op write followed by q's crash would otherwise
-     revert p's un-persisted change. *)
-  Persist.scoped Persist.Lossy (fun () ->
-      let c = Cell.make 0 in
-      let sim =
-        Sim.create ~n:2 (fun pid () ->
-            if pid = 0 then Cell.write c 5 else Cell.write c (Cell.read c))
-      in
-      ignore (Sim.step_proc sim 0);
-      ignore (Sim.step_proc sim 0) (* p0 writes 5, dirty, owner p0 *);
-      ignore (Sim.step_proc sim 1);
-      ignore (Sim.step_proc sim 1) (* p1 reads 5 *);
-      ignore (Sim.step_proc sim 1) (* p1 re-writes the same 5 *);
-      Sim.crash sim 1;
-      Alcotest.(check int) "p0's write survives p1's crash" 5 (Cell.peek c);
-      Sim.crash sim 0;
-      Alcotest.(check int) "and reverts only when p0 crashes" 0 (Cell.peek c))
+  (* A no-op update must not steal line ownership: q's no-op followed
+     by q's crash would otherwise revert p's un-persisted change. *)
+  List.iter
+    (fun (kind, locations) ->
+      Persist.scoped Persist.Lossy (fun () ->
+          let l, _ = locations () in
+          let sim = Sim.create ~n:2 (fun _ () -> l.update ()) in
+          ignore (Sim.step_proc sim 0);
+          ignore (Sim.step_proc sim 0) (* p0 updates, dirty, owner p0 *);
+          ignore (Sim.step_proc sim 1);
+          ignore (Sim.step_proc sim 1) (* p1's update changes nothing *);
+          Sim.crash sim 1;
+          Alcotest.(check bool) (kind ^ ": p0's update survives p1's crash") false (l.initial ());
+          Sim.crash sim 0;
+          Alcotest.(check bool) (kind ^ ": and reverts only when p0 crashes") true (l.initial ())))
+    location_kinds
 
 (* --- fingerprints --- *)
 
 let test_fingerprint_sees_cache_state () =
   (* Two executions with identical volatile contents, step counts and
-     control state, differing only in WHICH line got flushed, must
+     control state, differing only in WHICH location got flushed, must
      fingerprint differently: their futures differ (a crash reverts one
      and not the other).  Dedup soundness depends on it. *)
-  let fp flush_c =
+  let fp locations flush_updated =
     let saved = Heap.current () in
     Heap.activate (Heap.create ());
     Fun.protect
@@ -217,20 +264,24 @@ let test_fingerprint_sees_cache_state () =
         match saved with Some a -> Heap.activate a | None -> Heap.deactivate ())
       (fun () ->
         Persist.scoped Persist.Lossy (fun () ->
-            let c = Cell.make 0 and d = Cell.make 0 in
+            let a, b = locations () in
             let sim =
               Sim.create ~n:1 (fun _ () ->
-                  Cell.write c 1;
-                  Cell.flush (if flush_c then c else d))
+                  a.update ();
+                  (if flush_updated then a else b).flush ())
             in
             for _ = 1 to 3 do
               ignore (Sim.step_proc sim 0)
             done;
-            (Sim.fingerprint_digest sim, (Cell.peek c, Cell.peek d))))
+            (Sim.fingerprint_digest sim, (a.initial (), b.initial ()))))
   in
-  let fp_clean, v_clean = fp true and fp_dirty, v_dirty = fp false in
-  Alcotest.(check (pair int int)) "same volatile contents either way" v_clean v_dirty;
-  Alcotest.(check bool) "different fingerprints" true (fp_dirty <> fp_clean)
+  List.iter
+    (fun (kind, locations) ->
+      let fp_clean, v_clean = fp locations true and fp_dirty, v_dirty = fp locations false in
+      Alcotest.(check (pair bool bool)) (kind ^ ": same volatile contents either way") v_clean
+        v_dirty;
+      Alcotest.(check bool) (kind ^ ": different fingerprints") true (fp_dirty <> fp_clean))
+    location_kinds
 
 (* --- eager byte-identity regression pin --- *)
 

@@ -295,13 +295,24 @@ let qcheck_violation_iff_raw =
 
 (* --- parameter validation and the resumption contract --- *)
 
+let expect_invalid name f =
+  match f () with
+  | (_ : Explore.stats) -> Alcotest.failf "%s: expected Invalid_argument" name
+  | exception Invalid_argument _ -> ()
+
+(* Out-of-range bounds are refused before anything runs: no budget
+   trips, so no checkpoint is ever produced for them. *)
+let test_bounds_validation () =
+  let mk = team_mk (Helpers.cert_of (Rcons_spec.Sn.make 2) 2) in
+  expect_invalid "max_crashes -1" (fun () -> Explore.explore ~max_crashes:(-1) ~mk ());
+  expect_invalid "node_budget 0" (fun () -> Explore.explore ~node_budget:0 ~mk ());
+  expect_invalid "node_budget -1" (fun () -> Explore.explore ~node_budget:(-1) ~mk ());
+  expect_invalid "time_budget 0" (fun () -> Explore.explore ~time_budget:0. ~mk ());
+  expect_invalid "time_budget -1" (fun () -> Explore.explore ~time_budget:(-1.) ~mk ());
+  expect_invalid "time_budget nan" (fun () -> Explore.explore ~time_budget:Float.nan ~mk ())
+
 let test_reduced_validation () =
   let s2 = Helpers.cert_of (Rcons_spec.Sn.make 2) 2 in
-  let expect_invalid name f =
-    match f () with
-    | (_ : Explore.stats) -> Alcotest.failf "%s: expected Invalid_argument" name
-    | exception Invalid_argument _ -> ()
-  in
   expect_invalid "symmetry without dedup" (fun () ->
       Explore.explore ~symmetry:[ [ 0; 1 ] ] ~mk:(team_mk s2) ());
   expect_invalid "por+dedup on several domains" (fun () ->
@@ -357,6 +368,7 @@ let suite =
     Alcotest.test_case "reduced-mode violations replay concretely" `Quick
       test_violation_replay;
     qcheck_violation_iff_raw;
+    Alcotest.test_case "explore refuses out-of-range bounds" `Quick test_bounds_validation;
     Alcotest.test_case "reduced modes refuse invalid parameters" `Quick
       test_reduced_validation;
     Alcotest.test_case "finished checkpoint short-circuits" `Quick
