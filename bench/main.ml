@@ -7,7 +7,6 @@
      dune exec bench/main.exe -- --e1 --domains 4 # E1 on 4 domains
      dune exec bench/main.exe -- --parallel       # seq-vs-par comparison,
                                                   # writes BENCH_parallel.json
-     dune exec bench/main.exe -- --timing         # Bechamel micro-benchmarks
 
    Experiment names are case-insensitive and leading dashes are ignored,
    so `E1`, `e1` and `--e1` all select the hierarchy table.  The
@@ -73,7 +72,6 @@ let () =
         "Reproduction harness: When Is Recoverable Consensus Harder Than Consensus? (PODC 2022)@.";
       List.iter (fun (_, run) -> run ()) experiments;
       Format.printf "@.All experiment tables regenerated; compare against EXPERIMENTS.md.@."
-  | [ "--timing" ] -> Timing.run ()
   | [ "--parallel" ] ->
       Parallel_bench.run ~domains:(if !domains > 1 then !domains else 4) ()
   | names ->
@@ -82,7 +80,7 @@ let () =
           match List.assoc_opt (canonical name) experiments with
           | Some run -> run ()
           | None ->
-              Format.eprintf "unknown experiment %S (known: %s, --parallel, --timing)@." name
+              Format.eprintf "unknown experiment %S (known: %s, --parallel)@." name
                 (String.concat ", " (List.map fst experiments));
               exit 2)
         names

@@ -11,26 +11,23 @@
 
 open Cmdliner
 
-let parse_type name =
-  (* One shared resolver (also used by counterexample artifacts), so a
-     type name means the same thing on the command line and in a
-     committed witness file. *)
-  match Rcons.Spec.Catalogue.of_name name with
-  | Ok ot -> Ok ot
-  | Error msg -> Error (`Msg msg)
-
-(* An unknown --type is bad input (exit 2, one [rcons CMD:] line), not a
-   workload that fails to build: exit 1 is the violation code. *)
-let bad_type cmd name =
-  match parse_type name with
-  | Ok _ -> false
-  | Error (`Msg e) ->
+(* Names on the command line -- object types and persistency models --
+   are plain strings resolved in the command body, not by a cmdliner
+   converter, so an unknown one is bad input like any other: one
+   [rcons CMD:] line and exit 2 (not a usage dump, and not exit 1, the
+   violation code).  [resolve cmd parse name k] continues with the
+   parsed value. *)
+let resolve cmd parse name k =
+  match parse name with
+  | Ok v -> k v
+  | Error e ->
       Format.eprintf "rcons %s: %s@." cmd e;
-      true
+      2
 
-let type_conv =
-  let printer ppf ot = Format.pp_print_string ppf (Rcons.Spec.Object_type.name ot) in
-  Arg.conv (parse_type, printer)
+(* One shared type resolver (also used by counterexample artifacts), so
+   a type name means the same thing on the command line and in a
+   committed witness file. *)
+let parse_type = Rcons.Spec.Catalogue.of_name
 
 let default_types () = List.map (fun e -> e.Rcons.Spec.Catalogue.ot) Rcons.Spec.Catalogue.all
 
@@ -41,18 +38,13 @@ let default_types () = List.map (fun e -> e.Rcons.Spec.Catalogue.ot) Rcons.Spec.
    keeping the seed behaviour byte-identical. *)
 module Persist = Rcons.Runtime.Persist
 
-let persist_conv =
-  let parse s =
-    match Persist.policy_of_string s with
-    | p -> Ok p
-    | exception Invalid_argument msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (Persist.policy_to_string p))
+let parse_persist s =
+  match Persist.policy_of_string s with p -> Ok p | exception Invalid_argument e -> Error e
 
 let persist_arg =
   Arg.(
     value
-    & opt persist_conv Persist.Eager
+    & opt string "eager"
     & info [ "persist" ] ~docv:"MODEL"
         ~doc:
           "Persistency model: $(b,eager) (every write durable at its step; the default, and the \
@@ -105,14 +97,23 @@ let certs_of no_certs dir = if no_certs then None else Some dir
 (* --- classify --- *)
 
 let classify_cmd =
-  let run limit domains no_certs certs_dir types =
+  let run limit domains no_certs certs_dir names =
     if limit < 2 then begin
       (* Keep the library's invariant ([Classify.max_level] raises on
          limit < 2) out of user-facing output: one line, exit 2. *)
       Format.eprintf "rcons classify: --limit must be >= 2 (got %d)@." limit;
       2
     end
-    else begin
+    else
+      let parse_all names =
+        List.fold_right
+          (fun name acc ->
+            match (parse_type name, acc) with
+            | Error e, _ | _, Error e -> Error e
+            | Ok ot, Ok ots -> Ok (ot :: ots))
+          names (Ok [])
+      in
+      resolve "classify" parse_all names @@ fun types ->
       let types = if types = [] then default_types () else types in
       let certs = certs_of no_certs certs_dir in
       List.iter
@@ -121,10 +122,9 @@ let classify_cmd =
             (Rcons.classify ~domains ~limit ?certs ot))
         types;
       0
-    end
   in
   let limit = Arg.(value & opt int 5 & info [ "limit" ] ~doc:"Largest n to test (>= 2).") in
-  let types = Arg.(value & pos_all type_conv [] & info [] ~docv:"TYPE") in
+  let types = Arg.(value & pos_all string [] & info [] ~docv:"TYPE") in
   Cmd.v
     (Cmd.info "classify" ~doc:"Discerning/recording levels and cons/rcons bounds (experiment E1)")
     Term.(const run $ limit $ domains_arg $ no_certs_arg $ certs_dir_arg $ types)
@@ -133,6 +133,8 @@ let classify_cmd =
 
 let solve_cmd =
   let run ot n crash_prob seed persist flush_cost no_certs certs_dir =
+    resolve "solve" parse_type ot @@ fun ot ->
+    resolve "solve" parse_persist persist @@ fun persist ->
     let certs = certs_of no_certs certs_dir in
     let module Adv = Rcons.Runtime.Adversary in
     if n < 2 then begin
@@ -189,7 +191,7 @@ let solve_cmd =
                   then 0
                   else 1))
   in
-  let ot = Arg.(required & opt (some type_conv) None & info [ "type" ] ~doc:"Object type.") in
+  let ot = Arg.(required & opt (some string) None & info [ "type" ] ~doc:"Object type.") in
   let n = Arg.(value & opt int 3 & info [ "procs"; "n" ] ~doc:"Number of processes.") in
   let crash_prob =
     Arg.(value & opt float 0.2 & info [ "crash-prob" ] ~doc:"Per-step crash probability.")
@@ -421,12 +423,6 @@ let run_exhaustive ~resume_hint w
                         Cex.save ~file cex;
                         Format.printf "shrink failed (%s); unshrunk witness -> %s@." e file));
                 1
-            | exception E.Budget_exceeded stats ->
-                Format.eprintf
-                  "node budget exceeded after %d nodes (%d schedules): partial exploration, no \
-                   violation found within the budget; raise --node-budget or add --dedup/--por@."
-                  stats.E.nodes stats.E.schedules;
-                3
             | exception Invalid_argument msg ->
                 Format.eprintf "%s@." msg;
                 2))
@@ -467,6 +463,7 @@ let explore_cmd =
             2)
   in
   let run name ex domains broken level replay_file persist annotated flush_cost =
+    resolve "explore" parse_persist persist @@ fun persist ->
     match (replay_file, name) with
     | Some file, _ -> replay_artifact file
     | None, None ->
@@ -476,8 +473,8 @@ let explore_cmd =
         Format.eprintf "rcons explore: --level must be >= 2 (got %d)@." level;
         2
     | None, Some _ when bad_flush_cost "explore" flush_cost -> 2
-    | None, Some name when bad_type "explore" name -> 2
     | None, Some name ->
+        resolve "explore" parse_type name @@ fun _ ->
         let w = Cex.team2 ~faithful:(not broken) ~level ~persist ~annotated ~flush_cost name in
         run_exhaustive
           ~resume_hint:
@@ -542,6 +539,7 @@ let log_cmd =
   let module Conditions = Rcons.History.Conditions in
   let run name slots procs adversary seed crash_prob adv_crashes persist annotated vote_first
       broken no_certs certs_dir exhaustive ex domains flush_cost =
+    resolve "log" parse_persist persist @@ fun persist ->
     if slots < 1 then begin
       Format.eprintf "rcons log: --slots must be >= 1 (got %d)@." slots;
       2
@@ -559,8 +557,8 @@ let log_cmd =
         Format.eprintf "rcons log: --vote-first is not supported with --exhaustive@.";
         2
       end
-      else if bad_type "log" name then 2
       else
+        resolve "log" parse_type name @@ fun _ ->
         let w =
           Cex.log ~faithful:(not broken) ~level:procs ~persist ~annotated ~flush_cost ~slots
             name
@@ -582,60 +580,56 @@ let log_cmd =
           Format.eprintf "rcons log: %s@." e;
           2
       | Ok policy -> (
-          match parse_type name with
-          | Error (`Msg e) ->
-              Format.eprintf "rcons log: %s@." e;
-              2
-          | Ok ot -> (
-              match Rcons.recording_witness ?certs:(certs_of no_certs certs_dir) ot procs with
-              | None ->
-                  Format.eprintf "%s has no %d-recording witness: cannot build the %d-process log@."
-                    (Rcons.Spec.Object_type.name ot) procs procs;
+          resolve "log" parse_type name @@ fun ot ->
+          match Rcons.recording_witness ?certs:(certs_of no_certs certs_dir) ot procs with
+          | None ->
+              Format.eprintf "%s has no %d-recording witness: cannot build the %d-process log@."
+                (Rcons.Spec.Object_type.name ot) procs procs;
+              1
+          | Some cert -> (
+              let t, sim =
+                Persist.scoped ~flush_cost persist (fun () ->
+                    Rlog.instance ~faithful:(not broken) ~annotated ~vote_first ~slots cert)
+              in
+              let trace = ref [] in
+              let on_crash pid =
+                Rlog.note_crash t ~pid;
+                trace := Rlog.committed t :: !trace
+              in
+              match Adv.run ~on_crash (Adv.create ~seed policy) sim with
+              | exception Adv.Stuck msg ->
+                  Format.eprintf "stuck: %s@." msg;
                   1
-              | Some cert -> (
-                  let t, sim =
-                    Persist.scoped ~flush_cost persist (fun () ->
-                        Rlog.instance ~faithful:(not broken) ~annotated ~vote_first ~slots cert)
-                  in
-                  let trace = ref [] in
-                  let on_crash pid =
-                    Rlog.note_crash t ~pid;
-                    trace := Rlog.committed t :: !trace
-                  in
-                  match Adv.run ~on_crash (Adv.create ~seed policy) sim with
-                  | exception Adv.Stuck msg ->
-                      Format.eprintf "stuck: %s@." msg;
+              | outcome ->
+                  let committed_trace = List.rev (Rlog.committed t :: !trace) in
+                  let state_violation = ref None in
+                  Rlog.check_exn
+                    ~fail:(fun m ->
+                      if !state_violation = None then state_violation := Some m)
+                    t;
+                  let v = Rlog.verdict ~committed_trace t in
+                  Format.printf "%d slots x %d procs: %d steps, %d crashes, committed=%d@."
+                    slots (Rlog.num_procs t) outcome.Adv.steps outcome.Adv.crashes
+                    (Rlog.committed t);
+                  Format.printf "committed trace: %s@."
+                    (String.concat " " (List.map string_of_int committed_trace));
+                  Format.printf "recovery replay steps per process: %s@."
+                    (String.concat " "
+                       (List.map string_of_int (Array.to_list (Rlog.recovery_steps t))));
+                  Format.printf
+                    "verdict: slot-agreement=%b prefix-monotone=%b durable-linearizable=%b@."
+                    v.Conditions.slot_agreement v.Conditions.prefix_monotone
+                    v.Conditions.durable_lin;
+                  (match !state_violation with
+                  | Some m ->
+                      Format.printf "VIOLATION: %s@." m;
                       1
-                  | outcome ->
-                      let committed_trace = List.rev (Rlog.committed t :: !trace) in
-                      let state_violation = ref None in
-                      Rlog.check_exn
-                        ~fail:(fun m ->
-                          if !state_violation = None then state_violation := Some m)
-                        t;
-                      let v = Rlog.verdict ~committed_trace t in
-                      Format.printf "%d slots x %d procs: %d steps, %d crashes, committed=%d@."
-                        slots (Rlog.num_procs t) outcome.Adv.steps outcome.Adv.crashes
-                        (Rlog.committed t);
-                      Format.printf "committed trace: %s@."
-                        (String.concat " " (List.map string_of_int committed_trace));
-                      Format.printf "recovery replay steps per process: %s@."
-                        (String.concat " "
-                           (List.map string_of_int (Array.to_list (Rlog.recovery_steps t))));
-                      Format.printf
-                        "verdict: slot-agreement=%b prefix-monotone=%b durable-linearizable=%b@."
-                        v.Conditions.slot_agreement v.Conditions.prefix_monotone
-                        v.Conditions.durable_lin;
-                      (match !state_violation with
-                      | Some m ->
-                          Format.printf "VIOLATION: %s@." m;
-                          1
-                      | None ->
-                          if Conditions.log_verdict_ok v then 0
-                          else begin
-                            Format.printf "VIOLATION: prefix-durability verdict failed@.";
-                            1
-                          end))))
+                  | None ->
+                      if Conditions.log_verdict_ok v then 0
+                      else begin
+                        Format.printf "VIOLATION: prefix-durability verdict failed@.";
+                        1
+                      end)))
   in
   let type_name =
     Arg.(
@@ -794,6 +788,7 @@ let certs_cmd =
 
 let critical_cmd =
   let run ot =
+    resolve "critical" parse_type ot @@ fun ot ->
     match Rcons.Check.Recording.witness ot 2 with
     | None ->
         Format.eprintf "%s has no 2-recording witness@." (Rcons.Spec.Object_type.name ot);
@@ -816,7 +811,7 @@ let critical_cmd =
             Format.printf "no critical execution found: %s@." msg);
         0
   in
-  let ot = Arg.(required & opt (some type_conv) None & info [ "type" ] ~doc:"Object type.") in
+  let ot = Arg.(required & opt (some string) None & info [ "type" ] ~doc:"Object type.") in
   Cmd.v
     (Cmd.info "critical"
        ~doc:
@@ -832,6 +827,7 @@ let serve_cmd =
   let module Soak = Service.Soak in
   let run instances seed adversary crash_prob max_crashes burst persist flush_cost domains
       sessions ops queue_cap bare max_ticks =
+    resolve "serve" parse_persist persist @@ fun persist ->
     match
       Rcons.Runtime.Adversary.policy_of_string ~crash_prob ~max_crashes ~burst adversary
     with

@@ -47,7 +47,6 @@ type t = {
   current : table Atomic.t;
   count : int Atomic.t; (* distinct keys ever claimed *)
   resizes : int Atomic.t;
-  init_size : int;
 }
 
 let mk_table size =
@@ -65,12 +64,10 @@ let round_pow2 n =
   go 16
 
 let create ?(capacity = 8192) () =
-  let size = round_pow2 capacity in
   {
-    current = Atomic.make (mk_table size);
+    current = Atomic.make (mk_table (round_pow2 capacity));
     count = Atomic.make 0;
     resizes = Atomic.make 0;
-    init_size = size;
   }
 
 (* Fingerprints are MD5 digests (uniformly random bytes), so the first
@@ -232,6 +229,3 @@ let elements t =
       if s == empty_slot || s == tombstone then acc else s :: acc)
     [] tab.slots
 
-let clear t =
-  Atomic.set t.current (mk_table t.init_size);
-  Atomic.set t.count 0

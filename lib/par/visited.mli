@@ -53,6 +53,3 @@ val elements : t -> string list
 val resizes : t -> int
 (** Number of cooperative migrations triggered so far (diagnostics). *)
 
-val clear : t -> unit
-(** Reset to empty at the initial capacity.  Not safe concurrently with
-    other operations. *)

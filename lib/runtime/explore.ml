@@ -98,8 +98,9 @@
    report identical stats and identical violation schedules, though the
    dedup violation schedule may differ from the raw-mode one.
 
-   Budgets ([node_budget] / [time_budget], sequential mode only): instead
-   of losing an interrupted exhaustive run, the explorer raises
+   Budgets ([node_budget] / [time_budget], sequential mode only; the
+   node budget is the only node limit): instead of losing an
+   interrupted exhaustive run, the explorer raises
    [Interrupted] with a serializable checkpoint -- the DFS cursor (the
    schedule prefix of the first uncounted node), the statistics
    accumulated so far, and (under dedup) the visited-set contents.
@@ -144,11 +145,6 @@ let apply_choice = Schedule.apply
 exception Violation_found of string
 
 let fail msg = raise (Violation_found msg)
-
-exception Budget_exceeded of stats
-(* Raised when the exploration tree exceeds [max_nodes]; callers choose
-   bounds so that this does not happen in CI, but a runaway configuration
-   fails fast instead of hanging. *)
 
 (* A resumable cut of an interrupted sequential exploration. *)
 type checkpoint = {
@@ -304,9 +300,13 @@ type backtrack = Rollback | Rebuild
    replay of the fork point's prefix. *)
 type restore_point = Elided | Mark of Sim.mark | Replay
 
-let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?domains
-    ?(frontier_depth = 4) ?(dedup = false) ?(por = false) ?symmetry ?node_budget ?time_budget
-    ?resume_from ?fingerprint ?(undo = true) ~mk () =
+let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?(por = false)
+    ?symmetry ?node_budget ?time_budget ?resume_from ?fingerprint ?(undo = true) ~mk () =
+  (* The per-schedule step bound: a schedule deeper than this is
+     reported as a wait-freedom violation.  Every workload here finishes
+     far below it; it is recorded in checkpoints and provenance, so a
+     checkpoint taken under another bound is refused on resume. *)
+  let max_steps = 10_000 in
   let backtrack = if undo then Rollback else Rebuild in
   let workers = Rcons_par.Pool.resolve_domains domains in
   let frontier_depth = max 1 frontier_depth in
@@ -359,9 +359,6 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
      node allowance afresh above the checkpoint's counters, so chaining
      [explore ~node_budget ~resume_from] makes steady progress. *)
   let base_nodes = match resume_from with Some cp -> cp.cp_stats.nodes | None -> 0 in
-  (* The node budget is shared across every domain so that parallel runs
-     respect the same global bound as sequential ones. *)
-  let nodes_total = Atomic.make 0 in
   (* The workload's persistency model, read off the first system [mk]
      returns -- the root, built on this domain before any worker starts.
      [mk] owns its policy, so every later build agrees.  Under the eager
@@ -551,7 +548,6 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
      and [run_walk] abandons it. *)
   let walk ?stop_depth ?(emit = fun _ _ _ -> ()) ?(cancelled = fun () -> false) ?store
       ?(resume = []) ?(sleep0 = []) cnt prefix0 depth0 crashes0 =
-    let budget_stats total = { (stats_of ?store cnt) with nodes = total } in
     let over_budget () =
       (match node_budget with Some b -> cnt.c_nodes - base_nodes > b | None -> false)
       ||
@@ -682,8 +678,6 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
                end
                else begin
                  cnt.c_nodes <- cnt.c_nodes + 1;
-                 let total = Atomic.fetch_and_add nodes_total 1 + 1 in
-                 if total > max_nodes then raise (Budget_exceeded (budget_stats total));
                  if budgeted && over_budget () then begin
                    (* Roll the uncounted-on-resume node back out of the
                       counters: the checkpoint's statistics are exactly

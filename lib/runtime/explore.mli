@@ -99,14 +99,12 @@
     violation schedule can differ from the raw-mode one -- dedup prunes
     some paths to a violating state -- but never between dedup runs.)
 
-    The only caveat is {!Budget_exceeded}: the global [max_nodes] bound
-    is enforced across all domains, but the statistics payload of the
-    exception reflects the domain that tripped it.
-
     {2 Budgeted, resumable exploration}
 
-    [?node_budget] / [?time_budget] (sequential mode only) turn an
-    unbounded exhaustive run into a {e preemptible} one: when the budget
+    [?node_budget] is the explorer's only node limit: without it a walk
+    runs until the tree (or state graph) is exhausted.  [?node_budget] /
+    [?time_budget] (sequential mode only) turn an unbounded exhaustive
+    run into a {e preemptible} one: when the budget
     trips, the explorer raises {!Interrupted} carrying a serializable
     {!checkpoint} -- the DFS cursor (the schedule prefix of the first
     node {e not yet counted}), the statistics of everything already
@@ -118,9 +116,10 @@
     uninterrupted run, no matter how many times the run is cut and
     resumed.  Checkpoints serialize to JSON ({!save_checkpoint} /
     {!load_checkpoint}) and embed the parameters they were taken under,
-    including the run's workload [?fingerprint]: resuming with different
-    [max_crashes] / [max_steps] / [dedup], or on a workload with a
-    different fingerprint, is refused. *)
+    including the run's workload [?fingerprint] and the step bound:
+    resuming with different [max_crashes] / [dedup], on a workload with
+    a different fingerprint, or from a checkpoint recorded under another
+    step bound, is refused. *)
 
 type choice = Schedule.choice = Step_choice of int | Crash_choice of int
 
@@ -167,11 +166,6 @@ val fail : string -> 'a
 (** Raise {!Violation_found}: how an invariant checker reports a
     violation to the explorer (and to the random drivers' sweeps). *)
 
-exception Budget_exceeded of stats
-(** The exploration tree exceeded [max_nodes]; fail fast instead of
-    hanging.  Catching it turns the run into bounded (partial)
-    exploration: no violation found within the budget. *)
-
 type checkpoint
 (** A resumable cut of an interrupted sequential exploration: DFS
     cursor, accumulated statistics, visited-set contents (dedup mode),
@@ -217,8 +211,6 @@ val apply_choice : Sim.t -> choice -> unit
 
 val explore :
   ?max_crashes:int ->
-  ?max_steps:int ->
-  ?max_nodes:int ->
   ?domains:int ->
   ?frontier_depth:int ->
   ?dedup:bool ->
@@ -233,9 +225,10 @@ val explore :
   unit ->
   stats
 (** [explore ~mk ()] where [mk ()] builds a fresh system together with an
-    invariant checker (raising via {!fail}).  Exceeding [max_steps] on a
-    single schedule raises {!Violation} ("wait-freedom"); defaults:
-    [max_crashes = 1], [max_steps = 10_000], [max_nodes = 20_000_000].
+    invariant checker (raising via {!fail}).  [max_crashes] defaults to
+    1.  A schedule longer than the fixed step bound of 10 000 choices
+    raises {!Violation} ("wait-freedom"); checkpoints and violation
+    provenance record that bound as [max_steps].
 
     [?domains] (default 1 = sequential) distributes frontier subtrees
     across that many OCaml 5 domains; [?frontier_depth] (default 4,
@@ -278,8 +271,8 @@ val explore :
     [node_budget] below 1, a [time_budget] not above 0, or a negative
     [max_crashes] raises [Invalid_argument] before anything runs.
     Budgets and resume require [domains = 1] ([Invalid_argument]
-    otherwise); resuming validates that [max_crashes] / [max_steps] /
-    [dedup] match the checkpoint.
+    otherwise); resuming validates that [max_crashes], [dedup] and the
+    step bound match the checkpoint.
 
     [?fingerprint] is an optional workload identifier (object-type
     digest) recorded in the violation provenance so that counterexample

@@ -54,7 +54,6 @@ let create () = { slots = [] }
 let activate a = Domain.DLS.set key (Some a)
 let deactivate () = Domain.DLS.set key None
 let current () = Domain.DLS.get key
-let active () = Domain.DLS.get key <> None
 
 (* Registrations during an undo-engine walk (lazily created objects:
    Growable entries trigger container re-digests, Figure 4 creates

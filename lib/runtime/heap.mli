@@ -35,8 +35,6 @@ val deactivate : unit -> unit
 
 val current : unit -> t option
 
-val active : unit -> bool
-
 val register : (unit -> string) -> unit
 (** Register a digest thunk for one non-volatile object into the active
     arena; no-op if none.  The thunk is called at every snapshot, so it

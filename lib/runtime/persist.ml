@@ -59,7 +59,7 @@ let policy_of_string = function
   | "eager" -> Eager
   | "lossy" -> Lossy
   | "torn" -> Torn
-  | s -> invalid_arg (Printf.sprintf "Persist.policy_of_string: %S (want eager|lossy|torn)" s)
+  | s -> invalid_arg (Printf.sprintf "unknown persistency model %S (want eager|lossy|torn)" s)
 
 type cache = {
   policy : policy;
@@ -217,8 +217,6 @@ let on_crash c ~pid ~crashes =
       | Eager -> () (* unreachable: eager caches create no lines *)
       | Lossy -> l.revert_now ()
       | Torn -> if (l.id + crashes) mod 2 = 0 then l.persist_now () else l.revert_now ())
-
-let dirty_count c = List.length c.dirty_lines
 
 (* Build under [policy]: run [f] with a fresh ambient cache of that
    policy -- none at all for eager at cost 1 -- and restore the

@@ -115,6 +115,3 @@ val on_crash : cache -> pid:int -> crashes:int -> unit
     rule persists a line iff [(line id + crashes) mod 2 = 0] -- a
     deterministic, traversal-order-independent function of fingerprinted
     data, keeping deduplication sound. *)
-
-val dirty_count : cache -> int
-(** Number of dirty lines (diagnostics and tests). *)

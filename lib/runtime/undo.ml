@@ -71,8 +71,6 @@ let uninstall () =
         ~bytes_peak:(j.peak * bytes_per_entry));
   r := None
 
-let installed () = !(Domain.DLS.get key) <> None
-
 let recording () =
   match !(Domain.DLS.get key) with Some j -> j.live && not j.feed | None -> false
 

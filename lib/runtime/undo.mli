@@ -29,8 +29,6 @@ val uninstall : unit -> unit
     {!Rcons_par.Pool.Telemetry} and drop it.  Pending entries are
     discarded, not run. *)
 
-val installed : unit -> bool
-
 val recording : unit -> bool
 (** True when mutations should journal themselves: a journal is
     installed, no rollback is in progress, and no recorded step values

@@ -4,12 +4,6 @@ type policy = { base : int; cap : int; max_retries : int; deadline : int }
 
 let default = { base = 2; cap = 64; max_retries = 8; deadline = 48 }
 
-let validate p =
-  if p.base < 1 then invalid_arg "Backoff: base must be >= 1";
-  if p.cap < 1 then invalid_arg "Backoff: cap must be >= 1";
-  if p.deadline < 1 then invalid_arg "Backoff: deadline must be >= 1";
-  if p.max_retries < 0 then invalid_arg "Backoff: max_retries must be >= 0"
-
 let delay p ~rng ~attempt =
   (* [lsl] overflows past 62 doublings; the cap kicks in long before,
      so clamp the exponent instead of the product. *)

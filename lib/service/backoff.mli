@@ -20,10 +20,6 @@ type policy = {
 val default : policy
 (** [{ base = 2; cap = 64; max_retries = 8; deadline = 48 }]. *)
 
-val validate : policy -> unit
-(** @raise Invalid_argument on non-positive [base]/[cap]/[deadline] or
-    negative [max_retries]. *)
-
 val delay : policy -> rng:Random.State.t -> attempt:int -> int
 (** Full-jitter truncated exponential backoff for the [attempt]-th retry
     (0-based): uniform in [[1, min cap (base * 2^attempt)]].  Consumes

@@ -26,28 +26,33 @@ type config = {
   persist : Persist.policy;
   flush_cost : int;
   annotated : bool;
-  workers : int;
-  batch : int;
   queue_cap : int;
-  quantum : int;
   sessions : int;
   ops_per_session : int;
   open_rate : float;
   open_ops : int;
-  retry : Backoff.policy;
-  check_window : int;
-  slots : int;
   cert : Rcons_check.Certificate.recording option;
   max_ticks : int;
 }
 
+(* The engine's fixed shape: universal worker-pool size, max ops
+   dispatched to one worker per epoch, max simulated steps per busy
+   worker per tick, ops per online-check window, max slots per log
+   generation, and the clients' retry policy.  A window closes at a
+   drain point, so it holds at most [check_window] trigger ops plus
+   every op still in flight when the trigger fired: 24 + 3 * 4 = 36,
+   within the 62-operation bound of the Wing & Gong oracle. *)
+let workers = 3
+let batch = 4
+let quantum = 6
+let check_window = 24
+let slots = 4
+let retry = Backoff.default
+
 let max_ops cfg = (cfg.sessions * cfg.ops_per_session) + cfg.open_ops
 
 let validate cfg =
-  if cfg.workers < 1 then invalid_arg "Instance: workers must be >= 1";
-  if cfg.batch < 1 then invalid_arg "Instance: batch must be >= 1";
   if cfg.queue_cap < 1 then invalid_arg "Instance: queue_cap must be >= 1";
-  if cfg.quantum < 1 then invalid_arg "Instance: quantum must be >= 1";
   if cfg.sessions < 0 then invalid_arg "Instance: sessions must be >= 0";
   if cfg.ops_per_session < 0 then invalid_arg "Instance: ops_per_session must be >= 0";
   if cfg.open_ops < 0 then invalid_arg "Instance: open_ops must be >= 0";
@@ -56,25 +61,14 @@ let validate cfg =
     invalid_arg "Instance: open_ops > 0 needs open_rate > 0";
   if cfg.flush_cost < 1 then invalid_arg "Instance: flush_cost must be >= 1";
   if cfg.max_ticks < 1 then invalid_arg "Instance: max_ticks must be >= 1";
-  Backoff.validate cfg.retry;
   match cfg.kind with
-  | Universal ->
-      if cfg.check_window < 0 then invalid_arg "Instance: check_window must be >= 0";
-      (* The Wing & Gong oracle is bounded at 62 operations; a window
-         closes at a drain point, so it holds at most [check_window]
-         trigger ops plus everything still in flight when the trigger
-         fired. *)
-      if cfg.check_window > 0 && cfg.check_window + (cfg.workers * cfg.batch) > 62 then
-        invalid_arg "Instance: check_window + workers*batch exceeds the 62-op checker bound";
-      if cfg.check_window = 0 && max_ops cfg > 62 then
-        invalid_arg "Instance: check_window = 0 (final check only) needs <= 62 total ops"
+  | Universal -> ()
   | Log -> (
-      if cfg.slots < 1 then invalid_arg "Instance: slots must be >= 1";
       match cfg.cert with
       | None -> invalid_arg "Instance: Log kind requires a recording certificate"
       | Some cert ->
           let a, b = Rcons_check.Certificate.recording_teams cert in
-          if (a + b) * cfg.slots > 62 then
+          if (a + b) * slots > 62 then
             invalid_arg "Instance: procs * slots exceeds the 62-op checker bound")
 
 (* --- operations --- *)
@@ -253,14 +247,14 @@ and on_call t i idx =
          not re-submit *)
       t.retries <- t.retries + 1;
       t.waiting.(i) <- Some r;
-      t.sess_deadline.(i) <- t.now + t.cfg.retry.Backoff.deadline;
+      t.sess_deadline.(i) <- t.now + retry.Backoff.deadline;
       None
   | Fresh | Failed ->
       if r.o_submit < 0 then r.o_submit <- t.now else t.retries <- t.retries + 1;
       if Admission.try_enqueue t.queue r then begin
         r.o_status <- Queued;
         t.waiting.(i) <- Some r;
-        t.sess_deadline.(i) <- t.now + t.cfg.retry.Backoff.deadline;
+        t.sess_deadline.(i) <- t.now + retry.Backoff.deadline;
         None
       end
       else begin
@@ -277,8 +271,8 @@ let client_body cfg rng ctx =
       match ctx.Session.call ~idx with
       | Session.Done _ -> ()
       | Session.Overloaded | Session.Timeout ->
-          if n < cfg.retry.Backoff.max_retries then begin
-            ctx.Session.sleep (Backoff.delay cfg.retry ~rng ~attempt:n);
+          if n < retry.Backoff.max_retries then begin
+            ctx.Session.sleep (Backoff.delay retry ~rng ~attempt:n);
             attempt (n + 1)
           end
     in
@@ -290,9 +284,9 @@ let client_body cfg rng ctx =
    machine per op sharing the same admission/dedup path) --- *)
 
 let retry_or_give_up t oo =
-  if oo.oo_tries >= t.cfg.retry.Backoff.max_retries then oo.oo_phase <- 2 (* gave up *)
+  if oo.oo_tries >= retry.Backoff.max_retries then oo.oo_phase <- 2 (* gave up *)
   else begin
-    let d = Backoff.delay t.cfg.retry ~rng:t.open_rng ~attempt:oo.oo_tries in
+    let d = Backoff.delay retry ~rng:t.open_rng ~attempt:oo.oo_tries in
     oo.oo_tries <- oo.oo_tries + 1;
     oo.oo_phase <- 0;
     oo.oo_due <- t.now + d
@@ -307,13 +301,13 @@ let open_act t oo =
   | Queued | Inflight ->
       if oo.oo_tries > 0 then t.retries <- t.retries + 1;
       oo.oo_phase <- 1;
-      oo.oo_due <- t.now + t.cfg.retry.Backoff.deadline
+      oo.oo_due <- t.now + retry.Backoff.deadline
   | Fresh | Failed ->
       if r.o_submit < 0 then r.o_submit <- t.now else t.retries <- t.retries + 1;
       if Admission.try_enqueue t.queue r then begin
         r.o_status <- Queued;
         oo.oo_phase <- 1;
-        oo.oo_due <- t.now + t.cfg.retry.Backoff.deadline
+        oo.oo_due <- t.now + retry.Backoff.deadline
       end
       else begin
         t.overloads <- t.overloads + 1;
@@ -425,12 +419,11 @@ let run_window_check t s =
   s.ops_since_check <- 0
 
 let tick_u t s =
-  let workers = Array.length s.cur in
   (* dispatch batches to idle workers; paused while draining for a check *)
   if not s.draining then
     for w = 0 to workers - 1 do
       if (not (u_busy s w)) && not (Admission.is_empty t.queue) then begin
-        let ops = Array.of_list (Admission.pop_up_to t.queue t.cfg.batch) in
+        let ops = Array.of_list (Admission.pop_up_to t.queue batch) in
         if Array.length ops > 0 then begin
           let c = s.cur.(w) in
           c.epoch <- c.epoch + 1;
@@ -460,7 +453,7 @@ let tick_u t s =
      construction corrupting itself (the barrier-free negative control
      does exactly this under lossy churn) -- surface it as a violation *)
   for w = 0 to workers - 1 do
-    let q = ref t.cfg.quantum in
+    let q = ref quantum in
     while !q > 0 && u_busy s w do
       (try ignore (Sim.step_proc s.u_sim w)
        with Invalid_argument m ->
@@ -492,7 +485,7 @@ let tick_u t s =
     end
   done;
   (* windowed online check at drain points *)
-  if t.cfg.check_window > 0 && s.ops_since_check >= t.cfg.check_window then s.draining <- true;
+  if s.ops_since_check >= check_window then s.draining <- true;
   if s.draining && not (u_any_busy s) then begin
     run_window_check t s;
     s.draining <- false
@@ -582,7 +575,7 @@ let finish_gen t s g =
 let tick_l t s =
   (match s.gen with
   | None when not (Admission.is_empty t.queue) ->
-      let reqs = Array.of_list (Admission.pop_up_to t.queue t.cfg.slots) in
+      let reqs = Array.of_list (Admission.pop_up_to t.queue slots) in
       Array.iter (fun r -> r.o_status <- Inflight) reqs;
       let g_log, g_sim = Rlog.instance ~annotated:t.cfg.annotated ~slots:(Array.length reqs) s.l_cert in
       s.gen <-
@@ -615,7 +608,7 @@ let tick_l t s =
           g.g_marks.(v) <- t.now :: g.g_marks.(v))
         victims;
       for p = 0 to n - 1 do
-        let q = ref t.cfg.quantum in
+        let q = ref quantum in
         while !q > 0 && not (Sim.finished g.g_sim p) do
           (try ignore (Sim.step_proc g.g_sim p)
            with Invalid_argument m ->
@@ -638,9 +631,9 @@ let tick_l t s =
 
 let make_universal cfg =
   let hist = History.create () in
-  let u = Runiversal.create ~history:hist ~annotated:cfg.annotated ~n:cfg.workers Derived.counter in
-  let assignment = Array.init cfg.workers (fun _ -> Cell.make None) in
-  let done_epoch = Array.init cfg.workers (fun _ -> Cell.make 0) in
+  let u = Runiversal.create ~history:hist ~annotated:cfg.annotated ~n:workers Derived.counter in
+  let assignment = Array.init workers (fun _ -> Cell.make None) in
+  let done_epoch = Array.init workers (fun _ -> Cell.make 0) in
   let results = Array.make (max 1 (max_ops cfg)) None in
   let body w () =
     (* Infinite serve loop: poll the assignment channel, execute the
@@ -663,7 +656,7 @@ let make_universal cfg =
     in
     serve ()
   in
-  let sim = Sim.create ~n:cfg.workers body in
+  let sim = Sim.create ~n:workers body in
   B_u
     {
       u;
@@ -672,7 +665,7 @@ let make_universal cfg =
       assignment;
       done_epoch;
       results;
-      cur = Array.init cfg.workers (fun _ -> { epoch = 0; wops = [||]; next_ack = 0; marks = [] });
+      cur = Array.init workers (fun _ -> { epoch = 0; wops = [||]; next_ack = 0; marks = [] });
       watermark = -1;
       window_init = counter_lin.Linearizability.init;
       ops_since_check = 0;

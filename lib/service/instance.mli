@@ -28,14 +28,20 @@
     [(pid, op-id)] registry (or the log's durable-vote replay) turns the
     re-execution into recovery replay.
 
+    The engine's shape is fixed, not configured: a universal instance
+    serves through 3 workers, dispatches batches of up to 4 ops, steps
+    a busy worker at most 6 simulated steps per tick, and cuts a check
+    window every 24 completed ops; a log generation takes up to 4
+    slots; clients retry under {!Backoff.default}.
+
     {2 Online checking}
 
     The durable-linearizability checker runs over bounded history
     windows cut at drain points (dispatch pauses until in-flight batches
     complete), respecting {!Rcons_history.Linearizability.check}'s
-    62-operation bound: [check_window + workers * batch <= 62] is
-    enforced at config validation.  Each window starts from the peeked
-    abstract state after the previous one, so an acknowledged effect
+    62-operation bound: a window holds at most its 24 trigger ops plus
+    the 3 x 4 ops in flight when it fired.  Each window starts from the
+    peeked abstract state after the previous one, so an acknowledged effect
     lost to a later crash fails the {e next} window (one-window
     detection lag).  Log instances check per generation:
     {!Rcons_log.Rlog.check_exn} plus the prefix-durability verdict.  Any
@@ -56,24 +62,19 @@ type config = {
       (** persist barriers on ([true], the hardened service); [false] is
           the negative control that the online checkers must catch under
           a non-eager policy *)
-  workers : int;  (** universal worker-pool size (log: the certificate decides) *)
-  batch : int;  (** max ops dispatched to one worker per epoch *)
   queue_cap : int;  (** admission bound; beyond it submissions shed *)
-  quantum : int;  (** max simulated steps per busy worker per tick *)
   sessions : int;  (** closed-loop client sessions (effect fibers) *)
   ops_per_session : int;
   open_rate : float;  (** open-loop arrivals per tick (0 = closed-loop only) *)
   open_ops : int;  (** total open-loop ops to generate *)
-  retry : Backoff.policy;
-  check_window : int;  (** ops per online-check window; 0 = final check only *)
-  slots : int;  (** log: max slots per generation *)
   cert : Rcons_check.Certificate.recording option;  (** required for [Log] *)
   max_ticks : int;  (** hard stop; hitting it reports [r_stuck] *)
 }
 
 val validate : config -> unit
-(** @raise Invalid_argument on inconsistent knobs (empty pool, window
-    over the 62-op bound, log without certificate, ...). *)
+(** @raise Invalid_argument on inconsistent knobs (zero queue cap,
+    negative session counts, open ops without a rate, log without
+    certificate, log generations over the 62-op bound, ...). *)
 
 (** Plain data (histograms are int arrays), so cross-domain determinism
     tests compare whole reports with [(=)]. *)

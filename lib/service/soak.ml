@@ -40,17 +40,11 @@ let default ~id ~seed =
     persist = Persist.Eager;
     flush_cost = 2;
     annotated = true;
-    workers = 3;
-    batch = 4;
     queue_cap = 32;
-    quantum = 6;
     sessions = 16;
     ops_per_session = 4;
     open_rate = 0.25;
     open_ops = 8;
-    retry = Backoff.default;
-    check_window = 24;
-    slots = 4;
     cert = None;
     max_ticks = 50_000;
   }

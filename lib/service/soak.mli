@@ -50,8 +50,10 @@ type outcome = { reports : Instance.report list; summary : summary }
 
 val default : id:int -> seed:int -> Instance.config
 (** A small, valid universal-instance config (uniform churn, eager
-    persistency, annotated, windowed checking) for call sites to
-    override field-wise. *)
+    persistency, annotated, 16 sessions of 4 ops plus 8 open-loop ops)
+    for call sites to override field-wise.  The engine's shape --
+    workers, batch size, quantum, check window, log slots, retry
+    policy -- is fixed inside {!Instance}, not configured here. *)
 
 val summarize : Instance.report list -> summary
 

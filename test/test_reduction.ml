@@ -279,12 +279,12 @@ let qcheck_violation_iff_raw =
            | Error e -> Alcotest.fail e
            | Ok mk -> (
                match
-                 Explore.explore ~max_crashes:crashes ~max_nodes:150_000 ~dedup ~por ?symmetry
+                 Explore.explore ~max_crashes:crashes ~node_budget:150_000 ~dedup ~por ?symmetry
                    ~mk ()
                with
                | (_ : Explore.stats) -> Some false
                | exception Explore.Violation _ -> Some true
-               | exception Explore.Budget_exceeded _ -> None)
+               | exception Explore.Interrupted _ -> None)
          in
          match explore () with
          | None -> true
@@ -309,7 +309,19 @@ let test_bounds_validation () =
   expect_invalid "node_budget -1" (fun () -> Explore.explore ~node_budget:(-1) ~mk ());
   expect_invalid "time_budget 0" (fun () -> Explore.explore ~time_budget:0. ~mk ());
   expect_invalid "time_budget -1" (fun () -> Explore.explore ~time_budget:(-1.) ~mk ());
-  expect_invalid "time_budget nan" (fun () -> Explore.explore ~time_budget:Float.nan ~mk ())
+  expect_invalid "time_budget nan" (fun () -> Explore.explore ~time_budget:Float.nan ~mk ());
+  (* Budgets and resume are sequential-only. *)
+  expect_invalid "node_budget on 2 domains" (fun () ->
+      Explore.explore ~node_budget:100 ~domains:2 ~mk ());
+  expect_invalid "time_budget on 2 domains" (fun () ->
+      Explore.explore ~time_budget:10. ~domains:2 ~mk ());
+  let cp =
+    match Explore.explore ~node_budget:10 ~mk () with
+    | (_ : Explore.stats) -> Alcotest.fail "expected the node budget to trip"
+    | exception Explore.Interrupted cp -> cp
+  in
+  expect_invalid "resume_from on 2 domains" (fun () ->
+      Explore.explore ~resume_from:cp ~domains:2 ~mk ())
 
 let test_reduced_validation () =
   let s2 = Helpers.cert_of (Rcons_spec.Sn.make 2) 2 in

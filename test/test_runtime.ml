@@ -280,16 +280,22 @@ let test_explore_crash_pruning () =
 let test_explore_budget () =
   let mk () =
     let body _pid () =
-      for _ = 1 to 8 do
+      for _ = 1 to 2 do
         Cell.write (Cell.make 0) 0
       done
     in
-    (Sim.create ~n:3 body, fun () -> ())
+    (Sim.create ~n:2 body, fun () -> ())
   in
-  match Explore.explore ~max_crashes:2 ~max_nodes:500 ~mk () with
-  | _ -> Alcotest.fail "expected budget exhaustion"
-  | exception Explore.Budget_exceeded stats ->
-      Alcotest.(check bool) "budget reported" true (stats.Explore.nodes > 500)
+  let full = Explore.explore ~max_crashes:2 ~mk () in
+  match Explore.explore ~max_crashes:2 ~node_budget:500 ~mk () with
+  | _ -> Alcotest.fail "expected the node budget to interrupt"
+  | exception Explore.Interrupted cp ->
+      (* The checkpoint covers exactly the budgeted region, and resuming
+         it reaches the uninterrupted totals. *)
+      Alcotest.(check int) "checkpoint nodes" 500 (Explore.checkpoint_stats cp).Explore.nodes;
+      let resumed = Explore.explore ~max_crashes:2 ~resume_from:cp ~mk () in
+      Alcotest.(check int) "resumed nodes" full.Explore.nodes resumed.Explore.nodes;
+      Alcotest.(check bool) "resumed stats" true (full = resumed)
 
 let suite =
   [

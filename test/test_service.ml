@@ -215,14 +215,10 @@ let validate_rejects () =
     | () -> Alcotest.failf "%s: expected Invalid_argument" name
     | exception Invalid_argument _ -> ()
   in
-  invalid "window + in-flight over the 62-op bound" { base with Instance.check_window = 55 };
   invalid "log without certificate" { base with Instance.kind = Instance.Log };
-  invalid "empty worker pool" { base with Instance.workers = 0 };
   invalid "zero queue cap" { base with Instance.queue_cap = 0 };
   invalid "open ops without a rate"
-    { base with Instance.open_ops = 5; open_rate = 0.0 };
-  invalid "final-check-only over 62 ops" { base with Instance.check_window = 0 };
-  Instance.validate { base with Instance.check_window = 0; sessions = 10; ops_per_session = 4; open_ops = 0; open_rate = 0.0 }
+    { base with Instance.open_ops = 5; open_rate = 0.0 }
 
 (* --- metrics --- *)
 
@@ -256,10 +252,7 @@ let backoff_units () =
   let r1 = Random.State.make [| 4 |] and r2 = Random.State.make [| 4 |] in
   let _ = Backoff.delay p ~rng:r1 ~attempt:0 in
   let _ = Random.State.int r2 (max 1 (min p.Backoff.cap p.Backoff.base)) in
-  Alcotest.(check int) "one draw per delay" (Random.State.bits r1) (Random.State.bits r2);
-  (match Backoff.validate { p with Backoff.base = 0 } with
-  | () -> Alcotest.fail "base 0 accepted"
-  | exception Invalid_argument _ -> ())
+  Alcotest.(check int) "one draw per delay" (Random.State.bits r1) (Random.State.bits r2)
 
 let admission_units () =
   let q = Admission.create ~cap:2 in

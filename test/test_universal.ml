@@ -129,11 +129,11 @@ let test_linearizable_exhaustive_small () =
     let check () = if Sim.all_finished t && not (lin_ok history) then Explore.fail "not linearizable" in
     (t, check)
   in
-  match Explore.explore ~max_crashes:1 ~max_nodes:400_000 ~mk () with
+  match Explore.explore ~max_crashes:1 ~node_budget:400_000 ~mk () with
   | stats -> Alcotest.(check bool) "schedules explored" true (stats.Explore.schedules > 50)
-  | exception Explore.Budget_exceeded stats ->
-      Alcotest.(check bool) "no violation within the node budget" true
-        (stats.Explore.nodes > 400_000)
+  | exception Explore.Interrupted cp ->
+      Alcotest.(check int) "no violation within the node budget" 400_000
+        (Explore.checkpoint_stats cp).Explore.nodes
 
 let test_figure2_rc_instances () =
   (* plug the Figure 2 + tournament RC (from the sticky bit's certificate)
