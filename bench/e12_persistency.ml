@@ -66,9 +66,9 @@ let sweep_universal ~annotated ~policy ~crash_prob ~iters ~seed =
   let lin_ok = ref 0 and dlin_ok = ref 0 and aborted = ref 0 and stuck = ref 0 in
   let rng = Random.State.make [| Util.seed seed |] in
   for _ = 1 to iters do
-    Persist.scoped policy (fun () ->
+    Persist.scoped ~barriers:annotated policy (fun () ->
         let history = Rcons.History.History.create () in
-        let u = Runiversal.create ~history ~annotated ~n:2 Derived.counter in
+        let u = Runiversal.create ~history ~n:2 Derived.counter in
         let scripts = [| [| Derived.Incr; Derived.Get |]; [| Derived.Incr |] |] in
         let runner = Script.create u ~n:2 ~max_ops:2 in
         let sim = Sim.create ~n:2 (fun pid () -> Script.run runner pid scripts.(pid)) in

@@ -73,7 +73,9 @@ let sweep name cert ~slots ~annotated ~policy ~adv_name ~adv_policy ~iters ~seed
   let (), wall =
     Util.time_it (fun () ->
         for _ = 1 to iters do
-          let t, sim = Persist.scoped policy (fun () -> Rlog.instance ~annotated ~slots cert) in
+          let t, sim =
+            Persist.scoped ~barriers:annotated policy (fun () -> Rlog.instance ~slots cert)
+          in
           let trace = ref [] in
           let note pid =
             Rlog.note_crash t ~pid;

@@ -132,7 +132,7 @@ let classify_cmd =
 (* --- solve --- *)
 
 let solve_cmd =
-  let run ot n crash_prob seed persist flush_cost no_certs certs_dir =
+  let run ot n crash_prob seed persist no_certs certs_dir =
     resolve "solve" parse_type ot @@ fun ot ->
     resolve "solve" parse_persist persist @@ fun persist ->
     let certs = certs_of no_certs certs_dir in
@@ -141,7 +141,6 @@ let solve_cmd =
       Format.eprintf "rcons solve: --procs must be >= 2 (got %d)@." n;
       2
     end
-    else if bad_flush_cost "solve" flush_cost then 2
     else
       match Adv.policy_of_string ~crash_prob ~max_crashes:(4 * n) "uniform" with
       | Error e ->
@@ -161,7 +160,7 @@ let solve_cmd =
                 (Rcons.Runtime.Sim.create ~n body, outputs))
               (Rcons.solve_rc ?certs ot ~n)
           in
-          match Persist.scoped ~flush_cost persist build with
+          match Persist.scoped persist build with
           | None ->
               Format.eprintf "%s is not %d-recording: no certificate, cannot solve %d-process RC@."
                 (Rcons.Spec.Object_type.name ot) n n;
@@ -170,9 +169,10 @@ let solve_cmd =
               let rng = Random.State.make [| seed |] in
               match Adv.run ~record:false (Adv.of_rng ~rng policy) sim with
               | exception (Invalid_argument msg | Failure msg) ->
-                  (* Figure 2 is not annotated for a write-back cache: a
-                     crash that reverts state it assumed durable trips
-                     an invariant in a process body. *)
+                  (* Figure 2 is built without persist barriers: under
+                     a write-back cache, a crash that reverts state it
+                     assumed durable trips an invariant in a process
+                     body. *)
                   Format.printf "VIOLATION: uncaught exception in process body: %s@." msg;
                   1
               | outcome ->
@@ -200,8 +200,7 @@ let solve_cmd =
   Cmd.v
     (Cmd.info "solve" ~doc:"Run recoverable consensus under a random crash adversary")
     Term.(
-      const run $ ot $ n $ crash_prob $ seed $ persist_arg $ flush_cost_arg $ no_certs_arg
-      $ certs_dir_arg)
+      const run $ ot $ n $ crash_prob $ seed $ persist_arg $ no_certs_arg $ certs_dir_arg)
 
 (* --- impossible --- *)
 
@@ -518,9 +517,10 @@ let explore_cmd =
       value & flag
       & info [ "annotated" ]
           ~doc:
-            "Use the persist-annotated Figure 2 variant (flushed writes, link-and-persist \
-             reads): correct under $(b,--persist lossy), where the un-annotated original \
-             violates agreement.")
+            "Build Figure 2 with persist barriers (flushed writes, link-and-persist reads, a \
+             retried update).  Not correct on every type: $(b,--type S2 --annotated \
+             --max-crashes 0 --dedup --por) exits 1 with a 36-step schedule even under eager \
+             (the retry is keyed on the value q0; see the top ROADMAP item).")
   in
   Cmd.v
     (Cmd.info "explore"
@@ -588,8 +588,8 @@ let log_cmd =
               1
           | Some cert -> (
               let t, sim =
-                Persist.scoped ~flush_cost persist (fun () ->
-                    Rlog.instance ~faithful:(not broken) ~annotated ~vote_first ~slots cert)
+                Persist.scoped ~flush_cost ~barriers:annotated persist (fun () ->
+                    Rlog.instance ~faithful:(not broken) ~vote_first ~slots cert)
               in
               let trace = ref [] in
               let on_crash pid =

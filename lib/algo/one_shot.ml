@@ -28,16 +28,16 @@ let decide t v =
 (* Durable propose for the write-back cache model: the winning [poke]
    above is an ordinary cached write, so under a lossy policy the
    "sticky" decision can vanish with its proposer's crash until flushed.
-   Propose, flush the cell, and re-read to confirm the winner survived;
-   if it was reverted (or replaced) meanwhile, retry.  [equal] compares
-   winners (pass [( == )] for values that cannot be compared
-   structurally). *)
+   With barriers on, propose, flush the cell, and re-read to confirm the
+   winner survived; if it was reverted (or replaced) meanwhile, retry.
+   [equal] compares winners (pass [( == )] for values that cannot be
+   compared structurally). *)
 let rec decide_durable ?(equal = ( = )) t v =
   let w = decide t v in
-  Cell.flush t.cell;
-  match Cell.read t.cell with
-  | Some w' when equal w' w -> w'
-  | _ -> decide_durable ~equal t v
+  if not (Persist.barriers ()) then w
+  else (
+    Cell.flush t.cell;
+    match Cell.read t.cell with Some w' when equal w' w -> w' | _ -> decide_durable ~equal t v)
 
 (* Read the decision without proposing; None if undecided. *)
 let poll t = Cell.read t.cell

@@ -14,11 +14,12 @@ val decide : 'v t -> 'v -> 'v
     [v] if none yet. *)
 
 val decide_durable : ?equal:('v -> 'v -> bool) -> 'v t -> 'v -> 'v
-(** Persist-annotated propose for the write-back cache model: propose,
-    flush the sticky cell, re-read to confirm the winner survived, retry
-    otherwise.  The returned winner is durable.  [equal] defaults to
-    structural equality; pass [( == )] for winners that cannot be
-    structurally compared. *)
+(** Durable propose for the write-back cache model: propose, flush the
+    sticky cell, re-read to confirm the winner survived, retry
+    otherwise.  The returned winner is durable.  Exactly {!decide} in a
+    system built with barriers off ({!Rcons_runtime.Persist.scoped}).
+    [equal] defaults to structural equality; pass [( == )] for winners
+    that cannot be structurally compared. *)
 
 val poll : 'v t -> 'v option
 (** Read the decision without proposing (one step). *)

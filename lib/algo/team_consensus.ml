@@ -16,17 +16,22 @@
    bounded model checker finds the counterexample -- a negative control
    showing the simulator can detect real bugs.
 
-   [annotated] (default false) adds persist barriers for the write-back
-   cache model ([Persist]): every shared write is flushed, and every
-   shared read goes through the link-and-persist loop (read, flush the
-   line, re-read until stable) so no decision is ever based on a value
-   that a crash could still revert.  The write-side barrier alone is NOT
+   Persist barriers for the write-back cache model come from the build
+   ([Persist.scoped ~barriers]): every shared write is flushed and every
+   shared read is link-and-persist, so no decision is based on a value a
+   crash could still revert.  The write-side barrier alone is NOT
    enough: a reader can observe an un-flushed write, the writer crashes
    (reverting it), and the reader decides on vanished state -- the
-   violating schedules the lossy explorer finds against the un-annotated
-   code are exactly of this shape.  Under the eager model the barriers
-   are semantic no-ops (but still steps), so the annotated variant stays
-   correct there too. *)
+   violating schedules the lossy explorer finds against the
+   barrier-free build are exactly of this shape.  Built with barriers
+   off, this is the original Figure 2, step for step.
+
+   The barrier-carrying build is NOT correct on every type: its
+   [apply_o_durable] retry is keyed on the value q0, which recurs in
+   S_n and T_n, so the retry can apply a second operation.  [rcons
+   explore --type S2 --annotated --max-crashes 0 --dedup --por] exits 1
+   with a 36-step schedule under eager, the paper's own model (the top
+   ROADMAP item). *)
 
 open Rcons_runtime
 open Rcons_check
@@ -42,8 +47,7 @@ type 'v t = {
   size_b : int;
 }
 
-let create ?(faithful = true) ?(annotated = false) (Certificate.Recording ((module T), d)) :
-    'v t =
+let create ?(faithful = true) (Certificate.Recording ((module T), d)) : 'v t =
   (* Orient the teams so that q0 is not in Q_(code team B). *)
   let ops_a, ops_b, q_a, swap =
     if d.q0_in_q_b then (d.ops_b, d.ops_a, d.q_b, true) else (d.ops_a, d.ops_b, d.q_a, false)
@@ -52,53 +56,42 @@ let create ?(faithful = true) ?(annotated = false) (Certificate.Recording ((modu
   let o = Sim_obj.make (module T) d.q0 in
   let r_a : 'v option Cell.t = Cell.make None in
   let r_b : 'v option Cell.t = Cell.make None in
-  (* Persist-annotated access paths: durable reads, flushed writes. *)
-  let read_o () = if annotated then Sim_obj.read_persist o else Sim_obj.read o in
-  let read_r c = if annotated then Cell.read_persist c else Cell.read c in
-  let write_r c v =
-    Cell.write c v;
-    if annotated then Cell.flush c
-  in
-  let apply_o op =
-    ignore (Sim_obj.apply o op);
-    if annotated then Sim_obj.flush o
-  in
   let in_q_a q = List.exists (fun q' -> T.compare_state q' q = 0) q_a in
   let is_q0 q = T.compare_state q d.q0 = 0 in
-  (* Apply an operation and return the durable state it left O in.  The
-     annotated variant must retry while that state is still [q0]: the
+  (* Apply an operation and return the durable state it left O in.  With
+     barriers on this must retry while that state is still [q0]: the
      apply may have been absorbed as a no-op into ANOTHER process's
      un-flushed change (O volatilely out of q0), and that change -- our
      operation's effect with it -- reverts if the other process crashes
-     before flushing.  Once [read_o] (a link-and-persist read) returns a
-     non-q0 state, some operation is durably installed and the decision
-     it induces can never be rolled back.  Un-annotated, this is exactly
-     the original apply-then-read of Figure 2. *)
+     before flushing.  Once the link-and-persist read returns a non-q0
+     state, some operation is durably installed.  (Keyed on the value:
+     wrong where q0 recurs, see the header.)  With barriers off, this
+     is the original apply-then-read of Figure 2. *)
   let rec apply_o_durable op =
-    apply_o op;
-    let q = read_o () in
-    if annotated && is_q0 q then apply_o_durable op else q
+    ignore (Sim_obj.apply o op);
+    Sim_obj.flush o;
+    let q = Sim_obj.read_persist o in
+    if is_q0 q && Persist.barriers () then apply_o_durable op else q
   in
-  let return_team_a () =
-    match read_r r_a with Some v -> v | None -> invalid_arg "Figure 2: R_A empty at return"
-  in
-  let return_team_b () =
-    match read_r r_b with Some v -> v | None -> invalid_arg "Figure 2: R_B empty at return"
-  in
+  let read_input r msg = match Cell.read_persist r with Some v -> v | None -> invalid_arg msg in
+  let return_team_a () = read_input r_a "Figure 2: R_A empty at return" in
+  let return_team_b () = read_input r_b "Figure 2: R_B empty at return" in
   let finish q = if in_q_a q then return_team_a () else return_team_b () in
   (* Figure 2, lines 4-13: code for process [slot] of team A. *)
   let decide_a slot v =
-    write_r r_a (Some v);
-    let q = read_o () in
+    Cell.write r_a (Some v);
+    Cell.flush r_a;
+    let q = Sim_obj.read_persist o in
     let q = if is_q0 q then apply_o_durable ops_a.(slot) else q in
     finish q
   in
   (* Figure 2, lines 15-28: code for process [slot] of team B. *)
   let decide_b slot v =
-    write_r r_b (Some v);
-    let q = read_o () in
+    Cell.write r_b (Some v);
+    Cell.flush r_b;
+    let q = Sim_obj.read_persist o in
     if is_q0 q then
-      if (Array.length ops_b = 1 || not faithful) && read_r r_a <> None then
+      if (Array.length ops_b = 1 || not faithful) && Cell.read_persist r_a <> None then
         return_team_a () (* line 20: the lone team-B process yields *)
       else finish (apply_o_durable ops_b.(slot))
     else finish q

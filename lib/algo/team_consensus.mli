@@ -21,18 +21,19 @@ type 'v t = {
   size_b : int;
 }
 
-val create :
-  ?faithful:bool -> ?annotated:bool -> Rcons_check.Certificate.recording -> 'v t
+val create : ?faithful:bool -> Rcons_check.Certificate.recording -> 'v t
 (** [faithful] (default [true]) keeps the |B| = 1 guard of line 19.
     [~faithful:false] reproduces the broken variant discussed after
     Lemma 7 -- with two processes on the yielding team it violates
     agreement, and the model checker exhibits the paper's bad scenario
     (a negative control for the whole toolchain).
 
-    [annotated] (default [false]) adds persist barriers for the
-    write-back cache model: flushed writes and link-and-persist reads
-    ({!Rcons_runtime.Cell.read_persist}), re-establishing agreement
-    under the [Lossy] {!Rcons_runtime.Persist} policy -- the
-    un-annotated original demonstrably violates it (see
-    [_counterexamples/]).  A semantic no-op (but extra steps) under the
-    default eager model. *)
+    Persist barriers come from the build ({!Rcons_runtime.Persist.scoped}
+    [~barriers]): flushed writes, link-and-persist reads, and a retry of
+    the update while O durably reads [q0].  Without them this is Figure
+    2 step for step, which violates agreement under [Lossy] (see
+    [_counterexamples/]).  With them it is {e not} correct on every
+    type: the retry is keyed on the value [q0], which recurs in S_n and
+    T_n, and [rcons explore --type S2 --annotated --max-crashes 0 --dedup
+    --por] exits 1 with a 36-step schedule even under eager (the top
+    ROADMAP item). *)

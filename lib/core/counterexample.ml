@@ -91,10 +91,11 @@ let cert_of w =
    team the same input (one input value per team). *)
 let symmetry_classes w = Result.map Rcons_check.Certificate.symmetry_classes (cert_of w)
 
-(* Every build runs under the workload's policy: a fresh cache per
-   system (lines are per-system state), which the system then carries;
-   eager at cost 1 builds with none. *)
-let build w f = Persist.scoped ~flush_cost:w.flush_cost w.persist f
+(* Every build runs under the workload's cache model -- policy, flush
+   cost and barriers: a fresh cache per system (lines are per-system
+   state), which the system then carries; eager at cost 1 without
+   barriers builds with none. *)
+let build w f = Persist.scoped ~flush_cost:w.flush_cost ~barriers:w.annotated w.persist f
 
 let team_build w cert =
   let size_a, size_b = Rcons_check.Certificate.recording_teams cert in
@@ -103,7 +104,7 @@ let team_build w cert =
   fun () ->
     build w @@ fun () ->
     let outputs = Rcons_algo.Outputs.make ~inputs in
-    let tc = Rcons_algo.Team_consensus.create ~faithful:w.faithful ~annotated:w.annotated cert in
+    let tc = Rcons_algo.Team_consensus.create ~faithful:w.faithful cert in
     let body pid () =
       let team, slot =
         if pid < size_a then (Rcons_spec.Team.A, pid) else (Rcons_spec.Team.B, pid - size_a)
@@ -125,9 +126,7 @@ let mk w =
       | Some slots ->
           fun () ->
             build w @@ fun () ->
-            let t, sim =
-              Rcons_log.Rlog.instance ~faithful:w.faithful ~annotated:w.annotated ~slots cert
-            in
+            let t, sim = Rcons_log.Rlog.instance ~faithful:w.faithful ~slots cert in
             (sim, fun () -> Rcons_log.Rlog.check_exn ~fail:Explore.fail t)
       | None ->
           let system = team_build w cert in

@@ -34,7 +34,7 @@ type workload = {
   input_b : int;
   persist : Rcons_runtime.Persist.policy;
       (** persistency model the system is built under (default [Eager]) *)
-  annotated : bool;  (** persist-annotated algorithm variant *)
+  annotated : bool;  (** build with persist barriers ([Persist.scoped ~barriers]) *)
   flush_cost : int;  (** steps per persist barrier *)
   log_slots : int option;
       (** [Some k]: the {!Rcons_log.Rlog} replicated-log harness with
@@ -93,10 +93,11 @@ val team_system :
 (** The Figure 2 team-consensus build behind {!mk}: resolve the
     certificate once, then each call builds a fresh system -- team A's
     processes first, each team member proposing its team's input --
-    under the workload's persistency model
-    ({!Rcons_runtime.Persist.scoped}), and returns it with its output
-    log.  The system carries its cache ({!Rcons_runtime.Sim.cache}), so
-    nothing about its run depends on what is ambient afterwards.
+    under the workload's cache model (policy, flush cost and barriers,
+    handed once to {!Rcons_runtime.Persist.scoped}), and returns it with
+    its output log.  The system carries its cache
+    ({!Rcons_runtime.Sim.cache}), so nothing about its run depends on
+    what is ambient afterwards.
     [Error] as for {!mk}, and for a replicated-log workload. *)
 
 val mk : workload -> (unit -> Rcons_runtime.Sim.t * (unit -> unit), string) result

@@ -15,10 +15,11 @@
      durable vote >= [li] (QCReached/QCMax), computed over the durable
      copies only -- volatile progress does not commit anything.
 
-   Barrier discipline (the [annotated] variant): a slot's decision must
-   be durable BEFORE the vote that advertises it.  Writing the decision
-   uses a write + link-and-persist-read retry loop ([install_durable])
-   rather than write + flush: under [Lossy] a concurrent writer can take
+   Barrier discipline (in a system built with barriers on, see
+   [Persist.scoped]): a slot's decision must be durable BEFORE the vote
+   that advertises it.  Writing the decision uses a write +
+   link-and-persist-read retry loop ([install_durable]) rather than
+   write + flush: under [Lossy] a concurrent writer can take
    the cache line and crash between our write and our flush, in which
    case the revert discards our volatile write with its own and our
    flush would persist the reverted [None] -- the same absorbed-write
@@ -27,7 +28,8 @@
    so a plain write + flush is enough there.  [vote_first] deliberately
    inverts the order -- vote flushed before the decision is durable --
    as a negative control: the explorer exhibits a committed slot whose
-   decision a crash then un-persists. *)
+   decision a crash then un-persists.  Built with barriers off, every
+   barrier takes no step and every durable read is a plain read. *)
 
 open Rcons_runtime
 module TC = Rcons_algo.Team_consensus
@@ -41,7 +43,6 @@ type t = {
   size_b : int;
   n : int;
   quorum : int;
-  annotated : bool;
   vote_first : bool;
   tc : int TC.t array;
   decided : int option Cell.t array;
@@ -71,11 +72,11 @@ let proposal_a slot = ((slot + 1) * 1000) + 111
 let proposal_b slot = ((slot + 1) * 1000) + 222
 let proposal t ~pid ~slot = if pid < t.size_a then proposal_a slot else proposal_b slot
 
-let create ?(faithful = true) ?(annotated = false) ?(vote_first = false) ~slots cert =
+let create ?(faithful = true) ?(vote_first = false) ~slots cert =
   if slots < 1 then invalid_arg "Rlog.create: slots must be >= 1";
   let size_a, size_b = Certificate.recording_teams cert in
   let n = size_a + size_b in
-  let tc = Array.init slots (fun _ -> TC.create ~faithful ~annotated cert) in
+  let tc = Array.init slots (fun _ -> TC.create ~faithful cert) in
   let decided = Array.init slots (fun _ -> Cell.make None) in
   let votes = Array.init n (fun _ -> Cell.make 0) in
   let obs = Array.init n (fun _ -> Array.make slots None) in
@@ -103,7 +104,6 @@ let create ?(faithful = true) ?(annotated = false) ?(vote_first = false) ~slots 
     size_b;
     n;
     quorum = (n / 2) + 1;
-    annotated;
     vote_first;
     tc;
     decided;
@@ -182,8 +182,10 @@ let respond_once t pid slot v =
     | None -> ());
     t.responded.(pid).(slot) <- true)
 
+(* A durability marker: the barriers before it made the APPEND's effect
+   durable, so only a system built with barriers on records one. *)
 let persist_marker t pid slot =
-  if not (Undo.feeding ()) then
+  if Persist.barriers () && not (Undo.feeding ()) then
     match t.tags.(pid).(slot) with
     | Some tag ->
         journal_history t;
@@ -198,16 +200,11 @@ let note_crash t ~pid =
 
 (* Durably install [Some v]: write, then link-and-persist read until the
    durable copy actually holds a decision (see the header for why a
-   plain write + flush is not enough under [Lossy]). *)
+   plain write + flush is not enough under [Lossy]).  Just the write in
+   a system built with barriers off. *)
 let rec install_durable cell v =
   Cell.write cell (Some v);
-  match Cell.read_persist cell with Some w -> w | None -> install_durable cell v
-
-let read_vote t pid =
-  if t.annotated then Cell.read_persist t.votes.(pid) else Cell.read t.votes.(pid)
-
-let read_decided t slot =
-  if t.annotated then Cell.read_persist t.decided.(slot) else Cell.read t.decided.(slot)
+  if Persist.barriers () && Cell.read_persist cell = None then install_durable cell v
 
 let append t pid slot =
   let team, tslot =
@@ -216,13 +213,10 @@ let append t pid slot =
   let prop = proposal t ~pid ~slot in
   invoke_once t pid slot prop;
   let v = t.tc.(slot).TC.decide team tslot prop in
-  let write_decided () =
-    if t.annotated then ignore (install_durable t.decided.(slot) v)
-    else Cell.write t.decided.(slot) (Some v)
-  in
+  let write_decided () = install_durable t.decided.(slot) v in
   let write_vote () =
     Cell.write t.votes.(pid) (slot + 1);
-    if t.annotated then Cell.flush t.votes.(pid)
+    Cell.flush t.votes.(pid)
   in
   if t.vote_first then (
     write_vote ();
@@ -232,7 +226,7 @@ let append t pid slot =
     write_vote ());
   observe t pid slot v;
   respond_once t pid slot v;
-  if t.annotated then persist_marker t pid slot
+  persist_marker t pid slot
 
 let body t pid () =
   (* Entry bookkeeping is not once-guarded, so the rollback feed (which
@@ -251,12 +245,12 @@ let body t pid () =
      those slots from the chain instead of re-running consensus.  A slot
      inside the prefix whose decision is unreadable (the [vote_first]
      bug, or a barrier-free run) falls through to a full re-append. *)
-  let k = min (read_vote t pid) t.slots in
+  let k = min (Cell.read_persist t.votes.(pid)) t.slots in
   for slot = 0 to t.slots - 1 do
     let replayed =
       slot < k
       &&
-      match read_decided t slot with
+      match Cell.read_persist t.decided.(slot) with
       | Some v ->
           if not (Undo.feeding ()) then begin
             if Undo.recording () then begin
@@ -267,15 +261,15 @@ let body t pid () =
           end;
           observe t pid slot v;
           respond_once t pid slot v;
-          if t.annotated then persist_marker t pid slot;
+          persist_marker t pid slot;
           true
       | None -> false
     in
     if not replayed then append t pid slot
   done
 
-let instance ?faithful ?annotated ?vote_first ~slots cert =
-  let t = create ?faithful ?annotated ?vote_first ~slots cert in
+let instance ?faithful ?vote_first ~slots cert =
+  let t = create ?faithful ?vote_first ~slots cert in
   (t, Sim.create ~n:t.n (body t))
 
 (* --- checking --- *)

@@ -25,14 +25,14 @@
     instance mid-decision is exactly the crash-restart the Figure 2
     algorithm is built for.
 
-    The [annotated] variant adds the persist-barrier discipline for the
-    write-back cache models ({!Rcons_runtime.Persist}): a slot's
-    decision is made durable (write + link-and-persist read, retried
-    until the durable copy holds a decision) {e before} the vote that
-    advertises it is flushed.  Without the barriers ([annotated =
-    false]) the lossy cache model breaks per-slot agreement -- the
-    committed witness in [_counterexamples/] replays the shrunk
-    schedule.  [vote_first] inverts the barrier order (vote durable
+    Built with barriers on ({!Rcons_runtime.Persist.scoped}
+    [~barriers]), the log follows the persist-barrier discipline for
+    the write-back cache models: a slot's decision is made durable
+    (write + link-and-persist read, retried until the durable copy
+    holds a decision) {e before} the vote that advertises it is
+    flushed.  Built without barriers, the lossy cache model breaks
+    per-slot agreement -- the committed witness in [_counterexamples/]
+    replays the shrunk schedule.  [vote_first] inverts the barrier order (vote durable
     before the decision) as a negative control: the explorer exhibits a
     committed slot whose decision a crash un-persists. *)
 
@@ -40,7 +40,6 @@ type t
 
 val create :
   ?faithful:bool ->
-  ?annotated:bool ->
   ?vote_first:bool ->
   slots:int ->
   Rcons_check.Certificate.recording ->
@@ -50,7 +49,7 @@ val create :
     cache and {!Rcons_runtime.Heap} arena, and register the
     observation log, conflict flag and checker watermark with the arena
     so {!check_exn} stays a state property for the deduplicating
-    explorer.  [faithful]/[annotated] are passed to each slot's
+    explorer.  [faithful] is passed to each slot's
     {!Rcons_algo.Team_consensus.create}; [vote_first] (default [false])
     enables the negative-control barrier order.
 
@@ -63,7 +62,6 @@ val body : t -> int -> unit -> unit
 
 val instance :
   ?faithful:bool ->
-  ?annotated:bool ->
   ?vote_first:bool ->
   slots:int ->
   Rcons_check.Certificate.recording ->
@@ -113,7 +111,7 @@ val recoveries : t -> int array
 val history : t -> (int Rcons_history.Conditions.log_op, int) Rcons_history.History.t
 (** The operation history the log records: one APPEND per (pid, slot)
     whose response may arrive after crashes, with [Persist] markers
-    after the annotated variant's barriers.  Feed {!note_crash} from the
+    after the barriers of a system built with them on.  Feed {!note_crash} from the
     adversary's crash hook to place crash markers. *)
 
 val note_crash : t -> pid:int -> unit

@@ -121,7 +121,7 @@ let poke c v =
   end
 
 let write c v = Sim.step ~label:c.label ~fp:(footprint c Footprint.Write) (fun () -> poke c v)
-let flush c = Sim.flush ~fp:(footprint c Footprint.Flush) c.line
+let flush c = if Persist.barriers () then Sim.flush ~fp:(footprint c Footprint.Flush) c.line
 let line c = c.line
 
 (* The confirm step of the link-and-persist loops: the contents and
@@ -141,10 +141,12 @@ let confirm c =
    [equal] compares the two reads (default structural; pass [( == )]
    for values that cannot be compared structurally). *)
 let rec read_persist ?(equal = ( = )) c =
-  let v = read c in
-  flush c;
-  let v', clean = confirm c in
-  if clean && equal v v' then v' else read_persist ~equal c
+  if not (Persist.barriers ()) then read c
+  else
+    let v = read c in
+    flush c;
+    let v', clean = confirm c in
+    if clean && equal v v' then v' else read_persist ~equal c
 
 (* Write a value until it is guaranteed durable: write, flush, and
    confirm that the contents still match AND the line is clean.  Value
@@ -160,9 +162,11 @@ let rec read_persist ?(equal = ( = )) c =
    per attempt under every policy. *)
 let rec write_persist ?(equal = ( = )) c v =
   write c v;
-  flush c;
-  let v', clean = confirm c in
-  if not (clean && equal v v') then write_persist ~equal c v
+  if Persist.barriers () then begin
+    flush c;
+    let v', clean = confirm c in
+    if not (clean && equal v v') then write_persist ~equal c v
+  end
 
 (* Direct access for set-up and checking code running outside the
    simulation (not a process step). *)

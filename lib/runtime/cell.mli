@@ -36,16 +36,17 @@ val write : 'a t -> 'a -> unit
 val flush : 'a t -> unit
 (** Persist barrier for this cell ({!Sim.flush} on its line): after it,
     the last written value cannot be lost to a crash.  Any process may
-    flush any cell.  A no-op (but still a step) under eager. *)
+    flush any cell.  A no-op (but still a step) under eager; no step at
+    all in a system built with barriers off ({!Persist.scoped}). *)
 
 val read_persist : ?equal:('a -> 'a -> bool) -> 'a t -> 'a
 (** Read a value that is guaranteed durable: read, {!flush}, then
     confirm atomically that the contents still compare [equal] {e and}
     the cache line is clean, retrying otherwise (link-and-persist).
     Exactly read + flush + confirm steps per attempt under every
-    policy.  [equal]
-    defaults to structural equality; pass [( == )] for values that
-    cannot be structurally compared (e.g. closures). *)
+    policy; exactly {!read} in a system built with barriers off.
+    [equal] defaults to structural equality; pass [( == )] for values
+    that cannot be structurally compared (e.g. closures). *)
 
 val write_persist : ?equal:('a -> 'a -> bool) -> 'a t -> 'a -> unit
 (** Write a value that is guaranteed durable on return: write, {!flush},
@@ -55,8 +56,9 @@ val write_persist : ?equal:('a -> 'a -> bool) -> 'a t -> 'a -> unit
     crash-robust: a structurally-equal helper write between the flush
     and the confirm re-dirties the line without failing a value
     comparison, and its crash could revert the cell.  Exactly
-    write + flush + confirm steps per attempt under every policy.
-    [equal] defaults to structural equality. *)
+    write + flush + confirm steps per attempt under every policy;
+    exactly {!write} in a system built with barriers off.  [equal]
+    defaults to structural equality. *)
 
 val line : 'a t -> Persist.line option
 (** The cell's cache line, if it has one. *)

@@ -364,7 +364,9 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
      [mk] owns its policy, so every later build agrees.  Under the eager
      model a crash touches only its victim's control state, so it
      commutes with other processes' steps; a lossy cache makes it revert
-     shared lines, which those steps may read. *)
+     shared lines, which those steps may read.  Eager at cost 1 is no
+     model at all, also when built with barriers (the fingerprint says
+     so). *)
   let model = Atomic.make None in
   let eager_model t =
     let m =
@@ -372,6 +374,7 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
       | Some m -> m
       | None ->
           let m = Option.map (fun c -> (Persist.policy c, Persist.flush_cost c)) (Sim.cache t) in
+          let m = if m = Some (Persist.Eager, 1) then None else m in
           Atomic.set model (Some m);
           m
     in

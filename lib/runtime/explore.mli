@@ -242,8 +242,8 @@ val explore :
     [Counterexample.mk] does), which the system carries.  The explorer
     reads the model off the first system [mk] returns ({!Sim.cache}) for
     the crash/step independence of [?por] and for the [persist] /
-    [flush_cost] provenance parameters; nothing ambient around the call
-    matters.
+    [flush_cost] provenance parameters (absent for eager at cost 1);
+    nothing ambient around the call matters.
 
     [?dedup] (default [false]) turns on state-space deduplication (see
     above).  Each replayed system is then built under a fresh {!Heap}

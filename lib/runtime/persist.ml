@@ -42,14 +42,13 @@
    A cache is chosen when a system is built and carried by the system
    from then on.  [scoped] makes a fresh cache ambient on the current
    domain for the duration of a build (none at all for [Eager] at flush
-   cost 1: no line, zero overhead, byte-identical digests); object
-   constructors attach lines to the ambient cache, and [Sim.create]
-   captures it.  After the build nothing reads the ambient slot: inside
-   a step, [Sim] installs the system's own cache as the step context
-   ([in_step]), and lazily created objects and barriers take the cache
-   from there.  So a system runs the same whatever is ambient later --
-   another system built since, or no scope at all, as on an explorer
-   worker domain. *)
+   cost 1 without barriers: no line, zero overhead, byte-identical
+   digests); object constructors attach lines to the ambient cache, and
+   [Sim.create] captures it.  After the build nothing reads the ambient
+   slot: inside a step, [Sim] installs the system's own cache as the
+   step context ([in_step]), and lazily created objects and barriers
+   take the cache (and whether barriers run) from there.  So a system
+   runs the same whatever is ambient later. *)
 
 type policy = Eager | Lossy | Torn
 
@@ -64,6 +63,7 @@ let policy_of_string = function
 type cache = {
   policy : policy;
   flush_cost : int; (* simulated steps per flush/fence barrier *)
+  barriers : bool; (* do flush/fence barriers and confirm loops run at all *)
   mutable next_id : int;
   mutable dirty_lines : line list; (* exactly the lines with owner <> None *)
 }
@@ -77,10 +77,10 @@ and line = {
   touch : unit -> unit; (* owner's fingerprint-cache invalidation hook *)
 }
 
-let create ?(flush_cost = 1) policy =
+let create ~flush_cost ~barriers policy =
   if flush_cost < 1 then
-    invalid_arg (Printf.sprintf "Persist.create: flush_cost %d < 1" flush_cost);
-  { policy; flush_cost; next_id = 0; dirty_lines = [] }
+    invalid_arg (Printf.sprintf "Persist.scoped: flush_cost %d < 1" flush_cost);
+  { policy; flush_cost; barriers; next_id = 0; dirty_lines = [] }
 
 let policy c = c.policy
 let flush_cost c = c.flush_cost
@@ -88,7 +88,6 @@ let flush_cost c = c.flush_cost
    relabeled too. *)
 let owner ?perm l =
   match (l.owner, perm) with Some p, Some perm -> Some perm.(p) | o, _ -> o
-let cache_of l = l.cache
 
 (* The ambient cache for the current domain: read only while a system
    is being built (mirror of the [Heap] arena). *)
@@ -109,9 +108,12 @@ let in_step c pid f =
 
 let no_touch () = ()
 
-(* The flush cost of the system executing the current step; 1 outside
-   any step and in the steps of a cache-less system. *)
-let step_flush_cost () = match Domain.DLS.get ctx with Some (c, _) -> c.flush_cost | None -> 1
+(* Barrier steps in the system executing the current step: 0 outside
+   any step, in a cache-less system, and with barriers off. *)
+let barrier_steps () =
+  match Domain.DLS.get ctx with Some (c, _) when c.barriers -> c.flush_cost | _ -> 0
+
+let barriers () = barrier_steps () > 0
 
 (* A line joins the cache of the system executing the current step (an
    object created lazily) or, outside any step, the ambient cache (a
@@ -219,10 +221,13 @@ let on_crash c ~pid ~crashes =
       | Torn -> if (l.id + crashes) mod 2 = 0 then l.persist_now () else l.revert_now ())
 
 (* Build under [policy]: run [f] with a fresh ambient cache of that
-   policy -- none at all for eager at cost 1 -- and restore the
-   previously ambient cache (if any) afterwards. *)
-let scoped ?(flush_cost = 1) p f =
-  let fresh = if p = Eager && flush_cost = 1 then None else Some (create ~flush_cost p) in
+   policy -- none at all for eager at cost 1 without barriers -- and
+   restore the previously ambient cache (if any) afterwards. *)
+let scoped ?(flush_cost = 1) ?(barriers = false) p f =
+  let fresh =
+    if p = Eager && flush_cost = 1 && not barriers then None
+    else Some (create ~flush_cost ~barriers p)
+  in
   let saved = current () in
   restore fresh;
   Fun.protect ~finally:(fun () -> restore saved) f

@@ -20,16 +20,12 @@ val policy_of_string : string -> policy
 
 type cache
 (** A write-back cache: the set of dirty lines of one simulated system,
-    plus the policy and the flush cost. *)
+    plus the policy, the flush cost and whether barriers run. *)
 
 type line
 (** One cache line = one shared location.  Created by [Cell] (which
     also backs [Growable] entries and [Sim_obj] objects) under a
     non-[Eager] cache. *)
-
-val create : ?flush_cost:int -> policy -> cache
-(** [flush_cost] (default 1, must be >= 1) is the number of simulated
-    steps one flush/fence barrier costs. *)
 
 val policy : cache -> policy
 val flush_cost : cache -> int
@@ -41,8 +37,6 @@ val owner : ?perm:int array -> line -> int option
     locations fold this into their registered digests so cache state
     enters [Sim.fingerprint_digest]. *)
 
-val cache_of : line -> cache
-
 (** {2 Choosing the cache at build time}
 
     A system's cache is chosen when the system is built: {!scoped} makes
@@ -51,13 +45,23 @@ val cache_of : line -> cache
     created to it, and {!Sim.create} captures it.  From then on the system
     carries its cache: its steps, lazily created objects and barriers
     read the cache from the step context ({!in_step}), never the ambient
-    slot, so what is ambient after the build does not matter. *)
+    slot, so what is ambient after the build does not matter.
 
-val scoped : ?flush_cost:int -> policy -> (unit -> 'a) -> 'a
-(** [scoped ?flush_cost policy f] runs [f] (a system build) under a
-    fresh ambient cache of [policy] and restores the previously ambient
-    cache afterwards (exception-safe).  [Eager] at flush cost 1 (the
-    defaults) installs {e no} cache: the seed model, byte for byte.
+    Whether persist barriers run is part of the cache model too, so
+    the algorithms carry no flag: they always call [Cell.flush],
+    [Cell.read_persist], [Cell.write_persist] and [Sim.fence], which a
+    system built with barriers off runs as nothing, [Cell.read],
+    [Cell.write] and nothing -- the paper's barrier-free figures, step
+    for step.  Confirm loops that are not a [Cell] primitive ask
+    {!barriers}. *)
+
+val scoped : ?flush_cost:int -> ?barriers:bool -> policy -> (unit -> 'a) -> 'a
+(** [scoped ?flush_cost ?barriers policy f] runs [f] (a system build)
+    under a fresh ambient cache of [policy] and restores the previously
+    ambient cache afterwards (exception-safe).  A barrier takes
+    [flush_cost] (default 1) steps; [barriers] (default [false]) says
+    whether barriers run at all.  The defaults with [Eager] install
+    {e no} cache: the seed model, byte for byte.
     @raise Invalid_argument when [flush_cost < 1]. *)
 
 val current : unit -> cache option
@@ -72,12 +76,15 @@ val restore : cache option -> unit
 val in_step : cache -> int -> (unit -> 'a) -> 'a
 (** Bracket one simulator step of pid [i] on a cache-backed system:
     establishes the (cache, pid) step context that [attach], [dirty],
-    [fence_here] and {!step_flush_cost} consult. *)
+    [fence_here], {!barrier_steps} and {!barriers} consult. *)
 
-val step_flush_cost : unit -> int
-(** The flush cost of the cache of the system executing the current
-    step; 1 outside any step, and in a step of a system built with no
-    cache. *)
+val barrier_steps : unit -> int
+(** Steps one flush/fence barrier takes in the system executing the
+    current step: its flush cost if built with barriers on, else 0
+    (also outside any step). *)
+
+val barriers : unit -> bool
+(** [barrier_steps () > 0]. *)
 
 val attach :
   ?touch:(unit -> unit) -> persist:(unit -> unit) -> revert:(unit -> unit) -> unit -> line option

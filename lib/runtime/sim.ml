@@ -394,25 +394,23 @@ let crash t i =
 let crash_all t =
   Array.iter (fun p -> crash t p.id) t.procs
 
-(* Persist barriers.  Each is a labelled shared-memory step (or
-   [flush_cost] of them, so a policy sweep can price barriers), and each
-   takes the *same number of steps whatever the system's policy* --
-   annotated algorithms keep an identical schedule-tree shape under
-   eager, lossy and torn, which is what makes cross-policy comparisons
-   of explorer statistics meaningful.  Under eager (no cache, or lines
-   absent) the barrier steps are semantic no-ops.  The cost comes from
-   the flushed line's cache or, for a fence, from the step context:
-   never from whatever cache is ambient when the barrier runs. *)
-
-let barrier_steps = function
-  | Some l -> Persist.flush_cost (Persist.cache_of l)
-  | None -> Persist.step_flush_cost ()
+(* Persist barriers.  In a system built with barriers on, each is a
+   labelled shared-memory step (or [flush_cost] of them, so a policy
+   sweep can price barriers), and each takes the *same number of steps
+   whatever the system's policy* -- a barrier-carrying build keeps an
+   identical schedule-tree shape under eager, lossy and torn, which is
+   what makes cross-policy comparisons of explorer statistics
+   meaningful.  Under eager (no lines) the barrier steps are semantic
+   no-ops.  In a system built with barriers off they take no step at
+   all.  Both the count and the choice come from the step context --
+   the system's own cache -- never from whatever cache is ambient when
+   the barrier runs. *)
 
 (* Write one location's cache line back to durable memory (CLWB).  [fp]
    is the owning container's flush footprint (flushes of distinct
    objects commute; an un-attributed flush conflicts with everything). *)
 let flush ?fp line =
-  let k = barrier_steps line in
+  let k = Persist.barrier_steps () in
   for i = 1 to k do
     step ~label:"flush" ?fp (fun () -> if i = k then Option.iter Persist.flush_line line)
   done
@@ -421,7 +419,7 @@ let flush ?fp line =
    write-backs: after this, none of the caller's earlier writes can be
    lost to its crash). *)
 let fence () =
-  let k = barrier_steps None in
+  let k = Persist.barrier_steps () in
   for i = 1 to k do
     step ~label:"fence" (fun () -> if i = k then Persist.fence_here ())
   done

@@ -47,8 +47,8 @@ val num_procs : t -> int
 val cache : t -> Persist.cache option
 (** The write-back cache the system was built under ({!Persist.scoped}),
     which it carries for its whole life: [None] for the seed model
-    (eager at flush cost 1).  Explorers read a workload's persistency
-    model here. *)
+    (eager at flush cost 1, barriers off).  Explorers read a workload's
+    persistency model here. *)
 
 val finished : t -> int -> bool
 (** Has this process's current run completed?  (A later {!crash}
@@ -102,13 +102,15 @@ val crash : t -> int -> unit
 
 val flush : ?fp:Rcons_spec.Footprint.t -> Persist.line option -> unit
 (** Persist barrier: write one location's cache line back to durable
-    memory.  Takes [flush_cost] labelled steps (default 1) regardless of
-    the system's policy -- under eager it is a semantic no-op -- so
-    annotated algorithms keep an identical schedule-tree shape across
-    policies.  [fp] attributes the barrier steps to the flushed
-    container for the partial-order reduction (flushes of distinct
-    objects commute).  Exposed through [Cell.flush] / [Growable.flush] /
-    [Sim_obj.flush]; only process bodies may call it. *)
+    memory.  In a system built with barriers on ({!Persist.scoped}) it
+    takes [flush_cost] labelled steps regardless of the system's policy
+    -- under eager it is a semantic no-op -- so a barrier-carrying build
+    keeps an identical schedule-tree shape across policies; in a system
+    built with barriers off it takes no step.  [fp] attributes the
+    barrier steps to the flushed container for the partial-order
+    reduction (flushes of distinct objects commute).  Exposed through
+    [Cell.flush] / [Growable.flush] / [Sim_obj.flush]; only process
+    bodies may call it. *)
 
 val fence : unit -> unit
 (** Persist barrier: write back {e every} line the calling process owns.

@@ -577,7 +577,7 @@ let tick_l t s =
   | None when not (Admission.is_empty t.queue) ->
       let reqs = Array.of_list (Admission.pop_up_to t.queue slots) in
       Array.iter (fun r -> r.o_status <- Inflight) reqs;
-      let g_log, g_sim = Rlog.instance ~annotated:t.cfg.annotated ~slots:(Array.length reqs) s.l_cert in
+      let g_log, g_sim = Rlog.instance ~slots:(Array.length reqs) s.l_cert in
       s.gen <-
         Some
           {
@@ -631,7 +631,7 @@ let tick_l t s =
 
 let make_universal cfg =
   let hist = History.create () in
-  let u = Runiversal.create ~history:hist ~annotated:cfg.annotated ~n:workers Derived.counter in
+  let u = Runiversal.create ~history:hist ~n:workers Derived.counter in
   let assignment = Array.init workers (fun _ -> Cell.make None) in
   let done_epoch = Array.init workers (fun _ -> Cell.make 0) in
   let results = Array.make (max 1 (max_ops cfg)) None in
@@ -650,7 +650,7 @@ let make_universal cfg =
               results.(oid) <- Some r)
             ops;
           Cell.write done_epoch.(w) epoch;
-          if cfg.annotated then Cell.flush done_epoch.(w)
+          Cell.flush done_epoch.(w)
       | _ -> ());
       serve ()
     in
@@ -835,4 +835,5 @@ let run_inner cfg =
 
 let run cfg =
   validate cfg;
-  Persist.scoped ~flush_cost:cfg.flush_cost cfg.persist (fun () -> run_inner cfg)
+  Persist.scoped ~flush_cost:cfg.flush_cost ~barriers:cfg.annotated cfg.persist (fun () ->
+      run_inner cfg)

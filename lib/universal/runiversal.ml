@@ -43,49 +43,32 @@ type ('s, 'o, 'r) t = {
   registry : (int * int, ('s, 'o, 'r) node) Hashtbl.t;
       (* invocation tag -> node; makes [invoke] idempotent across crashes *)
   history : ('o, 'r) Rcons_history.History.t option;
-  annotated : bool; (* persist barriers for the write-back cache model *)
 }
 
+(* The default RC: an atomic one-shot consensus object, made durable by
+   a flush and a read-back in a system built with barriers on.  List
+   nodes are compared physically (they contain closures, so structural
+   equality is unavailable). *)
 let one_shot_rc () =
-  let c = Rcons_algo.One_shot.create () in
-  { propose = (fun _pid v -> Rcons_algo.One_shot.decide c v) }
-
-(* The annotated default RC: list nodes are compared physically (they
-   contain closures, so structural equality is unavailable). *)
-let one_shot_rc_durable () =
   let c = Rcons_algo.One_shot.create () in
   { propose = (fun _pid v -> Rcons_algo.One_shot.decide_durable ~equal:( == ) c v) }
 
-(* Annotated access paths: durable reads, flushed writes.  [rd_node]
-   reads cells holding list nodes (physical equality for the
-   link-and-persist stability check); [rd] everything else. *)
-let rd t c = if t.annotated then Cell.read_persist c else Cell.read c
-let rd_node t c = if t.annotated then Cell.read_persist ~equal:( == ) c else Cell.read c
-
-let wr t c v =
-  Cell.write c v;
-  if t.annotated then Cell.flush c
-
-(* Crash-robust write for the multi-writer winner fields (new_state,
-   response, seq).  The helping races on these cells are value-benign --
-   every helper writes the agreed value -- but under a per-owner
-   write-back cache they are NOT crash-benign: a concurrent same-value
-   helper write steals the line's ownership, and if that helper then
-   crashes before flushing, the policy reverts the line to its durable
-   copy -- silently undoing our write -- after which our own flush hits a
-   clean line and persists nothing.  (Found by the E15 service soak: a
-   node with a durable seq but a reverted new_state, i.e. "predecessor
-   state missing" in a fully annotated run.)  So in annotated mode use
-   [Cell.write_persist]: write, flush, and confirm atomically that the
-   value matches AND the line is clean, re-writing otherwise.  A value
-   read-back alone would not do -- a helper writing a structurally-equal
-   fresh allocation between our flush and the read-back re-dirties the
-   line while matching the comparison, leaving the durable copy stale
-   (the same hazard [Cell.read_persist] guards against on the read
-   side).  Helper writes and crashes are finitely many, so the loop
-   terminates.  The single-writer cells (announce.(i), head.(i)) keep
-   the plain write-and-flush. *)
-let wr_confirm t c v = if t.annotated then Cell.write_persist c v else Cell.write c v
+(* Persist barriers come from the build; without them every access below
+   is a plain read or write.  Shared reads are link-and-persist (nodes
+   compared physically), the single-writer cells (announce, head) take
+   a write-and-flush, and the multi-writer winner fields (new_state,
+   response, seq) take [Cell.write_persist].  The helping races on those
+   are value-benign -- every helper writes the agreed value -- but NOT
+   crash-benign under a per-owner write-back cache: a same-value helper
+   write steals the line's ownership, and if that helper crashes before
+   flushing, the line reverts -- silently undoing our write -- and our
+   own flush then persists nothing.  (Found by the E15 service soak: a
+   durable seq with a reverted new_state, "predecessor state missing".)
+   A value read-back alone would not do -- a structurally-equal helper
+   write between our flush and the read-back re-dirties the line while
+   matching the comparison -- so the confirm also checks the line is
+   clean.  Helper writes and crashes are finitely many, so the loop
+   terminates. *)
 
 let fresh_node t ~tag ~hist_tag op =
   {
@@ -98,10 +81,7 @@ let fresh_node t ~tag ~hist_tag op =
     next = t.make_rc ();
   }
 
-let create ?history ?make_rc ?(annotated = false) ~n spec =
-  let make_rc =
-    Option.value make_rc ~default:(if annotated then one_shot_rc_durable else one_shot_rc)
-  in
+let create ?history ?(make_rc = one_shot_rc) ~n spec =
   let dummy =
     {
       tag = (-1, -1);
@@ -121,29 +101,28 @@ let create ?history ?make_rc ?(annotated = false) ~n spec =
     head = Array.init n (fun _ -> Cell.make dummy);
     registry = Hashtbl.create 64;
     history;
-    annotated;
   }
 
 (* Figure 7, ApplyOperation: ensure the announced node of process [i] is
    appended, helping the process whose id has round-robin priority. *)
 let apply_operation t i =
-  let announced = rd_node t t.announce.(i) in
-  let continue_loop () = rd t announced.seq = 0 in
+  let announced = Cell.read_persist ~equal:( == ) t.announce.(i) in
+  let continue_loop () = Cell.read_persist announced.seq = 0 in
   while continue_loop () do
-    let head = rd_node t t.head.(i) in
-    let head_seq = rd t head.seq in
+    let head = Cell.read_persist ~equal:( == ) t.head.(i) in
+    let head_seq = Cell.read_persist head.seq in
     let priority = (head_seq + 1) mod t.n in
-    let priority_node = rd_node t t.announce.(priority) in
-    let pointer = if rd t priority_node.seq = 0 then priority_node else announced in
+    let priority_node = Cell.read_persist ~equal:( == ) t.announce.(priority) in
+    let pointer = if Cell.read_persist priority_node.seq = 0 then priority_node else announced in
     let winner = head.next.propose i pointer in
     (* Fill in the winner's fields.  Concurrent helpers write identical
        values (the winner and the predecessor state are agreed upon), so
-       the races are benign, as in Herlihy's construction.  Annotated
-       mode flushes each field before the next write depends on it; the
-       seq write is the node's commit point and must not become durable
-       before the state/response it certifies. *)
+       the races are benign, as in Herlihy's construction.  With barriers
+       on, each field is durable before the next write depends on it;
+       the seq write is the node's commit point and must not become
+       durable before the state/response it certifies. *)
     let prev_state =
-      match rd t head.new_state with
+      match Cell.read_persist head.new_state with
       | Some s -> s
       | None -> invalid_arg "RUniversal: predecessor state missing"
     in
@@ -153,12 +132,13 @@ let apply_operation t i =
       | None -> invalid_arg "RUniversal: dummy node won consensus"
     in
     let state', resp = t.spec.apply prev_state op in
-    wr_confirm t winner.new_state (Some state');
-    wr_confirm t winner.response (Some resp);
-    wr_confirm t winner.seq (head_seq + 1);
-    wr t t.head.(i) winner
+    Cell.write_persist winner.new_state (Some state');
+    Cell.write_persist winner.response (Some resp);
+    Cell.write_persist winner.seq (head_seq + 1);
+    Cell.write t.head.(i) winner;
+    Cell.flush t.head.(i)
   done;
-  match rd t announced.response with
+  match Cell.read_persist announced.response with
   | Some r -> r
   | None -> invalid_arg "RUniversal: appended node has no response"
 
@@ -195,19 +175,26 @@ let invoke t ~pid ~index op =
         Hashtbl.add t.registry (pid, index) nd;
         nd
   in
-  if rd_node t t.announce.(pid) != nd then wr t t.announce.(pid) nd;
+  if Cell.read_persist ~equal:( == ) t.announce.(pid) != nd then begin
+    Cell.write t.announce.(pid) nd;
+    Cell.flush t.announce.(pid)
+  end;
   (* Lines 120-125: catch the head pointer up so helping stays fresh. *)
   for j = 0 to t.n - 1 do
-    let hj = rd_node t t.head.(j) in
-    let hi = rd_node t t.head.(pid) in
-    if rd t hj.seq > rd t hi.seq then wr t t.head.(pid) hj
+    let hj = Cell.read_persist ~equal:( == ) t.head.(j) in
+    let hi = Cell.read_persist ~equal:( == ) t.head.(pid) in
+    if Cell.read_persist hj.seq > Cell.read_persist hi.seq then begin
+      Cell.write t.head.(pid) hj;
+      Cell.flush t.head.(pid)
+    end
   done;
   let r = apply_operation t pid in
   (match t.history with
   | Some h when nd.hist_tag >= 0 && not (Undo.feeding ()) ->
-      (* Annotated runs certify durability: by the time ApplyOperation
-         returned, the node's fields were read through link-and-persist
-         barriers, so its effect can no longer be lost to a crash.
+      (* Barrier-carrying runs certify durability: by the time
+         ApplyOperation returned, the node's fields were read through
+         link-and-persist barriers, so its effect can no longer be lost
+         to a crash.
          These appends are not once-guarded (a recovered operation may
          legitimately persist/respond again), so the rollback feed must
          skip them — the journal already restored the history. *)
@@ -215,7 +202,7 @@ let invoke t ~pid ~index op =
         let s = Rcons_history.History.save h in
         Undo.log (fun () -> Rcons_history.History.restore h s)
       end;
-      if t.annotated then Rcons_history.History.persist h ~pid ~tag:nd.hist_tag;
+      if Persist.barriers () then Rcons_history.History.persist h ~pid ~tag:nd.hist_tag;
       Rcons_history.History.respond h ~pid ~tag:nd.hist_tag r
   | Some _ | None -> ());
   r

@@ -32,30 +32,23 @@ and 'v rc = { propose : int -> 'v -> 'v }
 
 type ('s, 'o, 'r) t
 
-val one_shot_rc : unit -> 'v rc
-
-val one_shot_rc_durable : unit -> 'v rc
-(** [one_shot_rc] with a persist barrier after the propose
-    ({!Rcons_algo.One_shot.decide_durable}): the returned winner is
-    durable under the write-back cache model. *)
-
 val create :
   ?history:('o, 'r) Rcons_history.History.t ->
   ?make_rc:(unit -> ('s, 'o, 'r) node rc) ->
-  ?annotated:bool ->
   n:int ->
   ('s, 'o, 'r) seq_spec ->
   ('s, 'o, 'r) t
 (** With [?history], invocations and responses are recorded for
     linearizability checking.
 
-    [annotated] (default [false]) adds persist barriers for the
-    write-back cache model: flushed writes, link-and-persist reads, the
-    durable one-shot RC as the default [make_rc], and
-    [History.Persist] markers certifying each completed operation's
-    durability (consumed by [Conditions.durably_linearizable]).  A
-    semantic no-op (but extra steps) under the default eager model.
-    An explicit [make_rc] overrides the annotated default; it is the
+    Persist barriers come from the build
+    ({!Rcons_runtime.Persist.scoped} [~barriers]).  With them on:
+    flushed writes, link-and-persist reads, a flushed and re-read
+    one-shot RC as the default [make_rc], and [History.Persist] markers
+    certifying each completed operation's durability (consumed by
+    [Conditions.durably_linearizable]); a semantic no-op (but extra
+    steps) under the eager model.  With them off, Figure 7 step for
+    step.  An explicit [make_rc] replaces the default; it is the
     caller's job to make it durable. *)
 
 val apply_operation : ('s, 'o, 'r) t -> int -> 'r

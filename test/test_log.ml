@@ -34,8 +34,8 @@ let policy_str = Persist.policy_to_string
    everything observable: steps, crashes, the committed prefix, replay
    counts and the verdict. *)
 let run_fingerprint ~seed ~adv ~policy =
-  Persist.scoped policy (fun () ->
-      let t, sim = Rlog.instance ~annotated:true ~slots:3 (Lazy.force cert2) in
+  Persist.scoped ~barriers:true policy (fun () ->
+      let t, sim = Rlog.instance ~slots:3 (Lazy.force cert2) in
       let trace = ref [] in
       let adv = Adversary.create ~seed adv in
       match
@@ -87,8 +87,8 @@ let qcheck_recovery_deterministic =
    and report how many slots its recovery replayed from the chain.
    Deterministic: no randomness anywhere. *)
 let replay_after_crash ~policy ~slots ~crash_at =
-  Persist.scoped policy (fun () ->
-      let t, sim = Rlog.instance ~annotated:true ~slots (Lazy.force cert2) in
+  Persist.scoped ~barriers:true policy (fun () ->
+      let t, sim = Rlog.instance ~slots (Lazy.force cert2) in
       let steps = ref 0 in
       while !steps < crash_at && not (Sim.finished sim 0) do
         ignore (Sim.step_proc sim 0);
@@ -102,8 +102,8 @@ let replay_after_crash ~policy ~slots ~crash_at =
 
 (* Total solo steps to completion, for placing the late crash. *)
 let solo_steps ~policy ~slots =
-  Persist.scoped policy (fun () ->
-      let _, sim = Rlog.instance ~annotated:true ~slots (Lazy.force cert2) in
+  Persist.scoped ~barriers:true policy (fun () ->
+      let _, sim = Rlog.instance ~slots (Lazy.force cert2) in
       let steps = ref 0 in
       while not (Sim.finished sim 0) do
         ignore (Sim.step_proc sim 0);
@@ -148,8 +148,8 @@ let test_recovery_matrix () =
 
 let explore_log ?(annotated = true) ?(vote_first = false) ~policy ~slots () =
   let mk () =
-    Persist.scoped policy (fun () ->
-        let t, sim = Rlog.instance ~annotated ~vote_first ~slots (Lazy.force cert2) in
+    Persist.scoped ~barriers:annotated policy (fun () ->
+        let t, sim = Rlog.instance ~vote_first ~slots (Lazy.force cert2) in
         (sim, fun () -> Rlog.check_exn ~fail:Explore.fail t))
   in
   Explore.explore ~max_crashes:1 ~dedup:true ~por:true ~mk ()

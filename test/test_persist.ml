@@ -40,8 +40,8 @@ let test_policy_strings () =
   (match Persist.policy_of_string "write-through" with
   | _ -> Alcotest.fail "unknown policy should raise"
   | exception Invalid_argument _ -> ());
-  match Persist.create ~flush_cost:0 Persist.Lossy with
-  | _ -> Alcotest.fail "flush_cost 0 should raise"
+  match Persist.scoped ~flush_cost:0 Persist.Lossy ignore with
+  | () -> Alcotest.fail "flush_cost 0 should raise"
   | exception Invalid_argument _ -> ()
 
 let test_eager_attaches_no_lines () =
@@ -53,7 +53,7 @@ let test_eager_attaches_no_lines () =
       Alcotest.(check bool) "no line" true (Cell.line c = None))
 
 let test_lossy_revert_and_flush () =
-  Persist.scoped Persist.Lossy (fun () ->
+  Persist.scoped ~barriers:true Persist.Lossy (fun () ->
       let c = Cell.make 0 in
       let sim =
         Sim.create ~n:1 (fun _ () ->
@@ -113,7 +113,7 @@ let test_crash_only_reverts_owner () =
       Alcotest.(check int) "p1's dirty line reverted" 0 (Cell.peek b))
 
 let test_fence_persists_all_own_lines () =
-  Persist.scoped Persist.Lossy (fun () ->
+  Persist.scoped ~barriers:true Persist.Lossy (fun () ->
       let a = Cell.make 0 and b = Cell.make 0 in
       let sim =
         Sim.create ~n:1 (fun _ () ->
@@ -130,33 +130,51 @@ let test_fence_persists_all_own_lines () =
       Alcotest.(check (pair int int)) "nothing reverts" (1, 2) (Cell.peek a, Cell.peek b))
 
 let test_flush_cost_steps () =
-  (* A barrier takes exactly [flush_cost] steps under every policy. *)
+  (* In a system built with barriers on, a barrier takes exactly
+     [flush_cost] steps under every policy; built with them off it takes
+     none, and the link-and-persist read and write are a plain read and
+     a plain write. *)
   List.iter
-    (fun policy ->
-      Persist.scoped ~flush_cost:3 policy (fun () ->
+    (fun (policy, barriers) ->
+      let name = Printf.sprintf "%s, barriers %b" (Persist.policy_to_string policy) barriers in
+      Persist.scoped ~flush_cost:3 ~barriers policy (fun () ->
           let c = Cell.make 0 in
           let sim =
             Sim.create ~n:1 (fun _ () ->
                 Cell.write c 1;
-                Cell.flush c)
+                Cell.flush c;
+                ignore (Cell.read_persist c);
+                Cell.write_persist c 2)
           in
-          ignore (Sim.step_proc sim 0) (* start *);
-          ignore (Sim.step_proc sim 0) (* write *);
-          ignore (Sim.step_proc sim 0) (* flush 1/3 *);
-          ignore (Sim.step_proc sim 0) (* flush 2/3 *);
-          (match policy with
-          | Persist.Eager -> ()
-          | _ ->
-              Alcotest.(check int)
-                "not yet persisted mid-barrier" 0 (Cell.peek_persisted c));
-          ignore (Sim.step_proc sim 0) (* flush 3/3: write-back happens *);
-          Alcotest.(check bool) "finished" true (Sim.finished sim 0);
-          match policy with
-          | Persist.Eager ->
-              (* no line: the write was durable at its own step *)
-              Alcotest.(check int) "eager writes straight through" 1 (Cell.peek c)
-          | _ -> Alcotest.(check int) "persisted at the last barrier step" 1 (Cell.peek_persisted c)))
-    [ Persist.Eager; Persist.Lossy; Persist.Torn ]
+          let step () = ignore (Sim.step_proc sim 0) in
+          step () (* start *);
+          step () (* write *);
+          if barriers then begin
+            step () (* flush 1/3 *);
+            step () (* flush 2/3 *);
+            if policy <> Persist.Eager then
+              Alcotest.(check int) (name ^ ": not yet persisted mid-barrier") 0
+                (Cell.peek_persisted c);
+            step () (* flush 3/3: write-back happens *)
+          end;
+          (* Eager has no line: the write was durable at its own step.
+             Otherwise only a barrier persists it. *)
+          Alcotest.(check int) (name ^ ": durable after the flush")
+            (if barriers || policy = Persist.Eager then 1 else 0)
+            (Cell.peek_persisted c);
+          let rest = ref 0 in
+          while not (Sim.finished sim 0) do
+            step ();
+            incr rest
+          done;
+          (* read + flush + confirm, then write + flush + confirm *)
+          Alcotest.(check int) (name ^ ": read_persist + write_persist steps")
+            (if barriers then 10 else 2)
+            !rest;
+          Alcotest.(check int) (name ^ ": last write visible") 2 (Cell.peek c)))
+    (List.concat_map
+       (fun p -> [ (p, false); (p, true) ])
+       [ Persist.Eager; Persist.Lossy; Persist.Torn ])
 
 let test_torn_parity_deterministic () =
   (* A torn crash persists the parity-selected subset of the victim's
@@ -263,7 +281,7 @@ let test_fingerprint_sees_cache_state () =
       ~finally:(fun () ->
         match saved with Some a -> Heap.activate a | None -> Heap.deactivate ())
       (fun () ->
-        Persist.scoped Persist.Lossy (fun () ->
+        Persist.scoped ~barriers:true Persist.Lossy (fun () ->
             let a, b = locations () in
             let sim =
               Sim.create ~n:1 (fun _ () ->
@@ -290,10 +308,10 @@ let test_eager_scoped_byte_identical () =
      cache and under an explicitly scoped eager model: the persistency
      layer is strictly opt-in.  (The e2/e4/e7 experiment tables are the
      coarse version of this pin; this is the fine-grained one.) *)
-  let run scoped =
+  let run ~build ~ambient =
     let go () =
       let cert = Helpers.cert_of Rcons_spec.Sticky_bit.t 2 in
-      let sys = Helpers.team_system cert () in
+      let sys = build (fun () -> Helpers.team_system cert ()) in
       let rng = Random.State.make [| 2022 |] in
       let adv = Adversary.of_rng ~rng (Adversary.Uniform { crash_prob = 0.15; max_crashes = 4 }) in
       ignore (Adversary.run ~record:false adv sys.Helpers.sim);
@@ -301,18 +319,31 @@ let test_eager_scoped_byte_identical () =
       ( Sim.events sys.Helpers.sim,
         Array.to_list sys.Helpers.outputs.Rcons_algo.Outputs.outputs )
     in
-    (* An eager scope installs no cache, even over another ambient one. *)
-    if scoped then Persist.scoped Persist.Lossy (fun () -> Persist.scoped Persist.Eager go)
-    else go ()
+    ambient go
   in
-  let ev_plain, out_plain = run false and ev_eager, out_eager = run true in
+  let plain f = f () in
+  let ev_plain, out_plain = run ~build:plain ~ambient:plain in
+  (* An eager scope installs no cache, even over another ambient one. *)
+  let ev_eager, out_eager =
+    run ~build:plain ~ambient:(fun go ->
+        Persist.scoped Persist.Lossy (fun () -> Persist.scoped Persist.Eager go))
+  in
   Alcotest.(check bool) "identical event streams" true (ev_plain = ev_eager);
-  Alcotest.(check bool) "identical outputs" true (out_plain = out_eager)
+  Alcotest.(check bool) "identical outputs" true (out_plain = out_eager);
+  (* A system built with barriers on carries them: stepped under an
+     ambient barriers-off scope -- the shape of a benchmark wrapping an
+     explorer run around [mk] -- it runs exactly as with nothing
+     ambient, and not like the barrier-free build. *)
+  let barriers f = Persist.scoped ~barriers:true Persist.Lossy f in
+  let ev_b, out_b = run ~build:barriers ~ambient:plain in
+  let ev_b', out_b' = run ~build:barriers ~ambient:(Persist.scoped Persist.Lossy) in
+  Alcotest.(check bool) "barriers: identical event streams" true (ev_b = ev_b');
+  Alcotest.(check bool) "barriers: identical outputs" true (out_b = out_b');
+  Alcotest.(check bool) "barriers take steps" true (List.length ev_b > List.length ev_plain)
 
 (* --- Figure 2 under the lossy cache --- *)
 
-let lossy_workload ?(annotated = false) () =
-  Cex.team2 ~persist:Persist.Lossy ~annotated "sticky"
+let lossy_workload () = Cex.team2 ~persist:Persist.Lossy "sticky"
 
 (* The explorer's provenance parameters of the violation [w] produces:
    the persistency model must come from the system [mk] built, with no
@@ -378,12 +409,15 @@ let test_committed_artifact_replays () =
       | `Violated msg -> Alcotest.(check string) "still fires" "agreement violated" msg
       | `Passed -> Alcotest.fail "committed lossy witness went stale")
 
-let test_annotated_fig2_exhaustive_lossy () =
-  (* The acceptance check: the annotated variant survives every 1-crash
-     schedule under the lossy cache.  [dedup] makes it feasible -- raw
-     interleavings explode with the extra barrier steps, distinct states
-     do not -- and is sound because cache state is fingerprinted. *)
-  let w = lossy_workload ~annotated:true () in
+(* The exhaustive 1-crash check of Figure 2 built with barriers, on
+   sticky-bit under [policy]: no violation, and the explorer statistics
+   pinned, so a change to the barriers' step shapes shows.  [dedup]
+   makes it feasible -- raw interleavings explode with the extra barrier
+   steps, distinct states do not -- and is sound because cache state is
+   fingerprinted. *)
+let annotated_fig2_pinned (policy, pins) =
+  let w = Cex.team2 ~persist:policy ~annotated:true "sticky" in
+  let name = Persist.policy_to_string policy in
   match Cex.mk w with
   | Error e -> Alcotest.fail e
   | Ok mk -> (
@@ -391,24 +425,24 @@ let test_annotated_fig2_exhaustive_lossy () =
         Explore.explore ~max_crashes:1 ~dedup:true ~fingerprint:(Cex.fingerprint w) ~mk ()
       with
       | stats ->
-          Alcotest.(check bool)
-            (Printf.sprintf "no violation in %d schedules / %d states" stats.Explore.schedules
-               stats.Explore.distinct_states)
-            true (stats.Explore.schedules > 0)
+          Alcotest.(check (list int))
+            (name ^ ": schedules / nodes / distinct states")
+            pins
+            [ stats.Explore.schedules; stats.nodes; stats.distinct_states ]
       | exception Explore.Violation v ->
-          Alcotest.fail ("annotated variant violated: " ^ v.Explore.v_msg))
+          Alcotest.fail
+            (Printf.sprintf "annotated variant violated under %s: %s" name v.Explore.v_msg))
 
+(* The acceptance check: the barrier-carrying build survives every
+   1-crash schedule under the lossy cache. *)
+let test_annotated_fig2_exhaustive_lossy () =
+  annotated_fig2_pinned (Persist.Lossy, [ 147; 62_822; 32_928 ])
+
+(* Torn, and eager: the paper's own model, where the barriers are
+   semantic no-ops but still steps. *)
 let test_annotated_fig2_exhaustive_torn () =
-  let w = Cex.team2 ~persist:Persist.Torn ~annotated:true "sticky" in
-  match Cex.mk w with
-  | Error e -> Alcotest.fail e
-  | Ok mk -> (
-      match
-        Explore.explore ~max_crashes:1 ~dedup:true ~fingerprint:(Cex.fingerprint w) ~mk ()
-      with
-      | stats -> Alcotest.(check bool) "explored" true (stats.Explore.schedules > 0)
-      | exception Explore.Violation v ->
-          Alcotest.fail ("annotated variant violated under torn: " ^ v.Explore.v_msg))
+  List.iter annotated_fig2_pinned
+    [ (Persist.Torn, [ 132; 55_150; 28_810 ]); (Persist.Eager, [ 96; 33_715; 17_593 ]) ]
 
 (* --- shrinking (satellite: a shrunk lossy schedule still violates) --- *)
 
@@ -540,12 +574,9 @@ let test_runiversal_annotated_lossy () =
      (annotated responses carry persist markers, so this is not
      vacuous). *)
   for seed = 1 to 12 do
-    Persist.scoped Persist.Lossy (fun () ->
+    Persist.scoped ~barriers:true Persist.Lossy (fun () ->
         let history = Rcons_history.History.create () in
-        let u =
-          Rcons_universal.Runiversal.create ~history ~annotated:true ~n:2
-            Rcons_universal.Derived.counter
-        in
+        let u = Rcons_universal.Runiversal.create ~history ~n:2 Rcons_universal.Derived.counter in
         let runner = Rcons_universal.Script.create u ~n:2 ~max_ops:2 in
         let scripts =
           [|

@@ -194,7 +194,7 @@ let drive_to_completion t =
   done
 
 let test_rollback_boundaries policy () =
-  UPersist.scoped policy (fun () ->
+  UPersist.scoped ~barriers:true policy (fun () ->
       with_undo_arena (fun () ->
           let t = undo_sys () in
           Fun.protect
@@ -229,7 +229,7 @@ let test_rollback_boundaries policy () =
    restore the post-crash continuation (including the value log the
    recovery re-accumulated), not the pre-crash one. *)
 let test_rollback_recovered_run policy () =
-  UPersist.scoped policy (fun () ->
+  UPersist.scoped ~barriers:true policy (fun () ->
       with_undo_arena (fun () ->
           let t = undo_sys () in
           Fun.protect
@@ -281,7 +281,7 @@ let qcheck_rollback_fingerprint =
          let policy =
            match pol with 0 -> UPersist.Eager | 1 -> UPersist.Lossy | _ -> UPersist.Torn
          in
-         UPersist.scoped policy (fun () ->
+         UPersist.scoped ~barriers:true policy (fun () ->
              with_undo_arena (fun () ->
                  let t = undo_sys () in
                  Fun.protect
