@@ -1,10 +1,13 @@
 (* Command-line interface to the library.
 
      rcons classify [--limit N] [TYPE ...]   hierarchy table (E1)
-     rcons solve --type TYPE --n N [...]     run RC under a crash adversary
-     rcons impossible [TYPE ...]             Appendix H valency sweeps (E8)
+     rcons solve --type TYPE [-n N] [...]    run RC under a crash adversary
+     rcons impossible [--verbose]            Appendix H valency sweeps (E8)
      rcons explore --type TYPE [...]         bounded exhaustive model check
+     rcons log [--type TYPE] [...]           recoverable replicated log
      rcons certs list|revalidate|gc          persisted certificate cache
+     rcons critical --type TYPE              Theorem 14's critical execution (E11)
+     rcons serve [...]                       crash-churn service soak (E15)
 
    TYPE names: register, tas, swap, faa, stack, queue, readable-stack,
    readable-queue, sticky, cas, consensus, S<n>, T<n> (e.g. S4, T6). *)
@@ -58,12 +61,13 @@ let flush_cost_arg =
     & info [ "flush-cost" ] ~docv:"STEPS"
         ~doc:"Number of simulation steps each persist barrier (flush/fence) takes (default 1).")
 
-(* A barrier costs at least one step.  Every subcommand taking
-   --flush-cost checks it up front: one line and exit 2, like --procs. *)
-let bad_flush_cost cmd flush_cost =
-  if flush_cost < 1 then
-    Format.eprintf "rcons %s: --flush-cost must be >= 1 (got %d)@." cmd flush_cost;
-  flush_cost < 1
+(* A barrier costs at least one step, and a run at least one domain.
+   Every subcommand taking --flush-cost or --domains checks it up front:
+   one line and exit 2, like --procs.  [below_one cmd flag v] reports
+   whether [v] was refused. *)
+let below_one cmd flag v =
+  if v < 1 then Format.eprintf "rcons %s: --%s must be >= 1 (got %d)@." cmd flag v;
+  v < 1
 
 (* Shared --domains flag: every answer is independent of it (the domain
    pool's determinism contract); it only changes wall-clock time. *)
@@ -72,8 +76,8 @@ let domains_arg =
     value & opt int 1
     & info [ "domains"; "j" ]
         ~doc:
-          "Number of OCaml 5 domains for the witness searches / the schedule explorer (1 = \
-           sequential; results are identical either way).")
+          "Number of OCaml 5 domains for the witness searches / the schedule explorer (>= 1; \
+           1 = sequential; results are identical either way).")
 
 (* Shared certificate-cache flags: where the persisted per-level scan
    results live, and an off switch.  Entries are revalidated against the
@@ -104,6 +108,7 @@ let classify_cmd =
       Format.eprintf "rcons classify: --limit must be >= 2 (got %d)@." limit;
       2
     end
+    else if below_one "classify" "domains" domains then 2
     else
       let parse_all names =
         List.fold_right
@@ -464,6 +469,7 @@ let explore_cmd =
   let run name ex domains broken level replay_file persist annotated flush_cost =
     resolve "explore" parse_persist persist @@ fun persist ->
     match (replay_file, name) with
+    | _ when below_one "explore" "domains" domains -> 2
     | Some file, _ -> replay_artifact file
     | None, None ->
         Format.eprintf "one of --type or --replay is required@.";
@@ -471,7 +477,7 @@ let explore_cmd =
     | None, Some _ when level < 2 ->
         Format.eprintf "rcons explore: --level must be >= 2 (got %d)@." level;
         2
-    | None, Some _ when bad_flush_cost "explore" flush_cost -> 2
+    | None, Some _ when below_one "explore" "flush-cost" flush_cost -> 2
     | None, Some name ->
         resolve "explore" parse_type name @@ fun _ ->
         let w = Cex.team2 ~faithful:(not broken) ~level ~persist ~annotated ~flush_cost name in
@@ -548,7 +554,8 @@ let log_cmd =
       Format.eprintf "rcons log: --procs must be >= 2 (got %d)@." procs;
       2
     end
-    else if bad_flush_cost "log" flush_cost then 2
+    else if below_one "log" "flush-cost" flush_cost then 2
+    else if below_one "log" "domains" domains then 2
     else if exhaustive then begin
       if vote_first then begin
         (* The exhaustive path runs through the replayable workload
@@ -834,7 +841,8 @@ let serve_cmd =
     | _ when instances < 1 ->
         Format.eprintf "rcons serve: --instances must be >= 1 (got %d)@." instances;
         2
-    | _ when bad_flush_cost "serve" flush_cost -> 2
+    | _ when below_one "serve" "flush-cost" flush_cost -> 2
+    | _ when below_one "serve" "domains" domains -> 2
     | Error msg ->
         Format.eprintf "rcons serve: %s@." msg;
         2

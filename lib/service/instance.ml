@@ -1,7 +1,7 @@
 (* One hosted service shard; see the interface for the engine shape.
 
    Everything in here is per-instance and deterministic: private RNGs
-   seeded from (seed, id), sessions resumed in index order, the
+   seeded from (seed, id), client fibers resumed in index order, the
    adversary consulted once per tick, no iteration over hash tables
    whose order could leak in.  [Service] relies on that to partition
    instances across domains without changing any report. *)
@@ -73,8 +73,6 @@ let validate cfg =
 
 (* --- operations --- *)
 
-type owner = Closed of int | Open of int
-
 (* [Failed]: a log generation retired without committing the op's slot
    (reachable only without barriers); the next retry re-admits it. *)
 type op_status = Fresh | Queued | Inflight | Completed of int | Failed
@@ -82,17 +80,10 @@ type op_status = Fresh | Queued | Inflight | Completed of int | Failed
 type op_rec = {
   o_id : int;  (** dense per-instance id; the idempotency key *)
   o_op : Derived.counter_op;
-  o_owner : owner;
+  o_owner : int;  (** the fiber awaiting it *)
   mutable o_status : op_status;
   mutable o_submit : int;  (** first-submission tick; -1 before *)
   mutable o_acked : bool;
-}
-
-type open_rec = {
-  oo : op_rec;
-  mutable oo_phase : int;  (** 0 = trying/backing off, 1 = awaiting, 2 = resolved *)
-  mutable oo_due : int;  (** phase 0: next attempt tick; phase 1: deadline *)
-  mutable oo_tries : int;
 }
 
 (* --- backends --- *)
@@ -101,7 +92,6 @@ type worker_cur = {
   mutable epoch : int;
   mutable wops : op_rec array;
   mutable next_ack : int;
-  mutable marks : int list;  (** crash ticks awaiting batch completion *)
 }
 
 type universal_state = {
@@ -112,6 +102,7 @@ type universal_state = {
   done_epoch : int Cell.t array;
   results : int option array;  (** meta-observation, filled by worker bodies *)
   cur : worker_cur array;
+  u_marks : int list array;  (** per-worker crash ticks awaiting batch completion *)
   mutable watermark : int;  (** highest history tag already checked *)
   mutable window_init : int;  (** counter state at the last window cut *)
   mutable ops_since_check : int;
@@ -139,15 +130,13 @@ type t = {
   cfg : config;
   mutable now : int;
   queue : op_rec Admission.t;
-  sess : Session.t array;
-  closed_ops : op_rec option array array;  (** session -> idx -> op *)
+  sess : Session.t array;  (** closed sessions, then one fiber per open-loop op *)
+  ops : op_rec option array array;  (** fiber -> idx -> op *)
   waiting : op_rec option array;
   sess_deadline : int array;
   wake_at : int array;  (** -1 = not sleeping *)
-  open_arr : open_rec option array;
-  mutable open_gen : int;
+  mutable open_gen : int;  (** open-loop fibers started so far *)
   mutable open_acc : float;
-  open_rng : Random.State.t;
   adv : Adversary.t;
   be : backend;
   mutable all_ops : op_rec list;
@@ -231,11 +220,11 @@ let rec settle t i =
 
 and on_call t i idx =
   let r =
-    match t.closed_ops.(i).(idx) with
+    match t.ops.(i).(idx) with
     | Some r -> r
     | None ->
-        let r = fresh_op t ~owner:(Closed i) ~op:(op_for ~ses:i ~idx) in
-        t.closed_ops.(i).(idx) <- Some r;
+        let r = fresh_op t ~owner:i ~op:(op_for ~ses:i ~idx) in
+        t.ops.(i).(idx) <- Some r;
         r
   in
   match r.o_status with
@@ -262,131 +251,103 @@ and on_call t i idx =
         Some Session.Overloaded
       end
 
-(* The closed-loop client: submit each op, retry on Overloaded/Timeout
-   with jittered exponential backoff, give up after max_retries, think
-   briefly between ops. *)
+(* One op's client loop: submit, retry on Overloaded/Timeout with
+   jittered exponential backoff, give up after max_retries. *)
+let attempt rng ctx idx =
+  let rec go n =
+    match ctx.Session.call ~idx with
+    | Session.Done _ -> ()
+    | Session.Overloaded | Session.Timeout ->
+        if n < retry.Backoff.max_retries then begin
+          ctx.Session.sleep (Backoff.delay retry ~rng ~attempt:n);
+          go (n + 1)
+        end
+  in
+  go 0
+
+(* The closed-loop client: each op in turn, thinking briefly between
+   them. *)
 let client_body cfg rng ctx =
   for idx = 0 to cfg.ops_per_session - 1 do
-    let rec attempt n =
-      match ctx.Session.call ~idx with
-      | Session.Done _ -> ()
-      | Session.Overloaded | Session.Timeout ->
-          if n < retry.Backoff.max_retries then begin
-            ctx.Session.sleep (Backoff.delay retry ~rng ~attempt:n);
-            attempt (n + 1)
-          end
-    in
-    attempt 0;
+    attempt rng ctx idx;
     ctx.Session.sleep (1 + Random.State.int rng 4)
   done
 
-(* --- open-loop ops (seeded arrival process; no fiber, a 3-state
-   machine per op sharing the same admission/dedup path) --- *)
-
-let retry_or_give_up t oo =
-  if oo.oo_tries >= retry.Backoff.max_retries then oo.oo_phase <- 2 (* gave up *)
-  else begin
-    let d = Backoff.delay retry ~rng:t.open_rng ~attempt:oo.oo_tries in
-    oo.oo_tries <- oo.oo_tries + 1;
-    oo.oo_phase <- 0;
-    oo.oo_due <- t.now + d
-  end
-
-let open_act t oo =
-  let r = oo.oo in
-  match r.o_status with
-  | Completed _ ->
-      if not r.o_acked then ack t r;
-      oo.oo_phase <- 2
-  | Queued | Inflight ->
-      if oo.oo_tries > 0 then t.retries <- t.retries + 1;
-      oo.oo_phase <- 1;
-      oo.oo_due <- t.now + retry.Backoff.deadline
-  | Fresh | Failed ->
-      if r.o_submit < 0 then r.o_submit <- t.now else t.retries <- t.retries + 1;
-      if Admission.try_enqueue t.queue r then begin
-        r.o_status <- Queued;
-        oo.oo_phase <- 1;
-        oo.oo_due <- t.now + retry.Backoff.deadline
-      end
-      else begin
-        t.overloads <- t.overloads + 1;
-        retry_or_give_up t oo
-      end
-
-let open_phase t =
-  if t.cfg.open_ops > 0 then begin
-    if t.open_gen < t.cfg.open_ops then begin
-      t.open_acc <- t.open_acc +. t.cfg.open_rate;
-      while t.open_acc >= 1.0 && t.open_gen < t.cfg.open_ops do
-        t.open_acc <- t.open_acc -. 1.0;
-        let j = t.open_gen in
-        let r = fresh_op t ~owner:(Open j) ~op:(op_for ~ses:(-1) ~idx:j) in
-        t.open_arr.(j) <- Some { oo = r; oo_phase = 0; oo_due = t.now; oo_tries = 0 };
-        t.open_gen <- t.open_gen + 1
-      done
-    end;
-    for j = 0 to t.open_gen - 1 do
-      match t.open_arr.(j) with
-      | Some oo when oo.oo_phase = 0 && oo.oo_due <= t.now -> open_act t oo
-      | _ -> ()
+(* Open-loop arrivals (a seeded rate): each arrival's op is created
+   now, so op ids keep arrival order, and its one-op fiber -- placed
+   after the closed sessions -- makes its first attempt at once. *)
+let arrivals t =
+  if t.open_gen < t.cfg.open_ops then begin
+    t.open_acc <- t.open_acc +. t.cfg.open_rate;
+    while t.open_acc >= 1.0 && t.open_gen < t.cfg.open_ops do
+      t.open_acc <- t.open_acc -. 1.0;
+      let j = t.open_gen and i = t.cfg.sessions + t.open_gen in
+      t.ops.(i).(0) <- Some (fresh_op t ~owner:i ~op:(op_for ~ses:(-1) ~idx:j));
+      t.open_gen <- t.open_gen + 1;
+      Session.start t.sess.(i);
+      settle t i
     done
   end
 
 (* --- completion delivery (shared by both backends) --- *)
 
-let deliver_success t r resp =
-  match r.o_owner with
-  | Closed i -> (
-      match t.waiting.(i) with
-      | Some r' when r' == r ->
-          t.waiting.(i) <- None;
-          ack t r;
-          Session.answer t.sess.(i) (Session.Done resp);
-          settle t i
-      | _ -> () (* client away (backing off / gave up); picked up lazily *))
-  | Open j -> (
-      match t.open_arr.(j) with
-      | Some oo when oo.oo_phase = 1 ->
-          ack t r;
-          oo.oo_phase <- 2
-      | _ -> ())
-
-let deliver_failure t r =
-  match r.o_owner with
-  | Closed i -> (
-      match t.waiting.(i) with
-      | Some r' when r' == r ->
-          t.waiting.(i) <- None;
-          t.timeouts <- t.timeouts + 1;
-          Session.answer t.sess.(i) Session.Timeout;
-          settle t i
-      | _ -> ())
-  | Open j -> (
-      match t.open_arr.(j) with
-      | Some oo when oo.oo_phase = 1 ->
-          t.timeouts <- t.timeouts + 1;
-          retry_or_give_up t oo
-      | _ -> ())
+(* Answer [Done] or [Timeout] to the fiber awaiting [r]. *)
+let deliver t r answer =
+  let i = r.o_owner in
+  match t.waiting.(i) with
+  | Some r' when r' == r ->
+      t.waiting.(i) <- None;
+      (match answer with Session.Done _ -> ack t r | _ -> t.timeouts <- t.timeouts + 1);
+      Session.answer t.sess.(i) answer;
+      settle t i
+  | _ -> () (* fiber away (backing off / gave up); picked up lazily *)
 
 (* --- deadline sweep --- *)
 
 let sweep t =
-  for i = 0 to Array.length t.sess - 1 do
-    match t.waiting.(i) with
-    | Some _ when t.sess_deadline.(i) <= t.now ->
-        t.waiting.(i) <- None;
-        t.timeouts <- t.timeouts + 1;
-        Session.answer t.sess.(i) Session.Timeout;
-        settle t i
-    | _ -> ()
+  Array.iteri
+    (fun i w ->
+      match w with
+      | Some r when t.sess_deadline.(i) <= t.now -> deliver t r Session.Timeout
+      | _ -> ())
+    t.waiting
+
+(* --- crash churn (shared by both backends) --- *)
+
+(* One tick of churn on a backend's [sim]: the adversary crashes some
+   started, unfinished processes (crash points sit at tick boundaries),
+   then every busy process steps a bounded quantum.  A crash that
+   interrupts work leaves a mark in [marks]; the recovery interval
+   closes once that process is no longer busy.  A body blowing up is the
+   construction corrupting itself (the barrier-free negative control
+   does exactly this under lossy churn) -- surfaced as a violation with
+   the backend's [failure] message. *)
+let churn t sim ~busy ~marks ~on_crash ~failure =
+  let n = Array.length marks in
+  let eligible = ref [] in
+  for p = n - 1 downto 0 do
+    if Sim.started sim p && not (Sim.finished sim p) then eligible := p :: !eligible
   done;
-  for j = 0 to t.open_gen - 1 do
-    match t.open_arr.(j) with
-    | Some oo when oo.oo_phase = 1 && oo.oo_due <= t.now ->
-        t.timeouts <- t.timeouts + 1;
-        retry_or_give_up t oo
-    | _ -> ()
+  List.iter
+    (fun v ->
+      Sim.crash sim v;
+      on_crash v;
+      if busy v then marks.(v) <- t.now :: marks.(v))
+    (Adversary.decide t.adv ~eligible:!eligible ~total_steps:(Sim.total_steps sim));
+  for p = 0 to n - 1 do
+    let q = ref quantum in
+    while !q > 0 && busy p do
+      (try ignore (Sim.step_proc sim p) with Invalid_argument m -> violation t (failure p m));
+      decr q
+    done;
+    if (not (busy p)) && marks.(p) <> [] then begin
+      List.iter
+        (fun m ->
+          Metrics.add t.rec_h (t.now - m);
+          t.recoveries <- t.recoveries + 1)
+        marks.(p);
+      marks.(p) <- []
+    end
   done
 
 (* --- universal backend --- *)
@@ -437,31 +398,10 @@ let tick_u t s =
         end
       end
     done;
-  (* adversary: crash points sit at tick boundaries *)
-  let eligible = ref [] in
-  for w = workers - 1 downto 0 do
-    if Sim.started s.u_sim w then eligible := w :: !eligible
-  done;
-  let victims = Adversary.decide t.adv ~eligible:!eligible ~total_steps:(Sim.total_steps s.u_sim) in
-  List.iter
-    (fun v ->
-      Sim.crash s.u_sim v;
-      History.crash s.u_hist ~pid:v;
-      if u_busy s v then s.cur.(v).marks <- t.now :: s.cur.(v).marks)
-    victims;
-  (* step busy workers a bounded quantum each; a body blowing up is the
-     construction corrupting itself (the barrier-free negative control
-     does exactly this under lossy churn) -- surface it as a violation *)
-  for w = 0 to workers - 1 do
-    let q = ref quantum in
-    while !q > 0 && u_busy s w do
-      (try ignore (Sim.step_proc s.u_sim w)
-       with Invalid_argument m ->
-         violation t (Printf.sprintf "construction failure on worker %d: %s" w m));
-      decr q
-    done
-  done;
-  (* deliver completions in batch order; close recovery intervals *)
+  churn t s.u_sim ~busy:(u_busy s) ~marks:s.u_marks
+    ~on_crash:(fun v -> History.crash s.u_hist ~pid:v)
+    ~failure:(fun w m -> Printf.sprintf "construction failure on worker %d: %s" w m);
+  (* deliver completions in batch order *)
   for w = 0 to workers - 1 do
     let c = s.cur.(w) in
     while c.next_ack < Array.length c.wops && s.results.(c.wops.(c.next_ack).o_id) <> None do
@@ -472,17 +412,9 @@ let tick_u t s =
       | _ ->
           r.o_status <- Completed resp;
           s.ops_since_check <- s.ops_since_check + 1);
-      deliver_success t r resp;
+      deliver t r (Session.Done resp);
       c.next_ack <- c.next_ack + 1
-    done;
-    if (not (u_busy s w)) && c.marks <> [] then begin
-      List.iter
-        (fun m ->
-          Metrics.add t.rec_h (t.now - m);
-          t.recoveries <- t.recoveries + 1)
-        c.marks;
-      c.marks <- []
-    end
+    done
   done;
   (* windowed online check at drain points *)
   if s.ops_since_check >= check_window then s.draining <- true;
@@ -529,7 +461,7 @@ let ack_committed t g =
     let r = g.g_reqs.(slot) in
     let resp = Option.value ~default:(-1) (Rlog.decided_value g.g_log ~slot) in
     (match r.o_status with Completed _ -> () | _ -> r.o_status <- Completed resp);
-    deliver_success t r resp;
+    deliver t r (Session.Done resp);
     g.g_acked <- g.g_acked + 1
   done
 
@@ -559,7 +491,7 @@ let finish_gen t s g =
     | Completed _ -> ()
     | _ ->
         r.o_status <- Failed;
-        deliver_failure t r
+        deliver t r Session.Timeout
   done;
   Buffer.add_string t.commit_buf (Printf.sprintf "g%d:" s.gens);
   for slot = 0 to cfin - 1 do
@@ -592,38 +524,13 @@ let tick_l t s =
   match s.gen with
   | None -> ()
   | Some g ->
-      let n = Rlog.num_procs g.g_log in
-      let eligible = ref [] in
-      for p = n - 1 downto 0 do
-        if Sim.started g.g_sim p && not (Sim.finished g.g_sim p) then eligible := p :: !eligible
-      done;
-      let victims =
-        Adversary.decide t.adv ~eligible:!eligible ~total_steps:(Sim.total_steps g.g_sim)
-      in
-      List.iter
-        (fun v ->
-          Sim.crash g.g_sim v;
+      churn t g.g_sim
+        ~busy:(fun p -> not (Sim.finished g.g_sim p))
+        ~marks:g.g_marks
+        ~on_crash:(fun v ->
           Rlog.note_crash g.g_log ~pid:v;
-          g.g_trace <- Rlog.committed g.g_log :: g.g_trace;
-          g.g_marks.(v) <- t.now :: g.g_marks.(v))
-        victims;
-      for p = 0 to n - 1 do
-        let q = ref quantum in
-        while !q > 0 && not (Sim.finished g.g_sim p) do
-          (try ignore (Sim.step_proc g.g_sim p)
-           with Invalid_argument m ->
-             violation t (Printf.sprintf "log proc %d failure: %s" p m));
-          decr q
-        done;
-        if Sim.finished g.g_sim p && g.g_marks.(p) <> [] then begin
-          List.iter
-            (fun m ->
-              Metrics.add t.rec_h (t.now - m);
-              t.recoveries <- t.recoveries + 1)
-            g.g_marks.(p);
-          g.g_marks.(p) <- []
-        end
-      done;
+          g.g_trace <- Rlog.committed g.g_log :: g.g_trace)
+        ~failure:(fun p m -> Printf.sprintf "log proc %d failure: %s" p m);
       ack_committed t g;
       if Sim.all_finished g.g_sim then finish_gen t s g
 
@@ -665,7 +572,8 @@ let make_universal cfg =
       assignment;
       done_epoch;
       results;
-      cur = Array.init workers (fun _ -> { epoch = 0; wops = [||]; next_ack = 0; marks = [] });
+      cur = Array.init workers (fun _ -> { epoch = 0; wops = [||]; next_ack = 0 });
+      u_marks = Array.make workers [];
       watermark = -1;
       window_init = counter_lin.Linearizability.init;
       ops_since_check = 0;
@@ -678,23 +586,28 @@ let make cfg =
     | Universal -> make_universal cfg
     | Log -> B_l { l_cert = Option.get cfg.cert; gen = None; gens = 0 }
   in
+  (* every open-loop fiber draws its backoff jitter from one shared RNG *)
+  let open_rng = Random.State.make [| cfg.seed; cfg.id; 555 |] in
+  let fibers = cfg.sessions + cfg.open_ops in
+  let closed i = i < cfg.sessions in
   let t =
     {
       cfg;
       now = 0;
       queue = Admission.create ~cap:cfg.queue_cap;
       sess =
-        Array.init cfg.sessions (fun i ->
-            let rng = Random.State.make [| cfg.seed; cfg.id; 1000 + i |] in
-            Session.spawn (client_body cfg rng));
-      closed_ops = Array.init cfg.sessions (fun _ -> Array.make (max 1 cfg.ops_per_session) None);
-      waiting = Array.make cfg.sessions None;
-      sess_deadline = Array.make cfg.sessions 0;
-      wake_at = Array.make cfg.sessions (-1);
-      open_arr = Array.make (max 1 cfg.open_ops) None;
+        Array.init fibers (fun i ->
+            if closed i then
+              Session.spawn (client_body cfg (Random.State.make [| cfg.seed; cfg.id; 1000 + i |]))
+            else Session.spawn (fun ctx -> attempt open_rng ctx 0));
+      ops =
+        Array.init fibers (fun i ->
+            Array.make (if closed i then max 1 cfg.ops_per_session else 1) None);
+      waiting = Array.make fibers None;
+      sess_deadline = Array.make fibers 0;
+      wake_at = Array.make fibers (-1);
       open_gen = 0;
       open_acc = 0.0;
-      open_rng = Random.State.make [| cfg.seed; cfg.id; 555 |];
       adv = Adversary.create ~seed:(cfg.seed + (31 * (cfg.id + 1))) cfg.adversary;
       be;
       all_ops = [];
@@ -717,25 +630,16 @@ let make cfg =
 
 (* --- termination --- *)
 
+(* Every open-loop op arrived and every fiber ran to its end. *)
 let sessions_done t =
-  let n = Array.length t.sess in
-  let rec go i = i >= n || (Session.poised t.sess.(i) = Session.Finished && go (i + 1)) in
-  go 0
-
-let opens_done t =
   t.open_gen >= t.cfg.open_ops
-  &&
-  let rec go j =
-    j >= t.open_gen
-    || ((match t.open_arr.(j) with Some oo -> oo.oo_phase = 2 | None -> false) && go (j + 1))
-  in
-  go 0
+  && Array.for_all (fun s -> Session.poised s = Session.Finished) t.sess
 
 let backend_idle t =
   match t.be with B_u s -> not (u_any_busy s) | B_l s -> s.gen = None
 
 let done_cond t =
-  sessions_done t && opens_done t && Admission.is_empty t.queue && backend_idle t
+  sessions_done t && Admission.is_empty t.queue && backend_idle t
 
 let cleanup t =
   Array.iter Session.abort t.sess;
@@ -802,13 +706,12 @@ let run_inner cfg =
   let t = make cfg in
   let finished = ref false in
   (try
-     (* boot: start every session fiber (thundering herd by design --
+     (* boot: start every closed session (thundering herd by design --
         admission sheds, jittered backoff spreads the re-arrivals) *)
-     Array.iteri
-       (fun i s ->
-         Session.start s;
-         settle t i)
-       t.sess;
+     for i = 0 to cfg.sessions - 1 do
+       Session.start t.sess.(i);
+       settle t i
+     done;
      while (not !finished) && t.now < cfg.max_ticks do
        t.now <- t.now + 1;
        for i = 0 to Array.length t.sess - 1 do
@@ -818,7 +721,7 @@ let run_inner cfg =
            settle t i
          end
        done;
-       open_phase t;
+       arrivals t;
        (match t.be with B_u s -> tick_u t s | B_l s -> tick_l t s);
        sweep t;
        if done_cond t then begin

@@ -15,12 +15,20 @@
 
     {2 Engine shape (one tick)}
 
-    wake backed-off sessions -> open-loop arrivals and retries ->
-    dispatch batches to idle workers (or start a log generation) ->
-    adversary crash decision ({!Rcons_runtime.Adversary.decide}) ->
-    step busy workers a bounded quantum -> deliver completions and close
-    recovery intervals -> sweep deadlines (timeout answers) -> windowed
+    wake sleeping client fibers -> open-loop arrivals -> dispatch
+    batches to idle workers (or start a log generation) -> churn:
+    adversary crash decision ({!Rcons_runtime.Adversary.decide}), step
+    busy processes a bounded quantum, close recovery intervals ->
+    deliver completions -> sweep deadlines (timeout answers) -> windowed
     online check at drain points.
+
+    Every client is a {!Session} fiber running one retry loop: the
+    closed-loop sessions first, then one single-op fiber per open-loop
+    arrival, created when it arrives (so op ids follow arrival order)
+    and drawing its backoff jitter from one RNG shared by all open-loop
+    fibers.  Fibers are woken and swept in index order.  The churn step
+    is the same for both backends; it is the only caller of the
+    adversary.
 
     Crashes arrive only at tick boundaries (quantum-granular crash
     points); recovery is the model's own: the crashed worker re-runs its
@@ -66,7 +74,9 @@ type config = {
   sessions : int;  (** closed-loop client sessions (effect fibers) *)
   ops_per_session : int;
   open_rate : float;  (** open-loop arrivals per tick (0 = closed-loop only) *)
-  open_ops : int;  (** total open-loop ops to generate *)
+  open_ops : int;
+      (** total open-loop arrivals; each is a one-op client fiber that
+          retries like a session's op and may give up *)
   cert : Rcons_check.Certificate.recording option;  (** required for [Log] *)
   max_ticks : int;  (** hard stop; hitting it reports [r_stuck] *)
 }
@@ -107,8 +117,9 @@ type report = {
 }
 
 val run : config -> report
-(** Drive the instance to completion (every session finished, every open
-    op resolved, queue drained, final checks passed) or to [max_ticks].
+(** Drive the instance to completion (every open-loop op arrived, every
+    client fiber finished, queue drained, final checks passed) or to
+    [max_ticks].
 
     @raise Violation on any online or final checker failure, including a
     lost acknowledged op. *)

@@ -50,7 +50,8 @@ type outcome = { reports : Instance.report list; summary : summary }
 
 val default : id:int -> seed:int -> Instance.config
 (** A small, valid universal-instance config (uniform churn, eager
-    persistency, annotated, 16 sessions of 4 ops plus 8 open-loop ops)
+    persistency, annotated, 16 closed sessions of 4 ops plus 8 open-loop
+    arrivals at 0.25 per tick, each served by its own one-op client fiber)
     for call sites to override field-wise.  The engine's shape --
     workers, batch size, quantum, check window, log slots, retry
     policy -- is fixed inside {!Instance}, not configured here. *)

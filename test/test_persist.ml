@@ -7,7 +7,8 @@
    - the un-annotated Figure 2 violates agreement under [Lossy] (the
      committed [_counterexamples/e12_fig2_lossy.json] replays it), and
    - the persist-annotated variant passes the exhaustive 1-crash check
-     under the same policy. *)
+     under the same policy (on sticky-bit; under eager it must agree
+     with the plain build on every type but the pinned defect set). *)
 
 open Rcons_runtime
 module Cex = Rcons.Counterexample
@@ -444,6 +445,49 @@ let test_annotated_fig2_exhaustive_torn () =
   List.iter annotated_fig2_pinned
     [ (Persist.Torn, [ 132; 55_150; 28_810 ]); (Persist.Eager, [ 96; 33_715; 17_593 ]) ]
 
+(* --- structural pin: under eager, barriers do not change a verdict --- *)
+
+(* Eager is the paper's NVRAM model, where a barrier is a semantic
+   no-op, so Figure 2 built with barriers must reach the plain build's
+   verdict for every type and crash bound.  Covered: every catalogue
+   type (those without a level-2 recording witness fail to build both
+   ways), plus S_2-S_4 and T_3-T_5, at 0 and 1 crash, under dedup + por.
+   [diverging] is the documented defect of the annotated build (its
+   apply retry is keyed on the value q0, which recurs in S_n and T_3):
+   those types must still diverge, so the fix has to empty the list. *)
+let test_annotated_matches_plain_eager () =
+  let diverging = [ "S2"; "S3"; "S4"; "T3" ] in
+  let names =
+    List.map (fun e -> Rcons_spec.Object_type.name e.Rcons_spec.Catalogue.ot)
+      Rcons_spec.Catalogue.all
+    @ [ "S2"; "S3"; "S4"; "T3"; "T4"; "T5" ]
+  in
+  let verdict ~annotated ~max_crashes name =
+    match Cex.mk (Cex.team2 ~annotated name) with
+    | Error e -> Error e
+    | Ok mk -> (
+        match Explore.explore ~max_crashes ~dedup:true ~por:true ~mk () with
+        | (_ : Explore.stats) -> Ok "no violation"
+        | exception Explore.Violation v -> Ok v.Explore.v_msg)
+  in
+  let built = ref 0 in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun max_crashes ->
+          let plain = verdict ~annotated:false ~max_crashes name
+          and annotated = verdict ~annotated:true ~max_crashes name in
+          if Result.is_ok plain then incr built;
+          let label = Printf.sprintf "%s at %d crash(es)" name max_crashes in
+          if List.mem name diverging then
+            Alcotest.(check bool) (label ^ ": known defect still diverges") true
+              (plain <> annotated)
+          else
+            Alcotest.(check (result string string)) (label ^ ": same verdict") plain annotated)
+        [ 0; 1 ])
+    names;
+  Alcotest.(check int) "types x crash bounds with a witness" 26 !built
+
 (* --- shrinking (satellite: a shrunk lossy schedule still violates) --- *)
 
 let lossy_mk =
@@ -666,6 +710,8 @@ let suite =
       test_annotated_fig2_exhaustive_lossy;
     Alcotest.test_case "annotated Fig 2 exhaustive under torn" `Slow
       test_annotated_fig2_exhaustive_torn;
+    Alcotest.test_case "annotated Fig 2 = plain under eager (known defect pinned)" `Quick
+      test_annotated_matches_plain_eager;
     qcheck_shrunk_lossy_still_violates;
     (* `Slow: the counter it reads is only incremented by the qcheck
        case above, which the quick tier skips -- running this under -q

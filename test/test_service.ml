@@ -11,7 +11,9 @@
      churn) is caught by the online checkers, and the barrier-free log
      collapses availability (never acks) instead of lying;
    - overload sheds explicitly (Overloaded answers, bounded queue) and
-     every session still terminates;
+     every session still terminates, open-loop-only instances included;
+   - a storm x lossy fleet's digest and client counters are pinned, so
+     an engine refactor that changes any outcome fails here;
    - the incremental adversary API: [decide] respects crash budgets,
      thresholds and windows, and [crashes_injected] counts delivered
      crashes. *)
@@ -39,6 +41,7 @@ let adversaries =
   |]
 
 let policies = [| Persist.Eager; Persist.Lossy; Persist.Torn |]
+let storm = Adversary.Storm { crash_prob = 0.08; burst = 2; max_crashes = 10 }
 
 let small_fleet ~seed ~adversary ~persist =
   List.init 3 (fun id ->
@@ -91,9 +94,7 @@ let annotated_soak_acks_everything () =
     (fun persist ->
       let o =
         Soak.run
-          (small_fleet ~seed:77
-             ~adversary:(Adversary.Storm { crash_prob = 0.08; burst = 2; max_crashes = 10 })
-             ~persist)
+          (small_fleet ~seed:77 ~adversary:storm ~persist)
       in
       let s = o.Soak.summary in
       Alcotest.(check int)
@@ -110,6 +111,71 @@ let annotated_soak_acks_everything () =
         true
         (s.Soak.s_crashes_delivered > 0))
     policies
+
+(* --- byte-identity pin: what the serve engine observably did --- *)
+
+(* The storm x lossy fleet above, and the same fleet squeezed to a
+   two-op admission queue so that closed and open-loop clients alike
+   shed, back off, retry and give up.  A refactor of the engine must
+   leave every figure here unchanged. *)
+let storm_lossy_pinned () =
+  let fleet = small_fleet ~seed:77 ~adversary:storm ~persist:Persist.Lossy in
+  let pin name cfgs expected =
+    let s = (Soak.run cfgs).Soak.summary in
+    Alcotest.(check (pair string (list int)))
+      (name ^ ": commit digest, acked / retries / timeouts / shed / gave up")
+      expected
+      ( s.Soak.s_commit_digest,
+        [ s.Soak.s_acked; s.Soak.s_retries; s.Soak.s_timeouts; s.Soak.s_shed; s.Soak.s_gave_up ] )
+  in
+  pin "storm x lossy" fleet ("d85e941ae21d3c4e773ec655dba42de2", [ 69; 73; 76; 0; 0 ]);
+  pin "storm x lossy, queue cap 2"
+    (List.map (fun c -> { c with Instance.queue_cap = 2 }) fleet)
+    ("4b99cb3504ddc4be3739a32ee3d3ba64", [ 65; 216; 39; 189; 4 ])
+
+(* --- open-loop only: no closed session at all --- *)
+
+(* Both kinds terminate with every arrival resolved; squeezed through a
+   one-op queue at several arrivals per tick, some clients exhaust
+   their retries and are counted as given up. *)
+let open_loop_only () =
+  List.iter
+    (fun (kind, queue_cap, open_rate, open_ops) ->
+      let base =
+        {
+          (Soak.default ~id:0 ~seed:5) with
+          Instance.sessions = 0;
+          open_ops;
+          open_rate;
+          queue_cap;
+          persist = Persist.Lossy;
+          adversary = storm;
+        }
+      in
+      let cfg =
+        if kind = Instance.Log then
+          { base with Instance.kind; cert = Some (Lazy.force cert2) }
+        else base
+      in
+      let r = Instance.run cfg in
+      let name = Printf.sprintf "%s, queue cap %d" r.Instance.r_kind queue_cap in
+      Alcotest.(check bool) (name ^ ": terminated") false r.Instance.r_stuck;
+      Alcotest.(check int) (name ^ ": every arrival submitted") open_ops r.Instance.r_submitted;
+      Alcotest.(check int)
+        (name ^ ": acked + gave_up = submitted")
+        r.Instance.r_submitted
+        (r.Instance.r_acked + r.Instance.r_gave_up);
+      if queue_cap = 1 then begin
+        Alcotest.(check bool) (name ^ ": shed") true (r.Instance.r_shed > 0);
+        Alcotest.(check bool) (name ^ ": some gave up") true (r.Instance.r_gave_up > 0)
+      end
+      else Alcotest.(check int) (name ^ ": nobody gave up") 0 r.Instance.r_gave_up)
+    [
+      (Instance.Universal, 32, 0.5, 12);
+      (Instance.Log, 32, 0.5, 12);
+      (Instance.Universal, 1, 4.0, 40);
+      (Instance.Log, 1, 4.0, 40);
+    ]
 
 (* --- negative controls: the checkers are not vacuous --- *)
 
@@ -338,6 +404,8 @@ let suite =
   [
     Alcotest.test_case "annotated soaks ack everything (eager/lossy/torn)" `Quick
       annotated_soak_acks_everything;
+    Alcotest.test_case "storm x lossy fleet outcome is pinned" `Quick storm_lossy_pinned;
+    Alcotest.test_case "open-loop-only instances resolve every arrival" `Quick open_loop_only;
     Alcotest.test_case "barrier-free universal is caught by the online checkers" `Quick
       bare_universal_is_caught;
     Alcotest.test_case "soak re-raises the lowest-id violation on 1/2/4 domains" `Quick
