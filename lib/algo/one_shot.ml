@@ -6,8 +6,11 @@
 
    Recoverability is immediate: the winning value persists in non-volatile
    memory, and repeated proposals (by recovered processes) return the
-   recorded winner.  Such an object is n-recording for every n -- see the
-   [Consensus_obj] and [Cas] entries of the catalogue. *)
+   recorded winner.  Under a write-back cache, [decide_durable] returns
+   a winner only once it is durable: confirmed on a clean line, the
+   same check [Cell.write_persist] makes.  Such an object is
+   n-recording for every n -- see the [Consensus_obj] and [Cas] entries
+   of the catalogue. *)
 
 open Rcons_runtime
 
@@ -28,8 +31,12 @@ let decide t v =
 (* Durable propose for the write-back cache model: the winning [poke]
    above is an ordinary cached write, so under a lossy policy the
    "sticky" decision can vanish with its proposer's crash until flushed.
-   With barriers on, propose, flush the cell, and re-read to confirm the
-   winner survived; if it was reverted (or replaced) meanwhile, retry.
+   With barriers on, propose, flush the cell, and confirm that the
+   winner is still there AND the line is clean; retry otherwise.  A
+   value read-back alone is not enough: the proposer may crash
+   (reverting the line) and re-propose the same value between our flush
+   and our read-back, which then matches while the durable copy is
+   still undecided -- a later crash reverts it and another value wins.
    [equal] compares winners (pass [( == )] for values that cannot be
    compared structurally). *)
 let rec decide_durable ?(equal = ( = )) t v =
@@ -37,7 +44,9 @@ let rec decide_durable ?(equal = ( = )) t v =
   if not (Persist.barriers ()) then w
   else (
     Cell.flush t.cell;
-    match Cell.read t.cell with Some w' when equal w' w -> w' | _ -> decide_durable ~equal t v)
+    match Cell.confirm t.cell with
+    | Some w', true when equal w' w -> w'
+    | _ -> decide_durable ~equal t v)
 
 (* Read the decision without proposing; None if undecided. *)
 let poll t = Cell.read t.cell

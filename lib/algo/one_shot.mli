@@ -15,8 +15,11 @@ val decide : 'v t -> 'v -> 'v
 
 val decide_durable : ?equal:('v -> 'v -> bool) -> 'v t -> 'v -> 'v
 (** Durable propose for the write-back cache model: propose, flush the
-    sticky cell, re-read to confirm the winner survived, retry
-    otherwise.  The returned winner is durable.  Exactly {!decide} in a
+    sticky cell, then confirm ({!Rcons_runtime.Cell.confirm}) that the
+    winner is still there {e and} the line is clean, retrying
+    otherwise.  The returned winner is durable: a value read-back alone
+    would accept a winner its proposer crashed and re-proposed between
+    the flush and the read-back.  Exactly {!decide} in a
     system built with barriers off ({!Rcons_runtime.Persist.scoped}).
     [equal] defaults to structural equality; pass [( == )] for winners
     that cannot be structurally compared. *)

@@ -26,20 +26,17 @@ let make ~inputs =
             Rcons_runtime.Heap.digest a);
   t
 
-(* Recording happens in the process body after its last step, so the
-   rollback feed re-runs it: skip the append then (the journal already
-   restored the log), journal it otherwise. *)
+(* Recording happens in the process body after its last step: between
+   steps, so through [Undo.aside]. *)
 let record t i v =
-  if not (Rcons_runtime.Undo.feeding ()) then begin
-    if Rcons_runtime.Undo.recording () then begin
+  Rcons_runtime.Undo.aside (fun () ->
       let old = t.outputs.(i) in
-      Rcons_runtime.Undo.log (fun () ->
-          t.outputs.(i) <- old;
-          Rcons_runtime.Heap.touch t.slot)
-    end;
-    t.outputs.(i) <- v :: t.outputs.(i);
-    Rcons_runtime.Heap.touch t.slot
-  end
+      t.outputs.(i) <- v :: old;
+      Rcons_runtime.Heap.touch t.slot;
+      fun () ->
+        t.outputs.(i) <- old;
+        Rcons_runtime.Heap.touch t.slot)
+
 let all t = Array.to_list t.outputs |> List.concat
 let decided t i = t.outputs.(i) <> []
 

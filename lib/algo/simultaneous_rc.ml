@@ -32,14 +32,14 @@ let create ~n ~make_consensus =
     match Hashtbl.find_opt instances r with
     | Some c -> c
     | None ->
-        (* Journal the materialization: a rolled-back execution must not
-           leave a consensus instance behind (a later branch would find
-           a pre-decided object).  The rollback feed takes the find path
-           for instances created at-or-before the mark. *)
+        (* A rolled-back execution must not leave an instance behind (a
+           later branch would find a pre-decided object).  The rollback
+           feed never gets here: it re-runs only what preceded the mark,
+           so the lookup hits. *)
         let c = make_consensus () in
-        if Undo.recording () then
-          Undo.log (fun () -> Hashtbl.remove instances r);
-        Hashtbl.add instances r c;
+        Undo.aside (fun () ->
+            Hashtbl.add instances r c;
+            fun () -> Hashtbl.remove instances r);
         c
   in
   {

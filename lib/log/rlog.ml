@@ -127,74 +127,70 @@ let teams t = (t.size_a, t.size_b)
 
 (* --- instrumentation (meta-observations, not shared-memory steps) --- *)
 
-(* Undo discipline: the meta-observations run in process bodies between
-   steps, so the rollback feed re-executes them.  [observe] is
-   idempotent under the feed (the fed value equals the restored one);
-   the append-style helpers are guarded by their once-flags, which the
-   journal restored, except [persist_marker] (unguarded by design: a
-   durable operation may persist again after recovery) and the body's
-   entry counters, which take an explicit feeding guard.  Every mutation
-   journals its old value while recording, and mutations of
-   heap-registered state re-dirty their cache slots. *)
+(* The meta-observations run in process bodies between steps (the
+   watermark in the checker), so every one goes through [Undo.aside];
+   mutations of heap-registered state re-dirty their cache slots. *)
 
-let journal_history t =
-  if Undo.recording () then begin
-    let s = History.save t.history in
-    Undo.log (fun () -> History.restore t.history s)
-  end
+let set a i v =
+  Undo.aside (fun () ->
+      let old = a.(i) in
+      a.(i) <- v;
+      fun () -> a.(i) <- old)
+
+(* A history append: the event list is immutable, so the saved pair
+   undoes it. *)
+let on_history t f =
+  Undo.aside (fun () ->
+      let s = History.save t.history in
+      f t.history;
+      fun () -> History.restore t.history s)
 
 let observe t pid slot v =
-  if Undo.recording () then begin
-    let old = t.obs.(pid).(slot) in
-    let oldc = !(t.obs_conflict) in
-    Undo.log (fun () ->
+  Undo.aside (fun () ->
+      let old = t.obs.(pid).(slot) and oldc = !(t.obs_conflict) in
+      (match old with
+      | Some w when w <> v ->
+          t.obs_conflict := true;
+          Heap.touch t.wm_slot
+      | _ -> ());
+      t.obs.(pid).(slot) <- Some v;
+      Heap.touch t.obs_slot;
+      fun () ->
         t.obs.(pid).(slot) <- old;
         t.obs_conflict := oldc;
         Heap.touch t.obs_slot;
         Heap.touch t.wm_slot)
-  end;
-  (match t.obs.(pid).(slot) with
-  | Some w when w <> v ->
-      t.obs_conflict := true;
-      Heap.touch t.wm_slot
-  | _ -> ());
-  t.obs.(pid).(slot) <- Some v;
-  Heap.touch t.obs_slot
 
 (* An APPEND interrupted by a crash and completed by recovery is ONE
    operation whose response arrives late, so the tag is allocated once
    per (pid, slot) and survives restarts. *)
 let invoke_once t pid slot prop =
-  match t.tags.(pid).(slot) with
-  | Some _ -> ()
-  | None ->
-      journal_history t;
-      if Undo.recording () then Undo.log (fun () -> t.tags.(pid).(slot) <- None);
-      t.tags.(pid).(slot) <-
-        Some (History.invoke t.history ~pid (Conditions.Append { slot; value = prop }))
+  if t.tags.(pid).(slot) = None then
+    Undo.aside (fun () ->
+        let s = History.save t.history in
+        t.tags.(pid).(slot) <-
+          Some (History.invoke t.history ~pid (Conditions.Append { slot; value = prop }));
+        fun () ->
+          History.restore t.history s;
+          t.tags.(pid).(slot) <- None)
 
 let respond_once t pid slot v =
-  if not t.responded.(pid).(slot) then (
-    journal_history t;
-    if Undo.recording () then Undo.log (fun () -> t.responded.(pid).(slot) <- false);
-    (match t.tags.(pid).(slot) with
-    | Some tag -> History.respond t.history ~pid ~tag v
-    | None -> ());
-    t.responded.(pid).(slot) <- true)
+  if not t.responded.(pid).(slot) then begin
+    Option.iter
+      (fun tag -> on_history t (fun h -> History.respond h ~pid ~tag v))
+      t.tags.(pid).(slot);
+    set t.responded.(pid) slot true
+  end
 
 (* A durability marker: the barriers before it made the APPEND's effect
    durable, so only a system built with barriers on records one. *)
 let persist_marker t pid slot =
-  if Persist.barriers () && not (Undo.feeding ()) then
-    match t.tags.(pid).(slot) with
-    | Some tag ->
-        journal_history t;
-        History.persist t.history ~pid ~tag
-    | None -> ()
+  if Persist.barriers () then
+    Option.iter
+      (fun tag -> on_history t (fun h -> History.persist h ~pid ~tag))
+      t.tags.(pid).(slot)
 
-let note_crash t ~pid =
-  journal_history t;
-  History.crash t.history ~pid
+let note_crash t ~pid = on_history t (fun h -> History.crash h ~pid)
 
 (* --- the process body --- *)
 
@@ -229,18 +225,8 @@ let append t pid slot =
   persist_marker t pid slot
 
 let body t pid () =
-  (* Entry bookkeeping is not once-guarded, so the rollback feed (which
-     re-runs the body prologue) must skip it explicitly. *)
-  if not (Undo.feeding ()) then begin
-    if Undo.recording () then begin
-      let e = t.entered.(pid) and r = t.recoveries.(pid) in
-      Undo.log (fun () ->
-          t.entered.(pid) <- e;
-          t.recoveries.(pid) <- r)
-    end;
-    if t.entered.(pid) then t.recoveries.(pid) <- t.recoveries.(pid) + 1
-    else t.entered.(pid) <- true
-  end;
+  if t.entered.(pid) then set t.recoveries pid (t.recoveries.(pid) + 1)
+  else set t.entered pid true;
   (* Recovery: my durable vote bounds the prefix I completed; replay
      those slots from the chain instead of re-running consensus.  A slot
      inside the prefix whose decision is unreadable (the [vote_first]
@@ -252,13 +238,7 @@ let body t pid () =
       &&
       match Cell.read_persist t.decided.(slot) with
       | Some v ->
-          if not (Undo.feeding ()) then begin
-            if Undo.recording () then begin
-              let r = t.recovery_steps.(pid) in
-              Undo.log (fun () -> t.recovery_steps.(pid) <- r)
-            end;
-            t.recovery_steps.(pid) <- t.recovery_steps.(pid) + 1
-          end;
+          set t.recovery_steps pid (t.recovery_steps.(pid) + 1);
           observe t pid slot v;
           respond_once t pid slot v;
           persist_marker t pid slot;
@@ -312,18 +292,16 @@ let check_exn ~fail t =
   let c = committed t in
   if c < !(t.watermark) then
     fail (Printf.sprintf "committed prefix regressed: %d after %d" c !(t.watermark));
-  if c <> !(t.watermark) then begin
+  if c <> !(t.watermark) then
     (* Checker state is fingerprinted (see [create]), so it rolls back
        with the rest of the simulation. *)
-    if Undo.recording () then begin
-      let old = !(t.watermark) in
-      Undo.log (fun () ->
+    Undo.aside (fun () ->
+        let old = !(t.watermark) in
+        t.watermark := c;
+        Heap.touch t.wm_slot;
+        fun () ->
           t.watermark := old;
-          Heap.touch t.wm_slot)
-    end;
-    t.watermark := c;
-    Heap.touch t.wm_slot
-  end;
+          Heap.touch t.wm_slot);
   for slot = 0 to c - 1 do
     if Cell.peek_persisted t.decided.(slot) = None then
       fail (Printf.sprintf "slot %d is committed but its decision is not durable" slot)

@@ -60,6 +60,13 @@ val write_persist : ?equal:('a -> 'a -> bool) -> 'a t -> 'a -> unit
     exactly {!write} in a system built with barriers off.  [equal]
     defaults to structural equality. *)
 
+val confirm : 'a t -> 'a * bool
+(** One step observing the contents and whether the cache line is
+    clean, atomically: the confirm step of {!read_persist} and
+    {!write_persist}, for confirm loops around other primitives (such
+    as [One_shot.decide_durable]).  A clean line means the contents are
+    durable. *)
+
 val line : 'a t -> Persist.line option
 (** The cell's cache line, if it has one. *)
 

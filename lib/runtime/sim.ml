@@ -88,14 +88,11 @@ type proc = {
   uh : Undo.handle; (* the creating domain's journal slot, captured once *)
 }
 
-type event = Stepped of int | Crash_event of int
-
 type t = {
   procs : proc array;
   heap : Heap.t option; (* arena active at creation; None = no fingerprinting *)
   cache : Persist.cache option; (* write-back cache ambient at creation: the system's own *)
   mutable total_steps : int;
-  mutable events : event list; (* most recent first *)
   mutable dead : bool; (* abandoned: stepping or crashing it is a bug *)
 }
 
@@ -208,7 +205,7 @@ let create ~n body_of =
         arm p;
         p)
   in
-  { procs; heap; cache; total_steps = 0; events = []; dead = false }
+  { procs; heap; cache; total_steps = 0; dead = false }
 
 let num_procs t = Array.length t.procs
 let cache t = t.cache
@@ -233,7 +230,6 @@ let pending_footprint t i = if finished t i then None else t.procs.(i).pending_f
 let crash_count t i = t.procs.(i).crash_count
 let step_count t i = t.procs.(i).step_count
 let total_steps t = t.total_steps
-let events t = List.rev t.events
 
 let check_pid t i fn =
   if t.dead then
@@ -250,9 +246,9 @@ let check_pid t i fn =
    suspending (no effect, no thunk -- the heap effects were rolled back
    and must not re-apply), so the body runs in one stretch to exactly
    where the original run was suspended and performs one real effect
-   there.  The rebuild runs with [Undo.feeding] set: journal recording
-   is off, and non-idempotent instrumentation around steps checks the
-   flag and skips itself. *)
+   there.  The rebuild runs under [Undo.with_feeding]: journal recording
+   is off, and the bookkeeping between steps ([Undo.aside]) is skipped,
+   since the rollback already restored it. *)
 let rebuild p =
   (match p.discard with Some d -> d () | None -> ());
   p.discard <- None;
@@ -316,7 +312,6 @@ let step_proc t i =
         let started = p.started
         and sc = p.step_count
         and ts = t.total_steps
-        and evs = t.events
         and lab = p.pending_label
         and fp = p.pending_fp
         and tr = p.trace
@@ -326,7 +321,6 @@ let step_proc t i =
             p.started <- started;
             p.step_count <- sc;
             t.total_steps <- ts;
-            t.events <- evs;
             p.pending_label <- lab;
             p.pending_fp <- fp;
             p.trace <- tr;
@@ -339,7 +333,6 @@ let step_proc t i =
       p.started <- true;
       p.step_count <- p.step_count + 1;
       t.total_steps <- t.total_steps + 1;
-      t.events <- Stepped i :: t.events;
       (match t.cache with None -> r () | Some c -> Persist.in_step c i r);
       true
 
@@ -362,7 +355,6 @@ let crash t i =
      the pre-crash run back for re-feeding. *)
   if Undo.h_recording p.uh then begin
     let cc = p.crash_count
-    and evs = t.events
     and started = p.started
     and lab = p.pending_label
     and fp = p.pending_fp
@@ -372,7 +364,6 @@ let crash t i =
     and fin = p.fin in
     Undo.h_log p.uh (fun () ->
         p.crash_count <- cc;
-        t.events <- evs;
         p.started <- started;
         p.pending_label <- lab;
         p.pending_fp <- fp;
@@ -387,7 +378,6 @@ let crash t i =
   | None -> ()
   | Some c -> Persist.on_crash c ~pid:i ~crashes:p.crash_count);
   p.crash_count <- p.crash_count + 1;
-  t.events <- Crash_event i :: t.events;
   arm p
 
 (* Crash every process at once: the simultaneous-crash model of Section 2. *)

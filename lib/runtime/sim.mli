@@ -34,8 +34,6 @@ val step : ?label:string -> ?fp:Rcons_spec.Footprint.t -> (unit -> 'a) -> 'a
 
 type t
 
-type event = Stepped of int | Crash_event of int
-
 val create : n:int -> (int -> unit -> unit) -> t
 (** [create ~n body_of]: a system of [n] processes; process [i] runs
     [body_of i] from the beginning at start and after every crash.  The
@@ -73,9 +71,6 @@ val pending_footprint : t -> int -> Rcons_spec.Footprint.t option
 val crash_count : t -> int -> int
 val step_count : t -> int -> int
 val total_steps : t -> int
-
-val events : t -> event list
-(** All step/crash events, oldest first. *)
 
 val step_proc : t -> int -> bool
 (** Run process [i] for one step (up to and including its next
@@ -151,7 +146,7 @@ val mark : t -> mark
 
 val rollback : t -> mark -> unit
 (** Restore the system (shared heap, cache lines, process control
-    state, allocator counters, event log) to the state at [mark].
+    state, allocator counters) to the state at [mark].
     Call it only between steps, on the domain that took the mark, with
     the same journal still installed.  Marks taken after [mark] are
     invalidated.  Without an installed journal this is a no-op.

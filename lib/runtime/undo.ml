@@ -19,8 +19,9 @@
      must not journal themselves;
    - feeding: while [Sim.rollback] rebuilds a crashed-and-rewound
      process by re-feeding its recorded step values, the step bodies are
-     skipped but the bookkeeping around them re-runs; the journal is
-     already unwound past that region, so nothing may be recorded.
+     skipped but the code between them re-runs; the journal is already
+     unwound past that region, so nothing may be recorded, and [aside]
+     bookkeeping does not run at all.
 
    The journal never depends on [Heap]/[Sim] (they depend on it).
    Counters accumulate locally and flush to {!Rcons_par.Pool.Telemetry}
@@ -74,8 +75,6 @@ let uninstall () =
 let recording () =
   match !(Domain.DLS.get key) with Some j -> j.live && not j.feed | None -> false
 
-let feeding () = match !(Domain.DLS.get key) with Some j -> j.feed | None -> false
-
 let with_feeding f =
   match !(Domain.DLS.get key) with
   | None -> f ()
@@ -109,6 +108,14 @@ let h_log (h : handle) f =
   match !h with Some j when j.live && not j.feed -> push j f | Some _ | None -> ()
 
 let log f = h_log (Domain.DLS.get key) f
+
+let aside f =
+  match !(Domain.DLS.get key) with
+  | None -> ignore (f () : unit -> unit)
+  | Some j when j.feed -> ()
+  | Some j ->
+      let undo = f () in
+      if j.live then push j undo
 
 let mark () = match !(Domain.DLS.get key) with Some j -> j.len | None -> 0
 

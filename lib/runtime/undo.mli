@@ -49,15 +49,21 @@ val rollback_to : int -> unit
     [Invalid_argument] if the mark lies beyond the current tip (a
     use-after-rollback bug in the caller). *)
 
-val feeding : unit -> bool
-(** True while {!Sim.rollback} is rebuilding a process continuation by
-    re-feeding recorded step values.  Step bodies are skipped during the
-    feed, but bookkeeping around them re-runs; non-idempotent
-    instrumentation (history appends, recovery counters) must check this
-    flag and skip itself. *)
+val aside : (unit -> unit -> unit) -> unit
+(** The one rule for bookkeeping that process bodies (and checkers)
+    mutate between steps, outside any journaled store: output and
+    history logs, once-flags, counters, lazily created instances.
+    [aside f] runs [f ()] -- the mutation -- and, while a journal is
+    {!recording}, journals the restore closure [f] returns.  While
+    [Sim.rollback] rebuilds a continuation by re-feeding a body's
+    recorded step values ({!with_feeding}), [f] does not run at all:
+    everything the feed re-runs happened before the mark, so the
+    rollback has already restored its effect.  No module outside the
+    runtime touches the journal any other way. *)
 
 val with_feeding : (unit -> 'a) -> 'a
-(** Run with the {!feeding} flag set (exception-safe). *)
+(** Run with recording off and {!aside} mutations skipped: the state
+    of [Sim.rollback]'s continuation rebuild (exception-safe). *)
 
 (** {2 Hot-path handles}
 

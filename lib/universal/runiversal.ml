@@ -19,6 +19,7 @@
    readable type exercises the full stack of the paper. *)
 
 open Rcons_runtime
+module History = Rcons_history.History
 
 type ('s, 'o, 'r) seq_spec = { init : 's; apply : 's -> 'o -> 's * 'r }
 
@@ -42,13 +43,13 @@ type ('s, 'o, 'r) t = {
   head : ('s, 'o, 'r) node Cell.t array;
   registry : (int * int, ('s, 'o, 'r) node) Hashtbl.t;
       (* invocation tag -> node; makes [invoke] idempotent across crashes *)
-  history : ('o, 'r) Rcons_history.History.t option;
+  history : ('o, 'r) History.t option;
 }
 
 (* The default RC: an atomic one-shot consensus object, made durable by
-   a flush and a read-back in a system built with barriers on.  List
-   nodes are compared physically (they contain closures, so structural
-   equality is unavailable). *)
+   a flush and a clean-line confirm in a system built with barriers on.
+   List nodes are compared physically (they contain closures, so
+   structural equality is unavailable). *)
 let one_shot_rc () =
   let c = Rcons_algo.One_shot.create () in
   { propose = (fun _pid v -> Rcons_algo.One_shot.decide_durable ~equal:( == ) c v) }
@@ -151,29 +152,18 @@ let invoke t ~pid ~index op =
     match Hashtbl.find_opt t.registry (pid, index) with
     | Some nd -> nd
     | None ->
-        (* Undo: journal the history append and the registry growth so a
-           rolled-back invocation disappears entirely.  The rollback
-           feed never reaches this branch — a node invoked before the
-           mark is still registered, so the lookup hits. *)
-        if Undo.recording () then begin
-          let saved = Option.map Rcons_history.History.save t.history in
-          Undo.log (fun () ->
-              Option.iter
-                (fun s ->
-                  match t.history with
-                  | Some h -> Rcons_history.History.restore h s
-                  | None -> ())
-                saved;
-              Hashtbl.remove t.registry (pid, index))
-        end;
-        let hist_tag =
-          match t.history with
-          | Some h -> Rcons_history.History.invoke h ~pid op
-          | None -> -1
-        in
-        let nd = fresh_node t ~tag:(pid, index) ~hist_tag (Some op) in
-        Hashtbl.add t.registry (pid, index) nd;
-        nd
+        (* A rolled-back invocation disappears entirely.  The rollback
+           feed never gets here: a node invoked before the mark is still
+           registered, so the lookup hits. *)
+        Undo.aside (fun () ->
+            let saved = Option.map History.save t.history in
+            let hist_tag = match t.history with Some h -> History.invoke h ~pid op | None -> -1 in
+            let nd = fresh_node t ~tag:(pid, index) ~hist_tag (Some op) in
+            Hashtbl.add t.registry (pid, index) nd;
+            fun () ->
+              (match (t.history, saved) with Some h, Some s -> History.restore h s | _ -> ());
+              Hashtbl.remove t.registry (pid, index));
+        Hashtbl.find t.registry (pid, index)
   in
   if Cell.read_persist ~equal:( == ) t.announce.(pid) != nd then begin
     Cell.write t.announce.(pid) nd;
@@ -190,20 +180,16 @@ let invoke t ~pid ~index op =
   done;
   let r = apply_operation t pid in
   (match t.history with
-  | Some h when nd.hist_tag >= 0 && not (Undo.feeding ()) ->
+  | Some h when nd.hist_tag >= 0 ->
       (* Barrier-carrying runs certify durability: by the time
          ApplyOperation returned, the node's fields were read through
          link-and-persist barriers, so its effect can no longer be lost
-         to a crash.
-         These appends are not once-guarded (a recovered operation may
-         legitimately persist/respond again), so the rollback feed must
-         skip them — the journal already restored the history. *)
-      if Undo.recording () then begin
-        let s = Rcons_history.History.save h in
-        Undo.log (fun () -> Rcons_history.History.restore h s)
-      end;
-      if Persist.barriers () then Rcons_history.History.persist h ~pid ~tag:nd.hist_tag;
-      Rcons_history.History.respond h ~pid ~tag:nd.hist_tag r
+         to a crash. *)
+      Undo.aside (fun () ->
+          let s = History.save h in
+          if Persist.barriers () then History.persist h ~pid ~tag:nd.hist_tag;
+          History.respond h ~pid ~tag:nd.hist_tag r;
+          fun () -> History.restore h s)
   | Some _ | None -> ());
   r
 

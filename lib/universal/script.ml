@@ -27,16 +27,13 @@ let run t pid (ops : 'o array) =
   let continue_from () = Cell.read t.progress.(pid) in
   let k = ref (continue_from ()) in
   while !k < Array.length ops do
-    let r = Runiversal.invoke t.universal ~pid ~index:!k ops.(!k) in
-    (* Meta-observation: journal the overwrite so a rolled-back run
-       leaves no recorded response.  The write itself is idempotent, so
-       the rollback feed may safely re-execute it. *)
-    (if Undo.recording () then
-       let old = t.responses.(pid).(!k) in
-       let i = !k in
-       Undo.log (fun () -> t.responses.(pid).(i) <- old));
-    t.responses.(pid).(!k) <- Some r;
-    Cell.write t.progress.(pid) (!k + 1);
+    let i = !k in
+    let r = Runiversal.invoke t.universal ~pid ~index:i ops.(i) in
+    Undo.aside (fun () ->
+        let old = t.responses.(pid).(i) in
+        t.responses.(pid).(i) <- Some r;
+        fun () -> t.responses.(pid).(i) <- old);
+    Cell.write t.progress.(pid) (i + 1);
     k := continue_from ()
   done
 

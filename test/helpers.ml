@@ -44,19 +44,40 @@ let team_system ?faithful (cert : Certificate.recording) ?use_a ?use_b () =
   let sim = Sim.create ~n body in
   { sim; outputs; check = check_now outputs }
 
+(* Figure 4: recoverable consensus from consensus under simultaneous
+   crashes; consensus instances are created lazily during execution, so
+   this system exercises mid-run heap registration. *)
+let fig4_mk n () =
+  let inputs = Array.init n (fun i -> (i + 1) * 10) in
+  let outputs = Rcons_algo.Outputs.make ~inputs in
+  let make_consensus () =
+    let c = Rcons_algo.One_shot.create () in
+    { Rcons_algo.Simultaneous_rc.propose = (fun _pid v -> Rcons_algo.One_shot.decide c v) }
+  in
+  let rc = Rcons_algo.Simultaneous_rc.create ~n ~make_consensus in
+  let body pid () =
+    Rcons_algo.Outputs.record outputs pid (Rcons_algo.Simultaneous_rc.decide rc pid inputs.(pid))
+  in
+  (Sim.create ~n body, check_now outputs)
+
 (* After a completed run, crash a random subset of processes and drive
    the system back to completion with no further crashes: a process that
    outputs, crashes and runs its algorithm again must output the same
    value (agreement covers repeated outputs of one process).  Returns
-   the re-run's crash count (always 0).  The zero-probability uniform
-   run still draws its opportunity [float]s, so the step picks follow
-   the historical stream. *)
+   the pids it crashed, in order, and the re-run's outcome (0 crashes,
+   recorded schedule).  The zero-probability uniform run still draws its
+   opportunity [float]s, so the step picks follow the historical
+   stream. *)
 let crash_and_rerun ~rng sim =
+  let crashed = ref [] in
   for i = 0 to Sim.num_procs sim - 1 do
-    if Random.State.bool rng then Sim.crash sim i
+    if Random.State.bool rng then begin
+      Sim.crash sim i;
+      crashed := i :: !crashed
+    end
   done;
   let adv = Adversary.of_rng ~rng (Adversary.Uniform { crash_prob = 0.0; max_crashes = 64 }) in
-  (Adversary.run ~record:false adv sim).Adversary.crashes
+  (List.rev !crashed, Adversary.run adv sim)
 
 (* Drive [mk]-built systems through [iters] random crash-injected runs. *)
 let random_sweep ~mk ~iters ~crash_prob ~max_crashes ~seed =

@@ -322,12 +322,13 @@ let golden =
 
 let md5 s = Digest.to_hex (Digest.string s)
 
-let events_str sim =
+let choices_str sched =
   String.concat " "
     (List.map
        (function
-         | Sim.Stepped i -> "s" ^ string_of_int i | Sim.Crash_event i -> "c" ^ string_of_int i)
-       (Sim.events sim))
+         | Schedule.Step_choice i -> "s" ^ string_of_int i
+         | Schedule.Crash_choice i -> "c" ^ string_of_int i)
+       sched)
 
 let sticky3_sim () = (Helpers.team_system (Lazy.force sticky3_cert) ()).Helpers.sim
 
@@ -375,15 +376,16 @@ let decide_pins () =
     policies
 
 (* The fault-free ([Adversary.round_robin]), uniform, simultaneous and
-   crash-and-rerun drivers: event logs and crash counts.  [crash_at = []]
-   must match the fault-free log, and thresholds already passed fire one
-   step apart. *)
+   crash-and-rerun drivers: recorded schedules and crash counts.
+   [crash_at = []] must match the fault-free schedule, and thresholds
+   already passed fire one step apart. *)
 let driver_pins () =
+  let schedule_of pol sim = (Adversary.run (Adversary.create pol) sim).Adversary.schedule in
   let rr =
     List.map
       (fun sim ->
-        Adversary.round_robin sim;
-        Printf.sprintf "round_robin %s" (md5 (events_str sim)))
+        let sched = schedule_of (Adversary.Simultaneous { crash_at = [] }) sim in
+        Printf.sprintf "round_robin %s" (md5 (choices_str sched)))
       [ sticky3_sim (); (Helpers.team_system (Lazy.force sticky_cert) ()).Helpers.sim ]
   in
   let random =
@@ -391,19 +393,21 @@ let driver_pins () =
         let sim = sticky3_sim () in
         let rng = Random.State.make [| seed |] in
         let pol = Adversary.Uniform { crash_prob = 0.15; max_crashes = 6 } in
-        let c = (Adversary.run ~record:false (Adversary.of_rng ~rng pol) sim).Adversary.crashes in
-        let r = Helpers.crash_and_rerun ~rng sim in
-        Printf.sprintf "%d+%d:%s" c r (events_str sim))
+        let o = Adversary.run (Adversary.of_rng ~rng pol) sim in
+        let crashed, rerun = Helpers.crash_and_rerun ~rng sim in
+        Printf.sprintf "%d+%d:%s" o.Adversary.crashes rerun.Adversary.crashes
+          (choices_str
+             (o.schedule
+             @ List.map (fun i -> Schedule.Crash_choice i) crashed
+             @ rerun.schedule)))
   in
   let simultaneous =
     List.map
       (fun crash_at ->
-        let sim = sticky3_sim () in
-        let adv = Adversary.create (Adversary.Simultaneous { crash_at }) in
-        ignore (Adversary.run ~record:false adv sim);
+        let sched = schedule_of (Adversary.Simultaneous { crash_at }) (sticky3_sim ()) in
         Printf.sprintf "simultaneous [%s] %s"
           (String.concat ";" (List.map string_of_int crash_at))
-          (md5 (events_str sim)))
+          (md5 (choices_str sched)))
       [ [ 3; 9; 17 ]; [ 0; -1; 5 ]; [] ]
   in
   rr

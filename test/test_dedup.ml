@@ -19,7 +19,6 @@
      segmentation, and forgets what a crashed run saw. *)
 
 open Rcons_runtime
-open Rcons_algo
 
 let domains = 4
 
@@ -37,20 +36,6 @@ let team_mk ?faithful cert () =
   let sys = Helpers.team_system ?faithful cert () in
   (sys.Helpers.sim, sys.Helpers.check)
 
-(* Figure 4: recoverable consensus from consensus under simultaneous
-   crashes; consensus instances are created lazily during execution, so
-   this system exercises mid-run heap registration. *)
-let fig4_mk n () =
-  let inputs = Array.init n (fun i -> (i + 1) * 10) in
-  let outputs = Outputs.make ~inputs in
-  let make_consensus () =
-    let c = One_shot.create () in
-    { Simultaneous_rc.propose = (fun _pid v -> One_shot.decide c v) }
-  in
-  let rc = Simultaneous_rc.create ~n ~make_consensus in
-  let body pid () = Outputs.record outputs pid (Simultaneous_rc.decide rc pid inputs.(pid)) in
-  (Sim.create ~n body, fun () -> Outputs.check_exn ~fail:Explore.fail outputs)
-
 let raw (schedules, nodes, max_depth) : Explore.stats =
   { schedules; nodes; max_depth; dedup_hits = 0; distinct_states = 0; por_pruned = 0; symmetry_hits = 0 }
 
@@ -67,7 +52,7 @@ let test_raw_baselines () =
     (Explore.explore ~max_crashes:1 ~mk:(team_mk sticky) ());
   Alcotest.check stats_eq "Figure 4, n=2, no crashes"
     (raw (3432, 12868, 14))
-    (Explore.explore ~max_crashes:0 ~mk:(fig4_mk 2) ())
+    (Explore.explore ~max_crashes:0 ~mk:(Helpers.fig4_mk 2) ())
 
 let test_raw_baseline_two_crashes () =
   let s2 = Helpers.cert_of (Rcons_spec.Sn.make 2) 2 in
@@ -93,8 +78,8 @@ let test_dedup_seq_par_identical () =
     [ (2, 1); (4, 3); (4, 7); (8, 4) ]
 
 let test_dedup_fig4_identical () =
-  let seq = Explore.explore ~max_crashes:1 ~dedup:true ~mk:(fig4_mk 2) () in
-  let par = Explore.explore ~max_crashes:1 ~dedup:true ~domains ~mk:(fig4_mk 2) () in
+  let seq = Explore.explore ~max_crashes:1 ~dedup:true ~mk:(Helpers.fig4_mk 2) () in
+  let par = Explore.explore ~max_crashes:1 ~dedup:true ~domains ~mk:(Helpers.fig4_mk 2) () in
   Alcotest.(check bool) "fig4 dedup actually deduplicates" true (seq.dedup_hits > 0);
   Alcotest.check stats_eq "fig4 dedup stats seq = par" seq par
 
@@ -178,7 +163,7 @@ let qcheck_fingerprint_stable_fig4 =
     (QCheck2.Test.make ~count:60 ~name:"fingerprint is replay-stable (Figure 4, lazy objects)"
        ~print:(fun codes -> String.concat ";" (List.map string_of_int codes))
        schedule_gen
-       (fun codes -> fingerprint_after (fig4_mk 3) codes = fingerprint_after (fig4_mk 3) codes))
+       (fun codes -> fingerprint_after (Helpers.fig4_mk 3) codes = fingerprint_after (Helpers.fig4_mk 3) codes))
 
 (* --- the observation trace is a chain, not a bag --- *)
 

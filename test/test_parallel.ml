@@ -12,6 +12,7 @@
 
 open Rcons_check
 open Rcons_runtime
+module Cex = Rcons.Counterexample
 
 let domains = 4
 
@@ -347,12 +348,14 @@ let test_explore_violation_schedule_identical () =
    on any workload, in every exploration mode, both report the same
    stats and surface the same first violation on the same schedule --
    sequentially and across the parallel frontier, under every
-   persistency policy.  Rendering the outcome (stats or
-   violation+schedule) as one string makes any disagreement a single
-   comparison. *)
-let engine_outcome ?domains ?frontier_depth ?dedup ?por ?symmetry ~max_crashes ~undo mk =
+   persistency policy.  Rendering the outcome (stats,
+   violation+schedule, or the checkpoint a node budget cuts) as one
+   string makes any disagreement a single comparison. *)
+let engine_outcome ?domains ?frontier_depth ?dedup ?por ?symmetry ?node_budget ~max_crashes ~undo
+    mk =
   match
-    Explore.explore ?domains ?frontier_depth ?dedup ?por ?symmetry ~max_crashes ~undo ~mk ()
+    Explore.explore ?domains ?frontier_depth ?dedup ?por ?symmetry ?node_budget ~max_crashes ~undo
+      ~mk ()
   with
   | s ->
       Format.asprintf
@@ -362,6 +365,8 @@ let engine_outcome ?domains ?frontier_depth ?dedup ?por ?symmetry ~max_crashes ~
         s.symmetry_hits
   | exception Explore.Violation { v_msg = msg; v_schedule = sched; _ } ->
       Format.asprintf "%s at %a" msg Explore.pp_schedule sched
+  | exception Explore.Interrupted cp ->
+      "checkpoint " ^ Json.to_string (Explore.checkpoint_to_json cp)
 
 (* Exploration modes the walker serves.  Raw, dedup and raw por run on
    1/2/4 domains; por + dedup is sequential-only, and dedup + symmetry
@@ -423,6 +428,66 @@ let qcheck_engines =
     (QCheck2.Test.make ~count:12
        ~name:"undo engine = replay oracle (random workload/policy/mode, 1/2/4 domains)"
        ~print:print_engine_case engine_gen engines_agree)
+
+(* The workloads whose between-step bookkeeping goes through
+   [Undo.aside] -- the log's histories, observations, once-flags and
+   counters, Figure 4's lazily created instances, RUniversal's registry,
+   history and script responses -- under the same oracle.  Each case
+   also pins which kind of outcome it has, so none is vacuous. *)
+let test_bookkeeping_engine_parity () =
+  let cex w = match Cex.mk w with Ok mk -> mk | Error e -> Alcotest.fail e in
+  let universal_mk () =
+    Persist.scoped ~barriers:true Persist.Lossy (fun () ->
+        let history = Rcons_history.History.create () in
+        let u = Rcons_universal.Runiversal.create ~history ~n:2 Rcons_universal.Derived.counter in
+        let runner = Rcons_universal.Script.create u ~n:2 ~max_ops:2 in
+        let scripts =
+          [|
+            [| Rcons_universal.Derived.Incr; Rcons_universal.Derived.Get |];
+            [| Rcons_universal.Derived.Incr |];
+          |]
+        in
+        let sim =
+          Sim.create ~n:2 (fun pid () -> Rcons_universal.Script.run runner pid scripts.(pid))
+        in
+        let lin = Rcons_universal.Derived.lin_spec Rcons_universal.Derived.counter in
+        ( sim,
+          fun () ->
+            if
+              Sim.all_finished sim
+              && not (Rcons_history.Conditions.durably_linearizable lin history)
+            then Explore.fail "not durably linearizable" ))
+  in
+  List.iter
+    (fun (name, kind, node_budget, dedup, por, mk) ->
+      let run undo = engine_outcome ?node_budget ~dedup ~por ~max_crashes:1 ~undo mk in
+      let rollback = run true in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: outcome is %s (%s)" name kind rollback)
+        true
+        (String.starts_with ~prefix:kind rollback);
+      Alcotest.(check string) (name ^ ": rollback = rebuild") rollback (run false))
+    [
+      ( "annotated lossy log, 1 slot",
+        "checkpoint",
+        Some 30_000,
+        true,
+        true,
+        cex (Cex.log ~persist:Persist.Lossy ~annotated:true ~slots:1 "sticky") );
+      ( "barrier-free lossy log, 2 slots",
+        "log agreement violated",
+        None,
+        true,
+        true,
+        cex (Cex.log ~persist:Persist.Lossy ~slots:2 "sticky") );
+      ("Figure 4, n=2", "stats", None, true, false, Helpers.fig4_mk 2);
+      ( "annotated lossy RUniversal counter, 2 procs",
+        "checkpoint",
+        Some 20_000,
+        false,
+        false,
+        universal_mk );
+    ]
 
 let interrupted_checkpoint ~undo mk =
   match Explore.explore ~max_crashes:1 ~node_budget:200 ~undo ~mk () with
@@ -508,5 +573,7 @@ let suite =
     qcheck_engines;
     Alcotest.test_case "checkpoint parity and cross-engine resume" `Quick
       test_checkpoint_engine_parity;
+    Alcotest.test_case "rollback = rebuild on the bookkept workloads" `Quick
+      test_bookkeeping_engine_parity;
     qcheck_parallel;
   ]

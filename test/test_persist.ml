@@ -305,7 +305,7 @@ let test_fingerprint_sees_cache_state () =
 (* --- eager byte-identity regression pin --- *)
 
 let test_eager_scoped_byte_identical () =
-  (* Same-seed adversary runs must be event-for-event identical with no
+  (* Same-seed adversary runs must be choice-for-choice identical with no
      cache and under an explicitly scoped eager model: the persistency
      layer is strictly opt-in.  (The e2/e4/e7 experiment tables are the
      coarse version of this pin; this is the fine-grained one.) *)
@@ -315,9 +315,11 @@ let test_eager_scoped_byte_identical () =
       let sys = build (fun () -> Helpers.team_system cert ()) in
       let rng = Random.State.make [| 2022 |] in
       let adv = Adversary.of_rng ~rng (Adversary.Uniform { crash_prob = 0.15; max_crashes = 4 }) in
-      ignore (Adversary.run ~record:false adv sys.Helpers.sim);
-      ignore (Helpers.crash_and_rerun ~rng sys.Helpers.sim);
-      ( Sim.events sys.Helpers.sim,
+      let o = Adversary.run adv sys.Helpers.sim in
+      let crashed, rerun = Helpers.crash_and_rerun ~rng sys.Helpers.sim in
+      ( o.Adversary.schedule
+        @ List.map (fun i -> Schedule.Crash_choice i) crashed
+        @ rerun.Adversary.schedule,
         Array.to_list sys.Helpers.outputs.Rcons_algo.Outputs.outputs )
     in
     ambient go
@@ -329,7 +331,7 @@ let test_eager_scoped_byte_identical () =
     run ~build:plain ~ambient:(fun go ->
         Persist.scoped Persist.Lossy (fun () -> Persist.scoped Persist.Eager go))
   in
-  Alcotest.(check bool) "identical event streams" true (ev_plain = ev_eager);
+  Alcotest.(check bool) "identical schedules" true (ev_plain = ev_eager);
   Alcotest.(check bool) "identical outputs" true (out_plain = out_eager);
   (* A system built with barriers on carries them: stepped under an
      ambient barriers-off scope -- the shape of a benchmark wrapping an
@@ -338,7 +340,7 @@ let test_eager_scoped_byte_identical () =
   let barriers f = Persist.scoped ~barriers:true Persist.Lossy f in
   let ev_b, out_b = run ~build:barriers ~ambient:plain in
   let ev_b', out_b' = run ~build:barriers ~ambient:(Persist.scoped Persist.Lossy) in
-  Alcotest.(check bool) "barriers: identical event streams" true (ev_b = ev_b');
+  Alcotest.(check bool) "barriers: identical schedules" true (ev_b = ev_b');
   Alcotest.(check bool) "barriers: identical outputs" true (out_b = out_b');
   Alcotest.(check bool) "barriers take steps" true (List.length ev_b > List.length ev_plain)
 
@@ -643,6 +645,44 @@ let test_runiversal_annotated_lossy () =
              history))
   done
 
+(* --- the durable one-shot RC confirms on a clean line --- *)
+
+(* A scripted lossy schedule in which a value-only read-back accepts an
+   undecided winner: p0 reads q's (p1's) un-flushed 11, q crashes
+   (reverting it), p0 flushes the clean line, q re-proposes 11
+   (dirtying it again), and p0's read-back matches.  q crashes once
+   more, r (p2) decides 12, and p0's 11 disagrees.  The clean-line
+   confirm makes p0 retry instead, and it returns 12. *)
+let test_one_shot_durable_agreement () =
+  let outputs, sim =
+    Persist.scoped ~barriers:true Persist.Lossy (fun () ->
+        let o = Rcons_algo.One_shot.create () in
+        let outputs = Rcons_algo.Outputs.make ~inputs:[| 10; 11; 12 |] in
+        let body pid () =
+          Rcons_algo.Outputs.record outputs pid
+            (Rcons_algo.One_shot.decide_durable o outputs.Rcons_algo.Outputs.inputs.(pid))
+        in
+        (outputs, Sim.create ~n:3 body))
+  in
+  let step i = ignore (Sim.step_proc sim i) in
+  (* Each [step] of a started process runs one access: decide, flush,
+     read-back (the first step of a run only reaches its decide). *)
+  List.iter
+    (function `S i -> step i | `C i -> Sim.crash sim i)
+    [ `S 1; `S 1; (* q decides 11: dirty line *)
+      `S 0; `S 0; (* p's decide returns 11 *)
+      `C 1; (* the line reverts *)
+      `S 0; (* p flushes the clean line *)
+      `S 1; `S 1; (* q decides 11 again: dirty line *)
+      `S 0; (* p's read-back *)
+      `C 1; (* the line reverts again *)
+      `S 2; `S 2; `S 2; `S 2 (* r decides 12, flushes, confirms *) ];
+  Adversary.round_robin sim;
+  Alcotest.(check (list (list int)))
+    "every process returns the durable winner" [ [ 12 ]; [ 12 ]; [ 12 ] ]
+    (Array.to_list outputs.Rcons_algo.Outputs.outputs);
+  Alcotest.(check bool) "agreement" true (Rcons_algo.Outputs.agreement_ok outputs)
+
 (* --- corrupted artifacts (satellite: replay diagnosis) --- *)
 
 let write_tmp contents =
@@ -725,6 +765,8 @@ let suite =
     Alcotest.test_case "classify reports durability" `Quick test_classify_includes_durable;
     Alcotest.test_case "annotated RUniversal durable under lossy" `Quick
       test_runiversal_annotated_lossy;
+    Alcotest.test_case "durable one-shot RC confirms on a clean line" `Quick
+      test_one_shot_durable_agreement;
     Alcotest.test_case "corrupted artifact diagnosis" `Quick test_corrupt_artifact_diagnosis;
     Alcotest.test_case "unwrapped lossy log reduces as lossy" `Quick
       test_unwrapped_lossy_reduced_pin;

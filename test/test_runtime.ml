@@ -141,17 +141,6 @@ let test_deterministic_replay () =
   in
   Alcotest.(check (list int)) "same schedule, same result" (run ()) (run ())
 
-(* --- events --- *)
-
-let test_events_recorded () =
-  let t = Sim.create ~n:2 (fun _ () -> Cell.write (Cell.make 0) 0) in
-  ignore (Sim.step_proc t 0);
-  Sim.crash t 1;
-  ignore (Sim.step_proc t 1);
-  match Sim.events t with
-  | [ Sim.Stepped 0; Sim.Crash_event 1; Sim.Stepped 1 ] -> ()
-  | evs -> Alcotest.fail (Printf.sprintf "unexpected events (%d)" (List.length evs))
-
 (* --- cells, objects, growable arrays --- *)
 
 let test_sim_obj () =
@@ -307,7 +296,6 @@ let suite =
     Alcotest.test_case "crash after finish restarts" `Quick test_crash_after_finish_restarts;
     Alcotest.test_case "crash_all (simultaneous model)" `Quick test_crash_all;
     Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
-    Alcotest.test_case "events recorded" `Quick test_events_recorded;
     Alcotest.test_case "simulated objects" `Quick test_sim_obj;
     Alcotest.test_case "growable arrays" `Quick test_growable;
     Alcotest.test_case "round robin terminates" `Quick test_round_robin_terminates;
