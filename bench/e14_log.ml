@@ -76,21 +76,16 @@ let sweep name cert ~slots ~annotated ~policy ~adv_name ~adv_policy ~iters ~seed
           let t, sim =
             Persist.scoped ~barriers:annotated policy (fun () -> Rlog.instance ~slots cert)
           in
-          let trace = ref [] in
-          let note pid =
-            Rlog.note_crash t ~pid;
-            trace := Rlog.committed t :: !trace
-          in
-          match Adversary.run ~record:false ~on_crash:note adv sim with
+          let on_crash pid = Rlog.note_crash t ~pid in
+          match Adversary.run ~record:false ~on_crash adv sim with
           | out ->
               steps := !steps + out.Adversary.steps;
               crashes := !crashes + out.Adversary.crashes;
               let c = Rlog.committed t in
               committed := !committed + c;
-              let trace = List.rev (c :: !trace) in
               let state_bad = ref false in
               Rlog.check_exn ~fail:(fun _ -> state_bad := true) t;
-              let v = Rlog.verdict ~committed_trace:trace t in
+              let v = Rlog.verdict t in
               if !state_bad || not (Rcons.History.Conditions.log_verdict_ok v) then
                 incr violations;
               Array.iter

@@ -543,6 +543,7 @@ let log_cmd =
   let module Adv = Rcons.Runtime.Adversary in
   let module Rlog = Rcons.Log.Rlog in
   let module Conditions = Rcons.History.Conditions in
+  let module Linearizability = Rcons.History.Linearizability in
   let run name slots procs adversary seed crash_prob adv_crashes persist annotated vote_first
       broken no_certs certs_dir exhaustive ex domains flush_cost =
     resolve "log" parse_persist persist @@ fun persist ->
@@ -556,6 +557,15 @@ let log_cmd =
     end
     else if below_one "log" "flush-cost" flush_cost then 2
     else if below_one "log" "domains" domains then 2
+    else if (not exhaustive) && procs * slots > Linearizability.max_ops then begin
+      (* The randomized run's verdict checks every APPEND at once; the
+         exhaustive checker never builds that history. *)
+      Format.eprintf
+        "rcons log: --procs %d x --slots %d is %d appends, over the %d-operation bound of the \
+         randomized run's linearizability check (--exhaustive has no bound)@."
+        procs slots (procs * slots) Linearizability.max_ops;
+      2
+    end
     else if exhaustive then begin
       if vote_first then begin
         (* The exhaustive path runs through the replayable workload
@@ -598,28 +608,23 @@ let log_cmd =
                 Persist.scoped ~flush_cost ~barriers:annotated persist (fun () ->
                     Rlog.instance ~faithful:(not broken) ~vote_first ~slots cert)
               in
-              let trace = ref [] in
-              let on_crash pid =
-                Rlog.note_crash t ~pid;
-                trace := Rlog.committed t :: !trace
-              in
+              let on_crash pid = Rlog.note_crash t ~pid in
               match Adv.run ~on_crash (Adv.create ~seed policy) sim with
               | exception Adv.Stuck msg ->
                   Format.eprintf "stuck: %s@." msg;
                   1
               | outcome ->
-                  let committed_trace = List.rev (Rlog.committed t :: !trace) in
                   let state_violation = ref None in
                   Rlog.check_exn
                     ~fail:(fun m ->
                       if !state_violation = None then state_violation := Some m)
                     t;
-                  let v = Rlog.verdict ~committed_trace t in
+                  let v = Rlog.verdict t in
                   Format.printf "%d slots x %d procs: %d steps, %d crashes, committed=%d@."
                     slots (Rlog.num_procs t) outcome.Adv.steps outcome.Adv.crashes
                     (Rlog.committed t);
                   Format.printf "committed trace: %s@."
-                    (String.concat " " (List.map string_of_int committed_trace));
+                    (String.concat " " (List.map string_of_int (Rlog.committed_trace t)));
                   Format.printf "recovery replay steps per process: %s@."
                     (String.concat " "
                        (List.map string_of_int (Array.to_list (Rlog.recovery_steps t))));

@@ -14,7 +14,7 @@
    The search linearizes operations one at a time: a candidate must not be
    preceded in real time by the response of another not-yet-linearized
    operation.  Visited (linearized-set, object-state) pairs are memoized;
-   histories are limited to 62 operations (bitmask representation). *)
+   histories are limited to [max_ops] operations (bitmask representation). *)
 
 type ('s, 'o, 'r) spec = {
   init : 's;
@@ -22,10 +22,14 @@ type ('s, 'o, 'r) spec = {
   equal_resp : 'r -> 'r -> bool;
 }
 
+(* One bit per operation in an OCaml int, less the sign bit. *)
+let max_ops = 62
+
 let check (type s o r) (spec : (s, o, r) spec) (ops : (o, r) History.operation list) =
   let ops = Array.of_list ops in
   let n = Array.length ops in
-  if n > 62 then invalid_arg "Linearizability.check: more than 62 operations";
+  if n > max_ops then
+    invalid_arg (Printf.sprintf "Linearizability.check: more than %d operations" max_ops);
   let completed_mask = ref 0 in
   Array.iteri (fun i (o : (o, r) History.operation) -> if o.resp <> None then completed_mask := !completed_mask lor (1 lsl i)) ops;
   let goal mask = mask land !completed_mask = !completed_mask in

@@ -16,8 +16,12 @@ type ('s, 'o, 'r) spec = {
   equal_resp : 'r -> 'r -> bool;
 }
 
+val max_ops : int
+(** The largest history {!check} accepts: 62 operations (one bit each
+    in the search's linearized-set mask). *)
+
 val check : ('s, 'o, 'r) spec -> ('o, 'r) History.operation list -> bool
-(** @raise Invalid_argument on histories of more than 62 operations
-    (bitmask representation). *)
+(** @raise Invalid_argument on histories of more than {!max_ops}
+    operations. *)
 
 val check_history : ('s, 'o, 'r) spec -> ('o, 'r) History.t -> bool

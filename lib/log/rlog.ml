@@ -58,6 +58,7 @@ type t = {
   (* Unregistered instrumentation, consumed only by the random harness
      and the bench (never by explorer invariants). *)
   history : (int Conditions.log_op, int) History.t;
+  mutable trace : int list; (* committed prefix sampled at each crash, newest first *)
   tags : int option array array;
   responded : bool array array;
   recovery_steps : int array;
@@ -114,6 +115,7 @@ let create ?(faithful = true) ?(vote_first = false) ~slots cert =
     obs_slot;
     wm_slot;
     history = History.create ();
+    trace = [];
     tags = Array.init n (fun _ -> Array.make slots None);
     responded = Array.init n (fun _ -> Array.make slots false);
     recovery_steps = Array.make n 0;
@@ -189,8 +191,6 @@ let persist_marker t pid slot =
     Option.iter
       (fun tag -> on_history t (fun h -> History.persist h ~pid ~tag))
       t.tags.(pid).(slot)
-
-let note_crash t ~pid = on_history t (fun h -> History.crash h ~pid)
 
 (* --- the process body --- *)
 
@@ -307,4 +307,18 @@ let check_exn ~fail t =
       fail (Printf.sprintf "slot %d is committed but its decision is not durable" slot)
   done
 
-let verdict ~committed_trace t = Conditions.prefix_durability ~committed_trace t.history
+(* A crash marker and a committed-prefix sample, journaled together:
+   the sample is what a weak-persistency crash could make regress. *)
+let note_crash t ~pid =
+  Undo.aside (fun () ->
+      let s = History.save t.history and trace = t.trace in
+      History.crash t.history ~pid;
+      t.trace <- committed t :: trace;
+      fun () ->
+        History.restore t.history s;
+        t.trace <- trace)
+
+let committed_trace t = List.rev (committed t :: t.trace)
+
+let verdict t =
+  Conditions.prefix_durability ~committed_trace:(committed_trace t) t.history

@@ -115,11 +115,15 @@ val history : t -> (int Rcons_history.Conditions.log_op, int) Rcons_history.Hist
     adversary's crash hook to place crash markers. *)
 
 val note_crash : t -> pid:int -> unit
-(** Record a crash marker in the history (call from
-    {!Rcons_runtime.Adversary.run}'s [on_crash]). *)
+(** Record a crash marker in the history and sample {!committed} into
+    the committed trace (call from {!Rcons_runtime.Adversary.run}'s
+    [on_crash]). *)
 
-val verdict :
-  committed_trace:int list -> t -> Rcons_history.Conditions.log_verdict
+val committed_trace : t -> int list
+(** The {!committed} readouts sampled by {!note_crash}, oldest first,
+    followed by the current one. *)
+
+val verdict : t -> Rcons_history.Conditions.log_verdict
 (** {!Rcons_history.Conditions.prefix_durability} of the recorded
-    history; [committed_trace] is the {!committed} readout sampled by
-    the harness (after every crash and at the end). *)
+    history over {!committed_trace}.  Mutates nothing, so it may be
+    called at any point. *)

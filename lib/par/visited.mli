@@ -1,55 +1,49 @@
-(** Lock-free concurrent visited set for the deduplicating explorer.
+(** The deduplicating explorer's visited store.
 
-    Keys are state fingerprints (short digest strings).  The set is a
-    single open-addressing table of [string Atomic.t] slots; {!add} is
-    one probe plus one CAS on the hot path — no locks anywhere — and the
-    table resizes by {e cooperative migration}: when occupancy passes
-    3/4, a double-size successor is installed and every thread touching
-    the table helps copy it over in chunks before operating on the
-    successor.
+    Keys are state fingerprints (short digest strings).  Each key maps
+    to the (sleep mask, depth) pairs the state was expanded under.  The
+    store is a fixed number of open-addressing shards, each behind its
+    own mutex, so walkers on several domains may claim concurrently.
+
+    {2 Cover rule}
+
+    [claim t key ~mask ~depth] decides whether the caller should expand
+    [key].  It returns [false] iff a stored pair [(m, d)] for [key] has
+    [m] a subset of [mask] and [d <= depth]: that earlier expansion
+    explored at least the transitions this one would (its sleep set was
+    no larger) and was not cut off earlier by the step bound.
+    Otherwise it records [(mask, depth)] and returns [true]
+    (Godefroid--Holzmann--Pirottin's sleep sets with state caching).
 
     {2 Exactly-once claim}
 
-    For every key, exactly one {!add} call in the whole history of the
-    set returns [true]; every other call (concurrent or later, from any
-    domain) returns [false].  This is the foundation of the parallel
-    explorer's exactly-once expansion discipline and hence of its
-    schedule-order-independent statistics.  The guarantee holds {e
-    across resizes}: migration freezes each old slot (empty slots become
-    tombstones, occupied slots are copied) and fresh claims are admitted
-    into the successor only after it contains every key of the frozen
-    table, so a claim can neither be lost nor doubled by an epoch
-    change.  There are no deletions, so every slot transition is
-    monotone and the argument needs no ABA caveats. *)
+    {!add} is [claim ~mask:0 ~depth:0].  Every later pair is then
+    covered, so for every key exactly one {!add} call in the whole
+    history of the store returns [true], and every other call, from
+    any domain, returns [false].  The parallel explorer's exactly-once
+    expansion, and hence its visit-order-independent statistics, rest on
+    this. *)
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** [create ?capacity ()]: an empty set.  [capacity] (default 8192,
-    rounded up to a power of two) sizes the initial table; the set grows
-    without bound, so the value only tunes how soon the first migration
-    happens.  Tests pass a tiny capacity to force many resizes. *)
+val create : unit -> t
+(** An empty store; it grows without bound. *)
+
+val claim : t -> string -> mask:int -> depth:int -> bool
+(** [claim t key ~mask ~depth]: [true] iff no pair stored for [key]
+    covers [(mask, depth)] (see the cover rule above); a [true] claim
+    records the pair. *)
 
 val add : t -> string -> bool
-(** [add t key] claims [key]; [true] iff this call is the unique winner
-    (see the exactly-once contract above).  Lock-free except while a
-    resize is migrating, during which callers cooperatively finish the
-    copy (bounded work, then a short wait for peer chunks). *)
-
-val mem : t -> string -> bool
-(** [mem t key]: was [key] claimed by some {e completed} [add]?  Safe
-    concurrently with adders; linearizes against the claim CAS. *)
+(** [add t key = claim t key ~mask:0 ~depth:0]: [true] iff this call is
+    the unique winner for [key]. *)
 
 val cardinal : t -> int
-(** Number of distinct keys claimed so far (one per winning {!add}).
-    Exact once concurrent adders have quiesced (the explorer reads it
-    after joining its walkers). *)
+(** Number of distinct keys claimed so far.  Exact once concurrent
+    claimers have quiesced (the explorer reads it after joining its
+    walkers). *)
 
 val elements : t -> string list
 (** All distinct keys, in no particular order.  Only meaningful once
-    concurrent adders have quiesced (used to serialize the explorer's
-    checkpoints). *)
-
-val resizes : t -> int
-(** Number of cooperative migrations triggered so far (diagnostics). *)
-
+    concurrent claimers have quiesced (the explorer serializes its
+    checkpoints from it). *)

@@ -31,10 +31,11 @@
    Deduplication ([dedup = true]): two schedules that reach the same
    global state -- same non-volatile heap (via [Heap] arenas and
    [Sim.fingerprint_digest]) and same per-process control state -- have identical
-   futures, so the schedule tree is explored as a state graph: a lock-free
-   concurrent visited set ([Rcons_par.Visited]) claims each fingerprint
-   exactly once, the claimant expands the state's children, and every
-   later encounter is counted as a dedup hit and pruned.  Because the
+   futures, so the schedule tree is explored as a state graph: the
+   visited store ([Rcons_par.Visited], sharded, safe across domains)
+   claims each fingerprint exactly once, the claimant expands the
+   state's children, and every later encounter is counted as a dedup
+   hit and pruned.  Because the
    fingerprint includes cumulative per-process step/crash counts, the
    state graph is graded by depth, so the set of expanded states and
    walked edges -- and therefore every statistic -- is independent of
@@ -60,10 +61,11 @@
    With [dedup] the fingerprint switches to the ungraded form (total
    crashes only -- see [Sim.fingerprint_digest ~graded:false]) so that
    states differing only in a discarded pre-crash prefix collapse, and
-   the visited store records the sleep mask and depth each state was
-   expanded under, pruning a revisit only when a previous expansion used
-   a subset sleep mask at no greater depth (re-expanding otherwise,
-   after Godefroid--Holzmann--Pirottin); the combination stays sound but
+   the same visited store claims under its cover rule instead: it keeps
+   the sleep mask and depth each state was expanded under and prunes a
+   revisit only when a previous expansion used a subset sleep mask at
+   no greater depth (re-expanding otherwise, after
+   Godefroid--Holzmann--Pirottin); the combination stays sound but
    its statistics are visit-order dependent, so por + dedup is
    sequential only and not resumable.  Raw por composes with the
    parallel walkers: frontier items carry their sleep sets into phase 2,
@@ -269,18 +271,6 @@ let counter_of_stats s =
     c_symmetry_hits = s.symmetry_hits;
   }
 
-(* Internal: pluggable visited-state store.  Graded dedup (and dedup +
-   symmetry) uses the lock-free shared [Rcons_par.Visited] set; the
-   por + dedup mode uses a sequential store keyed by ungraded
-   fingerprint that remembers the (sleep mask, depth) pairs each state
-   was expanded under.  [st_claim] returns whether the caller should
-   expand the state (false = already covered). *)
-type store = {
-  st_claim : counter -> Sim.t -> mask:int -> depth:int -> bool;
-  st_distinct : unit -> int;
-  st_elements : unit -> string list;
-}
-
 exception Cancelled
 (* Internal: a parallel subtree walker learned that its result can no
    longer matter (a smaller frontier index holds a violation in raw mode;
@@ -455,40 +445,20 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
         if String.compare d d0 < 0 then cnt.c_symmetry_hits <- cnt.c_symmetry_hits + 1;
         d
   in
-  let visited_store vset =
-    {
-      st_claim = (fun cnt t ~mask:_ ~depth:_ -> Rcons_par.Visited.add vset (fp_of cnt t));
-      st_distinct = (fun () -> Rcons_par.Visited.cardinal vset);
-      st_elements = (fun () -> Rcons_par.Visited.elements vset);
-    }
-  in
-  (* The por + dedup store (GHP95): a revisit is covered only if a
-     previous expansion of the same state used a subset sleep mask (it
-     explored at least the transitions we would) at no greater depth
-     (its subtree was not truncated earlier by [max_steps] than ours
-     would be); otherwise the state is re-expanded and the new
-     (mask, depth) recorded.  Sequential-only, so a plain Hashtbl. *)
-  let masked_store () =
-    let tbl : (string, (int * int) list) Hashtbl.t = Hashtbl.create 4096 in
-    {
-      st_claim =
-        (fun cnt t ~mask ~depth ->
-          let fp = fp_of cnt t in
-          let stored = Option.value (Hashtbl.find_opt tbl fp) ~default:[] in
-          if List.exists (fun (m, d) -> m land mask = m && d <= depth) stored then false
-          else begin
-            Hashtbl.replace tbl fp ((mask, depth) :: stored);
-            true
-          end);
-      st_distinct = (fun () -> Hashtbl.length tbl);
-      st_elements = (fun () -> []);
-    }
-  in
   let mask_of_choice = function
     | Step_choice i -> 1 lsl (2 * i)
     | Crash_choice i -> 1 lsl ((2 * i) + 1)
   in
   let mask_of sleep = List.fold_left (fun m c -> m lor mask_of_choice c) 0 sleep in
+  (* Claim the live state in the visited store: the exactly-once claim
+     of graded dedup, or under por + dedup the cover rule over the sleep
+     set and depth the state is about to be expanded under (see
+     [Rcons_par.Visited]). *)
+  let claim vset cnt t sleep depth =
+    let fp = fp_of cnt t in
+    if por then Rcons_par.Visited.claim vset fp ~mask:(mask_of sleep) ~depth
+    else Rcons_par.Visited.add vset fp
+  in
   let choices t crashes_used =
     let n = Sim.num_procs t in
     let rec collect i acc =
@@ -510,7 +480,7 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
       nodes = cnt.c_nodes;
       max_depth = cnt.c_max_depth;
       dedup_hits = cnt.c_dedup_hits;
-      distinct_states = (match store with Some st -> st.st_distinct () | None -> 0);
+      distinct_states = (match store with Some v -> Rcons_par.Visited.cardinal v | None -> 0);
       por_pruned = cnt.c_por_pruned;
       symmetry_hits = cnt.c_symmetry_hits;
     }
@@ -703,14 +673,13 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
                        expand prefix' depth' crashes' [] child_sleep;
                        restore ()
                      end
-                 | Some st ->
+                 | Some vset ->
                      (* Dedup mode: position the child even at the
                         frontier (its fingerprint must be claimed
                         before emission so phase 2 expands it exactly
                         once). *)
                      descend c prefix';
-                     if st.st_claim cnt (fst !live) ~mask:(mask_of child_sleep) ~depth:depth'
-                     then begin
+                     if claim vset cnt (fst !live) child_sleep depth' then begin
                        if frontier then emit prefix' crashes' child_sleep
                        else expand prefix' depth' crashes' [] child_sleep;
                        restore ()
@@ -732,7 +701,7 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
        a resumed run it is already claimed; the claim is then a no-op
        returning [false]. *)
     (match store with
-    | Some st when prefix0 = [] -> ignore (st.st_claim cnt (fst !live) ~mask:0 ~depth:0)
+    | Some vset when prefix0 = [] -> ignore (claim vset cnt (fst !live) [] 0)
     | _ -> ());
     if cancelled () then raise Cancelled;
     if depth0 > max_steps then raise (violation "step bound exceeded (wait-freedom?)" prefix0);
@@ -742,12 +711,18 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
     | _ -> expand prefix0 depth0 crashes0 resume sleep0
   in
   (* Sequential runs (plain and resumed): continue the checkpoint's
-     counters and cursor, if any, and convert a budget trip into a
-     self-describing checkpoint. *)
-  let run_seq ?store () =
+     counters, cursor and visited store, if any, and convert a budget
+     trip into a self-describing checkpoint.  A por + dedup checkpoint
+     records no visited keys: reduced runs are not resumable. *)
+  let run_seq () =
+    let store = if dedup then Some (Rcons_par.Visited.create ()) else None in
     let cnt, resume =
       match resume_from with
-      | Some cp -> (counter_of_stats cp.cp_stats, cp.cp_cursor)
+      | Some cp ->
+          Option.iter
+            (fun vset -> List.iter (fun d -> ignore (Rcons_par.Visited.add vset d)) cp.cp_visited)
+            store;
+          (counter_of_stats cp.cp_stats, cp.cp_cursor)
       | None -> (fresh_counter (), [])
     in
     match walk ?store ~resume cnt [] 0 0 with
@@ -758,23 +733,16 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
              {
                cp_cursor = cursor;
                cp_stats = stats_of ?store cnt;
-               cp_visited = (match store with Some st -> st.st_elements () | None -> []);
+               cp_visited =
+                 (match store with
+                 | Some vset when not por -> Rcons_par.Visited.elements vset
+                 | _ -> []);
                cp_max_crashes = max_crashes;
                cp_max_steps = max_steps;
                cp_dedup = dedup;
                cp_por = por;
                cp_fingerprint = fingerprint;
              })
-  in
-  let run_seq_dedup () =
-    if por then run_seq ~store:(masked_store ()) ()
-    else begin
-      let vset = Rcons_par.Visited.create () in
-      (match resume_from with
-      | Some cp -> List.iter (fun d -> ignore (Rcons_par.Visited.add vset d)) cp.cp_visited
-      | None -> ());
-      run_seq ~store:(visited_store vset) ()
-    end
   in
   (* Fold phase 2's per-subtree statistics into phase 1's, in frontier
      order; cancelled and violating subtrees add nothing. *)
@@ -808,7 +776,7 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
      cancels every walker, and a violation anywhere falls back to the
      deterministic sequential dedup pass (see the header). *)
   let run_par () =
-    let store = if dedup then Some (visited_store (Rcons_par.Visited.create ())) else None in
+    let store = if dedup then Some (Rcons_par.Visited.create ()) else None in
     let cnt0 = fresh_counter () in
     let frontier_rev = ref [] in
     let emit prefix crashes sleep = frontier_rev := (prefix, crashes, sleep) :: !frontier_rev in
@@ -843,7 +811,7 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
     (* A subtree violation orders before the phase-1 one. *)
     match (subtree_violation, phase1) with
     | None, None -> merge_stats (stats_of ?store cnt0) subtrees
-    | _ when dedup -> run_seq_dedup ()
+    | _ when dedup -> run_seq ()
     | Some v, _ | None, Some v -> raise (Violation v)
   in
   let saved_arena = Heap.current () in
@@ -895,4 +863,4 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
          unchanged instead. *)
       cp.cp_stats
   | _ ->
-      if workers > 1 then run_par () else if dedup then run_seq_dedup () else run_seq ()
+      if workers > 1 then run_par () else run_seq ()

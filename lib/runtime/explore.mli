@@ -26,8 +26,8 @@
 
     With [?dedup:true] the tree is explored as a {e state graph}: every
     reached state is fingerprinted ({!Sim.fingerprint_digest} -- non-volatile
-    heap snapshot plus per-process control state) and a concurrent
-    visited set ({!Rcons_par.Visited}) ensures each distinct state is
+    heap snapshot plus per-process control state) and the visited
+    store ({!Rcons_par.Visited}) ensures each distinct state is
     expanded exactly once; later encounters count as {!stats.dedup_hits}
     and are pruned.  Two schedules reaching the same fingerprint have
     identical futures, so pass/violation outcomes are preserved, but the
@@ -60,7 +60,7 @@
     concretely.  Raw por composes with parallel walkers (frontier items
     carry their sleep sets) and stays bit-identical to the sequential
     reduced run.  [por + dedup] switches to {e ungraded} fingerprints
-    (total crashes only) and a sleep-mask visited store
+    (total crashes only) and the visited store's sleep-mask cover rule
     (Godefroid--Holzmann--Pirottin): the strongest reduction, but its
     statistics are visit-order dependent, so it requires [domains = 1]
     and is not resumable.

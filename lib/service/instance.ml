@@ -41,7 +41,8 @@ type config = {
    generation, and the clients' retry policy.  A window closes at a
    drain point, so it holds at most [check_window] trigger ops plus
    every op still in flight when the trigger fired: 24 + 3 * 4 = 36,
-   within the 62-operation bound of the Wing & Gong oracle. *)
+   within the [Linearizability.max_ops] bound of the Wing & Gong
+   oracle. *)
 let workers = 3
 let batch = 4
 let quantum = 6
@@ -68,8 +69,10 @@ let validate cfg =
       | None -> invalid_arg "Instance: Log kind requires a recording certificate"
       | Some cert ->
           let a, b = Rcons_check.Certificate.recording_teams cert in
-          if (a + b) * slots > 62 then
-            invalid_arg "Instance: procs * slots exceeds the 62-op checker bound")
+          if (a + b) * slots > Linearizability.max_ops then
+            invalid_arg
+              (Printf.sprintf "Instance: procs * slots exceeds the %d-op checker bound"
+                 Linearizability.max_ops))
 
 (* --- operations --- *)
 
@@ -114,7 +117,6 @@ type generation = {
   g_sim : Sim.t;
   g_reqs : op_rec array;  (** slot -> client op *)
   mutable g_acked : int;
-  mutable g_trace : int list;  (** committed samples, newest first *)
   g_marks : int list array;  (** per-proc crash ticks awaiting body completion *)
 }
 
@@ -468,13 +470,12 @@ let ack_committed t g =
 let finish_gen t s g =
   ack_committed t g;
   let cfin = Rlog.committed g.g_log in
-  g.g_trace <- cfin :: g.g_trace;
   let bad = ref None in
   Rlog.check_exn ~fail:(fun m -> if !bad = None then bad := Some m) g.g_log;
   (match !bad with
   | Some m -> violation t (Printf.sprintf "log state invariant: %s" m)
   | None -> ());
-  let v = Rlog.verdict ~committed_trace:(List.rev g.g_trace) g.g_log in
+  let v = Rlog.verdict g.g_log in
   if not (Conditions.log_verdict_ok v) then
     violation t
       (Printf.sprintf
@@ -517,7 +518,6 @@ let tick_l t s =
             g_sim;
             g_reqs = reqs;
             g_acked = 0;
-            g_trace = [];
             g_marks = Array.make (Rlog.num_procs g_log) [];
           }
   | _ -> ());
@@ -527,9 +527,7 @@ let tick_l t s =
       churn t g.g_sim
         ~busy:(fun p -> not (Sim.finished g.g_sim p))
         ~marks:g.g_marks
-        ~on_crash:(fun v ->
-          Rlog.note_crash g.g_log ~pid:v;
-          g.g_trace <- Rlog.committed g.g_log :: g.g_trace)
+        ~on_crash:(fun v -> Rlog.note_crash g.g_log ~pid:v)
         ~failure:(fun p m -> Printf.sprintf "log proc %d failure: %s" p m);
       ack_committed t g;
       if Sim.all_finished g.g_sim then finish_gen t s g

@@ -44,6 +44,11 @@ let team_system ?faithful (cert : Certificate.recording) ?use_a ?use_b () =
   let sim = Sim.create ~n body in
   { sim; outputs; check = check_now outputs }
 
+(* [team_system] with every process participating, as an explorer [mk]. *)
+let team_mk ?faithful cert () =
+  let sys = team_system ?faithful cert () in
+  (sys.sim, sys.check)
+
 (* Figure 4: recoverable consensus from consensus under simultaneous
    crashes; consensus instances are created lazily during execution, so
    this system exercises mid-run heap registration. *)

@@ -26,10 +26,6 @@ open Rcons_runtime
 let sticky_cert = lazy (Helpers.cert_of Rcons_spec.Sticky_bit.t 2)
 let sticky3_cert = lazy (Helpers.cert_of Rcons_spec.Sticky_bit.t 3)
 
-let team_mk ?faithful cert () =
-  let sys = Helpers.team_system ?faithful cert () in
-  (sys.Helpers.sim, sys.Helpers.check)
-
 (* A fresh 2-team system driven by [adv]; returns the outcome and the
    final total step count. *)
 let drive ?record adv =
@@ -106,7 +102,7 @@ let test_json_round_trip () =
 
 (* --- shrinker soundness --- *)
 
-let broken_mk () = team_mk ~faithful:false (Lazy.force sticky3_cert) ()
+let broken_mk () = Helpers.team_mk ~faithful:false (Lazy.force sticky3_cert) ()
 
 let find_violation () =
   match Explore.explore ~max_crashes:0 ~mk:broken_mk () with
@@ -179,14 +175,14 @@ let run_chunked ?dedup ~max_crashes ~node_budget mk =
   go None
 
 let test_resume_raw_bit_identical () =
-  let mk = team_mk (Lazy.force sticky_cert) in
+  let mk = Helpers.team_mk (Lazy.force sticky_cert) in
   let full = Explore.explore ~max_crashes:1 ~mk () in
   let chunked, interrupts = run_chunked ~max_crashes:1 ~node_budget:20_000 mk in
   Alcotest.(check bool) "budget actually tripped" true (interrupts >= 2);
   Alcotest.(check string) "raw resume: stats bit-identical" (stats_str full) (stats_str chunked)
 
 let test_resume_dedup_bit_identical () =
-  let mk = team_mk (Helpers.cert_of (Rcons_spec.Sn.make 2) 2) in
+  let mk = Helpers.team_mk (Helpers.cert_of (Rcons_spec.Sn.make 2) 2) in
   let full = Explore.explore ~dedup:true ~max_crashes:2 ~mk () in
   let chunked, interrupts = run_chunked ~dedup:true ~max_crashes:2 ~node_budget:3_000 mk in
   Alcotest.(check bool) "dedup budget actually tripped" true (interrupts >= 2);
@@ -207,7 +203,7 @@ let test_resume_finds_violation () =
     (schedule_str resumed.Explore.v_schedule)
 
 let test_resume_parameter_mismatch_refused () =
-  let mk = team_mk (Lazy.force sticky_cert) in
+  let mk = Helpers.team_mk (Lazy.force sticky_cert) in
   match Explore.explore ~max_crashes:1 ~node_budget:500 ~mk () with
   | (_ : Explore.stats) -> Alcotest.fail "budget should have tripped"
   | exception Explore.Interrupted cp -> (
@@ -246,7 +242,7 @@ let test_artifact_round_trip () =
 
 let test_atomic_saves () =
   let module Cex = Rcons.Counterexample in
-  let mk = team_mk (Lazy.force sticky_cert) in
+  let mk = Helpers.team_mk (Lazy.force sticky_cert) in
   let cp =
     match Explore.explore ~max_crashes:1 ~node_budget:500 ~mk () with
     | (_ : Explore.stats) -> Alcotest.fail "budget should have tripped"

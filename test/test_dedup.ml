@@ -32,10 +32,6 @@ let stats_eq =
         s.symmetry_hits)
     ( = )
 
-let team_mk ?faithful cert () =
-  let sys = Helpers.team_system ?faithful cert () in
-  (sys.Helpers.sim, sys.Helpers.check)
-
 let raw (schedules, nodes, max_depth) : Explore.stats =
   { schedules; nodes; max_depth; dedup_hits = 0; distinct_states = 0; por_pruned = 0; symmetry_hits = 0 }
 
@@ -46,10 +42,10 @@ let test_raw_baselines () =
   let sticky = Helpers.cert_of Rcons_spec.Sticky_bit.t 2 in
   Alcotest.check stats_eq "Figure 2 on S_2, 1 crash"
     (raw (30120, 112674, 19))
-    (Explore.explore ~max_crashes:1 ~mk:(team_mk s2) ());
+    (Explore.explore ~max_crashes:1 ~mk:(Helpers.team_mk s2) ());
   Alcotest.check stats_eq "Figure 2 on sticky bit, 1 crash"
     (raw (29470, 109374, 18))
-    (Explore.explore ~max_crashes:1 ~mk:(team_mk sticky) ());
+    (Explore.explore ~max_crashes:1 ~mk:(Helpers.team_mk sticky) ());
   Alcotest.check stats_eq "Figure 4, n=2, no crashes"
     (raw (3432, 12868, 14))
     (Explore.explore ~max_crashes:0 ~mk:(Helpers.fig4_mk 2) ())
@@ -58,19 +54,20 @@ let test_raw_baseline_two_crashes () =
   let s2 = Helpers.cert_of (Rcons_spec.Sn.make 2) 2 in
   Alcotest.check stats_eq "Figure 2 on S_2, 2 crashes"
     (raw (1442171, 5417237, 24))
-    (Explore.explore ~max_crashes:2 ~mk:(team_mk s2) ())
+    (Explore.explore ~max_crashes:2 ~mk:(Helpers.team_mk s2) ())
 
 (* --- dedup determinism: seq = par on any domain count / frontier --- *)
 
 let test_dedup_seq_par_identical () =
   let cert = Helpers.cert_of (Rcons_spec.Sn.make 2) 2 in
-  let seq = Explore.explore ~max_crashes:1 ~dedup:true ~mk:(team_mk cert) () in
+  let seq = Explore.explore ~max_crashes:1 ~dedup:true ~mk:(Helpers.team_mk cert) () in
   Alcotest.(check bool) "dedup actually deduplicates" true (seq.dedup_hits > 0);
   Alcotest.(check bool) "distinct states counted" true (seq.distinct_states > 0);
   List.iter
     (fun (domains, frontier_depth) ->
       let par =
-        Explore.explore ~max_crashes:1 ~dedup:true ~domains ~frontier_depth ~mk:(team_mk cert) ()
+        Explore.explore ~max_crashes:1 ~dedup:true ~domains ~frontier_depth
+          ~mk:(Helpers.team_mk cert) ()
       in
       Alcotest.check stats_eq
         (Printf.sprintf "dedup stats (domains %d, frontier %d)" domains frontier_depth)
@@ -90,7 +87,7 @@ let test_dedup_fig4_identical () =
 let test_dedup_node_reduction () =
   let cert = Helpers.cert_of (Rcons_spec.Sn.make 2) 2 in
   let raw_nodes = 5_417_237 in
-  let dd = Explore.explore ~max_crashes:2 ~dedup:true ~mk:(team_mk cert) () in
+  let dd = Explore.explore ~max_crashes:2 ~dedup:true ~mk:(Helpers.team_mk cert) () in
   Alcotest.(check bool)
     (Printf.sprintf "dedup nodes %d <= raw nodes %d / 5" dd.nodes raw_nodes)
     true
@@ -103,7 +100,7 @@ let test_dedup_violation_schedule_identical () =
   let run ?domains ?frontier_depth () =
     match
       Explore.explore ?domains ?frontier_depth ~max_crashes:0 ~dedup:true
-        ~mk:(team_mk ~faithful:false cert) ()
+        ~mk:(Helpers.team_mk ~faithful:false cert) ()
     with
     | (_ : Explore.stats) -> Alcotest.fail "expected a violation"
     | exception Explore.Violation { v_msg = msg; v_schedule = sched; _ } ->
@@ -155,7 +152,7 @@ let qcheck_fingerprint_stable =
        ~print:(fun codes -> String.concat ";" (List.map string_of_int codes))
        schedule_gen
        (fun codes ->
-         let mk = team_mk (Lazy.force cert) in
+         let mk = Helpers.team_mk (Lazy.force cert) in
          fingerprint_after mk codes = fingerprint_after mk codes))
 
 let qcheck_fingerprint_stable_fig4 =

@@ -36,18 +36,11 @@ let policy_str = Persist.policy_to_string
 let run_fingerprint ~seed ~adv ~policy =
   Persist.scoped ~barriers:true policy (fun () ->
       let t, sim = Rlog.instance ~slots:3 (Lazy.force cert2) in
-      let trace = ref [] in
       let adv = Adversary.create ~seed adv in
-      match
-        Adversary.run ~record:false
-          ~on_crash:(fun pid ->
-            Rlog.note_crash t ~pid;
-            trace := Rlog.committed t :: !trace)
-          adv sim
-      with
+      match Adversary.run ~record:false ~on_crash:(fun pid -> Rlog.note_crash t ~pid) adv sim with
       | out ->
           let c = Rlog.committed t in
-          let v = Rlog.verdict ~committed_trace:(List.rev (c :: !trace)) t in
+          let v = Rlog.verdict t in
           Printf.sprintf "steps=%d crashes=%d committed=%d replay=[%s] ok=%b"
             out.Adversary.steps out.Adversary.crashes c
             (String.concat ","
@@ -410,10 +403,29 @@ let test_adversary_policy_names () =
             true (contains ~sub:name msg))
         Adversary.policy_names
 
+(* [note_crash] samples the committed prefix once per crash; the trace
+   ends with the current readout, and reading the verdict changes
+   neither. *)
+let test_committed_trace () =
+  Persist.scoped ~barriers:true Persist.Lossy (fun () ->
+      let t, sim = Rlog.instance ~slots:3 (Lazy.force cert2) in
+      let adv = Adversary.create ~seed:5 (adv_of_code 0) in
+      let out = Adversary.run ~record:false ~on_crash:(fun pid -> Rlog.note_crash t ~pid) adv sim in
+      let trace = Rlog.committed_trace t in
+      Alcotest.(check bool) "crashes happened" true (out.Adversary.crashes > 0);
+      Alcotest.(check int) "one sample per crash, plus the end" (out.Adversary.crashes + 1)
+        (List.length trace);
+      Alcotest.(check int) "ends with the current prefix" (Rlog.committed t)
+        (List.nth trace (List.length trace - 1));
+      let v = Rlog.verdict t in
+      Alcotest.(check bool) "verdict repeatable" true (v = Rlog.verdict t);
+      Alcotest.(check (list int)) "trace unchanged by the verdict" trace (Rlog.committed_trace t))
+
 let suite =
   [
     qcheck_recovery_deterministic;
     Alcotest.test_case "recovery matrix: slot 0 / mid-chain / last" `Quick test_recovery_matrix;
+    Alcotest.test_case "committed trace samples every crash" `Quick test_committed_trace;
     Alcotest.test_case "annotated log exhaustive under all policies" `Slow
       test_annotated_exhaustive;
     Alcotest.test_case "barrier-free log violates under lossy" `Slow

@@ -19,7 +19,7 @@ let domains = 4
 (* Disable the granularity cutoff for the whole test binary: with the
    default 1ms grace period most of these workloads would finish inline
    and never touch the pool, and the determinism suites are only worth
-   running if claiming, stealing and the lock-free visited set actually
+   running if claiming, stealing and the shared visited store actually
    execute.  (A dedicated test below re-enables the cutoff and checks the
    inline path separately.) *)
 let () = Rcons_par.Pool.set_sequential_cutoff 0.
@@ -106,16 +106,39 @@ let test_telemetry () =
   Alcotest.(check bool) "chunks claimed" true (d.Telemetry.chunks >= 1);
   set_sequential_cutoff saved
 
-(* --- the lock-free visited set --- *)
+(* --- the visited store --- *)
+
+(* The cover rule, one key at a time: a stored (mask, depth) pair
+   covers a later claim whose mask is a superset at no smaller depth;
+   anything else claims again and is stored too. *)
+let test_visited_cover_rule () =
+  let module V = Rcons_par.Visited in
+  let v = V.create () in
+  let k = Digest.string "state" in
+  Alcotest.(check bool) "first claim expands" true (V.claim v k ~mask:0b0101 ~depth:5);
+  Alcotest.(check bool) "same pair covered" false (V.claim v k ~mask:0b0101 ~depth:5);
+  Alcotest.(check bool) "superset mask, greater depth covered" false
+    (V.claim v k ~mask:0b1101 ~depth:7);
+  Alcotest.(check bool) "subset mask claims again" true (V.claim v k ~mask:0b0001 ~depth:5);
+  Alcotest.(check bool) "smaller depth claims again" true (V.claim v k ~mask:0b0101 ~depth:3);
+  Alcotest.(check bool) "disjoint mask claims again" true (V.claim v k ~mask:0b1000 ~depth:9);
+  Alcotest.(check bool) "covered by a later pair" false (V.claim v k ~mask:0b0011 ~depth:6);
+  Alcotest.(check int) "one distinct key" 1 (V.cardinal v);
+  let a = Digest.string "a" in
+  Alcotest.(check bool) "add claims once" true (V.add v a);
+  Alcotest.(check bool) "add again loses" false (V.add v a);
+  Alcotest.(check bool) "add covers every later pair" false (V.claim v a ~mask:0b111 ~depth:0);
+  Alcotest.(check bool) "add after masked claims claims again" true (V.add v k);
+  Alcotest.(check bool) "then covers every pair" false (V.claim v k ~mask:0 ~depth:0);
+  Alcotest.(check int) "two distinct keys" 2 (V.cardinal v)
 
 (* N domains race to claim the same key set (each in a different rotated
-   order, so collisions hit different probe clusters at different times);
-   a tiny initial capacity forces many cooperative migrations under load.
-   Exactly-once means the wins across all domains partition the distinct
-   keys. *)
-let visited_race ~capacity ~num_domains keys =
+   order, so collisions hit different probe clusters at different
+   times).  Exactly-once means the wins across all domains partition the
+   distinct keys. *)
+let visited_race ~num_domains keys =
   let n = Array.length keys in
-  let v = Rcons_par.Visited.create ~capacity () in
+  let v = Rcons_par.Visited.create () in
   let wins =
     Array.init num_domains (fun d ->
         Domain.spawn (fun () ->
@@ -128,36 +151,36 @@ let visited_race ~capacity ~num_domains keys =
   in
   (v, Array.fold_left ( + ) 0 wins)
 
+let distinct_sorted l = List.sort_uniq compare l
+
+(* 20 000 keys over 64 shards of 128 slots: every shard doubles at least
+   twice while the domains race. *)
 let test_visited_exactly_once () =
-  let n = 5000 in
+  let n = 20_000 in
   let keys = Array.init n (fun i -> Digest.string (string_of_int i)) in
-  let v, total = visited_race ~capacity:16 ~num_domains:6 keys in
+  let v, total = visited_race ~num_domains:6 keys in
   Alcotest.(check int) "every key claimed exactly once" n total;
   Alcotest.(check int) "cardinal" n (Rcons_par.Visited.cardinal v);
-  Alcotest.(check bool) "resizes exercised" true (Rcons_par.Visited.resizes v > 0);
-  Alcotest.(check bool) "all keys present" true
-    (Array.for_all (fun k -> Rcons_par.Visited.mem v k) keys);
-  Alcotest.(check bool) "absent key absent" false (Rcons_par.Visited.mem v (Digest.string "absent"));
-  let sorted l = List.sort compare l in
-  Alcotest.(check bool) "elements = keys (no lost inserts across resize)" true
-    (sorted (Rcons_par.Visited.elements v) = sorted (Array.to_list keys));
-  Alcotest.(check bool) "late add loses" false (Rcons_par.Visited.add v keys.(0))
+  Alcotest.(check bool) "elements = keys (no lost inserts across growth)" true
+    (distinct_sorted (Rcons_par.Visited.elements v) = distinct_sorted (Array.to_list keys));
+  Alcotest.(check bool) "late add loses" false (Rcons_par.Visited.add v keys.(0));
+  Alcotest.(check bool) "absent key claims" true
+    (Rcons_par.Visited.add v (Digest.string "absent"))
 
 let visited_gen =
   QCheck2.Gen.(
     let* n = int_range 50 600 in
     let* num_domains = int_range 2 6 in
-    let* capacity = int_range 4 64 in
     let* seed = int_bound 1_000_000 in
-    return (n, num_domains, capacity, seed))
+    return (n, num_domains, seed))
 
-let print_visited (n, num_domains, capacity, seed) =
-  Printf.sprintf "n=%d domains=%d capacity=%d seed=%d" n num_domains capacity seed
+let print_visited (n, num_domains, seed) =
+  Printf.sprintf "n=%d domains=%d seed=%d" n num_domains seed
 
 (* Random key sets mix digest-length keys (the fast hash path) with short
    ones (the fallback path) and contain duplicates, so some [add]s lose
    within a single domain as well as across domains. *)
-let visited_exactly_once (n, num_domains, capacity, seed) =
+let visited_exactly_once (n, num_domains, seed) =
   let rng = Random.State.make [| seed; n; 7 |] in
   let keys =
     Array.init n (fun _ ->
@@ -165,11 +188,11 @@ let visited_exactly_once (n, num_domains, capacity, seed) =
         else String.init (1 + Random.State.int rng 6) (fun _ ->
                  Char.chr (32 + Random.State.int rng 90)))
   in
-  let distinct = List.length (List.sort_uniq compare (Array.to_list keys)) in
-  let v, total = visited_race ~capacity ~num_domains keys in
-  total = distinct
-  && Rcons_par.Visited.cardinal v = distinct
-  && Array.for_all (fun k -> Rcons_par.Visited.mem v k) keys
+  let distinct = distinct_sorted (Array.to_list keys) in
+  let v, total = visited_race ~num_domains keys in
+  total = List.length distinct
+  && Rcons_par.Visited.cardinal v = List.length distinct
+  && distinct_sorted (Rcons_par.Visited.elements v) = distinct
 
 let qcheck_visited =
   QCheck_alcotest.to_alcotest
@@ -254,34 +277,33 @@ let stats_eq = Alcotest.testable
       Format.fprintf ppf "{schedules=%d; nodes=%d; max_depth=%d}" s.schedules s.nodes s.max_depth)
     ( = )
 
-let team_mk ?faithful cert () =
-  let sys = Helpers.team_system ?faithful cert () in
-  (sys.Helpers.sim, sys.Helpers.check)
-
 let test_explore_stats_identical () =
   let cert = Helpers.cert_of (Rcons_spec.Sn.make 2) 2 in
-  let seq = Explore.explore ~max_crashes:1 ~mk:(team_mk cert) () in
+  let seq = Explore.explore ~max_crashes:1 ~mk:(Helpers.team_mk cert) () in
   List.iter
     (fun frontier_depth ->
-      let par = Explore.explore ~max_crashes:1 ~domains ~frontier_depth ~mk:(team_mk cert) () in
+      let par =
+        Explore.explore ~max_crashes:1 ~domains ~frontier_depth ~mk:(Helpers.team_mk cert) ()
+      in
       Alcotest.check stats_eq
         (Printf.sprintf "merged stats = sequential stats (frontier %d)" frontier_depth)
         seq par)
     [ 1; 3; 7 ]
 
 (* The same workload through both engine modes: raw (frontier fan-out
-   with watermark merge) and dedup (shared lock-free visited set) must
+   with watermark merge) and dedup (shared visited store) must
    each report stats byte-equal to their sequential counterpart, at
    several frontier depths. *)
 let test_explore_stats_parity_modes () =
   let cert = Helpers.cert_of (Rcons_spec.Sn.make 2) 2 in
   List.iter
     (fun dedup ->
-      let seq = Explore.explore ~dedup ~max_crashes:1 ~mk:(team_mk cert) () in
+      let seq = Explore.explore ~dedup ~max_crashes:1 ~mk:(Helpers.team_mk cert) () in
       List.iter
         (fun frontier_depth ->
           let par =
-            Explore.explore ~dedup ~max_crashes:1 ~domains ~frontier_depth ~mk:(team_mk cert) ()
+            Explore.explore ~dedup ~max_crashes:1 ~domains ~frontier_depth
+              ~mk:(Helpers.team_mk cert) ()
           in
           Alcotest.check stats_eq
             (Printf.sprintf "%s stats parity (frontier %d)"
@@ -299,12 +321,13 @@ let test_explore_stats_parity_modes () =
    test_reduction.ml.) *)
 let test_explore_stats_parity_por () =
   let cert = Helpers.cert_of (Rcons_spec.Sn.make 2) 2 in
-  let seq = Explore.explore ~por:true ~max_crashes:1 ~mk:(team_mk cert) () in
+  let seq = Explore.explore ~por:true ~max_crashes:1 ~mk:(Helpers.team_mk cert) () in
   Alcotest.(check bool) "por actually pruned" true (seq.por_pruned > 0);
   List.iter
     (fun frontier_depth ->
       let par =
-        Explore.explore ~por:true ~max_crashes:1 ~domains ~frontier_depth ~mk:(team_mk cert) ()
+        Explore.explore ~por:true ~max_crashes:1 ~domains ~frontier_depth
+          ~mk:(Helpers.team_mk cert) ()
       in
       Alcotest.check stats_eq
         (Printf.sprintf "raw+por stats parity (frontier %d)" frontier_depth)
@@ -315,8 +338,8 @@ let test_explore_sticky_identical () =
   (* A different algorithm shape than S_2: the sticky bit's 2-recording
      certificate exercises the q0-free path of Figure 2. *)
   let cert = Helpers.cert_of Rcons_spec.Sticky_bit.t 2 in
-  let seq = Explore.explore ~max_crashes:1 ~mk:(team_mk cert) () in
-  let par = Explore.explore ~max_crashes:1 ~domains ~mk:(team_mk cert) () in
+  let seq = Explore.explore ~max_crashes:1 ~mk:(Helpers.team_mk cert) () in
+  let par = Explore.explore ~max_crashes:1 ~domains ~mk:(Helpers.team_mk cert) () in
   Alcotest.check stats_eq "sticky-bit one-crash stats" seq par
 
 (* The broken Figure 2 variant (no |B| = 1 guard) must be caught on the
@@ -325,7 +348,10 @@ let test_explore_sticky_identical () =
 let test_explore_violation_schedule_identical () =
   let cert = Helpers.cert_of Rcons_spec.Sticky_bit.t 3 in
   let run ?domains ?frontier_depth () =
-    match Explore.explore ?domains ?frontier_depth ~max_crashes:0 ~mk:(team_mk ~faithful:false cert) () with
+    match
+      Explore.explore ?domains ?frontier_depth ~max_crashes:0
+        ~mk:(Helpers.team_mk ~faithful:false cert) ()
+    with
     | (_ : Explore.stats) -> Alcotest.fail "expected a violation"
     | exception Explore.Violation { v_msg = msg; v_schedule = sched; _ } ->
         Format.asprintf "%s at %a" msg Explore.pp_schedule sched
@@ -404,7 +430,7 @@ let engines_agree (ot_idx, pol, max_crashes, faithful, mode) =
     if mode = Dedup_symmetry then Helpers.cert_of Rcons_spec.Sticky_bit.t 3
     else Helpers.cert_of (if ot_idx = 0 then Rcons_spec.Sn.make 2 else Rcons_spec.Sticky_bit.t) 2
   in
-  let mk () = Persist.scoped policy (team_mk ~faithful cert) in
+  let mk () = Persist.scoped policy (Helpers.team_mk ~faithful cert) in
   let dedup = mode <> Raw && mode <> Por in
   let por = mode = Por || mode = Por_dedup in
   let symmetry =
@@ -498,7 +524,7 @@ let interrupted_checkpoint ~undo mk =
    strategy, and either strategy resumes it to the uninterrupted
    stats. *)
 let test_checkpoint_engine_parity () =
-  let mk = team_mk (Helpers.cert_of (Rcons_spec.Sn.make 2) 2) in
+  let mk = Helpers.team_mk (Helpers.cert_of (Rcons_spec.Sn.make 2) 2) in
   let cp = interrupted_checkpoint ~undo:true mk in
   Alcotest.(check string) "checkpoint JSON identical under both strategies"
     (Json.to_string (Explore.checkpoint_to_json cp))
@@ -552,8 +578,9 @@ let suite =
     Alcotest.test_case "pool: exceptions propagate" `Quick test_pool_exn_propagates;
     Alcotest.test_case "pool: sequential cutoff config" `Quick test_cutoff_config;
     Alcotest.test_case "pool: telemetry counters" `Quick test_telemetry;
-    Alcotest.test_case "visited set: exactly-once across resizes" `Quick
+    Alcotest.test_case "visited set: exactly-once across shard growth" `Quick
       test_visited_exactly_once;
+    Alcotest.test_case "visited store: cover rule" `Quick test_visited_cover_rule;
     qcheck_visited;
     Alcotest.test_case "catalogue witnesses byte-equal" `Quick test_witnesses_catalogue;
     Alcotest.test_case "separating-type witnesses byte-equal" `Quick

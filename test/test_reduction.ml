@@ -31,10 +31,6 @@ let stats_eq =
         s.symmetry_hits)
     ( = )
 
-let team_mk ?faithful cert () =
-  let sys = Helpers.team_system ?faithful cert () in
-  (sys.Helpers.sim, sys.Helpers.check)
-
 (* --- the independence relation's ingredients --- *)
 
 let test_footprint_matrix () =
@@ -131,7 +127,7 @@ let test_reduced_baselines () =
       por_pruned = 5728;
       symmetry_hits = 0;
     }
-    (Explore.explore ~max_crashes:1 ~por:true ~mk:(team_mk s2) ());
+    (Explore.explore ~max_crashes:1 ~por:true ~mk:(Helpers.team_mk s2) ());
   Alcotest.check stats_eq "S_2 1 crash, dedup+por"
     {
       schedules = 8;
@@ -142,7 +138,7 @@ let test_reduced_baselines () =
       por_pruned = 182;
       symmetry_hits = 0;
     }
-    (Explore.explore ~max_crashes:1 ~dedup:true ~por:true ~mk:(team_mk s2) ());
+    (Explore.explore ~max_crashes:1 ~dedup:true ~por:true ~mk:(Helpers.team_mk s2) ());
   let sticky3 = Helpers.cert_of Rcons_spec.Sticky_bit.t 3 in
   let classes =
     match Cex.symmetry_classes (Cex.team2 ~level:3 "sticky") with
@@ -163,7 +159,7 @@ let test_reduced_baselines () =
       por_pruned = 0;
       symmetry_hits = 409;
     }
-    (Explore.explore ~max_crashes:0 ~dedup:true ~symmetry:classes ~mk:(team_mk sticky3) ())
+    (Explore.explore ~max_crashes:0 ~dedup:true ~symmetry:classes ~mk:(Helpers.team_mk sticky3) ())
 
 (* The acceptance bar of this change (see also bench E13): on the
    2-crash Figure 2 workload with a two-member team, full reduction
@@ -180,7 +176,7 @@ let test_reduction_factor_two_crashes () =
   in
   let r =
     Explore.explore ~max_crashes:2 ~dedup:true ~por:true ~symmetry:classes
-      ~mk:(team_mk sticky3) ()
+      ~mk:(Helpers.team_mk sticky3) ()
   in
   Alcotest.(check bool)
     (Printf.sprintf "dedup+por+symmetry nodes %d <= dedup nodes %d / 10" r.nodes
@@ -303,7 +299,7 @@ let expect_invalid name f =
 (* Out-of-range bounds are refused before anything runs: no budget
    trips, so no checkpoint is ever produced for them. *)
 let test_bounds_validation () =
-  let mk = team_mk (Helpers.cert_of (Rcons_spec.Sn.make 2) 2) in
+  let mk = Helpers.team_mk (Helpers.cert_of (Rcons_spec.Sn.make 2) 2) in
   expect_invalid "max_crashes -1" (fun () -> Explore.explore ~max_crashes:(-1) ~mk ());
   expect_invalid "node_budget 0" (fun () -> Explore.explore ~node_budget:0 ~mk ());
   expect_invalid "node_budget -1" (fun () -> Explore.explore ~node_budget:(-1) ~mk ());
@@ -326,20 +322,23 @@ let test_bounds_validation () =
 let test_reduced_validation () =
   let s2 = Helpers.cert_of (Rcons_spec.Sn.make 2) 2 in
   expect_invalid "symmetry without dedup" (fun () ->
-      Explore.explore ~symmetry:[ [ 0; 1 ] ] ~mk:(team_mk s2) ());
+      Explore.explore ~symmetry:[ [ 0; 1 ] ] ~mk:(Helpers.team_mk s2) ());
   expect_invalid "por+dedup on several domains" (fun () ->
-      Explore.explore ~dedup:true ~por:true ~domains:4 ~mk:(team_mk s2) ());
+      Explore.explore ~dedup:true ~por:true ~domains:4 ~mk:(Helpers.team_mk s2) ());
   (* Interrupt a dedup run, then try to resume it with reduction on. *)
   let cp =
-    match Explore.explore ~max_crashes:1 ~dedup:true ~node_budget:200 ~mk:(team_mk s2) () with
+    match
+      Explore.explore ~max_crashes:1 ~dedup:true ~node_budget:200 ~mk:(Helpers.team_mk s2) ()
+    with
     | (_ : Explore.stats) -> Alcotest.fail "expected the node budget to trip"
     | exception Explore.Interrupted cp -> cp
   in
   expect_invalid "resume with por" (fun () ->
-      Explore.explore ~max_crashes:1 ~dedup:true ~por:true ~resume_from:cp ~mk:(team_mk s2) ());
+      Explore.explore ~max_crashes:1 ~dedup:true ~por:true ~resume_from:cp
+        ~mk:(Helpers.team_mk s2) ());
   expect_invalid "resume with symmetry" (fun () ->
       Explore.explore ~max_crashes:1 ~dedup:true ~symmetry:[ [ 0; 1 ] ] ~resume_from:cp
-        ~mk:(team_mk s2) ())
+        ~mk:(Helpers.team_mk s2) ())
 
 (* A checkpoint whose cursor is empty denotes a finished run: resuming
    from it must return its statistics verbatim -- not silently re-walk
@@ -348,7 +347,9 @@ let test_reduced_validation () =
 let test_empty_cursor_short_circuit () =
   let s2 = Helpers.cert_of (Rcons_spec.Sn.make 2) 2 in
   let cp =
-    match Explore.explore ~max_crashes:1 ~dedup:true ~node_budget:200 ~mk:(team_mk s2) () with
+    match
+      Explore.explore ~max_crashes:1 ~dedup:true ~node_budget:200 ~mk:(Helpers.team_mk s2) ()
+    with
     | (_ : Explore.stats) -> Alcotest.fail "expected the node budget to trip"
     | exception Explore.Interrupted cp -> cp
   in
@@ -364,10 +365,10 @@ let test_empty_cursor_short_circuit () =
     | _ -> Alcotest.fail "checkpoint JSON is not an object"
   in
   let partial = Explore.checkpoint_stats cp in
-  let full = Explore.explore ~max_crashes:1 ~dedup:true ~mk:(team_mk s2) () in
+  let full = Explore.explore ~max_crashes:1 ~dedup:true ~mk:(Helpers.team_mk s2) () in
   Alcotest.(check bool) "interrupt really was partial" true (partial <> full);
   Alcotest.check stats_eq "finished checkpoint returns its stats verbatim" partial
-    (Explore.explore ~max_crashes:1 ~dedup:true ~resume_from:finished ~mk:(team_mk s2) ())
+    (Explore.explore ~max_crashes:1 ~dedup:true ~resume_from:finished ~mk:(Helpers.team_mk s2) ())
 
 let suite =
   [
