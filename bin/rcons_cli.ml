@@ -249,7 +249,6 @@ type exhaustive = {
   por : bool;
   symmetry : bool;
   node_budget : int option;
-  time_budget : float option;
   checkpoint : string option;
   resume : string option;
   save_cex : string option;
@@ -276,7 +275,7 @@ let exhaustive_term ~max_crashes =
           ~doc:
             "Sleep-set partial-order reduction over step footprints: interleavings differing \
              only by swaps of independent steps are explored once.  Finds a violation iff the \
-             raw run does.  With --dedup it is sequential-only and not resumable.")
+             raw run does.  With --dedup it is sequential-only.")
   in
   let symmetry =
     Arg.(
@@ -296,12 +295,6 @@ let exhaustive_term ~max_crashes =
             "Interrupt after exploring $(docv) nodes, saving a resumable checkpoint (see \
              --checkpoint / --resume).  Sequential mode only.")
   in
-  let time_budget =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "time-budget" ] ~doc:"Interrupt after $(docv) wall-clock seconds (like --node-budget).")
-  in
   let checkpoint =
     Arg.(
       value
@@ -316,8 +309,9 @@ let exhaustive_term ~max_crashes =
       & info [ "resume" ]
           ~doc:
             "Resume from a checkpoint file; the run continues to final stats bit-identical to \
-             an uninterrupted one.  Run the printed \"resume with:\" line: a checkpoint taken on \
-             a different workload or with different explorer parameters is refused (exit 2).")
+             an uninterrupted one, in every sequential mode.  Run the printed \"resume with:\" \
+             line: a checkpoint taken on a different workload or with different explorer \
+             parameters or reductions is refused (exit 2).")
   in
   let save_cex =
     Arg.(
@@ -328,14 +322,13 @@ let exhaustive_term ~max_crashes =
   in
   Term.(
     const
-      (fun max_crashes dedup por symmetry node_budget time_budget checkpoint resume save_cex ->
-        { max_crashes; dedup; por; symmetry; node_budget; time_budget; checkpoint; resume; save_cex })
-    $ max_crashes $ dedup $ por $ symmetry $ node_budget $ time_budget $ checkpoint $ resume
-    $ save_cex)
+      (fun max_crashes dedup por symmetry node_budget checkpoint resume save_cex ->
+        { max_crashes; dedup; por; symmetry; node_budget; checkpoint; resume; save_cex })
+    $ max_crashes $ dedup $ por $ symmetry $ node_budget $ checkpoint $ resume $ save_cex)
 
 (* The workload flags [explore] and [log] share, as the "resume with:"
    hint must repeat them: run verbatim, it rebuilds the same workload
-   (the checkpoint's fingerprint refuses any other). *)
+   (the checkpoint's provenance refuses any other). *)
 let workload_flags ~annotated ~broken ~persist ~flush_cost =
   String.concat ""
     [
@@ -347,6 +340,19 @@ let workload_flags ~annotated ~broken ~persist ~flush_cost =
       (if flush_cost = 1 then "" else Printf.sprintf " --flush-cost %d" flush_cost);
     ]
 
+(* The explorer flags of the "resume with:" hint, read off the one
+   record the command line filled: the hint repeats every parameter the
+   checkpoint's provenance will be compared against. *)
+let resume_flags ex ~file =
+  String.concat ""
+    [
+      Printf.sprintf " --max-crashes %d" ex.max_crashes;
+      (if ex.dedup then " --dedup" else "");
+      (if ex.por then " --por" else "");
+      (if ex.symmetry then " --symmetry" else "");
+      " --resume " ^ file;
+    ]
+
 (* Exhaustively explore a counterexample workload (team consensus or
    replicated log), with the budget/checkpoint/resume/shrink plumbing.
    [resume_hint] is the command prefix, workload flags included, echoed
@@ -354,83 +360,72 @@ let workload_flags ~annotated ~broken ~persist ~flush_cost =
    found or workload does not build, 2 bad input (corrupt or mismatched
    checkpoint, invalid combination), 3 interrupted with a checkpoint
    saved. *)
-let run_exhaustive ~resume_hint w
-    { max_crashes; dedup; por; symmetry; node_budget; time_budget; checkpoint; resume; save_cex }
-    ~domains =
-  if por && resume <> None then begin
-    (* A reduced run prunes a different frontier than the checkpointed
-       one walked; silently resuming would under-count.  Refuse. *)
-    Format.eprintf "--resume cannot be combined with --por: reduced runs are not resumable@.";
-    2
-  end
-  else begin
-    let classes =
-      if not symmetry then Ok None
-      else match Cex.symmetry_classes w with Error e -> Error e | Ok cls -> Ok (Some cls)
-    in
-    match (Cex.mk w, classes) with
-    | Error e, _ | _, Error e ->
-        Format.eprintf "%s@." e;
-        1
-    | Ok mk, Ok classes -> (
-        (* A corrupt or truncated checkpoint must fail with one
-           diagnostic line and exit 2 (unusable input), not a
-           backtrace -- same contract as a corrupt artifact. *)
-        match Option.map (fun file -> E.load_checkpoint ~file) resume with
-        | exception (Invalid_argument msg | Sys_error msg | Failure msg) ->
-            Format.eprintf "cannot load checkpoint: %s@." msg;
-            2
-        | resume_from -> (
-            match
-              E.explore ~max_crashes ~domains ~dedup ~por ?symmetry:classes ?node_budget
-                ?time_budget ?resume_from ~fingerprint:(Cex.fingerprint w) ~mk ()
-            with
-            | stats ->
-                Format.printf "exhaustive: %d schedules, %d nodes, max depth %d -- no violation@."
-                  stats.E.schedules stats.E.nodes stats.E.max_depth;
-                if dedup then
-                  Format.printf
-                    "dedup: %d distinct states, %d hits (node counts are state-graph edges)@."
-                    stats.E.distinct_states stats.E.dedup_hits;
-                if por || symmetry then
-                  Format.printf "reduction: %d por-pruned, %d symmetry hits@." stats.E.por_pruned
-                    stats.E.symmetry_hits;
-                0
-            | exception E.Interrupted cp ->
-                let file = Option.value checkpoint ~default:"explore.ckpt.json" in
-                E.save_checkpoint ~file cp;
-                let s = E.checkpoint_stats cp in
+let run_exhaustive ~resume_hint w ex ~domains =
+  let { max_crashes; dedup; por; symmetry; node_budget; checkpoint; resume; save_cex } = ex in
+  let classes =
+    if not symmetry then Ok None
+    else match Cex.symmetry_classes w with Error e -> Error e | Ok cls -> Ok (Some cls)
+  in
+  match (Cex.mk w, classes) with
+  | Error e, _ | _, Error e ->
+      Format.eprintf "%s@." e;
+      1
+  | Ok mk, Ok classes -> (
+      (* A corrupt or truncated checkpoint must fail with one
+         diagnostic line and exit 2 (unusable input), not a
+         backtrace -- same contract as a corrupt artifact. *)
+      match Option.map (fun file -> E.load_checkpoint ~file) resume with
+      | exception (Invalid_argument msg | Sys_error msg | Failure msg) ->
+          Format.eprintf "cannot load checkpoint: %s@." msg;
+          2
+      | resume_from -> (
+          match
+            E.explore ~max_crashes ~domains ~dedup ~por ?symmetry:classes ?node_budget
+              ?resume_from ~fingerprint:(Cex.fingerprint w) ~mk ()
+          with
+          | stats ->
+              Format.printf "exhaustive: %d schedules, %d nodes, max depth %d -- no violation@."
+                stats.E.schedules stats.E.nodes stats.E.max_depth;
+              if dedup then
                 Format.printf
-                  "interrupted: %d schedules, %d nodes explored so far; checkpoint -> %s@.resume \
-                   with: %s --max-crashes %d%s --resume %s@."
-                  s.E.schedules s.E.nodes file resume_hint max_crashes
-                  (if dedup then " --dedup" else "")
-                  file;
-                3
-            | exception E.Violation v ->
-                Format.printf "VIOLATION: %s at %a@." v.E.v_msg E.pp_schedule v.E.v_schedule;
-                (match v.E.v_provenance with
-                | Some p -> Format.printf "provenance: %a@." Rcons.Runtime.Schedule.pp_provenance p
-                | None -> ());
-                (match save_cex with
-                | None -> ()
-                | Some file -> (
-                    let cex = Cex.of_violation w v in
-                    match Cex.minimize cex with
-                    | Ok m ->
-                        Cex.save ~file m;
-                        Format.printf "shrunk %d -> %d choices; witness -> %s@."
-                          (List.length cex.Cex.schedule)
-                          (List.length m.Cex.schedule)
-                          file
-                    | Error e ->
-                        Cex.save ~file cex;
-                        Format.printf "shrink failed (%s); unshrunk witness -> %s@." e file));
-                1
-            | exception Invalid_argument msg ->
-                Format.eprintf "%s@." msg;
-                2))
-  end
+                  "dedup: %d distinct states, %d hits (node counts are state-graph edges)@."
+                  stats.E.distinct_states stats.E.dedup_hits;
+              if por || symmetry then
+                Format.printf "reduction: %d por-pruned, %d symmetry hits@." stats.E.por_pruned
+                  stats.E.symmetry_hits;
+              0
+          | exception E.Interrupted cp ->
+              let file = Option.value checkpoint ~default:"explore.ckpt.json" in
+              E.save_checkpoint ~file cp;
+              let s = E.checkpoint_stats cp in
+              Format.printf
+                "interrupted: %d schedules, %d nodes explored so far; checkpoint -> %s@.resume \
+                 with: %s%s@."
+                s.E.schedules s.E.nodes file resume_hint (resume_flags ex ~file);
+              3
+          | exception E.Violation v ->
+              Format.printf "VIOLATION: %s at %a@." v.E.v_msg E.pp_schedule v.E.v_schedule;
+              (match v.E.v_provenance with
+              | Some p -> Format.printf "provenance: %a@." Rcons.Runtime.Schedule.pp_provenance p
+              | None -> ());
+              (match save_cex with
+              | None -> ()
+              | Some file -> (
+                  let cex = Cex.of_violation w v in
+                  match Cex.minimize cex with
+                  | Ok m ->
+                      Cex.save ~file m;
+                      Format.printf "shrunk %d -> %d choices; witness -> %s@."
+                        (List.length cex.Cex.schedule)
+                        (List.length m.Cex.schedule)
+                        file
+                  | Error e ->
+                      Cex.save ~file cex;
+                      Format.printf "shrink failed (%s); unshrunk witness -> %s@." e file));
+              1
+          | exception Invalid_argument msg ->
+              Format.eprintf "%s@." msg;
+              2))
 
 (* --- explore --- *)
 

@@ -71,8 +71,6 @@ let symmetry_classes (Recording ((module T), d)) =
   let na = List.length d.ops_a in
   group 0 d.ops_a @ group na d.ops_b
 
-let discerning_size (Discerning (_, d)) = Array.length d.procs
-
 let discerning_teams (Discerning (_, d)) =
   Array.fold_left
     (fun (a, b) (team, _) ->

@@ -57,9 +57,6 @@ val symmetry_classes : recording -> int list list
     workload also gives every member of a class the same input -- the
     explorer cannot check that, the caller must. *)
 
-val discerning_size : discerning -> int
-(** Number of processes in the certificate's assignment. *)
-
 val discerning_teams : discerning -> int * int
 (** Sizes [(|A|, |B|)] of the certificate's two teams. *)
 

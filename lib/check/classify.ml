@@ -126,16 +126,6 @@ let rcons_bounds_of ~readable ~discerning recording =
         Some { lower = max 1 k; upper = Some (max 1 upper) }
     | At_least k -> Some { lower = k; upper = None }
 
-let cons_bounds ?domains ?limit ?certs ot =
-  cons_bounds_of ~readable:(Object_type.readable ot) (max_discerning ?domains ?limit ?certs ot)
-
-let rcons_bounds ?domains ?limit ?certs ot =
-  let readable = Object_type.readable ot in
-  if not readable then None
-  else
-    let discerning = max_discerning ?domains ?limit ?certs ot in
-    rcons_bounds_of ~readable ~discerning (max_recording ?domains ?limit ?certs ot)
-
 type report = {
   type_name : string;
   is_readable : bool;

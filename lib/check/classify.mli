@@ -69,16 +69,6 @@ val rcons_bounds_of : readable:bool -> discerning:level -> level -> bounds optio
 (** Pure derivation of the rcons interval from already-computed
     discerning and recording levels; [None] when not readable. *)
 
-val cons_bounds :
-  ?domains:int -> ?limit:int -> ?certs:string -> Rcons_spec.Object_type.t -> bounds option
-(** [None] for non-readable types: Theorem 3 ties the discerning level
-    to cons only in the presence of a READ operation. *)
-
-val rcons_bounds :
-  ?domains:int -> ?limit:int -> ?certs:string -> Rcons_spec.Object_type.t -> bounds option
-(** [None] for non-readable types (Theorem 8 needs the READ; the
-    Theorem 14 upper bound alone is not an interval). *)
-
 type report = {
   type_name : string;
   is_readable : bool;

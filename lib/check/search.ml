@@ -92,11 +92,6 @@ module Make (T : Rcons_spec.Object_type.S) = struct
   let memo_lock = Mutex.create ()
   let reach_tbl : (string, State_set.t) Hashtbl.t = Hashtbl.create 256
   let resp_tbl : (string, Pair_set.t) Hashtbl.t = Hashtbl.create 256
-  let hits = Atomic.make 0
-  let misses = Atomic.make 0
-
-  let memo_hits () = Atomic.get hits
-  let memo_misses () = Atomic.get misses
 
   let with_lock f =
     Mutex.lock memo_lock;
@@ -106,11 +101,8 @@ module Make (T : Rcons_spec.Object_type.S) = struct
 
   let memoized tbl key compute =
     match with_lock (fun () -> Hashtbl.find_opt tbl key) with
-    | Some v ->
-        Atomic.incr hits;
-        v
+    | Some v -> v
     | None ->
-        Atomic.incr misses;
         let v = compute () in
         with_lock (fun () -> if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key v);
         v

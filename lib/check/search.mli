@@ -26,15 +26,6 @@ module Make (T : Rcons_spec.Object_type.S) : sig
 
   val total : multiset -> int
 
-  val memo_hits : unit -> int
-  (** Number of node-level memo-table hits since the instance was
-      created (across both searches); monotone, for cache-effect
-      observability. *)
-
-  val memo_misses : unit -> int
-  (** Number of node-level memo-table misses (= distinct nodes
-      computed). *)
-
   val reachable : q0:T.state -> first:multiset -> other:multiset -> State_set.t
   (** Q_X: all states reachable by applying operations of distinct
       processes in some order, the first of which belongs to team

@@ -124,7 +124,6 @@ let create ?(faithful = true) ?(vote_first = false) ~slots cert =
   }
 
 let num_procs t = t.n
-let num_slots t = t.slots
 let teams t = (t.size_a, t.size_b)
 
 (* --- instrumentation (meta-observations, not shared-memory steps) --- *)

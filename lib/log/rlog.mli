@@ -70,7 +70,6 @@ val instance :
     [num_procs] processes. *)
 
 val num_procs : t -> int
-val num_slots : t -> int
 
 val teams : t -> int * int
 (** Team sizes [(|A|, |B|)] inherited from the certificate; pids

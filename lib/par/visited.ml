@@ -102,6 +102,8 @@ let elements t =
   Array.fold_left
     (fun acc s ->
       let acc = ref acc in
-      Array.iteri (fun i c -> if not (empty c) then acc := s.keys.(i) :: !acc) s.covers;
+      Array.iteri
+        (fun i c -> if not (empty c) then acc := (s.keys.(i), List.rev c) :: !acc)
+        s.covers;
       !acc)
     [] t

@@ -43,7 +43,9 @@ val cardinal : t -> int
     claimers have quiesced (the explorer reads it after joining its
     walkers). *)
 
-val elements : t -> string list
-(** All distinct keys, in no particular order.  Only meaningful once
-    concurrent claimers have quiesced (the explorer serializes its
-    checkpoints from it). *)
+val elements : t -> (string * (int * int) list) list
+(** Every distinct key with its stored [(mask, depth)] pairs, keys in no
+    particular order and each key's pairs in the order they were
+    claimed: claiming them back in that order into an empty store
+    rebuilds this one.  Only meaningful once concurrent claimers have
+    quiesced (the explorer serializes its checkpoints from it). *)

@@ -67,7 +67,7 @@
    no greater depth (re-expanding otherwise, after
    Godefroid--Holzmann--Pirottin); the combination stays sound but
    its statistics are visit-order dependent, so por + dedup is
-   sequential only and not resumable.  Raw por composes with the
+   sequential only.  Raw por composes with the
    parallel walkers: frontier items carry their sleep sets into phase 2,
    and the phase split does not change which subtrees are explored, so
    parallel reduced runs report the sequential reduced statistics.
@@ -100,16 +100,18 @@
    report identical stats and identical violation schedules, though the
    dedup violation schedule may differ from the raw-mode one.
 
-   Budgets ([node_budget] / [time_budget], sequential mode only; the
-   node budget is the only node limit): instead of losing an
-   interrupted exhaustive run, the explorer raises
+   Budget ([node_budget], sequential mode only; the only node limit):
+   instead of losing an interrupted exhaustive run, the explorer raises
    [Interrupted] with a serializable checkpoint -- the DFS cursor (the
    schedule prefix of the first uncounted node), the statistics
-   accumulated so far, and (under dedup) the visited-set contents.
-   Resuming from the checkpoint re-descends the cursor spine without
-   re-counting it, skips the fully-explored subtrees to its left, and
+   accumulated so far, (under dedup) the visited store with each key's
+   covers, and the run's provenance.  Resuming from the checkpoint
+   re-descends the cursor spine without re-counting it, skips the
+   fully-explored subtrees to its left (under por they join the spine
+   node's sleep set, as they did when they were explored), and
    continues the DFS exactly where it stopped, so the final statistics
-   are bit-identical to an uninterrupted run. *)
+   are bit-identical to an uninterrupted run in every sequential mode.
+   A checkpoint resumes only under the provenance it was taken with. *)
 
 type choice = Schedule.choice = Step_choice of int | Crash_choice of int
 
@@ -152,34 +154,35 @@ let fail msg = raise (Violation_found msg)
 type checkpoint = {
   cp_cursor : choice list; (* schedule prefix of the first uncounted node *)
   cp_stats : stats; (* totals accumulated strictly before the cursor *)
-  cp_visited : string list; (* claimed fingerprints (raw digests); [] unless dedup *)
-  cp_max_crashes : int;
-  cp_max_steps : int;
-  cp_dedup : bool;
-  cp_por : bool; (* recorded so a resume attempt fails loudly *)
-  cp_fingerprint : string option; (* the run's workload [?fingerprint], if it had one *)
+  cp_visited : (string * (int * int) list) list;
+      (* claimed fingerprints (raw digests), each with its (sleep mask,
+         depth) covers in claim order; [] unless dedup *)
+  cp_provenance : Schedule.provenance; (* the run that cut it *)
 }
 
 exception Interrupted of checkpoint
 
 let checkpoint_stats cp = cp.cp_stats
-let checkpoint_cursor cp = cp.cp_cursor
 
-(* Version 2: visited digests are of the fixed-width trace-chain
-   fingerprint ([Sim.fingerprint_digest]); version 1 digests named list-format
-   fingerprints, which no state of this build reproduces. *)
-let checkpoint_version = 2
+(* Version 3: the run's parameters are its provenance, and every
+   visited digest carries its covers.  Version 2 recorded five
+   parameter fields, which could not name a reduction. *)
+let checkpoint_version = 3
 
+(* A visited entry is one string, ["<digest hex> <mask>:<depth> ..."],
+   covers in claim order: one line per state in the pretty-printed file,
+   as large checkpoints hold millions of them. *)
 let checkpoint_to_json cp =
+  let entry (d, covers) =
+    Json.String
+      (String.concat " "
+         (Digest.to_hex d :: List.map (fun (m, depth) -> Printf.sprintf "%d:%d" m depth) covers))
+  in
   Json.Obj
     [
       ("version", Json.Int checkpoint_version);
       ("kind", Json.String "explore-checkpoint");
-      ("max_crashes", Json.Int cp.cp_max_crashes);
-      ("max_steps", Json.Int cp.cp_max_steps);
-      ("dedup", Json.Bool cp.cp_dedup);
-      ("por", Json.Bool cp.cp_por);
-      ("fingerprint", match cp.cp_fingerprint with Some fp -> Json.String fp | None -> Json.Null);
+      ("provenance", Schedule.provenance_to_json cp.cp_provenance);
       ( "stats",
         Json.Obj
           [
@@ -192,7 +195,7 @@ let checkpoint_to_json cp =
             ("symmetry_hits", Json.Int cp.cp_stats.symmetry_hits);
           ] );
       ("cursor", Schedule.to_json cp.cp_cursor);
-      ("visited", Json.List (List.map (fun d -> Json.String (Digest.to_hex d)) cp.cp_visited));
+      ("visited", Json.List (List.map entry cp.cp_visited));
     ]
 
 let checkpoint_of_json j =
@@ -212,6 +215,17 @@ let checkpoint_of_json j =
            checkpoint_version));
   let int k v = Json.to_int (Json.field k v) in
   let stats = Json.field "stats" j in
+  let entry j =
+    let bad () = invalid_arg ("Explore.checkpoint_of_json: bad visited entry " ^ Json.to_string j) in
+    let cover c =
+      match List.map int_of_string_opt (String.split_on_char ':' c) with
+      | [ Some m; Some depth ] -> (m, depth)
+      | _ -> bad ()
+    in
+    match String.split_on_char ' ' (Json.to_str j) with
+    | d :: (_ :: _ as covers) when String.length d = 32 -> (Digest.from_hex d, List.map cover covers)
+    | _ -> bad ()
+  in
   {
     cp_cursor = Schedule.of_json (Json.field "cursor" j);
     cp_stats =
@@ -224,14 +238,8 @@ let checkpoint_of_json j =
         por_pruned = int "por_pruned" stats;
         symmetry_hits = int "symmetry_hits" stats;
       };
-    cp_visited =
-      List.map (fun s -> Digest.from_hex (Json.to_str s)) (Json.to_list (Json.field "visited" j));
-    cp_max_crashes = int "max_crashes" j;
-    cp_max_steps = int "max_steps" j;
-    cp_dedup = Json.to_bool (Json.field "dedup" j);
-    cp_por = Json.to_bool (Json.field "por" j);
-    cp_fingerprint =
-      (match Json.field "fingerprint" j with Json.Null -> None | fp -> Some (Json.to_str fp));
+    cp_visited = List.map entry (Json.to_list (Json.field "visited" j));
+    cp_provenance = Schedule.provenance_of_json (Json.field "provenance" j);
   }
 
 (* [Json.save] writes temp-then-rename: a crash of the host process
@@ -291,17 +299,16 @@ type backtrack = Rollback | Rebuild
 type restore_point = Elided | Mark of Sim.mark | Replay
 
 let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?(por = false)
-    ?symmetry ?node_budget ?time_budget ?resume_from ?fingerprint ?(undo = true) ~mk () =
+    ?symmetry ?node_budget ?resume_from ?fingerprint ?(undo = true) ~mk () =
   (* The per-schedule step bound: a schedule deeper than this is
      reported as a wait-freedom violation.  Every workload here finishes
-     far below it; it is recorded in checkpoints and provenance, so a
-     checkpoint taken under another bound is refused on resume. *)
+     far below it; it is recorded in the provenance, so a checkpoint
+     taken under another bound is refused on resume. *)
   let max_steps = 10_000 in
   let backtrack = if undo then Rollback else Rebuild in
   let workers = Rcons_par.Pool.resolve_domains domains in
   let frontier_depth = max 1 frontier_depth in
-  let budgeted = node_budget <> None || time_budget <> None in
-  if (budgeted || resume_from <> None) && workers > 1 then
+  if (node_budget <> None || resume_from <> None) && workers > 1 then
     invalid_arg "Explore.explore: budgets and resume require domains = 1";
   if por && dedup && workers > 1 then
     invalid_arg "Explore.explore: por + dedup is order-dependent and requires domains = 1";
@@ -312,39 +319,7 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
   | Some b when b < 1 ->
       invalid_arg (Printf.sprintf "Explore.explore: node_budget must be >= 1 (got %d)" b)
   | _ -> ());
-  (match time_budget with
-  | Some t when not (t > 0.) ->
-      invalid_arg (Printf.sprintf "Explore.explore: time_budget must be > 0 (got %g)" t)
-  | _ -> ());
-  (match resume_from with
-  | Some cp ->
-      if por then
-        invalid_arg "Explore.explore: resume with por is unsupported (reduced runs are not resumable)";
-      if symmetry <> None then
-        invalid_arg "Explore.explore: resume with symmetry is unsupported";
-      if cp.cp_por then
-        invalid_arg "Explore.explore: checkpoint was taken with por; reduced runs are not resumable";
-      if cp.cp_max_crashes <> max_crashes || cp.cp_max_steps <> max_steps || cp.cp_dedup <> dedup
-      then
-        invalid_arg
-          (Printf.sprintf
-             "Explore.explore: checkpoint was taken with max_crashes=%d max_steps=%d dedup=%b"
-             cp.cp_max_crashes cp.cp_max_steps cp.cp_dedup);
-      (* The cursor alone cannot tell two workloads with the same choice
-         tree apart (a lossy and an eager run of one algorithm): resuming
-         under the wrong one would silently finish a different
-         exploration.  A checkpoint of a run without a fingerprint skips
-         the check. *)
-      if cp.cp_fingerprint <> None && cp.cp_fingerprint <> fingerprint then
-        invalid_arg
-          (Printf.sprintf
-             "Explore.explore: checkpoint was taken on a different workload (fingerprint %s, \
-              this run %s)"
-             (Option.get cp.cp_fingerprint)
-             (Option.value fingerprint ~default:"none"))
-  | None -> ());
-  let start_time = if time_budget = None then 0. else Unix.gettimeofday () in
-  (* Budgets bound the work of THIS invocation, not of the whole
+  (* The budget bounds the work of THIS invocation, not of the whole
      (possibly many-times-resumed) exploration: a resumed run starts its
      node allowance afresh above the checkpoint's counters, so chaining
      [explore ~node_budget ~resume_from] makes steady progress. *)
@@ -369,6 +344,40 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
           m
     in
     match m with None | Some (Persist.Eager, _) -> true | Some _ -> false
+  in
+  (* The run's identity: origin, parameters, persistency model and
+     workload fingerprint.  It goes on every violation and every
+     checkpoint, and a checkpoint resumes only under an equal one.  The
+     model is known once the first system has been built. *)
+  let prov () =
+    {
+      Schedule.origin = "explore";
+      seed = None;
+      params =
+        ([
+           ("max_crashes", string_of_int max_crashes);
+           ("max_steps", string_of_int max_steps);
+           ("dedup", string_of_bool dedup);
+         ]
+        @ (if por then [ ("por", "true") ] else [])
+        @ (match symmetry with
+          | None -> []
+          | Some classes ->
+              [
+                ( "symmetry",
+                  String.concat ""
+                    (List.map
+                       (fun cls ->
+                         "[" ^ String.concat " " (List.map string_of_int cls) ^ "]")
+                       classes) );
+              ])
+        @
+        match Atomic.get model with
+        | None | Some None -> []
+        | Some (Some (p, fc)) ->
+            [ ("persist", Persist.policy_to_string p); ("flush_cost", string_of_int fc) ]);
+      fingerprint;
+    }
   in
   (* A process body that raises is a property violation with a
      schedule, not an explorer error.  [prefix] is most-recent-first, as
@@ -522,11 +531,7 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
   let walk ?stop_depth ?(emit = fun _ _ _ -> ()) ?(cancelled = fun () -> false) ?store
       ?(resume = []) ?(sleep0 = []) cnt prefix0 depth0 crashes0 =
     let over_budget () =
-      (match node_budget with Some b -> cnt.c_nodes - base_nodes > b | None -> false)
-      ||
-      match time_budget with
-      | Some tb -> cnt.c_nodes land 255 = 0 && Unix.gettimeofday () -. start_time > tb
-      | None -> false
+      match node_budget with Some b -> cnt.c_nodes - base_nodes > b | None -> false
     in
     run_walk prefix0 @@ fun live ->
     let eager_model = eager_model (fst !live) in
@@ -576,9 +581,9 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
                 p <> q && eager_model
           in
           (* Position of the resume cursor among this node's children:
-             children before it were fully explored before the
-             interrupt; the cursor spine itself ([on_path]) was already
-             counted and claimed. *)
+             children before it were fully explored (or pruned asleep)
+             before the interrupt; the cursor spine itself ([on_path])
+             was already counted and claimed. *)
           let resume_idx, resume_rest =
             match resume with
             | [] -> (-1, [])
@@ -611,7 +616,11 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
           for k = 0 to last do
             let c = List.hd !rest in
             rest := List.tl !rest;
-            if k < resume_idx then () (* left of the cursor: already explored *)
+            if k < resume_idx then begin
+              (* Left of the cursor: already covered, so it sleeps for
+                 later siblings exactly as it did when it was explored. *)
+              if por && not (List.mem c !sleep) then sleep := c :: !sleep
+            end
             else if por && List.mem c !sleep then
               (* Asleep: a sibling subtree already covers every
                  interleaving this child would start (modulo swaps of
@@ -646,12 +655,12 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
                     dedup mode) claimed before the interrupt, so
                     neither is repeated. *)
                  descend c prefix';
-                 expand prefix' depth' crashes' resume_rest [];
+                 expand prefix' depth' crashes' resume_rest child_sleep;
                  restore ()
                end
                else begin
                  cnt.c_nodes <- cnt.c_nodes + 1;
-                 if budgeted && over_budget () then begin
+                 if over_budget () then begin
                    (* Roll the uncounted-on-resume node back out of the
                       counters: the checkpoint's statistics are exactly
                       those of the explored region. *)
@@ -697,11 +706,11 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
           done
     in
     (* The root is expanded, never reached through an edge, so a dedup
-       walk claims it here (frontier roots were claimed in phase 1).  On
-       a resumed run it is already claimed; the claim is then a no-op
-       returning [false]. *)
+       walk claims it here (frontier roots were claimed in phase 1).  A
+       resumed run restored the claim, and with it the counters it
+       bumped. *)
     (match store with
-    | Some vset when prefix0 = [] -> ignore (claim vset cnt (fst !live) [] 0)
+    | Some vset when prefix0 = [] && resume = [] -> ignore (claim vset cnt (fst !live) [] 0)
     | _ -> ());
     if cancelled () then raise Cancelled;
     if depth0 > max_steps then raise (violation "step bound exceeded (wait-freedom?)" prefix0);
@@ -712,15 +721,20 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
   in
   (* Sequential runs (plain and resumed): continue the checkpoint's
      counters, cursor and visited store, if any, and convert a budget
-     trip into a self-describing checkpoint.  A por + dedup checkpoint
-     records no visited keys: reduced runs are not resumable. *)
+     trip into a self-describing checkpoint. *)
   let run_seq () =
     let store = if dedup then Some (Rcons_par.Visited.create ()) else None in
     let cnt, resume =
       match resume_from with
       | Some cp ->
           Option.iter
-            (fun vset -> List.iter (fun d -> ignore (Rcons_par.Visited.add vset d)) cp.cp_visited)
+            (fun vset ->
+              List.iter
+                (fun (key, covers) ->
+                  List.iter
+                    (fun (mask, depth) -> ignore (Rcons_par.Visited.claim vset key ~mask ~depth))
+                    covers)
+                cp.cp_visited)
             store;
           (counter_of_stats cp.cp_stats, cp.cp_cursor)
       | None -> (fresh_counter (), [])
@@ -734,14 +748,8 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
                cp_cursor = cursor;
                cp_stats = stats_of ?store cnt;
                cp_visited =
-                 (match store with
-                 | Some vset when not por -> Rcons_par.Visited.elements vset
-                 | _ -> []);
-               cp_max_crashes = max_crashes;
-               cp_max_steps = max_steps;
-               cp_dedup = dedup;
-               cp_por = por;
-               cp_fingerprint = fingerprint;
+                 (match store with Some vset -> Rcons_par.Visited.elements vset | None -> []);
+               cp_provenance = prov ();
              })
   in
   (* Fold phase 2's per-subtree statistics into phase 1's, in frontier
@@ -818,36 +826,6 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
   let restore_arena () =
     match saved_arena with Some a -> Heap.activate a | None -> Heap.deactivate ()
   in
-  let prov () =
-    {
-      Schedule.origin = "explore";
-      seed = None;
-      params =
-        ([
-           ("max_crashes", string_of_int max_crashes);
-           ("max_steps", string_of_int max_steps);
-           ("dedup", string_of_bool dedup);
-         ]
-        @ (if por then [ ("por", "true") ] else [])
-        @ (match symmetry with
-          | None -> []
-          | Some classes ->
-              [
-                ( "symmetry",
-                  String.concat ""
-                    (List.map
-                       (fun cls ->
-                         "[" ^ String.concat " " (List.map string_of_int cls) ^ "]")
-                       classes) );
-              ])
-        @
-        match Atomic.get model with
-        | None | Some None -> []
-        | Some (Some (p, fc)) ->
-            [ ("persist", Persist.policy_to_string p); ("flush_cost", string_of_int fc) ]);
-      fingerprint;
-    }
-  in
   let attach_provenance f =
     try f ()
     with Violation v when v.v_provenance = None ->
@@ -856,11 +834,21 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
   attach_provenance @@ fun () ->
   Fun.protect ~finally:restore_arena @@ fun () ->
   match resume_from with
-  | Some cp when cp.cp_cursor = [] ->
+  | None -> if workers > 1 then run_par () else run_seq ()
+  | Some cp ->
+      (* Build the root to learn the persistency model, then refuse a
+         checkpoint cut by any other run -- other parameters, reductions,
+         model or workload -- before a node is counted: the cursor alone
+         cannot tell two such runs apart, and finishing the wrong one
+         would be a silent wrong answer. *)
+      let root, _ = replay [] in
+      ignore (eager_model root);
+      Sim.abandon root;
+      let this = prov () in
+      if cp.cp_provenance <> this then
+        invalid_arg
+          (Format.asprintf "Explore.explore: checkpoint was taken by another run (%a; this run %a)"
+             Schedule.pp_provenance cp.cp_provenance Schedule.pp_provenance this);
       (* An empty cursor marks a checkpoint of a completed exploration:
-         there is nothing to its right.  Resuming used to re-walk the
-         whole tree on top of the checkpoint's totals; return them
-         unchanged instead. *)
-      cp.cp_stats
-  | _ ->
-      if workers > 1 then run_par () else run_seq ()
+         there is nothing to its right, so its totals are final. *)
+      if cp.cp_cursor = [] then cp.cp_stats else run_seq ()

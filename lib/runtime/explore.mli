@@ -62,8 +62,7 @@
     reduced run.  [por + dedup] switches to {e ungraded} fingerprints
     (total crashes only) and the visited store's sleep-mask cover rule
     (Godefroid--Holzmann--Pirottin): the strongest reduction, but its
-    statistics are visit-order dependent, so it requires [domains = 1]
-    and is not resumable.
+    statistics are visit-order dependent, so it requires [domains = 1].
 
     {2 Symmetry reduction}
 
@@ -101,25 +100,26 @@
 
     {2 Budgeted, resumable exploration}
 
-    [?node_budget] is the explorer's only node limit: without it a walk
-    runs until the tree (or state graph) is exhausted.  [?node_budget] /
-    [?time_budget] (sequential mode only) turn an unbounded exhaustive
-    run into a {e preemptible} one: when the budget
+    [?node_budget] (sequential mode only) is the explorer's only budget:
+    without it a walk runs until the tree (or state graph) is
+    exhausted; with it the run is {e preemptible}.  When the budget
     trips, the explorer raises {!Interrupted} carrying a serializable
     {!checkpoint} -- the DFS cursor (the schedule prefix of the first
     node {e not yet counted}), the statistics of everything already
-    explored, and (under dedup) the visited-set contents.  Passing the
-    checkpoint back via [?resume_from] re-descends the cursor spine
-    without re-counting it, skips the fully-explored subtrees to its
-    left, and continues the DFS exactly where it stopped: the final
-    statistics -- and any violation found -- are {b bit-identical} to an
-    uninterrupted run, no matter how many times the run is cut and
-    resumed.  Checkpoints serialize to JSON ({!save_checkpoint} /
-    {!load_checkpoint}) and embed the parameters they were taken under,
-    including the run's workload [?fingerprint] and the step bound:
-    resuming with different [max_crashes] / [dedup], on a workload with
-    a different fingerprint, or from a checkpoint recorded under another
-    step bound, is refused. *)
+    explored, (under dedup) the visited store with each state's
+    (sleep mask, depth) covers, and the run's {!Schedule.provenance}.
+    Passing the checkpoint back via [?resume_from] re-descends the
+    cursor spine without re-counting it, skips the fully-explored
+    subtrees to its left (under [por] they join the spine node's sleep
+    set), and continues the DFS exactly where it stopped: the final
+    statistics -- and any violation found -- are {b bit-identical} to
+    an uninterrupted run in every sequential mode (raw, dedup, por,
+    symmetry and their combinations), no matter how many times the run
+    is cut and resumed.  Checkpoints serialize to JSON
+    ({!save_checkpoint} / {!load_checkpoint}); a resume whose
+    provenance differs from the checkpoint's -- another crash budget,
+    reduction, persistency model, workload [?fingerprint] or step
+    bound -- is refused. *)
 
 type choice = Schedule.choice = Step_choice of int | Crash_choice of int
 
@@ -168,31 +168,30 @@ val fail : string -> 'a
 
 type checkpoint
 (** A resumable cut of an interrupted sequential exploration: DFS
-    cursor, accumulated statistics, visited-set contents (dedup mode),
-    and the parameters the run was started with. *)
+    cursor, accumulated statistics, visited-store contents (dedup mode),
+    and the provenance of the run that cut it. *)
 
 exception Interrupted of checkpoint
-(** A [node_budget] / [time_budget] tripped; the checkpoint resumes the
-    run ({!explore}'s [?resume_from]) to bit-identical final results. *)
+(** A [node_budget] tripped; the checkpoint resumes the run
+    ({!explore}'s [?resume_from]) to bit-identical final results. *)
 
 val checkpoint_stats : checkpoint -> stats
 (** Statistics of the region explored before the interrupt (these are
     final for that region: resuming continues from them). *)
 
-val checkpoint_cursor : checkpoint -> choice list
-(** The schedule prefix of the first node the interrupted run did not
-    count. *)
-
 val checkpoint_to_json : checkpoint -> Json.t
-(** Writes format version 2: visited digests are of the fixed-width
-    trace-chain {!Sim.fingerprint_digest}. *)
+(** Writes format version 3: a [provenance] object
+    ({!Schedule.provenance_to_json}), the statistics, the cursor, and
+    [visited] as ["<digest> <mask>:<depth> ..."] strings, one per
+    claimed state with its covers in claim order; digests are hex MD5s
+    of the fixed-width trace-chain {!Sim.fingerprint_digest}. *)
 
 val checkpoint_of_json : Json.t -> checkpoint
-(** Reads exactly format version 2, every field required.
+(** Reads exactly format version 3, every field required.
     @raise Invalid_argument with a one-line diagnosis on a malformed
-    checkpoint or one of any other version (unversioned, version 1, or
-    newer), naming the version: an older cursor or visited digest may
-    name something else in this build, so resuming it could silently
+    checkpoint or one of any other version (unversioned, versions 1 and
+    2, or newer), naming the version: an older checkpoint does not
+    record the reductions it ran under, so resuming it could silently
     finish a different exploration. *)
 
 val save_checkpoint : file:string -> checkpoint -> unit
@@ -217,7 +216,6 @@ val explore :
   ?por:bool ->
   ?symmetry:int list list ->
   ?node_budget:int ->
-  ?time_budget:float ->
   ?resume_from:checkpoint ->
   ?fingerprint:string ->
   ?undo:bool ->
@@ -227,8 +225,8 @@ val explore :
 (** [explore ~mk ()] where [mk ()] builds a fresh system together with an
     invariant checker (raising via {!fail}).  [max_crashes] defaults to
     1.  A schedule longer than the fixed step bound of 10 000 choices
-    raises {!Violation} ("wait-freedom"); checkpoints and violation
-    provenance record that bound as [max_steps].
+    raises {!Violation} ("wait-freedom"); the provenance of checkpoints
+    and violations records that bound as [max_steps].
 
     [?domains] (default 1 = sequential) distributes frontier subtrees
     across that many OCaml 5 domains; [?frontier_depth] (default 4,
@@ -255,32 +253,26 @@ val explore :
     Both default off, and with both off every mode is byte-identical to
     the unreduced explorer.  [por + dedup] and [symmetry] without
     [dedup] have restrictions listed above; [por] supports at most 30
-    processes (sleep masks are bit-packed).  Resume is refused for
-    reduced runs, and a checkpoint taken by a (budgeted) por run is
-    itself not resumable.
-
-    A resumed run whose checkpoint cursor is empty -- a checkpoint of a
-    {e completed} exploration -- returns the checkpoint's statistics
-    unchanged instead of re-walking the tree.
+    processes (sleep masks are bit-packed).
 
     [?node_budget] (nodes counted by {e this} invocation -- a resumed
-    run gets a fresh allowance) and [?time_budget] (wall seconds, polled
-    every 256 nodes) make the run preemptible: the
-    budget trip raises {!Interrupted} with a {!checkpoint}, and
-    [?resume_from] continues a checkpointed run (see above).  A
-    [node_budget] below 1, a [time_budget] not above 0, or a negative
-    [max_crashes] raises [Invalid_argument] before anything runs.
-    Budgets and resume require [domains = 1] ([Invalid_argument]
-    otherwise); resuming validates that [max_crashes], [dedup] and the
-    step bound match the checkpoint.
+    run gets a fresh allowance) makes the run preemptible: the budget
+    trip raises {!Interrupted} with a {!checkpoint}, and [?resume_from]
+    continues a checkpointed run (see above).  A [node_budget] below 1
+    or a negative [max_crashes] raises [Invalid_argument] before
+    anything runs.  The budget and resume require [domains = 1]
+    ([Invalid_argument] otherwise).  A resume builds the root system
+    once (the provenance names its persistency model) and, before any
+    node is counted, raises [Invalid_argument] (one line naming both
+    provenances) unless the run's provenance equals the checkpoint's.
+    A checkpoint whose cursor is empty -- one of a {e completed}
+    exploration -- then returns its statistics unchanged instead of
+    re-walking the tree.
 
     [?fingerprint] is an optional workload identifier (object-type
-    digest) recorded in the violation provenance so that counterexample
-    artifacts can refuse replay against the wrong workload, and in
-    checkpoints so that a resume on a different workload raises
-    [Invalid_argument] (one line naming both fingerprints).  A
-    checkpoint without one -- taken without [?fingerprint] -- skips the
-    check.
+    digest) recorded in the provenance, so that counterexample artifacts
+    can refuse replay against the wrong workload and a checkpoint
+    refuses a resume on a different one.
 
     [?undo] (default [true]) selects the backtrack strategy: rollback
     over the undo journal, or with [false] the rebuild oracle.  Both

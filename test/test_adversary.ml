@@ -16,8 +16,10 @@
      adversary-found violation;
    - checkpoint/resume: a budget-interrupted exploration, resumed any
      number of times (through the JSON round-trip), reports final
-     statistics bit-identical to the uninterrupted run, in raw and in
-     dedup mode;
+     statistics and violation schedules bit-identical to the
+     uninterrupted run in every sequential mode (raw, dedup, por,
+     por + dedup, dedup + symmetry, all three), and a resume under
+     another crash budget or reduction is refused;
    - counterexample artifacts: JSON round-trip preserves replayability,
      and replaying against the wrong workload is refused. *)
 
@@ -157,15 +159,21 @@ let qcheck_shrink_never_loses =
 (* --- checkpoint / resume --- *)
 
 let stats_str (s : Explore.stats) =
-  Format.asprintf "{schedules=%d; nodes=%d; max_depth=%d; dedup_hits=%d; distinct_states=%d}"
-    s.schedules s.nodes s.max_depth s.dedup_hits s.distinct_states
+  Format.asprintf
+    "{schedules=%d; nodes=%d; max_depth=%d; dedup_hits=%d; distinct_states=%d; por_pruned=%d; \
+     symmetry_hits=%d}"
+    s.schedules s.nodes s.max_depth s.dedup_hits s.distinct_states s.por_pruned s.symmetry_hits
+
+let sticky3_classes () = Rcons_check.Certificate.symmetry_classes (Lazy.force sticky3_cert)
 
 (* Run to completion under a node budget, resuming (through the JSON
    round-trip) every time the budget trips; count the interrupts. *)
-let run_chunked ?dedup ~max_crashes ~node_budget mk =
+let run_chunked ?dedup ?por ?symmetry ~max_crashes ~node_budget mk =
   let interrupts = ref 0 in
   let rec go resume_from =
-    match Explore.explore ?dedup ~max_crashes ~node_budget ?resume_from ~mk () with
+    match
+      Explore.explore ?dedup ?por ?symmetry ~max_crashes ~node_budget ?resume_from ~mk ()
+    with
     | stats -> (stats, !interrupts)
     | exception Explore.Interrupted cp ->
         incr interrupts;
@@ -189,27 +197,103 @@ let test_resume_dedup_bit_identical () =
   Alcotest.(check string) "dedup resume: stats bit-identical" (stats_str full)
     (stats_str chunked)
 
-let test_resume_finds_violation () =
-  let rec go resume_from =
-    match Explore.explore ~max_crashes:0 ~node_budget:50 ?resume_from ~mk:broken_mk () with
-    | (_ : Explore.stats) -> Alcotest.fail "expected a violation across resumes"
-    | exception Explore.Interrupted cp -> go (Some cp)
-    | exception Explore.Violation v -> v
-  in
-  let direct = find_violation () in
-  let resumed = go None in
-  Alcotest.(check string) "violation schedule identical across resumes"
-    (schedule_str direct.Explore.v_schedule)
-    (schedule_str resumed.Explore.v_schedule)
+(* The reduced modes resume too: a resumed spine node's skipped left
+   siblings rejoin its sleep set, and the visited store comes back with
+   each state's (sleep mask, depth) covers. *)
+let test_resume_reduced_bit_identical () =
+  let s2 = Helpers.team_mk (Helpers.cert_of (Rcons_spec.Sn.make 2) 2) in
+  let sticky3 = Helpers.team_mk (Lazy.force sticky3_cert) in
+  let symmetry = sticky3_classes () in
+  List.iter
+    (fun (name, dedup, por, symmetry, max_crashes, node_budget, mk) ->
+      let full = Explore.explore ~dedup ~por ?symmetry ~max_crashes ~mk () in
+      let chunked, interrupts =
+        run_chunked ~dedup ~por ?symmetry ~max_crashes ~node_budget mk
+      in
+      Alcotest.(check bool) (name ^ ": budget actually tripped") true (interrupts >= 2);
+      Alcotest.(check string) (name ^ ": stats bit-identical") (stats_str full)
+        (stats_str chunked))
+    [
+      ("S_2 1 crash, por", false, true, None, 1, 3_000, s2);
+      ("S_2 2 crashes, por + dedup", true, true, None, 2, 200, s2);
+      ("sticky 3, dedup + symmetry", true, false, Some symmetry, 1, 2_000, sticky3);
+      ("sticky 3, por + dedup + symmetry", true, true, Some symmetry, 1, 500, sticky3);
+    ]
 
+let test_resume_finds_violation () =
+  let symmetry = sticky3_classes () in
+  List.iter
+    (fun (name, max_crashes, dedup, por, symmetry) ->
+      let explore ?node_budget ?resume_from () =
+        Explore.explore ~max_crashes ~dedup ~por ?symmetry ?node_budget ?resume_from ~mk:broken_mk
+          ()
+      in
+      let violation f =
+        match f () with
+        | (_ : Explore.stats) -> Alcotest.failf "%s: expected a violation" name
+        | exception Explore.Violation v -> v
+      in
+      let interrupts = ref 0 in
+      let rec go resume_from () =
+        match explore ~node_budget:50 ?resume_from () with
+        | exception Explore.Interrupted cp ->
+            incr interrupts;
+            go (Some (Explore.checkpoint_of_json (Explore.checkpoint_to_json cp))) ()
+        | r -> r
+      in
+      let direct = violation explore in
+      let resumed = violation (go None) in
+      Alcotest.(check bool) (name ^ ": budget actually tripped") true (!interrupts >= 1);
+      Alcotest.(check string)
+        (name ^ ": violation schedule identical across resumes")
+        (schedule_str direct.Explore.v_schedule)
+        (schedule_str resumed.Explore.v_schedule))
+    [
+      ("raw", 0, false, false, None);
+      ("dedup", 1, true, false, None);
+      ("por", 1, false, true, None);
+      ("por + dedup", 1, true, true, None);
+      ("dedup + symmetry", 1, true, false, Some symmetry);
+      ("por + dedup + symmetry", 1, true, true, Some symmetry);
+    ]
+
+(* A checkpoint names the run that cut it -- crash budget and
+   reductions included: resuming it under another one is refused with
+   one line naming both runs, not finished into a count that matches
+   neither. *)
 let test_resume_parameter_mismatch_refused () =
-  let mk = Helpers.team_mk (Lazy.force sticky_cert) in
-  match Explore.explore ~max_crashes:1 ~node_budget:500 ~mk () with
-  | (_ : Explore.stats) -> Alcotest.fail "budget should have tripped"
-  | exception Explore.Interrupted cp -> (
-      match Explore.explore ~max_crashes:2 ~resume_from:cp ~mk () with
-      | (_ : Explore.stats) -> Alcotest.fail "mismatched resume accepted"
-      | exception Invalid_argument _ -> ())
+  let sticky = Helpers.team_mk (Lazy.force sticky_cert) in
+  let sticky3 = Helpers.team_mk (Lazy.force sticky3_cert) in
+  let symmetry = sticky3_classes () in
+  let cut ?(dedup = false) ?(por = false) ?symmetry mk =
+    match Explore.explore ~max_crashes:1 ~dedup ~por ?symmetry ~node_budget:500 ~mk () with
+    | (_ : Explore.stats) -> Alcotest.fail "budget should have tripped"
+    | exception Explore.Interrupted cp ->
+        Explore.checkpoint_of_json (Explore.checkpoint_to_json cp)
+  in
+  List.iter
+    (fun (name, resume) ->
+      match resume () with
+      | (_ : Explore.stats) -> Alcotest.failf "%s: mismatched resume accepted" name
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: one-line diagnosis: %s" name msg)
+            true
+            (not (String.contains msg '\n')))
+    [
+      ( "another crash budget",
+        fun () -> Explore.explore ~max_crashes:2 ~resume_from:(cut sticky) ~mk:sticky () );
+      ( "symmetry checkpoint resumed without symmetry",
+        fun () ->
+          Explore.explore ~max_crashes:1 ~dedup:true
+            ~resume_from:(cut ~dedup:true ~symmetry sticky3)
+            ~mk:sticky3 () );
+      ( "por checkpoint resumed without por",
+        fun () ->
+          Explore.explore ~max_crashes:1 ~dedup:true
+            ~resume_from:(cut ~dedup:true ~por:true sticky3)
+            ~mk:sticky3 () );
+    ]
 
 (* --- counterexample artifacts --- *)
 
@@ -482,6 +566,8 @@ let suite =
     qcheck_shrink_never_loses;
     Alcotest.test_case "resume: raw stats bit-identical" `Quick test_resume_raw_bit_identical;
     Alcotest.test_case "resume: dedup stats bit-identical" `Quick test_resume_dedup_bit_identical;
+    Alcotest.test_case "resume: reduced stats bit-identical" `Quick
+      test_resume_reduced_bit_identical;
     Alcotest.test_case "resume: violation schedule preserved" `Quick test_resume_finds_violation;
     Alcotest.test_case "resume: parameter mismatch refused" `Quick
       test_resume_parameter_mismatch_refused;

@@ -283,21 +283,38 @@ let test_corrupt_checkpoint_diagnosis () =
   | exception Invalid_argument msg ->
       Alcotest.(check bool) ("names the problem: " ^ msg) true (String.length msg > 0));
   Sys.remove wrong;
-  (* Only format version 2 loads.  A checkpoint from an older build --
+  (* Only format version 3 loads.  A checkpoint from an older build --
+     version 2 (five parameter fields that cannot name a reduction),
      one naming the exploration engine that cut it, a version 1 file
      (whose dedup digests name list-format fingerprints no state of
      this build matches), or one with no version at all -- may mean
      something else here, so the loader refuses it with one line naming
      the version (CLI exit 2), raw or dedup alike. *)
+  let stats distinct =
+    Printf.sprintf
+      {|"stats": {"schedules": 0, "nodes": 1, "max_depth": 0, "dedup_hits": 0,
+                  "distinct_states": %d, "por_pruned": 0, "symmetry_hits": 0},
+        "cursor": ["s0"],|}
+      distinct
+  in
   let old ~version ?(engine = "") ~dedup visited =
     Printf.sprintf
       {|{%s "kind": "explore-checkpoint", "max_crashes": 1, "max_steps": 100,
-         "dedup": %b, "por": false, %s "fingerprint": null,
-         "stats": {"schedules": 0, "nodes": 1, "max_depth": 0, "dedup_hits": 0,
-                   "distinct_states": %d, "por_pruned": 0, "symmetry_hits": 0},
-         "cursor": ["s0"], "visited": [%s]}|}
-      version dedup engine (List.length visited)
+         "dedup": %b, "por": false, %s "fingerprint": null, %s "visited": [%s]}|}
+      version dedup engine
+      (stats (List.length visited))
       (String.concat ", " (List.map (Printf.sprintf "%S") visited))
+  in
+  let v3 ~version visited =
+    Printf.sprintf
+      {|{%s "kind": "explore-checkpoint",
+         "provenance": {"origin": "explore", "seed": null,
+                        "params": {"max_crashes": "1", "max_steps": "10000", "dedup": "true"},
+                        "fingerprint": null}, %s
+         "visited": [%s]}|}
+      version
+      (stats (List.length visited))
+      (String.concat ", " (List.map (Printf.sprintf "\"%s 0:0\"") visited))
   in
   let digest = "0123456789abcdef0123456789abcdef" in
   List.iter
@@ -307,11 +324,13 @@ let test_corrupt_checkpoint_diagnosis () =
       | _ -> Alcotest.failf "%s checkpoint should not load" what
       | exception Invalid_argument msg ->
           Alcotest.(check bool)
-            (Printf.sprintf "%s: one-line diagnosis naming the version: %s" what msg)
+            (Printf.sprintf "%s: one-line diagnosis naming the problem: %s" what msg)
             true
             (contains ~sub:named msg && not (String.contains msg '\n')));
       Sys.remove file)
     [
+      ("version 2 dedup", "version 2", old ~version:{|"version": 2,|} ~dedup:true [ digest ]);
+      ("version 2 raw", "version 2", old ~version:{|"version": 2,|} ~dedup:false []);
       ( "alien-engine",
         "version 1",
         old ~version:{|"version": 1,|} ~engine:{|"engine": "snapshot-v2",|} ~dedup:false [] );
@@ -319,11 +338,13 @@ let test_corrupt_checkpoint_diagnosis () =
       ("version 1 raw", "version 1", old ~version:{|"version": 1,|} ~dedup:false []);
       ("unversioned dedup", "unversioned", old ~version:"" ~dedup:true [ digest ]);
       ("unversioned raw", "unversioned", old ~version:"" ~dedup:false []);
-      ("newer", "version 3", old ~version:{|"version": 3,|} ~dedup:false []);
+      ("newer", "version 4", v3 ~version:{|"version": 4,|} [ digest ]);
+      ("short digest", "visited entry", v3 ~version:{|"version": 3,|} [ "0123" ]);
+      ("cover without depth", "visited entry", v3 ~version:{|"version": 3,|} [ digest ^ " 1" ]);
     ];
-  (* The same file at version 2 loads. *)
-  let current = write_tmp (old ~version:{|"version": 2,|} ~dedup:false []) in
-  Alcotest.(check int) "version 2 checkpoint loads" 1
+  (* A version 3 file loads, covers included. *)
+  let current = write_tmp (v3 ~version:{|"version": 3,|} [ digest ]) in
+  Alcotest.(check int) "version 3 checkpoint loads" 1
     (Explore.checkpoint_stats (Explore.load_checkpoint ~file:current)).nodes;
   Sys.remove current;
   (* Unreadable path: Sys_error, same exit-2 mapping in the CLI. *)
@@ -331,11 +352,12 @@ let test_corrupt_checkpoint_diagnosis () =
   | _ -> Alcotest.fail "missing checkpoint should not load"
   | exception Sys_error _ -> ()
 
-(* A checkpoint records the workload fingerprint of the run that cut it.
-   Resuming a lossy-cache checkpoint under the eager model -- the same
-   algorithm, so the cursor alone cannot tell them apart -- would
-   silently finish a different exploration; it must be refused with a
-   one-line diagnosis (CLI exit 2), also after a save/load round trip. *)
+(* A checkpoint records the provenance of the run that cut it, workload
+   fingerprint included.  Resuming a lossy-cache checkpoint under the
+   eager model -- the same algorithm, so the cursor alone cannot tell
+   them apart -- would silently finish a different exploration; it must
+   be refused with a one-line diagnosis naming both workloads (CLI exit
+   2), also after a save/load round trip. *)
 let test_checkpoint_refuses_other_workload () =
   let build persist =
     let w = Cex.log ~persist ~annotated:true ~slots:1 "sticky" in
@@ -360,7 +382,8 @@ let test_checkpoint_refuses_other_workload () =
       Alcotest.(check bool)
         ("one line naming the mismatch: " ^ msg)
         true
-        (contains ~sub:"different workload" msg && not (String.contains msg '\n'))
+        (contains ~sub:lossy_fp msg && contains ~sub:eager_fp msg
+        && not (String.contains msg '\n'))
 
 (* --- name resolution used by the log workloads --- *)
 

@@ -303,14 +303,9 @@ let test_bounds_validation () =
   expect_invalid "max_crashes -1" (fun () -> Explore.explore ~max_crashes:(-1) ~mk ());
   expect_invalid "node_budget 0" (fun () -> Explore.explore ~node_budget:0 ~mk ());
   expect_invalid "node_budget -1" (fun () -> Explore.explore ~node_budget:(-1) ~mk ());
-  expect_invalid "time_budget 0" (fun () -> Explore.explore ~time_budget:0. ~mk ());
-  expect_invalid "time_budget -1" (fun () -> Explore.explore ~time_budget:(-1.) ~mk ());
-  expect_invalid "time_budget nan" (fun () -> Explore.explore ~time_budget:Float.nan ~mk ());
-  (* Budgets and resume are sequential-only. *)
+  (* The budget and resume are sequential-only. *)
   expect_invalid "node_budget on 2 domains" (fun () ->
       Explore.explore ~node_budget:100 ~domains:2 ~mk ());
-  expect_invalid "time_budget on 2 domains" (fun () ->
-      Explore.explore ~time_budget:10. ~domains:2 ~mk ());
   let cp =
     match Explore.explore ~node_budget:10 ~mk () with
     | (_ : Explore.stats) -> Alcotest.fail "expected the node budget to trip"
