@@ -27,6 +27,17 @@ let resolve cmd parse name k =
       Format.eprintf "rcons %s: %s@." cmd e;
       2
 
+(* A known type with no recording witness at the asked level is not a
+   violation either: the workload cannot be built, so the input is
+   unusable.  Every command reports it the same way -- one line, exit 2
+   -- so a script can tell "no witness" from "violated" (exit 1). *)
+let no_witness fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "%s@." msg;
+      2)
+    fmt
+
 (* One shared type resolver (also used by counterexample artifacts), so
    a type name means the same thing on the command line and in a
    committed witness file. *)
@@ -167,9 +178,8 @@ let solve_cmd =
           in
           match Persist.scoped persist build with
           | None ->
-              Format.eprintf "%s is not %d-recording: no certificate, cannot solve %d-process RC@."
-                (Rcons.Spec.Object_type.name ot) n n;
-              1
+              no_witness "%s is not %d-recording: no certificate, cannot solve %d-process RC"
+                (Rcons.Spec.Object_type.name ot) n n
           | Some (sim, outputs) -> (
               let rng = Random.State.make [| seed |] in
               match Adv.run ~record:false (Adv.of_rng ~rng policy) sim with
@@ -357,9 +367,9 @@ let resume_flags ex ~file =
    replicated log), with the budget/checkpoint/resume/shrink plumbing.
    [resume_hint] is the command prefix, workload flags included, echoed
    in the "resume with:" line.  Exit codes: 0 no violation, 1 violation
-   found or workload does not build, 2 bad input (corrupt or mismatched
-   checkpoint, invalid combination), 3 interrupted with a checkpoint
-   saved. *)
+   found, 2 bad input (a type with no recording witness at the
+   workload's level, a corrupt or mismatched checkpoint, an invalid
+   combination), 3 interrupted with a checkpoint saved. *)
 let run_exhaustive ~resume_hint w ex ~domains =
   let { max_crashes; dedup; por; symmetry; node_budget; checkpoint; resume; save_cex } = ex in
   let classes =
@@ -367,9 +377,7 @@ let run_exhaustive ~resume_hint w ex ~domains =
     else match Cex.symmetry_classes w with Error e -> Error e | Ok cls -> Ok (Some cls)
   in
   match (Cex.mk w, classes) with
-  | Error e, _ | _, Error e ->
-      Format.eprintf "%s@." e;
-      1
+  | Error e, _ | _, Error e -> no_witness "%s" e
   | Ok mk, Ok classes -> (
       (* A corrupt or truncated checkpoint must fail with one
          diagnostic line and exit 2 (unusable input), not a
@@ -595,9 +603,8 @@ let log_cmd =
           resolve "log" parse_type name @@ fun ot ->
           match Rcons.recording_witness ?certs:(certs_of no_certs certs_dir) ot procs with
           | None ->
-              Format.eprintf "%s has no %d-recording witness: cannot build the %d-process log@."
-                (Rcons.Spec.Object_type.name ot) procs procs;
-              1
+              no_witness "%s has no %d-recording witness: cannot build the %d-process log"
+                (Rcons.Spec.Object_type.name ot) procs procs
           | Some cert -> (
               let t, sim =
                 Persist.scoped ~flush_cost ~barriers:annotated persist (fun () ->
@@ -797,9 +804,7 @@ let critical_cmd =
   let run ot =
     resolve "critical" parse_type ot @@ fun ot ->
     match Rcons.Check.Recording.witness ot 2 with
-    | None ->
-        Format.eprintf "%s has no 2-recording witness@." (Rcons.Spec.Object_type.name ot);
-        1
+    | None -> no_witness "%s has no 2-recording witness" (Rcons.Spec.Object_type.name ot)
     | Some cert ->
         let mk () =
           let tc = Rcons.Algo.Team_consensus.create cert in

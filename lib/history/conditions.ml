@@ -75,25 +75,24 @@ let recoverably_linearizable = Linearizability.check_history
    constraint; un-persisted completed operations followed by any crash
    become optional-with-free-response ([resp = None], [res = max_int] --
    exactly how the oracle treats pending operations: they may take
-   effect with any response, or not at all). *)
+   effect with any response, or not at all).  [persisted] holds the tags
+   with a [Persist] marker, [last_crash] the index of the last crash
+   (-1 if none). *)
+let durable_op persisted last_crash (op : _ History.operation) =
+  if op.resp = None then op (* pending: already optional *)
+  else if Hashtbl.mem persisted op.op_tag then op (* durable: mandatory *)
+  else if last_crash > op.inv then { op with resp = None; res = max_int }
+  else op
+
 let durable_operations history =
-  let events = History.events history in
-  let persisted =
-    List.filter_map (function History.Persist { tag; _ } -> Some tag | _ -> None) events
-  in
-  let last_crash =
-    List.mapi (fun i ev -> (i, ev)) events
-    |> List.fold_left
-         (fun acc -> function i, History.Crash _ -> Some i | _ -> acc)
-         None
-  in
-  let any_crash_after i = match last_crash with Some c -> c > i | None -> false in
-  History.operations history
-  |> List.map (fun (op : _ History.operation) ->
-         if op.resp = None then op (* pending: already optional *)
-         else if List.mem op.op_tag persisted then op (* durable: mandatory *)
-         else if any_crash_after op.inv then { op with resp = None; res = max_int }
-         else op)
+  let persisted = Hashtbl.create 16 and last_crash = ref (-1) in
+  List.iteri
+    (fun i -> function
+      | History.Crash _ -> last_crash := i
+      | Persist { tag; _ } -> Hashtbl.replace persisted tag ()
+      | Invoke _ | Response _ -> ())
+    (History.events history);
+  List.map (durable_op persisted !last_crash) (History.operations history)
 
 let durably_linearizable spec history =
   Linearizability.check spec (durable_operations history)
@@ -102,13 +101,46 @@ let durably_linearizable spec history =
    cut a long-running history into <= 62-operation slices (the Wing &
    Gong bitmask bound): operations with tags <= [after] are the already
    checked prefix whose effects the caller bakes into the window's
-   initial state. *)
-let durable_window ~after history =
-  durable_operations history
-  |> List.filter (fun (op : _ History.operation) -> op.op_tag > after)
+   initial state.
 
-let durably_linearizable_window spec ~after ~init history =
-  Linearizability.check { spec with Linearizability.init } (durable_window ~after history)
+   Tags are dense and increase with invocation order, so the window's
+   operations are exactly those invoked from the Invoke of tag
+   [after + 1] on: walking back from the newest event, that Invoke ends
+   the walk (an Invoke of a smaller tag means nothing was invoked since
+   the cut).  Only that suffix is read.  Its persist markers are the
+   only ones that can name a window operation (a marker follows its
+   invocation), and a crash before the suffix precedes every window
+   operation's invocation, so the suffix's last crash decides
+   optionality as the whole history's would.  Indices count from the
+   suffix's first event: a constant shift of [durable_operations]',
+   which the oracle's real-time order does not see. *)
+let durable_window ~after history =
+  let rec suffix acc = function
+    | (History.Invoke { tag; _ } as ev) :: _ when tag = after + 1 -> ev :: acc
+    | History.Invoke { tag; _ } :: _ when tag <= after -> acc
+    | ev :: older -> suffix (ev :: acc) older
+    | [] -> acc
+  in
+  let persisted = Hashtbl.create 16 and ops = Hashtbl.create 32 in
+  let last_crash = ref (-1) and invoked = ref [] in
+  List.iteri
+    (fun i -> function
+      | History.Invoke { pid; tag; op } ->
+          Hashtbl.replace ops tag
+            { History.op_pid = pid; op_tag = tag; op; resp = None; inv = i; res = max_int };
+          invoked := tag :: !invoked
+      | Response { tag; resp; _ } when tag > after -> (
+          match Hashtbl.find_opt ops tag with
+          | Some o -> Hashtbl.replace ops tag { o with resp = Some resp; res = i }
+          | None -> invalid_arg "Conditions.durable_window: response without invocation")
+      | Response _ -> () (* a pre-cut operation answered after the cut *)
+      | Persist { tag; _ } -> Hashtbl.replace persisted tag ()
+      | Crash _ -> last_crash := i)
+    (suffix [] (History.rev_events history));
+  List.rev_map (fun tag -> durable_op persisted !last_crash (Hashtbl.find ops tag)) !invoked
+
+let durably_linearizable_window spec ~init window =
+  Linearizability.check { spec with Linearizability.init } window
 
 (* Classification of one history against the three conditions; strict
    implies recoverable (tighter intervals only restrict the search). *)

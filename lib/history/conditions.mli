@@ -39,11 +39,18 @@ val durable_window :
     one window of a long-running history, for online checkers that must
     respect {!Linearizability.check}'s 62-operation bound.  The caller
     owns the watermark and the window's initial state (the abstract
-    state after the already-checked prefix). *)
+    state after the already-checked prefix).
+
+    Cost: the events since the invocation of tag [after + 1] (tags are
+    dense and increase with invocation order), not the whole history.
+    Same tags, processes, operations, responses, optionality and order
+    as the filtered {!durable_operations}; the [inv]/[res] indices count
+    from the window's first event, a constant shift that
+    {!Linearizability.check} does not see. *)
 
 val durably_linearizable_window :
-  ('s, 'o, 'r) Linearizability.spec -> after:int -> init:'s -> ('o, 'r) History.t -> bool
-(** {!durably_linearizable} of one {!durable_window}, started from
+  ('s, 'o, 'r) Linearizability.spec -> init:'s -> ('o, 'r) History.operation list -> bool
+(** {!Linearizability.check} of one {!durable_window}, started from
     [init] instead of the specification's initial state.  Sound online
     checking with one-window detection lag: an acknowledged effect
     reverted by a {e later} crash makes the {e next} window's responses

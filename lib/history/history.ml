@@ -32,6 +32,7 @@ let respond t ~pid ~tag resp = t.events_rev <- Response { pid; tag; resp } :: t.
 let crash t ~pid = t.events_rev <- Crash { pid } :: t.events_rev
 let persist t ~pid ~tag = t.events_rev <- Persist { pid; tag } :: t.events_rev
 let events t = List.rev t.events_rev
+let rev_events t = t.events_rev
 
 (* Cheap structural save/restore, for undo-journaling call sites (this
    library stays runtime-agnostic; the simulation layers that append to

@@ -29,6 +29,10 @@ val crash : ('o, 'r) t -> pid:int -> unit
 val persist : ('o, 'r) t -> pid:int -> tag:int -> unit
 val events : ('o, 'r) t -> ('o, 'r) event list
 
+val rev_events : ('o, 'r) t -> ('o, 'r) event list
+(** The events newest first, without a copy: O(1), for readers that
+    only need a recent suffix of a long history. *)
+
 type ('o, 'r) saved
 (** An O(1) structural snapshot of a history (the event list is
     immutable).  Lets simulation layers undo-journal their history

@@ -367,11 +367,7 @@ let run_window_check t s =
   t.checks <- t.checks + 1;
   let window = Conditions.durable_window ~after:s.watermark s.u_hist in
   if window <> [] then begin
-    if
-      not
-        (Conditions.durably_linearizable_window counter_lin ~after:s.watermark
-           ~init:s.window_init s.u_hist)
-    then
+    if not (Conditions.durably_linearizable_window counter_lin ~init:s.window_init window) then
       violation t
         (Printf.sprintf "durable linearizability violated in the %d-op window after tag %d"
            (List.length window) s.watermark);

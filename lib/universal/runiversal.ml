@@ -204,14 +204,22 @@ let linearization t =
 
 let applied_count t = List.length (linearization t)
 
-(* The object's current (volatile) abstract state: the last appended
-   node's new_state, [init] before any append.  An appended node always
-   has its state filled in -- the seq write follows the new_state write --
-   so the [None] arm is the dummy head only. *)
+(* The object's current (volatile) abstract state: the new_state of the
+   appended node with the largest seq, [init] before any append -- one
+   pass over the registry, no sort.  An appended node always has its
+   state filled in -- the seq write follows the new_state write -- so the
+   [None] arm is unreachable. *)
 let current_state t =
-  match List.rev (linearization t) with
-  | [] -> t.spec.init
-  | last :: _ -> (
-      match Cell.peek last.new_state with
+  let _, last =
+    Hashtbl.fold
+      (fun _ nd ((best, _) as acc) ->
+        let seq = Cell.peek nd.seq in
+        if seq > best then (seq, Some nd) else acc)
+      t.registry (0, None)
+  in
+  match last with
+  | None -> t.spec.init
+  | Some nd -> (
+      match Cell.peek nd.new_state with
       | Some s -> s
       | None -> invalid_arg "RUniversal: appended node has no state")

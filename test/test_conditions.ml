@@ -129,6 +129,70 @@ let test_runiversal_not_strict () =
   Alcotest.(check bool)
     "some schedule witnesses recoverable-but-not-strict (Section 4's claim)" true !found_witness
 
+(* --- durable windows agree with the full-history transformation --- *)
+
+(* A random history over three processes, built through the public
+   [History] API (so tags are dense): invocations, responses with
+   arbitrary values (the verdicts are compared, not asserted), crashes
+   that leave the op pending for a later recovery response, and persist
+   markers on in-flight or already completed ops.  The cut falls
+   anywhere from before the first tag to past the last, so windows see
+   crashes on both sides of it, pending ops, and pre-cut ops that
+   respond after it. *)
+let random_history script =
+  let h = History.create () in
+  let inflight = Array.make 3 None and completed = Array.make 3 None in
+  let invoke pid v =
+    inflight.(pid) <- Some (History.invoke h ~pid (if v land 1 = 0 then Inc else Get))
+  in
+  let respond pid tag v =
+    History.respond h ~pid ~tag v;
+    inflight.(pid) <- None;
+    completed.(pid) <- Some tag
+  in
+  List.iter
+    (fun (kind, pid, v) ->
+      match (kind, inflight.(pid)) with
+      | (0 | 1), None -> invoke pid v
+      | (0 | 1 | 2), Some tag -> respond pid tag v
+      | 2, None -> invoke pid v
+      | 3, _ -> History.crash h ~pid
+      | _, Some tag -> History.persist h ~pid ~tag
+      | _, None -> Option.iter (fun tag -> History.persist h ~pid ~tag) completed.(pid))
+    script;
+  h
+
+let qcheck_window_matches_full =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500
+       ~name:"durable_window = durable_operations filtered past the cut (and same verdict)"
+       QCheck2.Gen.(
+         triple
+           (list_size (int_range 0 40) (triple (int_bound 4) (int_bound 2) (int_bound 3)))
+           (int_bound 30) (int_bound 3))
+       (fun (script, cut, init) ->
+         let h = random_history script in
+         let tags = List.length (History.operations h) in
+         let after = (cut mod (tags + 2)) - 1 in
+         let window = Conditions.durable_window ~after h in
+         let full =
+           List.filter
+             (fun (o : _ History.operation) -> o.op_tag > after)
+             (Conditions.durable_operations h)
+         in
+         let shift =
+           match (full, window) with f :: _, w :: _ -> f.History.inv - w.History.inv | _ -> 0
+         in
+         let same (f : _ History.operation) (w : _ History.operation) =
+           f.op_tag = w.op_tag && f.op_pid = w.op_pid && f.op = w.op && f.resp = w.resp
+           && f.inv = w.inv + shift
+           && if f.res = max_int then w.res = max_int else f.res = w.res + shift
+         in
+         List.length full = List.length window
+         && List.for_all2 same full window
+         && Conditions.durably_linearizable_window counter_spec ~init window
+            = Linearizability.check { counter_spec with init } full))
+
 let suite =
   [
     Alcotest.test_case "strict rejects post-crash effects" `Quick
@@ -139,4 +203,5 @@ let suite =
     Alcotest.test_case "crash after response irrelevant" `Quick test_crash_after_response_irrelevant;
     Alcotest.test_case "RUniversal: recoverable but NOT strict (Section 4)" `Quick
       test_runiversal_not_strict;
+    qcheck_window_matches_full;
   ]

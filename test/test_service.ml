@@ -133,6 +133,25 @@ let storm_lossy_pinned () =
     (List.map (fun c -> { c with Instance.queue_cap = 2 }) fleet)
     ("4b99cb3504ddc4be3739a32ee3d3ba64", [ 65; 216; 39; 189; 4 ])
 
+(* One universal instance whose history runs to ~1000 ops: the online
+   checker cuts it into dozens of windows, each reading only the events
+   since its cut.  Pinned: the commit order and the number of checks. *)
+let long_history_pinned () =
+  let cfg =
+    {
+      (Soak.default ~id:0 ~seed:26) with
+      Instance.persist = Persist.Lossy;
+      sessions = 32;
+      ops_per_session = 32;
+    }
+  in
+  let r = Instance.run cfg in
+  Alcotest.(check (pair string (list int)))
+    "commit digest, checks run / acked"
+    ("542f0b5ad20fae9e042696feececd6eb", [ 33; 1004 ])
+    ( Digest.to_hex (Digest.string r.Instance.r_commit_trace),
+      [ r.Instance.r_checks_run; r.Instance.r_acked ] )
+
 (* --- open-loop only: no closed session at all --- *)
 
 (* Both kinds terminate with every arrival resolved; squeezed through a
@@ -405,6 +424,7 @@ let suite =
     Alcotest.test_case "annotated soaks ack everything (eager/lossy/torn)" `Quick
       annotated_soak_acks_everything;
     Alcotest.test_case "storm x lossy fleet outcome is pinned" `Quick storm_lossy_pinned;
+    Alcotest.test_case "long-history universal instance is pinned" `Quick long_history_pinned;
     Alcotest.test_case "open-loop-only instances resolve every arrival" `Quick open_loop_only;
     Alcotest.test_case "barrier-free universal is caught by the online checkers" `Quick
       bare_universal_is_caught;

@@ -172,6 +172,40 @@ let test_simultaneous_crashes_universal () =
   Adversary.(ignore (run ~record:false (create (Simultaneous { crash_at = [ 4; 15 ] })) t));
   Alcotest.(check bool) "linearizable after crash_all" true (lin_ok history)
 
+(* The windowed checker's peek: after any prefix of a crashy random run,
+   and after the run, [current_state] is the state of the last node of
+   the linearization (the init before anything is appended).  A stack
+   makes the state name the order of every push, not just a count. *)
+let test_current_state_is_last_node () =
+  let rng = Random.State.make [| 26 |] in
+  let last_state u =
+    match List.rev (Runiversal.linearization u) with
+    | [] -> []
+    | nd :: _ -> Option.get (Cell.peek nd.Runiversal.new_state)
+  in
+  for _ = 1 to 40 do
+    let n = 3 in
+    let u = Runiversal.create ~n (Derived.stack ()) in
+    let scripts =
+      Array.init n (fun pid ->
+          Array.init 4 (fun k -> if k = 2 then Derived.Pop else Derived.Push ((10 * pid) + k)))
+    in
+    let runner = Script.create u ~n ~max_ops:4 in
+    let t = Sim.create ~n (fun pid () -> Script.run runner pid scripts.(pid)) in
+    Alcotest.(check (list int)) "init before any append" [] (Runiversal.current_state u);
+    for _ = 1 to Random.State.int rng 400 do
+      let pid = Random.State.int rng n in
+      if not (Sim.finished t pid) then
+        if Sim.started t pid && Random.State.float rng 1.0 < 0.05 then Sim.crash t pid
+        else ignore (Sim.step_proc t pid)
+    done;
+    Alcotest.(check (list int)) "mid-run" (last_state u) (Runiversal.current_state u);
+    Adversary.(
+      ignore (run ~record:false (of_rng ~rng (Uniform { crash_prob = 0.05; max_crashes = 4 })) t));
+    Alcotest.(check int) "all ops applied" 12 (Runiversal.applied_count u);
+    Alcotest.(check (list int)) "after the run" (last_state u) (Runiversal.current_state u)
+  done
+
 let suite =
   [
     Alcotest.test_case "counter: sequential" `Quick test_counter_sequential;
@@ -185,4 +219,6 @@ let suite =
     Alcotest.test_case "Figure 2 RC instances end-to-end" `Quick test_figure2_rc_instances;
     Alcotest.test_case "linearization matches history" `Quick test_linearization_matches_history_count;
     Alcotest.test_case "simultaneous crashes" `Quick test_simultaneous_crashes_universal;
+    Alcotest.test_case "current_state is the last node's state" `Quick
+      test_current_state_is_last_node;
   ]
