@@ -1,6 +1,6 @@
-(* Sequential-vs-parallel wall-clock comparison for the work-stealing
-   engine, written to BENCH_parallel.json so the performance trajectory
-   of the parallel check/explore paths is measurable across commits.
+(* Sequential-vs-parallel wall-clock comparison for the domain pool,
+   written to BENCH_parallel.json so the performance trajectory of the
+   parallel check/explore paths is measurable across commits.
 
    Every workload is run across a domains scaling curve (powers of two up
    to what the machine exposes) and all outputs are compared against the
@@ -20,8 +20,8 @@
    experiments).
 
    Per-stage telemetry: each workload's run at the headline domain count
-   is bracketed with Pool.Telemetry snapshots (jobs / chunk claims /
-   steals / grace-period completions), and explore workloads add the
+   is bracketed with Pool.Telemetry snapshots (jobs / cursor claims /
+   grace-period completions), and explore workloads add the
    dedup-engine stage counts (fingerprint hashes, visited-set claims,
    node expansions), so a scaling regression can be localized without
    re-profiling.
@@ -384,9 +384,8 @@ let run ?(domains = 4) ?(out = "BENCH_parallel.json") () =
           (fun (d, (t, _, _)) ->
             Util.row "    domains=%d %8.3fs %8.2fx@." d t (if t > 0. then seq_t /. t else 0.))
           curve;
-        Util.row "    stages(par %d): %d jobs, %d chunks, %d steals, %d seq-cutoffs; floor %.2fx@."
-          domains stages.Rcons.Par.Pool.Telemetry.jobs stages.chunks stages.steals
-          stages.seq_cutoffs floor;
+        Util.row "    stages(par %d): %d jobs, %d chunks, %d seq-cutoffs; floor %.2fx@." domains
+          stages.Rcons.Par.Pool.Telemetry.jobs stages.chunks stages.seq_cutoffs floor;
         Util.row
           "    undo(par %d): %d restores, %d entries, %d bytes peak; rehashes %d full / %d saved@."
           domains stages.restores stages.undo_entries stages.undo_bytes_peak
@@ -477,11 +476,10 @@ let run ?(domains = 4) ?(out = "BENCH_parallel.json") () =
          \"identical\": %b,\n"
         r.r_name r.r_seq r.r_par speedup r.r_floor r.r_identical;
       p
-        "     \"stages\": {\"jobs\": %d, \"chunks\": %d, \"steals\": %d, \"seq_cutoffs\": %d, \
+        "     \"stages\": {\"jobs\": %d, \"chunks\": %d, \"seq_cutoffs\": %d, \
          \"restores\": %d, \"undo_entries\": %d, \"undo_bytes_peak\": %d, \"rehashes_full\": %d, \
          \"rehashes_saved\": %d%s},\n"
-        r.r_stages.Rcons.Par.Pool.Telemetry.jobs r.r_stages.chunks r.r_stages.steals
-        r.r_stages.seq_cutoffs r.r_stages.restores r.r_stages.undo_entries
+        r.r_stages.Rcons.Par.Pool.Telemetry.jobs r.r_stages.chunks r.r_stages.seq_cutoffs r.r_stages.restores r.r_stages.undo_entries
         r.r_stages.undo_bytes_peak r.r_stages.rehashes_full r.r_stages.rehashes_saved
         (match r.r_dedup with
         | None -> ""

@@ -1,4 +1,4 @@
-(* Work-stealing domain pool with deterministic result merging.
+(* Domain pool with deterministic result merging.
 
    Every combinator runs a function over the index range [0, n) and
    merges per-index results so the outcome does not depend on the number
@@ -19,16 +19,15 @@
      period of work, so the per-job [Domain.spawn] cost (tens of
      microseconds per worker) stays a few percent in the worst case.
 
-   - {e Chunked work-stealing range deques}.  Each participant owns one
-     atomic cell holding a packed [lo, hi) index range; the owner claims
-     small chunks off the low end (LIFO with respect to its own
-     contiguous block — the indices it touched most recently stay hot),
-     and a participant that runs dry steals the {e upper half} of a
-     victim's remaining range (FIFO end), processing the first chunk of
-     the loot directly and installing the rest as its own.  Every cell
-     mutation is a single CAS on one integer, so there is no shared
-     cursor line that all domains hammer; a global outstanding counter
-     (decremented per processed chunk) detects termination.
+   - {e One shared cursor}.  Participants claim the remaining indices
+     one at a time with [Atomic.fetch_and_add], so indices are handed
+     out in order.  [find_first]'s hits usually sit near the front of
+     its range; in-order claims keep every participant on that front,
+     and a claim at or above the smallest hit so far ends the claimer's
+     loop, since every later claim would be larger still.  (Splitting
+     the range into per-participant blocks instead sends all but one
+     participant deep into the range, where candidates are large and
+     can never win, while the join waits for them.)
 
    Worker domains are deliberately spawned {e per job} and joined before
    the combinator returns, never parked in a persistent pool.  On OCaml
@@ -49,7 +48,7 @@ let available_domains () = max 1 (Domain.recommended_domain_count ())
 let resolve_domains = function
   | None -> 1
   | Some d when d <= 1 -> 1
-  | Some d -> min d (4 * available_domains ())
+  | Some d -> d
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: cheap global counters for the bench's per-stage rows.    *)
@@ -57,8 +56,7 @@ let resolve_domains = function
 module Telemetry = struct
   type snapshot = {
     jobs : int;  (* parallel jobs submitted to the pool *)
-    chunks : int;  (* chunk claims off a range deque *)
-    steals : int;  (* successful steal-half operations *)
+    chunks : int;  (* index claims off a job's cursor *)
     seq_cutoffs : int;  (* calls completed inside the grace period *)
     restores : int;  (* explorer rollbacks to a journal mark *)
     undo_entries : int;  (* undo-journal entries pushed *)
@@ -69,7 +67,6 @@ module Telemetry = struct
 
   let jobs = Atomic.make 0
   let chunks = Atomic.make 0
-  let steals = Atomic.make 0
   let seq_cutoffs = Atomic.make 0
   let restores = Atomic.make 0
   let undo_entries = Atomic.make 0
@@ -100,7 +97,6 @@ module Telemetry = struct
     {
       jobs = Atomic.get jobs;
       chunks = Atomic.get chunks;
-      steals = Atomic.get steals;
       seq_cutoffs = Atomic.get seq_cutoffs;
       restores = Atomic.get restores;
       undo_entries = Atomic.get undo_entries;
@@ -113,7 +109,6 @@ module Telemetry = struct
     {
       jobs = a.jobs - b.jobs;
       chunks = a.chunks - b.chunks;
-      steals = a.steals - b.steals;
       seq_cutoffs = a.seq_cutoffs - b.seq_cutoffs;
       restores = a.restores - b.restores;
       undo_entries = a.undo_entries - b.undo_entries;
@@ -175,108 +170,6 @@ let run_job width body =
   Array.iter (function Some e -> raise e | None -> ()) exns
 
 (* ------------------------------------------------------------------ *)
-(* Work-stealing range deques.                                         *)
-
-(* A deque cell packs an unprocessed [lo, hi) index range into one OCaml
-   int (31 bits each half), so claiming and stealing are single CASes.
-   The invariant is simply that at every instant each unprocessed index
-   lives in exactly one cell or in exactly one claimed in-flight chunk;
-   [outstanding] counts indices not yet processed (or skipped), which is
-   what participants poll for termination. *)
-let range_limit = 1 lsl 30
-let pack lo hi = (lo lsl 31) lor hi
-let unpack v = (v lsr 31, v land 0x7FFFFFFF)
-
-type sched = { cells : int Atomic.t array; outstanding : int Atomic.t }
-
-let make_sched lo n width =
-  let total = n - lo in
-  {
-    cells =
-      Array.init width (fun j ->
-          Atomic.make (pack (lo + (total * j / width)) (lo + (total * (j + 1) / width))));
-    outstanding = Atomic.make total;
-  }
-
-(* Owner chunks: small enough that stealing and [find_first]'s
-   cancellation watermark stay tight, large enough to keep CAS traffic
-   off the hot path. *)
-let chunk_size len = max 1 (min 16 ((len + 7) / 8))
-
-let rec claim cell =
-  let v = Atomic.get cell in
-  let lo, hi = unpack v in
-  if lo >= hi then None
-  else
-    let lo' = lo + chunk_size (hi - lo) in
-    let lo' = min lo' hi in
-    if Atomic.compare_and_set cell v (pack lo' hi) then begin
-      Atomic.incr Telemetry.chunks;
-      Some (lo, lo')
-    end
-    else claim cell
-
-(* Steal the upper half of the first victim with work left; the caller
-   installs the loot as its own range (so it becomes stealable again). *)
-let steal cells j =
-  let p = Array.length cells in
-  let rec victims k =
-    if k >= p - 1 then None
-    else
-      let cell = cells.((j + 1 + k) mod p) in
-      let v = Atomic.get cell in
-      let lo, hi = unpack v in
-      if hi <= lo then victims (k + 1)
-      else
-        (* The thief takes the upper half [mid, hi); the victim keeps
-           [lo, mid).  At length 1 this degenerates to stealing the
-           whole range (mid = lo), leaving the victim empty. *)
-        let mid = lo + ((hi - lo) / 2) in
-        if Atomic.compare_and_set cell v (pack lo mid) then begin
-          Atomic.incr Telemetry.steals;
-          Some (mid, hi)
-        end
-        else victims k (* re-examine the same victim *)
-  in
-  victims 0
-
-(* One participant's scheduling loop: drain the own cell, steal when
-   dry, finish when every index has been processed (or [stop] fires).
-   [process a b] must account for all of [a, b) by decrementing
-   [outstanding] — processing and skipping count the same. *)
-let run_sched sched j ~stop ~process =
-  let own = sched.cells.(j) in
-  let rec loop idle =
-    if Atomic.get sched.outstanding > 0 && not (stop ()) then
-      match claim own with
-      | Some (a, b) ->
-          process a b;
-          ignore (Atomic.fetch_and_add sched.outstanding (a - b));
-          loop 0
-      | None -> (
-          match steal sched.cells j with
-          | Some (a, b) ->
-              (* Process the first chunk of the loot immediately and
-                 install only the remainder: every successful steal then
-                 makes progress, so two idle thieves can never ping-pong
-                 a small range between their cells without anyone
-                 claiming from it. *)
-              let c = min (a + chunk_size (b - a)) b in
-              Atomic.set own (pack c b);
-              Atomic.incr Telemetry.chunks;
-              process a c;
-              ignore (Atomic.fetch_and_add sched.outstanding (a - c));
-              loop 0
-          | None ->
-              (* Unclaimable work is in flight on other participants;
-                 back off (gently, then with a real sleep so single-core
-                 boxes do not burn a timeslice spinning). *)
-              if idle > 100 then Unix.sleepf 0.0001 else Domain.cpu_relax ();
-              loop (idle + 1))
-  in
-  loop 0
-
-(* ------------------------------------------------------------------ *)
 (* Combinators.                                                        *)
 
 (* What [superseded] reads: the lowest-hit watermark of the parallel job
@@ -300,12 +193,11 @@ let seq_find f lo hi =
 (* The one range driver, for [width > 1] participants and [n > 1]
    indices: the value of [f i] at the smallest [i] where it is [Some],
    as a left-to-right scan returns it.  Indices run inline until the
-   grace period elapses; the rest fans out over the range deques.
-   [lowest], the smallest hit so far, lets participants skip indices
-   that can no longer win.  [map] is the instance whose [f] never
-   hits. *)
-let drive name width n f =
-  if n >= range_limit then invalid_arg ("Pool." ^ name ^ ": range too large");
+   grace period elapses; participants then claim the rest off one
+   cursor.  [lowest], the smallest hit so far, ends a participant's loop
+   at its first claim that can no longer win.  [map] is the instance
+   whose [f] never hits. *)
+let drive width n f =
   let g = Atomic.get cutoff in
   let t0 = now () in
   let rec grace i =
@@ -319,34 +211,35 @@ let drive name width n f =
         let b = Atomic.get lowest in
         if i < b && not (Atomic.compare_and_set lowest b i) then lower i
       in
-      (* A participant's later hit always lies below its earlier one (it
-         was evaluated under the watermark that one set), so one slot
-         each suffices. *)
+      (* A participant stops at its first hit: its next claim is larger,
+         hence at or above [lowest].  So one slot each suffices. *)
       let hits = Array.make width None in
       let failed = Atomic.make false in
-      let sched = make_sched start n width in
+      let cursor = Atomic.make start in
       run_job width (fun j ->
           let pos = Domain.DLS.get position in
           pos.lowest <- lowest;
           Fun.protect ~finally:(fun () -> pos.lowest <- idle) @@ fun () ->
-          run_sched sched j
-            ~stop:(fun () -> Atomic.get failed)
-            ~process:(fun a b ->
-              try
-                for i = a to b - 1 do
-                  if i < Atomic.get lowest then begin
-                    pos.index <- i;
-                    match f i with
-                    | Some v ->
-                        lower i;
-                        hits.(j) <- Some (i, v)
-                    | None -> ()
-                  end
-                done
-              with e ->
-                Atomic.set failed true;
-                ignore (Atomic.fetch_and_add sched.outstanding (a - b));
-                raise e));
+          let rec loop () =
+            if not (Atomic.get failed) then begin
+              let i = Atomic.fetch_and_add cursor 1 in
+              if i < n && i < Atomic.get lowest then begin
+                pos.index <- i;
+                (match f i with
+                | Some v ->
+                    lower i;
+                    hits.(j) <- Some (i, v)
+                | None -> ());
+                loop ()
+              end
+            end
+          in
+          try loop ()
+          with e ->
+            Atomic.set failed true;
+            raise e);
+      (* Every fetch-and-add is one claim, the loop-ending ones included. *)
+      ignore (Atomic.fetch_and_add Telemetry.chunks (Atomic.get cursor - start));
       let best = Atomic.get lowest in
       Array.find_map (function Some (i, v) when i = best -> Some v | _ -> None) hits
   | _, r ->
@@ -356,7 +249,7 @@ let drive name width n f =
 
 let find_first ?domains n f =
   let width = effective_width (resolve_domains domains) in
-  if width <= 1 || n <= 1 then seq_find f 0 n else drive "find_first" width n f
+  if width <= 1 || n <= 1 then seq_find f 0 n else drive width n f
 
 let map ?domains n f =
   let width = effective_width (resolve_domains domains) in
@@ -364,7 +257,7 @@ let map ?domains n f =
   else begin
     let results = Array.make n None in
     ignore
-      (drive "map" width n (fun i ->
+      (drive width n (fun i ->
            results.(i) <- Some (f i);
            None));
     Array.map Option.get results

@@ -1,5 +1,5 @@
-(** Work-stealing domain pool with deterministic result merging: the
-    one place in the library that spawns domains.
+(** Domain pool with deterministic result merging: the one place in
+    the library that spawns domains.
 
     Both combinators evaluate a function on the index range [0, n) and
     combine the per-index results so that the outcome is {e independent
@@ -12,8 +12,8 @@
     rely on.  [map] and [find_first] share one range driver; [map] is
     the scan that never stops early.
     Determinism comes from the {e merge} of per-index results, never
-    from the schedule, so it survives work stealing, chunking, and any
-    clamping of the domain count.
+    from the schedule, so it survives any claim order and any clamping
+    of the domain count.
 
     {2 Execution model}
 
@@ -25,14 +25,11 @@
       elapsed, and only fans out the remainder.  Small scans never spawn
       a domain; a scan that does fan out is guaranteed to carry at least
       a grace period of work, which amortizes the per-job spawn cost.
-    - {b Chunked work-stealing range deques.}  Each participant owns an
-      atomic cell holding its unprocessed [lo, hi) index range.  The
-      owner claims small chunks off the low end (LIFO with respect to
-      its contiguous block); an idle participant steals the {e upper
-      half} of a victim's range (FIFO end), processing the first chunk
-      of the loot directly and installing the rest as its own.  Both
-      operations are one CAS on one integer — there is no shared cursor
-      all domains contend on.
+    - {b One shared cursor.}  Participants claim the remaining indices
+      one at a time off an atomic counter, so indices are handed out in
+      order.  A [find_first] hit usually sits near the front of the
+      range; in-order claims keep every participant there, and a claim
+      at or above the smallest hit so far ends the claimer's loop.
 
     Worker domains are spawned per job and joined before the combinator
     returns — never parked in a persistent pool, because on OCaml 5
@@ -58,10 +55,10 @@ val available_domains : unit -> int
 val resolve_domains : int option -> int
 (** [resolve_domains d] normalizes a user-facing [?domains] knob:
     [None] and values [<= 1] mean sequential (returns 1); [Some k] is
-    clamped to at most [4 * available_domains ()] so a generous CLI flag
-    cannot fork-bomb the runtime.  (The pool itself further clamps a job
-    to its worker count; since determinism is merge-based, the clamp is
-    invisible in results.) *)
+    returned as is.  The pool clamps each job to at most
+    [max 4 (available_domains ())] participants, so a generous CLI flag
+    cannot fork-bomb the runtime; since determinism is merge-based, the
+    clamp is invisible in results. *)
 
 val map : ?domains:int -> int -> (int -> 'a) -> 'a array
 (** [map ~domains n f] is [Array.init n f] evaluated on up to [domains]
@@ -71,11 +68,11 @@ val map : ?domains:int -> int -> (int -> 'a) -> 'a array
 val find_first : ?domains:int -> int -> (int -> 'a option) -> 'a option
 (** [find_first ~domains n f]: the value of [f i] for the {e smallest}
     [i] with [f i <> None] — exactly what a sequential left-to-right
-    [find_map] over the range returns.  Parallel participants share the
-    range by stealing; an atomic lowest-success-so-far watermark lets
-    them skip chunks that can no longer win, so the search degrades
-    gracefully to "evaluate everything below the answer" in the worst
-    case and cancels early in the good case. *)
+    [find_map] over the range returns.  Parallel participants claim the
+    range in index order off one cursor; an atomic lowest-success-so-far
+    watermark stops each of them at its first claim at or above the
+    smallest hit so far, so indices above the answer start only while
+    the answer itself is still being evaluated. *)
 
 val superseded : unit -> bool
 (** [superseded ()], called from inside a [find_first] function, is
@@ -104,8 +101,9 @@ val set_sequential_cutoff : float -> unit
 module Telemetry : sig
   type snapshot = {
     jobs : int;  (** parallel jobs submitted to the pool *)
-    chunks : int;  (** chunk claims off a range deque *)
-    steals : int;  (** successful steal-half operations *)
+    chunks : int;
+        (** index claims off a parallel job's cursor, each participant's
+            loop-ending claim included *)
     seq_cutoffs : int;  (** calls completed inside the grace period *)
     restores : int;
         (** explorer rollbacks to a journal mark ({!Rcons_runtime.Sim.rollback}) *)

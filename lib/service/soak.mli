@@ -4,7 +4,7 @@
     Instances are fully independent simulations (private RNGs, private
     persistency caches, private adversaries), so the fleet is one
     {!Rcons_par.Pool.map} over instance indices: the pool spreads the
-    instances over domains by work stealing, and the merged {!summary}
+    instances over domains by cursor claims, and the merged {!summary}
     -- including the {!summary.s_commit_digest} over every instance's
     commit trace -- is identical for any [domains] count.
     [test/test_service.ml] holds that equality across 1/2/4 domains.

@@ -19,7 +19,7 @@ let domains = 4
 (* Disable the granularity cutoff for the whole test binary: with the
    default 1ms grace period most of these workloads would finish inline
    and never touch the pool, and the determinism suites are only worth
-   running if claiming, stealing and the shared visited store actually
+   running if cursor claims and the shared visited store actually
    execute.  (A dedicated test below re-enables the cutoff and checks the
    inline path separately.) *)
 let () = Rcons_par.Pool.set_sequential_cutoff 0.
@@ -55,20 +55,37 @@ let test_pool_superseded () =
   let r =
     find_first ~domains 64 (fun i ->
         match i with
-        | 0 ->
-            (* Hold the hit at 1 back until an index above it runs. *)
+        | 1 ->
+            (* Hold the hit at 1 back until index 2 has started. *)
             wait_for (fun () -> Atomic.get started);
-            None
-        | 1 -> Some 1
-        | i ->
+            Some 1
+        | 2 ->
             Atomic.set started true;
             wait_for superseded;
             if superseded () then Atomic.set saw true;
-            Some i)
+            Some 2
+        | _ -> None)
   in
   Alcotest.(check (option int)) "smallest hit wins" (Some 1) r;
   Alcotest.(check bool) "an index above the hit saw itself superseded" true (Atomic.get saw);
   Alcotest.(check bool) "false outside a scan" false (superseded ())
+
+(* Claims follow index order, so once the hit at 5 is known no
+   participant starts an index far above it, however long the range;
+   misses are slow so the hit lands while the others are still busy. *)
+let test_pool_find_first_front () =
+  let far = Atomic.make 0 in
+  let r =
+    Rcons_par.Pool.find_first ~domains 1_000_000 (fun i ->
+        if i = 5 then Some i
+        else begin
+          if i > 10_000 then Atomic.incr far;
+          Unix.sleepf 0.001;
+          None
+        end)
+  in
+  Alcotest.(check (option int)) "hit" (Some 5) r;
+  Alcotest.(check int) "indices started above 10 000" 0 (Atomic.get far)
 
 let test_pool_exn_propagates () =
   Alcotest.check_raises "exception crosses domains" (Failure "boom") (fun () ->
@@ -575,6 +592,8 @@ let suite =
   [
     Alcotest.test_case "pool: map" `Quick test_pool_map;
     Alcotest.test_case "pool: find_first" `Quick test_pool_find_first;
+    Alcotest.test_case "pool: find_first starts no index far above its first hit" `Quick
+      test_pool_find_first_front;
     Alcotest.test_case "pool: superseded" `Quick test_pool_superseded;
     Alcotest.test_case "pool: exceptions propagate" `Quick test_pool_exn_propagates;
     Alcotest.test_case "pool: sequential cutoff config" `Quick test_cutoff_config;
