@@ -205,17 +205,22 @@ let list_dir dir =
            let file = Filename.concat dir f in
            (file, info_of_file file))
 
-(* Catalogue types (plus small parametric S_n / T_n instances) whose
-   behaviour matches [fingerprint] at [depth]; the certs CLI uses this
-   to re-anchor an on-disk entry to a live module. *)
-let resolve ~fingerprint ~depth =
-  let pool =
-    List.map (fun (e : Catalogue.expectation) -> e.Catalogue.ot) Catalogue.all
+(* Catalogue types plus small parametric S_n / T_n instances, built
+   once: [Object_type.fingerprint] memoizes by physical identity, so a
+   fresh [Tn.make]/[Sn.make] per call would be fingerprinted anew. *)
+let resolve_pool =
+  lazy
+    (List.map (fun (e : Catalogue.expectation) -> e.Catalogue.ot) Catalogue.all
     @ List.concat_map
         (fun n -> [ (Catalogue.tn n).Catalogue.ot; (Catalogue.sn n).Catalogue.ot ])
-        [ 2; 3; 4; 5; 6 ]
-  in
-  List.find_opt (fun ot -> Object_type.fingerprint_t ~depth ot = fingerprint) pool
+        [ 2; 3; 4; 5; 6 ])
+
+(* The pool type whose behaviour matches [fingerprint] at [depth]; the
+   certs CLI uses this to re-anchor an on-disk entry to a live module. *)
+let resolve ~fingerprint ~depth =
+  List.find_opt
+    (fun ot -> Object_type.fingerprint_t ~depth ot = fingerprint)
+    (Lazy.force resolve_pool)
 
 let revalidate_info (info : info) json =
   match resolve ~fingerprint:info.fingerprint ~depth:info.depth with

@@ -83,9 +83,13 @@ let readable (Pack (module T)) = T.readable
 let fingerprint_state_cap = 100_000
 
 (* A fingerprint is a pure function of the module value and the depth,
-   and the catalogue's modules are top-level values handed out over and
-   over, so memoize by physical identity (a handful of modules per
-   process; linear scan is fine).  Guarded for multi-domain callers. *)
+   and the catalogue's fixed types are top-level values handed out over
+   and over, so memoize by physical identity (a handful of modules per
+   process; linear scan is fine).  The parametric [Sn.make]/[Tn.make]
+   and [Stack.spec]-style constructors build a fresh module per call,
+   which never hits: a caller that fingerprints one repeatedly keeps
+   the value (as [Cert_cache.resolve]'s pool does).  Guarded for
+   multi-domain callers. *)
 let fp_memo : (Obj.t * int * string) list ref = ref []
 let fp_memo_lock = Mutex.create ()
 
@@ -98,10 +102,40 @@ let fp_memo_find key depth =
 let fp_memo_add key depth fp =
   Mutex.protect fp_memo_lock (fun () -> fp_memo := (key, depth, fp) :: !fp_memo)
 
+(* The text is written into fixed [fingerprint_piece] pieces as it
+   grows (no doubling, no dead copies) and joined once, at its exact
+   length, for the digest. *)
+let fingerprint_piece = 65_536
+
 let fingerprint_uncached (type s o r) ~depth
     (module T : S with type state = s and type op = o and type resp = r) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "rcons-fp-v1 depth=%d readable=%b " depth T.readable);
+  let pieces = ref [] in
+  let piece = ref (Bytes.create fingerprint_piece) in
+  let pos = ref 0 in
+  let add_char c =
+    if !pos = fingerprint_piece then begin
+      pieces := Bytes.unsafe_to_string !piece :: !pieces;
+      piece := Bytes.create fingerprint_piece;
+      pos := 0
+    end;
+    Bytes.unsafe_set !piece !pos c;
+    incr pos
+  in
+  let add_string s =
+    let n = String.length s in
+    if !pos + n <= fingerprint_piece then begin
+      Bytes.unsafe_blit_string s 0 !piece !pos n;
+      pos := !pos + n
+    end
+    else String.iter add_char s
+  in
+  (* decimal digits straight into the text; every int written is an
+     index or a count, so non-negative *)
+  let rec add_int i =
+    if i >= 10 then add_int (i / 10);
+    add_char (Char.unsafe_chr (48 + (i mod 10)))
+  in
+  add_string (Printf.sprintf "rcons-fp-v1 depth=%d readable=%b " depth T.readable);
   (* state identity: digest -> BFS index; the frontier carries each
      state's index so a dequeued state is not digested again *)
   let index : (string, int) Hashtbl.t = Hashtbl.create 64 in
@@ -118,11 +152,22 @@ let fingerprint_uncached (type s o r) ~depth
         if level < depth && i < fingerprint_state_cap then Stdlib.Queue.add (q, level, i) frontier;
         i
   in
-  let add_int i = Buffer.add_string buf (string_of_int i) in
+  (* a response's hex digest, memoized on the marshalled bytes it
+     hashes (a type has few distinct responses) *)
+  let resp_hex : (string, string) Hashtbl.t = Hashtbl.create 16 in
+  let hex r =
+    let m = digest r in
+    match Hashtbl.find_opt resp_hex m with
+    | Some h -> h
+    | None ->
+        let h = Stdlib.Digest.to_hex (Stdlib.Digest.string m) in
+        Hashtbl.add resp_hex m h;
+        h
+  in
   let ops = Array.of_list T.update_ops in
-  Buffer.add_string buf (Printf.sprintf "ops=%d " (Array.length ops));
+  add_string (Printf.sprintf "ops=%d " (Array.length ops));
   List.iter
-    (fun q -> Buffer.add_string buf (Printf.sprintf "init:%d " (intern ~level:0 q)))
+    (fun q -> add_string (Printf.sprintf "init:%d " (intern ~level:0 q)))
     T.candidate_initial_states;
   (* One "qi.oi->qj;<response digest> " record per transition. *)
   while not (Stdlib.Queue.is_empty frontier) do
@@ -132,17 +177,18 @@ let fingerprint_uncached (type s o r) ~depth
         let q', r = T.apply q op in
         let qj = intern ~level:(level + 1) q' in
         add_int qi;
-        Buffer.add_char buf '.';
+        add_char '.';
         add_int oi;
-        Buffer.add_string buf "->";
+        add_string "->";
         add_int qj;
-        Buffer.add_char buf ';';
-        Buffer.add_string buf (Stdlib.Digest.to_hex (Stdlib.Digest.string (digest r)));
-        Buffer.add_char buf ' ')
+        add_char ';';
+        add_string (hex r);
+        add_char ' ')
       ops
   done;
-  if !next >= fingerprint_state_cap then Buffer.add_string buf "truncated";
-  Stdlib.Digest.to_hex (Stdlib.Digest.string (Buffer.contents buf))
+  if !next >= fingerprint_state_cap then add_string "truncated";
+  pieces := Bytes.sub_string !piece 0 !pos :: !pieces;
+  Stdlib.Digest.to_hex (Stdlib.Digest.string (String.concat "" (List.rev !pieces)))
 
 let fingerprint (type s o r) ?(depth = 8)
     (module T : S with type state = s and type op = o and type resp = r) =

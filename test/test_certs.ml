@@ -61,6 +61,75 @@ let catalogue_types () =
   List.map (fun e -> e.Rcons_spec.Catalogue.ot) Rcons_spec.Catalogue.all
   @ [ Rcons_spec.Sn.make 3; Rcons_spec.Tn.make 3; Rcons_spec.Sn.make 4 ]
 
+(* The on-disk cache key, pinned byte for byte: a fingerprint change
+   silently invalidates every stored certificate, so any rewrite of
+   [Object_type.fingerprint] must reproduce these.  Depth 8 is the key
+   of the committed seed, depth 12 the one [classify --limit 12] writes. *)
+let fingerprint_pins =
+  [
+    ("register(2)", "cfdc97ed2894a2ab7476f5541d1d0ccb", "8fba9c7b31827a409e3cdb1aa3bf0c8e");
+    ("test-and-set", "50db846c31247b2ab1c7e5b88d836515", "887c5dbf3b0dc64b3a27dafb14e84e81");
+    ("swap(2)", "b0b60273d2e18f455fc4ecdbdffe9225", "4cf28c2ff1443c9c7bde292f2326c1c4");
+    ("fetch&add(mod 8)", "1545606598b0f7dca0f1cc5b6837c5bd", "d6196a068e6c6e07aae3c74f5fe5cbdb");
+    ("flip-bit", "98444fca0eae25adc410c289324ddd87", "2f16936020826c15dfaa4d1be7649e82");
+    ("max-register(2)", "360da939acb30a4db7ba2e6ae7180023", "5112bbc66e13493dab4ba06feaa3990a");
+    ("stack(2)", "f19c33383f0716e0f3ce055be767b798", "b827e9b6d3d74abf8bc3817052f92371");
+    ("queue(2)", "2e2974a45d9eebd2ece6c4a6ae7fe941", "41c520c3dcca843922c94a2754fe8460");
+    ("readable-stack(2)", "52bbfdfd313f437745d9785ada3139ed", "56c5eae4d84400e6c2940ae5c4476c7d");
+    ("readable-queue(2)", "d9fd1c53258a6df755320f7c5a64b1bb", "77aa54c6e04a3beb647f1eeacac25175");
+    ("sticky-bit", "340064326edb96becb0200830a6f41ce", "8fb9dc724f58acd34e44b7d0b4b0b40a");
+    ("compare&swap(2)", "03da904f7b3332bcf574f8c46d416d5b", "4df0d0923a5593632500cbbb89ca117f");
+    ("consensus-object", "340064326edb96becb0200830a6f41ce", "8fb9dc724f58acd34e44b7d0b4b0b40a");
+    ("S_3", "25cd655a0440a0f2d897950d6ec2c866", "53d157497fa92914e5c3d872f1110863");
+    ("T_3", "7273ada8d38ece3d96e4aa8c0c4b8bc6", "04147c85c304aaf2abcf2709484fa573");
+  ]
+
+let pinned_types () =
+  List.map (fun e -> e.Rcons_spec.Catalogue.ot) Rcons_spec.Catalogue.all
+  @ [ Rcons_spec.Sn.make 3; Rcons_spec.Tn.make 3 ]
+
+(* [stack(2)] except that [Pop] on the empty stack answers [Popped (Some 0)]:
+   one response differs, so the fingerprint must too. *)
+module Odd_pop_stack = struct
+  include (val Rcons_spec.Stack.spec ~domain:2 ~readable:false)
+
+  let apply q op =
+    match (op, q) with
+    | Rcons_spec.Stack.Pop, [] -> ([], Rcons_spec.Stack.Popped (Some 0))
+    | _ -> apply q op
+end
+
+let test_fingerprint_pins () =
+  let types = pinned_types () in
+  Alcotest.(check (list string))
+    "pinned types" (List.map (fun (n, _, _) -> n) fingerprint_pins) (List.map OT.name types);
+  let fp depth name = OT.fingerprint_t ~depth (List.find (fun ot -> OT.name ot = name) types) in
+  List.iter
+    (fun (name, d8, d12) ->
+      Alcotest.(check string) (name ^ " @8") d8 (fp 8 name);
+      Alcotest.(check string) (name ^ " @12") d12 (fp 12 name))
+    fingerprint_pins;
+  List.iter
+    (fun depth ->
+      let at = Printf.sprintf " @%d" depth in
+      Alcotest.(check string) ("catalogue aliases share" ^ at) (fp depth "sticky-bit")
+        (fp depth "consensus-object");
+      Alcotest.(check bool) ("readability is hashed" ^ at) false
+        (fp depth "stack(2)" = fp depth "readable-stack(2)");
+      Alcotest.(check bool) ("responses are hashed" ^ at) false
+        (fp depth "stack(2)" = OT.fingerprint ~depth (module Odd_pop_stack)))
+    [ 8; 12 ]
+
+(* [resolve] searches one pool built once, so repeated look-ups hand
+   back the same module (and hit the fingerprint memo). *)
+let test_resolve_pool_shared () =
+  let fingerprint = OT.fingerprint_t (Rcons_spec.Sn.make 3) in
+  match (Cert_cache.resolve ~fingerprint ~depth:8, Cert_cache.resolve ~fingerprint ~depth:8) with
+  | Some a, Some b ->
+      Alcotest.(check string) "resolves to S_3" "S_3" (OT.name a);
+      Alcotest.(check bool) "same module both times" true (a == b)
+  | _ -> Alcotest.fail "S_3's fingerprint does not resolve"
+
 (* Round-trip every catalogue type at n = 2..4 and then revalidate every
    file on disk through the fingerprint-anchored CLI path. *)
 let test_roundtrip_catalogue () =
@@ -340,6 +409,8 @@ let test_recording_witness_cache_independent () =
 
 let suite =
   [
+    Alcotest.test_case "fingerprint bytes pinned at depths 8 and 12" `Quick test_fingerprint_pins;
+    Alcotest.test_case "resolve reuses one pool" `Quick test_resolve_pool_shared;
     Alcotest.test_case "catalogue round-trip + revalidate" `Quick test_roundtrip_catalogue;
     test_roundtrip_random;
     Alcotest.test_case "candidate count matches enumeration" `Quick test_candidate_count;
