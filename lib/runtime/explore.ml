@@ -551,6 +551,26 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
       Sim.abandon (fst !live);
       live := replay prefix
     in
+    (* Return the live system to a fork's restore point; [prefix] is the
+       fork point's. *)
+    let restore t prefix = function
+      | Elided -> ()
+      | Mark m -> Sim.rollback t m
+      | Replay -> rebuild prefix
+    in
+    (* Do choices [u] and [c] commute at a node that has used
+       [crashes_used] crashes and whose processes are poised on the
+       footprints [fps]?  (por only.) *)
+    let indep fps crashes_used u c =
+      match (u, c) with
+      | Step_choice p, Step_choice q ->
+          p <> q && Rcons_spec.Footprint.independent fps.(p) fps.(q)
+      | Crash_choice p, Crash_choice q ->
+          (* Swapping two crashes needs both executable in either
+             order, i.e. two remaining crash credits. *)
+          p <> q && max_crashes - crashes_used >= 2
+      | Crash_choice p, Step_choice q | Step_choice q, Crash_choice p -> p <> q && eager_model
+    in
     let rec expand prefix depth crashes_used resume sleep_in =
       (* Read only at node entry: a [Rebuild] restore swaps the system. *)
       let t = fst !live in
@@ -568,17 +588,6 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
                   | None -> Rcons_spec.Footprint.Global)
             end
             else [||]
-          in
-          let indep u c =
-            match (u, c) with
-            | Step_choice p, Step_choice q ->
-                p <> q && Rcons_spec.Footprint.independent fps.(p) fps.(q)
-            | Crash_choice p, Crash_choice q ->
-                (* Swapping two crashes needs both executable in either
-                   order, i.e. two remaining crash credits. *)
-                p <> q && max_crashes - crashes_used >= 2
-            | Crash_choice p, Step_choice q | Step_choice q, Crash_choice p ->
-                p <> q && eager_model
           in
           (* Position of the resume cursor among this node's children:
              children before it were fully explored (or pruned asleep)
@@ -636,7 +645,7 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
                 | Step_choice _ -> crashes_used
               in
               let child_sleep =
-                if por then List.filter (fun u -> indep u c) !sleep else []
+                if por then List.filter (fun u -> indep fps crashes_used u c) !sleep else []
               in
               (* The restore point of this fork, taken before the child
                  is entered. *)
@@ -644,19 +653,13 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
                 if k = last then Elided
                 else match backtrack with Rollback -> Mark (Sim.mark t) | Rebuild -> Replay
               in
-              let restore () =
-                match point with
-                | Elided -> ()
-                | Mark m -> Sim.rollback t m
-                | Replay -> rebuild prefix
-              in
               (if on_path then begin
                  (* Re-descend the checkpoint spine: counted and (in
                     dedup mode) claimed before the interrupt, so
                     neither is repeated. *)
                  descend c prefix';
                  expand prefix' depth' crashes' resume_rest child_sleep;
-                 restore ()
+                 restore t prefix point
                end
                else begin
                  cnt.c_nodes <- cnt.c_nodes + 1;
@@ -680,7 +683,7 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
                      else begin
                        descend c prefix';
                        expand prefix' depth' crashes' [] child_sleep;
-                       restore ()
+                       restore t prefix point
                      end
                  | Some vset ->
                      (* Dedup mode: position the child even at the
@@ -691,11 +694,11 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
                      if claim vset cnt (fst !live) child_sleep depth' then begin
                        if frontier then emit prefix' crashes' child_sleep
                        else expand prefix' depth' crashes' [] child_sleep;
-                       restore ()
+                       restore t prefix point
                      end
                      else begin
                        cnt.c_dedup_hits <- cnt.c_dedup_hits + 1;
-                       restore ()
+                       restore t prefix point
                      end
                end);
               (* The child's subtree is now fully covered (explored

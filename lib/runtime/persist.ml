@@ -99,12 +99,23 @@ let restore saved = Domain.DLS.set key saved
 (* The step context: which (cache, pid) is executing a simulator step
    right now on this domain.  [Sim.step_proc] brackets each step of a
    cache-backed system with it; writes performed outside any step
-   (set-up [poke]s) see no context and persist immediately. *)
-let ctx : (cache * int) option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+   (set-up [poke]s) see no context and persist immediately.  A process
+   builds its context once ([step_ctx], at [Sim.create]), so a step
+   allocates nothing to install it. *)
+type step_ctx = (cache * int) option
 
-let in_step c pid f =
-  Domain.DLS.set ctx (Some (c, pid));
-  Fun.protect ~finally:(fun () -> Domain.DLS.set ctx None) f
+let ctx : step_ctx Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let step_ctx c pid : step_ctx = Some (c, pid)
+
+let in_step sc f x =
+  Domain.DLS.set ctx sc;
+  match f x with
+  | v ->
+      Domain.DLS.set ctx None;
+      v
+  | exception e ->
+      Domain.DLS.set ctx None;
+      raise e
 
 let no_touch () = ()
 

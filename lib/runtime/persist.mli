@@ -73,10 +73,19 @@ val restore : cache option -> unit
 
 (** {2 Hooks for [Sim] and [Cell]} *)
 
-val in_step : cache -> int -> (unit -> 'a) -> 'a
-(** Bracket one simulator step of pid [i] on a cache-backed system:
-    establishes the (cache, pid) step context that [attach], [dirty],
-    [fence_here], {!barrier_steps} and {!barriers} consult. *)
+type step_ctx
+(** The (cache, pid) context of one process's steps on a cache-backed
+    system. *)
+
+val step_ctx : cache -> int -> step_ctx
+(** The context of pid [i]'s steps; [Sim.create] builds one per
+    process. *)
+
+val in_step : step_ctx -> ('a -> 'b) -> 'a -> 'b
+(** [in_step sc f x] brackets one simulator step: it runs [f x] under
+    the step context that [attach], [dirty], [fence_here],
+    {!barrier_steps} and {!barriers} consult, and clears it however
+    [f] exits. *)
 
 val barrier_steps : unit -> int
 (** Steps one flush/fence barrier takes in the system executing the

@@ -20,17 +20,18 @@ type _ Effect.t +=
 exception Crashed
 (* Raised inside a discarded continuation to unwind it cleanly. *)
 
-(* The rollback rebuild's feed source ([Sim.rollback]): while a rebuild
-   is re-running a process body, [step] consumes the recorded value of
-   each completed step directly -- no effect, no suspension -- and only
-   performs (suspending the body where the original run was suspended)
-   once the source is exhausted.  [no_feed] is the distinguished "not
-   rebuilding" state, so the normal path pays one domain-local load and
-   a physical-equality test. *)
-let no_feed : unit -> Obj.t option = fun () -> None
+(* The rollback rebuild's feed cursor ([rebuild]): while a rebuild is
+   re-running a process body, [step] hands back [src.(pos)], the
+   recorded value of the next completed step, directly -- no effect, no
+   suspension -- and only performs (suspending the body where the
+   original run was suspended) once [pos] reaches [len].  The cursor is
+   one domain-local record, empty ([pos = len]) outside a rebuild, so
+   the normal path pays one domain-local load and one comparison, and a
+   fed value costs no allocation. *)
+type feed = { mutable src : Obj.t array; mutable pos : int; mutable len : int }
 
-let feed_key : (unit -> Obj.t option) ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref no_feed)
+let feed_key : feed Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { src = [||]; pos = 0; len = 0 })
 
 (* [label] optionally names the shared object the access touches; the
    critical-execution explorer reads it off suspended processes to
@@ -41,24 +42,35 @@ let feed_key : (unit -> Obj.t option) ref Domain.DLS.key =
    steps commute. *)
 let step ?label ?fp f =
   let r = Domain.DLS.get feed_key in
-  if !r == no_feed then Effect.perform (Step (label, fp, f))
-  else
-    match !r () with
-    | Some v ->
-        (* Feeding: the cast is safe because the body is deterministic,
-           so the k-th step of a given run has one type and the recorded
-           value came from that very position.  The step thunk is
-           skipped: its heap effects were rolled back and must not
-           re-apply.  Trace and vlog were journal-restored. *)
-        Obj.obj v
-    | None -> Effect.perform (Step (label, fp, f))
+  if r.pos < r.len then begin
+    (* Feeding: the cast is safe because the body is deterministic, so
+       the k-th step of a given run has one type and the recorded value
+       came from that very position.  The step thunk is skipped: its
+       heap effects were rolled back and must not re-apply.  Trace and
+       vlog were journal-restored. *)
+    let v = r.src.(r.pos) in
+    r.pos <- r.pos + 1;
+    Obj.obj v
+  end
+  else Effect.perform (Step (label, fp, f))
+
+(* What a process does at its next step: nothing ([Done]: the run has
+   returned, or its step is executing right now), run its body from the
+   beginning ([Start]), or run the thunk of the step it is suspended on
+   and continue the body with its value ([Suspended]).  One field, set
+   by the effect handler with a single allocation per step; a crash
+   unwinds a [Suspended] continuation ([discard]). *)
+type pending =
+  | Done
+  | Start
+  | Suspended : (unit -> 'a) * ('a, unit) Effect.Deep.continuation -> pending
 
 type proc = {
   id : int;
   body : unit -> unit;
   tracing : bool; (* record the volatile observation trace (fingerprinting)? *)
-  mutable resume : (unit -> unit) option; (* None = this run has finished *)
-  mutable discard : (unit -> unit) option; (* unwinds a pending continuation *)
+  sc : Persist.step_ctx option; (* its step context on a cache-backed system *)
+  mutable pending : pending;
   mutable pending_label : string option; (* label of the suspended access *)
   mutable pending_fp : Rcons_spec.Footprint.t option; (* footprint of same *)
   mutable started : bool; (* has taken a step since its last (re)start *)
@@ -74,9 +86,9 @@ type proc = {
   (* Undo-engine state.  One-shot continuations cannot be snapshotted,
      so [rollback] rebuilds a process's continuation by re-running its
      body and feeding back the values its completed steps returned this
-     run ([vlog], recorded while an undo journal is installed): the step
-     thunks themselves are skipped, so the rebuild costs
-     O(steps since last restart) closure resumptions and no
+     run ([vlog], recorded while an undo journal is installed) through
+     the [feed] cursor: the step thunks themselves are skipped, so the
+     rebuild costs one body run up to the suspension point and no
      shared-memory re-execution.  After [s] step_procs since a
      (re)start the run has completed [s - 1] step thunks (the first
      step_proc only advances the body to its first suspension), so
@@ -138,44 +150,52 @@ let run_body p =
     {
       retc =
         (fun () ->
-          p.resume <- None;
-          p.discard <- None;
+          p.pending <- Done;
           p.fin <- true);
       exnc = raise;
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
           | Step (label, fp, f) ->
-              Some
-                (fun (k : (a, _) continuation) ->
-                  p.pending_label <- label;
-                  p.pending_fp <- fp;
-                  p.resume <-
-                    Some
-                      (fun () ->
-                        let v = f () in
-                        if Undo.h_installed p.uh then push_vlog p (Obj.repr v);
-                        if p.tracing then p.trace <- chain p.trace v;
-                        continue k v);
-                  p.discard <-
-                    Some
-                      (fun () ->
-                        match discontinue k Crashed with
-                        | () -> ()
-                        | exception Crashed -> ()))
+              p.pending_label <- label;
+              p.pending_fp <- fp;
+              Some (fun (k : (a, _) continuation) -> p.pending <- Suspended (f, k))
           | _ -> None);
     }
 
+(* Take [p]'s next step: the body of [step_proc], inside the step
+   context.  The body runs until its next suspension (the handler sets
+   [pending] again) or until it returns. *)
+let resume p =
+  let pd = p.pending in
+  p.pending <- Done;
+  match pd with
+  | Suspended (f, k) ->
+      let v = f () in
+      if Undo.h_installed p.uh then push_vlog p (Obj.repr v);
+      if p.tracing then p.trace <- chain p.trace v;
+      Effect.Deep.continue k v
+  | Start -> run_body p
+  | Done -> () (* [step_proc] refuses a finished process *)
+
+(* Unwind a suspended continuation: dropping one without discontinuing
+   it leaks its fiber stack, which lives outside the OCaml heap. *)
+let discard p =
+  match p.pending with
+  | Suspended (_, k) -> (
+      p.pending <- Done;
+      match Effect.Deep.discontinue k Crashed with () -> () | exception Crashed -> ())
+  | Start | Done -> p.pending <- Done
+
 let arm p =
   p.started <- false;
-  p.discard <- None;
+  p.pending <- Start;
   p.pending_label <- None;
   p.pending_fp <- None;
   p.trace <- trace0;
   p.vlen <- 0;
   p.fin <- false;
-  p.stale <- false; (* a fresh starter needs no rebuild *)
-  p.resume <- Some (fun () -> run_body p)
+  p.stale <- false (* a fresh starter needs no rebuild *)
 
 let create ~n body_of =
   let heap = Heap.current () in
@@ -187,8 +207,8 @@ let create ~n body_of =
             id;
             body = body_of id;
             tracing = heap <> None;
-            resume = None;
-            discard = None;
+            sc = Option.map (fun c -> Persist.step_ctx c id) cache;
+            pending = Done;
             pending_label = None;
             pending_fp = None;
             started = false;
@@ -212,8 +232,10 @@ let cache t = t.cache
 
 (* The LOGICAL run state.  A [stale] process (rolled back, continuation
    not yet rebuilt -- see [rebuild]) answers from its journal-restored
-   [fin] flag: its [resume] still belongs to the abandoned branch. *)
-let proc_finished p = if p.stale then p.fin else p.resume = None
+   [fin] flag: its [pending] still belongs to the abandoned branch. *)
+let proc_finished p =
+  if p.stale then p.fin else match p.pending with Done -> true | Start | Suspended _ -> false
+
 let finished t i = proc_finished t.procs.(i)
 let all_finished t = Array.for_all proc_finished t.procs
 let started t i = t.procs.(i).started
@@ -241,42 +263,47 @@ let check_pid t i fn =
 (* Rebuild a process whose continuation a rollback invalidated.  The
    journal already restored every plain field to the mark's state; what
    cannot be restored is the one-shot continuation, so it is re-created
-   by re-running the body with [feed_key] pointing at the restored value
+   by re-running the body with the [feed] cursor over the restored value
    log: [step] hands each recorded value straight back without
    suspending (no effect, no thunk -- the heap effects were rolled back
    and must not re-apply), so the body runs in one stretch to exactly
    where the original run was suspended and performs one real effect
    there.  The rebuild runs under [Undo.with_feeding]: journal recording
    is off, and the bookkeeping between steps ([Undo.aside]) is skipped,
-   since the rollback already restored it. *)
+   since the rollback already restored it.  The cursor is put back
+   however the body exits. *)
 let rebuild p =
-  (match p.discard with Some d -> d () | None -> ());
-  p.discard <- None;
-  p.resume <- None;
+  discard p;
   if p.fin then () (* the run had returned: nothing is suspended *)
   else if (not p.started) && p.vlen = 0 then
-    (* freshly (re)armed and never stepped: recreate the starter *)
-    p.resume <- Some (fun () -> run_body p)
+    (* freshly (re)armed and never stepped: back to the starter *)
+    p.pending <- Start
   else begin
     let r = Domain.DLS.get feed_key in
-    let idx = ref 0 in
-    let take () =
-      if !idx < p.vlen then begin
-        let v = p.vlog.(!idx) in
-        incr idx;
-        Some v
-      end
-      else None
+    let src = r.src and pos = r.pos and len = r.len in
+    r.src <- p.vlog;
+    r.pos <- 0;
+    r.len <- p.vlen;
+    let fed =
+      match Undo.with_feeding run_body p with
+      | () ->
+          let fed = r.pos in
+          r.src <- src;
+          r.pos <- pos;
+          r.len <- len;
+          fed
+      | exception e ->
+          r.src <- src;
+          r.pos <- pos;
+          r.len <- len;
+          raise e
     in
-    let saved = !r in
-    r := take;
-    Fun.protect
-      ~finally:(fun () -> r := saved)
-      (fun () -> Undo.with_feeding (fun () -> run_body p));
-    if !idx < p.vlen then
-      invalid_arg "Sim.rollback: rebuild desynchronized (body finished early)";
-    if p.resume = None && not p.fin then
-      invalid_arg "Sim.rollback: rebuild desynchronized (body did not re-suspend)"
+    if fed < p.vlen then invalid_arg "Sim.rollback: rebuild desynchronized (body finished early)";
+    match p.pending with
+    | Suspended _ -> ()
+    | Start | Done ->
+        if not p.fin then
+          invalid_arg "Sim.rollback: rebuild desynchronized (body did not re-suspend)"
   end;
   p.stale <- false
 
@@ -293,16 +320,15 @@ let step_proc t i =
      rollback, never pay for a rebuild. *)
   (* A rebuild re-runs the body, whose barriers size themselves from the
      step context: it runs inside the system's cache, like a step. *)
-  if p.stale then (
-    match t.cache with None -> rebuild p | Some c -> Persist.in_step c i (fun () -> rebuild p));
-  match p.resume with
-  | None ->
+  if p.stale then (match p.sc with None -> rebuild p | Some sc -> Persist.in_step sc rebuild p);
+  match p.pending with
+  | Done ->
       invalid_arg
         (Printf.sprintf
            "Sim.step_proc: process %d has finished (crash it to restart it, or \
             consult [finished] before stepping)"
            i)
-  | Some r ->
+  | Start | Suspended _ ->
       (* One journal entry per step covers every plain field the step
          (and the continuation machinery it triggers) may change.  The
          continuation itself cannot be restored -- popping this entry
@@ -328,12 +354,10 @@ let step_proc t i =
             p.fin <- fin;
             p.stale <- true)
       end;
-      p.resume <- None;
-      p.discard <- None;
       p.started <- true;
       p.step_count <- p.step_count + 1;
       t.total_steps <- t.total_steps + 1;
-      (match t.cache with None -> r () | Some c -> Persist.in_step c i r);
+      (match p.sc with None -> resume p | Some sc -> Persist.in_step sc resume p);
       true
 
 (* Crash process [i]: its local state (continuation) is lost, the shared
@@ -373,7 +397,7 @@ let crash t i =
         p.fin <- fin;
         p.stale <- true)
   end;
-  (match p.discard with Some d -> d () | None -> ());
+  discard p;
   (match t.cache with
   | None -> ()
   | Some c -> Persist.on_crash c ~pid:i ~crashes:p.crash_count);
@@ -421,12 +445,7 @@ let fence () =
    particular -- must call this before dropping a system. *)
 let abandon t =
   if not t.dead then begin
-    Array.iter
-      (fun p ->
-        (match p.discard with Some d -> d () | None -> ());
-        p.discard <- None;
-        p.resume <- None)
-      t.procs;
+    Array.iter discard t.procs;
     t.dead <- true
   end
 
@@ -499,7 +518,7 @@ let add_proc_section ~graded b p =
     Buffer.add_char b ',';
     Buffer.add_string b (string_of_int p.crash_count)
   end;
-  (* [proc_finished], not [p.resume]: a stale proc's [resume] belongs to
+  (* [proc_finished], not [p.pending]: a stale proc's [pending] belongs to
      the abandoned branch, but [fin]/[started]/[pending_label]/[trace]
      are journal-restored, so the section stays byte-identical to a
      rebuilt (or replayed) proc's. *)

@@ -132,9 +132,18 @@ val abandon : t -> unit
     {!rollback} rebuilds each affected process by re-running its body
     and feeding back the values its completed steps returned (recorded
     while the journal is installed), skipping the step thunks — the
-    heap effects were already rolled back.  The rebuilt process is
-    poised on exactly the step it was poised on at the mark, and step
-    results keep their physical identity. *)
+    heap effects were already rolled back.  The values come off one
+    domain-local cursor over the process's value log, so feeding
+    allocates nothing, and the cursor is put back however the body
+    exits.  The rebuilt process is poised on exactly the step it was
+    poised on at the mark, and step results keep their physical
+    identity.
+
+    A process's suspended state is one field: done, about to start its
+    body, or suspended on a step with that step's thunk and
+    continuation.  The effect handler allocates that one block per
+    step; a crash, a rebuild or {!abandon} discontinues the
+    continuation it holds. *)
 
 type mark
 (** A point in the current schedule, valid while the journal that

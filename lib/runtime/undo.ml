@@ -75,13 +75,19 @@ let uninstall () =
 let recording () =
   match !(Domain.DLS.get key) with Some j -> j.live && not j.feed | None -> false
 
-let with_feeding f =
+let with_feeding f x =
   match !(Domain.DLS.get key) with
-  | None -> f ()
-  | Some j ->
+  | None -> f x
+  | Some j -> (
       let saved = j.feed in
       j.feed <- true;
-      Fun.protect ~finally:(fun () -> j.feed <- saved) f
+      match f x with
+      | v ->
+          j.feed <- saved;
+          v
+      | exception e ->
+          j.feed <- saved;
+          raise e)
 
 (* The handle is the domain's journal slot itself: [install]/[uninstall]
    mutate the slot's contents, never replace the slot, so a handle

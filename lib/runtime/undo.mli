@@ -61,9 +61,10 @@ val aside : (unit -> unit -> unit) -> unit
     rollback has already restored its effect.  No module outside the
     runtime touches the journal any other way. *)
 
-val with_feeding : (unit -> 'a) -> 'a
-(** Run with recording off and {!aside} mutations skipped: the state
-    of [Sim.rollback]'s continuation rebuild (exception-safe). *)
+val with_feeding : ('a -> 'b) -> 'a -> 'b
+(** [with_feeding f x] runs [f x] with recording off and {!aside}
+    mutations skipped: the state of [Sim.rollback]'s continuation
+    rebuild.  The previous state is back however [f] exits. *)
 
 (** {2 Hot-path handles}
 

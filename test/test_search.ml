@@ -294,6 +294,154 @@ let qcheck_rollback_fingerprint =
                      USim.rollback t m;
                      USim.fingerprint_digest t = fp)))))
 
+(* qcheck: [Outputs] keeps its agreement/validity verdict as it records,
+   and the same [Undo.aside] inverse puts it back on rollback.  On random
+   [record] sequences interleaved with marks and rollbacks, the verdict
+   equals the list definition recomputed from [Outputs.all], and
+   [check_exn] reports agreement before validity. *)
+module UOutputs = Rcons_algo.Outputs
+
+type outputs_op = Record of int * int | Mark | Rollback
+
+let qcheck_outputs_verdict =
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 0 30)
+        (frequency
+           [
+             (6, map2 (fun pid v -> Record (pid, v)) (int_bound 2) (int_bound 4));
+             (2, pure Mark);
+             (2, pure Rollback);
+           ]))
+  in
+  let print ops =
+    String.concat ";"
+      (List.map
+         (function
+           | Record (pid, v) -> Printf.sprintf "r%d=%d" pid v | Mark -> "mark" | Rollback -> "back")
+         ops)
+  in
+  let inputs = [| 1; 2; 3 |] in
+  (* The list definitions, from the full output history. *)
+  let agreement l = match l with [] -> true | v :: rest -> List.for_all (( = ) v) rest in
+  let validity l = List.for_all (fun v -> Array.mem v inputs) l in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"outputs verdict = list definition under rollback" ~print
+       gen
+       (fun ops ->
+         UUndo.install ();
+         Fun.protect ~finally:UUndo.uninstall (fun () ->
+             let o = UOutputs.make ~inputs in
+             (* marks, each with the history it must restore *)
+             let marks = ref [] in
+             let agrees () =
+               let all = UOutputs.all o in
+               let reported = ref [] in
+               UOutputs.check_exn ~fail:(fun m -> reported := m :: !reported) o;
+               let expected =
+                 (if agreement all then [] else [ "agreement violated" ])
+                 @ if validity all then [] else [ "validity violated" ]
+               in
+               UOutputs.agreement_ok o = agreement all
+               && UOutputs.validity_ok o = validity all
+               && List.rev !reported = expected
+             in
+             List.for_all
+               (fun op ->
+                 (match op with
+                 | Record (pid, v) -> UOutputs.record o pid v
+                 | Mark -> marks := (UUndo.mark (), UOutputs.all o) :: !marks
+                 | Rollback -> (
+                     match !marks with
+                     | [] -> ()
+                     | (m, all) :: rest ->
+                         marks := rest;
+                         UUndo.rollback_to m;
+                         if UOutputs.all o <> all then Alcotest.fail "rollback lost the history"));
+                 agrees ())
+               ops)))
+
+(* [Sim.rebuild] restores its feed cursor and the journal's feed flag
+   with [match ... with exception], and [Persist.in_step] its step
+   context the same way.  A body that is not deterministic makes the
+   rebuild after a rollback fail -- by finishing early, or by raising
+   inside the feed -- and afterwards a fresh system on the same domain
+   must step with real effects (an empty cursor), journal its steps (the
+   feed flag is off) and roll back normally, outside any step
+   context. *)
+let test_rebuild_exception_safety () =
+  let desync ~raise_on_rerun =
+    let runs = ref 0 in
+    let c = UCell.make 7 in
+    let t =
+      USim.create ~n:1 (fun _ () ->
+          incr runs;
+          (* the first run takes three reads, every later run one *)
+          ignore (UCell.read c);
+          if !runs > 1 then (if raise_on_rerun then failwith "diverged")
+          else (
+            ignore (UCell.read c);
+            ignore (UCell.read c)))
+    in
+    Fun.protect
+      ~finally:(fun () -> USim.abandon t)
+      (fun () ->
+        for _ = 1 to 3 do
+          ignore (USim.step_proc t 0)
+        done;
+        let m = USim.mark t in
+        ignore (USim.step_proc t 0);
+        USim.rollback t m;
+        match USim.step_proc t 0 with
+        | _ -> Alcotest.fail "the rebuild of a non-deterministic body should fail"
+        | exception Invalid_argument msg when not raise_on_rerun ->
+            Alcotest.(check bool)
+              ("desynchronized: " ^ msg)
+              true
+              (String.starts_with ~prefix:"Sim.rollback: rebuild desynchronized" msg)
+        | exception Failure msg when raise_on_rerun ->
+            Alcotest.(check string) "the body's own exception" "diverged" msg)
+  in
+  let fresh_system_is_normal () =
+    Alcotest.(check int) "no step context left" 0 (UPersist.barrier_steps ());
+    let got = ref [] in
+    (* between-step bookkeeping goes through [Undo.aside], as in the
+       algorithms, so a rollback restores it *)
+    let note v =
+      UUndo.aside (fun () ->
+          let old = !got in
+          got := v :: old;
+          fun () -> got := old)
+    in
+    let t =
+      USim.create ~n:1 (fun _ () ->
+          note (USim.step (fun () -> 41));
+          note (USim.step (fun () -> 42)))
+    in
+    Fun.protect
+      ~finally:(fun () -> USim.abandon t)
+      (fun () ->
+        ignore (USim.step_proc t 0);
+        Alcotest.(check (list int)) "first step suspends: nothing is fed" [] !got;
+        let s = snap t in
+        let before = UUndo.mark () in
+        let m = USim.mark t in
+        ignore (USim.step_proc t 0);
+        Alcotest.(check (list int)) "the thunk's value" [ 41 ] !got;
+        Alcotest.(check bool) "the step journaled" true (UUndo.mark () > before);
+        USim.rollback t m;
+        Alcotest.(check bool) "rollback restores the fresh system" true (snap t = s);
+        drive_to_completion t;
+        Alcotest.(check (list int)) "rebuilt run takes both steps" [ 42; 41 ] !got)
+  in
+  List.iter
+    (fun raise_on_rerun ->
+      UPersist.scoped ~barriers:true UPersist.Lossy (fun () ->
+          with_undo_arena (fun () ->
+              desync ~raise_on_rerun;
+              fresh_system_is_normal ())))
+    [ false; true ]
+
 let suite =
   [
     Alcotest.test_case "Q sets for S_3 (hand-computed)" `Quick test_q_sets_s3;
@@ -318,4 +466,7 @@ let suite =
     Alcotest.test_case "rollback into a recovered run (torn)" `Quick
       (test_rollback_recovered_run UPersist.Torn);
     qcheck_rollback_fingerprint;
+    qcheck_outputs_verdict;
+    Alcotest.test_case "rebuild failure leaves the feed and journal clean" `Quick
+      test_rebuild_exception_safety;
   ]
