@@ -8,27 +8,18 @@
    processes are poised on the SAME consensus object -- never a
    register. *)
 
-open Rcons.Runtime
-
 let one_shot_mk () =
-  let c = Rcons.Algo.One_shot.create () in
-  let outs = Array.make 2 None in
-  let body pid () = outs.(pid) <- Some (Rcons.Algo.One_shot.decide c pid) in
-  (Sim.create ~n:2 body, fun () -> outs)
+  Rcons.Algo.Outputs.system ~inputs:[| 0; 1 |] (fun () ->
+      let c = Rcons.Algo.One_shot.create () in
+      fun _pid v -> Rcons.Algo.One_shot.decide c v)
 
-let fig2_mk ?domains ot name_for_errors =
-  ignore name_for_errors;
-  let cert = Option.get (Rcons.Check.Recording.witness ?domains ot 2) in
-  fun () ->
-    let tc = Rcons.Algo.Team_consensus.create cert in
-    let outs = Array.make 2 None in
-    let body pid () =
-      let team, slot = if pid = 0 then (Rcons.Spec.Team.A, 0) else (Rcons.Spec.Team.B, 0) in
-      outs.(pid) <- Some (tc.Rcons.Algo.Team_consensus.decide team slot pid)
-    in
-    (Sim.create ~n:2 body, fun () -> outs)
+(* Figure 2 on the type's level-2 certificate: p0 (team A) proposes 0,
+   p1 (team B) proposes 1. *)
+let fig2_mk name =
+  let module Cex = Rcons.Counterexample in
+  Util.ok_or_fail (Cex.team_system (Cex.team2 ~inputs:(0, 1) name))
 
-let run ?domains () =
+let run () =
   Util.section "E11 (Figure 3): critical executions of real algorithms";
   List.iter
     (fun (name, mk) ->
@@ -36,9 +27,9 @@ let run ?domains () =
       Util.row "[%s]  (%.2fs)@.%a@." name dt Rcons.Valency.Critical.pp_report report)
     [
       ("one-shot consensus object", one_shot_mk);
-      ("Figure 2 on S_2", fig2_mk ?domains (Rcons.Spec.Sn.make 2) "S_2");
-      ("Figure 2 on the sticky bit", fig2_mk ?domains Rcons.Spec.Sticky_bit.t "sticky");
-      ("Figure 2 on CAS", fig2_mk ?domains Rcons.Spec.Cas.default "cas");
+      ("Figure 2 on S_2", fig2_mk "S2");
+      ("Figure 2 on the sticky bit", fig2_mk "sticky");
+      ("Figure 2 on CAS", fig2_mk "cas");
     ];
   Util.row
     "At every critical execution both processes are poised on the same consensus@.";

@@ -10,7 +10,7 @@
    algorithm under Lossy/Torn surface two ways: as disagreement between
    survivors, or as an uncaught invariant exception in a process body
    ("R_A empty") when a crash reverts state the algorithm assumed durable
-   -- the random drivers convert neither, so both are counted explicitly.
+   -- which [Adversary.run] reports as [Body_failure]; both are counted.
 
    Series 2: the RUniversal counter (Figure 7), plain vs durable
    linearizability of the recorded history.  Annotated responses flush
@@ -50,7 +50,7 @@ let sweep_fig2 name w ~crash_prob ~iters ~seed =
         if Rcons.Algo.Outputs.agreement_ok outputs && Rcons.Algo.Outputs.validity_ok outputs
         then incr ok
         else incr disagree
-    | exception (Invalid_argument _ | Failure _) -> incr aborted
+    | exception Adversary.Body_failure _ -> incr aborted
     | exception Adversary.Stuck _ -> incr stuck
   done;
   Util.row
@@ -83,7 +83,7 @@ let sweep_universal ~annotated ~policy ~crash_prob ~iters ~seed =
         | _ ->
             if Rcons.History.Linearizability.check_history spec history then incr lin_ok;
             if Rcons.History.Conditions.durably_linearizable spec history then incr dlin_ok
-        | exception (Invalid_argument _ | Failure _) -> incr aborted
+        | exception Adversary.Body_failure _ -> incr aborted
         (* a crash-revert loop that exhausts the step budget: a
            recoverable-wait-freedom failure of the un-annotated
            construction under weak persistency *)

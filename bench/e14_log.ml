@@ -94,7 +94,7 @@ let sweep name cert ~slots ~annotated ~policy ~adv_name ~adv_policy ~iters ~seed
               recoveries := !recoveries + Array.fold_left ( + ) 0 (Rlog.recoveries t)
           (* a crash revert violated an invariant the un-annotated
              algorithm assumed durable (e.g. "R_A empty at return") *)
-          | exception (Invalid_argument _ | Failure _) -> incr aborted
+          | exception Adversary.Body_failure _ -> incr aborted
           | exception Adversary.Stuck _ -> incr stuck
         done)
   in

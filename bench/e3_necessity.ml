@@ -10,30 +10,29 @@
    the bad scenario discussed after Lemma 7. *)
 
 open Rcons.Runtime
+module Outputs = Rcons.Algo.Outputs
 
 let uniform rng crash_prob =
   Adversary.of_rng ~rng (Adversary.Uniform { crash_prob; max_crashes = 6 })
 
 let run_recoverable rng crash_prob =
   let cert = Option.get (Rcons.Check.Recording.witness Rcons.Spec.Sticky_bit.t 2) in
-  let inputs = [| 1; 2 |] in
-  let outputs = Rcons.Algo.Outputs.make ~inputs in
-  let decide = Rcons.Algo.Tournament.recoverable_consensus cert ~n:2 in
-  let body pid () = Rcons.Algo.Outputs.record outputs pid (decide pid inputs.(pid)) in
-  let sim = Sim.create ~n:2 body in
+  let sim, outputs =
+    Outputs.system ~inputs:[| 1; 2 |] (fun () ->
+        Rcons.Algo.Tournament.recoverable_consensus cert ~n:2)
+  in
   ignore (Adversary.run ~record:false (uniform rng crash_prob) sim);
-  Rcons.Algo.Outputs.agreement_ok outputs && Rcons.Algo.Outputs.validity_ok outputs
+  Outputs.agreement_ok outputs && Outputs.validity_ok outputs
 
 let run_baseline rng crash_prob =
   let cert = Option.get (Rcons.Check.Discerning.witness Rcons.Spec.Swap.default 2) in
-  let inputs = [| 1; 2 |] in
-  let outputs = Rcons.Algo.Outputs.make ~inputs in
-  let decide = Rcons.Algo.Tournament.standard_consensus cert ~n:2 in
-  let body pid () = Rcons.Algo.Outputs.record outputs pid (decide pid inputs.(pid)) in
-  let sim = Sim.create ~n:2 body in
+  let sim, outputs =
+    Outputs.system ~inputs:[| 1; 2 |] (fun () ->
+        Rcons.Algo.Tournament.standard_consensus cert ~n:2)
+  in
   match Adversary.run ~record:false (uniform rng crash_prob) sim with
-  | _ -> Rcons.Algo.Outputs.agreement_ok outputs && Rcons.Algo.Outputs.validity_ok outputs
-  | exception Invalid_argument _ -> false
+  | _ -> Outputs.agreement_ok outputs && Outputs.validity_ok outputs
+  | exception Adversary.Body_failure _ -> false
 
 let run () =
   Util.section "E3 (Theorem 14): consensus algorithms break under crashes; RC algorithms don't";

@@ -16,11 +16,11 @@ let make_consensus () =
   { Simultaneous_rc.propose = (fun _pid v -> One_shot.decide c v) }
 
 let run_once ~n ~crash_events ~seed =
-  let inputs = Array.init n (fun i -> (i + 1) * 10) in
-  let outputs = Outputs.make ~inputs in
   let rc = Simultaneous_rc.create ~n ~make_consensus in
-  let body pid () = Outputs.record outputs pid (Simultaneous_rc.decide rc pid inputs.(pid)) in
-  let sim = Sim.create ~n body in
+  let sim, outputs =
+    Outputs.system ~inputs:(Array.init n (fun i -> (i + 1) * 10)) (fun () ->
+        Simultaneous_rc.decide rc)
+  in
   let rng = Random.State.make [| Util.seed seed |] in
   let crash_at =
     List.init crash_events (fun i -> 2 + (i * (4 + Random.State.int rng 5)))

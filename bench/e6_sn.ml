@@ -14,11 +14,10 @@ let dynamic_check n cert =
   in
   let ok = ref 0 in
   for _ = 1 to iters do
-    let inputs = Array.init n (fun i -> 100 + i) in
-    let outputs = Rcons.Algo.Outputs.make ~inputs in
-    let decide = Rcons.Algo.Tournament.recoverable_consensus cert ~n in
-    let body pid () = Rcons.Algo.Outputs.record outputs pid (decide pid inputs.(pid)) in
-    let sim = Sim.create ~n body in
+    let sim, outputs =
+      Rcons.Algo.Outputs.system ~inputs:(Array.init n (fun i -> 100 + i)) (fun () ->
+          Rcons.Algo.Tournament.recoverable_consensus cert ~n)
+    in
     ignore (Adversary.run ~record:false adv sim);
     if Rcons.Algo.Outputs.agreement_ok outputs && Rcons.Algo.Outputs.validity_ok outputs then
       incr ok

@@ -12,11 +12,10 @@
 open Rcons.Runtime
 
 let dynamic_check cert n =
-  let inputs = Array.init n (fun i -> i) in
-  let outputs = Rcons.Algo.Outputs.make ~inputs in
-  let decide = Rcons.Algo.Tournament.recoverable_consensus cert ~n in
-  let body pid () = Rcons.Algo.Outputs.record outputs pid (decide pid inputs.(pid)) in
-  let sim = Sim.create ~n body in
+  let sim, outputs =
+    Rcons.Algo.Outputs.system ~inputs:(Array.init n Fun.id) (fun () ->
+        Rcons.Algo.Tournament.recoverable_consensus cert ~n)
+  in
   let adv =
     Adversary.create ~seed:(Util.seed 77)
       (Adversary.Uniform { crash_prob = 0.2; max_crashes = 2 * n })

@@ -10,7 +10,7 @@
 
    Experiment names are case-insensitive and leading dashes are ignored,
    so `E1`, `e1` and `--e1` all select the hierarchy table.  The
-   [--domains N] flag fans the decision procedures of E1/E5/E6/E11 out
+   [--domains N] flag fans the decision procedures of E1/E5/E6 out
    across N OCaml 5 domains; every table is identical to the sequential
    one (the pool's determinism contract), only the check-times change.
    [--seed N] offsets every experiment's adversary seeds by N (default 0
@@ -29,7 +29,7 @@ let experiments ~domains =
     ("E8", E8_stack.run);
     ("E9", E9_robustness.run);
     ("E10", E10_ablation.run);
-    ("E11", fun () -> E11_critical.run ~domains ());
+    ("E11", E11_critical.run);
     ("E12", E12_persistency.run);
     ("E13", E13_reduction.run);
     ("E14", fun () -> E14_log.run ());

@@ -72,13 +72,20 @@ let flush_cost_arg =
     & info [ "flush-cost" ] ~docv:"STEPS"
         ~doc:"Number of simulation steps each persist barrier (flush/fence) takes (default 1).")
 
-(* A barrier costs at least one step, and a run at least one domain.
-   Every subcommand taking --flush-cost or --domains checks it up front:
-   one line and exit 2, like --procs.  [below_one cmd flag v] reports
-   whether [v] was refused. *)
-let below_one cmd flag v =
-  if v < 1 then Format.eprintf "rcons %s: --%s must be >= 1 (got %d)@." cmd flag v;
-  v < 1
+(* Numeric flags with a floor -- a barrier costs at least one step, a
+   run takes at least one domain, consensus at least two processes --
+   are checked up front: one line and exit 2.  [below min cmd flag v]
+   reports whether [v] was refused. *)
+let below min cmd flag v =
+  if v < min then Format.eprintf "rcons %s: --%s must be >= %d (got %d)@." cmd flag min v;
+  v < min
+
+(* A process body that raised under a randomized adversary
+   ([Adversary.Body_failure]) is a violation, reported in the explorer's
+   words: one line, exit 1. *)
+let body_violation msg =
+  Format.printf "VIOLATION: uncaught exception in process body: %s@." msg;
+  1
 
 (* Shared --domains flag: every answer is independent of it (the domain
    pool's determinism contract); it only changes wall-clock time. *)
@@ -113,13 +120,9 @@ let certs_of no_certs dir = if no_certs then None else Some dir
 
 let classify_cmd =
   let run limit domains no_certs certs_dir names =
-    if limit < 2 then begin
-      (* Keep the library's invariant ([Classify.max_level] raises on
-         limit < 2) out of user-facing output: one line, exit 2. *)
-      Format.eprintf "rcons classify: --limit must be >= 2 (got %d)@." limit;
-      2
-    end
-    else if below_one "classify" "domains" domains then 2
+    (* Keep the library's invariant ([Classify.max_level] raises on
+       limit < 2) out of user-facing output. *)
+    if below 2 "classify" "limit" limit || below 1 "classify" "domains" domains then 2
     else
       let parse_all names =
         List.fold_right
@@ -153,10 +156,7 @@ let solve_cmd =
     resolve "solve" parse_persist persist @@ fun persist ->
     let certs = certs_of no_certs certs_dir in
     let module Adv = Rcons.Runtime.Adversary in
-    if n < 2 then begin
-      Format.eprintf "rcons solve: --procs must be >= 2 (got %d)@." n;
-      2
-    end
+    if below 2 "solve" "procs" n then 2
     else
       match Adv.policy_of_string ~crash_prob ~max_crashes:(4 * n) "uniform" with
       | Error e ->
@@ -168,12 +168,8 @@ let solve_cmd =
           let build () =
             Option.map
               (fun decide ->
-                let inputs = Array.init n (fun i -> 100 + i) in
-                let outputs = Rcons.Algo.Outputs.make ~inputs in
-                let body pid () =
-                  Rcons.Algo.Outputs.record outputs pid (decide pid inputs.(pid))
-                in
-                (Rcons.Runtime.Sim.create ~n body, outputs))
+                Rcons.Algo.Outputs.system ~inputs:(Array.init n (fun i -> 100 + i)) (fun () ->
+                    decide))
               (Rcons.solve_rc ?certs ot ~n)
           in
           match Persist.scoped persist build with
@@ -183,13 +179,12 @@ let solve_cmd =
           | Some (sim, outputs) -> (
               let rng = Random.State.make [| seed |] in
               match Adv.run ~record:false (Adv.of_rng ~rng policy) sim with
-              | exception (Invalid_argument msg | Failure msg) ->
+              | exception Adv.Body_failure msg ->
                   (* Figure 2 is built without persist barriers: under
                      a write-back cache, a crash that reverts state it
                      assumed durable trips an invariant in a process
                      body. *)
-                  Format.printf "VIOLATION: uncaught exception in process body: %s@." msg;
-                  1
+                  body_violation msg
               | outcome ->
                   Format.printf "%d processes, %d crashes:@." n outcome.Adv.crashes;
                   Array.iteri
@@ -472,15 +467,13 @@ let explore_cmd =
   let run name ex domains broken level replay_file persist annotated flush_cost =
     resolve "explore" parse_persist persist @@ fun persist ->
     match (replay_file, name) with
-    | _ when below_one "explore" "domains" domains -> 2
+    | _ when below 1 "explore" "domains" domains -> 2
     | Some file, _ -> replay_artifact file
     | None, None ->
         Format.eprintf "one of --type or --replay is required@.";
         2
-    | None, Some _ when level < 2 ->
-        Format.eprintf "rcons explore: --level must be >= 2 (got %d)@." level;
-        2
-    | None, Some _ when below_one "explore" "flush-cost" flush_cost -> 2
+    | None, Some _ when below 2 "explore" "level" level -> 2
+    | None, Some _ when below 1 "explore" "flush-cost" flush_cost -> 2
     | None, Some name ->
         resolve "explore" parse_type name @@ fun _ ->
         let w = Cex.team2 ~faithful:(not broken) ~level ~persist ~annotated ~flush_cost name in
@@ -550,16 +543,12 @@ let log_cmd =
   let run name slots procs adversary seed crash_prob adv_crashes persist annotated vote_first
       broken no_certs certs_dir exhaustive ex domains flush_cost =
     resolve "log" parse_persist persist @@ fun persist ->
-    if slots < 1 then begin
-      Format.eprintf "rcons log: --slots must be >= 1 (got %d)@." slots;
-      2
-    end
-    else if procs < 2 then begin
-      Format.eprintf "rcons log: --procs must be >= 2 (got %d)@." procs;
-      2
-    end
-    else if below_one "log" "flush-cost" flush_cost then 2
-    else if below_one "log" "domains" domains then 2
+    if
+      below 1 "log" "slots" slots
+      || below 2 "log" "procs" procs
+      || below 1 "log" "flush-cost" flush_cost
+      || below 1 "log" "domains" domains
+    then 2
     else if (not exhaustive) && procs * slots > Linearizability.max_ops then begin
       (* The randomized run's verdict checks every APPEND at once; the
          exhaustive checker never builds that history. *)
@@ -615,6 +604,7 @@ let log_cmd =
               | exception Adv.Stuck msg ->
                   Format.eprintf "stuck: %s@." msg;
                   1
+              | exception Adv.Body_failure msg -> body_violation msg
               | outcome ->
                   let state_violation = ref None in
                   Rlog.check_exn
@@ -801,22 +791,11 @@ let certs_cmd =
 (* --- critical --- *)
 
 let critical_cmd =
-  let run ot =
-    resolve "critical" parse_type ot @@ fun ot ->
-    match Rcons.Check.Recording.witness ot 2 with
-    | None -> no_witness "%s has no 2-recording witness" (Rcons.Spec.Object_type.name ot)
-    | Some cert ->
-        let mk () =
-          let tc = Rcons.Algo.Team_consensus.create cert in
-          let outs = Array.make 2 None in
-          let body pid () =
-            let team, slot =
-              if pid = 0 then (Rcons.Spec.Team.A, 0) else (Rcons.Spec.Team.B, 0)
-            in
-            outs.(pid) <- Some (tc.Rcons.Algo.Team_consensus.decide team slot pid)
-          in
-          (Rcons.Runtime.Sim.create ~n:2 body, fun () -> outs)
-        in
+  let run name =
+    resolve "critical" parse_type name @@ fun _ ->
+    match Cex.team_system (Cex.team2 ~inputs:(0, 1) name) with
+    | Error e -> no_witness "%s" e
+    | Ok mk ->
         (match Rcons.Valency.Critical.find_critical ~mk () with
         | report -> Format.printf "%a@." Rcons.Valency.Critical.pp_report report
         | exception Rcons.Valency.Critical.Search_space_exhausted msg ->
@@ -843,17 +822,19 @@ let serve_cmd =
     match
       Rcons.Runtime.Adversary.policy_of_string ~crash_prob ~max_crashes ~burst adversary
     with
-    | _ when instances < 1 ->
-        Format.eprintf "rcons serve: --instances must be >= 1 (got %d)@." instances;
-        2
-    | _ when below_one "serve" "flush-cost" flush_cost -> 2
-    | _ when below_one "serve" "domains" domains -> 2
+    | _ when below 1 "serve" "instances" instances -> 2
+    | _ when below 1 "serve" "flush-cost" flush_cost -> 2
+    | _ when below 1 "serve" "domains" domains -> 2
     | Error msg ->
         Format.eprintf "rcons serve: %s@." msg;
         2
     | Ok adv -> (
         (* every 4th instance hosts the replicated log, the rest the
-           universal counter -- the same mixed fleet as bench E15 *)
+           universal counter.  A counter instance runs --sessions
+           sessions of --ops operations plus [Soak.default]'s open-loop
+           arrivals (8 at rate 0.25); a log instance runs
+           max 1 (--sessions / 2) sessions of --ops operations plus 4
+           open-loop arrivals at rate 0.2. *)
         let cert = lazy (Rcons.Check.Recording.witness Rcons.Spec.Sticky_bit.t 2) in
         let cfgs =
           List.init instances (fun id ->

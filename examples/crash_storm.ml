@@ -17,6 +17,7 @@
    harder than consensus for some types. *)
 
 open Rcons.Runtime
+module Outputs = Rcons.Algo.Outputs
 
 let uniform rng crash_prob =
   Adversary.of_rng ~rng (Adversary.Uniform { crash_prob; max_crashes = 6 })
@@ -27,13 +28,12 @@ let run_figure2 rng crash_prob =
     | Some c -> c
     | None -> assert false
   in
-  let inputs = [| 1; 2 |] in
-  let outputs = Rcons.Algo.Outputs.make ~inputs in
-  let decide = Rcons.Algo.Tournament.recoverable_consensus cert ~n:2 in
-  let body pid () = Rcons.Algo.Outputs.record outputs pid (decide pid inputs.(pid)) in
-  let sim = Sim.create ~n:2 body in
+  let sim, outputs =
+    Outputs.system ~inputs:[| 1; 2 |] (fun () ->
+        Rcons.Algo.Tournament.recoverable_consensus cert ~n:2)
+  in
   ignore (Adversary.run ~record:false (uniform rng crash_prob) sim);
-  Rcons.Algo.Outputs.agreement_ok outputs && Rcons.Algo.Outputs.validity_ok outputs
+  Outputs.agreement_ok outputs && Outputs.validity_ok outputs
 
 let run_baseline rng crash_prob =
   let cert =
@@ -41,14 +41,13 @@ let run_baseline rng crash_prob =
     | Some c -> c
     | None -> assert false
   in
-  let inputs = [| 1; 2 |] in
-  let outputs = Rcons.Algo.Outputs.make ~inputs in
-  let decide = Rcons.Algo.Tournament.standard_consensus cert ~n:2 in
-  let body pid () = Rcons.Algo.Outputs.record outputs pid (decide pid inputs.(pid)) in
-  let sim = Sim.create ~n:2 body in
+  let sim, outputs =
+    Outputs.system ~inputs:[| 1; 2 |] (fun () ->
+        Rcons.Algo.Tournament.standard_consensus cert ~n:2)
+  in
   match Adversary.run ~record:false (uniform rng crash_prob) sim with
-  | _ -> Rcons.Algo.Outputs.agreement_ok outputs && Rcons.Algo.Outputs.validity_ok outputs
-  | exception Invalid_argument _ ->
+  | _ -> Outputs.agreement_ok outputs && Outputs.validity_ok outputs
+  | exception Adversary.Body_failure _ ->
       (* the baseline's internal invariant broke: also a failure *)
       false
 
@@ -76,15 +75,12 @@ let () =
   let cert = Option.get (Rcons.Check.Recording.witness Rcons.Spec.Sticky_bit.t 2) in
   List.iter
     (fun pol ->
-      let inputs = [| 1; 2 |] in
-      let outputs = Rcons.Algo.Outputs.make ~inputs in
-      let decide = Rcons.Algo.Tournament.recoverable_consensus cert ~n:2 in
-      let body pid () = Rcons.Algo.Outputs.record outputs pid (decide pid inputs.(pid)) in
-      let sim = Sim.create ~n:2 body in
-      let o = Adversary.run (Adversary.create ~seed:7 pol) sim in
-      let ok =
-        Rcons.Algo.Outputs.agreement_ok outputs && Rcons.Algo.Outputs.validity_ok outputs
+      let sim, outputs =
+        Outputs.system ~inputs:[| 1; 2 |] (fun () ->
+            Rcons.Algo.Tournament.recoverable_consensus cert ~n:2)
       in
+      let o = Adversary.run (Adversary.create ~seed:7 pol) sim in
+      let ok = Outputs.agreement_ok outputs && Outputs.validity_ok outputs in
       Format.printf "  %-40s %s, %d crashes, %d steps@."
         (Format.asprintf "%a" Adversary.pp_policy pol)
         (if ok then "ok" else "VIOLATION")

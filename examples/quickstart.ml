@@ -27,10 +27,9 @@ let () =
   (* 3. Simulate: each process proposes 100 + its id, crashes may hit
      anyone at any step; every process restarts its code from scratch
      when it recovers (local memory is volatile, shared memory is not). *)
-  let inputs = Array.init n (fun i -> 100 + i) in
-  let outputs = Rcons.Algo.Outputs.make ~inputs in
-  let body pid () = Rcons.Algo.Outputs.record outputs pid (decide pid inputs.(pid)) in
-  let sim = Rcons.Runtime.Sim.create ~n body in
+  let sim, outputs =
+    Rcons.Algo.Outputs.system ~inputs:(Array.init n (fun i -> 100 + i)) (fun () -> decide)
+  in
   let rng = Random.State.make [| 2022 |] in
   let crashes =
     Rcons.Runtime.Adversary.(

@@ -63,6 +63,14 @@ let record t i v =
         t.invalid <- invalid;
         Rcons_runtime.Heap.touch t.slot)
 
+(* The log registers before [make_decide] builds the algorithm's
+   objects: fingerprint bytes follow registration order. *)
+let system ~inputs make_decide =
+  let t = make ~inputs in
+  let decide = make_decide () in
+  let body pid () = record t pid (decide pid inputs.(pid)) in
+  (Rcons_runtime.Sim.create ~n:(Array.length inputs) body, t)
+
 let all t = Array.to_list t.outputs |> List.concat
 let decided t i = t.outputs.(i) <> []
 

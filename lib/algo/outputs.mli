@@ -20,6 +20,15 @@ type 'v t = {
 
 val make : inputs:'v array -> 'v t
 val record : 'v t -> int -> 'v -> unit
+
+val system : inputs:'v array -> (unit -> int -> 'v -> 'v) -> Rcons_runtime.Sim.t * 'v t
+(** [system ~inputs make_decide]: the consensus system every harness
+    runs -- one process per input, process [i] recording
+    [decide i inputs.(i)] -- with its output log.  The log is made
+    first, then [make_decide ()] builds the algorithm's objects, then
+    the system: under an active [Heap] arena the log registers before
+    those objects, and fingerprint bytes follow that order. *)
+
 val all : 'v t -> 'v list
 val decided : 'v t -> int -> bool
 

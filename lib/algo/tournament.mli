@@ -23,13 +23,11 @@ val build : make_instance:(unit -> 'v team_instance) -> cap_a:int -> cap_b:int -
 (** Recursive tournament over the given process ids.
     @raise Invalid_argument if more than [cap_a + cap_b] processes. *)
 
-val with_stable_inputs : int -> 'v decide -> 'v decide
-(** Wrap with the input-register transformation ({!Stable_input}). *)
-
 val recoverable_consensus :
   ?faithful:bool -> Rcons_check.Certificate.recording -> n:int -> 'v decide
 (** n-process recoverable consensus from a recording certificate
-    (Theorem 8 + Proposition 30), inputs stabilized. *)
+    (Theorem 8 + Proposition 30), inputs stabilized by the
+    input-register transformation ({!Stable_input}). *)
 
 val standard_consensus : Rcons_check.Certificate.discerning -> n:int -> 'v decide
 (** n-process standard consensus from a discerning certificate

@@ -12,8 +12,6 @@ type analysis = {
   best : Rcons_spec.Object_type.t option;
 }
 
-val level_value : Classify.level -> int
-
 val analyse : ?limit:int -> Rcons_spec.Object_type.t list -> analysis
 (** @raise Invalid_argument on the empty set. *)
 

@@ -4,7 +4,6 @@ module Json = Rcons_runtime.Json
 module Schedule = Rcons_runtime.Schedule
 module Explore = Rcons_runtime.Explore
 module Shrink = Rcons_runtime.Shrink
-module Sim = Rcons_runtime.Sim
 module Persist = Rcons_runtime.Persist
 
 type workload = {
@@ -103,16 +102,11 @@ let team_build w cert =
   let inputs = Array.init n (fun i -> if i < size_a then w.input_a else w.input_b) in
   fun () ->
     build w @@ fun () ->
-    let outputs = Rcons_algo.Outputs.make ~inputs in
+    Rcons_algo.Outputs.system ~inputs @@ fun () ->
     let tc = Rcons_algo.Team_consensus.create ~faithful:w.faithful cert in
-    let body pid () =
-      let team, slot =
-        if pid < size_a then (Rcons_spec.Team.A, pid) else (Rcons_spec.Team.B, pid - size_a)
-      in
-      Rcons_algo.Outputs.record outputs pid
-        (tc.Rcons_algo.Team_consensus.decide team slot inputs.(pid))
-    in
-    (Sim.create ~n body, outputs)
+    fun pid v ->
+      if pid < size_a then tc.Rcons_algo.Team_consensus.decide Rcons_spec.Team.A pid v
+      else tc.Rcons_algo.Team_consensus.decide Rcons_spec.Team.B (pid - size_a) v
 
 let team_system w =
   match w.log_slots with

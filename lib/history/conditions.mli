@@ -72,23 +72,18 @@ type 'v log_op = Append of { slot : int; value : 'v }
     response is the slot's decided value (the proposal of whoever won
     that slot's consensus instance). *)
 
-val log_spec : unit -> ((int * 'v) list, 'v log_op, 'v) Linearizability.spec
-(** Sequential specification: APPEND to a free slot installs its
-    proposal and returns it; APPEND to a decided slot returns the
-    decided value.  State is the decided-slot association list. *)
-
 type log_verdict = { slot_agreement : bool; prefix_monotone : bool; durable_lin : bool }
 
 val log_verdict_ok : log_verdict -> bool
 
-val log_slot_agreement : ('v log_op, 'r) History.t -> bool
-(** Every pair of completed APPENDs on the same slot returned the same
-    value. *)
-
 val prefix_durability :
   committed_trace:int list -> ('v log_op, 'v) History.t -> log_verdict
-(** Full prefix-durability check: {!log_slot_agreement}, monotonicity of
-    [committed_trace] (the committed-prefix watermark sampled after
-    every crash and at the end -- a regression means a quorum of durable
-    votes was lost, i.e. a committed slot went back in time), and
-    {!durably_linearizable} of the history against {!log_spec}. *)
+(** Full prefix-durability check: per-slot agreement (every pair of
+    completed APPENDs on the same slot returned the same value),
+    monotonicity of [committed_trace] (the committed-prefix watermark
+    sampled after every crash and at the end -- a regression means a
+    quorum of durable votes was lost, i.e. a committed slot went back in
+    time), and {!durably_linearizable} of the history against the log's
+    sequential specification (APPEND to a free slot installs its
+    proposal and returns it; APPEND to a decided slot returns the
+    decided value). *)

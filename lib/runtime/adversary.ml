@@ -10,6 +10,7 @@
    order and they change. *)
 
 exception Stuck of string
+exception Body_failure of string
 
 type policy =
   | Uniform of { crash_prob : float; max_crashes : int }
@@ -225,7 +226,10 @@ let run ?(max_steps = 1_000_000) ?(record = true) ?(on_crash = fun _ -> ()) a t 
       raise (Stuck (Printf.sprintf "%s: step budget exhausted" (policy_name a.pol)));
     incr steps;
     note (Schedule.Step_choice i);
-    ignore (Sim.step_proc t i)
+    match Sim.step_proc t i with
+    | (_ : bool) -> ()
+    | exception e -> (
+        match Schedule.body_failure e with Some m -> raise (Body_failure m) | None -> raise e)
   in
   (* [Simultaneous] steps round-robin with a persistent cursor and
      crashes everyone at once, calling [on_crash] for every victim

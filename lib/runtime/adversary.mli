@@ -38,6 +38,11 @@ exception Stuck of string
     many crashes this indicates a violation of recoverable
     wait-freedom. *)
 
+exception Body_failure of string
+(** A process body raised during {!run}: the algorithm under test
+    failed, carrying the body's message ({!Schedule.body_failure}).  It
+    is a violation, as it is in the explorer and the shrinker. *)
+
 (** Crash models.  All probabilistic policies stop injecting once
     [max_crashes] is reached (the paper's finitely-many-crashes
     assumption), and never crash a process that has not taken a step
@@ -148,7 +153,13 @@ val run : ?max_steps:int -> ?record:bool -> ?on_crash:(int -> unit) -> t -> Sim.
     need counts turn it off); [on_crash pid] is invoked after every
     injected crash (history instrumentation).
 
-    @raise Stuck when the step budget runs out. *)
+    A process body that raises is a violation, as in the explorer: the
+    run stops with {!Body_failure}.  A harness error (a [Sim.] or
+    [Schedule.] defensive check) and any other exception escape as
+    they are.
+
+    @raise Stuck when the step budget runs out.
+    @raise Body_failure when a process body raises. *)
 
 val round_robin : ?max_steps:int -> Sim.t -> unit
 (** Fault-free round-robin stepping until every process finishes:

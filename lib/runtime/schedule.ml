@@ -24,15 +24,22 @@ let apply t = function
 
 (* A process body may raise (e.g. an algorithm hitting an assertion
    because a lossy crash reverted an un-flushed write): that is a
-   property violation at this choice, not a harness error.  Our own
-   defensive checks name their [Sim.]/[Schedule.] entry point, and they
-   (like any other exception) still escape. *)
+   property violation, not a harness error.  Our own defensive checks
+   name their [Sim.]/[Schedule.] entry point, and they (like any other
+   exception) are no body failure. *)
+let body_failure = function
+  | Invalid_argument m | Failure m
+    when not (String.starts_with ~prefix:"Sim." m || String.starts_with ~prefix:"Schedule." m) ->
+      Some m
+  | _ -> None
+
 let apply_guarded t c =
   match apply t c with
   | () -> Ok ()
-  | exception (Invalid_argument m | Failure m)
-    when not (String.starts_with ~prefix:"Sim." m || String.starts_with ~prefix:"Schedule." m) ->
-      Error ("uncaught exception in process body: " ^ m)
+  | exception e -> (
+      match body_failure e with
+      | Some m -> Error ("uncaught exception in process body: " ^ m)
+      | None -> raise e)
 
 let crashes cs =
   List.fold_left (fun acc c -> match c with Crash_choice _ -> acc + 1 | _ -> acc) 0 cs

@@ -23,13 +23,21 @@ val apply : Sim.t -> choice -> unit
 (** Replay one choice: [Step_choice i] steps process [i] (a no-op if it
     already finished), [Crash_choice i] crashes it. *)
 
+val body_failure : exn -> string option
+(** The one rule telling an algorithm failure from a harness error:
+    [Some msg] when the exception is an [Invalid_argument msg] or
+    [Failure msg] raised by a process body -- a violation of the
+    algorithm under test.  [None] for the harness's own defensive
+    checks, whose messages name their [Sim.] or [Schedule.] entry point,
+    and for every other exception: those are not the algorithm's and
+    must escape.  {!apply_guarded}, {!Adversary.run} and the service's
+    churn loop all classify through it. *)
+
 val apply_guarded : Sim.t -> choice -> (unit, string) result
-(** {!apply}, telling an algorithm failure from a harness error: an
-    [Invalid_argument] or [Failure] raised by a process body is returned
-    as [Error "uncaught exception in process body: <msg>"], the
-    violation message the explorer and the shrinker report.  The
-    harness's own defensive checks, whose messages name their [Sim.] or
-    [Schedule.] entry point, and every other exception still escape. *)
+(** {!apply}, with a {!body_failure} returned as
+    [Error "uncaught exception in process body: <msg>"], the violation
+    message the explorer and the shrinker report.  Every other exception
+    escapes. *)
 
 val crashes : choice list -> int
 (** Number of crash choices in the schedule. *)

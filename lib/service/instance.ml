@@ -320,10 +320,11 @@ let sweep t =
    started, unfinished processes (crash points sit at tick boundaries),
    then every busy process steps a bounded quantum.  A crash that
    interrupts work leaves a mark in [marks]; the recovery interval
-   closes once that process is no longer busy.  A body blowing up is the
-   construction corrupting itself (the barrier-free negative control
-   does exactly this under lossy churn) -- surfaced as a violation with
-   the backend's [failure] message. *)
+   closes once that process is no longer busy.  A body failure
+   ([Schedule.body_failure], the explorer's rule) is the construction
+   corrupting itself (the barrier-free negative control does exactly
+   this under lossy churn) -- surfaced as a violation with the
+   backend's [failure] message. *)
 let churn t sim ~busy ~marks ~on_crash ~failure =
   let n = Array.length marks in
   let eligible = ref [] in
@@ -339,7 +340,10 @@ let churn t sim ~busy ~marks ~on_crash ~failure =
   for p = 0 to n - 1 do
     let q = ref quantum in
     while !q > 0 && busy p do
-      (try ignore (Sim.step_proc sim p) with Invalid_argument m -> violation t (failure p m));
+      (match Sim.step_proc sim p with
+      | (_ : bool) -> ()
+      | exception e -> (
+          match Schedule.body_failure e with Some m -> violation t (failure p m) | None -> raise e));
       decr q
     done;
     if (not (busy p)) && marks.(p) <> [] then begin

@@ -28,16 +28,13 @@ type t =
                 fences, un-annotated steps, first step of a run *)
   | Obj of { oid : int; kind : kind }
 
-val kinds_independent : kind -> kind -> bool
-(** Conflict matrix on a single object.  Independent pairs: read/read,
-    read/flush, read/sync, flush/flush, sync/sync.  Everything else
-    conflicts — in particular a sync conflicts with a flush (the flush
-    changes the line status the sync observes). *)
-
 val independent : t -> t -> bool
-(** Footprints on distinct objects are always independent; on the same
-    object, {!kinds_independent} decides; [Global] is independent of
-    nothing. *)
+(** Footprints on distinct objects are always independent; [Global] is
+    independent of nothing.  On the same object the kinds decide:
+    independent pairs are read/read, read/flush, read/sync, flush/flush
+    and sync/sync.  Everything else conflicts — in particular a sync
+    conflicts with a flush (the flush changes the line status the sync
+    observes). *)
 
 val pp_kind : Format.formatter -> kind -> unit
 val pp : Format.formatter -> t -> unit

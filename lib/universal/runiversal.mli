@@ -51,11 +51,6 @@ val create :
     step.  An explicit [make_rc] replaces the default; it is the
     caller's job to make it durable. *)
 
-val apply_operation : ('s, 'o, 'r) t -> int -> 'r
-(** Figure 7's ApplyOperation for process [i]: ensure its announced node
-    is appended (helping the priority process) and return its response.
-    Used directly by recovery; normal callers use {!invoke}. *)
-
 val invoke : ('s, 'o, 'r) t -> pid:int -> index:int -> 'o -> 'r
 (** Figure 7's Universal(op), idempotent per (pid, index): re-invoking
     with the same tag -- what the recovery function does -- reuses the

@@ -21,99 +21,76 @@
    exactly as the proof defines them relative to E_A. *)
 
 open Rcons_runtime
-
-type choice = Step_of of int | Crash_p0
-
-let pp_choice ppf = function
-  | Step_of i -> Format.fprintf ppf "step(p%d)" i
-  | Crash_p0 -> Format.pp_print_string ppf "crash(p0)"
+module Outputs = Rcons_algo.Outputs
 
 module Int_set = Set.Make (Int)
 
 type report = {
-  prefix : choice list;
+  prefix : Schedule.choice list;
   decision_sets : Int_set.t list; (* decision set after each next-step of p0, p1, ... *)
   poised_on : string option list; (* label of each process's pending access *)
 }
 
 exception Search_space_exhausted of string
 
-let apply_choice sim = function
-  | Step_of i -> ignore (Sim.step_proc sim i)
-  | Crash_p0 -> Sim.crash sim 0
-
 let replay ~mk prefix =
-  let sim, read_outputs = mk () in
-  List.iter (apply_choice sim) (List.rev prefix);
-  (sim, read_outputs)
+  let sim, outputs = mk () in
+  List.iter (Schedule.apply sim) (List.rev prefix);
+  (sim, outputs)
 
-(* Enabled choices at a node, within the restricted space: any unfinished
-   process may step; p0 may crash if it has started, is unfinished, and
-   the crash budget remains. *)
-let choices sim crashes_used max_crashes =
+(* Enabled choices after [prefix], within the restricted space: any
+   unfinished process may step; p0 may crash if it has started, is
+   unfinished, and the crash budget remains. *)
+let choices sim prefix max_crashes =
   let n = Sim.num_procs sim in
-  let steps = List.filter_map (fun i -> if Sim.finished sim i then None else Some (Step_of i)) (List.init n Fun.id) in
+  let steps =
+    List.filter_map
+      (fun i -> if Sim.finished sim i then None else Some (Schedule.Step_choice i))
+      (List.init n Fun.id)
+  in
   let crashes =
-    if crashes_used < max_crashes && Sim.started sim 0 && not (Sim.finished sim 0) then
-      [ Crash_p0 ]
+    if Schedule.crashes prefix < max_crashes && Sim.started sim 0 && not (Sim.finished sim 0)
+    then [ Schedule.Crash_choice 0 ]
     else []
   in
   steps @ crashes
 
-let count_crashes prefix =
-  List.length (List.filter (function Crash_p0 -> true | Step_of _ -> false) prefix)
-
 (* Decision set of a prefix: union of output values over all maximal
    extensions in the space. *)
 let decisions ?(max_crashes = 1) ?(max_depth = 200) ~mk prefix0 =
-  let rec go prefix depth crashes_used =
-    if depth > max_depth then
+  let rec go prefix =
+    if List.length prefix > max_depth then
       raise (Search_space_exhausted "depth bound hit (non-terminating algorithm?)");
-    let sim, read_outputs = replay ~mk prefix in
-    let cs = choices sim crashes_used max_crashes in
-    if cs = [] then begin
-      let outs = read_outputs () in
-      Sim.abandon sim;
-      Array.to_list outs |> List.filter_map Fun.id |> Int_set.of_list
-    end
-    else begin
-      Sim.abandon sim;
-      List.fold_left
-        (fun acc c ->
-          let crashes' = match c with Crash_p0 -> crashes_used + 1 | Step_of _ -> crashes_used in
-          Int_set.union acc (go (c :: prefix) (depth + 1) crashes'))
-        Int_set.empty cs
-    end
+    let sim, outputs = replay ~mk prefix in
+    let cs = choices sim prefix max_crashes in
+    Sim.abandon sim;
+    if cs = [] then Int_set.of_list (Outputs.all outputs)
+    else List.fold_left (fun acc c -> Int_set.union acc (go (c :: prefix))) Int_set.empty cs
   in
-  go prefix0 (List.length prefix0) (count_crashes prefix0)
+  go prefix0
 
 (* Walk from the empty prefix towards a critical execution: while the
    current (bivalent) node has a bivalent child, descend; when all
    children are univalent, we are critical. *)
 let find_critical ?(max_crashes = 1) ?(max_depth = 200) ~mk () =
-  let rec walk prefix crashes_used depth =
-    if depth > max_depth then raise (Search_space_exhausted "no critical execution within bounds");
+  let rec walk prefix =
+    if List.length prefix > max_depth then
+      raise (Search_space_exhausted "no critical execution within bounds");
     let sim, _ = replay ~mk prefix in
-    let cs = choices sim crashes_used max_crashes in
+    let cs = choices sim prefix max_crashes in
     Sim.abandon sim;
     if cs = [] then raise (Search_space_exhausted "reached a maximal execution while bivalent");
     let child_sets =
-      List.map
-        (fun c ->
-          let crashes' = match c with Crash_p0 -> crashes_used + 1 | Step_of _ -> crashes_used in
-          (c, decisions ~max_crashes ~max_depth ~mk (c :: prefix) |> fun s -> (crashes', s)))
-        cs
+      List.map (fun c -> (c, decisions ~max_crashes ~max_depth ~mk (c :: prefix))) cs
     in
-    match
-      List.find_opt (fun (_, (_, set)) -> Int_set.cardinal set >= 2) child_sets
-    with
-    | Some (c, (crashes', _)) -> walk (c :: prefix) crashes' (depth + 1)
+    match List.find_opt (fun (_, set) -> Int_set.cardinal set >= 2) child_sets with
+    | Some (c, _) -> walk (c :: prefix)
     | None -> (prefix, child_sets)
   in
   let root_set = decisions ~max_crashes ~max_depth ~mk [] in
   if Int_set.cardinal root_set < 2 then
     raise (Search_space_exhausted "initial configuration is already univalent");
-  let prefix, child_sets = walk [] 0 0 in
+  let prefix, child_sets = walk [] in
   (* Report: per-process next-step decision sets and poised-on labels.
      A process whose label is None has not reached its first shared
      access; probing it with one step is shared-state neutral (the first
@@ -124,9 +101,7 @@ let find_critical ?(max_crashes = 1) ?(max_depth = 200) ~mk () =
   Sim.abandon sim;
   let decision_sets =
     List.init n (fun i ->
-        match List.assoc_opt (Step_of i) (List.map (fun (c, (_, s)) -> (c, s)) child_sets) with
-        | Some s -> s
-        | None -> Int_set.empty)
+        Option.value (List.assoc_opt (Schedule.Step_choice i) child_sets) ~default:Int_set.empty)
   in
   let poised_on =
     List.init n (fun i ->
@@ -147,10 +122,8 @@ let find_critical ?(max_crashes = 1) ?(max_depth = 200) ~mk () =
   { prefix = List.rev prefix; decision_sets; poised_on }
 
 let pp_report ppf r =
-  Format.fprintf ppf "@[<v>critical execution (%d choices): %a@,"
-    (List.length r.prefix)
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ") pp_choice)
-    r.prefix;
+  Format.fprintf ppf "@[<v>critical execution (%d choices): %a@," (List.length r.prefix)
+    Schedule.pp r.prefix;
   List.iteri
     (fun i (set, label) ->
       Format.fprintf ppf "  p%d: next-step valency {%s}, poised on %s@," i

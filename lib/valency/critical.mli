@@ -11,14 +11,12 @@
     reads cannot separate valencies).  Keep the systems tiny: the
     decision-set computation replays the whole subtree. *)
 
-type choice = Step_of of int | Crash_p0
-
-val pp_choice : Format.formatter -> choice -> unit
-
 module Int_set : Set.S with type elt = int
 
 type report = {
-  prefix : choice list;  (** the critical execution, oldest choice first *)
+  prefix : Rcons_runtime.Schedule.choice list;
+      (** the critical execution, oldest choice first: steps of any
+          process, [Crash_choice 0] for a crash of p0 *)
   decision_sets : Int_set.t list;
       (** valency of each process's next step (singleton = univalent) *)
   poised_on : string option list;
@@ -30,19 +28,24 @@ exception Search_space_exhausted of string
 val decisions :
   ?max_crashes:int ->
   ?max_depth:int ->
-  mk:(unit -> Rcons_runtime.Sim.t * (unit -> int option array)) ->
-  choice list ->
+  mk:(unit -> Rcons_runtime.Sim.t * int Rcons_algo.Outputs.t) ->
+  Rcons_runtime.Schedule.choice list ->
   Int_set.t
-(** Decision set of a prefix (most recent choice first, as built
-    internally; pass [] for the initial configuration). *)
+(** Decision set of a prefix: every value recorded in the output log of
+    some maximal extension.  The prefix is most recent choice first, as
+    built internally; pass [] for the initial configuration.  [mk]
+    builds a fresh system with its log, e.g. {!Rcons_algo.Outputs.system}
+    or the Figure 2 build of [Rcons.Counterexample.team_system]. *)
 
 val find_critical :
   ?max_crashes:int ->
   ?max_depth:int ->
-  mk:(unit -> Rcons_runtime.Sim.t * (unit -> int option array)) ->
+  mk:(unit -> Rcons_runtime.Sim.t * int Rcons_algo.Outputs.t) ->
   unit ->
   report
 (** @raise Search_space_exhausted when the initial configuration is
     univalent or the bounds are hit. *)
 
 val pp_report : Format.formatter -> report -> unit
+(** The prefix prints as {!Rcons_runtime.Schedule.pp} does:
+    [step(p0); crash(p0); ...]. *)

@@ -26,15 +26,6 @@ val reachable_states :
 (** States reachable from the candidate initial states by at most
     [state_depth] operations of the universe. *)
 
-val analyse_typed :
-  (module Rcons_spec.Object_type.S with type state = 's and type op = 'o and type resp = 'r) ->
-  ?canon:('s -> 's -> 's * 's) ->
-  ?max_pairs:int ->
-  ?max_depth:int ->
-  ?state_depth:int ->
-  unit ->
-  report
-
 val analyse :
   ?max_pairs:int -> ?max_depth:int -> ?state_depth:int -> Rcons_spec.Object_type.t -> report
 (** Generic entry point (no canonicalization).  For the stack and queue

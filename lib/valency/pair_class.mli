@@ -33,19 +33,6 @@ type kind =
 val pp_kind : Format.formatter -> kind -> unit
 val forces_equal_valency : kind -> bool
 
-val crash_confined :
-  (module Rcons_spec.Object_type.S with type state = 's and type op = 'o and type resp = 'r) ->
-  ?canon:('s -> 's -> 's * 's) ->
-  ?max_pairs:int ->
-  ?max_depth:int ->
-  crash_budget:int ->
-  's ->
-  's ->
-  (int * int) option
-(** Greatest-fixpoint confinement check over the canonicalized pair
-    graph; [Some (crashes, pairs)] with the smallest sufficient budget,
-    or [None] (including when the graph exceeds [max_pairs]). *)
-
 val classify :
   (module Rcons_spec.Object_type.S with type state = 's and type op = 'o and type resp = 'r) ->
   ?canon:('s -> 's -> 's * 's) ->

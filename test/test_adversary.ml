@@ -21,7 +21,9 @@
      por + dedup, dedup + symmetry, all three), and a resume under
      another crash budget or reduction is refused;
    - counterexample artifacts: JSON round-trip preserves replayability,
-     and replaying against the wrong workload is refused. *)
+     and replaying against the wrong workload is refused;
+   - a process body that raises stops [run] with [Body_failure], the
+     explorer's rule, while a harness error escapes as it is. *)
 
 open Rcons_runtime
 
@@ -551,6 +553,32 @@ let test_invalid_settings_rejected () =
       Adversary.policy_of_string ~period:1 ~active:0 "quiescent";
     ]
 
+(* The randomized [rcons log --persist lossy --seed 2] run: the
+   barrier-free log on sticky bits (3 slots, 3 processes) under the
+   default storm.  A crash reverts an un-flushed write and a Figure 2
+   invariant gives out in a process body: [run] reports it as a
+   violation.  A [Sim.]-prefixed harness error is no body failure and
+   escapes unchanged. *)
+let test_body_failure_is_a_violation () =
+  let cert = Option.get (Rcons.recording_witness Rcons_spec.Sticky_bit.t 3) in
+  let t, sim =
+    Persist.scoped Persist.Lossy (fun () -> Rcons_log.Rlog.instance ~slots:3 cert)
+  in
+  let policy = Result.get_ok (Adversary.policy_of_string "storm") in
+  (match
+     Adversary.run
+       ~on_crash:(fun pid -> Rcons_log.Rlog.note_crash t ~pid)
+       (Adversary.create ~seed:2 policy) sim
+   with
+  | _ -> Alcotest.fail "seed 2 should break the barrier-free lossy log"
+  | exception Adversary.Body_failure msg ->
+      Alcotest.(check string) "the body's message" "Figure 2: R_B empty at return" msg);
+  let harness = Sim.create ~n:1 (fun _ () -> invalid_arg "Sim.test: harness check") in
+  match Adversary.run (Adversary.create policy) harness with
+  | _ -> Alcotest.fail "the harness error was swallowed"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "escapes unchanged" "Sim.test: harness check" msg
+
 let suite =
   [
     Alcotest.test_case "same seed => same schedule (all policies)" `Quick test_seed_determinism;
@@ -573,4 +601,6 @@ let suite =
       test_resume_parameter_mismatch_refused;
     Alcotest.test_case "counterexample artifact round-trip" `Quick test_artifact_round_trip;
     Alcotest.test_case "artifact saves are atomic and clean up" `Quick test_atomic_saves;
+    Alcotest.test_case "a raising process body is a violation" `Quick
+      test_body_failure_is_a_violation;
   ]

@@ -9,31 +9,18 @@
 open Rcons_runtime
 open Rcons_valency
 
-let one_shot_mk () =
-  let c = Rcons_algo.One_shot.create () in
-  let outs = Array.make 2 None in
-  let body pid () = outs.(pid) <- Some (Rcons_algo.One_shot.decide c pid) in
-  (Sim.create ~n:2 body, fun () -> outs)
+(* Process i proposes i to one shared one-shot consensus object. *)
+let one_shot_mk ?(inputs = [| 0; 1 |]) () =
+  Rcons_algo.Outputs.system ~inputs (fun () ->
+      let c = Rcons_algo.One_shot.create () in
+      fun _pid v -> Rcons_algo.One_shot.decide c v)
 
-let fig2_mk () =
-  let cert = Option.get (Rcons_check.Recording.witness (Rcons_spec.Sn.make 2) 2) in
-  let tc = Rcons_algo.Team_consensus.create cert in
-  let outs = Array.make 2 None in
-  let body pid () =
-    let team, slot = if pid = 0 then (Rcons_spec.Team.A, 0) else (Rcons_spec.Team.B, 0) in
-    outs.(pid) <- Some (tc.Rcons_algo.Team_consensus.decide team slot pid)
-  in
-  (Sim.create ~n:2 body, fun () -> outs)
-
-let sticky_fig2_mk () =
-  let cert = Option.get (Rcons_check.Recording.witness Rcons_spec.Sticky_bit.t 2) in
-  let tc = Rcons_algo.Team_consensus.create cert in
-  let outs = Array.make 2 None in
-  let body pid () =
-    let team, slot = if pid = 0 then (Rcons_spec.Team.A, 0) else (Rcons_spec.Team.B, 0) in
-    outs.(pid) <- Some (tc.Rcons_algo.Team_consensus.decide team slot pid)
-  in
-  (Sim.create ~n:2 body, fun () -> outs)
+(* Figure 2 on the type's level-2 certificate, p0 on team A proposing 0
+   and p1 on team B proposing 1. *)
+let fig2_mk name =
+  match Rcons.Counterexample.team_system (Rcons.Counterexample.team2 ~inputs:(0, 1) name) with
+  | Ok mk -> mk
+  | Error e -> failwith e
 
 let check_criticality name report ~object_label =
   (* next-step valencies are singletons and differ *)
@@ -58,11 +45,11 @@ let test_one_shot_critical () =
   check_criticality "one-shot" r ~object_label:"one-shot-consensus"
 
 let test_fig2_s2_critical () =
-  let r = Critical.find_critical ~mk:fig2_mk () in
+  let r = Critical.find_critical ~mk:(fig2_mk "S2") () in
   check_criticality "fig2/S_2" r ~object_label:"S_2"
 
 let test_fig2_sticky_critical () =
-  let r = Critical.find_critical ~mk:sticky_fig2_mk () in
+  let r = Critical.find_critical ~mk:(fig2_mk "sticky") () in
   check_criticality "fig2/sticky" r ~object_label:"sticky-bit"
 
 let test_initial_configuration_bivalent () =
@@ -73,20 +60,14 @@ let test_initial_configuration_bivalent () =
 
 let test_univalent_system_rejected () =
   (* same inputs: only one decision reachable; no critical execution *)
-  let mk () =
-    let c = Rcons_algo.One_shot.create () in
-    let outs = Array.make 2 None in
-    let body pid () = outs.(pid) <- Some (Rcons_algo.One_shot.decide c 7) in
-    (Sim.create ~n:2 body, fun () -> outs)
-  in
-  match Critical.find_critical ~mk () with
+  match Critical.find_critical ~mk:(one_shot_mk ~inputs:[| 7; 7 |]) () with
   | _ -> Alcotest.fail "expected Search_space_exhausted"
   | exception Critical.Search_space_exhausted _ -> ()
 
 let test_decisions_monotone () =
   (* a prefix's decision set contains each extension's decision set *)
   let root = Critical.decisions ~mk:one_shot_mk [] in
-  let after_p0 = Critical.decisions ~mk:one_shot_mk [ Critical.Step_of 0 ] in
+  let after_p0 = Critical.decisions ~mk:one_shot_mk [ Schedule.Step_choice 0 ] in
   Alcotest.(check bool) "subset" true (Critical.Int_set.subset after_p0 root)
 
 let suite =
