@@ -68,10 +68,8 @@ let sweep_universal ~annotated ~policy ~crash_prob ~iters ~seed =
   for _ = 1 to iters do
     Persist.scoped ~barriers:annotated policy (fun () ->
         let history = Rcons.History.History.create () in
-        let u = Runiversal.create ~history ~n:2 Derived.counter in
         let scripts = [| [| Derived.Incr; Derived.Get |]; [| Derived.Incr |] |] in
-        let runner = Script.create u ~n:2 ~max_ops:2 in
-        let sim = Sim.create ~n:2 (fun pid () -> Script.run runner pid scripts.(pid)) in
+        let _, _, sim = Script.system ~history Derived.counter scripts in
         (* crashes land in the history: durable linearizability needs
            them to decide which completed operations are optional *)
         let adv = Adversary.of_rng ~rng (Adversary.Uniform { crash_prob; max_crashes = 4 }) in

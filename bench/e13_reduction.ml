@@ -25,10 +25,8 @@ let runiversal_mk ~n () =
   let open Rcons.Universal in
   let history = Rcons.History.History.create () in
   Heap.register (fun () -> Heap.digest (Rcons.History.History.events history));
-  let u = Runiversal.create ~history ~n Derived.counter in
   let scripts = Array.init n (fun _ -> [| Derived.Incr |]) in
-  let runner = Script.create u ~n ~max_ops:1 in
-  let sim = Sim.create ~n (fun pid () -> Script.run runner pid scripts.(pid)) in
+  let _, _, sim = Script.system ~history Derived.counter scripts in
   let spec = Derived.lin_spec Derived.counter in
   let check () =
     if Sim.all_finished sim then

@@ -14,14 +14,12 @@ open Rcons.Universal
 
 let run_workload ~n ~ops_per_proc ~crash_prob ~make_rc ~seed =
   let history = Rcons.History.History.create () in
-  let u = Runiversal.create ~history ?make_rc ~n Derived.counter in
   let scripts =
     Array.init n (fun pid ->
         Array.init ops_per_proc (fun k ->
             if (pid + k) mod 3 = 0 then Derived.Get else Derived.Incr))
   in
-  let runner = Script.create u ~n ~max_ops:ops_per_proc in
-  let sim = Sim.create ~n (fun pid () -> Script.run runner pid scripts.(pid)) in
+  let u, _, sim = Script.system ~history ?make_rc Derived.counter scripts in
   let adv =
     Adversary.create ~seed:(Util.seed seed)
       (Adversary.Uniform { crash_prob; max_crashes = 3 * n })
@@ -81,10 +79,8 @@ let strictness_series () =
       let rng = Random.State.make [| Util.seed 19 |] in
       for _ = 1 to iters do
         let history = Rcons.History.History.create () in
-        let u = Runiversal.create ~history ~n:2 Derived.counter in
         let scripts = [| [| Derived.Incr; Derived.Incr |]; [| Derived.Incr; Derived.Get |] |] in
-        let runner = Script.create u ~n:2 ~max_ops:2 in
-        let sim = Sim.create ~n:2 (fun pid () -> Script.run runner pid scripts.(pid)) in
+        let _, _, sim = Script.system ~history Derived.counter scripts in
         (* the [on_crash] hook lands crashes in the history too *)
         let adv = Adversary.of_rng ~rng (Adversary.Uniform { crash_prob; max_crashes = 6 }) in
         ignore

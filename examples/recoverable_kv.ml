@@ -16,7 +16,6 @@ open Rcons.Universal
 let () =
   let n = 4 in
   let history = Rcons.History.History.create () in
-  let store = Rcons.make_recoverable ~history ~n (Derived.kv ()) in
   let keys = [| "apple"; "beech"; "cedar" |] in
   let scripts =
     Array.init n (fun pid ->
@@ -27,8 +26,7 @@ let () =
             | 1 -> Derived.Find key
             | _ -> Derived.Del key))
   in
-  let runner = Script.create store ~n ~max_ops:5 in
-  let sim = Rcons.Runtime.Sim.create ~n (fun pid () -> Script.run runner pid scripts.(pid)) in
+  let store, _, sim = Rcons.make_recoverable ~history (Derived.kv ()) scripts in
   let rng = Random.State.make [| 7 |] in
   let crashes =
     Rcons.Runtime.Adversary.(

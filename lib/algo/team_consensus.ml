@@ -107,3 +107,16 @@ let create ?(faithful = true) (Certificate.Recording ((module T), d)) : 'v t =
   (* Sizes are reported in the certificate's labelling (callers address
      teams and slots as in the certificate; the swap is internal). *)
   { decide; size_a = List.length d.ops_a; size_b = List.length d.ops_b }
+
+(* The Figure 2 system: team A's processes first, then team B's, each
+   member proposing its team's input.  [Outputs.system] makes the log
+   before [create] builds the algorithm's objects, so under a heap
+   arena the registration order is log, then algorithm. *)
+let system ?faithful ~inputs:(a, b) cert =
+  let size_a, size_b = Certificate.recording_teams cert in
+  let inputs = Array.init (size_a + size_b) (fun i -> if i < size_a then a else b) in
+  Outputs.system ~inputs @@ fun () ->
+  let tc = create ?faithful cert in
+  fun pid v ->
+    if pid < size_a then tc.decide Rcons_spec.Team.A pid v
+    else tc.decide Rcons_spec.Team.B (pid - size_a) v

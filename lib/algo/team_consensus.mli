@@ -37,3 +37,17 @@ val create : ?faithful:bool -> Rcons_check.Certificate.recording -> 'v t
     T_n, and [rcons explore --type S2 --annotated --max-crashes 0 --dedup
     --por] exits 1 with a 36-step schedule even under eager (the top
     ROADMAP item). *)
+
+val system :
+  ?faithful:bool ->
+  inputs:'v * 'v ->
+  Rcons_check.Certificate.recording ->
+  Rcons_runtime.Sim.t * 'v Outputs.t
+(** [system ~inputs:(a, b) cert]: the one Figure 2 system builder.  One
+    process per certificate slot, team A's first: process [i < |A|] runs
+    DECIDE([a]) as team A's slot [i], the others DECIDE([b]) as team B's
+    slot [i - |A|].  Built through {!Outputs.system}, so under a heap
+    arena the output log registers before the algorithm's objects.  The
+    build reads the ambient cache model: wrap it in
+    {!Rcons_runtime.Persist.scoped} for a weak-persistency or
+    barrier-carrying system. *)

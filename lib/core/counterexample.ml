@@ -96,17 +96,9 @@ let symmetry_classes w = Result.map Rcons_check.Certificate.symmetry_classes (ce
    barriers builds with none. *)
 let build w f = Persist.scoped ~flush_cost:w.flush_cost ~barriers:w.annotated w.persist f
 
-let team_build w cert =
-  let size_a, size_b = Rcons_check.Certificate.recording_teams cert in
-  let n = size_a + size_b in
-  let inputs = Array.init n (fun i -> if i < size_a then w.input_a else w.input_b) in
-  fun () ->
-    build w @@ fun () ->
-    Rcons_algo.Outputs.system ~inputs @@ fun () ->
-    let tc = Rcons_algo.Team_consensus.create ~faithful:w.faithful cert in
-    fun pid v ->
-      if pid < size_a then tc.Rcons_algo.Team_consensus.decide Rcons_spec.Team.A pid v
-      else tc.Rcons_algo.Team_consensus.decide Rcons_spec.Team.B (pid - size_a) v
+let team_build w cert () =
+  build w @@ fun () ->
+  Rcons_algo.Team_consensus.system ~faithful:w.faithful ~inputs:(w.input_a, w.input_b) cert
 
 let team_system w =
   match w.log_slots with
@@ -123,9 +115,8 @@ let mk w =
             let t, sim = Rcons_log.Rlog.instance ~faithful:w.faithful ~slots cert in
             (sim, fun () -> Rcons_log.Rlog.check_exn ~fail:Explore.fail t)
       | None ->
-          let system = team_build w cert in
           fun () ->
-            let sim, outputs = system () in
+            let sim, outputs = team_build w cert () in
             (sim, fun () -> Rcons_algo.Outputs.check_exn ~fail:Explore.fail outputs))
     (cert_of w)
 
@@ -146,11 +137,11 @@ let of_violation w (v : Explore.violation) =
     provenance = v.v_provenance;
   }
 
-let minimize ?max_checks t =
+let minimize t =
   match mk t.workload with
   | Error e -> Error e
   | Ok mk -> (
-      match Shrink.minimize ?max_checks ~mk t.schedule with
+      match Shrink.minimize ~mk t.schedule with
       | None -> Error "schedule does not violate; nothing to shrink"
       | Some (schedule, msg) ->
           Ok { t with msg; schedule; shrunk_from = Some (List.length t.schedule) })

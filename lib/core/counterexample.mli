@@ -91,11 +91,12 @@ val symmetry_classes : workload -> (int list list, string) result
 val team_system :
   workload -> (unit -> Rcons_runtime.Sim.t * int Rcons_algo.Outputs.t, string) result
 (** The Figure 2 team-consensus build behind {!mk}: resolve the
-    certificate once, then each call builds a fresh system -- team A's
-    processes first, each team member proposing its team's input --
-    under the workload's cache model (policy, flush cost and barriers,
-    handed once to {!Rcons_runtime.Persist.scoped}), and returns it with
-    its output log.  The system carries its cache
+    certificate once, then each call builds a fresh system with
+    {!Rcons_algo.Team_consensus.system} (team A's processes first, each
+    team member proposing its team's input) under the workload's cache
+    model (policy, flush cost and barriers, handed once to
+    {!Rcons_runtime.Persist.scoped}), and returns it with its output
+    log.  The system carries its cache
     ({!Rcons_runtime.Sim.cache}), so nothing about its run depends on
     what is ambient afterwards.
     [Error] as for {!mk}, and for a replicated-log workload. *)
@@ -120,7 +121,7 @@ type t = {
 
 val of_violation : workload -> Rcons_runtime.Explore.violation -> t
 
-val minimize : ?max_checks:int -> t -> (t, string) result
+val minimize : t -> (t, string) result
 (** Shrink the schedule to 1-minimality ({!Rcons_runtime.Shrink}),
     recording the original length in [shrunk_from].  [Error] if the
     workload fails to build or the schedule does not violate. *)

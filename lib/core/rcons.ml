@@ -70,14 +70,7 @@ let solve_rc ?domains ?certs ot ~n =
   | None -> None
   | Some cert -> Some (Algo.Tournament.recoverable_consensus cert ~n)
 
-(* Build a wait-free recoverable object from a sequential specification
-   using the universal construction of Figure 7. *)
-let make_recoverable ?history ?make_rc ~n spec =
-  Universal.Runiversal.create ?history ?make_rc ~n spec
-
-(* The Appendix H analysis: does every critical configuration of the type
-   force equal valencies (implying rcons = 1)?  For the stack and the
-   queue use {!Valency.Impossibility.analyse_stack} and [analyse_queue]
-   instead: they canonicalize the growing list-state pairs, which this
-   generic entry point cannot do for an abstract state type. *)
-let impossibility = Valency.Impossibility.analyse
+(* A wait-free recoverable object from a sequential specification, by
+   the universal construction of Figure 7, with the system running one
+   crash-restartable script per process over it. *)
+let make_recoverable = Universal.Script.system

@@ -78,16 +78,11 @@ val solve_rc :
 val make_recoverable :
   ?history:('o, 'r) History.History.t ->
   ?make_rc:(unit -> ('s, 'o, 'r) Universal.Runiversal.node Universal.Runiversal.rc) ->
-  n:int ->
   ('s, 'o, 'r) Universal.Runiversal.seq_spec ->
-  ('s, 'o, 'r) Universal.Runiversal.t
-(** A wait-free recoverable object from any sequential specification,
-    via the universal construction of Figure 7. *)
+  'o array array ->
+  ('s, 'o, 'r) Universal.Runiversal.t * ('s, 'o, 'r) Universal.Script.t * Runtime.Sim.t
+(** [make_recoverable spec scripts]: a wait-free recoverable object from
+    any sequential specification, via the universal construction of
+    Figure 7, with the system in which process [pid] runs
+    [scripts.(pid)] crash-restartably ({!Universal.Script.system}). *)
 
-val impossibility :
-  ?max_pairs:int -> ?max_depth:int -> ?state_depth:int -> Spec.Object_type.t ->
-  Valency.Impossibility.report
-(** The Appendix H analysis: does every critical configuration force
-    equal valencies (implying rcons = 1)?  For the stack and queue use
-    {!Valency.Impossibility.analyse_stack} / [analyse_queue], which
-    canonicalize the growing list-state pairs. *)

@@ -74,7 +74,7 @@ let proposal_b slot = ((slot + 1) * 1000) + 222
 let proposal t ~pid ~slot = if pid < t.size_a then proposal_a slot else proposal_b slot
 
 let create ?(faithful = true) ?(vote_first = false) ~slots cert =
-  if slots < 1 then invalid_arg "Rlog.create: slots must be >= 1";
+  if slots < 1 then invalid_arg "Rlog.instance: slots must be >= 1";
   let size_a, size_b = Certificate.recording_teams cert in
   let n = size_a + size_b in
   let tc = Array.init slots (fun _ -> TC.create ~faithful cert) in
@@ -124,7 +124,6 @@ let create ?(faithful = true) ?(vote_first = false) ~slots cert =
   }
 
 let num_procs t = t.n
-let teams t = (t.size_a, t.size_b)
 
 (* --- instrumentation (meta-observations, not shared-memory steps) --- *)
 
@@ -267,7 +266,6 @@ let decided_value t ~slot =
 
 let recovery_steps t = Array.copy t.recovery_steps
 let recoveries t = Array.copy t.recoveries
-let history t = t.history
 
 let check_exn ~fail t =
   if !(t.obs_conflict) then

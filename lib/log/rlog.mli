@@ -38,45 +38,29 @@
 
 type t
 
-val create :
-  ?faithful:bool ->
-  ?vote_first:bool ->
-  slots:int ->
-  Rcons_check.Certificate.recording ->
-  t
-(** Allocate the log's shared state (per-slot consensus instances,
-    chain, quorum counter) under the ambient {!Rcons_runtime.Persist}
-    cache and {!Rcons_runtime.Heap} arena, and register the
-    observation log, conflict flag and checker watermark with the arena
-    so {!check_exn} stays a state property for the deduplicating
-    explorer.  [faithful] is passed to each slot's
-    {!Rcons_algo.Team_consensus.create}; [vote_first] (default [false])
-    enables the negative-control barrier order.
-
-    @raise Invalid_argument when [slots < 1]. *)
-
-val body : t -> int -> unit -> unit
-(** Process body for {!Rcons_runtime.Sim.create}: recover (replay the
-    durable prefix my vote advertises), then append every remaining
-    slot in order. *)
-
 val instance :
   ?faithful:bool ->
   ?vote_first:bool ->
   slots:int ->
   Rcons_check.Certificate.recording ->
   t * Rcons_runtime.Sim.t
-(** {!create} plus the simulated system running {!body} on
-    [num_procs] processes. *)
+(** The log and the simulated system running it on [num_procs]
+    processes.  The log's shared state (per-slot consensus instances,
+    chain, quorum counter) is allocated under the ambient
+    {!Rcons_runtime.Persist} cache and {!Rcons_runtime.Heap} arena, and
+    the observation log, conflict flag and checker watermark register
+    with the arena so {!check_exn} stays a state property for the
+    deduplicating explorer.  Each process recovers (replays the durable
+    prefix its vote advertises), then appends every remaining slot in
+    order.  [faithful] is passed to each slot's
+    {!Rcons_algo.Team_consensus.create}; [vote_first] (default [false])
+    enables the negative-control barrier order.  Pids
+    [0 .. |A| - 1] are the certificate's team A, and each proposes one
+    value per (team, slot).
+
+    @raise Invalid_argument when [slots < 1]. *)
 
 val num_procs : t -> int
-
-val teams : t -> int * int
-(** Team sizes [(|A|, |B|)] inherited from the certificate; pids
-    [0 .. size_a - 1] are team A. *)
-
-val proposal : t -> pid:int -> slot:int -> int
-(** The value [pid] proposes for [slot] (one value per (team, slot)). *)
 
 val committed : t -> int
 (** The committed prefix length: largest [li] such that a majority of
@@ -106,12 +90,6 @@ val recovery_steps : t -> int array
 
 val recoveries : t -> int array
 (** Per-process count of body re-entries after a crash (a copy). *)
-
-val history : t -> (int Rcons_history.Conditions.log_op, int) Rcons_history.History.t
-(** The operation history the log records: one APPEND per (pid, slot)
-    whose response may arrive after crashes, with [Persist] markers
-    after the barriers of a system built with them on.  Feed {!note_crash} from the
-    adversary's crash hook to place crash markers. *)
 
 val note_crash : t -> pid:int -> unit
 (** Record a crash marker in the history and sample {!committed} into

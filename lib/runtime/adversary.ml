@@ -75,16 +75,15 @@ let validate pol =
   | None -> Ok pol
   | Some m -> Error (Printf.sprintf "%s adversary: %s" (policy_name pol) m)
 
-let policy_of_string ?(crash_prob = 0.2) ?(max_crashes = 6) ?(burst = 2) ?victims ?crash_at
+let policy_of_string ?(crash_prob = 0.2) ?(max_crashes = 6) ?(burst = 2) ?crash_at
     ?(period = 12) ?(active = 4) name =
   match String.lowercase_ascii name with
   | "uniform" -> validate (Uniform { crash_prob; max_crashes })
   | "storm" -> validate (Storm { crash_prob; burst; max_crashes })
   | "targeted" ->
-      (* With no explicit grudge list the adversary targets process 0:
-         a deterministic default that still exercises recovery. *)
-      validate
-        (Targeted { victims = Option.value victims ~default:[ 0 ]; crash_prob; max_crashes })
+      (* By name the adversary targets process 0: a deterministic
+         default that still exercises recovery. *)
+      validate (Targeted { victims = [ 0 ]; crash_prob; max_crashes })
   | "simultaneous" ->
       validate (Simultaneous { crash_at = Option.value crash_at ~default:[ 5; 17 ] })
   | "quiescent" -> validate (Quiescent { period; active; crash_prob; max_crashes })
@@ -92,31 +91,6 @@ let policy_of_string ?(crash_prob = 0.2) ?(max_crashes = 6) ?(burst = 2) ?victim
       Error
         (Printf.sprintf "unknown adversary policy %S (valid: %s)" name
            (String.concat ", " policy_names))
-
-let policy_params = function
-  | Uniform { crash_prob; max_crashes } ->
-      [ ("crash_prob", string_of_float crash_prob); ("max_crashes", string_of_int max_crashes) ]
-  | Storm { crash_prob; burst; max_crashes } ->
-      [
-        ("crash_prob", string_of_float crash_prob);
-        ("burst", string_of_int burst);
-        ("max_crashes", string_of_int max_crashes);
-      ]
-  | Targeted { victims; crash_prob; max_crashes } ->
-      [
-        ("victims", String.concat "," (List.map string_of_int victims));
-        ("crash_prob", string_of_float crash_prob);
-        ("max_crashes", string_of_int max_crashes);
-      ]
-  | Simultaneous { crash_at } ->
-      [ ("crash_at", String.concat "," (List.map string_of_int crash_at)) ]
-  | Quiescent { period; active; crash_prob; max_crashes } ->
-      [
-        ("period", string_of_int period);
-        ("active", string_of_int active);
-        ("crash_prob", string_of_float crash_prob);
-        ("max_crashes", string_of_int max_crashes);
-      ]
 
 (* A crash budget: crashes spent so far, and the [Simultaneous]
    thresholds not yet reached.  [run] spends a fresh one per call;
@@ -130,17 +104,16 @@ let fresh_budget = function
 type t = {
   pol : policy;
   rng : Random.State.t;
-  seed_used : int option;
   life : budget; (* [used] = crashes delivered over the adversary's lifetime *)
 }
 
-let of_policy pol rng seed_used =
+let of_policy pol rng =
   match validate pol with
-  | Ok pol -> { pol; rng; seed_used; life = fresh_budget pol }
+  | Ok pol -> { pol; rng; life = fresh_budget pol }
   | Error m -> invalid_arg ("Adversary: " ^ m)
 
-let create ?(seed = 42) pol = of_policy pol (Random.State.make [| seed |]) (Some seed)
-let of_rng ~rng pol = of_policy pol rng None
+let create ?(seed = 42) pol = of_policy pol (Random.State.make [| seed |])
+let of_rng ~rng pol = of_policy pol rng
 let crashes_injected a = a.life.used
 
 let crashes_requested a =
@@ -151,14 +124,6 @@ let crashes_requested a =
   | Quiescent { max_crashes; _ } ->
       max_crashes
   | Simultaneous { crash_at } -> List.length (List.sort_uniq compare crash_at)
-
-let provenance ?fingerprint a =
-  {
-    Schedule.origin = "adversary:" ^ policy_name a.pol;
-    seed = a.seed_used;
-    params = policy_params a.pol;
-    fingerprint;
-  }
 
 (* One firing of a probabilistic policy: the [float] is drawn only when
    a crash is possible, then up to [burst] distinct victims are drawn

@@ -77,7 +77,6 @@ val policy_of_string :
   ?crash_prob:float ->
   ?max_crashes:int ->
   ?burst:int ->
-  ?victims:int list ->
   ?crash_at:int list ->
   ?period:int ->
   ?active:int ->
@@ -85,7 +84,7 @@ val policy_of_string :
   (policy, string) result
 (** Resolve a policy by name (case-insensitive), instantiated with the
     given knobs (defaults: [crash_prob 0.2], [max_crashes 6], [burst 2],
-    [victims [0]], [crash_at [5; 17]], [period 12], [active 4]).
+    [crash_at [5; 17]], [period 12], [active 4]).
     [Error] is the one-line diagnosis CLI callers print before exiting
     2: it lists {!policy_names} for an unknown name, and names the
     setting for a value out of range ([crash_prob] outside [[0, 1]],
@@ -105,7 +104,7 @@ val create : ?seed:int -> policy -> t
 
 val of_rng : rng:Random.State.t -> policy -> t
 (** Wrap an externally owned RNG (a sweep sharing one stream across
-    runs); the recorded provenance then has no seed.
+    runs).
 
     @raise Invalid_argument as {!create}. *)
 
@@ -134,10 +133,6 @@ val decide : t -> eligible:int list -> total_steps:int -> int list
     as {!run}'s, but the streams are not interchangeable ({!run} also
     draws its step picks): dedicate a [t] to either {!run} or
     {!decide}. *)
-
-val provenance : ?fingerprint:string -> t -> Schedule.provenance
-(** Self-description of this adversary for violation records and
-    artifacts. *)
 
 type outcome = {
   crashes : int;  (** crashes injected *)

@@ -115,7 +115,6 @@
 
 type choice = Schedule.choice = Step_choice of int | Crash_choice of int
 
-let pp_choice = Schedule.pp_choice
 let pp_schedule = Schedule.pp
 
 type violation = {

@@ -123,7 +123,6 @@
 
 type choice = Schedule.choice = Step_choice of int | Crash_choice of int
 
-val pp_choice : Format.formatter -> choice -> unit
 val pp_schedule : Format.formatter -> choice list -> unit
 
 (** An invariant violation: the offending schedule plus the provenance

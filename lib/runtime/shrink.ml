@@ -50,7 +50,11 @@ let split n sched =
   in
   go 0 sched []
 
-let minimize ?(max_checks = 100_000) ~mk sched =
+(* Oracle replays one minimization may spend; past it, the best
+   schedule so far is returned. *)
+let max_checks = 100_000
+
+let minimize ~mk sched =
   match check ~mk sched with
   | None -> None
   | Some (msg0, used0) ->

@@ -26,13 +26,12 @@ val check :
     way. *)
 
 val minimize :
-  ?max_checks:int ->
   mk:(unit -> Sim.t * (unit -> unit)) ->
   Schedule.choice list ->
   (Schedule.choice list * string) option
 (** [minimize ~mk sched] ddmin-minimizes a violating schedule, returning
     the 1-minimal schedule and the violation message it reproduces;
     [None] if [sched] does not violate in the first place (nothing to
-    shrink).  [max_checks] (default 100_000) bounds the number of oracle
-    replays; if it runs out, the best schedule found so far is returned
-    (still violating, possibly not 1-minimal). *)
+    shrink).  At most 100 000 oracle replays run; if they run out, the
+    best schedule found so far is returned (still violating, possibly
+    not 1-minimal). *)

@@ -12,7 +12,6 @@ let create ~cap =
   if cap < 1 then invalid_arg "Admission.create: cap must be >= 1";
   { cap; q = Queue.create (); admitted = 0; shed = 0; high_water = 0 }
 
-let length t = Queue.length t.q
 let is_empty t = Queue.is_empty t.q
 
 let try_enqueue t x =

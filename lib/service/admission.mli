@@ -10,7 +10,6 @@ type 'a t
 val create : cap:int -> 'a t
 (** @raise Invalid_argument when [cap < 1]. *)
 
-val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val try_enqueue : 'a t -> 'a -> bool

@@ -29,11 +29,6 @@ val sn : int -> expectation
 val find : string -> expectation
 (** Lookup by {!Object_type.name}.  @raise Not_found otherwise. *)
 
-val names : unit -> string list
-(** Every name {!of_name} accepts -- aliases, canonical catalogue names
-    and the parametric "S<n>" / "T<n>" families -- derived from the
-    tables, for error messages and shell completion. *)
-
 val of_name : string -> (Object_type.t, string) result
 (** Resolve a user-facing type name: a catalogue name ("sticky-bit"), a
     short alias ("sticky", "tas", "cas", ...), or a parametric "S<n>" /
@@ -43,4 +38,5 @@ val of_name : string -> (Object_type.t, string) result
     workloads, whose per-slot certificates are derived from these
     types), so a type name stored in a witness file means the same
     object type everywhere.  The [Error] for an unknown name lists
-    {!names}. *)
+    every name this accepts: aliases, canonical catalogue names and the
+    parametric families. *)

@@ -57,10 +57,6 @@ let pp_kind ppf k =
     | Flush -> "flush"
     | Sync -> "sync")
 
-let pp ppf = function
-  | Global -> Format.pp_print_string ppf "global"
-  | Obj { oid; kind } -> Format.fprintf ppf "%a@%d" pp_kind kind oid
-
 (* Per-execution object-id allocator.  Domain-local so parallel explorer
    walkers (one system at a time per domain) never race; reset by the
    explorer before each system is built, so oids are deterministic per

@@ -37,7 +37,6 @@ val independent : t -> t -> bool
     observes). *)
 
 val pp_kind : Format.formatter -> kind -> unit
-val pp : Format.formatter -> t -> unit
 
 val fresh_oid : unit -> int
 (** Allocate the next object id of the current execution (domain-local

@@ -202,11 +202,6 @@ let fingerprint (type s o r) ?(depth = 8)
 
 let fingerprint_t ?depth (Pack (module T)) = fingerprint ?depth (module T)
 
-let equal_state (type s o r)
-    (module T : S with type state = s and type op = o and type resp = r)
-    (a : s) (b : s) =
-  T.compare_state a b = 0
-
 (* Convenience pretty-printers used throughout the catalogue. *)
 let pp_int = Format.pp_print_int
 let pp_bool = Format.pp_print_bool

@@ -96,9 +96,6 @@ val digest : 'a -> string
     expanded): byte equality of digests coincides with structural
     equality.  The default [digest_state] of the whole catalogue. *)
 
-val equal_state :
-  (module S with type state = 's and type op = 'o and type resp = 'r) -> 's -> 's -> bool
-
 (** {2 Pretty-printing helpers shared by the catalogue} *)
 
 val pp_int : Format.formatter -> int -> unit

@@ -16,9 +16,6 @@ type state = { winner : Team.t; row : int }
 type op = OpA | OpB
 type resp = Ack
 
-val initial : state
-(** The initial state [(B, 0)]. *)
-
 val make : int -> Object_type.t
 (** [make n] builds S_n.
     @raise Invalid_argument if [n < 2]. *)

@@ -17,9 +17,6 @@ type state = { winner : winner; row : int; col : int }
 type op = OpA | OpB
 type resp = Team.t
 
-val initial : state
-(** The forgetful state [(bot, 0, 0)]. *)
-
 val make : int -> Object_type.t
 (** [make n] builds T_n.
     @raise Invalid_argument if [n < 2]. *)

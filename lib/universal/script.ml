@@ -14,13 +14,6 @@ type ('s, 'o, 'r) t = {
   responses : 'r option array array; (* meta-observation, per pid per index *)
 }
 
-let create universal ~n ~max_ops =
-  {
-    universal;
-    progress = Array.init n (fun _ -> Cell.make 0);
-    responses = Array.init n (fun _ -> Array.make max_ops None);
-  }
-
 (* Run [ops] as process [pid]; safe to re-enter from the beginning after a
    crash.  Responses are recorded for later checking. *)
 let run t pid (ops : 'o array) =
@@ -36,5 +29,20 @@ let run t pid (ops : 'o array) =
     Cell.write t.progress.(pid) (i + 1);
     k := continue_from ()
   done
+
+(* One process per script, and every per-process array sized from the
+   scripts themselves.  The object's cells are made before the progress
+   counters: fingerprint bytes follow registration order. *)
+let system ?history ?make_rc spec scripts =
+  let n = Array.length scripts in
+  let universal = Runiversal.create ?history ?make_rc ~n spec in
+  let t =
+    {
+      universal;
+      progress = Array.map (fun _ -> Cell.make 0) scripts;
+      responses = Array.map (fun ops -> Array.make (Array.length ops) None) scripts;
+    }
+  in
+  (universal, t, Sim.create ~n (fun pid () -> run t pid scripts.(pid)))
 
 let response t pid index = t.responses.(pid).(index)

@@ -1,7 +1,13 @@
-(* Shared harness code for the algorithm tests: build simulated systems
-   running consensus algorithms, drive them with the various adversaries,
-   and check the RC properties (agreement, validity, and -- via bounded
-   step budgets -- recoverable wait-freedom). *)
+(* Shared harness code for the algorithm tests: adapt the library's
+   system builders to the test drivers, drive systems with the various
+   adversaries, and check the RC properties (agreement, validity, and --
+   via bounded step budgets -- recoverable wait-freedom).
+
+   Nothing here builds a system: Figure 2 comes from
+   [Team_consensus.system], every other consensus system from
+   [Outputs.system], and Figure 7 from [Script.system].  The functions
+   below only pick the inputs and wrap a built system with its
+   checker. *)
 
 open Rcons_runtime
 open Rcons_check
@@ -11,59 +17,37 @@ open Rcons_check
 type 'v system = { sim : Sim.t; outputs : 'v Rcons_algo.Outputs.t; check : unit -> unit }
 
 let check_now outputs () = Rcons_algo.Outputs.check_exn ~fail:Explore.fail outputs
+let of_built (sim, outputs) = { sim; outputs; check = check_now outputs }
 
-(* System running full (tournament-lifted) recoverable consensus from a
-   recording certificate, with distinct inputs 10, 20, 30, ... *)
-let rc_system ?faithful (cert : Certificate.recording) ~n () =
-  let inputs = Array.init n (fun i -> (i + 1) * 10) in
-  let outputs = Rcons_algo.Outputs.make ~inputs in
-  let decide = Rcons_algo.Tournament.recoverable_consensus ?faithful cert ~n in
-  let body pid () = Rcons_algo.Outputs.record outputs pid (decide pid inputs.(pid)) in
-  let sim = Sim.create ~n body in
-  { sim; outputs; check = check_now outputs }
+(* A built system as an explorer [mk] result. *)
+let explorer (sim, outputs) = (sim, check_now outputs)
 
-(* System running a bare Figure 2 team-consensus instance: process pids
-   are laid out team A first, then team B; [use_a] and [use_b] select how
-   many processes of each team actually participate (subset participation
-   is allowed, see Proposition 30). *)
-let team_system ?faithful (cert : Certificate.recording) ?use_a ?use_b () =
-  let size_a, size_b = Certificate.recording_teams cert in
-  let use_a = Option.value use_a ~default:size_a in
-  let use_b = Option.value use_b ~default:size_b in
-  assert (use_a >= 1 && use_a <= size_a && use_b >= 1 && use_b <= size_b);
-  let n = use_a + use_b in
-  let inputs = Array.init n (fun i -> if i < use_a then 111 else 222) in
-  let outputs = Rcons_algo.Outputs.make ~inputs in
-  let tc = Rcons_algo.Team_consensus.create ?faithful cert in
-  let body pid () =
-    let team, slot =
-      if pid < use_a then (Rcons_spec.Team.A, pid) else (Rcons_spec.Team.B, pid - use_a)
-    in
-    Rcons_algo.Outputs.record outputs pid (tc.Rcons_algo.Team_consensus.decide team slot inputs.(pid))
-  in
-  let sim = Sim.create ~n body in
-  { sim; outputs; check = check_now outputs }
+(* Full (tournament-lifted) recoverable consensus from a recording
+   certificate, with distinct inputs 10, 20, 30, ... *)
+let rc_system cert ~n () =
+  of_built
+    (Rcons_algo.Outputs.system ~inputs:(Array.init n (fun i -> (i + 1) * 10)) (fun () ->
+         Rcons_algo.Tournament.recoverable_consensus cert ~n))
 
-(* [team_system] with every process participating, as an explorer [mk]. *)
+(* Figure 2 with every process participating: team A proposes 111, team
+   B 222. *)
+let team_system ?faithful cert () =
+  of_built (Rcons_algo.Team_consensus.system ?faithful ~inputs:(111, 222) cert)
+
 let team_mk ?faithful cert () =
-  let sys = team_system ?faithful cert () in
-  (sys.sim, sys.check)
+  explorer (Rcons_algo.Team_consensus.system ?faithful ~inputs:(111, 222) cert)
 
-(* Figure 4: recoverable consensus from consensus under simultaneous
-   crashes; consensus instances are created lazily during execution, so
-   this system exercises mid-run heap registration. *)
+(* Figure 4 over one-shot consensus objects.  The instances are created
+   lazily during execution, so this system exercises mid-run heap
+   registration. *)
+let one_shot_consensus () =
+  let c = Rcons_algo.One_shot.create () in
+  { Rcons_algo.Simultaneous_rc.propose = (fun _pid v -> Rcons_algo.One_shot.decide c v) }
+
 let fig4_mk n () =
-  let inputs = Array.init n (fun i -> (i + 1) * 10) in
-  let outputs = Rcons_algo.Outputs.make ~inputs in
-  let make_consensus () =
-    let c = Rcons_algo.One_shot.create () in
-    { Rcons_algo.Simultaneous_rc.propose = (fun _pid v -> Rcons_algo.One_shot.decide c v) }
-  in
-  let rc = Rcons_algo.Simultaneous_rc.create ~n ~make_consensus in
-  let body pid () =
-    Rcons_algo.Outputs.record outputs pid (Rcons_algo.Simultaneous_rc.decide rc pid inputs.(pid))
-  in
-  (Sim.create ~n body, check_now outputs)
+  explorer
+    (Rcons_algo.Outputs.system ~inputs:(Array.init n (fun i -> (i + 1) * 10)) (fun () ->
+         Rcons_algo.Simultaneous_rc.(decide (create ~n ~make_consensus:one_shot_consensus))))
 
 (* After a completed run, crash a random subset of processes and drive
    the system back to completion with no further crashes: a process that

@@ -98,15 +98,13 @@ let test_runiversal_not_strict () =
   let k = ref 3 in
   while (not !found_witness) && !k < 24 do
     let history = Rcons_history.History.create () in
-    let u = Rcons_universal.Runiversal.create ~history ~n:2 Rcons_universal.Derived.counter in
-    let runner = Rcons_universal.Script.create u ~n:2 ~max_ops:2 in
     let scripts =
       [|
         [| Rcons_universal.Derived.Incr |];
         [| Rcons_universal.Derived.Incr; Rcons_universal.Derived.Get |];
       |]
     in
-    let t = Sim.create ~n:2 (fun pid () -> Rcons_universal.Script.run runner pid scripts.(pid)) in
+    let _, _, t = Rcons_universal.Script.system ~history Rcons_universal.Derived.counter scripts in
     for _ = 1 to !k do
       if not (Sim.finished t 0) then ignore (Sim.step_proc t 0)
     done;

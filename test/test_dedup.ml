@@ -218,8 +218,61 @@ let test_trace_chain () =
     (Digest.to_hex (observed ~before:("p", "q") ("x", "y")))
     (Digest.to_hex (observed ~before:("r", "s") ("x", "y")))
 
+(* --- fingerprint bytes are pinned --- *)
+
+(* Four systems' digests at the root and after one short fixed
+   schedule, each built under a fresh arena.  The bytes follow the
+   order in which a builder registers its objects as well as each
+   object's own digest, and the symmetry hits the CI sweeps pin are
+   counted over them, so a builder that reorders its objects fails
+   here.  Figure 2 is pinned through both of its callers, the workload
+   build and the test helper, which must agree. *)
+let pinned_schedule =
+  Schedule.
+    [ Step_choice 0; Step_choice 1; Crash_choice 0; Step_choice 0; Step_choice 1; Step_choice 1 ]
+
+let pinned_digests mk =
+  with_arena @@ fun () ->
+  let sim = mk () in
+  let root = Digest.to_hex (Sim.fingerprint_digest sim) in
+  List.iter (Schedule.apply sim) pinned_schedule;
+  let after = Digest.to_hex (Sim.fingerprint_digest sim) in
+  Sim.abandon sim;
+  (root, after)
+
+let test_fingerprint_pins () =
+  let workload ?level name () =
+    match Rcons.Counterexample.team_system (Rcons.Counterexample.team2 ?level name) with
+    | Ok build -> fst (build ())
+    | Error e -> Alcotest.fail e
+  in
+  let helper mk () = fst (mk ()) in
+  let s2 = Helpers.cert_of (Rcons_spec.Sn.make 2) 2 in
+  let sticky3 = Helpers.cert_of Rcons_spec.Sticky_bit.t 3 in
+  List.iter
+    (fun (name, expect, builds) ->
+      List.iter
+        (fun mk -> Alcotest.(check (pair string string)) name expect (pinned_digests mk))
+        builds)
+    [
+      ( "Figure 2 on S_2",
+        ("c84457185f40cebf1315d576f2edb2dd", "f9f7be124cbb569fd0fbd34ad57897d7"),
+        [ workload "S2"; helper (Helpers.team_mk s2) ] );
+      ( "Figure 2 on sticky, level 3",
+        ("7a55a77b493abbf686be31c2dff19e5b", "b71b1c1ae7170b86d238bf9d09114041"),
+        [ workload ~level:3 "sticky"; helper (Helpers.team_mk sticky3) ] );
+      ( "tournament on sticky, n = 3",
+        ("0188fd58581b7de3703718aaac00edf7", "c8723e4f5d55c43ab8cd4287a2fac9ad"),
+        [ (fun () -> (Helpers.rc_system sticky3 ~n:3 ()).Helpers.sim) ] );
+      ( "Figure 4, n = 2",
+        ("de0183f8161c5b2027d322218c2aacb2", "82491426af63dab8c4f432adc4c97d75"),
+        [ helper (Helpers.fig4_mk 2) ] );
+    ]
+
 let suite =
   [
+    Alcotest.test_case "fingerprint bytes pinned (Figures 2 and 4, tournament)" `Quick
+      test_fingerprint_pins;
     Alcotest.test_case "raw mode matches seed baselines" `Quick test_raw_baselines;
     Alcotest.test_case "raw mode matches seed baseline (2 crashes)" `Slow
       test_raw_baseline_two_crashes;

@@ -55,10 +55,7 @@ let baseline_steps ~mk =
   Adversary.round_robin sim;
   Sim.total_steps sim
 
-let fig2_system () =
-  let cert = Helpers.cert_of (Rcons_spec.Sn.make 3) 3 in
-  let sys = Helpers.team_system cert () in
-  (sys.Helpers.sim, sys.Helpers.check)
+let fig2_system () = Helpers.team_mk (Helpers.cert_of (Rcons_spec.Sn.make 3) 3) ()
 
 let test_single_crash_every_position () =
   let total = baseline_steps ~mk:fig2_system in
@@ -85,15 +82,13 @@ let test_double_crashes_strided () =
 
 let universal_system () =
   let history = Rcons_history.History.create () in
-  let u = Rcons_universal.Runiversal.create ~history ~n:2 Rcons_universal.Derived.counter in
-  let runner = Rcons_universal.Script.create u ~n:2 ~max_ops:2 in
   let scripts =
     [|
       [| Rcons_universal.Derived.Incr; Rcons_universal.Derived.Get |];
       [| Rcons_universal.Derived.Incr |];
     |]
   in
-  let sim = Sim.create ~n:2 (fun pid () -> Rcons_universal.Script.run runner pid scripts.(pid)) in
+  let _, _, sim = Rcons_universal.Script.system ~history Rcons_universal.Derived.counter scripts in
   let check () =
     if Sim.all_finished sim then begin
       if
@@ -118,19 +113,10 @@ let test_simultaneous_every_position () =
   (* Figure 4 under a crash_all at every possible step of the crash-free
      schedule *)
   let mk () =
-    let n = 3 in
-    let inputs = [| 1; 2; 3 |] in
-    let outputs = Rcons_algo.Outputs.make ~inputs in
-    let make_consensus () =
-      let c = Rcons_algo.One_shot.create () in
-      { Rcons_algo.Simultaneous_rc.propose = (fun _ v -> Rcons_algo.One_shot.decide c v) }
-    in
-    let rc = Rcons_algo.Simultaneous_rc.create ~n ~make_consensus in
-    let body pid () =
-      Rcons_algo.Outputs.record outputs pid
-        (Rcons_algo.Simultaneous_rc.decide rc pid inputs.(pid))
-    in
-    (Sim.create ~n body, fun () -> Rcons_algo.Outputs.check_exn ~fail:Explore.fail outputs)
+    Helpers.explorer
+      (Rcons_algo.Outputs.system ~inputs:[| 1; 2; 3 |] (fun () ->
+           Rcons_algo.Simultaneous_rc.(
+             decide (create ~n:3 ~make_consensus:Helpers.one_shot_consensus))))
   in
   let total =
     let sim, _ = mk () in

@@ -19,7 +19,7 @@ let test_static_dynamic_coherence () =
       | Some cert when Rcons_spec.Object_type.readable ot ->
           let stats =
             Helpers.exhaustive
-              ~mk:(fun () -> Helpers.team_system cert ~use_a:1 ~use_b:1 ())
+              ~mk:(Helpers.team_system cert)
               ~max_crashes:1
           in
           Alcotest.(check bool) (name ^ ": model-checked") true (stats.Explore.schedules > 0)
@@ -57,10 +57,7 @@ let test_facade_solve_rc () =
   match Rcons.solve_rc Rcons_spec.Sticky_bit.t ~n:3 with
   | None -> Alcotest.fail "sticky bit must solve 3-process RC"
   | Some decide ->
-      let inputs = [| 1; 2; 3 |] in
-      let outs = Rcons_algo.Outputs.make ~inputs in
-      let body pid () = Rcons_algo.Outputs.record outs pid (decide pid inputs.(pid)) in
-      let t = Sim.create ~n:3 body in
+      let t, outs = Rcons_algo.Outputs.system ~inputs:[| 1; 2; 3 |] (fun () -> decide) in
       Adversary.round_robin t;
       Alcotest.(check bool) "agreement" true (Rcons_algo.Outputs.agreement_ok outs)
 
@@ -73,12 +70,8 @@ let test_facade_classify () =
   Alcotest.(check string) "name" "register(2)" r.Rcons_check.Classify.type_name
 
 let test_facade_make_recoverable () =
-  let u = Rcons.make_recoverable ~n:2 Rcons_universal.Derived.counter in
-  let runner = Rcons_universal.Script.create u ~n:2 ~max_ops:2 in
-  let t =
-    Sim.create ~n:2 (fun pid () ->
-        Rcons_universal.Script.run runner pid [| Rcons_universal.Derived.Incr; Rcons_universal.Derived.Get |])
-  in
+  let script = [| Rcons_universal.Derived.Incr; Rcons_universal.Derived.Get |] in
+  let u, _, t = Rcons.make_recoverable Rcons_universal.Derived.counter [| script; script |] in
   Adversary.round_robin t;
   Alcotest.(check int) "4 ops applied" 4 (Rcons_universal.Runiversal.applied_count u)
 
@@ -100,13 +93,10 @@ let test_deep_composition () =
     let decide = Rcons_algo.Tournament.recoverable_consensus cert ~n in
     { Rcons_algo.Simultaneous_rc.propose = decide }
   in
-  let inputs = [| 41; 42 |] in
-  let outputs = Rcons_algo.Outputs.make ~inputs in
-  let rc = Rcons_algo.Simultaneous_rc.create ~n ~make_consensus in
-  let body pid () =
-    Rcons_algo.Outputs.record outputs pid (Rcons_algo.Simultaneous_rc.decide rc pid inputs.(pid))
+  let t, outputs =
+    Rcons_algo.Outputs.system ~inputs:[| 41; 42 |] (fun () ->
+        Rcons_algo.Simultaneous_rc.(decide (create ~n ~make_consensus)))
   in
-  let t = Sim.create ~n body in
   Adversary.(ignore (run ~record:false (create (Simultaneous { crash_at = [ 6; 21 ] })) t));
   Alcotest.(check bool) "agreement" true (Rcons_algo.Outputs.agreement_ok outputs);
   Alcotest.(check bool) "validity" true (Rcons_algo.Outputs.validity_ok outputs)

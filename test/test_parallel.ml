@@ -483,16 +483,14 @@ let test_bookkeeping_engine_parity () =
   let universal_mk () =
     Persist.scoped ~barriers:true Persist.Lossy (fun () ->
         let history = Rcons_history.History.create () in
-        let u = Rcons_universal.Runiversal.create ~history ~n:2 Rcons_universal.Derived.counter in
-        let runner = Rcons_universal.Script.create u ~n:2 ~max_ops:2 in
         let scripts =
           [|
             [| Rcons_universal.Derived.Incr; Rcons_universal.Derived.Get |];
             [| Rcons_universal.Derived.Incr |];
           |]
         in
-        let sim =
-          Sim.create ~n:2 (fun pid () -> Rcons_universal.Script.run runner pid scripts.(pid))
+        let _, _, sim =
+          Rcons_universal.Script.system ~history Rcons_universal.Derived.counter scripts
         in
         let lin = Rcons_universal.Derived.lin_spec Rcons_universal.Derived.counter in
         ( sim,

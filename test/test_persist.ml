@@ -622,17 +622,14 @@ let test_runiversal_annotated_lossy () =
   for seed = 1 to 12 do
     Persist.scoped ~barriers:true Persist.Lossy (fun () ->
         let history = Rcons_history.History.create () in
-        let u = Rcons_universal.Runiversal.create ~history ~n:2 Rcons_universal.Derived.counter in
-        let runner = Rcons_universal.Script.create u ~n:2 ~max_ops:2 in
         let scripts =
           [|
             [| Rcons_universal.Derived.Incr; Rcons_universal.Derived.Get |];
             [| Rcons_universal.Derived.Incr |];
           |]
         in
-        let sim =
-          Sim.create ~n:2 (fun pid () ->
-              Rcons_universal.Script.run runner pid scripts.(pid))
+        let _, _, sim =
+          Rcons_universal.Script.system ~history Rcons_universal.Derived.counter scripts
         in
         let rng = Random.State.make [| seed |] in
         let adv = Adversary.of_rng ~rng (Adversary.Uniform { crash_prob = 0.15; max_crashes = 3 }) in
@@ -654,15 +651,11 @@ let test_runiversal_annotated_lossy () =
    more, r (p2) decides 12, and p0's 11 disagrees.  The clean-line
    confirm makes p0 retry instead, and it returns 12. *)
 let test_one_shot_durable_agreement () =
-  let outputs, sim =
+  let sim, outputs =
     Persist.scoped ~barriers:true Persist.Lossy (fun () ->
-        let o = Rcons_algo.One_shot.create () in
-        let outputs = Rcons_algo.Outputs.make ~inputs:[| 10; 11; 12 |] in
-        let body pid () =
-          Rcons_algo.Outputs.record outputs pid
-            (Rcons_algo.One_shot.decide_durable o outputs.Rcons_algo.Outputs.inputs.(pid))
-        in
-        (outputs, Sim.create ~n:3 body))
+        Rcons_algo.Outputs.system ~inputs:[| 10; 11; 12 |] (fun () ->
+            let o = Rcons_algo.One_shot.create () in
+            fun _pid v -> Rcons_algo.One_shot.decide_durable o v))
   in
   let step i = ignore (Sim.step_proc sim i) in
   (* Each [step] of a started process runs one access: decide, flush,

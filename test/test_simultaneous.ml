@@ -5,16 +5,12 @@
 open Rcons_runtime
 open Rcons_algo
 
-let make_consensus () =
-  let c = One_shot.create () in
-  { Simultaneous_rc.propose = (fun _pid v -> One_shot.decide c v) }
-
 let system ~n =
-  let inputs = Array.init n (fun i -> (i + 1) * 10) in
-  let outputs = Outputs.make ~inputs in
-  let rc = Simultaneous_rc.create ~n ~make_consensus in
-  let body pid () = Outputs.record outputs pid (Simultaneous_rc.decide rc pid inputs.(pid)) in
-  let sim = Sim.create ~n body in
+  let rc = Simultaneous_rc.create ~n ~make_consensus:Helpers.one_shot_consensus in
+  let sim, outputs =
+    Outputs.system ~inputs:(Array.init n (fun i -> (i + 1) * 10)) (fun () ->
+        Simultaneous_rc.decide rc)
+  in
   (sim, outputs, rc)
 
 let check outputs =
@@ -84,11 +80,10 @@ let test_pluggable_consensus_ruppert () =
     let decide = Tournament.standard_consensus cert ~n in
     { Simultaneous_rc.propose = decide }
   in
-  let inputs = [| 5; 6; 7 |] in
-  let outputs = Outputs.make ~inputs in
-  let rc = Simultaneous_rc.create ~n ~make_consensus in
-  let body pid () = Outputs.record outputs pid (Simultaneous_rc.decide rc pid inputs.(pid)) in
-  let sim = Sim.create ~n body in
+  let sim, outputs =
+    Outputs.system ~inputs:[| 5; 6; 7 |] (fun () ->
+        Simultaneous_rc.(decide (create ~n ~make_consensus)))
+  in
   Adversary.(ignore (run ~record:false (create (Simultaneous { crash_at = [ 5; 19 ] })) sim));
   check outputs
 

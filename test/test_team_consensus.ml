@@ -14,6 +14,21 @@
 
 open Rcons_runtime
 
+(* Proposition 30's subset participation: only the first [use_a] slots
+   of team A and [use_b] of team B run (team A's first), proposing 111
+   and 222.  [Team_consensus.system] runs every slot, so this is the
+   one local build. *)
+let subset_system cert ~use_a ~use_b =
+  let size_a, size_b = Rcons_check.Certificate.recording_teams cert in
+  assert (use_a >= 1 && use_a <= size_a && use_b >= 1 && use_b <= size_b);
+  let inputs = Array.init (use_a + use_b) (fun i -> if i < use_a then 111 else 222) in
+  Helpers.of_built @@ Rcons_algo.Outputs.system ~inputs
+  @@ fun () ->
+  let tc = Rcons_algo.Team_consensus.create cert in
+  fun pid v ->
+    if pid < use_a then tc.Rcons_algo.Team_consensus.decide Rcons_spec.Team.A pid v
+    else tc.Rcons_algo.Team_consensus.decide Rcons_spec.Team.B (pid - use_a) v
+
 let certs () =
   [
     ("S_2", Helpers.cert_of (Rcons_spec.Sn.make 2) 2);
@@ -53,7 +68,7 @@ let test_subset_participation () =
   List.iter
     (fun (use_a, use_b) ->
       Helpers.random_sweep
-        ~mk:(fun () -> Helpers.team_system cert ~use_a ~use_b ())
+        ~mk:(fun () -> subset_system cert ~use_a ~use_b)
         ~iters:200 ~crash_prob:0.2 ~max_crashes:6 ~seed:77)
     [ (1, 1); (1, 2); (1, 3) ]
 
@@ -61,7 +76,7 @@ let test_exhaustive_one_crash () =
   List.iter
     (fun (name, cert) ->
       let stats =
-        Helpers.exhaustive ~mk:(fun () -> Helpers.team_system cert ~use_a:1 ~use_b:1 ()) ~max_crashes:1
+        Helpers.exhaustive ~mk:(fun () -> subset_system cert ~use_a:1 ~use_b:1) ~max_crashes:1
       in
       Alcotest.(check bool) (name ^ ": explored schedules") true (stats.Explore.schedules > 100))
     [ ("S_3", Helpers.cert_of (Rcons_spec.Sn.make 3) 3); ("sticky", Helpers.cert_of Rcons_spec.Sticky_bit.t 2) ]
@@ -69,7 +84,7 @@ let test_exhaustive_one_crash () =
 let test_exhaustive_two_crashes_s3 () =
   let cert = Helpers.cert_of (Rcons_spec.Sn.make 3) 3 in
   let stats =
-    Helpers.exhaustive ~mk:(fun () -> Helpers.team_system cert ~use_a:1 ~use_b:1 ()) ~max_crashes:2
+    Helpers.exhaustive ~mk:(fun () -> subset_system cert ~use_a:1 ~use_b:1) ~max_crashes:2
   in
   Alcotest.(check bool) "survived full two-crash exploration" true (stats.Explore.schedules > 10_000)
 

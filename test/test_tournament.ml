@@ -94,11 +94,10 @@ let test_standard_consensus_crash_free () =
   List.iter
     (fun n ->
       let cert = Helpers.disc_cert_of Rcons_spec.Sticky_bit.t n in
-      let inputs = Array.init n (fun i -> 100 + i) in
-      let outputs = Outputs.make ~inputs in
-      let decide = Tournament.standard_consensus cert ~n in
-      let body pid () = Outputs.record outputs pid (decide pid inputs.(pid)) in
-      let t = Sim.create ~n body in
+      let t, outputs =
+        Outputs.system ~inputs:(Array.init n (fun i -> 100 + i)) (fun () ->
+            Tournament.standard_consensus cert ~n)
+      in
       Adversary.round_robin t;
       Alcotest.(check bool) (Printf.sprintf "n=%d agreement" n) true (Outputs.agreement_ok outputs);
       Alcotest.(check bool) (Printf.sprintf "n=%d validity" n) true (Outputs.validity_ok outputs))
@@ -107,11 +106,9 @@ let test_standard_consensus_crash_free () =
 let test_standard_consensus_on_swap () =
   (* swap has consensus number 2: the baseline works for n = 2 *)
   let cert = Helpers.disc_cert_of Rcons_spec.Swap.default 2 in
-  let inputs = [| 7; 9 |] in
-  let outputs = Outputs.make ~inputs in
-  let decide = Tournament.standard_consensus cert ~n:2 in
-  let body pid () = Outputs.record outputs pid (decide pid inputs.(pid)) in
-  let t = Sim.create ~n:2 body in
+  let t, outputs =
+    Outputs.system ~inputs:[| 7; 9 |] (fun () -> Tournament.standard_consensus cert ~n:2)
+  in
   Adversary.round_robin t;
   Alcotest.(check bool) "agreement" true (Outputs.agreement_ok outputs);
   Alcotest.(check bool) "validity" true (Outputs.validity_ok outputs)
@@ -128,12 +125,8 @@ let test_standard_consensus_on_swap () =
 let test_standard_consensus_breaks_under_crashes () =
   let cert = Helpers.disc_cert_of Rcons_spec.Swap.default 2 in
   let mk () =
-    let inputs = [| 7; 9 |] in
-    let outputs = Outputs.make ~inputs in
-    let decide = Tournament.standard_consensus cert ~n:2 in
-    let body pid () = Outputs.record outputs pid (decide pid inputs.(pid)) in
-    let sim = Sim.create ~n:2 body in
-    { Helpers.sim; outputs; check = Helpers.check_now outputs }
+    Helpers.of_built
+      (Outputs.system ~inputs:[| 7; 9 |] (fun () -> Tournament.standard_consensus cert ~n:2))
   in
   match Helpers.exhaustive ~mk ~max_crashes:1 with
   | _ -> Alcotest.fail "expected the crash-recovery adversary to break the baseline"

@@ -6,16 +6,9 @@
 open Rcons_runtime
 open Rcons_universal
 
-let run_counter ?(n = 2) ?history ?make_rc scripts =
-  let u = Runiversal.create ?history ?make_rc ~n Derived.counter in
-  let max_ops = Array.fold_left (fun m s -> max m (Array.length s)) 0 scripts in
-  let runner = Script.create u ~n ~max_ops in
-  let body pid () = Script.run runner pid scripts.(pid) in
-  (u, runner, Sim.create ~n body)
-
 let test_counter_sequential () =
   let scripts = [| [| Derived.Incr; Derived.Incr; Derived.Get |]; [| Derived.Incr; Derived.Get |] |] in
-  let u, runner, t = run_counter scripts in
+  let u, runner, t = Script.system Derived.counter scripts in
   Adversary.round_robin t;
   Alcotest.(check int) "all ops applied" 5 (Runiversal.applied_count u);
   (match (Script.response runner 0 2, Script.response runner 1 1) with
@@ -29,34 +22,25 @@ let test_counter_sequential () =
   Alcotest.(check (list int)) "contiguous seq numbers" [ 2; 3; 4; 5; 6 ] seqs
 
 let test_stack_object () =
-  let spec = Derived.stack () in
-  let u = Runiversal.create ~n:1 spec in
   let script = [| Derived.Push 1; Derived.Push 2; Derived.Pop; Derived.Pop; Derived.Pop |] in
-  let runner = Script.create u ~n:1 ~max_ops:5 in
-  let t = Sim.create ~n:1 (fun pid () -> Script.run runner pid script) in
+  let _, runner, t = Script.system (Derived.stack ()) [| script |] in
   Adversary.round_robin t;
   Alcotest.(check (option (option int))) "pop 2 first" (Some (Some 2)) (Script.response runner 0 2);
   Alcotest.(check (option (option int))) "pop 1 second" (Some (Some 1)) (Script.response runner 0 3);
   Alcotest.(check (option (option int))) "pop empty" (Some None) (Script.response runner 0 4)
 
 let test_queue_object () =
-  let spec = Derived.queue () in
-  let u = Runiversal.create ~n:1 spec in
   let script = [| Derived.Enq 1; Derived.Enq 2; Derived.Deq; Derived.Deq |] in
-  let runner = Script.create u ~n:1 ~max_ops:4 in
-  let t = Sim.create ~n:1 (fun pid () -> Script.run runner pid script) in
+  let _, runner, t = Script.system (Derived.queue ()) [| script |] in
   Adversary.round_robin t;
   Alcotest.(check (option (option int))) "deq 1 first" (Some (Some 1)) (Script.response runner 0 2);
   Alcotest.(check (option (option int))) "deq 2 second" (Some (Some 2)) (Script.response runner 0 3)
 
 let test_kv_object () =
-  let spec = Derived.kv () in
-  let u = Runiversal.create ~n:1 spec in
   let script =
     [| Derived.Put ("x", 1); Derived.Put ("y", 2); Derived.Find "x"; Derived.Del "x"; Derived.Find "x" |]
   in
-  let runner = Script.create u ~n:1 ~max_ops:5 in
-  let t = Sim.create ~n:1 (fun pid () -> Script.run runner pid script) in
+  let _, runner, t = Script.system (Derived.kv ()) [| script |] in
   Adversary.round_robin t;
   Alcotest.(check (option (option int))) "find x" (Some (Some 1)) (Script.response runner 0 2);
   Alcotest.(check (option (option int))) "find deleted" (Some None) (Script.response runner 0 4)
@@ -64,9 +48,7 @@ let test_kv_object () =
 let test_invoke_idempotent_across_crashes () =
   (* crash at every step of a single increment: the counter must still end
      at exactly 1, however many times the process restarts *)
-  let u = Runiversal.create ~n:1 Derived.counter in
-  let runner = Script.create u ~n:1 ~max_ops:1 in
-  let t = Sim.create ~n:1 (fun pid () -> Script.run runner pid [| Derived.Incr |]) in
+  let u, runner, t = Script.system Derived.counter [| [| Derived.Incr |] |] in
   for _ = 1 to 15 do
     if not (Sim.all_finished t) then begin
       (* make partial progress, then crash mid-operation *)
@@ -85,10 +67,7 @@ let test_helping_wait_freedom () =
   (* p1 announces an operation and then stalls (never scheduled again);
      p0, running alone, must still complete its own operations thanks to
      the round-robin helping -- and will in fact append p1's node too *)
-  let u = Runiversal.create ~n:2 Derived.counter in
-  let runner = Script.create u ~n:2 ~max_ops:3 in
-  let scripts = [| Array.make 3 Derived.Incr; [| Derived.Incr |] |] in
-  let t = Sim.create ~n:2 (fun pid () -> Script.run runner pid scripts.(pid)) in
+  let u, _, t = Script.system Derived.counter [| Array.make 3 Derived.Incr; [| Derived.Incr |] |] in
   (* let p1 announce (a few steps), then run p0 exclusively *)
   for _ = 1 to 6 do
     if not (Sim.finished t 1) then ignore (Sim.step_proc t 1)
@@ -111,7 +90,7 @@ let test_linearizable_random_crashes () =
       Array.init 3 (fun pid ->
           Array.init 3 (fun k -> if (pid + k) mod 2 = 0 then Derived.Incr else Derived.Get))
     in
-    let _, _, t = run_counter ~n:3 ~history scripts in
+    let _, _, t = Script.system ~history Derived.counter scripts in
     Adversary.(
       ignore (run ~record:false (of_rng ~rng (Uniform { crash_prob = 0.15; max_crashes = 9 })) t));
     if not (lin_ok history) then Alcotest.fail "non-linearizable history under crashes"
@@ -125,7 +104,7 @@ let test_linearizable_exhaustive_small () =
   let mk () =
     let history = Rcons_history.History.create () in
     let scripts = [| [| Derived.Incr |]; [| Derived.Get |] |] in
-    let _, _, t = run_counter ~n:2 ~history scripts in
+    let _, _, t = Script.system ~history Derived.counter scripts in
     let check () = if Sim.all_finished t && not (lin_ok history) then Explore.fail "not linearizable" in
     (t, check)
   in
@@ -148,7 +127,7 @@ let test_figure2_rc_instances () =
   for _ = 1 to 50 do
     let history = Rcons_history.History.create () in
     let scripts = [| [| Derived.Incr; Derived.Get |]; [| Derived.Incr |] |] in
-    let _, _, t = run_counter ~n ~history ~make_rc scripts in
+    let _, _, t = Script.system ~history ~make_rc Derived.counter scripts in
     Adversary.(
       ignore (run ~record:false (of_rng ~rng (Uniform { crash_prob = 0.1; max_crashes = 4 })) t));
     if not (lin_ok history) then Alcotest.fail "non-linearizable with Figure 2 RC instances"
@@ -157,7 +136,7 @@ let test_figure2_rc_instances () =
 let test_linearization_matches_history_count () =
   let history = Rcons_history.History.create () in
   let scripts = [| [| Derived.Incr; Derived.Get |]; [| Derived.Incr |] |] in
-  let u, _, t = run_counter ~n:2 ~history scripts in
+  let u, _, t = Script.system ~history Derived.counter scripts in
   Adversary.round_robin t;
   let ops = Rcons_history.History.operations history in
   Alcotest.(check int) "history ops = applied ops" (Runiversal.applied_count u) (List.length ops);
@@ -168,7 +147,7 @@ let test_simultaneous_crashes_universal () =
   (* the universal construction also survives the simultaneous-crash model *)
   let history = Rcons_history.History.create () in
   let scripts = Array.init 3 (fun _ -> [| Derived.Incr; Derived.Get |]) in
-  let _, _, t = run_counter ~n:3 ~history scripts in
+  let _, _, t = Script.system ~history Derived.counter scripts in
   Adversary.(ignore (run ~record:false (create (Simultaneous { crash_at = [ 4; 15 ] })) t));
   Alcotest.(check bool) "linearizable after crash_all" true (lin_ok history)
 
@@ -185,13 +164,11 @@ let test_current_state_is_last_node () =
   in
   for _ = 1 to 40 do
     let n = 3 in
-    let u = Runiversal.create ~n (Derived.stack ()) in
     let scripts =
       Array.init n (fun pid ->
           Array.init 4 (fun k -> if k = 2 then Derived.Pop else Derived.Push ((10 * pid) + k)))
     in
-    let runner = Script.create u ~n ~max_ops:4 in
-    let t = Sim.create ~n (fun pid () -> Script.run runner pid scripts.(pid)) in
+    let u, _, t = Script.system (Derived.stack ()) scripts in
     Alcotest.(check (list int)) "init before any append" [] (Runiversal.current_state u);
     for _ = 1 to Random.State.int rng 400 do
       let pid = Random.State.int rng n in
