@@ -4,28 +4,44 @@
 
      <dir>/<property>-<fingerprint>-n<level>.json
 
-   The key is {!Rcons_spec.Object_type.fingerprint}, not the type name,
-   so catalogue aliases share entries and any change to a type's
-   transition table, universes or readability silently invalidates its
-   cache (the fingerprint moves, the old files become orphans for [gc]).
+   The key is {!Rcons_spec.Object_type.fingerprint} at the one depth
+   [key_depth] = 8, whatever the scan limit, not the type name, so
+   catalogue aliases share entries and any change to a type's behaviour
+   on sequences of <= 8 operations (its transition table, universes or
+   readability) silently invalidates its cache (the fingerprint moves,
+   the old files become orphans for [gc]).  The key is never deeper:
+   for the unbounded container types a depth-n fingerprint is a BFS
+   exponential in n (stack(2) at depth 12 walks 27 645 transitions), far
+   more work than re-proving the entries it locates.
 
    Trust model: a loaded entry is NEVER trusted as-is.
-   - A positive entry stores the witness candidate by *index* into the
-     type's declared universes (no code or OCaml values are
-     deserialized) plus digests of the certificate's derived sets.  On
-     load the candidate is re-checked from scratch against Definition 2
-     or 4 and the witness fields recomputed from the result (set
-     digests included) must equal the stored ones; the caller receives
-     the freshly recomputed certificate data, not the stored bytes.
+   - A positive entry, at any level, stores the witness candidate by
+     *index* into the type's declared universes (no code or OCaml values
+     are deserialized) plus digests of the certificate's derived sets.
+     On load the candidate is re-checked from scratch against
+     Definition 2 or 4 and the witness fields recomputed from the result
+     (set digests included) must equal the stored ones; the caller
+     receives the freshly recomputed certificate data, not the stored
+     bytes.  The key only locates the entry, so its depth bounds
+     nothing here.
    - A negative entry stores only the size of the candidate space that
-     was exhausted.  It is accepted iff the stored fingerprint matches
-     the one recomputed from the live module at a depth >= the entry's
-     level and the stored candidate count equals the live enumeration's.
-     This is sound because the decision procedure is a deterministic
-     function of the depth-bounded transition table the fingerprint
-     pins: same fingerprint + same candidate space => same verdict.
+     was exhausted.  It is accepted iff the stored key matches the live
+     module's, the stored candidate count equals the live enumeration's
+     and, above level [key_depth], the entry's [pin] (the fingerprint
+     at depth n, computed only when such an entry is written or read)
+     matches the live module's.  This is sound because the level-n
+     decision procedure is a deterministic function of the depth-n
+     transition table a fingerprint at depth >= n pins: same
+     fingerprint + same candidate space => same verdict.
    Anything that fails these checks is reported as a miss and the caller
-   recomputes (and overwrites the entry). *)
+   recomputes (and overwrites the entry).
+
+   So verdicts never depend on the cache, and neither does a witness at
+   a level <= 8: the key pins everything the seeded scan reads up to
+   there.  Above level 8 a hit is a re-proved witness, but it can differ
+   from a fresh scan's first witness when the cache holds an entry
+   written for another type that agrees with this one on every sequence
+   of <= 8 operations. *)
 
 open Rcons_spec
 module Json = Rcons_runtime.Json
@@ -44,17 +60,22 @@ exception Stale of string
 
 let stale fmt = Printf.ksprintf (fun m -> raise (Stale m)) fmt
 
+(* The one fingerprint depth every entry is keyed at. *)
+let key_depth = 8
+
+let key t = Object_type.fingerprint ~depth:key_depth t
+
 module Codec (P : Property.DEFINITION) = struct
   let to_json (type s o r)
-      (module T : Object_type.S with type state = s and type op = o and type resp = r) ~fingerprint
-      ~depth ~n (data : (s, o, r) P.data option) =
+      (module T : Object_type.S with type state = s and type op = o and type resp = r) ~n
+      (data : (s, o, r) P.data option) =
     let common =
       [
         ("format", Json.String format_tag);
         ("property", Json.String P.name);
         ("type_hint", Json.String T.name);
-        ("fingerprint", Json.String fingerprint);
-        ("depth", Json.Int depth);
+        ("fingerprint", Json.String (key (module T)));
+        ("depth", Json.Int key_depth);
         ("n", Json.Int n);
       ]
     in
@@ -63,7 +84,12 @@ module Codec (P : Property.DEFINITION) = struct
         let count =
           Enumerate.candidate_count ~initial_states:T.candidate_initial_states ~ops:T.update_ops n
         in
-        Json.Obj (common @ [ ("result", Json.String "none"); ("candidates", Json.Int count) ])
+        let pin =
+          if n > key_depth then
+            [ ("pin", Json.String (Object_type.fingerprint ~depth:n (module T))) ]
+          else []
+        in
+        Json.Obj (common @ [ ("result", Json.String "none"); ("candidates", Json.Int count) ] @ pin)
     | Some d ->
         let index universe cmp x =
           match List.find_index (fun y -> cmp x y = 0) universe with
@@ -82,19 +108,20 @@ module Codec (P : Property.DEFINITION) = struct
   (* A witness outside the declared universes (impossible for the
      in-tree searches) is simply not cacheable. *)
   let store (type s o r)
-      (module T : Object_type.S with type state = s and type op = o and type resp = r) ~dir
-      ~fingerprint ~depth ~n data =
-    match to_json (module T) ~fingerprint ~depth ~n data with
+      (module T : Object_type.S with type state = s and type op = o and type resp = r) ~dir ~n
+      data =
+    match to_json (module T) ~n data with
     | exception Not_found -> ()
     | json ->
         (if not (Sys.file_exists dir) then try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-        Json.save ~file:(path ~dir ~property:P.name ~fingerprint ~n) json
+        Json.save ~file:(path ~dir ~property:P.name ~fingerprint:(key (module T)) ~n) json
 
   (* Re-check a stored candidate from scratch and compare the recomputed
-     witness fields with the stored ones. *)
+     witness fields with the stored ones; a negative entry is checked
+     against the live candidate count and, above [key_depth], its pin. *)
   let validate (type s o r)
-      (module T : Object_type.S with type state = s and type op = o and type resp = r) ?check
-      ~fingerprint ~n json : (s, o, r) P.data option =
+      (module T : Object_type.S with type state = s and type op = o and type resp = r) ?check ~n
+      json : (s, o, r) P.data option =
     let check =
       match check with
       | Some f -> f
@@ -106,12 +133,18 @@ module Codec (P : Property.DEFINITION) = struct
     let int f = Json.to_int (Json.field f json) in
     if str "format" <> format_tag then stale "unknown format tag %S" (str "format");
     if str "property" <> P.name then stale "property mismatch: file says %S" (str "property");
-    if str "fingerprint" <> fingerprint then stale "fingerprint mismatch (type behaviour changed)";
+    if str "fingerprint" <> key (module T) then
+      stale "fingerprint mismatch (type behaviour changed)";
     if int "n" <> n then stale "level mismatch: file says n=%d" (int "n");
-    if int "depth" < n then
-      stale "fingerprint depth %d < n=%d cannot pin the verdict" (int "depth") n;
     match str "result" with
     | "none" ->
+        if n > key_depth then begin
+          match Json.member "pin" json with
+          | None -> stale "no depth-%d pin: a depth-%d key cannot pin level %d" n key_depth n
+          | Some pin ->
+              if Json.to_str pin <> Object_type.fingerprint ~depth:n (module T) then
+                stale "depth-%d pin mismatch (behaviour differs above the key depth)" n
+        end;
         let live =
           Enumerate.candidate_count ~initial_states:T.candidate_initial_states ~ops:T.update_ops n
         in
@@ -143,11 +176,11 @@ module Codec (P : Property.DEFINITION) = struct
 
   let load (type s o r)
       (module T : Object_type.S with type state = s and type op = o and type resp = r) ~check
-      ~dir ~fingerprint ~n =
-    let file = path ~dir ~property:P.name ~fingerprint ~n in
+      ~dir ~n =
+    let file = path ~dir ~property:P.name ~fingerprint:(key (module T)) ~n in
     if not (Sys.file_exists file) then Miss
     else
-      match validate (module T) ~check ~fingerprint ~n (Json.load ~file) with
+      match validate (module T) ~check ~n (Json.load ~file) with
       | Some d -> Hit d
       | None -> Negative
       | exception (Stale _ | Invalid_argument _) -> Miss
@@ -215,25 +248,45 @@ let resolve_pool =
         (fun n -> [ (Catalogue.tn n).Catalogue.ot; (Catalogue.sn n).Catalogue.ot ])
         [ 2; 3; 4; 5; 6 ])
 
-(* The pool type whose behaviour matches [fingerprint] at [depth]; the
-   certs CLI uses this to re-anchor an on-disk entry to a live module. *)
-let resolve ~fingerprint ~depth =
-  List.find_opt
-    (fun ot -> Object_type.fingerprint_t ~depth ot = fingerprint)
-    (Lazy.force resolve_pool)
+(* The type each recorded [type_hint] names, built once per name for the
+   same reason as the pool ([None]: not a name {!Catalogue.of_name}
+   knows, e.g. a random finite type's). *)
+let hinted : (string, Object_type.t option) Hashtbl.t = Hashtbl.create 16
+
+let of_hint hint =
+  match Hashtbl.find_opt hinted hint with
+  | Some ot -> ot
+  | None ->
+      let ot = Result.to_option (Catalogue.of_name hint) in
+      Hashtbl.add hinted hint ot;
+      ot
+
+(* The type whose behaviour matches [fingerprint] at [depth]: the one
+   [type_hint] names when its fingerprint agrees (any S_n / T_n
+   included), else the first pool type that does.  The certs CLI uses
+   this to re-anchor an on-disk entry to a live module. *)
+let resolve ?type_hint ~fingerprint ~depth () =
+  let matches ot = Object_type.fingerprint_t ~depth ot = fingerprint in
+  match Option.bind type_hint of_hint with
+  | Some ot when matches ot -> Some ot
+  | _ -> List.find_opt matches (Lazy.force resolve_pool)
 
 let revalidate_info (info : info) json =
-  match resolve ~fingerprint:info.fingerprint ~depth:info.depth with
-  | None -> Stale_entry "no known type matches the stored fingerprint"
-  | Some (Object_type.Pack (module T)) -> (
-      let (module P : Property.DEFINITION) =
-        List.find (fun (module P : Property.DEFINITION) -> P.name = info.property) properties
-      in
-      let module C = Codec (P) in
-      match C.validate (module T) ~fingerprint:info.fingerprint ~n:info.n json with
-      | _ -> Valid
-      | exception Stale m -> Stale_entry m
-      | exception Invalid_argument m -> Corrupt m)
+  if info.depth <> key_depth then
+    Stale_entry
+      (Printf.sprintf "keyed at fingerprint depth %d, not the cache's %d" info.depth key_depth)
+  else
+    match resolve ~type_hint:info.type_hint ~fingerprint:info.fingerprint ~depth:key_depth () with
+    | None -> Stale_entry "no known type matches the stored fingerprint"
+    | Some (Object_type.Pack (module T)) -> (
+        let (module P : Property.DEFINITION) =
+          List.find (fun (module P : Property.DEFINITION) -> P.name = info.property) properties
+        in
+        let module C = Codec (P) in
+        match C.validate (module T) ~n:info.n json with
+        | _ -> Valid
+        | exception Stale m -> Stale_entry m
+        | exception Invalid_argument m -> Corrupt m)
 
 let revalidate_file file =
   match Json.load ~file with

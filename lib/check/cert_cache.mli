@@ -2,22 +2,36 @@
 
     One JSON file per (behavioural fingerprint, property, level) under a
     cache directory (conventionally [_certs/]), keyed by
-    {!Rcons_spec.Object_type.fingerprint} so catalogue aliases share
-    entries and any behavioural change to a type orphans its old files.
+    {!Rcons_spec.Object_type.fingerprint} at the one depth {!key_depth},
+    so catalogue aliases share entries and any behavioural change to a
+    type on sequences of at most {!key_depth} operations orphans its old
+    files.
 
-    Loaded entries are never trusted: positive entries are re-checked
-    from scratch against Definition 2 / Definition 4 and their derived
-    sets compared digest-for-digest (the caller receives the recomputed
-    certificate data); negative entries are accepted only when the
-    stored fingerprint and candidate-space size match the live module's
-    (sound because the decision procedure is a deterministic function of
-    the fingerprinted transition table).  Anything else is a [Miss] and
-    the caller recomputes. *)
+    Loaded entries are never trusted: positive entries, at any level,
+    are re-checked from scratch against Definition 2 / Definition 4 and
+    their derived sets compared digest-for-digest (the caller receives
+    the recomputed certificate data); negative entries are accepted only
+    when the stored fingerprint and candidate-space size match the live
+    module's and, above level {!key_depth}, the entry's fingerprint at
+    depth n does too (sound because the level-n decision procedure is a
+    deterministic function of the transition table a depth->=n
+    fingerprint pins).  Anything else is a [Miss] and the caller
+    recomputes.
+
+    Verdicts therefore never depend on the cache, nor do witnesses at
+    levels up to {!key_depth}.  Above it a hit is a re-proved witness
+    that can differ from a fresh scan's first one, and only when the
+    cache holds an entry written for another type that agrees with this
+    one on every sequence of at most {!key_depth} operations. *)
 
 type 'a lookup =
   | Hit of 'a  (** revalidated positive entry (freshly recomputed data) *)
   | Negative  (** revalidated "no witness at this level" entry *)
   | Miss  (** no entry, or an entry that failed revalidation *)
+
+val key_depth : int
+(** The fingerprint depth of every entry's key: 8, whatever the scan
+    limit. *)
 
 val file_name : property:string -> fingerprint:string -> n:int -> string
 (** Basename of the entry for a key, [<property>-<fingerprint>-n<n>.json];
@@ -25,28 +39,25 @@ val file_name : property:string -> fingerprint:string -> n:int -> string
 
 (** The entry format of one property: the common header (format tag,
     property, type hint, fingerprint, depth, level), then either the
-    exhausted candidate count or the property's
+    exhausted candidate count (plus, above level {!key_depth}, the
+    [pin]: the fingerprint at depth n) or the property's
     {!Property.DEFINITION.witness_fields}. *)
 module Codec (P : Property.DEFINITION) : sig
   val store :
     (module Rcons_spec.Object_type.S with type state = 's and type op = 'o and type resp = 'r) ->
     dir:string ->
-    fingerprint:string ->
-    depth:int ->
     n:int ->
     ('s, 'o, 'r) P.data option ->
     unit
   (** Write (atomically, creating [dir] if needed) the entry for a scan
-      result; [None] records an exhausted candidate space.  [depth] is
-      the fingerprint's BFS depth and must be [>= n] for the entry to be
-      loadable.  A witness mentioning states/operations outside the
-      declared universes is silently not cached. *)
+      result under the type's {!key_depth} fingerprint; [None] records an
+      exhausted candidate space.  A witness mentioning states/operations
+      outside the declared universes is silently not cached. *)
 
   val load :
     (module Rcons_spec.Object_type.S with type state = 's and type op = 'o and type resp = 'r) ->
     check:(q0:'s -> ops_a:'o list -> ops_b:'o list -> ('s, 'o, 'r) P.data option) ->
     dir:string ->
-    fingerprint:string ->
     n:int ->
     ('s, 'o, 'r) P.data lookup
   (** [~check] is the single-candidate decision procedure used to
@@ -79,13 +90,18 @@ val list_dir : string -> (string * (info, string) result) list
 (** All [*.json] entries under a directory, sorted by name; missing
     directory is an empty cache. *)
 
-val resolve : fingerprint:string -> depth:int -> Rcons_spec.Object_type.t option
-(** A catalogue type (including small parametric S_n / T_n instances)
-    whose behaviour matches the fingerprint at that depth. *)
+val resolve :
+  ?type_hint:string -> fingerprint:string -> depth:int -> unit -> Rcons_spec.Object_type.t option
+(** A type whose behaviour matches the fingerprint at that depth: the
+    one {!Rcons_spec.Catalogue.of_name} makes of [type_hint] (any S_n or
+    T_n included) if its fingerprint agrees, else the first catalogue
+    type or small S_n / T_n instance that does. *)
 
 val revalidate_file : string -> status
-(** Full pipeline for one entry: parse, re-anchor by fingerprint via
-    {!resolve}, then run the same revalidation as {!Codec.load}. *)
+(** Full pipeline for one entry: parse, re-anchor by type hint and
+    fingerprint via {!resolve}, then run the same revalidation as
+    {!Codec.load}.  An entry keyed at another depth than {!key_depth}
+    (written before the key depth was fixed) is stale. *)
 
 val gc : string -> (string * string) list
 (** Delete every entry that is not [Valid]; returns the deleted files

@@ -31,39 +31,28 @@ let max_level ~limit prop =
   in
   scan 2
 
-(* Depth of the behavioural fingerprint used as the cache key: deep
-   enough to pin every sequence the level-<=limit searches can explore,
-   never shallower than the default so small-limit and default runs
-   share keys whenever they can. *)
-let cert_depth ~limit = max 8 limit
-
 (* The one cache-or-compute level scan, for either property.  One
    memoized search instance per type ([P.Scan (T)]) lives across all
    levels, and the level-n witness seeds the level-(n+1) enumeration.
-   With [certs], each level is first looked up in the persisted cache,
-   which revalidates entries through the scan's own (warm) [check]
-   before trusting them; every recomputed level is written back. *)
+   With [certs], each level is first looked up in the persisted cache
+   (keyed at the one fingerprint depth [Cert_cache.key_depth], whatever
+   the limit), which revalidates entries through the scan's own (warm)
+   [check] before trusting them; every recomputed level is written
+   back. *)
 let scan (type p) (module P : Property.S with type packed = p) ?domains ?certs ~limit
     (Object_type.Pack (module T)) =
   let module Sc = P.Scan (T) in
   let module C = Cert_cache.Codec (P) in
-  let key =
-    Option.map
-      (fun dir ->
-        let depth = cert_depth ~limit in
-        (dir, depth, Object_type.fingerprint ~depth (module T)))
-      certs
-  in
   let witness_at seed n =
-    match key with
+    match certs with
     | None -> Sc.witness_at ?domains ?seed n
-    | Some (dir, depth, fingerprint) -> (
-        match C.load (module T) ~check:Sc.check ~dir ~fingerprint ~n with
+    | Some dir -> (
+        match C.load (module T) ~check:Sc.check ~dir ~n with
         | Cert_cache.Hit d -> Some d
         | Cert_cache.Negative -> None
         | Cert_cache.Miss ->
             let r = Sc.witness_at ?domains ?seed n in
-            C.store (module T) ~dir ~fingerprint ~depth ~n r;
+            C.store (module T) ~dir ~n r;
             r)
   in
   let seed = ref None in

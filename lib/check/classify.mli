@@ -41,10 +41,15 @@ val scan :
     enumeration, so the witness can differ from {!Property.S.witness}'s
     unseeded one.  [?certs] names a {!Cert_cache} directory: each level
     is looked up there first (entries are revalidated before being
-    trusted) and recomputed levels are written back, keyed at
-    fingerprint depth [max 8 limit].  [?domains] (default 1) fans each
-    per-level witness search across that many OCaml 5 domains.  Neither
-    knob changes the result.
+    trusted) and recomputed levels are written back, every level keyed
+    by the type's fingerprint at the one depth {!Cert_cache.key_depth},
+    whatever [limit] is.  [?domains] (default 1) fans each per-level
+    witness search across that many OCaml 5 domains.  Neither knob
+    changes the level.  The witness is the fresh scan's up to level
+    {!Cert_cache.key_depth}; above it a cached witness is re-proved but
+    may differ from the fresh scan's when the cache holds an entry
+    written for another type that agrees with [t] on every sequence of
+    at most {!Cert_cache.key_depth} operations.
     @raise Invalid_argument if [limit < 2]. *)
 
 val max_discerning : ?domains:int -> ?limit:int -> ?certs:string -> Rcons_spec.Object_type.t -> level

@@ -52,9 +52,10 @@ let classify = Check.Classify.classify
 (* The n-recording witness behind [solve_rc] and the randomized log:
    the seeded level scan of {!Check.Classify.scan} up to [n], so the
    certificate (and hence the algorithm) is the same with or without
-   the cache.  The cache key's fingerprint depth is [max 8 n] and a
-   [classify] run's is [max 8 limit], so the two share cache entries
-   only when those depths agree (both at most 8, or [limit = n]). *)
+   the cache (up to level [Cert_cache.key_depth]; above it a cached
+   witness is re-proved, see {!Check.Classify.scan}).  Every entry is
+   keyed at the one fingerprint depth [Cert_cache.key_depth], so this
+   scan and a [classify] run share entries whatever their limits. *)
 let recording_witness ?domains ?certs ot n =
   match Check.Classify.scan (module Check.Recording) ?domains ?certs ~limit:n ot with
   | Check.Classify.At_least _, w -> w

@@ -38,6 +38,8 @@ let write_file file contents =
 
 module Rec_cache = Cert_cache.Codec (Recording)
 
+let has_pin file = Rcons_runtime.Json.(member "pin" (load ~file)) <> None
+
 (* Store the live scan result for one (type, property, n), reload it
    (revalidating with a fresh search instance) and require the reload to
    agree with the original bit for bit.  Returns false on any
@@ -45,11 +47,9 @@ module Rec_cache = Cert_cache.Codec (Recording)
 let roundtrip (module P : Property.S) (OT.Pack (module T)) n dir =
   let module Sc = P.Scan (T) in
   let module C = Cert_cache.Codec (P) in
-  let depth = max 8 n in
-  let fp = OT.fingerprint ~depth (module T) in
   let r = Sc.witness_at n in
-  C.store (module T) ~dir ~fingerprint:fp ~depth ~n r;
-  match (C.load (module T) ~check:(P.check_candidate (module T)) ~dir ~fingerprint:fp ~n, r) with
+  C.store (module T) ~dir ~n r;
+  match (C.load (module T) ~check:(P.check_candidate (module T)) ~dir ~n, r) with
   | Cert_cache.Hit d, Some d0 -> d = d0
   | Cert_cache.Negative, None -> true
   | _ -> false
@@ -64,7 +64,7 @@ let catalogue_types () =
 (* The on-disk cache key, pinned byte for byte: a fingerprint change
    silently invalidates every stored certificate, so any rewrite of
    [Object_type.fingerprint] must reproduce these.  Depth 8 is the key
-   of the committed seed, depth 12 the one [classify --limit 12] writes. *)
+   of every entry; depth 12 is the pin a level-12 negative entry carries. *)
 let fingerprint_pins =
   [
     ("register(2)", "cfdc97ed2894a2ab7476f5541d1d0ccb", "8fba9c7b31827a409e3cdb1aa3bf0c8e");
@@ -124,7 +124,8 @@ let test_fingerprint_pins () =
    back the same module (and hit the fingerprint memo). *)
 let test_resolve_pool_shared () =
   let fingerprint = OT.fingerprint_t (Rcons_spec.Sn.make 3) in
-  match (Cert_cache.resolve ~fingerprint ~depth:8, Cert_cache.resolve ~fingerprint ~depth:8) with
+  let resolve () = Cert_cache.resolve ~fingerprint ~depth:8 () in
+  match (resolve (), resolve ()) with
   | Some a, Some b ->
       Alcotest.(check string) "resolves to S_3" "S_3" (OT.name a);
       Alcotest.(check bool) "same module both times" true (a == b)
@@ -193,6 +194,13 @@ let test_candidate_count () =
         (Enumerate.candidate_count ~initial_states ~ops n))
     [ (1, 1, 2); (2, 3, 2); (3, 2, 4); (2, 4, 5); (1, 5, 6); (2, 2, 7) ]
 
+(* Where the recording entry of a type at level [n] lives. *)
+let entry_file dir (OT.Pack (module T)) n =
+  Filename.concat dir
+    (Cert_cache.file_name ~property:Recording.name
+       ~fingerprint:(OT.fingerprint ~depth:Cert_cache.key_depth (module T))
+       ~n)
+
 (* Fixture: the first recording-witness entry written for a type known to
    have one. *)
 let sticky = Rcons_spec.Sticky_bit.t
@@ -201,36 +209,33 @@ let store_sticky_witness dir =
   match sticky with
   | OT.Pack (module T) ->
       let module Sc = Recording.Scan (T) in
-      let fp = OT.fingerprint (module T) in
       let r = Sc.witness_at 2 in
       Alcotest.(check bool) "sticky-bit is 2-recording" true (Option.is_some r);
-      Rec_cache.store (module T) ~dir ~fingerprint:fp ~depth:8 ~n:2 r;
-      (fp, Filename.concat dir (Cert_cache.file_name ~property:Recording.name ~fingerprint:fp ~n:2))
+      Rec_cache.store (module T) ~dir ~n:2 r;
+      (OT.fingerprint ~depth:Cert_cache.key_depth (module T), entry_file dir sticky 2)
 
-let load_sticky dir fp =
-  match sticky with
-  | OT.Pack (module T) -> (
-      match
-        Rec_cache.load (module T) ~check:(Recording.check_candidate (module T)) ~dir ~fingerprint:fp
-          ~n:2
-      with
-      | Cert_cache.Hit _ -> `Hit
-      | Cert_cache.Negative -> `Negative
-      | Cert_cache.Miss -> `Miss)
+(* What a recording-cache look-up at level [n] makes of the entry. *)
+let lookup (OT.Pack (module T)) ~dir ~n =
+  match Rec_cache.load (module T) ~check:(Recording.check_candidate (module T)) ~dir ~n with
+  | Cert_cache.Hit _ -> `Hit
+  | Cert_cache.Negative -> `Negative
+  | Cert_cache.Miss -> `Miss
+
+let load_sticky dir = lookup sticky ~dir ~n:2
 
 (* Poisoned certificate: mutate the stored Q_A digest.  The loader must
    reject the entry (Miss, never Hit) and a cache-backed classify must
    recompute and heal the file. *)
 let test_poisoned_q_set () =
   with_dir @@ fun dir ->
-  let fp, file = store_sticky_witness dir in
-  Alcotest.(check bool) "pristine entry loads" true (load_sticky dir fp = `Hit);
+  let _fp, file = store_sticky_witness dir in
+  Alcotest.(check bool) "pristine entry loads" true (load_sticky dir = `Hit);
   let poisoned =
     Str.global_replace (Str.regexp {|"q_a": "[0-9a-f]*"|}) {|"q_a": "deadbeefdeadbeefdeadbeefdeadbeef"|}
       (read_file file)
   in
   write_file file poisoned;
-  Alcotest.(check bool) "poisoned entry is a miss" true (load_sticky dir fp = `Miss);
+  Alcotest.(check bool) "poisoned entry is a miss" true (load_sticky dir = `Miss);
   (match Cert_cache.revalidate_file file with
   | Cert_cache.Stale_entry _ -> ()
   | Cert_cache.Valid -> Alcotest.fail "poisoned entry revalidated as valid"
@@ -256,7 +261,7 @@ let test_stale_fingerprint () =
   let fp, file = store_sticky_witness dir in
   let bogus = String.init (String.length fp) (fun i -> if fp.[i] = 'f' then '0' else 'f') in
   write_file file (Str.global_replace (Str.regexp_string fp) bogus (read_file file));
-  Alcotest.(check bool) "fingerprint-stale entry is a miss" true (load_sticky dir fp = `Miss);
+  Alcotest.(check bool) "fingerprint-stale entry is a miss" true (load_sticky dir = `Miss);
   match Cert_cache.revalidate_file file with
   | Cert_cache.Stale_entry _ -> ()
   | Cert_cache.Valid -> Alcotest.fail "fingerprint-stale entry revalidated as valid"
@@ -267,22 +272,12 @@ let test_stale_fingerprint () =
 let test_poisoned_negative () =
   with_dir @@ fun dir ->
   match Rcons_spec.Register.default with
-  | OT.Pack (module T) ->
-      let fp = OT.fingerprint (module T) in
-      Rec_cache.store (module T) ~dir ~fingerprint:fp ~depth:8 ~n:2 None;
-      let file =
-        Filename.concat dir (Cert_cache.file_name ~property:Recording.name ~fingerprint:fp ~n:2)
-      in
-      let load () =
-        match
-          Rec_cache.load (module T) ~check:(Recording.check_candidate (module T)) ~dir
-            ~fingerprint:fp ~n:2
-        with
-        | Cert_cache.Negative -> `Negative
-        | Cert_cache.Hit _ -> `Hit
-        | Cert_cache.Miss -> `Miss
-      in
+  | OT.Pack (module T) as register ->
+      Rec_cache.store (module T) ~dir ~n:2 None;
+      let file = entry_file dir register 2 in
+      let load () = lookup register ~dir ~n:2 in
       Alcotest.(check bool) "pristine negative loads" true (load () = `Negative);
+      Alcotest.(check bool) "no pin at or below the key depth" false (has_pin file);
       write_file file
         (Str.global_replace (Str.regexp {|"candidates": [0-9]*|}) {|"candidates": 9999|}
            (read_file file));
@@ -311,25 +306,16 @@ let test_missing_dir () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "rcons-certs-nonexistent" in
   rm_rf dir;
   Alcotest.(check int) "list_dir of missing dir" 0 (List.length (Cert_cache.list_dir dir));
-  match sticky with
-  | OT.Pack (module T) -> (
-      let fp = OT.fingerprint (module T) in
-      match
-        Rec_cache.load (module T) ~check:(Recording.check_candidate (module T)) ~dir
-          ~fingerprint:fp ~n:2
-      with
-      | Cert_cache.Miss -> ()
-      | _ -> Alcotest.fail "missing dir must be a miss")
+  Alcotest.(check bool) "missing dir must be a miss" true (load_sticky dir = `Miss)
 
-(* Warm/cold/cache-free classifications agree, and a warm run is all
-   cache hits (it does not rewrite any file). *)
-let test_classify_warm_equals_cold () =
+(* Reports for [types] rendered with no cache, then cold and warm on one
+   directory: all three must agree and the warm pass must write nothing. *)
+let check_warm_equals_cold ~limit types =
   with_dir @@ fun dir ->
-  let types = [ sticky; Rcons_spec.Cas.default; Rcons_spec.Register.default; Rcons_spec.Sn.make 3 ] in
   let render certs =
     String.concat "\n"
       (List.map
-         (fun ot -> Format.asprintf "%a" Classify.pp_report (Classify.classify ~limit:4 ?certs ot))
+         (fun ot -> Format.asprintf "%a" Classify.pp_report (Classify.classify ~limit ?certs ot))
          types)
   in
   let nocache = render None in
@@ -342,6 +328,112 @@ let test_classify_warm_equals_cold () =
   Alcotest.(check string) "cold = no-cache" nocache cold;
   Alcotest.(check string) "warm = cold" cold warm;
   Alcotest.(check bool) "warm run rewrites nothing" true (mtimes () = before)
+
+(* Warm/cold/cache-free classifications agree, and a warm run is all
+   cache hits (it does not rewrite any file). *)
+let test_classify_warm_equals_cold () =
+  check_warm_equals_cold ~limit:4
+    [ sticky; Rcons_spec.Cas.default; Rcons_spec.Register.default; Rcons_spec.Sn.make 3 ]
+
+(* The catalogue at limit 12 (every level keyed at depth 8, no negative
+   above it), and S_9 / T_9 at limit 10 (negatives at levels 9 and 10,
+   which carry a pin). *)
+let test_warm_equals_cold_deep () =
+  check_warm_equals_cold ~limit:12
+    (List.map (fun e -> e.Rcons_spec.Catalogue.ot) Rcons_spec.Catalogue.all);
+  check_warm_equals_cold ~limit:10 [ Rcons_spec.Sn.make 9; Rcons_spec.Tn.make 9 ]
+
+(* A positive entry above the key depth is located by the depth-8 key
+   and trusted because it is re-proved: S_10 is 10-recording. *)
+let test_positive_above_key_depth () =
+  with_dir @@ fun dir ->
+  let (OT.Pack (module T) as s10) = Rcons_spec.Sn.make 10 in
+  let module Sc = Recording.Scan (T) in
+  let r = Sc.witness_at 10 in
+  Alcotest.(check bool) "S_10 is 10-recording" true (Option.is_some r);
+  Rec_cache.store (module T) ~dir ~n:10 r;
+  let file = entry_file dir s10 10 in
+  Alcotest.(check bool) "keyed by the depth-8 fingerprint" true (Sys.file_exists file);
+  Alcotest.(check bool) "a positive carries no pin" false (has_pin file);
+  Alcotest.(check bool) "loads as a hit" true (lookup s10 ~dir ~n:10 = `Hit);
+  Alcotest.(check bool) "and revalidates" true (Cert_cache.revalidate_file file = Cert_cache.Valid)
+
+(* A negative entry above the key depth is trusted only through its
+   depth-n pin.  S_9 and S_10 agree on every sequence of at most 8
+   operations (op_B wraps only at the 9th or 10th), so they share a key:
+   the pin is what keeps S_9's "not 10-recording" from S_10. *)
+let test_negative_above_key_depth_pinned () =
+  with_dir @@ fun dir ->
+  let s9 = Rcons_spec.Sn.make 9 and s10 = Rcons_spec.Sn.make 10 in
+  let file = entry_file dir s9 10 in
+  Alcotest.(check string) "S_9 and S_10 share the key" file (entry_file dir s10 10);
+  (match s9 with OT.Pack (module T) -> Rec_cache.store (module T) ~dir ~n:10 None);
+  Alcotest.(check bool) "the negative carries a pin" true (has_pin file);
+  Alcotest.(check bool) "loads for S_9" true (lookup s9 ~dir ~n:10 = `Negative);
+  Alcotest.(check bool) "a miss for S_10 (pin mismatch)" true (lookup s10 ~dir ~n:10 = `Miss);
+  let pristine = read_file file in
+  let poison replacement =
+    write_file file
+      (Str.global_replace (Str.regexp ",[ \n]*\"pin\": \"[0-9a-f]*\"") replacement pristine)
+  in
+  poison {|, "pin": "deadbeefdeadbeefdeadbeefdeadbeef"|};
+  Alcotest.(check bool) "poisoned pin is a miss" true (lookup s9 ~dir ~n:10 = `Miss);
+  (match Cert_cache.revalidate_file file with
+  | Cert_cache.Stale_entry _ -> ()
+  | _ -> Alcotest.fail "poisoned pin must revalidate stale");
+  (* recomputed and overwritten by a cache-backed scan *)
+  let level, _ = Classify.scan (module Recording) ~certs:dir ~limit:10 s9 in
+  Alcotest.(check bool) "S_9 is 9-recording, not 10" true (level = Classify.Finite 9);
+  Alcotest.(check string) "entry rewritten" pristine (read_file file);
+  Alcotest.(check bool) "healed entry loads" true (lookup s9 ~dir ~n:10 = `Negative);
+  poison "";
+  Alcotest.(check bool) "no pin is a miss" true (lookup s9 ~dir ~n:10 = `Miss)
+
+(* [certs revalidate]/[gc] re-anchor each entry through its type hint,
+   so parametric types outside the resolve pool (S_9, T_7) stay valid. *)
+let test_revalidate_hinted_types () =
+  with_dir @@ fun dir ->
+  List.iter
+    (fun ot -> ignore (Classify.classify ~limit:10 ~certs:dir ot))
+    [ Rcons_spec.Sn.make 9; Rcons_spec.Tn.make 7 ];
+  let entries = Cert_cache.list_dir dir in
+  Alcotest.(check bool) "entries written" true (List.length entries > 0);
+  List.iter
+    (fun (file, _) ->
+      match Cert_cache.revalidate_file file with
+      | Cert_cache.Valid -> ()
+      | Cert_cache.Stale_entry m | Cert_cache.Corrupt m ->
+          Alcotest.failf "%s: %s" (Filename.basename file) m)
+    entries;
+  Alcotest.(check (list string)) "gc removes nothing" [] (List.map fst (Cert_cache.gc dir))
+
+(* A stack(2) whose [apply] counts its calls, built fresh per pass so
+   the fingerprint memo (keyed by module identity) cannot hide work. *)
+let counting_stack count : OT.t =
+  let module S = (val Rcons_spec.Stack.spec ~domain:2 ~readable:false) in
+  OT.Pack
+    (module struct
+      include S
+
+      let apply q op =
+        incr count;
+        S.apply q op
+    end)
+
+(* The cost guard, counted rather than timed: a warm classify at limit
+   12 must cost less than one depth-12 fingerprint of stack(2) (27 645
+   transitions), the key the cache used to compute for every pass. *)
+let test_warm_cost_guard () =
+  with_dir @@ fun dir ->
+  let cold_calls = ref 0 and warm_calls = ref 0 in
+  let cold = Classify.classify ~limit:12 ~certs:dir (counting_stack cold_calls) in
+  let warm = Classify.classify ~limit:12 ~certs:dir (counting_stack warm_calls) in
+  Alcotest.(check string) "warm = cold"
+    (Format.asprintf "%a" Classify.pp_report cold)
+    (Format.asprintf "%a" Classify.pp_report warm);
+  if !warm_calls >= 27_645 then
+    Alcotest.failf "warm pass made %d apply calls (cold: %d), want < 27645" !warm_calls
+      !cold_calls
 
 (* The committed seed, located the way test_log.ml locates
    _counterexamples/: walk up from the test's working directory. *)
@@ -420,6 +512,14 @@ let suite =
     Alcotest.test_case "corrupt entry: flagged and gc'd" `Quick test_corrupt_and_gc;
     Alcotest.test_case "missing dir = empty cache" `Quick test_missing_dir;
     Alcotest.test_case "classify warm = cold = no-cache" `Quick test_classify_warm_equals_cold;
+    Alcotest.test_case "warm = cold above the key depth" `Quick test_warm_equals_cold_deep;
+    Alcotest.test_case "positive above key depth: re-proved hit" `Quick
+      test_positive_above_key_depth;
+    Alcotest.test_case "negative above key depth: pinned" `Quick
+      test_negative_above_key_depth_pinned;
+    Alcotest.test_case "revalidate resolves S_9/T_7 by type hint" `Quick
+      test_revalidate_hinted_types;
+    Alcotest.test_case "warm classify costs less than a deep key" `Quick test_warm_cost_guard;
     Alcotest.test_case "committed _certs/ = what classify writes" `Quick
       test_committed_seed_matches;
     Alcotest.test_case "recording_witness is cache-independent" `Quick
