@@ -107,7 +107,10 @@ let certs_dir_arg =
     & info [ "certs-dir" ] ~docv:"DIR"
         ~doc:
           "Directory of persisted scan certificates keyed by behavioural fingerprint (default \
-           $(b,_certs)).  Every entry is revalidated before use; failed entries are recomputed.")
+           $(b,_certs)).  Every entry is revalidated before use; failed entries are recomputed.  \
+           Above level 8 a re-proved witness written for another type that agrees with this one \
+           on every sequence of at most 8 operations can stand in for the fresh scan's, so \
+           $(b,solve) and $(b,log) above 8 processes may build another valid certificate.")
 
 let no_certs_arg =
   Arg.(

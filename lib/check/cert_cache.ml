@@ -261,13 +261,13 @@ let of_hint hint =
       Hashtbl.add hinted hint ot;
       ot
 
-(* The type whose behaviour matches [fingerprint] at [depth]: the one
-   [type_hint] names when its fingerprint agrees (any S_n / T_n
-   included), else the first pool type that does.  The certs CLI uses
-   this to re-anchor an on-disk entry to a live module. *)
-let resolve ?type_hint ~fingerprint ~depth () =
-  let matches ot = Object_type.fingerprint_t ~depth ot = fingerprint in
-  match Option.bind type_hint of_hint with
+(* The type whose behaviour matches the key [fingerprint]: the one
+   [type_hint] names when its key agrees (any S_n / T_n included), else
+   the first pool type that does.  The certs CLI uses this to re-anchor
+   an on-disk entry to a live module. *)
+let resolve ~type_hint ~fingerprint =
+  let matches ot = Object_type.fingerprint_t ~depth:key_depth ot = fingerprint in
+  match of_hint type_hint with
   | Some ot when matches ot -> Some ot
   | _ -> List.find_opt matches (Lazy.force resolve_pool)
 
@@ -276,7 +276,7 @@ let revalidate_info (info : info) json =
     Stale_entry
       (Printf.sprintf "keyed at fingerprint depth %d, not the cache's %d" info.depth key_depth)
   else
-    match resolve ~type_hint:info.type_hint ~fingerprint:info.fingerprint ~depth:key_depth () with
+    match resolve ~type_hint:info.type_hint ~fingerprint:info.fingerprint with
     | None -> Stale_entry "no known type matches the stored fingerprint"
     | Some (Object_type.Pack (module T)) -> (
         let (module P : Property.DEFINITION) =

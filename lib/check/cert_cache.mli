@@ -90,12 +90,11 @@ val list_dir : string -> (string * (info, string) result) list
 (** All [*.json] entries under a directory, sorted by name; missing
     directory is an empty cache. *)
 
-val resolve :
-  ?type_hint:string -> fingerprint:string -> depth:int -> unit -> Rcons_spec.Object_type.t option
-(** A type whose behaviour matches the fingerprint at that depth: the
-    one {!Rcons_spec.Catalogue.of_name} makes of [type_hint] (any S_n or
-    T_n included) if its fingerprint agrees, else the first catalogue
-    type or small S_n / T_n instance that does. *)
+val resolve : type_hint:string -> fingerprint:string -> Rcons_spec.Object_type.t option
+(** A type whose {!key_depth} fingerprint is [fingerprint]: the one
+    {!Rcons_spec.Catalogue.of_name} makes of [type_hint] (any S_n or T_n
+    included) if its key agrees, else the first catalogue type or small
+    S_n / T_n instance whose key does. *)
 
 val revalidate_file : string -> status
 (** Full pipeline for one entry: parse, re-anchor by type hint and

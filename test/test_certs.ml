@@ -120,16 +120,20 @@ let test_fingerprint_pins () =
         (fp depth "stack(2)" = OT.fingerprint ~depth (module Odd_pop_stack)))
     [ 8; 12 ]
 
-(* [resolve] searches one pool built once, so repeated look-ups hand
+(* [resolve] builds each type once, whether it comes from the pool (a
+   hint that names no type) or from the hint, so repeated look-ups hand
    back the same module (and hit the fingerprint memo). *)
 let test_resolve_pool_shared () =
-  let fingerprint = OT.fingerprint_t (Rcons_spec.Sn.make 3) in
-  let resolve () = Cert_cache.resolve ~fingerprint ~depth:8 () in
-  match (resolve (), resolve ()) with
-  | Some a, Some b ->
-      Alcotest.(check string) "resolves to S_3" "S_3" (OT.name a);
-      Alcotest.(check bool) "same module both times" true (a == b)
-  | _ -> Alcotest.fail "S_3's fingerprint does not resolve"
+  List.iter
+    (fun (type_hint, ot) ->
+      let fingerprint = OT.fingerprint_t ~depth:Cert_cache.key_depth ot in
+      let resolve () = Cert_cache.resolve ~type_hint ~fingerprint in
+      match (resolve (), resolve ()) with
+      | Some a, Some b ->
+          Alcotest.(check string) ("resolves to " ^ OT.name ot) (OT.name ot) (OT.name a);
+          Alcotest.(check bool) "same module both times" true (a == b)
+      | _ -> Alcotest.failf "%s's fingerprint does not resolve" (OT.name ot))
+    [ ("no such type", Rcons_spec.Sn.make 3); ("S_9", Rcons_spec.Sn.make 9) ]
 
 (* Round-trip every catalogue type at n = 2..4 and then revalidate every
    file on disk through the fingerprint-anchored CLI path. *)
@@ -470,17 +474,22 @@ let test_committed_seed_matches () =
       Alcotest.(check string) f (read_file (Filename.concat committed f)) (read_file written))
     files
 
-(* The certificate behind [solve] and the randomized [log] does not
-   depend on the cache: none, an empty one, one a classify run has
-   filled, and (a copy of) the committed seed all give the seeded
-   scan's witness. *)
+(* The certificate behind [solve] and the randomized [log]: up to the
+   key depth it does not depend on the cache, so none, an empty one,
+   one a classify run has filled, and (a copy of) the committed seed
+   all give the seeded scan's witness.  Above it a hit is a re-proved
+   witness that can differ from the seeded scan's when the entry was
+   written for another type sharing the depth-8 key; S_9 and S_10 share
+   theirs, and S_10's level-9 entry still gives S_9 the seeded scan's
+   witness. *)
+let show_recording_witness ot certs n =
+  match Rcons.recording_witness ?certs ot n with
+  | None -> "none"
+  | Some c -> Format.asprintf "%a" Certificate.pp_recording c
+
 let test_recording_witness_cache_independent () =
   let s4 = Rcons_spec.Sn.make 4 in
-  let show certs n =
-    match Rcons.recording_witness ?certs s4 n with
-    | None -> "none"
-    | Some c -> Format.asprintf "%a" Certificate.pp_recording c
-  in
+  let show = show_recording_witness s4 in
   List.iter
     (fun n ->
       let expected = show None n in
@@ -497,7 +506,13 @@ let test_recording_witness_cache_independent () =
             (fun f -> write_file (Filename.concat dir f) (read_file (Filename.concat committed f)))
             (json_files committed);
           check "committed seed" dir))
-    [ 3; 4 ]
+    [ 3; 4 ];
+  with_dir @@ fun dir ->
+  let s9 = Rcons_spec.Sn.make 9 in
+  ignore (Classify.classify ~limit:9 ~certs:dir (Rcons_spec.Sn.make 10));
+  Alcotest.(check string) "S_9 at n=9, cache filled by S_10"
+    (show_recording_witness s9 None 9)
+    (show_recording_witness s9 (Some dir) 9)
 
 let suite =
   [
