@@ -24,7 +24,7 @@ open Rcons.Runtime
 let runiversal_mk ~n () =
   let open Rcons.Universal in
   let history = Rcons.History.History.create () in
-  Heap.register (fun () -> Heap.digest (Rcons.History.History.events history));
+  Heap.register (fun () -> Rcons.Spec.Object_type.digest (Rcons.History.History.events history));
   let scripts = Array.init n (fun _ -> [| Derived.Incr |]) in
   let _, _, sim = Script.system ~history Derived.counter scripts in
   let spec = Derived.lin_spec Derived.counter in
@@ -110,15 +110,15 @@ let run () =
         modes)
     [ (1, [ dedup_m; por_m; por_sym_m ]) ];
   (* Universal construction: the boundary of the reduction.  The
-     recoverable-linearizability invariant needs the full history in
-     the state fingerprint, and a growing history (a) never revisits a
-     state, so dedup degenerates to the raw tree, and (b) pins the
-     total event order, so appends by different processes never
-     commute and sleep sets barely prune.  The capped rows record that
-     honestly: at n >= 3 even dedup+por blows the node cap, which is
-     why the n = 4 sweep the reduction *does* unlock is Figure 2 on
-     S_4 above, and why RUniversal at scale stays on the seeded random
-     adversaries of E7. *)
+     recoverable-linearizability invariant needs the history in the
+     state fingerprint.  The history records only invocations and
+     responses, so dedup still merges interleavings of the processes'
+     internal steps (about 1.9 edges per state at n = 2), and por
+     prunes commuting accesses to distinct cells.  The capped rows
+     record the boundary: at n >= 3 even dedup+por blows the node cap,
+     which is why the n = 4 sweep the reduction *does* unlock is Figure
+     2 on S_4 above, and why RUniversal at scale stays on the seeded
+     random adversaries of E7. *)
   List.iter
     (fun (n, crashes, node_budget, modes) ->
       List.iter

@@ -37,16 +37,15 @@ let decide t v =
    (reverting the line) and re-propose the same value between our flush
    and our read-back, which then matches while the durable copy is
    still undecided -- a later crash reverts it and another value wins.
-   [equal] compares winners (pass [( == )] for values that cannot be
-   compared structurally). *)
-let rec decide_durable ?(equal = ( = )) t v =
+   Winners are plain data, compared structurally. *)
+let rec decide_durable t v =
   let w = decide t v in
   if not (Persist.barriers ()) then w
   else (
     Cell.flush t.cell;
     match Cell.confirm t.cell with
-    | Some w', true when equal w' w -> w'
-    | _ -> decide_durable ~equal t v)
+    | Some w', true when w' = w -> w'
+    | _ -> decide_durable t v)
 
 (* Read the decision without proposing; None if undecided. *)
 let poll t = Cell.read t.cell

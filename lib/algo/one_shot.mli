@@ -13,7 +13,7 @@ val decide : 'v t -> 'v -> 'v
 (** Atomic propose (one step): returns the recorded winner, installing
     [v] if none yet. *)
 
-val decide_durable : ?equal:('v -> 'v -> bool) -> 'v t -> 'v -> 'v
+val decide_durable : 'v t -> 'v -> 'v
 (** Durable propose for the write-back cache model: propose, flush the
     sticky cell, then confirm ({!Rcons_runtime.Cell.confirm}) that the
     winner is still there {e and} the line is clean, retrying
@@ -21,8 +21,7 @@ val decide_durable : ?equal:('v -> 'v -> bool) -> 'v t -> 'v -> 'v
     would accept a winner its proposer crashed and re-proposed between
     the flush and the read-back.  Exactly {!decide} in a
     system built with barriers off ({!Rcons_runtime.Persist.scoped}).
-    [equal] defaults to structural equality; pass [( == )] for winners
-    that cannot be structurally compared. *)
+    Winners are compared structurally, so they must be plain data. *)
 
 val poll : 'v t -> 'v option
 (** Read the decision without proposing (one step). *)

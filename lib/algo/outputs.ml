@@ -38,11 +38,11 @@ let make ~inputs =
   t.slot <-
     Rcons_runtime.Heap.register_sym_c (fun perm ->
         match perm with
-        | None -> Rcons_runtime.Heap.digest t.outputs
+        | None -> Rcons_spec.Object_type.digest t.outputs
         | Some perm ->
             let a = Array.make (Array.length t.outputs) [] in
             Array.iteri (fun i l -> a.(perm.(i)) <- l) t.outputs;
-            Rcons_runtime.Heap.digest a);
+            Rcons_spec.Object_type.digest a);
   t
 
 (* Recording happens in the process body after its last step: between

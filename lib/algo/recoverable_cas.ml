@@ -39,7 +39,6 @@ type 'v phase =
 
 type 'v t = {
   n : int;
-  equal : 'v -> 'v -> bool;
   c : 'v tagged Cell.t;
   evidence : int option Cell.t array array;
       (* evidence.(q).(p) = Some s: process p observed q's attempt s
@@ -47,10 +46,9 @@ type 'v t = {
   phase : 'v phase Cell.t array;
 }
 
-let create ?(equal = ( = )) ~n initial =
+let create ~n initial =
   {
     n;
-    equal;
     c = Cell.make { value = initial; owner = -1; attempt = 0 };
     evidence = Array.init n (fun _ -> Array.init n (fun _ -> Cell.make None));
     phase = Array.init n (fun _ -> Cell.make Idle);
@@ -79,7 +77,7 @@ let cas t pid ~attempt ~expected ~desired =
   let rec attempt_loop () =
     let cur = Cell.read t.c in
     if cur.owner = pid && cur.attempt = attempt then finish true
-    else if not (t.equal cur.value expected) then finish false
+    else if cur.value <> expected then finish false
     else begin
       (* record evidence for the current owner before overwriting *)
       if cur.owner >= 0 then Cell.write t.evidence.(cur.owner).(pid) (Some cur.attempt);

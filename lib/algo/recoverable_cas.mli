@@ -17,9 +17,9 @@
 
 type 'v t
 
-val create : ?equal:('v -> 'v -> bool) -> n:int -> 'v -> 'v t
-(** [create ~n initial]: a recoverable CAS over values of type ['v] for
-    processes [0 .. n-1]. *)
+val create : n:int -> 'v -> 'v t
+(** [create ~n initial]: a recoverable CAS over plain-data values of
+    type ['v] (compared structurally) for processes [0 .. n-1]. *)
 
 val read_value : 'v t -> 'v
 (** Read the current value (one step). *)

@@ -77,7 +77,7 @@ val solve_rc :
 
 val make_recoverable :
   ?history:('o, 'r) History.History.t ->
-  ?make_rc:(unit -> ('s, 'o, 'r) Universal.Runiversal.node Universal.Runiversal.rc) ->
+  ?make_rc:(unit -> Universal.Runiversal.tag Universal.Runiversal.rc) ->
   ('s, 'o, 'r) Universal.Runiversal.seq_spec ->
   'o array array ->
   ('s, 'o, 'r) Universal.Runiversal.t * ('s, 'o, 'r) Universal.Script.t * Runtime.Sim.t

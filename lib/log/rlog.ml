@@ -88,17 +88,19 @@ let create ?(faithful = true) ?(vote_first = false) ~slots cert =
   let obs_slot =
     Heap.register_sym_c (fun perm ->
         match perm with
-        | None -> Heap.digest obs
+        | None -> Rcons_spec.Object_type.digest obs
         | Some perm ->
             let a = Array.make n [||] in
             Array.iteri (fun i row -> a.(perm.(i)) <- row) obs;
-            Heap.digest a)
+            Rcons_spec.Object_type.digest a)
   in
   (* The conflict flag and the checker's watermark are part of the state
      the invariants read; registering them keeps deduplication sound
      (the watermark is redundant with the durable votes on correct runs,
      so it does not grow the state space there). *)
-  let wm_slot = Heap.register_c (fun () -> Heap.digest (!obs_conflict, !watermark)) in
+  let wm_slot =
+    Heap.register_c (fun () -> Rcons_spec.Object_type.digest (!obs_conflict, !watermark))
+  in
   {
     slots;
     size_a;

@@ -5,10 +5,10 @@
 
     {!make} registers the cell's contents with the active {!Heap} arena
     (if any) so state fingerprints cover it.  Without [?digest] the
-    contents are digested with {!Heap.digest}, so they must be plain
-    data; [?digest] supplies a type's own state digest instead.
-    [?label] (default ["register"]) names the cell's read, write and
-    confirm steps in traces.
+    contents are digested with {!Rcons_spec.Object_type.digest}, so
+    they must be plain data; [?digest] supplies a type's own state
+    digest instead.  [?label] (default ["register"]) names the cell's
+    read, write and confirm steps in traces.
 
     When created under a non-eager {!Persist} cache (the one ambient at
     a build, or the stepping system's own: {!Persist.attach}) the cell
@@ -39,26 +39,24 @@ val flush : 'a t -> unit
     flush any cell.  A no-op (but still a step) under eager; no step at
     all in a system built with barriers off ({!Persist.scoped}). *)
 
-val read_persist : ?equal:('a -> 'a -> bool) -> 'a t -> 'a
+val read_persist : 'a t -> 'a
 (** Read a value that is guaranteed durable: read, {!flush}, then
-    confirm atomically that the contents still compare [equal] {e and}
-    the cache line is clean, retrying otherwise (link-and-persist).
-    Exactly read + flush + confirm steps per attempt under every
-    policy; exactly {!read} in a system built with barriers off.
-    [equal] defaults to structural equality; pass [( == )] for values
-    that cannot be structurally compared (e.g. closures). *)
+    confirm atomically that the contents are still structurally equal
+    {e and} the cache line is clean, retrying otherwise
+    (link-and-persist).  Exactly read + flush + confirm steps per
+    attempt under every policy; exactly {!read} in a system built with
+    barriers off. *)
 
-val write_persist : ?equal:('a -> 'a -> bool) -> 'a t -> 'a -> unit
+val write_persist : 'a t -> 'a -> unit
 (** Write a value that is guaranteed durable on return: write, {!flush},
-    then confirm atomically that the contents still compare [equal] to
-    the written value {e and} the cache line is clean, re-writing and
-    retrying otherwise.  The clean-line check is what makes this
-    crash-robust: a structurally-equal helper write between the flush
-    and the confirm re-dirties the line without failing a value
-    comparison, and its crash could revert the cell.  Exactly
-    write + flush + confirm steps per attempt under every policy;
-    exactly {!write} in a system built with barriers off.  [equal]
-    defaults to structural equality. *)
+    then confirm atomically that the contents are still structurally
+    equal to the written value {e and} the cache line is clean,
+    re-writing and retrying otherwise.  The clean-line check is what
+    makes this crash-robust: an equal but physically distinct helper
+    write between the flush and the confirm re-dirties the line without
+    failing a value comparison, and its crash could revert the cell.
+    Exactly write + flush + confirm steps per attempt under every
+    policy; exactly {!write} in a system built with barriers off. *)
 
 val confirm : 'a t -> 'a * bool
 (** One step observing the contents and whether the cache line is
@@ -86,4 +84,5 @@ val peek_persisted : 'a t -> 'a
 val poke : 'a t -> 'a -> unit
 (** Out-of-simulation write: durable immediately.  From inside a step
     (a read-modify-write such as [One_shot.decide]) it dirties the
-    line like any other write. *)
+    line like any other write, unless the value is physically equal to
+    the contents (a silent store; the confirms compare structurally). *)

@@ -24,20 +24,20 @@ let make default =
     Heap.register_sym_c (fun perm ->
       Hashtbl.fold
         (fun i c acc ->
-          let d = Heap.digest (Cell.peek c) in
+          let d = Rcons_spec.Object_type.digest (Cell.peek c) in
           let entry =
             match Cell.line c with
             | None ->
                 (* Write-through entry: the seed format, byte-identical. *)
-                if String.equal d (Heap.digest (t.default i)) then None
+                if String.equal d (Rcons_spec.Object_type.digest (t.default i)) then None
                 else Some (Printf.sprintf "%d=%d:%s" i (String.length d) d)
             | Some l ->
                 (* Cache-backed entry: the durable copy and the line
                    owner are part of the state; elide only entries that
                    are clean and default in both copies.  The owner is a
                    pid, relabeled under a symmetry snapshot. *)
-                let dp = Heap.digest (Cell.peek_persisted c) in
-                let ddef = Heap.digest (t.default i) in
+                let dp = Rcons_spec.Object_type.digest (Cell.peek_persisted c) in
+                let ddef = Rcons_spec.Object_type.digest (t.default i) in
                 if Persist.owner l = None && String.equal d ddef && String.equal dp ddef
                 then None
                 else

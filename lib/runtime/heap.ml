@@ -79,17 +79,6 @@ let register_sym_c f = register_slot ~sym:true ~cacheable:true f
 let register_c f = register_slot ~sym:false ~cacheable:true (fun _ -> f ())
 let touch = function None -> () | Some s -> s.dirty <- true
 
-(* Canonical digest of a plain-data value: with sharing expanded
-   ([No_sharing]) the marshalled bytes coincide with structural equality;
-   [Closures] keeps it total on values capturing functions (code pointers
-   are stable within one binary, which is all one exploration spans). *)
-let digest_flags = [ Marshal.No_sharing; Marshal.Closures ]
-let digest v = Marshal.to_string v digest_flags
-
-(* [digest v] written into [b] from [ofs] on; returns its length.  Raises
-   [Failure] when it does not fit. *)
-let digest_to_bytes b ofs v = Marshal.to_buffer b ofs (Bytes.length b - ofs) v digest_flags
-
 (* Length-prefix each digest so object boundaries are unambiguous.  The
    [_into] form appends to a caller-owned buffer so the explorer's batch
    fingerprinting can reuse one scratch buffer across a whole chunk of

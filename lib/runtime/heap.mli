@@ -72,17 +72,6 @@ val touch : slot option -> unit
     [None] is a no-op, so call sites pass their stored [slot option]
     directly. *)
 
-val digest : 'a -> string
-(** Canonical digest of a plain-data value (Marshal with sharing
-    expanded): byte equality coincides with structural equality.  Values
-    capturing closures are digested by code pointer, which is stable
-    within one binary. *)
-
-val digest_to_bytes : bytes -> int -> 'a -> int
-(** [digest_to_bytes b ofs v] writes [digest v] into [b] starting at
-    [ofs] and returns its length, without allocating the string.
-    @raise Failure if it does not fit in [b]. *)
-
 val snapshot_into : ?perm:int array -> Buffer.t -> t -> unit
 (** [snapshot_into b a] appends the concatenated (length-prefixed)
     digests of every object registered in [a], in registration order:

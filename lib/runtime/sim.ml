@@ -119,7 +119,7 @@ let push_vlog p v =
   p.vlen <- p.vlen + 1
 
 (* The observation trace as a hash chain: [trace0] for an empty run, and
-   [chain d v = MD5 (d ‖ Heap.digest v)] per completed step.  The
+   [chain d v = MD5 (d ‖ Object_type.digest v)] per completed step.  The
    previous link has a fixed width, so the split between it and the new
    value is unambiguous, and the chain is order- and
    segmentation-sensitive where a plain concatenation or XOR of the
@@ -134,7 +134,7 @@ let chain d v =
   let r = Domain.DLS.get chain_scratch in
   let rec go () =
     let b = !r in
-    match Heap.digest_to_bytes b 16 v with
+    match Rcons_spec.Object_type.digest_to_bytes b 16 v with
     | len ->
         Bytes.blit_string d 0 b 0 16;
         Digest.subbytes b 0 (16 + len)

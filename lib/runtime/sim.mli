@@ -169,7 +169,7 @@ val fingerprint_digest : ?graded:bool -> ?perm:int array -> t -> string
     the {!Heap} arena the system was created under, plus each process's
     control state -- cumulative step/crash counts, finished flag,
     pending label, and the {e volatile observation trace}: a 16-byte
-    running digest [MD5 (trace ‖ Heap.digest v)] folded over the values
+    running digest [MD5 (trace ‖ Object_type.digest v)] folded over the values
     its steps returned since its last (re)start, which pins a
     deterministic body's continuation.  The chain is order- and
     segmentation-sensitive, reset by a crash, and keeps each process's

@@ -45,8 +45,6 @@ let apply t op =
 
 let read t = Cell.read t.cell
 let flush t = Cell.flush t.cell
-(* Barrier-free, exactly [read]: no [~equal] is boxed per call. *)
-let read_persist t =
-  if Persist.barriers () then Cell.read_persist ~equal:t.equal_state t.cell else Cell.read t.cell
+let read_persist t = Cell.read_persist t.cell
 
 let peek t = Cell.peek t.cell

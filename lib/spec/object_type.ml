@@ -59,9 +59,11 @@ type t = Pack : (module S with type state = 's and type op = 'o and type resp = 
 
 (* Canonical digest for plain-data values: structural equality coincides
    with byte equality of the marshalled form once sharing is expanded
-   ([No_sharing]); [Closures] keeps the digest total on states that happen
-   to capture functions (code pointers are stable within a binary). *)
-let digest v = Marshal.to_string v [ Marshal.No_sharing; Marshal.Closures ]
+   ([No_sharing]).  Without [Closures], a value that reaches a function
+   raises at once instead of marshalling whatever the closure reaches. *)
+let digest_flags = [ Marshal.No_sharing ]
+let digest v = Marshal.to_string v digest_flags
+let digest_to_bytes b ofs v = Marshal.to_buffer b ofs (Bytes.length b - ofs) v digest_flags
 
 let name (Pack (module T)) = T.name
 let readable (Pack (module T)) = T.readable

@@ -94,7 +94,12 @@ val fingerprint_t : ?depth:int -> t -> string
 val digest : 'a -> string
 (** Canonical digest for plain-data values ([Marshal] with sharing
     expanded): byte equality of digests coincides with structural
-    equality.  The default [digest_state] of the whole catalogue. *)
+    equality.  The default [digest_state] of the whole catalogue and of
+    plain cells.  @raise Invalid_argument on a value reaching a function. *)
+
+val digest_to_bytes : bytes -> int -> 'a -> int
+(** [digest v] written into the bytes from an offset on, without
+    allocating; returns its length.  @raise Failure if it does not fit. *)
 
 (** {2 Pretty-printing helpers shared by the catalogue} *)
 

@@ -16,90 +16,95 @@
    The RC instance attached to each node is pluggable; the default is an
    atomic one-shot consensus object (n-recording for every n).  Plugging
    in the Figure 2 + tournament algorithm built from any n-recording
-   readable type exercises the full stack of the paper. *)
+   readable type exercises the full stack of the paper.
+
+   A persistent pointer is a node's invocation tag (pid, index): the
+   announce/head cells and the RC instances hold tags, followed through
+   the registry, so every cell and step result is plain data.  A node
+   has exactly one tag value, which every write stores, so the physical
+   silent store and the structural confirm tell tags apart exactly as
+   they would the nodes. *)
 
 open Rcons_runtime
 module History = Rcons_history.History
 
 type ('s, 'o, 'r) seq_spec = { init : 's; apply : 's -> 'o -> 's * 'r }
 
+type tag = int * int
+type 'v rc = { propose : int -> 'v -> 'v }
+
 type ('s, 'o, 'r) node = {
-  tag : int * int; (* (pid, invocation index); (-1, -1) for the dummy *)
+  tag : tag; (* (pid, invocation index); (-1, -1) for the dummy *)
   hist_tag : int; (* correlation id in the recorded history; -1 if none *)
   node_op : 'o option; (* None only for the dummy node *)
   seq : int Cell.t; (* 0 until the node is appended *)
   new_state : 's option Cell.t;
   response : 'r option Cell.t;
-  next : ('s, 'o, 'r) node rc;
+  next : tag rc;
 }
-
-and 'v rc = { propose : int -> 'v -> 'v }
 
 type ('s, 'o, 'r) t = {
   n : int;
   spec : ('s, 'o, 'r) seq_spec;
-  make_rc : unit -> ('s, 'o, 'r) node rc;
-  announce : ('s, 'o, 'r) node Cell.t array;
-  head : ('s, 'o, 'r) node Cell.t array;
-  registry : (int * int, ('s, 'o, 'r) node) Hashtbl.t;
+  make_rc : unit -> tag rc;
+  announce : tag Cell.t array;
+  head : tag Cell.t array;
+  dummy : ('s, 'o, 'r) node;
+  registry : (tag, ('s, 'o, 'r) node) Hashtbl.t;
       (* invocation tag -> node; makes [invoke] idempotent across crashes *)
   history : ('o, 'r) History.t option;
 }
 
+(* Follow a persistent pointer.  A tag in a cell was written after its
+   node was registered, and a rollback that unregisters the node also
+   reverts every cell holding its tag, so the lookup always hits. *)
+let node t ((pid, _) as tag) = if pid < 0 then t.dummy else Hashtbl.find t.registry tag
+
 (* The default RC: an atomic one-shot consensus object, made durable by
-   a flush and a clean-line confirm in a system built with barriers on.
-   List nodes are compared physically (they contain closures, so
-   structural equality is unavailable). *)
+   a flush and a clean-line confirm in a system built with barriers on. *)
 let one_shot_rc () =
   let c = Rcons_algo.One_shot.create () in
-  { propose = (fun _pid v -> Rcons_algo.One_shot.decide_durable ~equal:( == ) c v) }
+  { propose = (fun _pid v -> Rcons_algo.One_shot.decide_durable c v) }
 
 (* Persist barriers come from the build; without them every access below
-   is a plain read or write.  Shared reads are link-and-persist (nodes
-   compared physically), the single-writer cells (announce, head) take
-   a write-and-flush, and the multi-writer winner fields (new_state,
-   response, seq) take [Cell.write_persist].  The helping races on those
-   are value-benign -- every helper writes the agreed value -- but NOT
-   crash-benign under a per-owner write-back cache: a same-value helper
-   write steals the line's ownership, and if that helper crashes before
-   flushing, the line reverts -- silently undoing our write -- and our
-   own flush then persists nothing.  (Found by the E15 service soak: a
-   durable seq with a reverted new_state, "predecessor state missing".)
-   A value read-back alone would not do -- a structurally-equal helper
-   write between our flush and the read-back re-dirties the line while
-   matching the comparison -- so the confirm also checks the line is
-   clean.  Helper writes and crashes are finitely many, so the loop
-   terminates. *)
+   is a plain read or write.  Shared reads are link-and-persist, the
+   single-writer cells (announce, head) take a write-and-flush, and the
+   multi-writer winner fields (new_state, response, seq) take
+   [Cell.write_persist].  The helping races on those are value-benign --
+   every helper writes the agreed value -- but NOT crash-benign under a
+   per-owner write-back cache: a same-value helper write steals the
+   line's ownership, and if that helper crashes before flushing, the
+   line reverts -- silently undoing our write -- and our own flush then
+   persists nothing.  (Found by the E15 service soak: a durable seq with
+   a reverted new_state, "predecessor state missing".)  The clean-line
+   confirm of [write_persist] closes that hole. *)
 
-let fresh_node t ~tag ~hist_tag op =
+(* Under a heap arena a node's cells register when its process first
+   invokes it, in an order that differs between schedules.  The
+   constant tag slot registered first binds the field digests after it
+   to their node, so equal field values under different tags never
+   share a fingerprint. *)
+let make_node ~make_rc ~tag ~hist_tag ~seq ~state op =
+  ignore (Heap.register_c (fun () -> Rcons_spec.Object_type.digest tag));
   {
     tag;
     hist_tag;
     node_op = op;
-    seq = Cell.make 0;
-    new_state = Cell.make None;
+    seq = Cell.make seq;
+    new_state = Cell.make state;
     response = Cell.make None;
-    next = t.make_rc ();
+    next = make_rc ();
   }
 
 let create ?history ?(make_rc = one_shot_rc) ~n spec =
-  let dummy =
-    {
-      tag = (-1, -1);
-      hist_tag = -1;
-      node_op = None;
-      seq = Cell.make 1;
-      new_state = Cell.make (Some spec.init);
-      response = Cell.make None;
-      next = make_rc ();
-    }
-  in
+  let dummy = make_node ~make_rc ~tag:(-1, -1) ~hist_tag:(-1) ~seq:1 ~state:(Some spec.init) None in
   {
     n;
     spec;
     make_rc;
-    announce = Array.init n (fun _ -> Cell.make dummy);
-    head = Array.init n (fun _ -> Cell.make dummy);
+    announce = Array.init n (fun _ -> Cell.make dummy.tag);
+    head = Array.init n (fun _ -> Cell.make dummy.tag);
+    dummy;
     registry = Hashtbl.create 64;
     history;
   }
@@ -107,15 +112,15 @@ let create ?history ?(make_rc = one_shot_rc) ~n spec =
 (* Figure 7, ApplyOperation: ensure the announced node of process [i] is
    appended, helping the process whose id has round-robin priority. *)
 let apply_operation t i =
-  let announced = Cell.read_persist ~equal:( == ) t.announce.(i) in
+  let announced = node t (Cell.read_persist t.announce.(i)) in
   let continue_loop () = Cell.read_persist announced.seq = 0 in
   while continue_loop () do
-    let head = Cell.read_persist ~equal:( == ) t.head.(i) in
+    let head = node t (Cell.read_persist t.head.(i)) in
     let head_seq = Cell.read_persist head.seq in
     let priority = (head_seq + 1) mod t.n in
-    let priority_node = Cell.read_persist ~equal:( == ) t.announce.(priority) in
+    let priority_node = node t (Cell.read_persist t.announce.(priority)) in
     let pointer = if Cell.read_persist priority_node.seq = 0 then priority_node else announced in
-    let winner = head.next.propose i pointer in
+    let winner = node t (head.next.propose i pointer.tag) in
     (* Fill in the winner's fields.  Concurrent helpers write identical
        values (the winner and the predecessor state are agreed upon), so
        the races are benign, as in Herlihy's construction.  With barriers
@@ -136,7 +141,7 @@ let apply_operation t i =
     Cell.write_persist winner.new_state (Some state');
     Cell.write_persist winner.response (Some resp);
     Cell.write_persist winner.seq (head_seq + 1);
-    Cell.write t.head.(i) winner;
+    Cell.write t.head.(i) winner.tag;
     Cell.flush t.head.(i)
   done;
   match Cell.read_persist announced.response with
@@ -158,23 +163,25 @@ let invoke t ~pid ~index op =
         Undo.aside (fun () ->
             let saved = Option.map History.save t.history in
             let hist_tag = match t.history with Some h -> History.invoke h ~pid op | None -> -1 in
-            let nd = fresh_node t ~tag:(pid, index) ~hist_tag (Some op) in
+            let nd =
+              make_node ~make_rc:t.make_rc ~tag:(pid, index) ~hist_tag ~seq:0 ~state:None (Some op)
+            in
             Hashtbl.add t.registry (pid, index) nd;
             fun () ->
               (match (t.history, saved) with Some h, Some s -> History.restore h s | _ -> ());
               Hashtbl.remove t.registry (pid, index));
         Hashtbl.find t.registry (pid, index)
   in
-  if Cell.read_persist ~equal:( == ) t.announce.(pid) != nd then begin
-    Cell.write t.announce.(pid) nd;
+  if Cell.read_persist t.announce.(pid) <> nd.tag then begin
+    Cell.write t.announce.(pid) nd.tag;
     Cell.flush t.announce.(pid)
   end;
   (* Lines 120-125: catch the head pointer up so helping stays fresh. *)
   for j = 0 to t.n - 1 do
-    let hj = Cell.read_persist ~equal:( == ) t.head.(j) in
-    let hi = Cell.read_persist ~equal:( == ) t.head.(pid) in
+    let hj = node t (Cell.read_persist t.head.(j)) in
+    let hi = node t (Cell.read_persist t.head.(pid)) in
     if Cell.read_persist hj.seq > Cell.read_persist hi.seq then begin
-      Cell.write t.head.(pid) hj;
+      Cell.write t.head.(pid) hj.tag;
       Cell.flush t.head.(pid)
     end
   done;

@@ -10,31 +10,38 @@
     wait-freedom) until its own node has a sequence number.  Recovery
     simply re-runs ApplyOperation for the last announced node: the RC
     instances, node fields and announce/head arrays all survive in
-    non-volatile memory, so each operation takes effect exactly once. *)
+    non-volatile memory, so each operation takes effect exactly once.
+    A persistent pointer to a node is its {!tag}, so every cell holds
+    plain data. *)
 
 (** Sequential specification of the implemented object. *)
 type ('s, 'o, 'r) seq_spec = { init : 's; apply : 's -> 'o -> 's * 'r }
 
+(** A node's address: its invocation tag (pid, invocation index);
+    (-1, -1) for the dummy. *)
+type tag = int * int
+
+(** A pluggable recoverable-consensus instance (the paper's RC); the
+    default is an atomic one-shot object, and the Figure 2 + tournament
+    algorithm can be plugged in to exercise the full paper pipeline.
+    Figure 7 decides each next pointer on node tags. *)
+type 'v rc = { propose : int -> 'v -> 'v }
+
 type ('s, 'o, 'r) node = {
-  tag : int * int;  (** (pid, invocation index); (-1, -1) for the dummy *)
+  tag : tag;
   hist_tag : int;
   node_op : 'o option;  (** [None] only for the dummy node *)
   seq : int Rcons_runtime.Cell.t;  (** 0 until appended *)
   new_state : 's option Rcons_runtime.Cell.t;
   response : 'r option Rcons_runtime.Cell.t;
-  next : ('s, 'o, 'r) node rc;
+  next : tag rc;  (** decides the tag of the node appended after this one *)
 }
-
-(** A pluggable recoverable-consensus instance (the paper's RC); the
-    default is an atomic one-shot object, and the Figure 2 + tournament
-    algorithm can be plugged in to exercise the full paper pipeline. *)
-and 'v rc = { propose : int -> 'v -> 'v }
 
 type ('s, 'o, 'r) t
 
 val create :
   ?history:('o, 'r) Rcons_history.History.t ->
-  ?make_rc:(unit -> ('s, 'o, 'r) node rc) ->
+  ?make_rc:(unit -> tag rc) ->
   n:int ->
   ('s, 'o, 'r) seq_spec ->
   ('s, 'o, 'r) t

@@ -11,7 +11,7 @@ type ('s, 'o, 'r) t
 
 val system :
   ?history:('o, 'r) Rcons_history.History.t ->
-  ?make_rc:(unit -> ('s, 'o, 'r) Runiversal.node Runiversal.rc) ->
+  ?make_rc:(unit -> Runiversal.tag Runiversal.rc) ->
   ('s, 'o, 'r) Runiversal.seq_spec ->
   'o array array ->
   ('s, 'o, 'r) Runiversal.t * ('s, 'o, 'r) t * Rcons_runtime.Sim.t

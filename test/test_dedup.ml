@@ -145,22 +145,23 @@ let fingerprint_after mk codes =
 
 let schedule_gen = QCheck2.Gen.(list_size (int_range 0 14) (int_bound 999))
 
-let qcheck_fingerprint_stable =
-  let cert = lazy (Helpers.cert_of (Rcons_spec.Sn.make 2) 2) in
+let qcheck_fingerprint_stable ~count ~name mk =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:100 ~name:"fingerprint is replay-stable (random schedules)"
+    (QCheck2.Test.make ~count ~name
        ~print:(fun codes -> String.concat ";" (List.map string_of_int codes))
        schedule_gen
        (fun codes ->
-         let mk = Helpers.team_mk (Lazy.force cert) in
+         let mk = mk () in
          fingerprint_after mk codes = fingerprint_after mk codes))
 
-let qcheck_fingerprint_stable_fig4 =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:60 ~name:"fingerprint is replay-stable (Figure 4, lazy objects)"
-       ~print:(fun codes -> String.concat ";" (List.map string_of_int codes))
-       schedule_gen
-       (fun codes -> fingerprint_after (Helpers.fig4_mk 3) codes = fingerprint_after (Helpers.fig4_mk 3) codes))
+(* Figure 7 with barriers under lossy: nodes, their cells and their RC
+   instances are made lazily, and cache lines are part of the state. *)
+let fig7_mk () =
+  Persist.scoped ~barriers:true Persist.Lossy (fun () ->
+      let open Rcons_universal in
+      let scripts = [| [| Derived.Incr; Derived.Get |]; [| Derived.Incr |] |] in
+      let _, _, sim = Script.system Derived.counter scripts in
+      (sim, ignore))
 
 (* --- the observation trace is a chain, not a bag --- *)
 
@@ -220,7 +221,7 @@ let test_trace_chain () =
 
 (* --- fingerprint bytes are pinned --- *)
 
-(* Four systems' digests at the root and after one short fixed
+(* Each system's digests at the root and after one short fixed
    schedule, each built under a fresh arena.  The bytes follow the
    order in which a builder registers its objects as well as each
    object's own digest, and the symmetry hits the CI sweeps pin are
@@ -267,11 +268,16 @@ let test_fingerprint_pins () =
       ( "Figure 4, n = 2",
         ("de0183f8161c5b2027d322218c2aacb2", "82491426af63dab8c4f432adc4c97d75"),
         [ helper (Helpers.fig4_mk 2) ] );
+      (* Figure 7's nodes register lazily, each behind a slot holding
+         its tag; p1's node registers inside the pinned schedule. *)
+      ( "Figure 7, lossy with barriers",
+        ("9d320cd2e4dd51a34467174412a7716b", "46e8b58d20eca75cdcf2d32340571b28"),
+        [ helper fig7_mk ] );
     ]
 
 let suite =
   [
-    Alcotest.test_case "fingerprint bytes pinned (Figures 2 and 4, tournament)" `Quick
+    Alcotest.test_case "fingerprint bytes pinned (Figures 2, 4 and 7, tournament)" `Quick
       test_fingerprint_pins;
     Alcotest.test_case "raw mode matches seed baselines" `Quick test_raw_baselines;
     Alcotest.test_case "raw mode matches seed baseline (2 crashes)" `Slow
@@ -282,8 +288,13 @@ let suite =
     Alcotest.test_case "dedup node reduction >= 5x (2 crashes)" `Slow test_dedup_node_reduction;
     Alcotest.test_case "dedup violation schedule: seq = par" `Quick
       test_dedup_violation_schedule_identical;
-    qcheck_fingerprint_stable;
-    qcheck_fingerprint_stable_fig4;
+    (let cert = lazy (Helpers.cert_of (Rcons_spec.Sn.make 2) 2) in
+     qcheck_fingerprint_stable ~count:100 ~name:"fingerprint is replay-stable (random schedules)"
+       (fun () -> Helpers.team_mk (Lazy.force cert)));
+    qcheck_fingerprint_stable ~count:60
+      ~name:"fingerprint is replay-stable (Figure 4, lazy objects)" (fun () -> Helpers.fig4_mk 3);
+    qcheck_fingerprint_stable ~count:60 ~name:"fingerprint is replay-stable (Figure 7, lazy nodes)"
+      (fun () -> fig7_mk);
     Alcotest.test_case "observation trace is an ordered chain, reset by crashes" `Quick
       test_trace_chain;
   ]

@@ -114,24 +114,80 @@ let test_linearizable_exhaustive_small () =
       Alcotest.(check int) "no violation within the node budget" 400_000
         (Explore.checkpoint_stats cp).Explore.nodes
 
-let test_figure2_rc_instances () =
-  (* plug the Figure 2 + tournament RC (from the sticky bit's certificate)
-     in as the per-node RC instance: the full paper pipeline end-to-end *)
-  let n = 2 in
+(* The Figure 2 + tournament RC (from the sticky bit's certificate) as
+   the per-node RC instance: the full paper pipeline end-to-end. *)
+let figure2_rc n =
   let cert = Helpers.cert_of Rcons_spec.Sticky_bit.t n in
-  let make_rc () =
+  fun () ->
     let decide = Rcons_algo.Tournament.recoverable_consensus cert ~n in
     { Runiversal.propose = (fun pid v -> decide pid v) }
-  in
+
+(* Random crash runs with Figure 2 RC instances.  With [~barriers],
+   Figure 2's durable reads compare the values it decides structurally;
+   node tags are plain data, so the barrier-carrying build runs the full
+   pipeline too.  Only eager: under lossy, Figure 2's teammates can
+   re-dirty each other's register line forever (ROADMAP, defect C). *)
+let test_figure2_rc_instances ?barriers ~runs () =
+  let make_rc = figure2_rc 2 in
   let rng = Random.State.make [| 8 |] in
-  for _ = 1 to 50 do
+  for _ = 1 to runs do
     let history = Rcons_history.History.create () in
     let scripts = [| [| Derived.Incr; Derived.Get |]; [| Derived.Incr |] |] in
-    let _, _, t = Script.system ~history ~make_rc Derived.counter scripts in
+    let _, _, t =
+      Persist.scoped ?barriers Persist.Eager (fun () ->
+          Script.system ~history ~make_rc Derived.counter scripts)
+    in
     Adversary.(
       ignore (run ~record:false (of_rng ~rng (Uniform { crash_prob = 0.1; max_crashes = 4 })) t));
+    Alcotest.(check bool) "all ops completed" true (Sim.all_finished t);
     if not (lin_ok history) then Alcotest.fail "non-linearizable with Figure 2 RC instances"
   done
+
+(* E13's workload: one Incr per process, linearizability checked once
+   every run has finished.  The history decides the verdict, so it
+   registers with the heap arena first: dedup must not merge states
+   whose histories differ. *)
+let counter_mk ?(policy = Persist.Eager) ~n () =
+  Persist.scoped policy (fun () ->
+      let history = Rcons_history.History.create () in
+      Heap.register (fun () ->
+          Rcons_spec.Object_type.digest (Rcons_history.History.events history));
+      let scripts = Array.init n (fun _ -> [| Derived.Incr |]) in
+      let _, _, sim = Script.system ~history Derived.counter scripts in
+      ( sim,
+        fun () ->
+          if Sim.all_finished sim && not (lin_ok history) then Explore.fail "not linearizable" ))
+
+(* Every cell holds plain data, so Figure 7 explores under dedup.  The
+   counts are E13's RUniversal rows (EXPERIMENTS.md). *)
+let test_dedup_stats_pinned ~por expected () =
+  List.iter
+    (fun (crashes, (nodes, schedules, states, pruned)) ->
+      let s = Explore.explore ~max_crashes:crashes ~dedup:true ~por ~mk:(counter_mk ~n:2) () in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%d crash(es): nodes, schedules, states, por-pruned" crashes)
+        [ nodes; schedules; states; pruned ]
+        [ s.Explore.nodes; s.schedules; s.distinct_states; s.por_pruned ])
+    expected
+
+(* Without barriers, a lossy crash can revert the state that a node's
+   durable seq certifies.  Dedup + por finds that exhaustively, and the
+   schedule replays to the same failure. *)
+let test_lossy_barrier_free_violation () =
+  let mk = counter_mk ~policy:Persist.Lossy ~n:2 in
+  match Explore.explore ~max_crashes:1 ~dedup:true ~por:true ~mk () with
+  | _ -> Alcotest.fail "barrier-free Figure 7 under lossy: no violation found"
+  | exception Explore.Violation v ->
+      Alcotest.(check string) "message"
+        "uncaught exception in process body: RUniversal: predecessor state missing" v.Explore.v_msg;
+      Alcotest.(check int) "schedule length" 69 (List.length v.v_schedule);
+      let sim, _ = mk () in
+      let replayed =
+        List.find_map
+          (fun c -> match Schedule.apply_guarded sim c with Ok () -> None | Error m -> Some m)
+          v.v_schedule
+      in
+      Alcotest.(check (option string)) "replays to the same failure" (Some v.v_msg) replayed
 
 let test_linearization_matches_history_count () =
   let history = Rcons_history.History.create () in
@@ -193,7 +249,18 @@ let suite =
     Alcotest.test_case "helping gives wait-freedom" `Quick test_helping_wait_freedom;
     Alcotest.test_case "linearizable under random crashes" `Quick test_linearizable_random_crashes;
     Alcotest.test_case "linearizable: exhaustive small" `Quick test_linearizable_exhaustive_small;
-    Alcotest.test_case "Figure 2 RC instances end-to-end" `Quick test_figure2_rc_instances;
+    Alcotest.test_case "Figure 2 RC instances end-to-end" `Quick
+      (test_figure2_rc_instances ~runs:50);
+    Alcotest.test_case "Figure 2 RC instances with barriers" `Quick
+      (test_figure2_rc_instances ~barriers:true ~runs:20);
+    Alcotest.test_case "dedup stats pinned (n = 2, 0 and 1 crash)" `Slow
+      (test_dedup_stats_pinned ~por:false
+         [ (0, (9830, 30, 5278, 0)); (1, (694026, 1400, 364040, 0)) ]);
+    Alcotest.test_case "dedup + por stats pinned (n = 2, 0 and 1 crash)" `Quick
+      (test_dedup_stats_pinned ~por:true
+         [ (0, (7024, 15, 5001, 4295)); (1, (144443, 125, 79468, 74796)) ]);
+    Alcotest.test_case "barrier-free lossy violation found and replayed" `Quick
+      test_lossy_barrier_free_violation;
     Alcotest.test_case "linearization matches history" `Quick test_linearization_matches_history_count;
     Alcotest.test_case "simultaneous crashes" `Quick test_simultaneous_crashes_universal;
     Alcotest.test_case "current_state is the last node's state" `Quick
