@@ -81,7 +81,8 @@ let footprint c kind = Footprint.Obj { oid = c.oid; kind }
    two executions in which the same value was written but only one
    flushed it have different futures.  A plain cell digests the triple
    generically; a cell with its own [digest] (a typed object's state
-   digest) length-prefixes the two copies and tags the owner. *)
+   digest) writes the volatile copy length-prefixed, the owner as an
+   8-byte pid ([-1] when the line is clean), then the durable copy. *)
 let make ?(label = "register") ?digest v =
   let c = alloc ~label v in
   c.hslot <-
@@ -94,8 +95,14 @@ let make ?(label = "register") ?digest v =
     | Some l, Some d ->
         Heap.register_sym_c (fun perm ->
             let dv = d c.contents and dp = d c.persisted in
-            Printf.sprintf "%d:%s%d:%s%s" (String.length dv) dv (String.length dp) dp
-              (match Persist.owner ?perm l with None -> "c" | Some p -> "p" ^ string_of_int p)));
+            let nv = String.length dv in
+            let b = Bytes.create (16 + nv + String.length dp) in
+            Bytes.set_int64_le b 0 (Int64.of_int nv);
+            Bytes.blit_string dv 0 b 8 nv;
+            Bytes.set_int64_le b (8 + nv)
+              (Int64.of_int (match Persist.owner ?perm l with None -> -1 | Some p -> p));
+            Bytes.blit_string dp 0 b (16 + nv) (String.length dp);
+            Bytes.unsafe_to_string b));
   c
 
 let read c = Sim.step ~label:c.label ~fp:(footprint c Footprint.Read) (fun () -> c.contents)

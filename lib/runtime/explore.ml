@@ -163,10 +163,12 @@ exception Interrupted of checkpoint
 
 let checkpoint_stats cp = cp.cp_stats
 
-(* Version 3: the run's parameters are its provenance, and every
-   visited digest carries its covers.  Version 2 recorded five
-   parameter fields, which could not name a reduction. *)
-let checkpoint_version = 3
+(* Version 4: the run's parameters are its provenance, and every
+   visited digest carries its covers.  Version 3 had the same layout but
+   digests of the older fingerprint bytes (framed heap slots, decimal
+   counts), which no state of this build matches; version 2 recorded
+   five parameter fields, which could not name a reduction. *)
+let checkpoint_version = 4
 
 (* A visited entry is one string, ["<digest hex> <mask>:<depth> ..."],
    covers in claim order: one line per state in the pretty-printed file,
@@ -440,9 +442,11 @@ let explore ?(max_crashes = 1) ?domains ?(frontier_depth = 4) ?(dedup = false) ?
         (* The canonical digest: the least over the relabeling group,
            identity first.  A hit is a least digest that beats the
            identity's, so the counter depends on the digest bytes and
-           not only on the state graph. *)
+           not only on the state graph.  The identity is digested with
+           no [perm], which gives the same bytes and lets the cached
+           pid-bearing slots serve it. *)
         let perms = perms_for t in
-        let d0 = Sim.fingerprint_digest ~graded ~perm:(List.hd perms) t in
+        let d0 = Sim.fingerprint_digest ~graded t in
         let d =
           List.fold_left
             (fun acc perm ->

@@ -179,19 +179,21 @@ val checkpoint_stats : checkpoint -> stats
     final for that region: resuming continues from them). *)
 
 val checkpoint_to_json : checkpoint -> Json.t
-(** Writes format version 3: a [provenance] object
+(** Writes format version 4: a [provenance] object
     ({!Schedule.provenance_to_json}), the statistics, the cursor, and
     [visited] as ["<digest> <mask>:<depth> ..."] strings, one per
     claimed state with its covers in claim order; digests are hex MD5s
-    of the fixed-width trace-chain {!Sim.fingerprint_digest}. *)
+    of {!Sim.fingerprint_digest}'s fixed-width sections and summed
+    heap digest. *)
 
 val checkpoint_of_json : Json.t -> checkpoint
-(** Reads exactly format version 3, every field required.
+(** Reads exactly format version 4, every field required.
     @raise Invalid_argument with a one-line diagnosis on a malformed
-    checkpoint or one of any other version (unversioned, versions 1 and
-    2, or newer), naming the version: an older checkpoint does not
-    record the reductions it ran under, so resuming it could silently
-    finish a different exploration. *)
+    checkpoint or one of any other version (unversioned, versions 1 to
+    3, or newer), naming the version: an older checkpoint does not
+    record the reductions it ran under, or (version 3) holds digests of
+    an older fingerprint format that no state of this build matches, so
+    resuming it could silently finish a different exploration. *)
 
 val save_checkpoint : file:string -> checkpoint -> unit
 (** Serialize atomically: the JSON is written to [file ^ ".tmp"] and

@@ -5,10 +5,11 @@
     arena is {!activate}d on the current domain, the shared-object
     constructors ({!Cell.make}, which {!Sim_obj.make} builds on,
     {!Growable.make}, the algorithm output logs) {!register} a digest
-    thunk for their non-volatile state; {!snapshot_into} concatenates
-    the digests in registration order.  Registration order is
-    deterministic because system builders are deterministic, which is
-    what makes {!Sim.fingerprint_digest} replay-stable.
+    thunk for their non-volatile state; {!digest_into} combines the
+    slot digests, each of which covers its slot's registration index,
+    into one 16-byte heap digest.  Registration order is deterministic
+    because system builders are deterministic, which is what makes
+    {!Sim.fingerprint_digest} replay-stable.
 
     With no active arena — the default, and always the case outside
     [Explore.explore ~dedup:true] — {!register} is a no-op, so ordinary
@@ -43,10 +44,9 @@ val register : (unit -> string) -> unit
 
 type slot
 (** A cache slot for one registered digest: a snapshot recomputes the
-    digest only while the slot is dirty and otherwise appends the cached,
-    already length-prefixed bytes, so digest thunks run O(mutations since
-    the last snapshot) times.  The emitted bytes are identical either
-    way. *)
+    slot's 16-byte digest only while the slot is dirty and otherwise
+    adds the cached one, so digest thunks run O(mutations since the last
+    snapshot) times.  The heap digest is identical either way. *)
 
 val register_c : (unit -> string) -> slot option
 (** Cached variant of {!register}: returns the slot ([None] when no
@@ -72,11 +72,16 @@ val touch : slot option -> unit
     [None] is a no-op, so call sites pass their stored [slot option]
     directly. *)
 
-val snapshot_into : ?perm:int array -> Buffer.t -> t -> unit
-(** [snapshot_into b a] appends the concatenated (length-prefixed)
-    digests of every object registered in [a], in registration order:
-    the non-volatile half of a state fingerprint.  [?perm] relabels
+val digest_into : ?perm:int array -> bytes -> int -> t -> unit
+(** [digest_into b pos a] writes the 16-byte digest of every object
+    registered in [a] to [b] at [pos]: the non-volatile half of a state
+    fingerprint.  Each slot digests to [MD5 (index ‖ thunk bytes)], its
+    registration index as 8 little-endian bytes; the heap digest is the
+    sum of the slot digests as two 64-bit lanes mod 2{^64}.  The index
+    makes the sum order-aware (two objects swapping values changes it),
+    and two heaps collide with probability 2{^-128}, as two MD5s do
+    (docs/ARCHITECTURE.md, "Canonical fingerprints").  [?perm] relabels
     processes ([perm.(old) = new]) in every pid-bearing digest (see
-    {!register_sym_c}); omitted = identity, byte-identical to the
-    pre-symmetry format.  Appending to a caller-owned buffer lets batch
-    fingerprinting reuse one scratch buffer across many states. *)
+    {!register_sym_c}); omitted = identity, and an identity [perm]
+    gives the same digest.  Writing into caller-owned bytes lets the
+    fingerprint reuse one scratch buffer across many states. *)

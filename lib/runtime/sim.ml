@@ -468,7 +468,7 @@ let rollback t m =
   Undo.rollback_to m
 
 (* Canonical fingerprint of the global state: per-process control state
-   plus the non-volatile heap snapshot.
+   plus the 16-byte digest of the non-volatile heap ([Heap.digest_into]).
 
    Per process it records the cumulative step and crash counts, whether
    the current run has finished, and for unfinished runs the volatile
@@ -495,12 +495,12 @@ let rollback t m =
    discarded prefix disappears), which is what the partial-order-reduced
    explorer exploits; the price is that the state graph is no longer
    graded by depth, so ungraded fingerprints are only used by the
-   sequential reduced modes.  The format is prefixed so graded and
-   ungraded fingerprints can never collide.
+   sequential reduced modes.  The format is prefixed ('G' or 'U') so
+   graded and ungraded fingerprints can never collide.
 
    [perm] relabels processes ([perm.(old) = new]): process sections are
-   emitted in relabeled order and the heap snapshot relabels every
-   pid-bearing digest.  The symmetry-canonicalizing explorer takes the
+   emitted in relabeled order and the heap digest relabels every
+   pid-bearing slot.  The symmetry-canonicalizing explorer takes the
    minimum over a group of relabelings; [None] is the identity. *)
 let arena_of t =
   match t.heap with
@@ -508,37 +508,63 @@ let arena_of t =
   | None ->
       invalid_arg "Sim.fingerprint_digest: system was not created under an active Heap arena"
 
-(* One process's section, starting with its '|' separator.  The chain
-   has a fixed width, so the variable-width label can follow it without
-   a length prefix. *)
-let add_proc_section ~graded b p =
-  Buffer.add_char b '|';
+(* The fingerprint bytes go to a domain-local scratch reused across all
+   the states a domain expands; only the 16-byte MD5 of them survives
+   (as the visited-set key and checkpoint entry), hashed in place. *)
+type scratch = { mutable buf : bytes; mutable pos : int }
+
+let scratch : scratch Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { buf = Bytes.create 256; pos = 0 })
+
+let reserve s n =
+  if s.pos + n > Bytes.length s.buf then begin
+    let bigger = Bytes.create (2 * (s.pos + n)) in
+    Bytes.blit s.buf 0 bigger 0 s.pos;
+    s.buf <- bigger
+  end
+
+let add_char s c =
+  reserve s 1;
+  Bytes.set s.buf s.pos c;
+  s.pos <- s.pos + 1
+
+let add_int s i =
+  reserve s 8;
+  Bytes.set_int64_le s.buf s.pos (Int64.of_int i);
+  s.pos <- s.pos + 8
+
+let add_string s v =
+  let n = String.length v in
+  reserve s n;
+  Bytes.blit_string v 0 s.buf s.pos n;
+  s.pos <- s.pos + n
+
+(* One process's section, fixed-width but for the label: the counts as
+   8-byte ints (graded only), a status byte, and for an unfinished run
+   its 16-byte chain and its label, length-prefixed ([-1] for none).
+   Each field's width is known from the bytes before it, so sections
+   concatenate unambiguously. *)
+let add_proc_section ~graded s p =
   if graded then begin
-    Buffer.add_string b (string_of_int p.step_count);
-    Buffer.add_char b ',';
-    Buffer.add_string b (string_of_int p.crash_count)
+    add_int s p.step_count;
+    add_int s p.crash_count
   end;
   (* [proc_finished], not [p.pending]: a stale proc's [pending] belongs to
      the abandoned branch, but [fin]/[started]/[pending_label]/[trace]
      are journal-restored, so the section stays byte-identical to a
      rebuilt (or replayed) proc's. *)
-  if proc_finished p then Buffer.add_char b 'F'
+  if proc_finished p then add_char s 'F'
   else begin
-    Buffer.add_char b (if p.started then 'R' else 'I');
-    Buffer.add_string b p.trace;
+    add_char s (if p.started then 'R' else 'I');
+    add_string s p.trace;
     match p.pending_label with
-    | None -> ()
+    | None -> add_int s (-1)
     | Some l ->
-        Buffer.add_char b '#';
-        Buffer.add_string b l
+        add_int s (String.length l);
+        add_string s l
   end
 
-let add_ungraded_prefix b t =
-  Buffer.add_char b 'U';
-  Buffer.add_string b
-    (string_of_int (Array.fold_left (fun acc p -> acc + p.crash_count) 0 t.procs))
-
-let fingerprint_into ?(graded = true) ?perm b t =
+let fingerprint_into ~graded ?perm s t =
   let arena = arena_of t in
   let n = Array.length t.procs in
   (* [inv.(new_pid) = old_pid]: section [j] of the relabeled fingerprint
@@ -551,12 +577,17 @@ let fingerprint_into ?(graded = true) ?perm b t =
         Array.iteri (fun old_pid new_pid -> inv.(new_pid) <- old_pid) p;
         fun j -> t.procs.(inv.(j))
   in
-  if not graded then add_ungraded_prefix b t;
+  if graded then add_char s 'G'
+  else begin
+    add_char s 'U';
+    add_int s (Array.fold_left (fun acc p -> acc + p.crash_count) 0 t.procs)
+  end;
   for j = 0 to n - 1 do
-    add_proc_section ~graded b (proc_at j)
+    add_proc_section ~graded s (proc_at j)
   done;
-  Buffer.add_char b '@';
-  Heap.snapshot_into ?perm b arena
+  reserve s 16;
+  Heap.digest_into ?perm s.buf s.pos arena;
+  s.pos <- s.pos + 16
 
 (* All process relabelings that permute pids within each class of
    [classes] and fix every other pid, as [perm] arrays for
@@ -604,14 +635,9 @@ let relabelings ~classes n =
     [ id () ] classes
 
 (* The one state-digest entry point.  The deduplicating explorer hashes
-   every state it expands, so the fingerprint bytes are scratch -- only
-   the 16-byte MD5 survives (as the visited-set key and checkpoint
-   entry).  A domain-local buffer is reused across all the states a
-   domain expands. *)
-let scratch : Buffer.t Domain.DLS.key = Domain.DLS.new_key (fun () -> Buffer.create 1024)
-
-let fingerprint_digest ?graded ?perm t =
-  let b = Domain.DLS.get scratch in
-  Buffer.clear b;
-  fingerprint_into ?graded ?perm b t;
-  Digest.bytes (Buffer.to_bytes b)
+   every state it expands. *)
+let fingerprint_digest ?(graded = true) ?perm t =
+  let s = Domain.DLS.get scratch in
+  s.pos <- 0;
+  fingerprint_into ~graded ?perm s t;
+  Digest.subbytes s.buf 0 s.pos

@@ -165,10 +165,11 @@ val rollback : t -> mark -> unit
 
 val fingerprint_digest : ?graded:bool -> ?perm:int array -> t -> string
 (** The 16-byte MD5 of the canonical fingerprint of the global state,
-    for the deduplicating explorer: the non-volatile heap snapshot of
-    the {!Heap} arena the system was created under, plus each process's
-    control state -- cumulative step/crash counts, finished flag,
-    pending label, and the {e volatile observation trace}: a 16-byte
+    for the deduplicating explorer: the 16-byte digest of the
+    non-volatile heap ({!Heap.digest_into}) of the {!Heap} arena the
+    system was created under, plus each process's fixed-width control
+    section -- cumulative step/crash counts as 8-byte ints, finished
+    flag, length-prefixed pending label, and the {e volatile observation trace}: a 16-byte
     running digest [MD5 (trace ‖ Object_type.digest v)] folded over the values
     its steps returned since its last (re)start, which pins a
     deterministic body's continuation.  The chain is order- and
@@ -181,7 +182,7 @@ val fingerprint_digest : ?graded:bool -> ?perm:int array -> t -> string
     Stable under replay: re-executing the same schedule against a fresh
     system from the same deterministic builder yields the same digest.
     The fingerprint bytes go to a domain-local scratch buffer reused
-    across calls.  These digests are the visited-set keys and the
+    across calls and are hashed in place.  These digests are the visited-set keys and the
     checkpoint entries, so a change of fingerprint format versions the
     checkpoint format ({!Explore.checkpoint_of_json}).
 
@@ -192,7 +193,7 @@ val fingerprint_digest : ?graded:bool -> ?perm:int array -> t -> string
     disappears entirely).  The resulting state graph is no longer graded
     by depth; only the sequential reduced explorer modes use it.
     [perm] relabels processes ([perm.(old) = new]) in both the control
-    sections and the heap snapshot — see {!relabelings}; the explorer's
+    sections and the heap digest — see {!relabelings}; the explorer's
     symmetry reduction keys states by the least digest over a
     relabeling group.
 

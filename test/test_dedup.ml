@@ -1,7 +1,7 @@
 (* State-space deduplication: fingerprint soundness and the explorer's
    dedup mode.
 
-   Four layers of guarantees are pinned here:
+   Five layers of guarantees are pinned here:
    - [~dedup:false] is byte-identical to the pre-dedup explorer -- the
      raw statistics on the Figure 2 and Figure 4 suites are hard-coded
      baselines captured from the seed explorer, so any accidental change
@@ -16,7 +16,10 @@
      sound across replays and domains;
    - the observation trace folded into each process's fingerprint
      section separates runs that saw the same values in another order or
-     segmentation, and forgets what a crashed run saw. *)
+     segmentation, and forgets what a crashed run saw;
+   - the summed heap digest separates objects that swap values, digests
+     the identity relabeling as no relabeling, and forgets a slot
+     registered in a rolled-back branch. *)
 
 open Rcons_runtime
 
@@ -241,7 +244,9 @@ let pinned_digests mk =
   Sim.abandon sim;
   (root, after)
 
-let test_fingerprint_pins () =
+(* The pinned systems, each with its expected digests and every builder
+   that must produce them. *)
+let pinned_systems () =
   let workload ?level name () =
     match Rcons.Counterexample.team_system (Rcons.Counterexample.team2 ?level name) with
     | Ok build -> fst (build ())
@@ -250,35 +255,130 @@ let test_fingerprint_pins () =
   let helper mk () = fst (mk ()) in
   let s2 = Helpers.cert_of (Rcons_spec.Sn.make 2) 2 in
   let sticky3 = Helpers.cert_of Rcons_spec.Sticky_bit.t 3 in
+  [
+    ( "Figure 2 on S_2",
+      ("d3c6ed4d7c163d8701893b3b975b5a50", "9e5b2ad47e698d3e4d453d753789fc1a"),
+      [ workload "S2"; helper (Helpers.team_mk s2) ] );
+    ( "Figure 2 on sticky, level 3",
+      ("260a17fefefe2904fbbc2f5edf076d1e", "e26b273c698b2a46a8b42be6046cef35"),
+      [ workload ~level:3 "sticky"; helper (Helpers.team_mk sticky3) ] );
+    ( "tournament on sticky, n = 3",
+      ("ed60ec6faa5be87f1b256bb2d31ac7a5", "e79edc4bcfeda4359710bceaede426b8"),
+      [ (fun () -> (Helpers.rc_system sticky3 ~n:3 ()).Helpers.sim) ] );
+    ( "Figure 4, n = 2",
+      ("cedf9e92c1679b598c4b13ccbc07fd0d", "04548ab6f109d9fb1e8f49cb8f53c578"),
+      [ helper (Helpers.fig4_mk 2) ] );
+    (* Figure 7's nodes register lazily, each behind a slot holding
+       its tag; p1's node registers inside the pinned schedule. *)
+    ( "Figure 7, lossy with barriers",
+      ("d9c347f197f2cf046182fdd36ee921d8", "a371bd8050d55a0ba1fbcd9d991d049c"),
+      [ helper fig7_mk ] );
+  ]
+
+let test_fingerprint_pins () =
   List.iter
     (fun (name, expect, builds) ->
       List.iter
         (fun mk -> Alcotest.(check (pair string string)) name expect (pinned_digests mk))
         builds)
-    [
-      ( "Figure 2 on S_2",
-        ("c84457185f40cebf1315d576f2edb2dd", "f9f7be124cbb569fd0fbd34ad57897d7"),
-        [ workload "S2"; helper (Helpers.team_mk s2) ] );
-      ( "Figure 2 on sticky, level 3",
-        ("7a55a77b493abbf686be31c2dff19e5b", "b71b1c1ae7170b86d238bf9d09114041"),
-        [ workload ~level:3 "sticky"; helper (Helpers.team_mk sticky3) ] );
-      ( "tournament on sticky, n = 3",
-        ("0188fd58581b7de3703718aaac00edf7", "c8723e4f5d55c43ab8cd4287a2fac9ad"),
-        [ (fun () -> (Helpers.rc_system sticky3 ~n:3 ()).Helpers.sim) ] );
-      ( "Figure 4, n = 2",
-        ("de0183f8161c5b2027d322218c2aacb2", "82491426af63dab8c4f432adc4c97d75"),
-        [ helper (Helpers.fig4_mk 2) ] );
-      (* Figure 7's nodes register lazily, each behind a slot holding
-         its tag; p1's node registers inside the pinned schedule. *)
-      ( "Figure 7, lossy with barriers",
-        ("9d320cd2e4dd51a34467174412a7716b", "46e8b58d20eca75cdcf2d32340571b28"),
-        [ helper fig7_mk ] );
-    ]
+    (pinned_systems ())
+
+(* --- the summed heap digest --- *)
+
+(* The symmetry explorer digests the identity relabeling with no
+   [perm], so that cached pid-bearing slots serve it; that is sound only
+   if an identity [perm] gives the same bytes.  Checked on every pinned
+   system and on a lossy replicated log, whose vote rows and cache-line
+   owners are pid-bearing, graded and ungraded, at the root and after
+   the pinned schedule. *)
+let test_identity_perm () =
+  let lossy_log () =
+    let w = Rcons.Counterexample.log ~persist:Persist.Lossy ~annotated:true ~slots:1 "sticky" in
+    match Rcons.Counterexample.mk w with Ok mk -> fst (mk ()) | Error e -> Alcotest.fail e
+  in
+  let systems =
+    ("replicated log, lossy", lossy_log)
+    :: List.concat_map
+         (fun (name, _, builds) -> List.map (fun mk -> (name, mk)) builds)
+         (pinned_systems ())
+  in
+  List.iter
+    (fun (name, mk) ->
+      with_arena @@ fun () ->
+      let sim = mk () in
+      let id = Array.init (Sim.num_procs sim) Fun.id in
+      let check where =
+        List.iter
+          (fun graded ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s, %s, graded %b" name where graded)
+              (Digest.to_hex (Sim.fingerprint_digest ~graded sim))
+              (Digest.to_hex (Sim.fingerprint_digest ~graded ~perm:id sim)))
+          [ true; false ]
+      in
+      check "root";
+      List.iter (Schedule.apply sim) pinned_schedule;
+      check "after the pinned schedule";
+      Sim.abandon sim)
+    systems
+
+(* Two cells holding each other's values: a combine that ignores which
+   slot a digest came from (a plain sum or XOR of the thunk digests)
+   collides here. *)
+let test_swapped_cells () =
+  let digest (a, b) =
+    with_arena @@ fun () ->
+    let ca = Cell.make a and cb = Cell.make b in
+    let sim = Sim.create ~n:1 (fun _ () -> ignore (Cell.read ca + Cell.read cb)) in
+    let d = Sim.fingerprint_digest sim in
+    Sim.abandon sim;
+    d
+  in
+  Alcotest.(check bool) "A = 1, B = 2 against A = 2, B = 1" true (digest (1, 2) <> digest (2, 1));
+  Alcotest.(check string) "same values, same digest"
+    (Digest.to_hex (digest (1, 2)))
+    (Digest.to_hex (digest (1, 2)))
+
+(* A slot registered lazily inside a branch that is then rolled back
+   must leave nothing behind: the arena after the rollback, and the
+   indices it hands out next, are those of a run that never took the
+   branch.  Figure 7 registers p1's node inside the pinned schedule;
+   the digest after rolling that schedule back and running p0 alone
+   must equal a fresh run of p0 alone. *)
+let test_rolled_back_registration () =
+  let p0_only = Schedule.[ Step_choice 0; Step_choice 0; Step_choice 0; Step_choice 0 ] in
+  let fresh =
+    with_arena @@ fun () ->
+    let sim = fst (fig7_mk ()) in
+    List.iter (Schedule.apply sim) p0_only;
+    let d = Sim.fingerprint_digest sim in
+    Sim.abandon sim;
+    d
+  in
+  let rolled =
+    with_arena @@ fun () ->
+    Undo.install ();
+    Fun.protect ~finally:Undo.uninstall @@ fun () ->
+    let sim = fst (fig7_mk ()) in
+    let root = Sim.mark sim in
+    List.iter (Schedule.apply sim) pinned_schedule;
+    ignore (Sim.fingerprint_digest sim);
+    Sim.rollback sim root;
+    List.iter (Schedule.apply sim) p0_only;
+    let d = Sim.fingerprint_digest sim in
+    Sim.abandon sim;
+    d
+  in
+  Alcotest.(check string) "rolled back = fresh" (Digest.to_hex fresh) (Digest.to_hex rolled)
 
 let suite =
   [
     Alcotest.test_case "fingerprint bytes pinned (Figures 2, 4 and 7, tournament)" `Quick
       test_fingerprint_pins;
+    Alcotest.test_case "identity relabeling digests as none" `Quick test_identity_perm;
+    Alcotest.test_case "swapped cells digest differently" `Quick test_swapped_cells;
+    Alcotest.test_case "rolled-back lazy registration leaves no trace" `Quick
+      test_rolled_back_registration;
     Alcotest.test_case "raw mode matches seed baselines" `Quick test_raw_baselines;
     Alcotest.test_case "raw mode matches seed baseline (2 crashes)" `Slow
       test_raw_baseline_two_crashes;

@@ -283,13 +283,14 @@ let test_corrupt_checkpoint_diagnosis () =
   | exception Invalid_argument msg ->
       Alcotest.(check bool) ("names the problem: " ^ msg) true (String.length msg > 0));
   Sys.remove wrong;
-  (* Only format version 3 loads.  A checkpoint from an older build --
-     version 2 (five parameter fields that cannot name a reduction),
-     one naming the exploration engine that cut it, a version 1 file
-     (whose dedup digests name list-format fingerprints no state of
-     this build matches), or one with no version at all -- may mean
-     something else here, so the loader refuses it with one line naming
-     the version (CLI exit 2), raw or dedup alike. *)
+  (* Only format version 4 loads.  A checkpoint from an older build --
+     version 3 (its digests hash framed heap slots and decimal counts,
+     so no state of this build matches them), version 2 (five parameter
+     fields that cannot name a reduction), one naming the exploration
+     engine that cut it, a version 1 file (whose dedup digests name
+     list-format fingerprints), or one with no version at all -- may
+     mean something else here, so the loader refuses it with one line
+     naming the version (CLI exit 2), raw or dedup alike. *)
   let stats distinct =
     Printf.sprintf
       {|"stats": {"schedules": 0, "nodes": 1, "max_depth": 0, "dedup_hits": 0,
@@ -305,7 +306,7 @@ let test_corrupt_checkpoint_diagnosis () =
       (stats (List.length visited))
       (String.concat ", " (List.map (Printf.sprintf "%S") visited))
   in
-  let v3 ~version visited =
+  let current ~version visited =
     Printf.sprintf
       {|{%s "kind": "explore-checkpoint",
          "provenance": {"origin": "explore", "seed": null,
@@ -338,15 +339,18 @@ let test_corrupt_checkpoint_diagnosis () =
       ("version 1 raw", "version 1", old ~version:{|"version": 1,|} ~dedup:false []);
       ("unversioned dedup", "unversioned", old ~version:"" ~dedup:true [ digest ]);
       ("unversioned raw", "unversioned", old ~version:"" ~dedup:false []);
-      ("newer", "version 4", v3 ~version:{|"version": 4,|} [ digest ]);
-      ("short digest", "visited entry", v3 ~version:{|"version": 3,|} [ "0123" ]);
-      ("cover without depth", "visited entry", v3 ~version:{|"version": 3,|} [ digest ^ " 1" ]);
+      ("version 3", "version 3", current ~version:{|"version": 3,|} [ digest ]);
+      ("newer", "version 5", current ~version:{|"version": 5,|} [ digest ]);
+      ("short digest", "visited entry", current ~version:{|"version": 4,|} [ "0123" ]);
+      ( "cover without depth",
+        "visited entry",
+        current ~version:{|"version": 4,|} [ digest ^ " 1" ] );
     ];
-  (* A version 3 file loads, covers included. *)
-  let current = write_tmp (v3 ~version:{|"version": 3,|} [ digest ]) in
-  Alcotest.(check int) "version 3 checkpoint loads" 1
-    (Explore.checkpoint_stats (Explore.load_checkpoint ~file:current)).nodes;
-  Sys.remove current;
+  (* A version 4 file loads, covers included. *)
+  let file = write_tmp (current ~version:{|"version": 4,|} [ digest ]) in
+  Alcotest.(check int) "version 4 checkpoint loads" 1
+    (Explore.checkpoint_stats (Explore.load_checkpoint ~file)).nodes;
+  Sys.remove file;
   (* Unreadable path: Sys_error, same exit-2 mapping in the CLI. *)
   match Explore.load_checkpoint ~file:"/nonexistent/nowhere.json" with
   | _ -> Alcotest.fail "missing checkpoint should not load"

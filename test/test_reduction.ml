@@ -157,7 +157,7 @@ let test_reduced_baselines () =
       dedup_hits = 513;
       distinct_states = 391;
       por_pruned = 0;
-      symmetry_hits = 409;
+      symmetry_hits = 394;
     }
     (Explore.explore ~max_crashes:0 ~dedup:true ~symmetry:classes ~mk:(Helpers.team_mk sticky3) ())
 

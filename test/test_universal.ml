@@ -96,24 +96,6 @@ let test_linearizable_random_crashes () =
     if not (lin_ok history) then Alcotest.fail "non-linearizable history under crashes"
   done
 
-let test_linearizable_exhaustive_small () =
-  (* Two processes, one op each.  The universal construction's bodies are
-     long (each field access is a step), so full exploration with a crash
-     is infeasible; explore a bounded prefix of the schedule tree and
-     accept budget exhaustion as "no violation found within the budget". *)
-  let mk () =
-    let history = Rcons_history.History.create () in
-    let scripts = [| [| Derived.Incr |]; [| Derived.Get |] |] in
-    let _, _, t = Script.system ~history Derived.counter scripts in
-    let check () = if Sim.all_finished t && not (lin_ok history) then Explore.fail "not linearizable" in
-    (t, check)
-  in
-  match Explore.explore ~max_crashes:1 ~node_budget:400_000 ~mk () with
-  | stats -> Alcotest.(check bool) "schedules explored" true (stats.Explore.schedules > 50)
-  | exception Explore.Interrupted cp ->
-      Alcotest.(check int) "no violation within the node budget" 400_000
-        (Explore.checkpoint_stats cp).Explore.nodes
-
 (* The Figure 2 + tournament RC (from the sticky bit's certificate) as
    the per-node RC instance: the full paper pipeline end-to-end. *)
 let figure2_rc n =
@@ -143,27 +125,46 @@ let test_figure2_rc_instances ?barriers ~runs () =
     if not (lin_ok history) then Alcotest.fail "non-linearizable with Figure 2 RC instances"
   done
 
-(* E13's workload: one Incr per process, linearizability checked once
-   every run has finished.  The history decides the verdict, so it
-   registers with the heap arena first: dedup must not merge states
-   whose histories differ. *)
-let counter_mk ?(policy = Persist.Eager) ~n () =
+(* Figure 7 counter [scripts] (E13's workload is one Incr per process,
+   [incrs n]), linearizability checked once every run has finished.
+   The history decides the verdict, so it registers with the heap arena
+   first: dedup must not merge states whose histories differ. *)
+let counter_mk ?(policy = Persist.Eager) scripts () =
   Persist.scoped policy (fun () ->
       let history = Rcons_history.History.create () in
       Heap.register (fun () ->
           Rcons_spec.Object_type.digest (Rcons_history.History.events history));
-      let scripts = Array.init n (fun _ -> [| Derived.Incr |]) in
       let _, _, sim = Script.system ~history Derived.counter scripts in
       ( sim,
         fun () ->
           if Sim.all_finished sim && not (lin_ok history) then Explore.fail "not linearizable" ))
+
+let incrs n = Array.make n [| Derived.Incr |]
+
+(* One Incr and one Get with one crash, checked completely: dedup + por
+   walks the whole reduced state graph.  The history slot is not
+   cacheable (it re-digests at every snapshot), so this also puts the
+   state digest on a Figure 7 workload with a slot that never serves
+   from cache. *)
+let test_linearizable_exhaustive_small () =
+  match
+    Explore.explore ~max_crashes:1 ~dedup:true ~por:true
+      ~mk:(counter_mk [| [| Derived.Incr |]; [| Derived.Get |] |])
+      ()
+  with
+  | exception Explore.Violation v -> Alcotest.failf "violation: %s" v.Explore.v_msg
+  | s ->
+      Alcotest.(check (list int))
+        "nodes, schedules, states, por-pruned, dedup hits"
+        [ 144443; 125; 79468; 74796; 36598 ]
+        [ s.Explore.nodes; s.schedules; s.distinct_states; s.por_pruned; s.dedup_hits ]
 
 (* Every cell holds plain data, so Figure 7 explores under dedup.  The
    counts are E13's RUniversal rows (EXPERIMENTS.md). *)
 let test_dedup_stats_pinned ~por expected () =
   List.iter
     (fun (crashes, (nodes, schedules, states, pruned)) ->
-      let s = Explore.explore ~max_crashes:crashes ~dedup:true ~por ~mk:(counter_mk ~n:2) () in
+      let s = Explore.explore ~max_crashes:crashes ~dedup:true ~por ~mk:(counter_mk (incrs 2)) () in
       Alcotest.(check (list int))
         (Printf.sprintf "%d crash(es): nodes, schedules, states, por-pruned" crashes)
         [ nodes; schedules; states; pruned ]
@@ -174,7 +175,7 @@ let test_dedup_stats_pinned ~por expected () =
    durable seq certifies.  Dedup + por finds that exhaustively, and the
    schedule replays to the same failure. *)
 let test_lossy_barrier_free_violation () =
-  let mk = counter_mk ~policy:Persist.Lossy ~n:2 in
+  let mk = counter_mk ~policy:Persist.Lossy (incrs 2) in
   match Explore.explore ~max_crashes:1 ~dedup:true ~por:true ~mk () with
   | _ -> Alcotest.fail "barrier-free Figure 7 under lossy: no violation found"
   | exception Explore.Violation v ->
