@@ -36,6 +36,12 @@
    Anything that fails these checks is reported as a miss and the caller
    recomputes (and overwrites the entry).
 
+   Types that agree on every sequence of <= 8 operations share a key
+   (S_9 and S_10 do), so above level [key_depth] a file holds one entry
+   per type (by type hint): the newest at the top level, the others
+   under ["others"], kept by every store.  A load tries the positives,
+   then the negatives, so a warm pass over such types rewrites nothing.
+
    So verdicts never depend on the cache, and neither does a witness at
    a level <= 8: the key pins everything the seeded scan reads up to
    there.  Above level 8 a hit is a re-proved witness, but it can differ
@@ -64,6 +70,9 @@ let stale fmt = Printf.ksprintf (fun m -> raise (Stale m)) fmt
 let key_depth = 8
 
 let key t = Object_type.fingerprint ~depth:key_depth t
+
+(* The entries a file holds: its top-level entry, then its others. *)
+let entries json = json :: Option.fold ~none:[] ~some:Json.to_list (Json.member "others" json)
 
 module Codec (P : Property.DEFINITION) = struct
   let to_json (type s o r)
@@ -114,7 +123,21 @@ module Codec (P : Property.DEFINITION) = struct
     | exception Not_found -> ()
     | json ->
         (if not (Sys.file_exists dir) then try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-        Json.save ~file:(path ~dir ~property:P.name ~fingerprint:(key (module T)) ~n) json
+        (* Above [key_depth], keep the entries of the other types. *)
+        let file = path ~dir ~property:P.name ~fingerprint:(key (module T)) ~n in
+        let mine e = Json.member "type_hint" e = Some (Json.String T.name) in
+        let strip = function Json.Obj f -> Json.Obj (List.remove_assoc "others" f) | e -> e in
+        let others =
+          if n <= key_depth then []
+          else
+            match entries (Json.load ~file) with
+            | es -> List.map strip (List.filter (Fun.negate mine) es)
+            | exception (Sys_error _ | Invalid_argument _) -> []
+        in
+        Json.save ~file
+          (match (json, others) with
+          | Json.Obj fields, _ :: _ -> Json.Obj (fields @ [ ("others", Json.List others) ])
+          | _ -> json)
 
   (* Re-check a stored candidate from scratch and compare the recomputed
      witness fields with the stored ones; a negative entry is checked
@@ -178,12 +201,18 @@ module Codec (P : Property.DEFINITION) = struct
       (module T : Object_type.S with type state = s and type op = o and type resp = r) ~check
       ~dir ~n =
     let file = path ~dir ~property:P.name ~fingerprint:(key (module T)) ~n in
+    let lookup e =
+      match validate (module T) ~check ~n e with
+      | Some d -> Some (Hit d)
+      | None -> Some Negative
+      | exception (Stale _ | Invalid_argument _) -> None
+    in
+    let positive e = Json.member "result" e = Some (Json.String "witness") in
     if not (Sys.file_exists file) then Miss
     else
-      match validate (module T) ~check ~n (Json.load ~file) with
-      | Some d -> Hit d
-      | None -> Negative
-      | exception (Stale _ | Invalid_argument _) -> Miss
+      match List.partition positive (entries (Json.load ~file)) with
+      | pos, neg -> Option.value ~default:Miss (List.find_map lookup (pos @ neg))
+      | exception Invalid_argument _ -> Miss
 end
 
 (* {2 Maintenance (CLI: certs list / revalidate / gc)} *)
@@ -288,11 +317,14 @@ let revalidate_info (info : info) json =
         | exception Stale m -> Stale_entry m
         | exception Invalid_argument m -> Corrupt m)
 
+(* A file is valid when every entry in it is. *)
 let revalidate_file file =
-  match Json.load ~file with
+  let status json =
+    match info_of_json file json with Error m -> Corrupt m | Ok info -> revalidate_info info json
+  in
+  match entries (Json.load ~file) with
   | exception (Sys_error m | Invalid_argument m) -> Corrupt m
-  | json -> (
-      match info_of_json file json with Error m -> Corrupt m | Ok info -> revalidate_info info json)
+  | es -> Option.value ~default:Valid (List.find_opt (( <> ) Valid) (List.map status es))
 
 let gc dir =
   List.filter_map

@@ -24,40 +24,44 @@ include Property.Make (struct
   module Check (T : Object_type.S) = struct
     module S = Search.Make (T)
 
+    (* Decided on pair ids, one tracked (team, operation) at a time, so
+       a candidate fails at its first overlapping pair of R-sets; the
+       R-sets become values only for a witness. *)
     let check ~q0 ~ops_a ~ops_b =
       let ms_a = S.multiset_of_list ops_a and ms_b = S.multiset_of_list ops_b in
       let tracked_instances =
         Array.to_list (Array.map (fun op -> (Team.A, op)) ms_a.S.ops)
         @ Array.to_list (Array.map (fun op -> (Team.B, op)) ms_b.S.ops)
       in
-      let r_sets =
-        List.map
-          (fun (tracked_team, tracked_op) ->
-            let r_of first =
-              S.responses ~q0 ~team_a:ms_a ~team_b:ms_b ~first ~tracked_team ~tracked_op
-            in
-            ((tracked_team, tracked_op), r_of Team.A, r_of Team.B))
-          tracked_instances
+      S.with_ctx @@ fun c ->
+      let r_of (tracked_team, tracked_op) first =
+        S.responses_ids c ~q0 ~team_a:ms_a ~team_b:ms_b ~first ~tracked_team ~tracked_op
       in
-      let disjoint = List.for_all (fun (_, ra, rb) -> S.Pair_set.(is_empty (inter ra rb))) r_sets in
-      if not disjoint then None
-      else begin
-        (* Expand the per-(team, op) R-sets back to per-process arrays:
-           team A's processes first, then team B's. *)
-        let procs =
-          Array.of_list
-            (List.map (fun op -> (Team.A, op)) ops_a @ List.map (fun op -> (Team.B, op)) ops_b)
-        in
-        let find_sets (team, op) =
-          let _, ra, rb =
-            List.find (fun ((t, o), _, _) -> t = team && T.compare_op o op = 0) r_sets
+      let rec decide acc = function
+        | [] -> Some (List.rev acc)
+        | p :: rest ->
+            let ra = r_of p Team.A and rb = r_of p Team.B in
+            if S.Ids.disjoint ra rb then decide ((p, ra, rb) :: acc) rest else None
+      in
+      match decide [] tracked_instances with
+      | None -> None
+      | Some r_sets ->
+          (* Expand the per-(team, op) R-sets back to per-process arrays:
+             team A's processes first, then team B's. *)
+          let values ids = S.Pair_set.elements (S.pairs_of c ids) in
+          let r_sets = List.map (fun (p, ra, rb) -> (p, values ra, values rb)) r_sets in
+          let procs =
+            Array.of_list
+              (List.map (fun op -> (Team.A, op)) ops_a @ List.map (fun op -> (Team.B, op)) ops_b)
           in
-          (S.Pair_set.elements ra, S.Pair_set.elements rb)
-        in
-        let r_a = Array.map (fun p -> fst (find_sets p)) procs in
-        let r_b = Array.map (fun p -> snd (find_sets p)) procs in
-        Some { Certificate.dq0 = q0; procs; r_a; r_b }
-      end
+          let find_sets (team, op) =
+            let _, ra, rb =
+              List.find (fun ((t, o), _, _) -> t = team && T.compare_op o op = 0) r_sets
+            in
+            (ra, rb)
+          in
+          let r = Array.map find_sets procs in
+          Some { Certificate.dq0 = q0; procs; r_a = Array.map fst r; r_b = Array.map snd r }
   end
 
   (* The team lists are recovered from the per-process assignment. *)

@@ -36,8 +36,9 @@ type ('s, 'o) view
     team-B multiset)], addressable by index without materializing it.
     Shared by both decision procedures and by the certificate cache's
     negative-entry revalidation, which must agree with the procedures on
-    the enumeration's shape.  Only each team size's multisets are built;
-    the pairs are not. *)
+    the enumeration's shape.  It holds only the layout (team splits and
+    their block offsets): {!nth} unranks the two multisets of the
+    candidate it returns and builds nothing else. *)
 
 val view : initial_states:'s list -> ops:'o list -> int -> ('s, 'o) view
 (** [view ~initial_states ~ops n]: the level-n candidate space. *)
@@ -47,8 +48,8 @@ val count : ('s, 'o) view -> int
 
 val nth : ('s, 'o) view -> int -> 's * 'o list * 'o list
 (** [nth v i]: the [i]-th candidate in enumeration order, in time
-    logarithmic in the space.  Pure, so safe to call from several
-    domains at once.
+    logarithmic in the space and polynomial in the team sizes.  Pure,
+    so safe to call from several domains at once.
     @raise Invalid_argument unless [0 <= i < count v]. *)
 
 val candidates :

@@ -27,12 +27,14 @@ include Property.Make (struct
   module Check (T : Object_type.S) = struct
     module S = Search.Make (T)
 
+    (* Decided on state ids; the sets become values only for a witness. *)
     let check ~q0 ~ops_a ~ops_b =
       let ms_a = S.multiset_of_list ops_a and ms_b = S.multiset_of_list ops_b in
-      let q_a = S.reachable ~q0 ~first:ms_a ~other:ms_b in
-      let q_b = S.reachable ~q0 ~first:ms_b ~other:ms_a in
-      let q0_in_q_a = S.State_set.mem q0 q_a and q0_in_q_b = S.State_set.mem q0 q_b in
-      let cond1 = S.State_set.(is_empty (inter q_a q_b)) in
+      S.with_ctx @@ fun c ->
+      let q_a = S.reachable_ids c ~q0 ~first:ms_a ~other:ms_b in
+      let q_b = S.reachable_ids c ~q0 ~first:ms_b ~other:ms_a in
+      let q0_in_q_a = S.mem_state c q0 q_a and q0_in_q_b = S.mem_state c q0 q_b in
+      let cond1 = S.Ids.disjoint q_a q_b in
       let cond2 = (not q0_in_q_a) || List.length ops_b = 1 in
       let cond3 = (not q0_in_q_b) || List.length ops_a = 1 in
       if cond1 && cond2 && cond3 then
@@ -41,8 +43,8 @@ include Property.Make (struct
             Certificate.q0;
             ops_a;
             ops_b;
-            q_a = S.State_set.elements q_a;
-            q_b = S.State_set.elements q_b;
+            q_a = S.State_set.elements (S.states_of c q_a);
+            q_b = S.State_set.elements (S.states_of c q_b);
             q0_in_q_a;
             q0_in_q_b;
           }

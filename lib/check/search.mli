@@ -2,16 +2,13 @@
     Q_X of Definition 4 and R_{X,j} of Definition 2, computed on the
     multiset abstraction of team assignments (see {!Enumerate}).
 
-    Sequences of distinct-process operations are prefix-closed, so
-    states/pairs are collected at every node of the search tree.  The
-    set collected below a node depends only on (state, remaining
-    multisets), so each node is computed once and cached in tables that
-    live for the lifetime of the [Make] instance: candidate checks that
-    share sub-searches (the A-first/B-first pair of one candidate, and
-    overlapping candidates across levels of an incremental scan) reuse
-    each other's work when the caller reuses the instance.  The tables
-    are mutex-guarded; sharing an instance across the parallel candidate
-    sweeps of {!Rcons_par.Pool} is safe and changes no result. *)
+    Each node's set is memoized in a search context, as ids the context
+    interns; contexts live as long as the [Make] instance, so callers
+    that reuse it (the witness scans, across candidates and levels)
+    share sub-searches.  {!Make.with_ctx} hands the context to one
+    caller at a time, so the parallel sweeps of {!Rcons_par.Pool} may
+    share an instance.  An operation outside [T.update_ops] raises
+    [Invalid_argument]. *)
 
 module Make (T : Rcons_spec.Object_type.S) : sig
   module State_set : Set.S with type elt = T.state
@@ -25,6 +22,34 @@ module Make (T : Rcons_spec.Object_type.S) : sig
       over the [compare_op]-sorted list). *)
 
   val total : multiset -> int
+
+  (** {2 Id level}: the searches as sets of a context's ids, and their
+      values back for a witness. *)
+
+  module Ids : Set.S with type elt = int * int
+  (** (response id, state id) pairs; a Q set holds (-1, state id). *)
+
+  type ctx
+
+  val with_ctx : (ctx -> 'a) -> 'a
+  (** Run on the instance's context, which no other caller holds
+      meanwhile (a mutex, so [with_ctx] must not nest). *)
+
+  val reachable_ids : ctx -> q0:T.state -> first:multiset -> other:multiset -> Ids.t
+  val mem_state : ctx -> T.state -> Ids.t -> bool
+  val states_of : ctx -> Ids.t -> State_set.t
+
+  val responses_ids :
+    ctx ->
+    q0:T.state ->
+    team_a:multiset ->
+    team_b:multiset ->
+    first:Rcons_spec.Team.t ->
+    tracked_team:Rcons_spec.Team.t ->
+    tracked_op:T.op ->
+    Ids.t
+
+  val pairs_of : ctx -> Ids.t -> Pair_set.t
 
   val reachable : q0:T.state -> first:multiset -> other:multiset -> State_set.t
   (** Q_X: all states reachable by applying operations of distinct

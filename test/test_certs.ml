@@ -514,6 +514,60 @@ let test_recording_witness_cache_independent () =
     (show_recording_witness s9 None 9)
     (show_recording_witness s9 (Some dir) 9)
 
+(* S_9 and S_10 share their depth-8 key, so one directory holds both
+   types' level-9 and level-10 entries in one file per property and
+   level.  A cold pass over both at limit 10 and two warm ones agree
+   with a cache-free pass, neither warm pass rewrites a file, every
+   file revalidates, gc removes nothing, and each type's recording
+   witness at n = 9 and 10 is a re-proved one (its cache-free one at
+   n = 10, where only it can have one). *)
+let test_shared_key_one_dir () =
+  with_dir @@ fun dir ->
+  let s9 = Rcons_spec.Sn.make 9 and s10 = Rcons_spec.Sn.make 10 in
+  Alcotest.(check string)
+    "S_9 and S_10 share the key" (entry_file dir s9 10) (entry_file dir s10 10);
+  let render certs =
+    String.concat "\n"
+      (List.map
+         (fun ot -> Format.asprintf "%a" Classify.pp_report (Classify.classify ~limit:10 ?certs ot))
+         [ s9; s10 ])
+  in
+  let mtimes () =
+    List.map (fun (f, _) -> (f, (Unix.stat f).Unix.st_mtime)) (Cert_cache.list_dir dir)
+  in
+  let nocache = render None in
+  Alcotest.(check string) "cold = no-cache" nocache (render (Some dir));
+  let before = mtimes () in
+  for pass = 1 to 2 do
+    Alcotest.(check string) (Printf.sprintf "warm %d = no-cache" pass) nocache (render (Some dir));
+    Alcotest.(check bool) (Printf.sprintf "warm %d rewrites nothing" pass) true (mtimes () = before)
+  done;
+  List.iter
+    (fun (file, _) ->
+      match Cert_cache.revalidate_file file with
+      | Cert_cache.Valid -> ()
+      | Cert_cache.Stale_entry m | Cert_cache.Corrupt m ->
+          Alcotest.failf "%s: %s" (Filename.basename file) m)
+    (Cert_cache.list_dir dir);
+  Alcotest.(check (list string)) "gc removes nothing" [] (List.map fst (Cert_cache.gc dir));
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (OT.Pack (module T) as ot) ->
+          let label = Printf.sprintf "%s, n=%d" (OT.name ot) n in
+          match (Rcons.recording_witness ~certs:dir ot n, Rcons.recording_witness ot n) with
+          | None, None -> ()
+          | Some c, Some fresh ->
+              Alcotest.(check bool) (label ^ ": re-proved") true (Certificate.validate_recording c);
+              if n = 10 then
+                Alcotest.(check string) (label ^ ": the cache-free witness")
+                  (Format.asprintf "%a" Certificate.pp_recording fresh)
+                  (Format.asprintf "%a" Certificate.pp_recording c)
+          | _ -> Alcotest.failf "%s: the cache changed the verdict" label)
+        [ s9; s10 ])
+    [ 9; 10 ];
+  Alcotest.(check bool) "witness lookups rewrite nothing" true (mtimes () = before)
+
 let suite =
   [
     Alcotest.test_case "fingerprint bytes pinned at depths 8 and 12" `Quick test_fingerprint_pins;
@@ -537,6 +591,7 @@ let suite =
     Alcotest.test_case "warm classify costs less than a deep key" `Quick test_warm_cost_guard;
     Alcotest.test_case "committed _certs/ = what classify writes" `Quick
       test_committed_seed_matches;
+    Alcotest.test_case "S_9 and S_10 share one dir above depth 8" `Quick test_shared_key_one_dir;
     Alcotest.test_case "recording_witness is cache-independent" `Quick
       test_recording_witness_cache_independent;
   ]

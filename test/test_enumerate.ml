@@ -53,27 +53,36 @@ let test_pairs () =
 
 (* The index-addressed view is the materialized enumeration, element for
    element and in order: the scans return the first witness in this
-   order, so any drift would change which witness is found. *)
+   order, so any drift would change which witness is found.  [nth]
+   unranks each multiset from its index alone, so the grid also runs
+   universes of 6-7 operations (one initial state, levels 2-8, where
+   every level has an unequal split and every even one an equal split). *)
 let test_view_is_enumeration () =
-  for states = 1 to 3 do
-    for u = 0 to 5 do
-      for n = 2 to 9 do
-        let initial_states = List.init states Fun.id and ops = List.init u Fun.id in
-        let label = Printf.sprintf "%d states, %d ops, n=%d" states u n in
-        let v = Enumerate.view ~initial_states ~ops n in
-        let reference = Enumerate.candidates ~initial_states ~ops n in
-        Alcotest.(check int) (label ^ ": count") (List.length reference) (Enumerate.count v);
-        Alcotest.(check int)
-          (label ^ ": candidate_count")
-          (Enumerate.count v)
-          (Enumerate.candidate_count ~initial_states ~ops n);
-        Alcotest.(check bool)
-          (label ^ ": nth")
-          true
-          (List.init (Enumerate.count v) (Enumerate.nth v) = reference)
-      done
-    done
-  done
+  let equal = ref 0 and unequal = ref 0 in
+  let grid states us ns =
+    List.concat_map
+      (fun st -> List.concat_map (fun u -> List.map (fun n -> (st, u, n)) ns) us)
+      states
+  in
+  List.iter
+    (fun (states, u, n) ->
+      let initial_states = List.init states Fun.id and ops = List.init u Fun.id in
+      let label = Printf.sprintf "%d states, %d ops, n=%d" states u n in
+      let v = Enumerate.view ~initial_states ~ops n in
+      let reference = Enumerate.candidates ~initial_states ~ops n in
+      Alcotest.(check int) (label ^ ": count") (List.length reference) (Enumerate.count v);
+      Alcotest.(check int)
+        (label ^ ": candidate_count")
+        (Enumerate.count v)
+        (Enumerate.candidate_count ~initial_states ~ops n);
+      List.iteri
+        (fun i ((_, a, b) as expected) ->
+          if List.length a = List.length b then incr equal else incr unequal;
+          if Enumerate.nth v i <> expected then Alcotest.failf "%s: nth %d" label i)
+        reference)
+    (grid [ 1; 2; 3 ] (List.init 6 Fun.id) (List.init 8 (fun k -> k + 2))
+    @ grid [ 1 ] [ 6; 7 ] (List.init 7 (fun k -> k + 2)));
+  Alcotest.(check bool) "equal and unequal splits covered" true (!equal > 0 && !unequal > 0)
 
 let test_view_bounds () =
   let v = Enumerate.view ~initial_states:[ 0 ] ~ops:[ 0; 1 ] 3 in

@@ -141,6 +141,148 @@ let test_q_prefix_closed () =
   (* q0 itself is never in Q_X unless re-reached by updates *)
   Alcotest.(check bool) "q0 = [] not reachable with pushes only" false (S.State_set.mem [] q_a)
 
+(* --- the memoized searches against a plain recursion ---------------
+   [Plain (T)] computes Q_X and R_{X,j} straight from Definitions 4 and
+   2 over operation values: no memo, no interning, no count vectors.
+   Below the first operation the teams no longer matter, so the
+   remaining processes form one pool; equal operations give equal
+   subtrees, so each step branches once per distinct operation. *)
+
+module Plain (T : Object_type.S) = struct
+  let rec remove_one op = function
+    | [] -> []
+    | x :: xs -> if T.compare_op x op = 0 then xs else x :: remove_one op xs
+
+  let distinct ops = List.sort_uniq T.compare_op ops
+
+  let reachable ~q0 ~first ~other =
+    let rec below s pool =
+      let step op = below (fst (T.apply s op)) (remove_one op pool) in
+      s :: List.concat_map step (distinct pool)
+    in
+    let start op = below (fst (T.apply q0 op)) (remove_one op first @ other) in
+    List.concat_map start (distinct first)
+    |> List.sort_uniq T.compare_state
+
+  let responses ~q0 ~team_a ~team_b ~first ~tracked_team ~tracked_op =
+    let team_a, team_b =
+      match tracked_team with
+      | Team.A -> (remove_one tracked_op team_a, team_b)
+      | Team.B -> (team_a, remove_one tracked_op team_b)
+    in
+    let rec below s pool tracked =
+      (match tracked with Some r -> [ (r, s) ] | None -> [])
+      @ List.concat_map
+          (fun op -> below (fst (T.apply s op)) (remove_one op pool) tracked)
+          (distinct pool)
+      @
+      match tracked with
+      | None ->
+          let s', r = T.apply s tracked_op in
+          below s' pool (Some r)
+      | Some _ -> []
+    in
+    let starters, rest = match first with Team.A -> (team_a, team_b) | Team.B -> (team_b, team_a) in
+    List.concat_map
+      (fun op -> below (fst (T.apply q0 op)) (remove_one op starters @ rest) None)
+      (distinct starters)
+    @ (if tracked_team = first then
+         let s', r = T.apply q0 tracked_op in
+         below s' (team_a @ team_b) (Some r)
+       else [])
+    |> List.sort_uniq (fun (r1, s1) (r2, s2) ->
+           let c = T.compare_resp r1 r2 in
+           if c <> 0 then c else T.compare_state s1 s2)
+end
+
+(* Every candidate of [cands] through ONE memoized instance (so later
+   candidates hit nodes memoized by earlier ones, across teams and team
+   sizes), each against the plain recursion: Q_A and Q_B, and R_{X,j}
+   from both teams for every distinct tracked (team, operation). *)
+let memo_agrees_with_plain (Object_type.Pack (module T)) cands =
+  let module S = Search.Make (T) in
+  let module P = Plain (T) in
+  let ops = Array.of_list T.update_ops in
+  List.for_all
+    (fun (q0, a, b) ->
+      let q0 = List.nth T.candidate_initial_states q0 in
+      let a = List.map (fun i -> ops.(i)) a and b = List.map (fun i -> ops.(i)) b in
+      let ms_a = S.multiset_of_list a and ms_b = S.multiset_of_list b in
+      let q_ok first other ms_first ms_other =
+        S.State_set.elements (S.reachable ~q0 ~first:ms_first ~other:ms_other)
+        = P.reachable ~q0 ~first ~other
+      in
+      let r_ok tracked_team tracked_op first =
+        S.Pair_set.elements
+          (S.responses ~q0 ~team_a:ms_a ~team_b:ms_b ~first ~tracked_team ~tracked_op)
+        = P.responses ~q0 ~team_a:a ~team_b:b ~first ~tracked_team ~tracked_op
+      in
+      let tracked =
+        List.map (fun op -> (Team.A, op)) (P.distinct a)
+        @ List.map (fun op -> (Team.B, op)) (P.distinct b)
+      in
+      q_ok a b ms_a ms_b && q_ok b a ms_b ms_a
+      && List.for_all
+           (fun (team, op) -> r_ok team op Team.A && r_ok team op Team.B)
+           tracked)
+    cands
+
+(* A random table and a few random candidates over it: team sizes 1-3,
+   operations by universe index. *)
+let search_case_gen =
+  QCheck2.Gen.(
+    let* num_states = int_range 1 5 in
+    let* num_ops = int_range 1 4 in
+    let* num_resps = int_range 1 3 in
+    let* seed = int_bound 1_000_000 in
+    let table =
+      Finite_type.random ~num_resps ~num_states ~num_ops
+        (Random.State.make [| seed; num_states; num_ops; 11 |])
+    in
+    let team = list_size (int_range 1 3) (int_bound (num_ops - 1)) in
+    let+ cands =
+      list_size (int_range 1 6) (triple (int_bound (List.length table.initials - 1)) team team)
+    in
+    (table, cands))
+
+let print_search_case ((t : Finite_type.table), cands) =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Printf.sprintf "%d states, %d ops, table %s; candidates %s" t.num_states t.num_ops
+    (String.concat ";"
+       (Array.to_list t.transition
+       |> List.concat_map (fun row ->
+              Array.to_list row |> List.map (fun (q, r) -> Printf.sprintf "%d/%d" q r))))
+    (String.concat " "
+       (List.map (fun (q, a, b) -> Printf.sprintf "q%d[%s|%s]" q (ints a) (ints b)) cands))
+
+let qcheck_memo_random_tables =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:150 ~name:"memo Q/R sets, random tables = plain recursion"
+       ~print:print_search_case search_case_gen (fun (table, cands) ->
+         memo_agrees_with_plain (Finite_type.of_table table) cands))
+
+(* The same on a product (sum-typed operations, pair states) and on a
+   20-operation universe with a team of 16 equal operations: a count
+   encoding that overflowed (17^20 > 2^62) would merge distinct nodes. *)
+let test_memo_product_and_wide () =
+  let rng = Random.State.make [| 17 |] in
+  let small = Finite_type.of_table (Finite_type.random ~num_states:3 ~num_ops:2 rng) in
+  let product = Product.make small Sticky_bit.t in
+  Alcotest.(check bool)
+    "product" true
+    (memo_agrees_with_plain product
+       [ (0, [ 0; 2 ], [ 1; 3 ]); (0, [ 0; 0; 1 ], [ 2 ]); (0, [ 3 ], [ 1; 1; 2 ]) ]);
+  let wide = Finite_type.of_table (Finite_type.random ~num_resps:3 ~num_states:6 ~num_ops:20 rng) in
+  Alcotest.(check bool)
+    "20 ops, team of 16" true
+    (memo_agrees_with_plain wide
+       [
+         (0, List.init 16 (fun _ -> 7), [ 19 ]);
+         (0, [ 19 ], List.init 16 (fun _ -> 7));
+         (0, List.init 15 (fun _ -> 7), [ 19; 7 ]);
+         (0, List.init 16 (fun _ -> 0), [ 1 ]);
+       ])
+
 (* --- undo-engine mark/rollback (checkpoint/restore foundation) ------
    The explorer's rollback strategy rests on one contract, checked here
    directly against [Sim.mark]/[Sim.rollback] without the explorer in
@@ -453,6 +595,9 @@ let suite =
     Alcotest.test_case "responses rejects missing tracked op" `Quick
       test_responses_rejects_missing_tracked;
     Alcotest.test_case "Q sets are prefix-closed" `Quick test_q_prefix_closed;
+    qcheck_memo_random_tables;
+    Alcotest.test_case "memo Q/R sets, product + 20 ops = plain recursion" `Quick
+      test_memo_product_and_wide;
     Alcotest.test_case "rollback across flush/fence boundaries (eager)" `Quick
       (test_rollback_boundaries UPersist.Eager);
     Alcotest.test_case "rollback across flush/fence boundaries (lossy)" `Quick
