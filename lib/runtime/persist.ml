@@ -97,8 +97,9 @@ let current () = Domain.DLS.get key
 let restore saved = Domain.DLS.set key saved
 
 (* The step context: which (cache, pid) is executing a simulator step
-   right now on this domain.  [Sim.step_proc] brackets each step of a
-   cache-backed system with it; writes performed outside any step
+   right now on this domain.  [Sim] brackets each resumption of a
+   process of a cache-backed system with it (one step, or a
+   [run_steps] quantum of the same process); writes performed outside any step
    (set-up [poke]s) see no context and persist immediately.  A process
    builds its context once ([step_ctx], at [Sim.create]), so a step
    allocates nothing to install it. *)

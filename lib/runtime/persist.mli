@@ -82,8 +82,10 @@ val step_ctx : cache -> int -> step_ctx
     process. *)
 
 val in_step : step_ctx -> ('a -> 'b) -> 'a -> 'b
-(** [in_step sc f x] brackets one simulator step: it runs [f x] under
-    the step context that [attach], [dirty], [fence_here],
+(** [in_step sc f x] brackets one resumption of a simulated process
+    -- one step under [Sim.step_proc], a whole quantum of steps under
+    [Sim.run_steps], always the same process: it runs [f x] under the
+    step context that [attach], [dirty], [fence_here],
     {!barrier_steps} and {!barriers} consult, and clears it however
     [f] exits. *)
 

@@ -4,7 +4,10 @@
    Each process is ordinary OCaml code that performs the [Step] effect for
    every shared-memory access.  The effect handler suspends the process at
    each access, so a driver can interleave processes one shared-memory
-   access at a time -- the standard notion of a "step".  Crashing a process
+   access at a time -- the standard notion of a "step".  A driver that
+   decides nothing between a process's consecutive steps ([run_steps])
+   lets the body run ahead instead: its accesses execute inline, with the
+   same bookkeeping, and it suspends once per call.  Crashing a process
    discards its delimited continuation, which is exactly the model's loss
    of volatile local memory (including the program counter), and re-arms
    the process to re-execute its code from the beginning.  Shared objects
@@ -18,48 +21,15 @@ type _ Effect.t +=
   | Step : string option * Rcons_spec.Footprint.t option * (unit -> 'a) -> 'a Effect.t
 
 exception Crashed
-(* Raised inside a discarded continuation to unwind it cleanly. *)
-
-(* The rollback rebuild's feed cursor ([rebuild]): while a rebuild is
-   re-running a process body, [step] hands back [src.(pos)], the
-   recorded value of the next completed step, directly -- no effect, no
-   suspension -- and only performs (suspending the body where the
-   original run was suspended) once [pos] reaches [len].  The cursor is
-   one domain-local record, empty ([pos = len]) outside a rebuild, so
-   the normal path pays one domain-local load and one comparison, and a
-   fed value costs no allocation. *)
-type feed = { mutable src : Obj.t array; mutable pos : int; mutable len : int }
-
-let feed_key : feed Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { src = [||]; pos = 0; len = 0 })
-
-(* [label] optionally names the shared object the access touches; the
-   critical-execution explorer reads it off suspended processes to
-   reproduce the "all processes are poised on the same object O" step of
-   Theorem 14's proof.  [fp] is the access's step footprint ([None] =
-   unknown, treated as conflicting with everything); the partial-order
-   reduction reads it off suspended processes to decide which pending
-   steps commute. *)
-let step ?label ?fp f =
-  let r = Domain.DLS.get feed_key in
-  if r.pos < r.len then begin
-    (* Feeding: the cast is safe because the body is deterministic, so
-       the k-th step of a given run has one type and the recorded value
-       came from that very position.  The step thunk is skipped: its
-       heap effects were rolled back and must not re-apply.  Trace and
-       vlog were journal-restored. *)
-    let v = r.src.(r.pos) in
-    r.pos <- r.pos + 1;
-    Obj.obj v
-  end
-  else Effect.perform (Step (label, fp, f))
+(* Raised inside a discarded continuation, or a body whose inline step
+   failed, to unwind it cleanly. *)
 
 (* What a process does at its next step: nothing ([Done]: the run has
-   returned, or its step is executing right now), run its body from the
-   beginning ([Start]), or run the thunk of the step it is suspended on
-   and continue the body with its value ([Suspended]).  One field, set
-   by the effect handler with a single allocation per step; a crash
-   unwinds a [Suspended] continuation ([discard]). *)
+   returned, or it is running right now, inline steps included), run its
+   body from the beginning ([Start]), or run the thunk of the step it is
+   suspended on and continue the body with its value ([Suspended]).  One
+   field, set by the effect handler with a single allocation per
+   suspension; a crash unwinds a [Suspended] continuation ([discard]). *)
 type pending =
   | Done
   | Start
@@ -104,7 +74,6 @@ type t = {
   procs : proc array;
   heap : Heap.t option; (* arena active at creation; None = no fingerprinting *)
   cache : Persist.cache option; (* write-back cache ambient at creation: the system's own *)
-  mutable total_steps : int;
   mutable dead : bool; (* abandoned: stepping or crashing it is a bug *)
 }
 
@@ -144,6 +113,133 @@ let chain d v =
   in
   go ()
 
+(* One step's bookkeeping, the same whichever driver takes it: a
+   journal entry covering every plain field the step (and the
+   continuation machinery it triggers) may change, the step count, and
+   -- once the access's thunk has returned -- the value log and the
+   observation trace.  The continuation itself cannot be restored:
+   popping the entry marks the proc [stale], and [rollback] rebuilds it
+   by feeding the restored [vlen] prefix of the value log.  [count] is
+   the part a run's first step (which has no thunk) takes too. *)
+let count p =
+  if Undo.h_recording p.uh then begin
+    let started = p.started
+    and sc = p.step_count
+    and lab = p.pending_label
+    and fp = p.pending_fp
+    and tr = p.trace
+    and vl = p.vlen
+    and fin = p.fin in
+    Undo.h_log p.uh (fun () ->
+        p.started <- started;
+        p.step_count <- sc;
+        p.pending_label <- lab;
+        p.pending_fp <- fp;
+        p.trace <- tr;
+        p.vlen <- vl;
+        p.fin <- fin;
+        p.stale <- true)
+  end;
+  p.started <- true;
+  p.step_count <- p.step_count + 1
+
+let exec p f =
+  count p;
+  let v = f () in
+  if Undo.h_installed p.uh then push_vlog p (Obj.repr v);
+  if p.tracing then p.trace <- chain p.trace v;
+  v
+
+let new_proc ~id ~body ~tracing ~sc =
+  {
+    id;
+    body;
+    tracing;
+    sc;
+    pending = Done;
+    pending_label = None;
+    pending_fp = None;
+    started = false;
+    crash_count = 0;
+    step_count = 0;
+    trace = trace0;
+    vlog = [||];
+    vlen = 0;
+    fin = false;
+    stale = false;
+    uh = Undo.handle ();
+  }
+
+(* The domain-local cursor [step] consults before suspending.  Two
+   drivers set it, never at once:
+
+   - the rollback rebuild ([rebuild]): while it re-runs a process body,
+     [step] hands back [src.(pos)], the recorded value of the next
+     completed step, directly -- no effect, no suspension -- and only
+     performs (suspending the body where the original run was
+     suspended) once [pos] reaches [len];
+   - [run_steps]: while [ahead], the run-ahead budget, lasts and [ok ()]
+     holds, [step] takes the step inline for [proc] -- the bookkeeping
+     of [exec], then the thunk, whose value goes straight back to the
+     body -- instead of suspending.  A thunk that raises is kept in
+     [failed] and the body unwound with [Crashed], so the body never
+     observes it; [run_steps] re-raises it.
+
+   Outside both, [pos = len] and [ahead = 0], so the normal path pays
+   one domain-local load and two integer tests, and neither a fed value
+   nor an inline step allocates. *)
+type feed = {
+  mutable src : Obj.t array;
+  mutable pos : int;
+  mutable len : int;
+  mutable ahead : int;
+  mutable ok : unit -> bool;
+  mutable proc : proc;
+  mutable failed : (exn * Printexc.raw_backtrace) option;
+}
+
+let idle = new_proc ~id:(-1) ~body:ignore ~tracing:false ~sc:None
+let never () = false
+
+let feed_key : feed Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { src = [||]; pos = 0; len = 0; ahead = 0; ok = never; proc = idle; failed = None })
+
+let run_ahead r label fp f =
+  r.ahead <- r.ahead - 1;
+  let p = r.proc in
+  (* what the handler would have recorded had the body suspended here *)
+  p.pending_label <- label;
+  p.pending_fp <- fp;
+  match exec p f with
+  | v -> v
+  | exception e ->
+      r.failed <- Some (e, Printexc.get_raw_backtrace ());
+      r.ahead <- 0;
+      raise Crashed
+
+(* [label] optionally names the shared object the access touches; the
+   critical-execution explorer reads it off suspended processes to
+   reproduce the "all processes are poised on the same object O" step of
+   Theorem 14's proof.  [fp] is the access's step footprint ([None] =
+   unknown, treated as conflicting with everything); the partial-order
+   reduction reads it off suspended processes to decide which pending
+   steps commute. *)
+let step ?label ?fp f =
+  let r = Domain.DLS.get feed_key in
+  if r.pos < r.len then begin
+    (* Feeding: the cast is safe because the body is deterministic, so
+       the k-th step of a given run has one type and the recorded value
+       came from that very position.  The step thunk is skipped: its
+       heap effects were rolled back and must not re-apply.  Trace and
+       vlog were journal-restored. *)
+    let v = r.src.(r.pos) in
+    r.pos <- r.pos + 1;
+    Obj.obj v
+  end
+  else if r.ahead > 0 && r.ok () then run_ahead r label fp f
+  else Effect.perform (Step (label, fp, f))
+
 let run_body p =
   let open Effect.Deep in
   match_with p.body ()
@@ -163,28 +259,36 @@ let run_body p =
           | _ -> None);
     }
 
+(* Unwind a suspended continuation: dropping one without discontinuing
+   it leaks its fiber stack, which lives outside the OCaml heap. *)
+let unwind k =
+  match Effect.Deep.discontinue k Crashed with () -> () | exception Crashed -> ()
+
 (* Take [p]'s next step: the body of [step_proc], inside the step
    context.  The body runs until its next suspension (the handler sets
-   [pending] again) or until it returns. *)
+   [pending] again) or until it returns.  A thunk that raises ends the
+   run: its continuation is unwound before the exception goes on. *)
 let resume p =
   let pd = p.pending in
   p.pending <- Done;
   match pd with
-  | Suspended (f, k) ->
-      let v = f () in
-      if Undo.h_installed p.uh then push_vlog p (Obj.repr v);
-      if p.tracing then p.trace <- chain p.trace v;
-      Effect.Deep.continue k v
-  | Start -> run_body p
+  | Suspended (f, k) -> (
+      match exec p f with
+      | v -> Effect.Deep.continue k v
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          unwind k;
+          Printexc.raise_with_backtrace e bt)
+  | Start ->
+      count p;
+      run_body p
   | Done -> () (* [step_proc] refuses a finished process *)
 
-(* Unwind a suspended continuation: dropping one without discontinuing
-   it leaks its fiber stack, which lives outside the OCaml heap. *)
 let discard p =
   match p.pending with
-  | Suspended (_, k) -> (
+  | Suspended (_, k) ->
       p.pending <- Done;
-      match Effect.Deep.discontinue k Crashed with () -> () | exception Crashed -> ())
+      unwind k
   | Start | Done -> p.pending <- Done
 
 let arm p =
@@ -203,29 +307,13 @@ let create ~n body_of =
   let procs =
     Array.init n (fun id ->
         let p =
-          {
-            id;
-            body = body_of id;
-            tracing = heap <> None;
-            sc = Option.map (fun c -> Persist.step_ctx c id) cache;
-            pending = Done;
-            pending_label = None;
-            pending_fp = None;
-            started = false;
-            crash_count = 0;
-            step_count = 0;
-            trace = trace0;
-            vlog = [||];
-            vlen = 0;
-            fin = false;
-            stale = false;
-            uh = Undo.handle ();
-          }
+          new_proc ~id ~body:(body_of id) ~tracing:(heap <> None)
+            ~sc:(Option.map (fun c -> Persist.step_ctx c id) cache)
         in
         arm p;
         p)
   in
-  { procs; heap; cache; total_steps = 0; dead = false }
+  { procs; heap; cache; dead = false }
 
 let num_procs t = Array.length t.procs
 let cache t = t.cache
@@ -251,7 +339,7 @@ let pending_label t i = t.procs.(i).pending_label
 let pending_footprint t i = if finished t i then None else t.procs.(i).pending_fp
 let crash_count t i = t.procs.(i).crash_count
 let step_count t i = t.procs.(i).step_count
-let total_steps t = t.total_steps
+let total_steps t = Array.fold_left (fun n p -> n + p.step_count) 0 t.procs
 
 let check_pid t i fn =
   if t.dead then
@@ -307,6 +395,17 @@ let rebuild p =
   end;
   p.stale <- false
 
+(* Rollback is lazy: it restores fields and marks procs stale but only
+   rebuilds a continuation when the proc is actually stepped again --
+   procs that are next crashed, or never touched before the enclosing
+   rollback, never pay for a rebuild.  A rebuild re-runs the body, whose
+   barriers size themselves from the step context: it runs inside the
+   system's cache, like a step. *)
+let refresh p =
+  if p.stale then match p.sc with None -> rebuild p | Some sc -> Persist.in_step sc rebuild p
+
+let resume_in_ctx p = match p.sc with None -> resume p | Some sc -> Persist.in_step sc resume p
+
 (* Run process [i] for one step (up to and including its next shared-memory
    access, or to completion).  Always returns true; stepping a finished
    process (check [finished] first) or an out-of-range pid raises
@@ -314,13 +413,7 @@ let rebuild p =
 let step_proc t i =
   check_pid t i "step_proc";
   let p = t.procs.(i) in
-  (* Rollback is lazy: it restores fields and marks procs stale but only
-     rebuilds a continuation when the proc is actually stepped again --
-     procs that are next crashed, or never touched before the enclosing
-     rollback, never pay for a rebuild. *)
-  (* A rebuild re-runs the body, whose barriers size themselves from the
-     step context: it runs inside the system's cache, like a step. *)
-  if p.stale then (match p.sc with None -> rebuild p | Some sc -> Persist.in_step sc rebuild p);
+  refresh p;
   match p.pending with
   | Done ->
       invalid_arg
@@ -329,36 +422,40 @@ let step_proc t i =
             consult [finished] before stepping)"
            i)
   | Start | Suspended _ ->
-      (* One journal entry per step covers every plain field the step
-         (and the continuation machinery it triggers) may change.  The
-         continuation itself cannot be restored -- popping this entry
-         marks the proc [stale] and [rollback] rebuilds it by feeding
-         the restored [vlen] prefix of the value log. *)
-      if Undo.h_recording p.uh then begin
-        let started = p.started
-        and sc = p.step_count
-        and ts = t.total_steps
-        and lab = p.pending_label
-        and fp = p.pending_fp
-        and tr = p.trace
-        and vl = p.vlen
-        and fin = p.fin in
-        Undo.h_log p.uh (fun () ->
-            p.started <- started;
-            p.step_count <- sc;
-            t.total_steps <- ts;
-            p.pending_label <- lab;
-            p.pending_fp <- fp;
-            p.trace <- tr;
-            p.vlen <- vl;
-            p.fin <- fin;
-            p.stale <- true)
-      end;
-      p.started <- true;
-      p.step_count <- p.step_count + 1;
-      t.total_steps <- t.total_steps + 1;
-      (match p.sc with None -> resume p | Some sc -> Persist.in_step sc resume p);
+      resume_in_ctx p;
       true
+
+(* [while k < max && not (finished t i) && ok () do step_proc t i; k++]
+   in one resumption: the first step resumes the body as [step_proc]
+   does, and the rest run inline in it ([run_ahead]) until the budget
+   is spent, [ok ()] fails, or the body returns.  The steps taken are
+   the growth of [step_count]. *)
+let run_steps t i ~max ~ok =
+  check_pid t i "run_steps";
+  if max <= 0 || finished t i || not (ok ()) then 0
+  else begin
+    let p = t.procs.(i) in
+    refresh p;
+    let before = p.step_count in
+    let r = Domain.DLS.get feed_key in
+    r.ahead <- max - 1;
+    r.ok <- ok;
+    r.proc <- p;
+    let outcome =
+      match resume_in_ctx p with
+      | () -> None
+      | exception e -> Some (e, Printexc.get_raw_backtrace ())
+    in
+    let failed = r.failed in
+    r.ahead <- 0;
+    r.ok <- never;
+    r.proc <- idle;
+    r.failed <- None;
+    (match (failed, outcome) with
+    | Some (e, bt), _ | None, Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None, None -> ());
+    p.step_count - before
+  end
 
 (* Crash process [i]: its local state (continuation) is lost, the shared
    heap is untouched, and the process will re-execute its code from the

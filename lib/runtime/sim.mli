@@ -4,11 +4,13 @@
     Each process is ordinary OCaml code that performs the {!Step} effect
     for every shared-memory access; the handler suspends the process at
     each access so a driver can interleave processes one access at a time
-    (the model's "steps").  {!crash} discards the process's delimited
-    continuation -- exactly the loss of volatile local memory, program
-    counter included -- and re-arms the process to re-execute its code
-    from the beginning.  Shared objects live in the ordinary OCaml heap,
-    which plays the role of non-volatile memory: crashes never touch it.
+    (the model's "steps"); a driver with nothing to decide between a
+    process's steps runs several in one resumption ({!run_steps}).
+    {!crash} discards the process's delimited continuation -- exactly
+    the loss of volatile local memory, program counter included -- and
+    re-arms the process to re-execute its code from the beginning.
+    Shared objects live in the ordinary OCaml heap, which plays the role
+    of non-volatile memory: crashes never touch it.
 
     Process bodies must be deterministic (they are re-executed after
     crashes and by the {!Explore} replayer) and must not catch the
@@ -21,16 +23,22 @@ type _ Effect.t +=
   | Step : string option * Rcons_spec.Footprint.t option * (unit -> 'a) -> 'a Effect.t
 
 exception Crashed
-(** Used internally to unwind discarded continuations. *)
+(** Used internally to unwind discarded continuations and bodies whose
+    step thunk raised. *)
 
 val step : ?label:string -> ?fp:Rcons_spec.Footprint.t -> (unit -> 'a) -> 'a
-(** [step f] performs one atomic shared-memory access: the simulated
-    process suspends, and [f] runs atomically when the driver schedules
-    the process's next step.  [label] optionally names the object
-    touched, for the critical-execution explorer; [fp] optionally
-    declares the access's step footprint ({!Rcons_spec.Footprint.t}) for
-    the partial-order-reducing explorer — an access without one is
-    treated as touching everything. *)
+(** [step f] performs one atomic shared-memory access: [f] runs
+    atomically as the process's next step, and its value is the
+    access's result.  Under {!step_proc} the simulated process suspends
+    and [f] runs when the driver schedules the process's next step;
+    under {!run_steps}, while the run's budget lasts and its [ok ()]
+    holds, the step is taken on the spot instead -- the same
+    bookkeeping, with [f]'s value handed straight back.  [label]
+    optionally names the object touched, for the critical-execution
+    explorer; [fp] optionally declares the access's step footprint
+    ({!Rcons_spec.Footprint.t}) for the partial-order-reducing
+    explorer — an access without one is treated as touching
+    everything. *)
 
 type t
 
@@ -74,12 +82,39 @@ val total_steps : t -> int
 
 val step_proc : t -> int -> bool
 (** Run process [i] for one step (up to and including its next
-    shared-memory access, or to completion).  Always [true].
+    shared-memory access, or to completion).  Always [true].  A step
+    thunk that raises ends the run: the body is unwound with {!Crashed}
+    (its [finally] handlers run; nothing leaks) and the exception is
+    re-raised, after which the process counts as finished.
 
     @raise Invalid_argument on an out-of-range pid, a finished process
     (consult {!finished} first, or {!crash} it to restart it), or an
     {!abandon}ed system -- all three previously no-oped silently, hiding
     scheduling bugs. *)
+
+val run_steps : t -> int -> max:int -> ok:(unit -> bool) -> int
+(** [run_steps t i ~max ~ok] is
+    [let k = ref 0 in while !k < max && not (finished t i) && ok () do
+    ignore (step_proc t i); incr k done; !k] -- the same steps, the same
+    state after each, the same exceptions -- taken in one resumption of
+    process [i]: after the first, each step runs inline where the body
+    performs it (see {!step}), with no suspension in between.  For
+    drivers that decide nothing between a process's consecutive steps
+    (the service's quantum); a driver that chooses between steps
+    (crashes, interleavings, probes) uses {!step_proc}.
+
+    [ok] is evaluated where the loop evaluates it, between two steps,
+    but on the inline path inside the running body, while a step of
+    process [i] is in progress.  It must therefore read only shared
+    state, never the running system's {!finished}, {!pending_label} or
+    {!pending_footprint} (a process looks finished while its step
+    runs): [run_steps] checks [finished] itself.  A step thunk that
+    raises is re-raised from [run_steps] after the body is unwound; the
+    body never observes it.  Process bodies must not drive another
+    system.
+
+    @raise Invalid_argument on an out-of-range pid or an {!abandon}ed
+    system. *)
 
 val crash : t -> int -> unit
 (** Crash process [i]: local state lost, shared heap untouched, code
@@ -142,8 +177,9 @@ val abandon : t -> unit
     A process's suspended state is one field: done, about to start its
     body, or suspended on a step with that step's thunk and
     continuation.  The effect handler allocates that one block per
-    step; a crash, a rebuild or {!abandon} discontinues the
-    continuation it holds. *)
+    suspension ({!run_steps} takes several steps per suspension); a
+    crash, a rebuild or {!abandon} discontinues the continuation it
+    holds. *)
 
 type mark
 (** A point in the current schedule, valid while the journal that

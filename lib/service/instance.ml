@@ -318,14 +318,20 @@ let sweep t =
 
 (* One tick of churn on a backend's [sim]: the adversary crashes some
    started, unfinished processes (crash points sit at tick boundaries),
-   then every busy process steps a bounded quantum.  A crash that
-   interrupts work leaves a mark in [marks]; the recovery interval
-   closes once that process is no longer busy.  A body failure
+   then every busy process steps a bounded quantum -- in one resumption
+   ([Sim.run_steps]), since nothing is decided between its steps.  A
+   process is busy while it is unfinished and [has_work] holds;
+   [has_work] is also the quantum's predicate, evaluated inside the
+   running body, so it reads shared state only, never [Sim.finished]
+   (which reads "finished" while a step runs).  A crash that interrupts
+   work leaves a mark in [marks]; the recovery interval closes once
+   that process is no longer busy.  A body failure
    ([Schedule.body_failure], the explorer's rule) is the construction
    corrupting itself (the barrier-free negative control does exactly
    this under lossy churn) -- surfaced as a violation with the
    backend's [failure] message. *)
-let churn t sim ~busy ~marks ~on_crash ~failure =
+let churn t sim ~has_work ~marks ~on_crash ~failure =
+  let busy p = (not (Sim.finished sim p)) && has_work p in
   let n = Array.length marks in
   let eligible = ref [] in
   for p = n - 1 downto 0 do
@@ -338,14 +344,10 @@ let churn t sim ~busy ~marks ~on_crash ~failure =
       if busy v then marks.(v) <- t.now :: marks.(v))
     (Adversary.decide t.adv ~eligible:!eligible ~total_steps:(Sim.total_steps sim));
   for p = 0 to n - 1 do
-    let q = ref quantum in
-    while !q > 0 && busy p do
-      (match Sim.step_proc sim p with
-      | (_ : bool) -> ()
-      | exception e -> (
-          match Schedule.body_failure e with Some m -> violation t (failure p m) | None -> raise e));
-      decr q
-    done;
+    (match Sim.run_steps sim p ~max:quantum ~ok:(fun () -> has_work p) with
+    | (_ : int) -> ()
+    | exception e -> (
+        match Schedule.body_failure e with Some m -> violation t (failure p m) | None -> raise e));
     if (not (busy p)) && marks.(p) <> [] then begin
       List.iter
         (fun m ->
@@ -400,7 +402,7 @@ let tick_u t s =
         end
       end
     done;
-  churn t s.u_sim ~busy:(u_busy s) ~marks:s.u_marks
+  churn t s.u_sim ~has_work:(u_busy s) ~marks:s.u_marks
     ~on_crash:(fun v -> History.crash s.u_hist ~pid:v)
     ~failure:(fun w m -> Printf.sprintf "construction failure on worker %d: %s" w m);
   (* deliver completions in batch order *)
@@ -525,7 +527,7 @@ let tick_l t s =
   | None -> ()
   | Some g ->
       churn t g.g_sim
-        ~busy:(fun p -> not (Sim.finished g.g_sim p))
+        ~has_work:(fun _ -> true)
         ~marks:g.g_marks
         ~on_crash:(fun v -> Rlog.note_crash g.g_log ~pid:v)
         ~failure:(fun p m -> Printf.sprintf "log proc %d failure: %s" p m);

@@ -17,8 +17,10 @@
 
     wake sleeping client fibers -> open-loop arrivals -> dispatch
     batches to idle workers (or start a log generation) -> churn:
-    adversary crash decision ({!Rcons_runtime.Adversary.decide}), step
-    busy processes a bounded quantum, close recovery intervals ->
+    adversary crash decision ({!Rcons_runtime.Adversary.decide}), run
+    each busy worker's quantum in one resumption
+    ({!Rcons_runtime.Sim.run_steps}: nothing is decided between its
+    steps), close recovery intervals ->
     deliver completions -> sweep deadlines (timeout answers) -> windowed
     online check at drain points.
 

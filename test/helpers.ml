@@ -19,6 +19,18 @@ type 'v system = { sim : Sim.t; outputs : 'v Rcons_algo.Outputs.t; check : unit 
 let check_now outputs () = Rcons_algo.Outputs.check_exn ~fail:Explore.fail outputs
 let of_built (sim, outputs) = { sim; outputs; check = check_now outputs }
 
+(* Run [f] under a fresh heap arena and an installed undo journal, as
+   the explorer's rollback strategy does; both are put back however [f]
+   exits. *)
+let with_undo_arena f =
+  let saved = Heap.current () in
+  Heap.activate (Heap.create ());
+  Fun.protect
+    ~finally:(fun () -> match saved with Some a -> Heap.activate a | None -> Heap.deactivate ())
+    (fun () ->
+      Undo.install ();
+      Fun.protect ~finally:Undo.uninstall f)
+
 (* A built system as an explorer [mk] result. *)
 let explorer (sim, outputs) = (sim, check_now outputs)
 

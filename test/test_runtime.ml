@@ -286,6 +286,135 @@ let test_explore_budget () =
       Alcotest.(check int) "resumed nodes" full.Explore.nodes resumed.Explore.nodes;
       Alcotest.(check bool) "resumed stats" true (full = resumed)
 
+(* --- run_steps: a quantum in one resumption --- *)
+
+(* What a driver can see after a quantum: the steps it reports, how many
+   times it evaluated [ok], the step counts, which processes have
+   finished, their pending labels and the state digest -- or the
+   exception that ended the run. *)
+type quantum_obs =
+  | Quantum of int * int * int * int list * bool list * string option list * string
+  | Raised of string
+
+(* The loop [Sim.run_steps] replaces. *)
+let loop_steps sim i ~max ~ok =
+  let k = ref 0 in
+  while !k < max && (not (Sim.finished sim i)) && ok () do
+    ignore (Sim.step_proc sim i);
+    incr k
+  done;
+  !k
+
+(* Forty seeded quanta on a fresh system from [mk], each taken by
+   [drive]: a process, a budget of 1-8 steps, and a predicate that
+   holds for its first 0-9 evaluations, so it flips mid-quantum.
+   Between quanta the seed may crash a process, take a mark, or roll
+   back to it (the rolled-back process is rebuilt at its next quantum).
+   The system runs under its own heap arena and an installed undo
+   journal, so each step journals, logs its value and chains its
+   trace. *)
+let drive_quanta ~drive mk seed =
+  let rng = Random.State.make [| seed |] in
+  Helpers.with_undo_arena (fun () ->
+      let sim = mk () in
+      let n = Sim.num_procs sim in
+      let obs = ref [] and mark = ref None in
+      (try
+         for _ = 1 to 40 do
+           (match Random.State.int rng 8 with
+           | 0 -> Sim.crash sim (Random.State.int rng n)
+           | 1 -> mark := Some (Sim.mark sim)
+           | 2 ->
+               Option.iter (Sim.rollback sim) !mark;
+               mark := None
+           | _ -> ());
+           let i = Random.State.int rng n in
+           let max = 1 + Random.State.int rng 8 and flip = Random.State.int rng 10 in
+           let calls = ref 0 in
+           let k =
+             drive sim i ~max ~ok:(fun () ->
+                 incr calls;
+                 !calls <= flip)
+           in
+           obs :=
+             Quantum
+               ( k,
+                 !calls,
+                 Sim.total_steps sim,
+                 List.init n (Sim.step_count sim),
+                 List.init n (Sim.finished sim),
+                 List.init n (Sim.pending_label sim),
+                 Sim.fingerprint_digest sim )
+             :: !obs
+         done
+       with e -> obs := Raised (Printexc.to_string e) :: !obs);
+      Sim.abandon sim;
+      List.rev !obs)
+
+let quantum_systems =
+  let cert = lazy (Helpers.cert_of Rcons_spec.Sticky_bit.t 2) in
+  let fig7 policy () =
+    Persist.scoped ~barriers:true policy (fun () ->
+        let open Rcons_universal in
+        let scripts =
+          Derived.[| [| Incr; Get; Incr |]; [| Incr; Incr |]; [| Get; Incr |] |]
+        in
+        let _, _, sim = Script.system Derived.counter scripts in
+        sim)
+  in
+  [
+    ("Figure 7 counter, barriers, lossy", fig7 Persist.Lossy);
+    ("Figure 7 counter, barriers, torn", fig7 Persist.Torn);
+    ( "log generation, barriers, lossy",
+      fun () ->
+        Persist.scoped ~barriers:true Persist.Lossy (fun () ->
+            snd (Rcons_log.Rlog.instance ~slots:2 (Lazy.force cert))) );
+    ( "Figure 2 team system",
+      fun () -> fst (Rcons_algo.Team_consensus.system ~inputs:(111, 222) (Lazy.force cert)) );
+  ]
+
+let qcheck_run_steps_is_the_loop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:40 ~name:"run_steps = the step_proc loop"
+       ~print:string_of_int
+       QCheck2.Gen.(int_bound 1_000_000)
+       (fun seed ->
+         List.for_all
+           (fun (name, mk) ->
+             drive_quanta ~drive:Sim.run_steps mk seed = drive_quanta ~drive:loop_steps mk seed
+             || QCheck2.Test.fail_reportf "%s diverges" name)
+           quantum_systems))
+
+(* A step thunk that raises ends the run under either driver: the body
+   is unwound (its [finally] runs once) without observing the
+   exception, which reaches the driver's caller. *)
+let test_thunk_failure_unwinds () =
+  let run name drive =
+    let unwinds = ref 0 and caught = ref 0 in
+    let sim =
+      Sim.create ~n:1 (fun _ () ->
+          Fun.protect
+            ~finally:(fun () -> incr unwinds)
+            (fun () ->
+              ignore (Sim.step (fun () -> 1));
+              (try ignore (Sim.step (fun () -> (failwith "boom" : int)))
+               with Failure _ -> incr caught);
+              ignore (Sim.step (fun () -> 2))))
+    in
+    (match drive sim with
+    | () -> Alcotest.fail (name ^ ": the thunk's exception was lost")
+    | exception Failure m -> Alcotest.(check string) (name ^ ": re-raised") "boom" m);
+    Alcotest.(check int) (name ^ ": unwound once") 1 !unwinds;
+    Alcotest.(check int) (name ^ ": body caught nothing") 0 !caught;
+    Alcotest.(check int) (name ^ ": steps") 3 (Sim.step_count sim 0);
+    Alcotest.(check bool) (name ^ ": run over") true (Sim.finished sim 0)
+  in
+  run "step_proc" (fun sim ->
+      while not (Sim.finished sim 0) do
+        ignore (Sim.step_proc sim 0)
+      done);
+  run "run_steps" (fun sim -> ignore (Sim.run_steps sim 0 ~max:8 ~ok:(fun () -> true)))
+
 let suite =
   [
     Alcotest.test_case "step granularity" `Quick test_step_granularity;
@@ -306,4 +435,6 @@ let suite =
     Alcotest.test_case "explorer: detects violations" `Quick test_explore_detects_violation;
     Alcotest.test_case "explorer: crash pruning" `Quick test_explore_crash_pruning;
     Alcotest.test_case "explorer: node budget" `Quick test_explore_budget;
+    qcheck_run_steps_is_the_loop;
+    Alcotest.test_case "a raising step thunk unwinds its body" `Quick test_thunk_failure_unwinds;
   ]

@@ -294,19 +294,8 @@ let test_memo_product_and_wide () =
 
 module USim = Rcons_runtime.Sim
 module UCell = Rcons_runtime.Cell
-module UHeap = Rcons_runtime.Heap
 module UUndo = Rcons_runtime.Undo
 module UPersist = Rcons_runtime.Persist
-
-let with_undo_arena f =
-  let saved = UHeap.current () in
-  UHeap.activate (UHeap.create ());
-  Fun.protect
-    ~finally:(fun () ->
-      match saved with Some a -> UHeap.activate a | None -> UHeap.deactivate ())
-    (fun () ->
-      UUndo.install ();
-      Fun.protect ~finally:UUndo.uninstall f)
 
 (* Two processes over a shared cell plus a private cell each; every body
    crosses a plain write, an explicit flush, a shared read-modify-write
@@ -337,7 +326,7 @@ let drive_to_completion t =
 
 let test_rollback_boundaries policy () =
   UPersist.scoped ~barriers:true policy (fun () ->
-      with_undo_arena (fun () ->
+      Helpers.with_undo_arena (fun () ->
           let t = undo_sys () in
           Fun.protect
             ~finally:(fun () -> USim.abandon t)
@@ -372,7 +361,7 @@ let test_rollback_boundaries policy () =
    recovery re-accumulated), not the pre-crash one. *)
 let test_rollback_recovered_run policy () =
   UPersist.scoped ~barriers:true policy (fun () ->
-      with_undo_arena (fun () ->
+      Helpers.with_undo_arena (fun () ->
           let t = undo_sys () in
           Fun.protect
             ~finally:(fun () -> USim.abandon t)
@@ -424,7 +413,7 @@ let qcheck_rollback_fingerprint =
            match pol with 0 -> UPersist.Eager | 1 -> UPersist.Lossy | _ -> UPersist.Torn
          in
          UPersist.scoped ~barriers:true policy (fun () ->
-             with_undo_arena (fun () ->
+             Helpers.with_undo_arena (fun () ->
                  let t = undo_sys () in
                  Fun.protect
                    ~finally:(fun () -> USim.abandon t)
@@ -579,7 +568,7 @@ let test_rebuild_exception_safety () =
   List.iter
     (fun raise_on_rerun ->
       UPersist.scoped ~barriers:true UPersist.Lossy (fun () ->
-          with_undo_arena (fun () ->
+          Helpers.with_undo_arena (fun () ->
               desync ~raise_on_rerun;
               fresh_system_is_normal ())))
     [ false; true ]

@@ -12,8 +12,9 @@
      collapses availability (never acks) instead of lying;
    - overload sheds explicitly (Overloaded answers, bounded queue) and
      every session still terminates, open-loop-only instances included;
-   - a storm x lossy fleet's digest and client counters are pinned, so
-     an engine refactor that changes any outcome fails here;
+   - a storm x lossy fleet's digest, client counters, simulated steps
+     and ticks are pinned, so an engine refactor that changes any
+     outcome, or the simulation step for step, fails here;
    - the incremental adversary API: [decide] respects crash budgets,
      thresholds and windows, and [crashes_injected] counts delivered
      crashes. *)
@@ -123,19 +124,28 @@ let storm_lossy_pinned () =
   let pin name cfgs expected =
     let s = (Soak.run cfgs).Soak.summary in
     Alcotest.(check (pair string (list int)))
-      (name ^ ": commit digest, acked / retries / timeouts / shed / gave up")
+      (name ^ ": commit digest, acked / retries / timeouts / shed / gave up / sim steps / ticks")
       expected
       ( s.Soak.s_commit_digest,
-        [ s.Soak.s_acked; s.Soak.s_retries; s.Soak.s_timeouts; s.Soak.s_shed; s.Soak.s_gave_up ] )
+        [
+          s.Soak.s_acked;
+          s.Soak.s_retries;
+          s.Soak.s_timeouts;
+          s.Soak.s_shed;
+          s.Soak.s_gave_up;
+          s.Soak.s_sim_steps;
+          s.Soak.s_ticks;
+        ] )
   in
-  pin "storm x lossy" fleet ("d85e941ae21d3c4e773ec655dba42de2", [ 69; 73; 76; 0; 0 ]);
+  pin "storm x lossy" fleet ("d85e941ae21d3c4e773ec655dba42de2", [ 69; 73; 76; 0; 0; 11428; 353 ]);
   pin "storm x lossy, queue cap 2"
     (List.map (fun c -> { c with Instance.queue_cap = 2 }) fleet)
-    ("4b99cb3504ddc4be3739a32ee3d3ba64", [ 65; 216; 39; 189; 4 ])
+    ("4b99cb3504ddc4be3739a32ee3d3ba64", [ 65; 216; 39; 189; 4; 11186; 351 ])
 
 (* One universal instance whose history runs to ~1000 ops: the online
    checker cuts it into dozens of windows, each reading only the events
-   since its cut.  Pinned: the commit order and the number of checks. *)
+   since its cut.  Pinned: the commit order, the number of checks, and
+   the simulated steps and ticks. *)
 let long_history_pinned () =
   let cfg =
     {
@@ -147,10 +157,10 @@ let long_history_pinned () =
   in
   let r = Instance.run cfg in
   Alcotest.(check (pair string (list int)))
-    "commit digest, checks run / acked"
-    ("542f0b5ad20fae9e042696feececd6eb", [ 33; 1004 ])
+    "commit digest, checks run / acked / sim steps / ticks"
+    ("542f0b5ad20fae9e042696feececd6eb", [ 33; 1004; 187254; 11747 ])
     ( Digest.to_hex (Digest.string r.Instance.r_commit_trace),
-      [ r.Instance.r_checks_run; r.Instance.r_acked ] )
+      [ r.Instance.r_checks_run; r.Instance.r_acked; r.Instance.r_sim_steps; r.Instance.r_ticks ] )
 
 (* --- open-loop only: no closed session at all --- *)
 
